@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: install test test-fast test-slow bench bench-json bench-serve bench-batch bench-transport bench-fleet bench-sim bench-exact exact-smoke trace-smoke fault-smoke fleet-smoke sim-smoke report examples all
+.PHONY: install test test-fast test-slow bench bench-json bench-serve bench-batch bench-transport bench-fleet bench-sim bench-exact bench-e2e exact-smoke trace-smoke fault-smoke fleet-smoke sim-smoke report examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -44,6 +44,9 @@ bench-sim:
 
 bench-exact:
 	python -m repro.bench.exact --out BENCH_exact.json
+
+bench-e2e:
+	python3 -m benchmarks.e2e
 
 exact-smoke:
 	python -m repro.bench.exact --quick --out /tmp/BENCH_exact_smoke.json

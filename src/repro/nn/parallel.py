@@ -45,6 +45,20 @@ class _Flags(threading.local):
 _flags = _Flags()
 
 
+def _reset_after_fork() -> None:
+    """A forked child inherits the pool object but none of its threads
+    (a submit would wait forever), and the lock possibly held: start
+    the child with no pool, a fresh lock and a serial-nesting flag that
+    belongs to no pool worker."""
+    global _lock, _pool
+    _lock = threading.Lock()
+    _pool = None
+    _flags.inside_pool = False
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
+
 def _default_threads() -> int:
     env = os.environ.get("REPRO_THREADS")
     if env is not None:

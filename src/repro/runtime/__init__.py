@@ -63,10 +63,10 @@ from repro.runtime.trace import (
     format_timeline,
     trace_makespan,
 )
+from repro.runtime.scheduler import StageScheduler
 from repro.runtime.shm import ShmChannel, ShmRing, SlotExhausted
 from repro.runtime.transport import (
     Channel,
-    FrameAssembler,
     TransportClosed,
     decode_message,
     encode_message,
@@ -83,7 +83,6 @@ __all__ = [
     "EVENT_KINDS",
     "FaultInjector",
     "FaultSchedule",
-    "FrameAssembler",
     "Hello",
     "InProcTransport",
     "PipelineSession",
@@ -102,6 +101,7 @@ __all__ = [
     "SlotExhausted",
     "StageFailure",
     "StageProgram",
+    "StageScheduler",
     "StageTiming",
     "TaskSpec",
     "TcpTransport",

@@ -20,28 +20,27 @@ through the exact ``configure() → open()`` flow they use for the
 in-process and simulated backends, fault ladder and tracing included.
 
 :class:`DistributedPipeline` keeps frames from *different* stages in
-flight concurrently.  Since this refactor it is event-driven: a single
-``selectors`` control loop owns every worker socket, dispatches each
-stage's tiles, collects results as they arrive, and advances frames
-stage to stage — no thread-per-stage blocking recv.  Stage compute
-still happens in the worker processes; the loop only moves
-control-plane bytes (and, on the TCP transport, tensor frames).
+flight concurrently.  It is a submit/collect client of the one
+wall-clock scheduler, :class:`~repro.runtime.scheduler.StageScheduler`:
+a thread per stage drives that stage's workers through the blocking
+:meth:`TcpTransport.run_tasks` and hands the frame to the next stage.
+Stage compute happens in the worker processes; the stage threads only
+split, move bytes and stitch.
 
 Worker failure recovery (extension): if a worker dies mid-task, the
-transport redistributes its strip among the survivors
-(capacity-weighted), ships them new tile programs via
-:class:`Reconfigure`, and the frame replays from that stage boundary.
+fault ladder of :func:`~repro.runtime.core.execute_stage` has the
+transport redistribute its strip among the survivors
+(capacity-weighted, new tile programs shipped via
+:class:`Reconfigure`) and replays the frame from that stage boundary.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import queue
-import selectors
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,13 +54,13 @@ from repro.nn.weights import Weights, init_weights
 from repro.partition.branches import concat_channel_blocks
 from repro.partition.regions import Region
 from repro.partition.strips import weighted_partition
-from repro.runtime.core import (
-    StageTrace,
-    TaskTiming,
-    Transport,
-    emit_stage_trace,
+from repro.runtime.core import StageTrace, TaskTiming, Transport
+from repro.runtime.faults import (
+    DEFAULT_RUNTIME_CONFIG,
+    DeviceDead,
+    RuntimeConfig,
+    StageFailure,
 )
-from repro.runtime.faults import DeviceDead, RuntimeConfig, StageFailure
 from repro.runtime.messages import (
     Hello,
     Reconfigure,
@@ -76,12 +75,11 @@ from repro.runtime.program import (
     PlanProgram,
     TaskSpec,
     compile_plan,
-    split_stage,
-    stitch_stage,
     task_weight_names,
 )
+from repro.runtime.scheduler import StageScheduler
 from repro.runtime.shm import ShmChannel, ShmRing
-from repro.runtime.trace import TraceEvent, Tracer, coerce_tracer
+from repro.runtime.trace import coerce_tracer
 from repro.runtime.transport import Channel, TransportClosed
 from repro.runtime.worker import worker_main
 
@@ -94,8 +92,6 @@ __all__ = [
     "StageFailure",
     "TcpTransport",
 ]
-
-_SENTINEL = object()
 
 
 @dataclass
@@ -126,9 +122,6 @@ class _WorkerHandle:
     stage_index: int
     channel: Optional[Channel] = None
     alive: bool = True
-    #: Set when a repartition left the (healthy) worker with no work —
-    #: distinguishes "idled" from "connection lost" for the event loop.
-    retired: bool = False
 
 
 class TcpTransport(Transport):
@@ -316,10 +309,10 @@ class TcpTransport(Transport):
         """Probe worker-process liveness every ``interval_s`` seconds.
 
         The monitor never mutates handles directly — it only flags
-        worker ids in a pending set, which the driving loop/threads
-        apply (mark dead + repartition) at the next frame boundary.
-        That keeps channel use and repartitioning where the epoch
-        protocol already makes them safe.
+        worker ids in a pending set, which the stage's own thread
+        applies (:meth:`needs_repartition`, then a repartition) at its
+        next frame boundary.  That keeps channel use and repartitioning
+        where the epoch protocol already makes them safe.
         """
         if self._monitor is not None:
             return
@@ -343,8 +336,13 @@ class TcpTransport(Transport):
             self._monitor.join(timeout=5.0)
             self._monitor = None
 
-    def apply_heartbeats(self, stage_index: int) -> bool:
-        """Mark this stage's monitor-flagged workers dead; True if any."""
+    def needs_repartition(self, stage_index: int) -> bool:
+        """Mark this stage's monitor-flagged workers dead; True if any.
+
+        (The base-class check keys on dead device *names*, which here
+        would keep firing for every stage hosting a same-name worker
+        whose own process is perfectly healthy.)
+        """
         with self._pending_lock:
             if not self._pending_dead:
                 return False
@@ -357,13 +355,6 @@ class TcpTransport(Transport):
                 h.alive = False
                 self._pending_dead.discard(h.worker_id)
         return bool(flagged)
-
-    def needs_repartition(self, stage_index: int) -> bool:
-        """A stage needs repair when the heartbeat flagged one of *its*
-        workers.  (The base-class check keys on dead device *names*,
-        which here would keep firing for every stage hosting a same-name
-        worker whose own process is perfectly healthy.)"""
-        return self.apply_heartbeats(stage_index)
 
     def bind_stage(self, stage_index: int, handles: "List[_WorkerHandle]") -> None:
         while len(self._handles) <= stage_index:
@@ -378,9 +369,6 @@ class TcpTransport(Transport):
         if not handles:
             raise StageFailure(f"stage {stage_index}: no workers left")
         return tuple(h.task for h in handles)
-
-    def stage_epoch(self, stage_index: int) -> int:
-        return self._epochs[stage_index]
 
     def run_tasks(
         self,
@@ -474,7 +462,6 @@ class TcpTransport(Transport):
             for handle, group in zip(survivors, groups):
                 if not group:
                     handle.alive = False  # healthy, just out of work
-                    handle.retired = True
                     continue
                 program = compile_block_paths_cached(
                     self.model, stage.start, tuple(sorted(group))
@@ -501,7 +488,6 @@ class TcpTransport(Transport):
             for handle, iv in zip(survivors, slices):
                 if iv.end <= iv.start:
                     handle.alive = False  # nothing left for it to do
-                    handle.retired = True
                     continue
                 program = compile_channel_slice_cached(
                     self.model, stage.start, iv.start, iv.end
@@ -523,7 +509,6 @@ class TcpTransport(Transport):
             region = Region.from_bounds(iv.start, iv.end, 0, w)
             if region.empty:
                 handle.alive = False  # nothing left for it to do
-                handle.retired = True
                 continue
             program = compile_segment_cached(
                 self.model, stage.start, stage.end, region
@@ -691,325 +676,6 @@ class ShmTransport(TcpTransport):
             ring.destroy()
 
 
-@dataclass
-class _InFlight:
-    """One frame being served by one stage, driven by the event loop."""
-
-    frame: int
-    x: np.ndarray
-    tasks: "Tuple[TaskSpec, ...]"
-    tiles: "List[np.ndarray]"
-    epoch: int
-    entry: float
-    deadline: Optional[float]
-    send_spans: "List[Tuple[float, float]]" = field(default_factory=list)
-    pos: "Dict[int, int]" = field(default_factory=dict)
-    outs: "List[Optional[np.ndarray]]" = field(default_factory=list)
-    timings: "List[Optional[TaskTiming]]" = field(default_factory=list)
-    filled: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return self.filled == len(self.tasks)
-
-
-class _EventLoop(threading.Thread):
-    """The single ``selectors``-driven control loop of the coordinator.
-
-    Owns every worker socket (non-blocking) plus a self-pipe for
-    submissions and shutdown.  Each stage serves one frame at a time
-    (FIFO per stage, matching the old thread-per-stage semantics) while
-    different stages overlap freely; results are collected as they
-    arrive — no blocking recv anywhere, so one thread drives every
-    in-flight frame.  Worker death (EOF, heartbeat flag, recv deadline)
-    triggers the same repartition-and-replay recovery the fault ladder
-    performs on the session path, guarded by the per-stage epochs.
-    """
-
-    def __init__(
-        self,
-        program: PlanProgram,
-        transport: TcpTransport,
-        recover: bool,
-        tracer: Optional[Tracer],
-    ) -> None:
-        super().__init__(name="coordinator", daemon=True)
-        self.program = program
-        self.transport = transport
-        self.recover = recover
-        self.tracer = tracer
-        self.results: "queue.Queue" = queue.Queue()
-        self.error: Optional[BaseException] = None
-        self._sel = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._lock = threading.Lock()
-        self._submissions: "deque" = deque()
-        self._stopping = False
-        n = program.n_stages
-        self._queues: "List[deque]" = [deque() for _ in range(n)]
-        self._busy: "List[Optional[_InFlight]]" = [None] * n
-        self._registered: "Dict[int, _WorkerHandle]" = {}
-
-    # -- cross-thread interface ----------------------------------------
-    def submit(self, frame: int, x: np.ndarray) -> None:
-        with self._lock:
-            self._submissions.append((frame, x))
-        self._wake()
-
-    def shutdown(self) -> None:
-        with self._lock:
-            self._stopping = True
-        self._wake()
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            pass
-
-    # -- loop body ------------------------------------------------------
-    def run(self) -> None:
-        try:
-            self._sel.register(self._wake_r, selectors.EVENT_READ, None)
-            for handle in self.transport.all_handles():
-                if handle.alive and handle.channel is not None:
-                    handle.channel.set_nonblocking()
-                    self._sel.register(
-                        handle.channel.sock, selectors.EVENT_READ, handle
-                    )
-                    self._registered[handle.worker_id] = handle
-            while True:
-                self._drain_submissions()
-                self._dispatch_ready()
-                if self._stopping and self._idle():
-                    return
-                for key, _events in self._sel.select(self._tick_timeout()):
-                    if key.data is None:
-                        self._drain_wake()
-                    else:
-                        self._service(key.data)
-                self._apply_heartbeats()
-                self._check_deadlines()
-        except BaseException as exc:  # surfaced at collect()
-            self.error = exc
-        finally:
-            self.results.put(_SENTINEL)
-            try:
-                self._sel.close()
-            except OSError:
-                pass
-            self._wake_r.close()
-            self._wake_w.close()
-
-    def _idle(self) -> bool:
-        with self._lock:
-            if self._submissions:
-                return False
-        return all(b is None for b in self._busy) and not any(self._queues)
-
-    def _tick_timeout(self) -> "Optional[float]":
-        config = self.transport.config
-        timeout = config.heartbeat_interval_s if config is not None else None
-        deadlines = [
-            b.deadline for b in self._busy if b is not None and b.deadline
-        ]
-        if deadlines:
-            now = self.transport.clock()
-            nearest = max(0.0, min(deadlines) - now)
-            timeout = nearest if timeout is None else min(timeout, nearest)
-        return timeout
-
-    def _drain_wake(self) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, InterruptedError):
-            pass
-
-    def _drain_submissions(self) -> None:
-        with self._lock:
-            items, self._submissions = self._submissions, deque()
-        self._queues[0].extend(items)
-
-    def _dispatch_ready(self) -> None:
-        for stage_index in range(self.program.n_stages):
-            if self._busy[stage_index] is None and self._queues[stage_index]:
-                frame, x = self._queues[stage_index].popleft()
-                self._dispatch(stage_index, frame, x)
-
-    def _dispatch(self, stage_index: int, frame: int, x: np.ndarray) -> None:
-        transport = self.transport
-        tasks = transport.stage_tasks(stage_index)  # StageFailure if none
-        tiles = split_stage(tasks, x)
-        handles = transport.alive_handles(stage_index)
-        config = transport.config
-        entry = transport.clock()
-        deadline = (
-            entry + config.recv_timeout_s
-            if config is not None and config.recv_timeout_s is not None
-            else None
-        )
-        inflight = _InFlight(
-            frame, x, tasks, tiles,
-            transport.stage_epoch(stage_index), entry, deadline,
-            outs=[None] * len(tasks), timings=[None] * len(tasks),
-        )
-        self._busy[stage_index] = inflight
-        for i, (handle, tile) in enumerate(zip(handles, tiles)):
-            t0 = transport.clock()
-            try:
-                handle.channel.send(TileTask(frame, tile, inflight.epoch))
-            except OSError:
-                # _worker_lost repartitions and re-dispatches this very
-                # frame with a fresh task set; abandon this attempt.
-                self._worker_lost(handle)
-                return
-            inflight.send_spans.append((t0, transport.clock()))
-            inflight.pos[handle.worker_id] = i
-
-    def _service(self, handle: _WorkerHandle) -> None:
-        try:
-            messages = handle.channel.recv_ready()
-        except TransportClosed:
-            self._worker_lost(handle)
-            return
-        for message in messages:
-            self._on_message(handle, message)
-
-    def _on_message(self, handle: _WorkerHandle, message) -> None:
-        if isinstance(message, WorkerError):
-            raise RuntimeError(
-                f"worker {message.worker_id} failed task "
-                f"{message.task_id}: {message.message}"
-            )
-        if not isinstance(message, TileResult):
-            raise RuntimeError(
-                f"unexpected {type(message).__name__} from worker "
-                f"{handle.worker_id}"
-            )
-        stage_index = handle.stage_index
-        transport = self.transport
-        inflight = self._busy[stage_index]
-        if (
-            inflight is None
-            or message.epoch < transport.stage_epoch(stage_index)
-            or message.task_id != inflight.frame
-        ):
-            return  # stale result from before a repartition/replay
-        i = inflight.pos.get(handle.worker_id)
-        if i is None or inflight.outs[i] is not None:
-            return
-        recv_end = transport.clock()
-        span = inflight.send_spans[i]
-        inflight.outs[i] = message.tile
-        inflight.timings[i] = TaskTiming(
-            send=span,
-            compute=(max(span[1], recv_end - message.compute_s), recv_end),
-            recv=(recv_end, recv_end),
-        )
-        inflight.filled += 1
-        with transport.stats_lock:
-            transport.stats.worker_compute_s[handle.worker_id] = (
-                transport.stats.worker_compute_s.get(handle.worker_id, 0.0)
-                + message.compute_s
-            )
-        if inflight.complete:
-            self._complete(stage_index, inflight)
-
-    def _complete(self, stage_index: int, inflight: _InFlight) -> None:
-        transport = self.transport
-        outs = transport.materialise_outputs(
-            stage_index, inflight.tasks, list(inflight.outs)
-        )
-        st = StageTrace(
-            inflight.entry,
-            inflight.entry,
-            transport.clock(),
-            tuple(inflight.timings),
-        )
-        emit_stage_trace(
-            self.tracer, (inflight.frame,), stage_index,
-            inflight.tasks, inflight.tiles, outs, st,
-        )
-        out = stitch_stage(
-            transport.current_stage(stage_index), inflight.tasks, outs
-        )
-        self._busy[stage_index] = None
-        if stage_index + 1 < self.program.n_stages:
-            self._queues[stage_index + 1].append((inflight.frame, out))
-        else:
-            self.results.put((inflight.frame, out))
-
-    # -- failure handling ----------------------------------------------
-    def _worker_lost(self, handle: _WorkerHandle) -> None:
-        stage_index = handle.stage_index
-        handle.alive = False
-        if self._registered.pop(handle.worker_id, None) is not None:
-            try:
-                self._sel.unregister(handle.channel.sock)
-            except (KeyError, ValueError, OSError):
-                pass
-        if not self.recover:
-            raise StageFailure(
-                f"stage {stage_index}: worker connection lost"
-            )
-        transport = self.transport
-        if transport.mark_dead(handle.task.device_name) and self.tracer:
-            now = transport.clock()
-            self.tracer.emit(
-                TraceEvent(
-                    "device_dead", self._current_frame(stage_index),
-                    stage_index, handle.task.device_name, now, now,
-                )
-            )
-        transport.repartition(stage_index)  # StageFailure when none left
-        inflight, self._busy[stage_index] = self._busy[stage_index], None
-        if inflight is not None:
-            if self.tracer:
-                now = transport.clock()
-                self.tracer.emit(
-                    TraceEvent(
-                        "frame_replayed", inflight.frame, stage_index,
-                        handle.task.device_name, now, now,
-                    )
-                )
-            self._dispatch(stage_index, inflight.frame, inflight.x)
-
-    def _current_frame(self, stage_index: int) -> int:
-        inflight = self._busy[stage_index]
-        return inflight.frame if inflight is not None else -1
-
-    def _apply_heartbeats(self) -> None:
-        if self.transport.config is None:
-            return
-        for stage_index in range(self.program.n_stages):
-            self.transport.apply_heartbeats(stage_index)
-        lost = [
-            h for h in list(self._registered.values())
-            if not h.alive and not h.retired
-        ]
-        for handle in lost:
-            self._worker_lost(handle)
-
-    def _check_deadlines(self) -> None:
-        now = self.transport.clock()
-        for stage_index, inflight in enumerate(self._busy):
-            if inflight is None or inflight.deadline is None:
-                continue
-            if now <= inflight.deadline:
-                continue
-            # Declare the slowest missing worker dead; recovery
-            # re-dispatches with a fresh deadline for the survivors.
-            for handle in list(self._registered.values()):
-                if handle.stage_index != stage_index or not handle.alive:
-                    continue
-                i = inflight.pos.get(handle.worker_id)
-                if i is not None and inflight.outs[i] is None:
-                    self._worker_lost(handle)
-                    break
-
-
 class DistributedPipeline:
     """Execute a :class:`PipelinePlan` on real OS processes.
 
@@ -1020,8 +686,9 @@ class DistributedPipeline:
 
     ``transport`` selects the tensor plane: ``"tcp"`` (framed sockets)
     or ``"shm"`` (shared-memory slot rings, zero-copy on the same
-    host).  Either way a single event-driven control loop coordinates
-    every stage's worker processes.
+    host).  Either way the frames ride the shared
+    :class:`~repro.runtime.scheduler.StageScheduler` — one thread per
+    stage, every stage through the ``execute_stage`` fault ladder.
 
     ``trace`` follows the shared contract (``Tracer | bool | None``,
     see :func:`~repro.runtime.trace.coerce_tracer`): per-frame
@@ -1032,7 +699,10 @@ class DistributedPipeline:
     A :class:`~repro.runtime.faults.RuntimeConfig` turns on the fault
     tolerance layer: heartbeat probing of worker processes, recv
     timeouts on worker channels, worker idle timeouts, and recovery
-    (``config.recover`` supersedes the legacy ``recover`` flag).
+    (``config.recover`` supersedes the legacy ``recover`` flag, which
+    alone runs the ladder on :data:`DEFAULT_RUNTIME_CONFIG`).  A frame
+    that fails past the ladder fails the pipeline: :meth:`collect`
+    raises its exception, then and on every later call.
     """
 
     def __init__(
@@ -1075,7 +745,8 @@ class DistributedPipeline:
         )
         if config is not None:
             self.transport.configure(config)
-        self._loop: "Optional[_EventLoop]" = None
+        self._scheduler: "Optional[StageScheduler]" = None
+        self._error: Optional[BaseException] = None
         self._submit_times: "Dict[int, float]" = {}
         self._next_task = 0
         self._started = False
@@ -1092,10 +763,12 @@ class DistributedPipeline:
         if self._started:
             return self
         self.transport.open(self.program)
-        self._loop = _EventLoop(
-            self.program, self.transport, self.recover, self._tracer
+        ladder = self.config
+        if ladder is None and self.recover:
+            ladder = DEFAULT_RUNTIME_CONFIG
+        self._scheduler = StageScheduler(
+            self.program, self.transport, self._tracer, ladder
         )
-        self._loop.start()
         self._started = True
         return self
 
@@ -1114,18 +787,32 @@ class DistributedPipeline:
         if self._first_submit is None:
             self._first_submit = now
         self._submit_times[task_id] = now
-        self._loop.submit(task_id, np.ascontiguousarray(x, dtype=np.float32))
+        self._scheduler.submit(
+            task_id, np.ascontiguousarray(x, dtype=np.float32)
+        )
         return task_id
 
     def collect(self, timeout_s: float = 120.0) -> Tuple[int, np.ndarray]:
         """Fetch one completed (task_id, output) from the final stage."""
-        item = self._loop.results.get(timeout=timeout_s)
-        if item is _SENTINEL:
-            self._loop.results.put(_SENTINEL)  # keep later collects failing
-            if self._loop.error is not None:
-                raise self._loop.error
-            raise RuntimeError("pipeline terminated unexpectedly")
-        task_id, features = item
+        if self._error is not None:
+            raise self._error
+        try:
+            task_id, features, error, _batch, _done = (
+                self._scheduler.results.get(timeout=timeout_s)
+            )
+        except queue.Empty:
+            serving = ", ".join(
+                f"frame {fids[0]} at stage {stage}"
+                for stage, fids in self._scheduler.in_flight()
+            )
+            raise TimeoutError(
+                f"no frame completed within {timeout_s} s; uncollected "
+                f"frames {sorted(self._submit_times)}, being served: "
+                f"{serving or 'none'}"
+            ) from None
+        if error is not None:
+            self._error = error
+            raise error
         now = time.perf_counter()
         with self._stats_lock:
             self.stats.latencies.append(now - self._submit_times.pop(task_id))
@@ -1151,8 +838,7 @@ class DistributedPipeline:
             return
         self._closed = True
         if self._started:
-            self._loop.shutdown()
-            self._loop.join(timeout=10.0)
+            self._scheduler.close(timeout=10.0)
             self.transport.close()
 
     def __enter__(self) -> "DistributedPipeline":

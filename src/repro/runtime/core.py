@@ -441,10 +441,9 @@ def emit_stage_trace(
 ) -> None:
     """Emit one stage attempt's events in canonical order.
 
-    Shared by :func:`_attempt_stage` and the event-driven coordinator,
-    so every backend — including one that gathers results out of order
-    off a selector — produces the same timestamp-free event sequence:
-    enqueue, then per task (in task order) send/compute/recv.
+    Whatever order a backend gathered its results in, the
+    timestamp-free event sequence is the same: enqueue, then per task
+    (in task order) send/compute/recv.
     """
     if tracer is None:
         return

@@ -28,25 +28,20 @@ payload allocation, and receives fill one preallocated buffer via
 of the contiguous buffers straight into ``sendall`` — a multi-megabyte
 tensor frame is never duplicated into an intermediate ``bytes``.
 
-Two consumers build on the framing primitives:
-
-* :class:`FrameAssembler` re-parses the same length-prefixed stream
-  incrementally from arbitrary byte chunks, which is what lets a
-  ``selectors``-driven coordinator read many worker sockets without a
-  blocking recv per channel (see :meth:`Channel.recv_ready`);
-* the shared-memory channel (:mod:`repro.runtime.shm`) reuses the
-  skeleton pickler/unpickler via :func:`pickle_skeleton` /
-  :func:`unpickle_skeleton` and swaps the array plane for ring slots.
+Every socket here is blocking: each stage's workers are driven by that
+stage's own thread (:mod:`repro.runtime.scheduler`), so a channel never
+has more than one reader.  The shared-memory channel
+(:mod:`repro.runtime.shm`) builds on the same framing: it reuses the
+skeleton pickler/unpickler via :func:`pickle_skeleton` /
+:func:`unpickle_skeleton` and swaps the array plane for ring slots.
 """
 
 from __future__ import annotations
 
 import io
 import pickle
-import select
 import socket
 import struct
-from collections import deque
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,7 +57,6 @@ __all__ = [
     "recv_message",
     "pickle_skeleton",
     "unpickle_skeleton",
-    "FrameAssembler",
     "Channel",
 ]
 
@@ -288,8 +282,9 @@ def _recv_exact_into(sock: socket.socket, buf: memoryview) -> None:
         view = view[received:]
 
 
-def recv_message(sock: socket.socket) -> Any:
-    """Receive one framed message (blocking)."""
+def recv_message(sock: socket.socket, decode=decode_message) -> Any:
+    """Receive one framed message (blocking); ``decode`` turns the
+    payload into the message (channels swap in their payload plane)."""
     header = bytearray(_HEADER.size)
     _recv_exact_into(sock, memoryview(header))
     (length,) = _HEADER.unpack(header)
@@ -299,89 +294,24 @@ def recv_message(sock: socket.socket) -> Any:
         raise ValueError(f"truncated frame: {length} byte payload")
     payload = bytearray(length)
     _recv_exact_into(sock, memoryview(payload))
-    return decode_message(memoryview(payload))
-
-
-#: Bytes pulled off the socket per ``recv`` on the non-blocking path.
-_RECV_CHUNK = 1 << 16
-
-
-class FrameAssembler:
-    """Incremental parser for the length-prefixed frame stream.
-
-    Feed it byte chunks of any size (as a non-blocking socket hands
-    them out); it yields complete frame payloads.  Each payload is
-    filled into one preallocated ``bytearray`` — no quadratic joins,
-    one copy per byte, same as the blocking ``recv_into`` path.
-    """
-
-    def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
-        self._max = max_frame
-        self._header = bytearray()
-        self._payload: "bytearray | None" = None
-        self._filled = 0
-
-    @property
-    def idle(self) -> bool:
-        """True when no partial frame is buffered."""
-        return self._payload is None and not self._header
-
-    def feed(self, data) -> "List[memoryview]":
-        """Consume a chunk; return any payloads it completed."""
-        out: "List[memoryview]" = []
-        view = memoryview(data)
-        while view.nbytes:
-            if self._payload is None:
-                take = min(_HEADER.size - len(self._header), view.nbytes)
-                self._header += view[:take]
-                view = view[take:]
-                if len(self._header) < _HEADER.size:
-                    break
-                (length,) = _HEADER.unpack(self._header)
-                self._header.clear()
-                if length > self._max:
-                    raise ValueError(f"frame of {length} bytes exceeds limit")
-                if length < _PREAMBLE.size:
-                    raise ValueError(f"truncated frame: {length} byte payload")
-                self._payload = bytearray(length)
-                self._filled = 0
-            else:
-                take = min(len(self._payload) - self._filled, view.nbytes)
-                self._payload[self._filled : self._filled + take] = view[:take]
-                self._filled += take
-                view = view[take:]
-                if self._filled == len(self._payload):
-                    out.append(memoryview(self._payload))
-                    self._payload = None
-        return out
+    return decode(memoryview(payload))
 
 
 class Channel:
     """A connected socket with message framing and idempotent close.
 
-    Blocking by default (the worker and session paths).  The
-    event-driven coordinator calls :meth:`set_nonblocking` once and
-    then drains with :meth:`recv_ready`; sends transparently revert to
-    blocking for their duration (frames must never be interleaved).
-    Subclasses override :meth:`_encode_parts` / :meth:`_decode` to swap
+    Blocking, optionally bounded by :meth:`settimeout`.  Subclasses
+    override :meth:`_encode_parts` / :meth:`_decode` to swap
     the payload plane (the shared-memory channel does).
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._closed = False
-        self._nonblocking = False
-        self._timeout: "float | None" = None
-        self._assembler: "FrameAssembler | None" = None
-        self._pending: "deque" = deque()
-        self._saw_eof = False
 
     @property
     def sock(self) -> socket.socket:
         return self._sock
-
-    def fileno(self) -> int:
-        return self._sock.fileno()
 
     def settimeout(self, seconds: "float | None") -> None:
         """Bound blocking sends/recvs (``None`` = block forever).
@@ -390,23 +320,7 @@ class Channel:
         timed-out :meth:`recv` reports :class:`TransportClosed` — the
         peer must be declared dead, not retried on the same socket.
         """
-        self._timeout = seconds
-        if not self._nonblocking:
-            self._sock.settimeout(seconds)
-
-    def set_nonblocking(self) -> None:
-        """Switch to non-blocking reads (one-way; the event loop's mode).
-
-        Only legal between frames — switching mid-frame would desync
-        the codec, so the coordinator flips every channel right after
-        the handshake, before any tasks are in flight.
-        """
-        if self._assembler is not None and not self._assembler.idle:
-            raise RuntimeError("cannot switch modes mid-frame")
-        self._sock.setblocking(False)
-        self._nonblocking = True
-        if self._assembler is None:
-            self._assembler = FrameAssembler()
+        self._sock.settimeout(seconds)
 
     # -- codec hooks (overridden by the shared-memory channel) ---------
     def _encode_parts(self, message: Any) -> "Tuple[List[Any], int]":
@@ -419,73 +333,15 @@ class Channel:
         if self._closed:
             raise TransportClosed("channel is closed")
         parts, total = self._encode_parts(message)
-        if self._nonblocking:
-            # A partial non-blocking send would interleave frames; do
-            # the whole send in blocking mode instead (the peer is a
-            # worker draining its socket, so this cannot deadlock).
-            self._sock.setblocking(True)
-            try:
-                send_parts(self._sock, parts, total)
-            finally:
-                self._sock.setblocking(False)
-        else:
-            send_parts(self._sock, parts, total)
+        send_parts(self._sock, parts, total)
 
     def recv(self) -> Any:
         if self._closed:
             raise TransportClosed("channel is closed")
-        if self._pending:
-            return self._pending.popleft()
-        if self._nonblocking:
-            while not self._pending:
-                ready, _, _ = select.select([self._sock], [], [], self._timeout)
-                if not ready:
-                    raise TransportClosed("recv timed out")
-                self._pending.extend(self.recv_ready())
-            return self._pending.popleft()
         try:
-            header = bytearray(_HEADER.size)
-            _recv_exact_into(self._sock, memoryview(header))
-            (length,) = _HEADER.unpack(header)
-            if length > MAX_FRAME_BYTES:
-                raise ValueError(f"frame of {length} bytes exceeds limit")
-            if length < _PREAMBLE.size:
-                raise ValueError(f"truncated frame: {length} byte payload")
-            payload = bytearray(length)
-            _recv_exact_into(self._sock, memoryview(payload))
-            return self._decode(memoryview(payload))
+            return recv_message(self._sock, self._decode)
         except socket.timeout:
             raise TransportClosed("recv timed out") from None
-
-    def recv_ready(self) -> "List[Any]":
-        """Drain and decode whatever the socket holds, without blocking.
-
-        Returns possibly-empty lists until the peer closes, then raises
-        :class:`TransportClosed` (after delivering any messages that
-        arrived ahead of the close).
-        """
-        if self._closed:
-            raise TransportClosed("channel is closed")
-        if self._assembler is None:
-            self._assembler = FrameAssembler()
-        messages: "List[Any]" = []
-        while True:
-            try:
-                data = self._sock.recv(_RECV_CHUNK)
-            except (BlockingIOError, InterruptedError):
-                break
-            except socket.timeout:
-                break
-            except OSError as exc:
-                raise TransportClosed(str(exc)) from None
-            if not data:
-                self._saw_eof = True
-                break
-            for payload in self._assembler.feed(data):
-                messages.append(self._decode(payload))
-        if self._saw_eof and not messages:
-            raise TransportClosed("peer closed the connection")
-        return messages
 
     def close(self) -> None:
         if not self._closed:

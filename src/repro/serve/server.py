@@ -17,9 +17,10 @@ would stall a stage on the send.
 Two execution strategies, selected by the transport's clock:
 
 * **wall-clock transports** (:class:`~repro.runtime.core.InProcTransport`,
-  the TCP backend) get one worker thread per stage with single-slot
-  hand-off queues between stages — the frames genuinely overlap, like
-  the TCP coordinator's stage runners, but over any transport.
+  the TCP and shared-memory backends) are handed to the runtime's
+  :class:`~repro.runtime.scheduler.StageScheduler` — one thread per
+  stage with single-slot hand-off queues, so the frames genuinely
+  overlap; the server adds pacing, admission and the records.
 * **virtual-clock transports** (:class:`~repro.runtime.core.SimTransport`)
   are driven serially in arrival order; the transport's per-stage
   ``stage_free`` recurrence ``C(n, s) = max(C(n, s-1), C(n-1, s)) + d_s``
@@ -55,32 +56,19 @@ simulator's drain-before-switch.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.runtime.core import (
-    PipelineSession,
-    Transport,
-    execute_stage,
-    execute_stage_batch,
-)
+from repro.runtime.core import PipelineSession, Transport
 from repro.runtime.faults import RuntimeConfig, StageFailure
-from repro.runtime.program import (
-    PlanProgram,
-    compile_plan,
-    stack_frames,
-    unstack_frames,
-)
-from repro.runtime.trace import TraceEvent, Tracer, coerce_tracer
+from repro.runtime.program import PlanProgram, compile_plan
+from repro.runtime.scheduler import StageScheduler
+from repro.runtime.trace import TraceEvent, coerce_tracer
 
 __all__ = ["ServerConfig", "FrameRecord", "ServeResult", "PipelineServer"]
-
-_SENTINEL = object()
 
 
 @dataclass(frozen=True)
@@ -364,8 +352,6 @@ class PipelineServer:
         if any(b < a for a, b in zip(arrivals, arrivals[1:])):
             raise ValueError("arrivals must be non-decreasing")
         if self.virtual:
-            if self.config.max_batch > 1:
-                return self._serve_virtual_batched(frames, list(arrivals))
             return self._serve_virtual(frames, list(arrivals))
         return self._serve_threaded(frames, list(arrivals))
 
@@ -388,69 +374,12 @@ class PipelineServer:
     def _serve_virtual(
         self, frames: "List[np.ndarray]", arrivals: "List[float]"
     ) -> ServeResult:
-        cfg = self.config
-        session = self._session
-        assert session is not None
-        completions: "List[float]" = []  # admitted frames, FIFO order
-        records: "List[FrameRecord]" = []
-        outputs: "Dict[int, np.ndarray]" = {}
-        plan_usage: "Dict[str, int]" = {}
-        last_admit = 0.0
-        for index, (x, t) in enumerate(zip(frames, arrivals)):
-            in_system = [c for c in completions if c > t]
-            depth = len(in_system)
-            self._observe(t, depth)
-            if depth == 0:
-                self._maybe_switch(index)
-            if depth >= cfg.queue_capacity:
-                if cfg.policy == "shed":
-                    records.append(FrameRecord(index, t, "shed"))
-                    continue
-                # Backpressure: wait until the system drains below the
-                # bound — the moment the (depth - capacity + 1)-th
-                # oldest in-flight frame completes.
-                admit_at = sorted(in_system)[depth - cfg.queue_capacity]
-            else:
-                admit_at = t
-            if cfg.max_in_flight is not None and (
-                len(completions) >= cfg.max_in_flight
-            ):
-                admit_at = max(admit_at, completions[-cfg.max_in_flight])
-            admit_at = max(admit_at, last_admit)
-            last_admit = admit_at
-            try:
-                out = session.run_frame(x, at=admit_at)
-            except StageFailure:
-                # Past the whole ladder (every device of a stage is dead
-                # and no replanner could repair it): the frame is
-                # reported failed, never silently dropped.
-                records.append(
-                    FrameRecord(index, t, "failed", admitted_at=admit_at)
-                )
-                continue
-            done = self.transport.clock()
-            completions.append(done)
-            outputs[index] = out
-            plan_usage[self._plan_name] = plan_usage.get(self._plan_name, 0) + 1
-            records.append(
-                FrameRecord(
-                    index, t, "done", admitted_at=admit_at,
-                    completion=done, plan=self._plan_name,
-                )
-            )
-        makespan = max(completions) if completions else 0.0
-        trace = self.tracer.events if self.tracer is not None else ()
-        return ServeResult(records, outputs, makespan, trace, plan_usage)
+        """Analytic replay of the threaded admission and batching policy.
 
-    # ------------------------------------------------------------------
-    # Virtual-clock strategy with cross-frame micro-batching: the same
-    # analytic replay, but frames queued at the pipeline entrance
-    # coalesce into batches that traverse the stages as one unit.
-    # ------------------------------------------------------------------
-    def _serve_virtual_batched(
-        self, frames: "List[np.ndarray]", arrivals: "List[float]"
-    ) -> ServeResult:
-        """Analytic replay of the threaded batching policy.
+        Frames run serially in arrival order; frame ``i``'s fate depends
+        only on earlier frames, which FIFO service has already fixed.
+        With ``max_batch=1`` every frame is its own batch and launches
+        on admission (``max_in_flight`` then caps the served frames).
 
         A batch forms at the pipeline entrance: frame ``i`` joins the
         forming batch while the batch is below ``max_batch`` and the
@@ -566,6 +495,10 @@ class PipelineServer:
                         ]
             else:
                 admit_at = t
+            if cfg.max_in_flight is not None and (
+                len(completions) >= cfg.max_in_flight
+            ):
+                admit_at = max(admit_at, completions[-cfg.max_in_flight])
             admit_at = max(admit_at, last_admit)
             last_admit = admit_at
             if pending and admit_at > launch_time():
@@ -605,133 +538,21 @@ class PipelineServer:
             )
 
     # ------------------------------------------------------------------
-    # Wall-clock strategy: one worker thread per stage, slot queues.
+    # Wall-clock strategy: the runtime's stage-thread scheduler owns the
+    # frames in flight; this layer paces the arrivals, decides admission
+    # and keeps the records.
     # ------------------------------------------------------------------
     def _serve_threaded(
         self, frames: "List[np.ndarray]", arrivals: "List[float]"
     ) -> ServeResult:
         cfg = self.config
         transport = self.transport
-        n_stages = self.program.n_stages
-        # qs[0] is the bounded admission queue; qs[1..n-1] are the
-        # single-slot stage hand-offs (one frame per stage slot); the
-        # final queue is unbounded so completion never backpressures.
-        qs: "List[queue.Queue]" = [queue.Queue(maxsize=cfg.queue_capacity)]
-        qs += [queue.Queue(maxsize=1) for _ in range(n_stages - 1)]
-        qs.append(queue.Queue())
-        lock = threading.Lock()
+        scheduler = StageScheduler(
+            self.program, transport, self.tracer, self.runtime_config,
+            entry_capacity=cfg.queue_capacity,
+            max_batch=cfg.max_batch, batch_timeout=cfg.batch_timeout,
+        )
         pending: "Dict[int, Dict]" = {}  # fid -> {arrival, admitted_at, x0}
-        outputs: "Dict[int, np.ndarray]" = {}
-        done_at: "Dict[int, float]" = {}
-        errors: "Dict[int, BaseException]" = {}
-        batch_of: "Dict[int, int]" = {}  # fid -> batch size it rode in
-
-        def run_one(stage_index, fid, x):
-            """One queue item through one stage — ``fid`` is an int for
-            a single frame, a tuple for a cross-frame batch unit."""
-            try:
-                if isinstance(fid, tuple):
-                    return execute_stage_batch(
-                        transport, self.program, stage_index, x, fid,
-                        self.tracer, self.runtime_config,
-                    )
-                return execute_stage(
-                    transport, self.program, stage_index, x, fid,
-                    self.tracer, self.runtime_config,
-                )
-            except Exception as exc:  # noqa: BLE001 - fate recorded
-                with lock:
-                    for f in fid if isinstance(fid, tuple) else (fid,):
-                        errors[f] = exc
-                return None
-
-        def form(in_q: "queue.Queue"):
-            """Coalesce queued frames into a batch at the entrance.
-
-            Returns ``(items, saw_sentinel)``: blocks for the first
-            frame, then drains stragglers already queued (holding the
-            window open up to ``batch_timeout``) until ``max_batch``.
-            """
-            item = in_q.get()
-            if item is _SENTINEL:
-                return [], True
-            items = [item]
-            deadline = time.monotonic() + cfg.batch_timeout
-            while len(items) < cfg.max_batch:
-                wait = deadline - time.monotonic()
-                try:
-                    nxt = (
-                        in_q.get(timeout=wait)
-                        if wait > 0
-                        else in_q.get_nowait()
-                    )
-                except queue.Empty:
-                    break
-                if nxt is _SENTINEL:
-                    return items, True
-                items.append(nxt)
-            return items, False
-
-        def worker(stage_index: int) -> None:
-            in_q, out_q = qs[stage_index], qs[stage_index + 1]
-            batching = stage_index == 0 and cfg.max_batch > 1
-            while True:
-                if batching:
-                    items, stop = form(in_q)
-                    if items:
-                        fids = tuple(fid for fid, _ in items)
-                        with lock:
-                            for f in fids:
-                                batch_of[f] = len(fids)
-                        if len(items) == 1:
-                            # Singleton batches take the exact per-frame
-                            # path (bit-compat timestamps and events).
-                            fid, x = items[0]
-                            out_q.put((fid, run_one(stage_index, fid, x)))
-                        else:
-                            x4 = stack_frames([x for _, x in items])
-                            out_q.put((fids, run_one(stage_index, fids, x4)))
-                    if stop:
-                        out_q.put(_SENTINEL)
-                        return
-                    continue
-                item = in_q.get()
-                if item is _SENTINEL:
-                    out_q.put(_SENTINEL)
-                    return
-                fid, x = item
-                if x is None:  # poisoned upstream; just forward the id(s)
-                    out_q.put((fid, None))
-                    continue
-                out_q.put((fid, run_one(stage_index, fid, x)))
-
-        def collect() -> None:
-            while True:
-                item = qs[-1].get()
-                if item is _SENTINEL:
-                    return
-                fid, y = item
-                with lock:
-                    if y is None:
-                        continue
-                    now = transport.clock()
-                    if isinstance(fid, tuple):
-                        for f, out in zip(fid, unstack_frames(y)):
-                            outputs[f] = out
-                            done_at[f] = now
-                    else:
-                        outputs[fid] = y
-                        done_at[fid] = now
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(n_stages)
-        ]
-        collector = threading.Thread(target=collect, daemon=True)
-        for t in threads:
-            t.start()
-        collector.start()
-
         epoch = transport.clock()
         shed: "List[Tuple[int, float]]" = []
         for index, x in enumerate(frames):
@@ -741,7 +562,6 @@ class PipelineServer:
                 time.sleep(wait)
             x0 = np.ascontiguousarray(x, dtype=np.float32)
             arrival_t = transport.clock()
-            item = (index, x0)
             if cfg.policy == "block":
                 # Closed-loop backpressure also honours the transport's
                 # own buffering: a saturated shm slot ring would stall a
@@ -749,31 +569,28 @@ class PipelineServer:
                 # ring to drain as well as for a queue slot.
                 while transport.backpressure() >= 1.0:
                     time.sleep(0.0005)
-                qs[0].put(item)
-            else:
-                if transport.backpressure() >= 1.0:
-                    # The transport itself is saturated (e.g. a full
-                    # shm slot ring): queueing the frame would only
-                    # stall a stage thread on the send, so shed now.
-                    shed.append((index, arrival_t))
-                    continue
-                try:
-                    qs[0].put_nowait(item)
-                except queue.Full:
-                    shed.append((index, arrival_t))
-                    continue
-            with lock:
-                pending[index] = {
-                    "arrival": arrival_t,
-                    "admitted_at": transport.clock(),
-                    "x0": x0,
-                }
-        qs[0].put(_SENTINEL)
-        for t in threads:
-            t.join()
-        collector.join()
-
-        replayed = self._replay_failed(pending, outputs, done_at, errors)
+                scheduler.submit(index, x0)
+            elif transport.backpressure() >= 1.0 or not scheduler.submit(
+                index, x0, block=False
+            ):
+                # A full admission queue — or a saturated transport
+                # (e.g. a full shm slot ring), where queueing the frame
+                # would only stall a stage thread on the send: shed now.
+                shed.append((index, arrival_t))
+                continue
+            pending[index] = {
+                "arrival": arrival_t,
+                "admitted_at": transport.clock(),
+                "x0": x0,
+            }
+        outputs: "Dict[int, np.ndarray]" = {}
+        done_at: "Dict[int, float]" = {}
+        batch_of: "Dict[int, int]" = {}  # fid -> batch size it rode in
+        for fid, out, _error, batch, done in scheduler.drain():
+            batch_of[fid] = batch
+            if out is not None:
+                outputs[fid], done_at[fid] = out, done
+        replayed = self._replay_failed(pending, outputs, done_at)
         records: "List[FrameRecord]" = []
         for index, arrival_t in shed:
             records.append(FrameRecord(index, arrival_t, "shed"))
@@ -786,7 +603,7 @@ class PipelineServer:
                         completion=done_at[fid],
                         plan=self._plan_name,
                         replayed=fid in replayed,
-                        batch=batch_of.get(fid, 1),
+                        batch=batch_of[fid],
                     )
                 )
             else:
@@ -794,7 +611,7 @@ class PipelineServer:
                     FrameRecord(
                         fid, info["arrival"], "failed",
                         admitted_at=info["admitted_at"],
-                        batch=batch_of.get(fid, 1),
+                        batch=batch_of[fid],
                     )
                 )
         records.sort(key=lambda r: r.frame)
@@ -808,7 +625,6 @@ class PipelineServer:
         pending: "Dict[int, Dict]",
         outputs: "Dict[int, np.ndarray]",
         done_at: "Dict[int, float]",
-        errors: "Dict[int, BaseException]",
     ) -> "set":
         """Drain-time recovery: replay unrecoverable frames on a fresh plan.
 
@@ -837,23 +653,18 @@ class PipelineServer:
             self.tracer.emit(TraceEvent(kind, failed[0], 0, tag, now, now))
         self.transport.rebind(program)
         self.program = program
+        scheduler = StageScheduler(
+            program, self.transport, self.tracer, self.runtime_config
+        )
         for fid in failed:
-            x = pending[fid]["x0"]
-            try:
-                for index in range(program.n_stages):
-                    x = execute_stage(
-                        self.transport, program, index, x, fid,
-                        self.tracer, self.runtime_config,
-                    )
-            except StageFailure:
+            scheduler.submit(fid, pending[fid]["x0"])
+        for fid, out, _error, _batch, done in scheduler.drain():
+            if out is None:
                 continue  # stays failed; recorded as such
-            outputs[fid] = x
-            done_at[fid] = self.transport.clock()
-            errors.pop(fid, None)
+            outputs[fid], done_at[fid] = out, done
             replayed.add(fid)
             if self.tracer is not None:
-                now = self.transport.clock()
                 self.tracer.emit(
-                    TraceEvent("frame_replayed", fid, 0, "", now, now)
+                    TraceEvent("frame_replayed", fid, 0, "", done, done)
                 )
         return replayed
