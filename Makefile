@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: install test test-fast test-slow bench bench-json bench-serve bench-batch bench-transport bench-fleet bench-sim bench-exact bench-e2e exact-smoke trace-smoke fault-smoke fleet-smoke sim-smoke report examples all
+.PHONY: install test test-fast test-slow bench bench-json bench-serve bench-batch bench-transport bench-fleet bench-sim bench-exact bench-e2e exact-smoke trace-smoke fault-smoke fleet-smoke sim-smoke lint-forks report examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -63,6 +63,17 @@ fleet-smoke:
 
 sim-smoke:
 	python -m repro.bench.sim --quick --out /tmp/BENCH_sim_smoke.json
+	python -m repro.bench.sim --check BENCH_sim.json --quick
+
+# One virtual-time front door: the legacy simulator adapter stays
+# deleted, simulate_scenario is the only caller of the event engine and
+# replan_or_degrade the only caller of the degraded-mode plan.
+lint-forks:
+	test ! -e src/repro/cluster/simulator.py
+	! grep -rnIE "cluster\.simulator|simulate_plan|simulate_adaptive|_run_event_loop" src/ benchmarks/ examples/ docs/ README.md
+	! grep -rnI "cluster\.simulator" tests/
+	test "$$(grep -rnI "run_scenario(" src/repro | grep -vc "def run_scenario")" = 1
+	test "$$(grep -rnI "local_fallback_plan(" src/repro --exclude-dir=schemes | wc -l)" = 1
 
 report:
 	python -m repro report --out report.md

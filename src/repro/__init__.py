@@ -31,8 +31,6 @@ from repro.cluster import (
     raspberry_pi,
     utilization_table,
 )
-from repro.cluster.simulator import simulate_adaptive as _simulate_adaptive
-from repro.cluster.simulator import simulate_plan as _simulate_plan
 from repro.core import (
     PipelinePlan,
     PlanCost,
@@ -190,147 +188,64 @@ def simulate(
     max_batch=1,
     batch_timeout=0.0,
 ):
-    """The one simulation entry point: plan, scheme, name or switcher.
+    """The compact spelling of :func:`simulate_scenario`.
 
-    ``plan_or_scheme`` may be
+    ``plan_or_scheme`` (a scheme name, a :class:`~repro.schemes.Scheme`,
+    a ready :class:`PipelinePlan` or an :class:`AdaptiveSwitcher`),
+    ``cluster``, ``network``, ``topology``, ``arrivals``, ``options``,
+    ``faults``, ``measured_services``, ``trace`` and ``queue_capacity``
+    are documented there and pass straight through; the result is its
+    :class:`~repro.sim.SimResult`.  Two spellings are this function's
+    own:
 
-    * a scheme *name* from :func:`get_scheme` (``"pico"``, ``"lw"``,
-      ``"efl"``, ``"ofl"``),
-    * a :class:`~repro.schemes.Scheme` instance,
-    * a ready :class:`PipelinePlan`, or
-    * an :class:`AdaptiveSwitcher` (APICO switching replay).
-
-    Schemes (and names) are planned over ``cluster`` first; ``network``
-    defaults to the paper's 50 Mbps WiFi.  ``arrivals`` gives the task
-    submit times in seconds.  ``faults`` — a :class:`FaultSchedule` —
-    injects cluster churn (crash-at-frame); it needs a scheme (not a
-    bare plan) so the survivors can be re-planned, and emits
-    ``device_dead`` / ``replan`` / ``degraded`` events into ``trace``
-    (the shared ``Tracer | bool | None`` contract).  ``queue_capacity``
-    bounds the tasks concurrently in the system: overflow arrivals are
-    shed and reported in ``SimResult.shed``.  Returns a
-    :class:`~repro.cluster.simulator.SimResult`.
-
-    ``max_batch`` / ``batch_timeout`` replay the serving layer's
-    cross-frame micro-batching analytically (see
-    :class:`~repro.serve.ServerConfig`): frames queued at the pipeline
-    entrance coalesce into batches of up to ``max_batch`` that traverse
-    the stages as one unit with the B-dependent service estimate.
-    Batching composes with a plan, scheme or name plus
-    ``queue_capacity``; it is not supported together with ``faults``,
-    ``shared_medium``, ``measured_services`` or a switcher replay.
-
-    ``topology`` — a :class:`Topology` — routes transfers over named
-    links with per-link FIFO contention instead of the flat shared
-    medium; the call then delegates to :func:`simulate_scenario`
-    (which also takes churn and lazy arrival processes directly).
-    ``arrivals`` may be an :class:`~repro.workload.ArrivalProcess` as
-    well as a list of submit times.
-
-    The pre-2.0 ``simulate_plan`` / ``simulate_adaptive`` aliases are
-    gone; the module-level originals live on in
-    :mod:`repro.cluster.simulator` for internal use.
+    * ``shared_medium=True`` is ``topology=Topology.bus(network,
+      contended=True)``: every stage's transfer serialised over the one
+      WLAN.
+    * ``max_batch`` / ``batch_timeout`` replay the serving layer's
+      cross-frame micro-batching analytically (see
+      :class:`~repro.serve.ServerConfig`): frames queued at the pipeline
+      entrance coalesce into batches of up to ``max_batch`` that
+      traverse the stages as one unit with the B-dependent service
+      estimate.  Batching composes with a plan, scheme or name plus
+      ``queue_capacity`` and nothing else.
     """
     if arrivals is None:
         raise ValueError(
             "simulate() needs arrivals= (task submit times, in seconds, "
             "or an ArrivalProcess)"
         )
-    if topology is not None:
-        incompatible = {
-            "faults": faults is not None and not faults.empty,
-            "shared_medium": shared_medium,
-            "measured_services": measured_services is not None,
-            "max_batch": max_batch > 1,
-        }
-        offending = [k for k, v in incompatible.items() if v]
-        if offending:
-            raise ValueError(
-                f"topology= is not supported with {', '.join(offending)}; "
-                "use simulate_scenario's churn= for topology-aware faults"
-            )
-        return simulate_scenario(
-            model, plan_or_scheme, cluster,
-            topology=topology, network=network, arrivals=arrivals,
-            options=options, trace=trace, queue_capacity=queue_capacity,
-        )
-    network = network or wifi_50mbps()
-    options = options or CostOptions()
-    if isinstance(arrivals, ArrivalProcess) or hasattr(arrivals, "times"):
-        arrivals = arrivals.sample()
     if max_batch > 1:
-        if faults is not None and not faults.empty:
-            raise ValueError("max_batch > 1 is not supported with faults=")
-        if shared_medium:
-            raise ValueError(
-                "max_batch > 1 is not supported with shared_medium=True"
-            )
-        if measured_services is not None:
-            raise ValueError(
-                "max_batch > 1 is not supported with measured_services="
-            )
-        if isinstance(plan_or_scheme, AdaptiveSwitcher):
-            raise ValueError(
-                "max_batch > 1 is not supported with a switcher replay; "
-                "serve through repro.serve.PipelineServer instead"
-            )
-    if isinstance(plan_or_scheme, AdaptiveSwitcher):
-        if faults is not None and not faults.empty:
-            raise ValueError(
-                "faults= is not supported with an AdaptiveSwitcher replay; "
-                "pass a scheme so the survivors can be re-planned"
-            )
-        return _simulate_adaptive(
-            model, plan_or_scheme, network, arrivals, options,
-            shared_medium, trace=trace, queue_capacity=queue_capacity,
+        unsupported = {
+            "faults=": faults is not None and not faults.empty,
+            "shared_medium=True": shared_medium,
+            "measured_services=": measured_services is not None,
+            "topology=": topology is not None,
+        }
+        for what, given in unsupported.items():
+            if given:
+                raise ValueError(f"max_batch > 1 is not supported with {what}")
+        return _simulate_batched(
+            model, plan_or_scheme, cluster, network or wifi_50mbps(),
+            arrivals, options or CostOptions(), trace, queue_capacity,
+            max_batch, batch_timeout,
         )
-    scheme = None
-    if isinstance(plan_or_scheme, str):
-        scheme = get_scheme(plan_or_scheme)
-    elif isinstance(plan_or_scheme, Scheme):
-        scheme = plan_or_scheme
-    if scheme is not None:
-        if cluster is None:
-            raise ValueError("a scheme needs cluster= to plan over")
-        planned = scheme.plan(model, cluster, network, options)
-        if max_batch > 1:
-            return _simulate_batched(
-                model, planned, network, arrivals, options, scheme.name,
-                trace, queue_capacity, max_batch, batch_timeout,
-            )
-        return _simulate_plan(
-            model, planned, network, arrivals, options,
-            plan_name=scheme.name, shared_medium=shared_medium,
-            measured_services=measured_services,
-            faults=faults, cluster=cluster, scheme=scheme, trace=trace,
-            queue_capacity=queue_capacity,
-        )
-    if isinstance(plan_or_scheme, PipelinePlan):
-        if faults is not None and faults.crashes:
+    if shared_medium:
+        if topology is not None:
             raise ValueError(
-                "simulating crash churn needs a scheme (or scheme name) "
-                "to re-plan the survivors — a bare plan cannot be rebuilt"
+                "shared_medium=True is the one-link bus; it is not "
+                "supported with topology="
             )
-        if max_batch > 1:
-            return _simulate_batched(
-                model, plan_or_scheme, network, arrivals, options,
-                plan_or_scheme.mode, trace, queue_capacity,
-                max_batch, batch_timeout,
-            )
-        return _simulate_plan(
-            model, plan_or_scheme, network, arrivals, options,
-            shared_medium=shared_medium,
-            measured_services=measured_services,
-            faults=faults, trace=trace, queue_capacity=queue_capacity,
-        )
-    raise TypeError(
-        "plan_or_scheme must be a PipelinePlan, Scheme, scheme name or "
-        f"AdaptiveSwitcher, not {type(plan_or_scheme).__name__}"
+        topology = Topology.bus(network, contended=True)
+    return simulate_scenario(
+        model, plan_or_scheme, cluster,
+        topology=topology, network=network, arrivals=arrivals,
+        options=options, faults=faults, measured_services=measured_services,
+        trace=trace, queue_capacity=queue_capacity,
     )
 
 
 def _simulate_batched(
-    model, plan, network, arrivals, options, plan_name, trace,
+    model, plan_or_scheme, cluster, network, arrivals, options, trace,
     queue_capacity, max_batch, batch_timeout,
 ):
     """Analytic micro-batching replay behind :func:`simulate`.
@@ -338,34 +253,50 @@ def _simulate_batched(
     Drives the serving layer's batched virtual-clock path
     (:class:`~repro.serve.PipelineServer` over a zero-compute
     :class:`SimTransport`) and repackages the records as a
-    :class:`~repro.cluster.simulator.SimResult`.  ``started`` in the
+    :class:`~repro.sim.SimResult`.  ``started`` in the
     task records is the admission instant — batch forming and stage
     queueing both live inside the reported latency.  Device busy time
     accrues per batch from the timing tables, each stage share scaled
     by its batched-service ratio.
     """
-    from repro.cluster.simulator import SimResult, TaskRecord
-    from repro.runtime.program import compile_plan as _compile_plan
-    from repro.runtime.timing import plan_timing as _plan_timing
+    from repro.runtime.timing import plan_timing
     from repro.serve import PipelineServer, ServerConfig
 
-    engine = Engine(model, init_weights(model, seed=0))
-    transport = SimTransport(engine, network, options, compute=False)
-    if queue_capacity is None:
-        config = ServerConfig(
-            queue_capacity=max(1, len(arrivals)) + max_batch,
-            policy="block",
-            max_batch=max_batch, batch_timeout=batch_timeout,
-        )
+    if isinstance(plan_or_scheme, str):
+        plan_or_scheme = get_scheme(plan_or_scheme)
+    if isinstance(plan_or_scheme, Scheme):
+        if cluster is None:
+            raise ValueError("a scheme needs cluster= to plan over")
+        plan_name = plan_or_scheme.name
+        plan = plan_or_scheme.plan(model, cluster, network, options)
+    elif isinstance(plan_or_scheme, PipelinePlan):
+        plan, plan_name = plan_or_scheme, plan_or_scheme.mode
     else:
-        config = ServerConfig(
-            queue_capacity=queue_capacity, policy="shed",
-            max_batch=max_batch, batch_timeout=batch_timeout,
+        raise TypeError(
+            "max_batch > 1 needs a PipelinePlan, Scheme or scheme name, "
+            f"not {type(plan_or_scheme).__name__} (serve a switcher "
+            "through repro.serve.PipelineServer instead)"
         )
-    program = _compile_plan(model, plan)
-    with PipelineServer(program, transport, config, tracer=trace) as server:
+    if hasattr(arrivals, "times"):
+        arrivals = arrivals.sample()
+
+    # compute=False never reads a weight: skip materialising them
+    transport = SimTransport(
+        Engine(model, weights={}), network, options, compute=False
+    )
+    shed = queue_capacity is not None
+    config = ServerConfig(
+        queue_capacity=(
+            queue_capacity if shed else max(1, len(arrivals)) + max_batch
+        ),
+        policy="shed" if shed else "block",
+        max_batch=max_batch, batch_timeout=batch_timeout,
+    )
+    with PipelineServer(
+        compile_plan(model, plan), transport, config, tracer=trace
+    ) as server:
         served = server.serve(len(arrivals), arrivals=list(arrivals))
-    timing = _plan_timing(model, plan, network, options, name=plan_name)
+    timing = plan_timing(model, plan, network, options, name=plan_name)
     device_busy: dict = {}
     for record in served.completed:
         for st in timing.stages:

@@ -7,28 +7,36 @@ Three sections land in ``BENCH_sim.json``:
   through :func:`repro.sim.simulate_scenario` in the constant-memory
   stats mode; the headline figure is simulator **events per second**
   (heap pops of the discrete-event engine).
-* **bit_exact** — the degenerate one-link topology must reproduce the
-  pre-2.0 single-WLAN simulator bit for bit (full ``SimResult``
-  equality), in both the folded and the contended communication mode.
+* **bit_exact** — the one-link bus must still produce, bit for bit,
+  what the pre-2.0 single-WLAN simulator produced: a sha256 over the
+  full ``SimResult`` (records, busy totals, shed set, trace) in both
+  the folded and the contended communication mode, held against the
+  reference digests committed in ``BENCH_sim.json`` (recorded through
+  the legacy adapter the commit before it was deleted).
 * **flash_crowd** — an eight-device fleet rides a viral-clip arrival
   spike (:class:`~repro.workload.FlashCrowdProcess`) while a
   correlated churn burst drops two devices mid-crowd and returns them
   later; the gate demands the scheduler visibly reacts — ``replan``
   events present in the trace — with every request accounted for.
 
-Exit status is non-zero when any gate fails::
+Exit status is non-zero when any gate fails; ``--check`` re-derives
+every host-independent field of a committed report (event and request
+counts, simulated makespans, the flash-crowd recovery sequence, both
+digests, every gate) and fails on any difference::
 
     make bench-sim
     python -m repro.bench.sim --quick
+    python -m repro.bench.sim --check BENCH_sim.json [--quick]
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +55,32 @@ __all__ = ["run", "main"]
 #: Conservative CI floor — the engine does several hundred thousand
 #: events/s on a laptop; shared runners get an order of magnitude slack.
 EVENTS_PER_S_GATE = 50_000.0
+
+#: The report fields that time the host; every other field depends on
+#: (config, seed) only and must reproduce under ``--check``.
+_HOST_FIELDS = ("elapsed_s", "events_per_s", "requests_per_s")
+
+
+def result_digest(result) -> str:
+    """sha256 over everything a ``SimResult`` holds; floats enter by
+    ``repr``, which round-trips, so equal digests mean equal bits."""
+    payload = (
+        [
+            (t.task_id, float(t.arrival), float(t.started),
+             float(t.completion), t.plan_name)
+            for t in result.tasks
+        ],
+        float(result.makespan),
+        sorted((k, float(v)) for k, v in result.device_busy.items()),
+        sorted(result.plan_usage.items()),
+        list(result.shed),
+        [
+            (e.kind, e.frame, e.stage, e.device, float(e.start),
+             float(e.end), e.nbytes)
+            for e in result.trace
+        ],
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 def _bench_model():
@@ -86,30 +120,31 @@ def _throughput(n_tasks: int, seed: int) -> Dict:
     }
 
 
-def _bit_exact(seed: int) -> Dict:
-    from repro.cluster.simulator import simulate_plan
-
+def _bit_exact(reference: Dict) -> Dict:
+    """Digest the one-link replays and hold them against ``reference``
+    (seed pinned to 0: the reference was recorded once, at one seed)."""
     model = _bench_model()
     cluster = pi_cluster(4, 800)
     network = NetworkModel.from_mbps(50.0)
     plan = PicoScheme().plan(model, cluster, network)
-    arrivals = poisson_arrivals(2.0, 60.0, np.random.default_rng(seed))
-    verdicts = {}
+    arrivals = poisson_arrivals(2.0, 60.0, np.random.default_rng(0))
+    section: Dict = {"reference": reference}
     for contended in (False, True):
-        old = simulate_plan(
-            model, plan, network, arrivals, shared_medium=contended,
-            trace=True, queue_capacity=8,
-        )
-        new = simulate_scenario(
-            model, plan,
-            topology=Topology.bus(network, contended=contended),
-            network=network, arrivals=arrivals, trace=True,
-            queue_capacity=8,
-        )
         key = "contended" if contended else "folded"
-        verdicts[key] = bool(new == old)
-        print(f"bit_exact[{key}]: {len(arrivals)} arrivals -> {verdicts[key]}")
-    return verdicts
+        digest = result_digest(
+            simulate_scenario(
+                model, plan,
+                topology=Topology.bus(network, contended=contended),
+                network=network, arrivals=arrivals, trace=True,
+                queue_capacity=8,
+            )
+        )
+        section[key] = bool(digest == reference[key])
+        print(
+            f"bit_exact[{key}]: {len(arrivals)} arrivals -> {section[key]}"
+            + ("" if section[key] else f" (got {digest})")
+        )
+    return section
 
 
 def _flash_crowd(seed: int) -> Dict:
@@ -171,11 +206,16 @@ def run(
     out_path: Optional[str] = "BENCH_sim.json",
     seed: int = 0,
     n_tasks: Optional[int] = None,
+    reference_path: str = "BENCH_sim.json",
 ) -> Dict:
+    """Run the three sections; the bit-exact reference digests are read
+    from the committed report at ``reference_path`` and carried over."""
     if n_tasks is None:
         n_tasks = 50_000 if quick else 1_000_000
+    with open(reference_path) as handle:
+        reference = json.load(handle)["bit_exact"]["reference"]
     throughput = _throughput(n_tasks, seed)
-    bit_exact = _bit_exact(seed)
+    bit_exact = _bit_exact(reference)
     flash = _flash_crowd(seed)
 
     gates = {
@@ -215,6 +255,30 @@ def run(
     return result
 
 
+def check_report(path: str, quick: bool = False) -> "List[str]":
+    """Re-run a committed report's configuration and list every
+    host-independent field that no longer reproduces.  ``quick`` runs
+    the short throughput stream, whose counts a full report cannot
+    hold, and compares everything else."""
+    with open(path) as handle:
+        committed = json.load(handle)
+    config = committed["config"]
+    fresh = run(
+        quick, None, config["seed"],
+        None if quick else config["n_requests"], reference_path=path,
+    )
+    sections = ["bit_exact", "flash_crowd", "gates"]
+    if quick == committed["quick"]:
+        sections.append("throughput")
+    return [
+        f"{section}.{key}: committed {want!r} "
+        f"!= fresh {fresh[section].get(key)!r}"
+        for section in sections
+        for key, want in committed[section].items()
+        if key not in _HOST_FIELDS and want != fresh[section].get(key)
+    ]
+
+
 def main(argv: "Optional[Sequence[str]]" = None) -> int:
     parser = argparse.ArgumentParser(
         description="scenario simulator throughput and correctness gate"
@@ -226,7 +290,20 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tasks", type=int, default=0,
                         help="override the request count (0 = mode default)")
+    parser.add_argument(
+        "--check", metavar="PATH",
+        help="re-derive the deterministic fields of a committed report "
+        "and fail on any difference (with --quick: all but the "
+        "throughput stream's counts)",
+    )
     args = parser.parse_args(argv)
+    if args.check:
+        errors = check_report(args.check, quick=args.quick)
+        for err in errors:
+            print(f"DRIFT: {err}", file=sys.stderr)
+        if not errors:
+            print(f"{args.check}: committed report reproduces")
+        return 1 if errors else 0
     result = run(args.quick, args.out or None, args.seed, args.tasks or None)
     return 0 if result["pass"] else 1
 

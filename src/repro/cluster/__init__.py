@@ -1,4 +1,4 @@
-"""Cluster substrate: devices, network, discrete-event simulator, metrics."""
+"""Cluster substrate: devices, leases and utilisation metrics."""
 
 from repro.cluster.device import (
     Cluster,
@@ -8,24 +8,14 @@ from repro.cluster.device import (
     raspberry_pi,
 )
 from repro.cluster.metrics import DeviceReport, UtilizationTable, utilization_table
-from repro.cluster.simulator import (
-    SimResult,
-    TaskRecord,
-    simulate_adaptive,
-    simulate_plan,
-)
 
 __all__ = [
     "Cluster",
     "Device",
     "DeviceReport",
-    "SimResult",
-    "TaskRecord",
     "UtilizationTable",
     "heterogeneous_cluster",
     "pi_cluster",
     "raspberry_pi",
-    "simulate_adaptive",
-    "simulate_plan",
     "utilization_table",
 ]

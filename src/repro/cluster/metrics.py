@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.simulator import SimResult
 from repro.core.plan import PipelinePlan, plan_cost
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.models.graph import Model
 from repro.runtime.trace import TraceEvent, device_busy, trace_makespan
+from repro.sim.result import SimResult
 
 __all__ = ["DeviceReport", "UtilizationTable", "utilization_table"]
 

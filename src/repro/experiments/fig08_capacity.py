@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.simulator import simulate_plan
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
@@ -24,6 +23,7 @@ from repro.experiments.common import (
     paper_network,
 )
 from repro.models.zoo import get_model
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import saturation_arrivals
 
 __all__ = ["CapacityPoint", "CapacityResult", "run"]
@@ -94,13 +94,12 @@ def run(
             for scheme in baseline_schemes(include_lw=include_lw):
                 plan = scheme.plan(model, cluster, network, options)
                 cost = plan_cost(model, plan, network, options)
-                sim = simulate_plan(
+                sim = simulate_scenario(
                     model,
                     plan,
-                    network,
-                    saturation_arrivals(sim_tasks),
-                    options,
-                    plan_name=scheme.name,
+                    network=network,
+                    arrivals=saturation_arrivals(sim_tasks),
+                    options=options,
                 )
                 points.append(
                     CapacityPoint(

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.adaptive.switcher import build_apico_switcher
 from repro.cluster.device import Cluster
-from repro.cluster.simulator import simulate_adaptive, simulate_plan
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
@@ -26,6 +25,7 @@ from repro.models.zoo import get_model
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.optimal_fused import OptimalFusedScheme
 from repro.schemes.pico import PicoScheme
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import poisson_arrivals
 
 __all__ = ["LatencyPoint", "LatencyResult", "run"]
@@ -119,7 +119,10 @@ def run(
             continue
         for name, plan in plans.items():
             sims = [
-                simulate_plan(model, plan, network, arrivals, options, name)
+                simulate_scenario(
+                    model, plan, network=network, arrivals=arrivals,
+                    options=options,
+                )
                 for arrivals in traces
             ]
             points.append(
@@ -136,7 +139,10 @@ def run(
         apico_sims = []
         for arrivals in traces:
             switcher = build_apico_switcher(model, cluster, network, options)
-            sim = simulate_adaptive(model, switcher, network, arrivals, options)
+            sim = simulate_scenario(
+                model, switcher, network=network, arrivals=arrivals,
+                options=options,
+            )
             apico_sims.append(sim)
             for key, count in sim.plan_usage.items():
                 usage[key] = usage.get(key, 0) + count

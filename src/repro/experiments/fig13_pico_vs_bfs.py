@@ -14,13 +14,13 @@ from typing import Optional, Tuple
 
 from repro.cluster.device import Cluster
 from repro.cluster.metrics import UtilizationTable, utilization_table
-from repro.cluster.simulator import simulate_plan
 from repro.core.bfs import bfs_optimal
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.experiments.common import fig13_cluster, paper_network
 from repro.models.toy import fig13_model
 from repro.schemes.pico import PicoScheme
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import saturation_arrivals
 
 __all__ = ["Fig13Result", "run"]
@@ -59,8 +59,9 @@ def run(
     cluster = cluster or fig13_cluster()
 
     pico_plan = PicoScheme().plan(model, cluster, network, options)
-    pico_sim = simulate_plan(
-        model, pico_plan, network, saturation_arrivals(sim_tasks), options, "PICO"
+    pico_sim = simulate_scenario(
+        model, pico_plan, network=network,
+        arrivals=saturation_arrivals(sim_tasks), options=options,
     )
     pico_table = utilization_table(
         model, pico_plan, network, pico_sim, options, "PICO"
@@ -69,8 +70,9 @@ def run(
     bfs = bfs_optimal(model, cluster, network, options, deadline_s=bfs_deadline_s)
     if bfs.plan is None:
         raise RuntimeError("BFS found no plan")
-    bfs_sim = simulate_plan(
-        model, bfs.plan, network, saturation_arrivals(sim_tasks), options, "BFS"
+    bfs_sim = simulate_scenario(
+        model, bfs.plan, network=network,
+        arrivals=saturation_arrivals(sim_tasks), options=options,
     )
     bfs_table = utilization_table(model, bfs.plan, network, bfs_sim, options, "BFS")
 

@@ -15,11 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.device import Cluster
 from repro.cluster.metrics import UtilizationTable, utilization_table
-from repro.cluster.simulator import simulate_plan
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.experiments.common import baseline_schemes, paper_network, table1_cluster
 from repro.models.zoo import get_model
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import saturation_arrivals
 
 __all__ = ["Table1Result", "run"]
@@ -57,13 +57,12 @@ def run(
         model = get_model(model_name)
         for scheme in baseline_schemes(include_lw=include_lw):
             plan = scheme.plan(model, cluster, network, options)
-            sim = simulate_plan(
+            sim = simulate_scenario(
                 model,
                 plan,
-                network,
-                saturation_arrivals(sim_tasks),
-                options,
-                plan_name=scheme.name,
+                network=network,
+                arrivals=saturation_arrivals(sim_tasks),
+                options=options,
             )
             tables.append(
                 utilization_table(model, plan, network, sim, options, scheme.name)

@@ -31,7 +31,7 @@ from repro.fleet.registry import ModelRegistry
 from repro.fleet.scheduler import FleetScheduler, Placement
 from repro.fleet.tenants import TenantClass
 from repro.runtime.core import Transport
-from repro.runtime.faults import RuntimeConfig, StageFailure
+from repro.runtime.faults import RuntimeConfig, replan_or_degrade
 from repro.schemes.base import PlanningError, Scheme
 from repro.serve.server import PipelineServer, ServeResult, ServerConfig
 
@@ -217,27 +217,25 @@ class FleetServer:
         ``replan(dead) -> (PlanProgram, kind)`` — releases the tenant's
         stranded leases, re-places it over the survivors at current
         occupancies, and re-grants its switcher; degrades to the
-        fastest surviving device when no placement fits, exactly like
-        :func:`~repro.runtime.faults.churn_replanner`.
+        fastest surviving device when no placement fits, through the
+        same :func:`~repro.runtime.faults.replan_or_degrade` the
+        per-session ladder uses.
         """
 
         def replan(dead):
             from repro.runtime.program import compile_plan
-            from repro.schemes.local import local_fallback_plan
 
             entry = self.registry.get(tenant.model)
             try:
                 placement = self.scheduler.replace_tenant(tenant.name, dead)
             except PlanningError:
-                survivors = self.scheduler.pool.alive()
-                if not survivors:
-                    raise StageFailure(
-                        "every device in the fleet pool is dead"
-                    ) from None
-                best = max(survivors, key=lambda d: d.capacity)
-                plan = local_fallback_plan(entry.model, best)
-                self.scheduler.pool.lease(tenant.name, (best.name,))
-                return compile_plan(entry.model, plan), "degraded"
+                plan, kind = replan_or_degrade(
+                    entry.model, self.scheduler.pool.alive()
+                )
+                self.scheduler.pool.lease(
+                    tenant.name, tuple(d.name for d in plan.all_devices)
+                )
+                return compile_plan(entry.model, plan), kind
             session = self.sessions.get(tenant.name)
             if session is not None:
                 session.placement = placement

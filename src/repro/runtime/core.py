@@ -596,8 +596,9 @@ class SimTransport(Transport):
     servers: stage ``s`` starts a frame at
     ``max(frame ready, stage free)``, exactly the event simulator's
     deterministic-service recurrence, so a trace from here is the
-    frame-level expansion of a :func:`simulate_plan` run.  Exclusive
-    plans serialise every stage through one server token.
+    frame-level expansion of a :func:`repro.sim.simulate_scenario`
+    run.  Exclusive plans serialise every stage through one server
+    token.
 
     ``compute=False`` turns the transport into a pure virtual-clock
     server: kernels are skipped and every output tile is zeros of the

@@ -49,6 +49,7 @@ __all__ = [
     "DeviceDead",
     "StageFailure",
     "churn_replanner",
+    "replan_or_degrade",
 ]
 
 
@@ -279,6 +280,35 @@ class FaultInjector:
         return self._take(self._flaky, device, frame)
 
 
+def replan_or_degrade(model, survivors, plan_over=None):
+    """The churn decision: a fresh plan over ``survivors``, or degrade.
+
+    ``plan_over(cluster) -> PipelinePlan`` plans the model over the
+    surviving devices; when it raises
+    :class:`~repro.schemes.base.PlanningError` — or is ``None`` because
+    the caller's own placement already failed (the fleet scheduler) —
+    the whole model falls back to the fastest survivor
+    (:func:`~repro.schemes.local.local_fallback_plan`).  Returns
+    ``(plan, kind)`` with ``kind`` ``"replan"`` or ``"degraded"``, the
+    trace event to emit; raises :class:`StageFailure` when nothing
+    survives.
+    """
+    from repro.cluster.device import Cluster
+    from repro.schemes.base import PlanningError
+    from repro.schemes.local import local_fallback_plan
+
+    survivors = tuple(survivors)
+    if not survivors:
+        raise StageFailure("every device in the cluster is dead")
+    if plan_over is not None:
+        try:
+            return plan_over(Cluster(survivors)), "replan"
+        except PlanningError:
+            pass
+    best = max(survivors, key=lambda d: d.capacity)
+    return local_fallback_plan(model, best), "degraded"
+
+
 def churn_replanner(
     model,
     cluster,
@@ -293,37 +323,30 @@ def churn_replanner(
     :class:`~repro.runtime.core.PipelineSession`: it re-plans the model
     over the surviving devices with ``scheme`` (or asks ``switcher`` —
     an :class:`~repro.adaptive.switcher.AdaptiveSwitcher` — for a fresh
-    candidate set, APICO-style) and falls back to a single-device
-    :func:`~repro.schemes.local.local_fallback_plan` when planning over
-    the survivors is infeasible.  ``kind`` is ``"replan"`` or
-    ``"degraded"`` and becomes the emitted trace event.
+    candidate set, APICO-style) and degrades through
+    :func:`replan_or_degrade` when planning over the survivors is
+    infeasible.  ``kind`` is ``"replan"`` or ``"degraded"`` and becomes
+    the emitted trace event.
     """
     if scheme is None and switcher is None:
         raise ValueError("churn_replanner needs a scheme or a switcher")
 
     def replan(dead):
-        from repro.cluster.device import Cluster
         from repro.cost.flops import DEFAULT_OPTIONS
         from repro.runtime.program import compile_plan
-        from repro.schemes.base import PlanningError
-        from repro.schemes.local import local_fallback_plan
 
         opts = options or DEFAULT_OPTIONS
-        survivors = tuple(d for d in cluster if d.name not in dead)
-        if not survivors:
-            raise StageFailure("every device in the cluster is dead")
-        try:
+
+        def plan_over(survivors):
             if switcher is not None:
-                fresh = switcher.replan(
-                    model, Cluster(survivors), network, opts
-                )
-                plan = fresh.active.plan
-            else:
-                plan = scheme.plan(model, Cluster(survivors), network, opts)
-            return compile_plan(model, plan), "replan"
-        except PlanningError:
-            best = max(survivors, key=lambda d: d.capacity)
-            plan = local_fallback_plan(model, best)
-            return compile_plan(model, plan), "degraded"
+                return switcher.replan(
+                    model, survivors, network, opts
+                ).active.plan
+            return scheme.plan(model, survivors, network, opts)
+
+        plan, kind = replan_or_degrade(
+            model, (d for d in cluster if d.name not in dead), plan_over
+        )
+        return compile_plan(model, plan), kind
 
     return replan

@@ -2,7 +2,7 @@
 
 :func:`plan_timing` turns a plan into the service/communication/compute
 times and per-device busy shares that both the event-driven cluster
-simulator (:mod:`repro.cluster.simulator`) and the frame-level
+simulator (:mod:`repro.sim`) and the frame-level
 :class:`~repro.runtime.core.SimTransport` consume.  It is the single
 place the Eq. 9–11 stage costs are projected onto runtime behaviour:
 pipelined plans keep one entry per stage, exclusive (one-stage-scheme)
@@ -11,8 +11,9 @@ phase sequence, and ``measured_services`` substitutes measured
 wall-clock stage times for the analytic ones.
 
 Imports of the cost model are deferred to call time: this module is
-imported from :mod:`repro.cluster.simulator`, which itself sits under
-the package the cost model's device types live in.
+imported from :mod:`repro.sim`, which :mod:`repro.cluster` — the
+package the cost model's device types live in — imports for its
+metrics.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ those too.
 
 :meth:`measure` times each stage over sample frames; the resulting
 per-stage wall-clock services feed straight into
-:func:`repro.cluster.simulator.simulate_plan` via its
+:func:`repro.sim.simulate_scenario` via its
 ``measured_services`` parameter, replacing the analytic cost model
 with measured numbers.
 """
@@ -129,7 +129,7 @@ class LocalPlanExecutor:
     ) -> "List[float]":
         """Mean wall-clock seconds per stage over the given frames.
 
-        Feed the result to ``simulate_plan(..., measured_services=...)``
+        Feed the result to ``simulate_scenario(..., measured_services=...)``
         to drive the event simulator with measured numbers instead of
         the analytic cost model.
         """

@@ -1,8 +1,7 @@
 """Planet-scale scenario simulation: topologies, workloads, churn.
 
-The :mod:`repro.cluster.simulator` event loop grew up: this package
-generalises it from "one shared-bandwidth LAN, a list of arrival
-times" to full scenarios —
+The discrete-event cluster simulator: from "one shared-bandwidth LAN,
+a list of arrival times" (the paper's testbed) to full scenarios —
 
 * :mod:`repro.sim.topology` — named :class:`NetworkLink` objects with
   bandwidth / latency / jitter / loss, ``star`` / ``mesh`` /
@@ -13,17 +12,17 @@ times" to full scenarios —
 * :mod:`repro.workload.processes` — lazy :class:`ArrivalProcess`
   generators (diurnal, flash crowd, trace replay, composite) that
   scale to millions of requests without materialising them.
-* :mod:`repro.sim.scenario` — correlated device churn and mobility
-  (devices leaving and joining mid-run), driven through the same
-  replan ladder as the fault-tolerance layer.
-* :mod:`repro.sim.engine` — the shared event loop itself, consumed by
-  both this package and the legacy :func:`simulate_plan` /
-  :func:`simulate_adaptive` adapters.
+* :mod:`repro.sim.scenario` — correlated device churn, frame-counted
+  crashes and mobility (devices leaving and joining mid-run), driven
+  through the same replan-or-degrade decision as the fault-tolerance
+  layer.
+* :mod:`repro.sim.engine` — the event loop itself.
 
-:func:`simulate_scenario` is the front door.
+:func:`simulate_scenario` is the one front door: every simulation in
+the package (:func:`repro.simulate`, the experiments, the benches)
+enters the engine through it.
 """
 
-from repro.sim.engine import run_scenario
 from repro.sim.result import SimResult, SimStats, TaskRecord
 from repro.sim.scenario import ChurnEvent, correlated_churn, simulate_scenario
 from repro.sim.topology import NetworkLink, Topology
@@ -36,6 +35,5 @@ __all__ = [
     "TaskRecord",
     "Topology",
     "correlated_churn",
-    "run_scenario",
     "simulate_scenario",
 ]

@@ -1,7 +1,7 @@
-"""The shared discrete-event engine behind every cluster simulation.
+"""The discrete-event engine behind every cluster simulation.
 
-This is the 2.0 generalisation of the former
-``repro.cluster.simulator._run_event_loop``: stages are
+This is the 2.0 generalisation of the pre-2.0 single-WLAN event loop
+(entered only through :func:`repro.sim.simulate_scenario`): stages are
 deterministic-service FIFO servers fed by the plan's timing tables
 (:func:`repro.runtime.timing.plan_timing`), tasks flow stage to stage,
 and per-device busy time accrues from each stage's compute share.

@@ -1,8 +1,8 @@
 """Simulation outputs: per-task records and summary statistics.
 
-:class:`TaskRecord` / :class:`SimResult` moved here from
-:mod:`repro.cluster.simulator` in 2.0 (which re-exports them, so old
-imports keep working).  :class:`SimStats` is the constant-memory
+:class:`TaskRecord` / :class:`SimResult` are what a full run returns
+(also exported from :mod:`repro.sim` and the top-level package).
+:class:`SimStats` is the constant-memory
 summary the engine produces under ``keep_records=False`` — the mode
 the million-request benchmark (:mod:`repro.bench.sim`) runs in, where
 materialising one :class:`TaskRecord` per task would dominate the

@@ -1,29 +1,14 @@
 """Scenario composition: topology × workload × churn → one run.
 
-:func:`simulate_scenario` is the 2.0 front door to the event engine.
-It accepts everything :func:`repro.simulate` does for the plan side —
-a scheme name, a :class:`~repro.schemes.Scheme`, a ready
-:class:`~repro.core.plan.PipelinePlan` or an
-:class:`~repro.adaptive.switcher.AdaptiveSwitcher` — and adds the
-scenario dimensions:
-
-* ``topology`` — a :class:`~repro.sim.topology.Topology`; transfers
-  route hop by hop with per-link FIFO contention.  The default
-  :meth:`Topology.bus` reproduces the pre-2.0 single-WLAN simulator
-  bit for bit.
-* ``arrivals`` — a lazy :class:`~repro.workload.ArrivalProcess` (or a
-  plain list of submit times).
-* ``churn`` — :class:`ChurnEvent` entries: devices leave and join
-  mid-run, and each change re-plans the survivors through the same
-  replan/degraded ladder the fault-tolerance layer uses, emitting
-  ``device_dead`` / ``device_join`` / ``replan`` / ``degraded`` trace
-  events.  :func:`correlated_churn` builds the correlated-failure
-  bursts (a rack power cut, a WiFi segment dropping) that independent
-  per-device fault schedules cannot express.
+:func:`simulate_scenario` is the one front door to the event engine
+(:func:`repro.sim.engine.run_scenario`); :func:`repro.simulate` is a
+thin spelling of it.  :class:`ChurnEvent` / :func:`correlated_churn`
+describe devices leaving and joining mid-run.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -35,7 +20,6 @@ from repro.runtime.timing import PlanTiming, plan_timing
 from repro.runtime.trace import TraceEvent, coerce_tracer
 from repro.sim.engine import Transmission, run_scenario, token_bus_transmissions
 from repro.sim.topology import Topology
-from repro.workload.processes import ArrivalProcess
 
 __all__ = ["ChurnEvent", "correlated_churn", "simulate_scenario"]
 
@@ -105,27 +89,67 @@ def simulate_scenario(
     arrivals=None,
     options: Optional[CostOptions] = None,
     churn: "Sequence[ChurnEvent]" = (),
+    faults=None,
+    measured_services: "Optional[Sequence[float]]" = None,
     trace=None,
     queue_capacity: Optional[int] = None,
     seed: int = 0,
     sample_network: bool = False,
     keep_records: bool = True,
 ):
-    """Simulate one scenario; see the module docstring.
+    """Simulate ``plan_or_scheme`` serving ``arrivals`` on a cluster.
 
-    ``arrivals`` is an :class:`~repro.workload.ArrivalProcess`
-    (streamed lazily under ``numpy.random.default_rng(seed)``) or a
-    plain sequence of submit times.  ``sample_network=True`` samples
-    per-link jitter and loss instead of charging their deterministic
-    expectations.  ``keep_records=False`` returns a constant-memory
-    :class:`~repro.sim.result.SimStats` instead of a full
-    :class:`~repro.sim.result.SimResult` — the million-request mode.
+    ``plan_or_scheme`` is a scheme name (``"pico"``, ``"lw"``, ``"efl"``,
+    ``"ofl"``, ``"iop"``), a :class:`~repro.schemes.Scheme` — both
+    planned over ``cluster`` first — a ready
+    :class:`~repro.core.plan.PipelinePlan`, or an
+    :class:`~repro.adaptive.switcher.AdaptiveSwitcher` (APICO replay:
+    the switcher sees each arrival and the live queue depth).
 
-    Churn needs a scheme (or scheme name) plus ``cluster`` so the
-    survivors can be re-planned; a device whose first churn event is a
-    ``join`` starts outside the cluster and enters mid-run (mobility).
+    * ``topology`` — a :class:`~repro.sim.topology.Topology`; transfers
+      route hop by hop with per-link FIFO contention.  The default
+      :meth:`Topology.bus` is the paper's single WLAN (``network``,
+      50 Mbps WiFi unless given) with communication folded into stage
+      service; ``Topology.bus(network, contended=True)`` serialises
+      every stage's transfer over that one link.
+      ``sample_network=True`` samples per-link jitter and loss instead
+      of charging their deterministic expectations.
+    * ``arrivals`` — an :class:`~repro.workload.ArrivalProcess`
+      (streamed lazily under ``numpy.random.default_rng(seed)``) or a
+      plain sequence of submit times.  ``queue_capacity`` bounds the
+      tasks concurrently in the system: overflow arrivals are shed and
+      reported in ``SimResult.shed``.
+    * ``churn`` / ``faults`` — devices leave and join mid-run, by time
+      (:class:`ChurnEvent`; :func:`correlated_churn` builds the rack
+      power cut / WiFi segment drop that independent per-device
+      schedules cannot express; a device whose first event is a
+      ``join`` starts outside the cluster) or by arrival count
+      (:class:`~repro.runtime.faults.FaultSchedule`: each
+      ``crash(device, at_frame)`` kills its device once ``at_frame``
+      arrivals have entered the system, every device due on one arrival
+      before a single re-plan).  Both need a scheme plus ``cluster`` and
+      share one step: mark the live set, re-plan the survivors with
+      :func:`~repro.runtime.faults.replan_or_degrade` — the decision the
+      fault-tolerance layer makes — and emit ``device_dead`` /
+      ``device_join`` / ``replan`` / ``degraded`` events, stamped frame
+      ``-1`` (time) or the arrival's index (crash).  The new pipeline
+      takes over at the next service boundary, like an adaptive switch.
+      Frame-level faults (delay, drop, flaky link) have no event-level
+      counterpart — use :class:`~repro.runtime.core.SimTransport`.
+    * ``measured_services`` — measured wall-clock seconds per stage of
+      the initial plan in place of the analytic ones, the bridge from
+      :meth:`repro.schemes.local.LocalPlanExecutor.measure`.
+
+    ``trace`` is the shared ``Tracer | bool | None`` contract; events
+    land in ``SimResult.trace``.  ``keep_records=False`` returns a
+    constant-memory :class:`~repro.sim.result.SimStats` instead of a
+    full :class:`~repro.sim.result.SimResult` — the million-request
+    mode.
     """
     from repro.adaptive.switcher import AdaptiveSwitcher
+    from repro.cluster.device import Cluster
+    from repro.core.plan import PipelinePlan
+    from repro.runtime.faults import replan_or_degrade
     from repro.schemes import Scheme, get_scheme
 
     tracer = coerce_tracer(trace)
@@ -134,13 +158,15 @@ def simulate_scenario(
     network = network or topology.as_network_model()
     options = options or DEFAULT_OPTIONS
     churn_events = tuple(churn)
+    # devices with a crash still to fire, asked of the schedule's injector
+    crashing = {c.device for c in faults.crashes} if faults is not None else set()
 
     if arrivals is None:
         raise ValueError(
             "simulate_scenario() needs arrivals= (an ArrivalProcess or "
             "a sequence of submit times)"
         )
-    if isinstance(arrivals, ArrivalProcess) or hasattr(arrivals, "times"):
+    if hasattr(arrivals, "times"):  # an ArrivalProcess
         arrival_iter: "Iterator[float]" = arrivals.times(
             np.random.default_rng(seed)
         )
@@ -153,128 +179,137 @@ def simulate_scenario(
         transmissions_for = token_bus_transmissions(topology.links[0])
     else:
         transmissions_for = _topology_transmissions(topology, network)
-    link_rng = (
-        np.random.default_rng(seed + 1) if sample_network else None
-    )
 
     # -- resolve the plan side ----------------------------------------
-    scheme = None
     if isinstance(plan_or_scheme, str):
         plan_or_scheme = get_scheme(plan_or_scheme)
+    if not isinstance(
+        plan_or_scheme, (PipelinePlan, Scheme, AdaptiveSwitcher)
+    ):
+        raise TypeError(
+            "plan_or_scheme must be a PipelinePlan, Scheme, scheme name or "
+            f"AdaptiveSwitcher, not {type(plan_or_scheme).__name__}"
+        )
+    scheme = plan_or_scheme if isinstance(plan_or_scheme, Scheme) else None
+    if scheme is not None and cluster is None:
+        raise ValueError("a scheme needs cluster= to plan over")
+    state: "Dict[str, PlanTiming]" = {}
+    on_churn = pick = None
+
     if isinstance(plan_or_scheme, AdaptiveSwitcher):
-        if churn_events:
+        for what, given in (
+            ("churn", churn_events),
+            ("faults", faults is not None and not faults.empty),
+        ):
+            if given:
+                raise ValueError(
+                    f"{what}= is not supported with an AdaptiveSwitcher "
+                    "replay; pass a scheme so the survivors can be "
+                    "re-planned"
+                )
+        if measured_services is not None:
             raise ValueError(
-                "churn= is not supported with an AdaptiveSwitcher replay; "
-                "pass a scheme so the survivors can be re-planned"
+                "measured_services= times one plan's stages; it is not "
+                "supported with an AdaptiveSwitcher replay"
             )
         switcher = plan_or_scheme
         timings = switcher.plan_timings(model, network, options)
-        initial = timings[switcher.active.name]
+        state["timing"] = timings[switcher.active.name]
 
         def pick(now: float, depth: int) -> PlanTiming:
             active = switcher.on_arrival(now, queue_depth=depth)
             return timings[active.name]
 
-        return run_scenario(
-            arrival_iter, initial, pick,
-            transmissions_for=transmissions_for, tracer=tracer,
-            queue_capacity=queue_capacity, rng=link_rng,
-            keep_records=keep_records,
+    elif scheme is None:
+        if churn_events or crashing:
+            raise ValueError(
+                f"simulating {'churn' if churn_events else 'crash churn'} "
+                "needs a scheme (or scheme name) to re-plan the survivors "
+                "— a bare plan cannot be rebuilt"
+            )
+        state["timing"] = plan_timing(
+            model, plan_or_scheme, network, options,
+            name=plan_or_scheme.mode, measured_services=measured_services,
         )
-    if isinstance(plan_or_scheme, Scheme):
-        scheme = plan_or_scheme
-        if cluster is None:
-            raise ValueError("a scheme needs cluster= to plan over")
-    if scheme is None and churn_events:
-        raise ValueError(
-            "simulating churn needs a scheme (or scheme name) to re-plan "
-            "the survivors — a bare plan cannot be rebuilt"
-        )
-
-    # -- initial live set (devices joining later start outside) -------
-    if churn_events and cluster is not None:
+    else:
         names = {d.name for d in cluster}
         unknown = sorted(
-            {e.device for e in churn_events} - names
+            ({e.device for e in churn_events} | crashing) - names
         )
         if unknown:
             raise ValueError(
                 f"churn names devices not in the cluster: "
                 f"{', '.join(unknown)}"
             )
+        # Devices whose first churn event is a join start outside.
         first_kind: "Dict[str, str]" = {}
         for event in sorted(churn_events, key=lambda e: e.time):
             first_kind.setdefault(event.device, event.kind)
-        live = {
-            name for name in names
-            if first_kind.get(name, "leave") != "join"
-        }
+        live = {name for name in names if first_kind.get(name) != "join"}
         if not live:
             raise ValueError("every device joins mid-run; none left to plan")
-    else:
-        live = {d.name for d in cluster} if cluster is not None else set()
 
-    if scheme is not None:
-        from repro.cluster.device import Cluster
+        def plan_over(members) -> "PipelinePlan":
+            return scheme.plan(model, members, network, options)
 
-        members = tuple(d for d in cluster if d.name in live)
-        plan = scheme.plan(model, Cluster(members), network, options)
-        base_name = scheme.name
-    else:
-        plan = plan_or_scheme
-        base_name = plan.mode
-    timing = plan_timing(model, plan, network, options, name=base_name)
-    state = {"timing": timing}
-
-    def on_churn(now: float, event: ChurnEvent) -> Optional[PlanTiming]:
-        from repro.cluster.device import Cluster
-        from repro.runtime.faults import StageFailure
-        from repro.schemes.base import PlanningError
-        from repro.schemes.local import local_fallback_plan
-
-        if event.kind == "leave":
-            if event.device not in live:
-                return None
-            live.discard(event.device)
-            if tracer is not None:
-                tracer.emit(
-                    TraceEvent("device_dead", -1, 0, event.device, now, now)
-                )
-        else:
-            if event.device in live:
-                return None
-            live.add(event.device)
-            if tracer is not None:
-                tracer.emit(
-                    TraceEvent("device_join", -1, 0, event.device, now, now)
-                )
-        survivors = tuple(d for d in cluster if d.name in live)
-        if not survivors:
-            raise StageFailure("every device in the cluster is dead")
-        try:
-            fresh = scheme.plan(model, Cluster(survivors), network, options)
-            kind = "replan"
-        except PlanningError:
-            best = max(survivors, key=lambda d: d.capacity)
-            fresh = local_fallback_plan(model, best)
-            kind = "degraded"
         state["timing"] = plan_timing(
-            model, fresh, network, options, name=f"{base_name}+{kind}"
+            model,
+            plan_over(Cluster(tuple(d for d in cluster if d.name in live))),
+            network, options,
+            name=scheme.name, measured_services=measured_services,
         )
-        if tracer is not None:
-            dead = ",".join(sorted({d.name for d in cluster} - live))
-            tracer.emit(TraceEvent(kind, -1, 0, dead, now, now))
-        return state["timing"]
+
+        def apply(changes, frame: int, now: float) -> Optional[PlanTiming]:
+            """Mark each ``(kind, device)`` change on the live set, then
+            re-plan the survivors once (or degrade) and adopt the new
+            timing; ``None`` when every change was a no-op."""
+            stale = True
+            for kind, device in changes:
+                if (kind == "join") == (device in live):
+                    continue
+                (live.add if kind == "join" else live.discard)(device)
+                stale = False
+                if tracer is not None:
+                    traced = "device_join" if kind == "join" else "device_dead"
+                    tracer.emit(TraceEvent(traced, frame, 0, device, now, now))
+            if stale:
+                return None
+            fresh, outcome = replan_or_degrade(
+                model, (d for d in cluster if d.name in live), plan_over
+            )
+            state["timing"] = plan_timing(
+                model, fresh, network, options,
+                name=f"{scheme.name}+{outcome}",
+            )
+            if tracer is not None:
+                dead = ",".join(sorted(names - live))
+                tracer.emit(TraceEvent(outcome, frame, 0, dead, now, now))
+            return state["timing"]
+
+        if churn_events:
+
+            def on_churn(now: float, event: ChurnEvent):
+                return apply([(event.kind, event.device)], -1, now)
+
+        if crashing:
+            frames, injector = itertools.count(), faults.start()
+
+            def pick(now: float, depth: int) -> PlanTiming:
+                index = next(frames)
+                due = sorted(d for d in crashing if injector.crashed(d, index))
+                crashing.difference_update(due)
+                apply([("leave", d) for d in due], index, now)
+                return state["timing"]
 
     return run_scenario(
         arrival_iter,
-        timing,
-        lambda now, depth: state["timing"],
+        state["timing"],
+        pick or (lambda now, depth: state["timing"]),
         transmissions_for=transmissions_for,
         churn=[(e.time, e) for e in churn_events],
-        on_churn=on_churn if churn_events else None,
+        on_churn=on_churn,
         tracer=tracer,
         queue_capacity=queue_capacity,
-        rng=link_rng,
+        rng=np.random.default_rng(seed + 1) if sample_network else None,
         keep_records=keep_records,
     )

@@ -74,6 +74,19 @@ class TestSimulateBatched:
         base_last = max(t.completion for t in base.tasks)
         assert last < base_last
 
+    def test_batched_replay_builds_no_weights(self, monkeypatch):
+        # compute=False replays the timing tables; materialising the
+        # model's weights first cost seconds and a gigabyte on vgg16.
+        def boom(*args, **kwargs):
+            raise AssertionError("the batched replay built weights")
+
+        monkeypatch.setattr(repro, "init_weights", boom)
+        model, cluster = self._setup()
+        sim = repro.simulate(
+            model, "pico", cluster, arrivals=[0.0] * 4, max_batch=2
+        )
+        assert sim.completed == 4
+
     def test_max_batch_guards(self):
         model, cluster = self._setup()
         from repro.runtime.core import FaultSchedule

@@ -11,8 +11,11 @@ import pytest
 from repro.bench.engine import DEFAULT_MODELS, run_suite
 from repro.bench.exact import check_report
 from repro.bench.exact import run_suite as run_exact_suite
+from repro.bench.sim import check_report as check_sim_report
 
-BENCH_EXACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_exact.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_EXACT = ROOT / "BENCH_exact.json"
+BENCH_SIM = ROOT / "BENCH_sim.json"
 
 
 def test_run_suite_smoke():
@@ -77,3 +80,22 @@ def test_exact_gap_committed_report_reproduces_full_zoo():
     """Full-zoo gap sweep: every committed cell — all four models x all
     four mixes — reproduces bit-for-bit."""
     assert check_report(str(BENCH_EXACT)) == []
+
+
+def test_sim_committed_report_reproduces_quick(tmp_path):
+    """Every host-independent field of the committed BENCH_sim.json —
+    counts, simulated makespans, the flash-crowd recovery sequence, the
+    legacy-adapter digests, the gates — reproduces on the quick stream;
+    a drifted count or a wrong reference digest is reported."""
+    assert check_sim_report(str(BENCH_SIM), quick=True) == []
+
+    report = json.loads(BENCH_SIM.read_text())
+    report["flash_crowd"]["shed"] += 1
+    report["bit_exact"]["reference"]["folded"] = "0" * 64
+    drifted = tmp_path / "BENCH_sim.json"
+    drifted.write_text(json.dumps(report))
+    errors = check_sim_report(str(drifted), quick=True)
+    assert sorted(e.split(":")[0] for e in errors) == [
+        "bit_exact.folded", "flash_crowd.shed",
+        "gates.one_link_bit_exact_folded",
+    ]

@@ -18,11 +18,8 @@ import pytest
 
 import repro
 from repro.cluster.device import Cluster, pi_cluster
-from repro.cluster.simulator import (
-    simulate_adaptive as real_simulate_adaptive,
-    simulate_plan as real_simulate_plan,
-)
 from repro.cost.comm import NetworkModel
+from repro.cost.flops import DEFAULT_OPTIONS
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
@@ -32,6 +29,7 @@ from repro.runtime.faults import (
     RuntimeConfig,
     StageFailure,
     churn_replanner,
+    replan_or_degrade,
 )
 from repro.runtime.program import compile_plan
 from repro.runtime.trace import (
@@ -45,6 +43,7 @@ from repro.schemes.base import PlanningError, weighted_assignments
 from repro.schemes.local import local_fallback_plan
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
+from repro.sim import simulate_scenario
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +287,55 @@ def test_stage_wipeout_with_replanner_recovers(model, program, weights,
         assert np.allclose(got, want, atol=1e-4)
 
 
+class _FullClusterOnly(PicoScheme):
+    """Plans the full cluster and nothing smaller, so every re-plan
+    over survivors has to degrade."""
+
+    def plan(self, model, cluster, network, options=DEFAULT_OPTIONS):
+        if len(cluster) < 4:
+            raise PlanningError("needs all four devices")
+        return super().plan(model, cluster, network, options)
+
+
+def test_degraded_arm_is_one_helper_for_session_and_simulator(
+    model, program, weights, frames, baseline, cluster, net
+):
+    """The runtime ladder and the event simulator take the same
+    replan-or-degrade decision: an unplannable survivor set lands both
+    on the fastest survivor with kind ``"degraded"``."""
+    scheme = _FullClusterOnly()
+    stage0 = [t.device_name for t in program.stages[0].tasks]
+    faults = FaultSchedule()
+    for name in stage0:
+        faults = faults.crash(name, at_frame=1)
+    survivors = [d for d in cluster if d.name not in stage0]
+
+    fallback, kind = replan_or_degrade(
+        model, survivors, lambda c: scheme.plan(model, c, net)
+    )
+    assert kind == "degraded"
+    assert fallback.all_devices == (survivors[0],)
+    with pytest.raises(StageFailure):
+        replan_or_degrade(model, ())
+
+    outputs, events = _run_faulty(
+        model, program, weights, frames, faults, "inproc", net,
+        replanner=churn_replanner(model, cluster, net, scheme=scheme),
+    )
+    assert "degraded" in _recovery(events)
+    assert "replan" not in _recovery(events)
+    for got, want in zip(outputs, baseline):
+        assert np.allclose(got, want, atol=1e-4)
+
+    sim = simulate_scenario(
+        model, scheme, cluster, network=net,
+        arrivals=[0.1 * i for i in range(4)], faults=faults, trace=True,
+    )
+    kinds = [e.kind for e in sim.trace if e.kind in RECOVERY_KINDS]
+    assert kinds == ["device_dead"] * len(stage0) + ["degraded"]
+    assert sim.plan_usage == {"PICO": 1, "PICO+degraded": 3}
+
+
 def test_churn_replanner_needs_scheme_or_switcher(model, cluster, net):
     with pytest.raises(ValueError):
         churn_replanner(model, cluster, net)
@@ -411,10 +459,9 @@ class TestSimulateDispatch:
 
 
 class TestShimsRemoved:
-    """The 1.x ``simulate_plan``/``simulate_adaptive`` deprecation
-    shims were removed in 2.0 (use :func:`repro.simulate`); the
-    module-level originals in :mod:`repro.cluster.simulator` remain
-    the internal API."""
+    """The 1.x ``simulate_plan``/``simulate_adaptive`` names are gone
+    from the package: :func:`repro.simulate` is a spelling of the one
+    door, :func:`repro.sim.simulate_scenario`."""
 
     ARRIVALS = (0.0, 0.05, 0.1)
 
@@ -428,14 +475,17 @@ class TestShimsRemoved:
         unified = repro.simulate(
             model, plan, network=net, arrivals=self.ARRIVALS
         )
-        real = real_simulate_plan(model, plan, net, self.ARRIVALS)
+        real = simulate_scenario(
+            model, plan, network=net, arrivals=self.ARRIVALS
+        )
         assert unified.makespan == pytest.approx(real.makespan)
 
     def test_module_functions_do_not_warn(self, model, plan, net):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            real_simulate_plan(model, plan, net, self.ARRIVALS)
-            real_simulate_adaptive  # still importable internal API
+            simulate_scenario(
+                model, plan, network=net, arrivals=self.ARRIVALS
+            )
 
 
 class TestCoerceTracer:

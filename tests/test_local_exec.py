@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.device import pi_cluster
-from repro.cluster.simulator import simulate_plan
 from repro.core.plan import PipelinePlan, StagePlan
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
@@ -16,6 +15,7 @@ from repro.nn.executor import Engine
 from repro.partition.regions import Region
 from repro.schemes import LocalPlanExecutor
 from repro.schemes.pico import PicoScheme
+from repro.sim import simulate_scenario
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +96,9 @@ class TestMeasuredServices:
         assert len(services) == plan.n_stages
         assert all(s > 0.0 for s in services)
         arrivals = [0.05 * i for i in range(20)]
-        result = simulate_plan(
-            model, plan, net, arrivals, measured_services=services
+        result = simulate_scenario(
+            model, plan, network=net, arrivals=arrivals,
+            measured_services=services,
         )
         assert result.throughput > 0
 
@@ -105,8 +106,8 @@ class TestMeasuredServices:
         model = toy_chain(4, 0, input_hw=32)
         plan = PicoScheme().plan(model, pi_cluster(2, 800), net)
         with pytest.raises(ValueError, match="measured_services"):
-            simulate_plan(
-                model, plan, net, [0.0, 0.1],
+            simulate_scenario(
+                model, plan, network=net, arrivals=[0.0, 0.1],
                 measured_services=[0.01] * (plan.n_stages + 1),
             )
 

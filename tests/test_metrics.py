@@ -6,13 +6,13 @@ import pytest
 
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
 from repro.cluster.metrics import utilization_table
-from repro.cluster.simulator import simulate_plan
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import model_flops
 from repro.models.toy import toy_chain
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.layer_wise import LayerWiseScheme
 from repro.schemes.pico import PicoScheme
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import saturation_arrivals
 
 
@@ -61,7 +61,7 @@ def test_efl_more_redundant_than_pico(model, net):
 def test_measured_utilization_used_when_sim_given(model, net):
     cluster = pi_cluster(4, 800)
     plan = PicoScheme().plan(model, cluster, net)
-    sim = simulate_plan(model, plan, net, saturation_arrivals(50))
+    sim = simulate_scenario(model, plan, network=net, arrivals=saturation_arrivals(50))
     table = utilization_table(model, plan, net, sim, scheme_name="PICO")
     for report in table.devices:
         assert report.utilization == pytest.approx(

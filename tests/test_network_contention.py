@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.device import pi_cluster
-from repro.cluster.simulator import simulate_plan
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions
 from repro.models.toy import toy_chain
 from repro.schemes.optimal_fused import OptimalFusedScheme
 from repro.schemes.pico import PicoScheme
+from repro.sim import Topology, simulate_scenario
 from repro.workload.arrivals import saturation_arrivals
 
 
@@ -37,8 +37,9 @@ class TestContention:
         bound = plan_cost(
             model, plan, net, CostOptions(shared_medium=True)
         ).period
-        sim = simulate_plan(
-            model, plan, net, saturation_arrivals(60), shared_medium=True
+        sim = simulate_scenario(
+            model, plan, network=net, arrivals=saturation_arrivals(60),
+            topology=Topology.bus(net, contended=True),
         )
         assert measured_period(sim) >= bound * 0.98
 
@@ -46,9 +47,13 @@ class TestContention:
         net = NetworkModel.from_mbps(10.0)
         cluster = pi_cluster(4, 1000)
         plan = PicoScheme().plan(model, cluster, net)
-        free = simulate_plan(model, plan, net, saturation_arrivals(40))
-        contended = simulate_plan(
-            model, plan, net, saturation_arrivals(40), shared_medium=True
+        free = simulate_scenario(
+            model, plan, network=net,
+            arrivals=saturation_arrivals(40),
+        )
+        contended = simulate_scenario(
+            model, plan, network=net, arrivals=saturation_arrivals(40),
+            topology=Topology.bus(net, contended=True),
         )
         assert contended.throughput <= free.throughput * 1.001
 
@@ -57,9 +62,13 @@ class TestContention:
         net = NetworkModel.from_mbps(100000.0)
         cluster = pi_cluster(4, 1000)
         plan = PicoScheme().plan(model, cluster, net)
-        free = simulate_plan(model, plan, net, saturation_arrivals(40))
-        contended = simulate_plan(
-            model, plan, net, saturation_arrivals(40), shared_medium=True
+        free = simulate_scenario(
+            model, plan, network=net,
+            arrivals=saturation_arrivals(40),
+        )
+        contended = simulate_scenario(
+            model, plan, network=net, arrivals=saturation_arrivals(40),
+            topology=Topology.bus(net, contended=True),
         )
         assert contended.throughput == pytest.approx(free.throughput, rel=0.02)
 
@@ -69,9 +78,13 @@ class TestContention:
         net = NetworkModel.from_mbps(20.0)
         cluster = pi_cluster(3, 800)
         plan = OptimalFusedScheme().plan(model, cluster, net)
-        free = simulate_plan(model, plan, net, saturation_arrivals(20))
-        contended = simulate_plan(
-            model, plan, net, saturation_arrivals(20), shared_medium=True
+        free = simulate_scenario(
+            model, plan, network=net,
+            arrivals=saturation_arrivals(20),
+        )
+        contended = simulate_scenario(
+            model, plan, network=net, arrivals=saturation_arrivals(20),
+            topology=Topology.bus(net, contended=True),
         )
         assert contended.throughput == pytest.approx(free.throughput, rel=1e-6)
 
@@ -79,8 +92,9 @@ class TestContention:
         net = NetworkModel.from_mbps(10.0)
         cluster = pi_cluster(4, 1000)
         plan = PicoScheme().plan(model, cluster, net)
-        sim = simulate_plan(
-            model, plan, net, saturation_arrivals(25), shared_medium=True
+        sim = simulate_scenario(
+            model, plan, network=net, arrivals=saturation_arrivals(25),
+            topology=Topology.bus(net, contended=True),
         )
         assert sim.completed == 25
         completions = [t.completion for t in sim.tasks]

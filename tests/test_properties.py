@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.device import Device
-from repro.cluster.simulator import simulate_plan
 from repro.core.plan import PipelinePlan, StagePlan, plan_cost
 from repro.core.serialize import plan_from_dict, plan_to_dict
 from repro.cost.comm import NetworkModel
@@ -16,6 +15,7 @@ from repro.models.toy import toy_chain
 from repro.nn.ops import conv2d
 from repro.partition.regions import Region
 from repro.partition.strips import strip_regions, weighted_partition
+from repro.sim import simulate_scenario
 
 NET = NetworkModel.from_mbps(50.0)
 MODEL = toy_chain(5, 1, input_hw=32, in_channels=3)
@@ -157,7 +157,10 @@ class TestPlanProperties:
         """Every arrival completes; latencies are at least the plan
         latency; completions are FIFO."""
         cost = plan_cost(MODEL, plan, NET)
-        sim = simulate_plan(MODEL, plan, NET, [0.1 * i for i in range(n_tasks)])
+        sim = simulate_scenario(
+            MODEL, plan, network=NET,
+            arrivals=[0.1 * i for i in range(n_tasks)],
+        )
         assert sim.completed == n_tasks
         for record in sim.tasks:
             assert record.latency >= cost.latency - 1e-9

@@ -25,7 +25,6 @@ from repro.adaptive.queueing import (
 )
 from repro.adaptive.switcher import build_apico_switcher
 from repro.cluster.device import pi_cluster
-from repro.cluster.simulator import simulate_plan
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
@@ -35,6 +34,7 @@ from repro.runtime.core import InProcTransport, SimTransport
 from repro.runtime.program import compile_plan
 from repro.schemes.pico import PicoScheme
 from repro.serve import FrameRecord, PipelineServer, ServeResult, ServerConfig
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import poisson_arrivals_count, uniform_arrivals
 
 
@@ -179,7 +179,7 @@ class TestVirtualPipelining:
         server = _sim_server(model, weights, net, program, cfg)
         result = server.serve(len(arrivals), arrivals=arrivals)
         server.close()
-        sim = simulate_plan(model, plan, net, arrivals)
+        sim = simulate_scenario(model, plan, network=net, arrivals=arrivals)
         assert len(result.completed) == sim.completed
         got = [r.completion for r in result.completed]
         want = [t.completion for t in sim.tasks]
@@ -196,7 +196,10 @@ class TestVirtualPipelining:
         server = _sim_server(model, weights, net, program, cfg)
         result = server.serve(len(arrivals), arrivals=arrivals)
         server.close()
-        sim = simulate_plan(model, plan, net, arrivals, queue_capacity=3)
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=arrivals, queue_capacity=3,
+        )
         assert [r.frame for r in result.shed] == list(sim.shed)
         assert len(result.shed) > 0
         got = [r.completion for r in result.completed]
@@ -391,19 +394,22 @@ class TestThreadedServing:
 class TestSimulatorQueueCapacity:
     def test_unbounded_by_default(self, model, plan, net):
         arrivals = [0.0] * 10
-        sim = simulate_plan(model, plan, net, arrivals)
+        sim = simulate_scenario(model, plan, network=net, arrivals=arrivals)
         assert sim.shed == () and sim.completed == 10
 
     def test_bounded_queue_sheds_and_reports(self, model, plan, net):
         arrivals = [0.0] * 10
-        sim = simulate_plan(model, plan, net, arrivals, queue_capacity=4)
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=arrivals, queue_capacity=4,
+        )
         assert len(sim.shed) == 6
         assert sim.completed == 4
         assert sim.submitted == 10
 
     def test_shed_events_in_trace(self, model, plan, net):
-        sim = simulate_plan(
-            model, plan, net, [0.0] * 6, queue_capacity=2, trace=True
+        sim = simulate_scenario(
+            model, plan, network=net, arrivals=[0.0] * 6, queue_capacity=2, trace=True
         )
         shed_events = [e for e in sim.trace if e.kind == "shed"]
         assert sorted(e.frame for e in shed_events) == list(sim.shed)

@@ -1,24 +1,34 @@
 """Tests for the 2.0 scenario simulator.
 
 The load-bearing guarantee: the degenerate one-link topology
-reproduces the pre-2.0 single-WLAN simulator **bit for bit** — full
-``SimResult`` equality including traces, shed lists and device-busy
-totals — across schemes, both communication modes and admission
-control.  On top of that: churn replanning, mobility joins, multi-hop
-behaviour and the constant-memory stats mode.
+reproduces the pre-2.0 single-WLAN simulator **bit for bit** — a
+digest over the full ``SimResult``, traces, shed lists and device-busy
+totals included, equals the one recorded through the legacy adapter
+before it was deleted (``tests/data/sim_golden.json``) — across
+schemes, both communication modes, admission control, frame-indexed
+crashes and measured service times.  On top of that: churn
+replanning, mobility joins, multi-hop behaviour and the
+constant-memory stats mode.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.adaptive.switcher import build_apico_switcher
-from repro.cluster.device import pi_cluster
-from repro.cluster.simulator import simulate_adaptive, simulate_plan
+from repro.bench.sim import result_digest
+from repro.cluster.device import heterogeneous_cluster, pi_cluster
+from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
+from repro.cost.flops import DEFAULT_OPTIONS
 from repro.models.toy import toy_chain
+from repro.runtime.faults import FaultSchedule
 from repro.runtime.trace import Tracer
+from repro.schemes.base import PlanningError
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.pico import PicoScheme
 from repro.sim import (
@@ -52,50 +62,168 @@ def arrivals_list(rate=2.0, horizon=20.0, seed=5):
     return poisson_arrivals(rate, horizon, np.random.default_rng(seed))
 
 
+class FullClusterOnly(PicoScheme):
+    """PICO that refuses any cluster but the full one — every re-plan
+    over survivors takes the degraded arm."""
+
+    def plan(self, model, cluster, network, options=DEFAULT_OPTIONS):
+        if len(cluster) < 4:
+            raise PlanningError("needs all four devices")
+        return super().plan(model, cluster, network, options)
+
+
+def golden_cases():
+    """``name -> (plan_or_scheme factory, cluster, simulate_scenario
+    kwargs)`` for every digest in ``tests/data/sim_golden.json``.
+
+    The digests were recorded at the commit named in that file through
+    the since-deleted ``simulate_plan`` / ``simulate_adaptive`` adapter
+    (script in the PR 14 entry of CHANGES.md), so these cases pin the
+    one door to what the legacy simulator produced, bit for bit.
+    """
+    net = NetworkModel.from_mbps(50.0)
+    model = toy_chain(6, 1, input_hw=32, in_channels=3)
+    homog = pi_cluster(4, 800)
+    hetero = heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0])
+    cases = {}
+
+    def bus(contended):
+        return "contended" if contended else "folded"
+
+    # The three original adapter-vs-door differentials.
+    light = arrivals_list()
+    for scheme_cls in (PicoScheme, EarlyFusedScheme):
+        plan = scheme_cls().plan(model, homog, net)
+        for contended in (False, True):
+            for capacity in (None, 3):
+                cases[f"light-{scheme_cls.__name__}-{bus(contended)}-q{capacity}"] = (
+                    lambda plan=plan: plan, None,
+                    dict(topology=Topology.bus(net, contended=contended),
+                         network=net, arrivals=light, trace=True,
+                         queue_capacity=capacity),
+                )
+    cases["light-apico"] = (
+        lambda: build_apico_switcher(model, homog, net), None,
+        dict(topology=Topology.bus(net), network=net,
+             arrivals=arrivals_list(rate=4.0)),
+    )
+    cases["lazy-poisson"] = (
+        lambda: PicoScheme().plan(model, homog, net), None,
+        dict(topology=Topology.bus(net), network=net,
+             arrivals=PoissonProcess(2.0, horizon_s=20.0), seed=7),
+    )
+
+    # Under load: a calm stretch, then 2.5x the pipeline's capacity, so
+    # queues build, admission sheds and the switcher switches.
+    period = plan_cost(model, PicoScheme().plan(model, hetero, net), net).period
+    calm = poisson_arrivals(0.3 / period, 40 * period, np.random.default_rng(1))
+    rush = poisson_arrivals(2.5 / period, 40 * period, np.random.default_rng(2))
+    loaded = calm + [40 * period + t for t in rush]
+    targets = {
+        "plan": lambda: PicoScheme().plan(model, hetero, net),
+        "efl": lambda: "efl",
+        "apico": lambda: build_apico_switcher(model, hetero, net),
+    }
+    for kind, factory in targets.items():
+        for contended in (False, True):
+            for capacity in (None, 6):
+                cases[f"loaded-{kind}-{bus(contended)}-q{capacity}"] = (
+                    factory, hetero,
+                    dict(topology=Topology.bus(net, contended=contended),
+                         network=net, arrivals=loaded, trace=True,
+                         queue_capacity=capacity),
+                )
+
+    # Frame-indexed crashes: one device, two on the same arrival,
+    # all but one — and a scheme that can only degrade.
+    steady = poisson_arrivals(
+        0.5 / period, 60 * period, np.random.default_rng(3)
+    )
+    schedules = {
+        "one": FaultSchedule().crash("pi3", 5),
+        "pair": FaultSchedule().crash("pi2", 4).crash("pi3", 4),
+        "all-but-one": (
+            FaultSchedule().crash("pi1", 3).crash("pi2", 6).crash("pi3", 9)
+        ),
+    }
+    for label, faults in schedules.items():
+        for contended in (False, True):
+            cases[f"crash-{label}-{bus(contended)}"] = (
+                lambda: "pico", homog,
+                dict(topology=Topology.bus(net, contended=contended),
+                     network=net, arrivals=steady, faults=faults,
+                     trace=True, queue_capacity=6),
+            )
+    cases["crash-degraded"] = (
+        FullClusterOnly, homog,
+        dict(topology=Topology.bus(net), network=net, arrivals=steady,
+             faults=schedules["one"], trace=True),
+    )
+
+    # Measured per-stage service times in place of the analytic ones.
+    for contended in (False, True):
+        cases[f"measured-{bus(contended)}"] = (
+            lambda: PicoScheme().plan(model, homog, net), None,
+            dict(topology=Topology.bus(net, contended=contended),
+                 network=net, arrivals=steady, trace=True,
+                 measured_services=[0.02, 0.015]),
+        )
+    return model, cases
+
+
+MODEL, GOLDEN_CASES = golden_cases()
+with open(os.path.join(os.path.dirname(__file__), "data", "sim_golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+
+def run_golden(name):
+    factory, cluster, kwargs = GOLDEN_CASES[name]
+    return simulate_scenario(MODEL, factory(), cluster, **kwargs)
+
+
 class TestOneLinkDifferential:
-    """The degenerate topology IS the old simulator, bit for bit."""
+    """The one-link bus IS the pre-2.0 simulator, bit for bit: every
+    case's digest equals the one the legacy adapter produced."""
+
+    def test_every_golden_has_a_case(self):
+        assert set(GOLDEN["digests"]) == set(GOLDEN_CASES)
+        assert len(GOLDEN["recorded_at"]) == 40
 
     @pytest.mark.parametrize("scheme_cls", [PicoScheme, EarlyFusedScheme])
     @pytest.mark.parametrize("contended", [False, True])
     @pytest.mark.parametrize("queue_capacity", [None, 3])
     def test_plan_replay_is_bit_identical(
-        self, model, cluster, net, scheme_cls, contended, queue_capacity
+        self, scheme_cls, contended, queue_capacity
     ):
-        plan = scheme_cls().plan(model, cluster, net)
-        arrivals = arrivals_list()
-        old = simulate_plan(
-            model, plan, net, arrivals, shared_medium=contended,
-            trace=True, queue_capacity=queue_capacity,
-        )
-        new = simulate_scenario(
-            model, plan,
-            topology=Topology.bus(net, contended=contended),
-            network=net, arrivals=arrivals, trace=True,
-            queue_capacity=queue_capacity,
-        )
-        assert isinstance(new, SimResult)
-        assert new == old  # full dataclass equality, trace included
+        bus = "contended" if contended else "folded"
+        name = f"light-{scheme_cls.__name__}-{bus}-q{queue_capacity}"
+        result = run_golden(name)
+        assert isinstance(result, SimResult)
+        assert result_digest(result) == GOLDEN["digests"][name]
 
-    def test_adaptive_replay_is_bit_identical(self, model, cluster, net):
-        arrivals = arrivals_list(rate=4.0)
-        old = simulate_adaptive(
-            model, build_apico_switcher(model, cluster, net), net, arrivals
-        )
-        new = simulate_scenario(
-            model, build_apico_switcher(model, cluster, net),
-            topology=Topology.bus(net), network=net, arrivals=arrivals,
-        )
-        assert new == old
+    def test_adaptive_replay_is_bit_identical(self):
+        digest = result_digest(run_golden("light-apico"))
+        assert digest == GOLDEN["digests"]["light-apico"]
 
-    def test_lazy_process_matches_materialised_list(self, model, cluster, net):
-        plan = PicoScheme().plan(model, cluster, net)
-        legacy = poisson_arrivals(2.0, 20.0, np.random.default_rng(7))
-        old = simulate_plan(model, plan, net, legacy)
-        new = simulate_scenario(
-            model, plan, topology=Topology.bus(net), network=net,
-            arrivals=PoissonProcess(2.0, horizon_s=20.0), seed=7,
-        )
-        assert new == old
+    def test_lazy_process_matches_materialised_list(self):
+        digest = result_digest(run_golden("lazy-poisson"))
+        assert digest == GOLDEN["digests"]["lazy-poisson"]
+
+    @pytest.mark.parametrize(
+        "name", [n for n in GOLDEN_CASES if not n.startswith(("light", "lazy"))]
+    )
+    def test_matches_legacy_digest(self, name):
+        result = run_golden(name)
+        assert result_digest(result) == GOLDEN["digests"][name]
+        # The interesting cases really are interesting.
+        kinds = {e.kind for e in result.trace}
+        if name.endswith("q6"):
+            assert result.shed
+        if name.startswith("loaded-apico"):
+            assert len(result.plan_usage) > 1
+        if name.startswith("crash"):
+            assert "device_dead" in kinds
+            assert ("degraded" if "degraded" in name else "replan") in kinds
 
 
 class TestChurn:
@@ -157,6 +285,50 @@ class TestChurn:
                 churn=[ChurnEvent(1.0, "ghost", "leave")],
             )
 
+    def test_time_and_frame_triggers_share_one_live_set(
+        self, model, cluster, net
+    ):
+        """A timed leave and a frame-counted crash in one run: each
+        marks the same live set and re-plans once, stamped with its own
+        trigger (-1 for time, the arrival index for a crash)."""
+        tracer = Tracer()
+        result = simulate_scenario(
+            model, PicoScheme(), cluster, network=net,
+            arrivals=[0.5 * i for i in range(12)],
+            churn=[ChurnEvent(1.2, "pi3", "leave"),
+                   ChurnEvent(1.3, "pi3", "leave")],  # already gone: no-op
+            faults=FaultSchedule().crash("pi2", 8).crash("pi3", 8),
+            trace=tracer,
+        )
+        recovery = [
+            (e.kind, e.frame, e.device) for e in tracer.events
+            if e.kind in ("device_dead", "replan", "degraded")
+        ]
+        assert recovery == [
+            ("device_dead", -1, "pi3"), ("replan", -1, "pi3"),
+            ("device_dead", 8, "pi2"), ("replan", 8, "pi2,pi3"),
+        ]
+        assert result.completed == 12
+
+    def test_unknown_crash_device_rejected(self, model, cluster, net):
+        with pytest.raises(ValueError, match="not in the cluster: ghost"):
+            simulate_scenario(
+                model, PicoScheme(), cluster, network=net, arrivals=[0.0],
+                faults=FaultSchedule().crash("ghost", 0),
+            )
+
+    def test_degrades_when_survivors_cannot_be_planned(
+        self, model, cluster, net
+    ):
+        result = simulate_scenario(
+            model, FullClusterOnly(), cluster, network=net,
+            arrivals=[0.1 * i for i in range(6)],
+            churn=[ChurnEvent(0.25, "pi0", "leave")], trace=True,
+        )
+        kinds = [e.kind for e in result.trace if e.frame == -1]
+        assert kinds == ["device_dead", "degraded"]
+        assert result.plan_usage["PICO+degraded"] >= 1
+
     def test_correlated_churn_validates(self):
         with pytest.raises(ValueError):
             correlated_churn([], at=1.0)
@@ -180,6 +352,32 @@ class TestMultiHop:
         # Two store-and-forward hops per transfer plus per-link FIFO
         # contention can only slow things down vs the folded one-link run.
         assert star.avg_latency >= bus.avg_latency - 1e-9
+
+    def test_star_takes_crashes_and_measured_services(self, model, cluster):
+        """Both were bus-only before the adapter's parameters moved to
+        the one door: a routed topology now re-plans on a crash and
+        honours measured stage times."""
+        topo = Topology.star([d.name for d in cluster], mbps=50.0)
+        arrivals = [0.05 * i for i in range(10)]
+        crashed = simulate_scenario(
+            model, "pico", cluster, topology=topo, arrivals=arrivals,
+            faults=FaultSchedule().crash("pi3", 4), trace=True,
+        )
+        assert crashed.completed == 10
+        assert [
+            (e.kind, e.frame) for e in crashed.trace
+            if e.kind in ("device_dead", "replan")
+        ] == [("device_dead", 4), ("replan", 4)]
+
+        plan = PicoScheme().plan(model, cluster, topo.as_network_model())
+        analytic = simulate_scenario(
+            model, plan, topology=topo, arrivals=arrivals
+        )
+        measured = simulate_scenario(
+            model, plan, topology=topo, arrivals=arrivals,
+            measured_services=[1.0] * plan.n_stages,
+        )
+        assert measured.avg_latency > analytic.avg_latency
 
     def test_tighter_links_hurt(self, model, cluster):
         arrivals = arrivals_list(rate=1.0, horizon=10.0)
@@ -238,4 +436,28 @@ class TestValidation:
             simulate_scenario(
                 model, PicoScheme(), topology=Topology.bus(net),
                 arrivals=[0.0],
+            )
+
+    def test_unknown_target_rejected(self, model):
+        with pytest.raises(TypeError, match="not int"):
+            simulate_scenario(model, 42, arrivals=[0.0])
+
+    def test_switcher_rejects_per_plan_inputs(self, model, cluster, net):
+        for kwargs in (
+            {"faults": FaultSchedule().crash("pi0", 1)},
+            {"churn": [ChurnEvent(1.0, "pi0", "leave")]},
+            {"measured_services": [0.1, 0.1]},
+        ):
+            with pytest.raises(ValueError, match="AdaptiveSwitcher"):
+                simulate_scenario(
+                    model, build_apico_switcher(model, cluster, net),
+                    network=net, arrivals=[0.0], **kwargs,
+                )
+
+    def test_bare_plan_cannot_be_replanned(self, model, cluster, net):
+        plan = PicoScheme().plan(model, cluster, net)
+        with pytest.raises(ValueError, match="crash churn needs a scheme"):
+            simulate_scenario(
+                model, plan, network=net, arrivals=[0.0],
+                faults=FaultSchedule().crash("pi0", 1),
             )

@@ -6,13 +6,13 @@ import pytest
 
 from repro.adaptive.switcher import AdaptiveSwitcher, CandidatePlan
 from repro.cluster.device import Device, pi_cluster
-from repro.cluster.simulator import simulate_adaptive, simulate_plan
 from repro.core.plan import PipelinePlan, StagePlan, plan_cost
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.partition.regions import Region
 from repro.schemes.optimal_fused import OptimalFusedScheme
 from repro.schemes.pico import PicoScheme
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import saturation_arrivals, uniform_arrivals
 
 
@@ -43,7 +43,7 @@ class TestPipelinedSimulation:
     def test_single_task_latency_equals_plan_latency(self, model, net):
         plan = simple_two_stage(model)
         cost = plan_cost(model, plan, net)
-        sim = simulate_plan(model, plan, net, [0.0])
+        sim = simulate_scenario(model, plan, network=net, arrivals=[0.0])
         assert sim.completed == 1
         assert sim.tasks[0].latency == pytest.approx(cost.latency)
 
@@ -51,12 +51,18 @@ class TestPipelinedSimulation:
         plan = simple_two_stage(model)
         cost = plan_cost(model, plan, net)
         n = 200
-        sim = simulate_plan(model, plan, net, saturation_arrivals(n))
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=saturation_arrivals(n),
+        )
         assert sim.throughput == pytest.approx(1.0 / cost.period, rel=0.05)
 
     def test_tasks_complete_in_fifo_order(self, model, net):
         plan = simple_two_stage(model)
-        sim = simulate_plan(model, plan, net, uniform_arrivals(5.0, 3.0))
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=uniform_arrivals(5.0, 3.0),
+        )
         completions = [t.completion for t in sim.tasks]
         assert completions == sorted(completions)
 
@@ -64,7 +70,10 @@ class TestPipelinedSimulation:
         plan = simple_two_stage(model)
         cost = plan_cost(model, plan, net)
         slow_rate = 0.1 / cost.period
-        sim = simulate_plan(model, plan, net, uniform_arrivals(slow_rate, 60 * cost.period))
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=uniform_arrivals(slow_rate, 60 * cost.period),
+        )
         assert all(t.waiting == pytest.approx(0.0, abs=1e-9) for t in sim.tasks)
         assert sim.avg_latency == pytest.approx(cost.latency, rel=1e-6)
 
@@ -72,7 +81,10 @@ class TestPipelinedSimulation:
         plan = simple_two_stage(model)
         cost = plan_cost(model, plan, net)
         rate = 2.0 / cost.period  # 200% load
-        sim = simulate_plan(model, plan, net, uniform_arrivals(rate, 100 * cost.period))
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=uniform_arrivals(rate, 100 * cost.period),
+        )
         lat = [t.latency for t in sim.tasks]
         assert lat[-1] > lat[0] * 2  # latency keeps climbing
 
@@ -81,7 +93,7 @@ class TestPipelinedSimulation:
         (single-core CPU usage, as measured in the paper's Table I)."""
         plan = simple_two_stage(model)
         cost = plan_cost(model, plan, net)
-        sim = simulate_plan(model, plan, net, [0.0])
+        sim = simulate_scenario(model, plan, network=net, arrivals=[0.0])
         for sc in cost.stage_costs:
             for dc in sc.devices:
                 assert sim.device_busy[dc.device.name] == pytest.approx(
@@ -93,7 +105,7 @@ class TestExclusiveSimulation:
     def test_period_equals_latency_service(self, model, net):
         plan = OptimalFusedScheme().plan(model, pi_cluster(3, 800), net)
         cost = plan_cost(model, plan, net)
-        sim = simulate_plan(model, plan, net, [0.0, 0.0])
+        sim = simulate_scenario(model, plan, network=net, arrivals=[0.0, 0.0])
         # Second task waits for the first: completion gap = latency.
         gap = sim.tasks[1].completion - sim.tasks[0].completion
         assert gap == pytest.approx(cost.latency, rel=1e-6)
@@ -102,27 +114,33 @@ class TestExclusiveSimulation:
 class TestSimResultStats:
     def test_percentiles(self, model, net):
         plan = simple_two_stage(model)
-        sim = simulate_plan(model, plan, net, saturation_arrivals(50))
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=saturation_arrivals(50),
+        )
         assert sim.percentile_latency(0) <= sim.percentile_latency(50)
         assert sim.percentile_latency(50) <= sim.percentile_latency(100)
         assert sim.percentile_latency(100) == pytest.approx(sim.max_latency)
 
     def test_percentile_validation(self, model, net):
         plan = simple_two_stage(model)
-        sim = simulate_plan(model, plan, net, [0.0])
+        sim = simulate_scenario(model, plan, network=net, arrivals=[0.0])
         with pytest.raises(ValueError):
             sim.percentile_latency(101)
 
     def test_empty_sim(self, model, net):
         plan = simple_two_stage(model)
-        sim = simulate_plan(model, plan, net, [])
+        sim = simulate_scenario(model, plan, network=net, arrivals=[])
         assert sim.completed == 0
         assert sim.avg_latency == 0.0
         assert sim.throughput == 0.0
 
     def test_utilization_bounded(self, model, net):
         plan = simple_two_stage(model)
-        sim = simulate_plan(model, plan, net, saturation_arrivals(100))
+        sim = simulate_scenario(
+            model, plan, network=net,
+            arrivals=saturation_arrivals(100),
+        )
         for name in sim.device_busy:
             assert 0.0 <= sim.utilization(name) <= 1.0 + 1e-9
 
@@ -144,14 +162,14 @@ class TestAdaptiveSimulation:
         assert ofl.latency < pico.latency  # precondition for a crossover
 
         light = uniform_arrivals(0.2 / ofl.period, 40 * ofl.period)
-        sim_light = simulate_adaptive(model, switcher, net, light)
+        sim_light = simulate_scenario(model, switcher, network=net, arrivals=light)
         assert sim_light.plan_usage.get("OFL", 0) > sim_light.plan_usage.get(
             "PICO", 0
         )
 
         switcher2 = build_apico_switcher(model, cluster, net)
         heavy = uniform_arrivals(1.5 / ofl.period, 100 * ofl.period)
-        sim_heavy = simulate_adaptive(model, switcher2, net, heavy)
+        sim_heavy = simulate_scenario(model, switcher2, network=net, arrivals=heavy)
         assert sim_heavy.plan_usage.get("PICO", 0) > sim_heavy.plan_usage.get(
             "OFL", 0
         )
@@ -162,5 +180,8 @@ class TestAdaptiveSimulation:
         switcher = AdaptiveSwitcher(
             (CandidatePlan("ONLY", plan, cost.period, cost.latency),)
         )
-        sim = simulate_adaptive(model, switcher, net, saturation_arrivals(10))
+        sim = simulate_scenario(
+            model, switcher, network=net,
+            arrivals=saturation_arrivals(10),
+        )
         assert sim.plan_usage == {"ONLY": 10}

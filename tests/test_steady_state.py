@@ -6,10 +6,10 @@ import pytest
 
 from repro.cluster.device import Device
 from repro.core.plan import PipelinePlan, StagePlan, plan_cost
-from repro.cluster.simulator import simulate_plan
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.partition.regions import Region
+from repro.sim import simulate_scenario
 from repro.workload.arrivals import saturation_arrivals
 
 NET = NetworkModel.from_mbps(50.0)
@@ -38,7 +38,7 @@ def test_trim_improves_throughput_estimate(model, plan):
     """With few tasks, whole-run throughput under-counts the filled
     pipeline; the trimmed estimate approaches 1/period faster."""
     cost = plan_cost(model, plan, NET)
-    sim = simulate_plan(model, plan, NET, saturation_arrivals(10))
+    sim = simulate_scenario(model, plan, network=NET, arrivals=saturation_arrivals(10))
     raw_err = abs(sim.throughput - 1 / cost.period)
     trimmed = sim.steady_state(3)
     trimmed_err = abs(trimmed.throughput - 1 / cost.period)
@@ -47,7 +47,7 @@ def test_trim_improves_throughput_estimate(model, plan):
 
 
 def test_trim_drops_earliest_completions(model, plan):
-    sim = simulate_plan(model, plan, NET, saturation_arrivals(8))
+    sim = simulate_scenario(model, plan, network=NET, arrivals=saturation_arrivals(8))
     trimmed = sim.steady_state(3)
     assert trimmed.completed == 5
     earliest_kept = min(t.completion for t in trimmed.tasks)
@@ -56,16 +56,16 @@ def test_trim_drops_earliest_completions(model, plan):
 
 
 def test_zero_warmup_is_identity(model, plan):
-    sim = simulate_plan(model, plan, NET, saturation_arrivals(5))
+    sim = simulate_scenario(model, plan, network=NET, arrivals=saturation_arrivals(5))
     assert sim.steady_state(0) is sim
 
 
 def test_overtrim_returns_self(model, plan):
-    sim = simulate_plan(model, plan, NET, saturation_arrivals(3))
+    sim = simulate_scenario(model, plan, network=NET, arrivals=saturation_arrivals(3))
     assert sim.steady_state(10) is sim
 
 
 def test_negative_rejected(model, plan):
-    sim = simulate_plan(model, plan, NET, saturation_arrivals(3))
+    sim = simulate_scenario(model, plan, network=NET, arrivals=saturation_arrivals(3))
     with pytest.raises(ValueError):
         sim.steady_state(-1)
