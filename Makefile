@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: install test test-fast test-slow bench bench-json bench-serve bench-batch bench-transport bench-fleet bench-sim bench-exact bench-e2e exact-smoke trace-smoke fault-smoke fleet-smoke sim-smoke lint-forks report examples all
+.PHONY: install test test-fast test-slow bench bench-json bench-serve bench-batch bench-transport bench-fleet bench-sim bench-exact bench-e2e exact-smoke trace-smoke fault-smoke fleet-smoke sim-smoke lint-forks bench-check report examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -50,7 +50,6 @@ bench-e2e:
 
 exact-smoke:
 	python -m repro.bench.exact --quick --out /tmp/BENCH_exact_smoke.json
-	python -m repro.bench.exact --check BENCH_exact.json --quick
 
 trace-smoke:
 	python -m repro.bench.trace_smoke --hw 64 --frames 2 --devices 4
@@ -63,7 +62,6 @@ fleet-smoke:
 
 sim-smoke:
 	python -m repro.bench.sim --quick --out /tmp/BENCH_sim_smoke.json
-	python -m repro.bench.sim --check BENCH_sim.json --quick
 
 # One virtual-time front door: the legacy simulator adapter stays
 # deleted, simulate_scenario is the only caller of the event engine and
@@ -74,6 +72,13 @@ lint-forks:
 	! grep -rnI "cluster\.simulator" tests/
 	test "$$(grep -rnI "run_scenario(" src/repro | grep -vc "def run_scenario")" = 1
 	test "$$(grep -rnI "local_fallback_plan(" src/repro --exclude-dir=schemes | wc -l)" = 1
+
+# Every committed BENCH file that can re-derive itself does, plus the
+# fork lint: the one line CI calls.  serve/batch/fleet join when they
+# grow --check.
+bench-check: lint-forks
+	python -m repro.bench.sim --check BENCH_sim.json --quick
+	python -m repro.bench.exact --check BENCH_exact.json --quick
 
 report:
 	python -m repro report --out report.md

@@ -1,12 +1,22 @@
 """Scenario-simulator gate: million-request throughput, bit-exactness
 and a flash-crowd churn scenario.
 
-Three sections land in ``BENCH_sim.json``:
+Five sections land in ``BENCH_sim.json``:
 
 * **throughput** — one million Poisson requests streamed lazily
   through :func:`repro.sim.simulate_scenario` in the constant-memory
   stats mode; the headline figure is simulator **events per second**
-  (heap pops of the discrete-event engine).
+  (heap pops of the discrete-event engine).  This is the folded bus:
+  three events a request, no link ever contended.
+* **throughput_routed** — the shape a what-if user runs (and the
+  ``vgg16_virtual`` workload of ``benchmarks/e2e`` times): vgg16@64 on
+  an eight-device star at 50 Mbps, ρ = 0.8, admission capped at 16, two
+  devices leaving and rejoining — about eighteen events a request,
+  most of them hops over per-link FIFOs.
+* **before_after** — events/s of both rows at a parent checkout and at
+  this one, from interleaved subprocess runs (``--before-after
+  PARENT_SRC``); host numbers, carried over from the committed report
+  when not re-measured and never part of ``--check``.
 * **bit_exact** — the one-link bus must still produce, bit for bit,
   what the pre-2.0 single-WLAN simulator produced: a sha256 over the
   full ``SimResult`` (records, busy totals, shed set, trace) in both
@@ -27,6 +37,7 @@ digests, every gate) and fails on any difference::
     make bench-sim
     python -m repro.bench.sim --quick
     python -m repro.bench.sim --check BENCH_sim.json [--quick]
+    python -m repro.bench.sim --before-after /path/to/parent/src
 """
 
 from __future__ import annotations
@@ -34,8 +45,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import statistics
+import subprocess
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,6 +59,7 @@ from repro.cluster.device import heterogeneous_cluster, pi_cluster
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
+from repro.models.zoo import get_model
 from repro.runtime.trace import RECOVERY_KINDS, Tracer
 from repro.schemes.pico import PicoScheme
 from repro.sim import Topology, correlated_churn, simulate_scenario
@@ -87,30 +103,68 @@ def _bench_model():
     return toy_chain(6, 1, input_hw=32, in_channels=3)
 
 
-def _throughput(n_tasks: int, seed: int) -> Dict:
+def _folded_row(n_tasks: int):
+    """The one-link bus with communication folded into stage service."""
     model = _bench_model()
     cluster = pi_cluster(4, 800)
     network = NetworkModel.from_mbps(50.0)
     plan = PicoScheme().plan(model, cluster, network)
     period = plan_cost(model, plan, network).period
     rate = 0.95 / period  # steady utilisation, no unbounded backlog
-    arrivals = get_arrivals("poisson", rate=rate, n_tasks=n_tasks)
+    return model, plan, None, dict(
+        topology=Topology.bus(network), network=network,
+        arrivals=get_arrivals("poisson", rate=rate, n_tasks=n_tasks),
+    )
 
+
+def _routed_row(n_tasks: int):
+    """A churn scenario on a star: every transfer crosses two uplinks."""
+    model = get_model("vgg16", input_hw=64)
+    cluster = heterogeneous_cluster(
+        [1200.0, 1200.0, 1000.0, 1000.0, 800.0, 800.0, 600.0, 600.0]
+    )
+    names = [d.name for d in cluster]
+    topology = Topology.star(names, mbps=50.0)
+    network = topology.as_network_model()
+    plan = PicoScheme().plan(model, cluster, network)
+    period = plan_cost(model, plan, network).period
+    rate = 0.8 / period
+    horizon = n_tasks / rate
+    churn = correlated_churn(
+        names[-2:], at=0.4 * horizon, stagger_s=period,
+        rejoin_after=0.2 * horizon,
+    )
+    return model, PicoScheme(), cluster, dict(
+        topology=topology, churn=churn, queue_capacity=16,
+        arrivals=get_arrivals("poisson", rate=rate, n_tasks=n_tasks),
+    )
+
+
+#: row -> (scenario builder, its share of the configured request count:
+#: a routed request costs six times the events of a folded one).
+_ROWS = {"folded": (_folded_row, 1), "routed": (_routed_row, 5)}
+
+
+def _throughput(row: str, n_config: int, seed: int) -> Dict:
+    """Time one row at ``n_config`` configured requests."""
+    build, divisor = _ROWS[row]
+    n_tasks = n_config // divisor
+    model, target, cluster, kwargs = build(n_tasks)
     start = time.perf_counter()
     stats = simulate_scenario(
-        model, plan, topology=Topology.bus(network), network=network,
-        arrivals=arrivals, seed=seed, keep_records=False,
+        model, target, cluster, seed=seed, keep_records=False, **kwargs
     )
     elapsed = time.perf_counter() - start
     events_per_s = stats.n_events / elapsed if elapsed > 0 else 0.0
     print(
-        f"throughput: {n_tasks} requests -> {stats.n_events} events in "
-        f"{elapsed:.2f}s ({events_per_s:,.0f} events/s, "
+        f"throughput[{row}]: {n_tasks} requests -> {stats.n_events} events "
+        f"in {elapsed:.2f}s ({events_per_s:,.0f} events/s, "
         f"{n_tasks / elapsed:,.0f} requests/s)"
     )
     return {
         "n_requests": int(n_tasks),
         "completed": int(stats.completed),
+        "shed": int(stats.shed_count),
         "n_events": int(stats.n_events),
         "elapsed_s": float(elapsed),
         "events_per_s": float(events_per_s),
@@ -118,6 +172,65 @@ def _throughput(n_tasks: int, seed: int) -> Dict:
         "sim_makespan_s": float(stats.makespan),
         "avg_latency_s": float(stats.avg_latency),
     }
+
+
+def _before_after(parent_src: str, n_tasks: int, seed: int, rounds: int) -> Dict:
+    """Events/s of both rows at ``parent_src`` and at this checkout.
+
+    Each measurement is a fresh interpreter running *this file* by path
+    with one of the two ``src`` directories on ``PYTHONPATH`` — the
+    rows only use API both sides have — alternating which side goes
+    first.  The event counts must agree: same scenario, same engine
+    semantics, only the speed may differ.
+    """
+    this_file = Path(__file__).resolve()
+    sides = {
+        "parent": os.path.abspath(parent_src),
+        "change": str(this_file.parents[2]),  # .../src/repro/bench/sim.py
+    }
+    try:
+        parent = subprocess.run(
+            ["git", "-C", sides["parent"], "rev-parse", "HEAD"],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        parent = parent_src  # not a checkout: name it by path
+    section: Dict = {"parent": parent, "rounds": int(rounds)}
+    for row in _ROWS:
+        rates: "Dict[str, List[float]]" = {side: [] for side in sides}
+        events = set()
+        for i in range(rounds):
+            for side in sorted(sides, reverse=bool(i % 2)):
+                out = subprocess.run(
+                    [sys.executable, "-c",
+                     "import runpy, sys; sys.argv = sys.argv[1:]; "
+                     "runpy.run_path(sys.argv[0], run_name='__main__')",
+                     str(this_file), "--row", row,
+                     "--tasks", str(n_tasks), "--seed", str(seed)],
+                    env=dict(os.environ, PYTHONPATH=sides[side]),
+                    check=True, capture_output=True, text=True,
+                ).stdout
+                measured = json.loads(out.splitlines()[-1])
+                rates[side].append(measured["events_per_s"])
+                events.add((measured["n_requests"], measured["n_events"]))
+        if len(events) != 1:
+            raise RuntimeError(f"{row}: parent and change disagree: {events}")
+        n_row, _ = events.pop()
+        before = statistics.median(rates["parent"])
+        after = statistics.median(rates["change"])
+        section[row] = {
+            "n_requests": int(n_row),
+            "parent_events_per_s": before,
+            "change_events_per_s": after,
+            "speedup": after / before,
+            "wins": sum(c > p for p, c in zip(rates["parent"], rates["change"])),
+        }
+        print(
+            f"before_after[{row}]: {before:,.0f} -> {after:,.0f} events/s "
+            f"(x{after / before:.2f}, change ahead in "
+            f"{section[row]['wins']}/{rounds} rounds)"
+        )
+    return section
 
 
 def _bit_exact(reference: Dict) -> Dict:
@@ -207,23 +320,39 @@ def run(
     seed: int = 0,
     n_tasks: Optional[int] = None,
     reference_path: str = "BENCH_sim.json",
+    parent_src: Optional[str] = None,
+    rounds: int = 5,
 ) -> Dict:
-    """Run the three sections; the bit-exact reference digests are read
-    from the committed report at ``reference_path`` and carried over."""
+    """Run every section.  The bit-exact reference digests — and the
+    before/after figures, unless ``parent_src`` names a parent checkout
+    to re-measure against — are read from the committed report at
+    ``reference_path`` and carried over."""
     if n_tasks is None:
         n_tasks = 50_000 if quick else 1_000_000
     with open(reference_path) as handle:
-        reference = json.load(handle)["bit_exact"]["reference"]
-    throughput = _throughput(n_tasks, seed)
-    bit_exact = _bit_exact(reference)
+        committed = json.load(handle)
+    throughput = _throughput("folded", n_tasks, seed)
+    routed = _throughput("routed", n_tasks, seed)
+    bit_exact = _bit_exact(committed["bit_exact"]["reference"])
     flash = _flash_crowd(seed)
+    if parent_src:
+        before_after = _before_after(parent_src, n_tasks, seed, rounds)
+    else:
+        before_after = committed.get("before_after")
 
+    floor = int(EVENTS_PER_S_GATE)
     gates = {
         "all_requests_accounted": bool(
             throughput["completed"] == throughput["n_requests"]
         ),
-        f"events_per_s_ge_{int(EVENTS_PER_S_GATE)}": bool(
+        "routed_requests_accounted": bool(
+            routed["completed"] + routed["shed"] == routed["n_requests"]
+        ),
+        f"events_per_s_ge_{floor}": bool(
             throughput["events_per_s"] >= EVENTS_PER_S_GATE
+        ),
+        f"routed_events_per_s_ge_{floor}": bool(
+            routed["events_per_s"] >= EVENTS_PER_S_GATE
         ),
         "one_link_bit_exact_folded": bit_exact["folded"],
         "one_link_bit_exact_contended": bit_exact["contended"],
@@ -241,6 +370,8 @@ def run(
         "quick": quick,
         "config": {"n_requests": int(n_tasks), "seed": int(seed)},
         "throughput": throughput,
+        "throughput_routed": routed,
+        "before_after": before_after,
         "bit_exact": bit_exact,
         "flash_crowd": flash,
         "gates": gates,
@@ -258,8 +389,9 @@ def run(
 def check_report(path: str, quick: bool = False) -> "List[str]":
     """Re-run a committed report's configuration and list every
     host-independent field that no longer reproduces.  ``quick`` runs
-    the short throughput stream, whose counts a full report cannot
-    hold, and compares everything else."""
+    the short throughput streams, whose counts a full report cannot
+    hold, and compares everything else (``before_after`` is all host
+    numbers and never compared)."""
     with open(path) as handle:
         committed = json.load(handle)
     config = committed["config"]
@@ -269,7 +401,7 @@ def check_report(path: str, quick: bool = False) -> "List[str]":
     )
     sections = ["bit_exact", "flash_crowd", "gates"]
     if quick == committed["quick"]:
-        sections.append("throughput")
+        sections += ["throughput", "throughput_routed"]
     return [
         f"{section}.{key}: committed {want!r} "
         f"!= fresh {fresh[section].get(key)!r}"
@@ -289,7 +421,16 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
                         help="output JSON path ('' = don't write)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tasks", type=int, default=0,
-                        help="override the request count (0 = mode default)")
+                        help="override the request count (0 = mode default; "
+                        "the routed row streams a fifth of it)")
+    parser.add_argument(
+        "--before-after", metavar="PARENT_SRC",
+        help="also time both throughput rows against the src/ of a parent "
+        "checkout, interleaved, and record the medians",
+    )
+    parser.add_argument("--rounds", type=int, default=5,
+                        help="parent/change pairs per row for --before-after")
+    parser.add_argument("--row", choices=sorted(_ROWS), help=argparse.SUPPRESS)
     parser.add_argument(
         "--check", metavar="PATH",
         help="re-derive the deterministic fields of a committed report "
@@ -297,6 +438,9 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         "throughput stream's counts)",
     )
     args = parser.parse_args(argv)
+    if args.row:  # one --before-after measurement: the row as one JSON line
+        print(json.dumps(_throughput(args.row, args.tasks, args.seed)))
+        return 0
     if args.check:
         errors = check_report(args.check, quick=args.quick)
         for err in errors:
@@ -304,7 +448,10 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         if not errors:
             print(f"{args.check}: committed report reproduces")
         return 1 if errors else 0
-    result = run(args.quick, args.out or None, args.seed, args.tasks or None)
+    result = run(
+        args.quick, args.out or None, args.seed, args.tasks or None,
+        parent_src=args.before_after, rounds=args.rounds,
+    )
     return 0 if result["pass"] else 1
 
 

@@ -29,12 +29,17 @@ Event ordering is deterministic: the heap key is ``(time, priority,
 sequence)`` with churn < arrivals < everything else at equal
 timestamps, and the sequence number preserving push order — the same
 total order the pre-2.0 loop produced by pushing all arrivals first.
+
+The loop reads no table it could have read once: each live
+:class:`~repro.runtime.timing.PlanTiming` is compiled, when adopted,
+into per-stage rows (:class:`_Stage`) holding its constants, its FIFO
+and, per routed transfer, the link states and hop times along the
+route (``docs/simulator.md``, "Engine internals").
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -62,6 +67,10 @@ __all__ = ["Transmission", "run_scenario", "token_bus_transmissions"]
 _P_CHURN = 0
 _P_ARRIVAL = 1
 _P_OTHER = 2
+
+#: Event kinds, the fourth heap field (never compared: ``sequence`` is
+#: unique).
+_CHURN, _ARRIVAL, _HOP, _DONE = range(4)
 
 
 @dataclass(frozen=True)
@@ -92,35 +101,32 @@ def token_bus_transmissions(link) -> "Callable":
     return for_timing
 
 
-@dataclass
 class _InFlight:
-    task_id: int
-    arrival: float
-    started: float
-    timing: "PlanTiming"
-    entry: float = 0.0  # when the task joined its current stage queue
+    """One admitted task: where it is and under which compiled plan."""
+
+    __slots__ = (
+        "task_id", "arrival", "started", "entry", "plan", "stage", "remaining"
+    )
+
+    def __init__(self, task_id: int, now: float, plan: "_Plan") -> None:
+        self.task_id = task_id
+        self.arrival = now
+        self.started = -1.0
+        self.entry = now  # when the task joined its current stage queue
+        self.plan = plan
+        self.stage = plan.head
+        self.remaining = 0  # transfers of the current stage still in flight
 
 
 class _Transfer:
-    """Runtime state of one Transmission instance for one task."""
+    """Runtime state of one routed transmission for one task."""
 
-    __slots__ = ("spec", "hop", "group")
+    __slots__ = ("route", "task", "hop")
 
-    def __init__(self, spec: Transmission, group: "_Group") -> None:
-        self.spec = spec
-        self.hop = 0
-        self.group = group
-
-
-class _Group:
-    """Outstanding-transfer counter for one (task, stage) comm phase."""
-
-    __slots__ = ("remaining", "stage_idx", "task")
-
-    def __init__(self, remaining: int, stage_idx: int, task: _InFlight) -> None:
-        self.remaining = remaining
-        self.stage_idx = stage_idx
+    def __init__(self, route: "_Route", task: _InFlight) -> None:
+        self.route = route
         self.task = task
+        self.hop = 0
 
 
 class _LinkState:
@@ -129,6 +135,64 @@ class _LinkState:
     def __init__(self) -> None:
         self.busy = False
         self.queue: "Deque[_Transfer]" = deque()
+
+
+class _Route:
+    """One live :class:`Transmission`, compiled: the FIFO state of every
+    link it crosses and — when they are constants of the run — the hop
+    times themselves: a fixed ``duration``, or without an rng the
+    expected transfer times.  ``times`` is ``None`` under per-hop
+    sampling, which draws from the rng in event order and so cannot be
+    hoisted out of the loop."""
+
+    __slots__ = ("links", "times", "spec")
+
+    def __init__(self, spec: Transmission, links, rng) -> None:
+        self.links = links
+        self.spec = spec
+        if spec.duration is not None:
+            self.times = (spec.duration,) * len(spec.route)
+        elif rng is None:
+            self.times = tuple(
+                link.transfer_time(spec.nbytes) for link in spec.route
+            )
+        else:
+            self.times = None
+
+
+class _Stage:
+    """One stage of a compiled plan: the constants every event reads
+    plus the stage's own server state (FIFO and busy flag).  ``routes``
+    is ``None`` when communication is folded into ``service``, else the
+    stage's live transfers (possibly none: compute-only)."""
+
+    __slots__ = (
+        "index", "busy_shares", "service", "comp", "routes", "busy", "queue"
+    )
+
+    def __init__(self, index: int, timing_stage, routes) -> None:
+        self.index = index
+        self.busy_shares = timing_stage.busy_shares
+        self.service = timing_stage.service
+        self.comp = timing_stage.comp
+        self.routes = routes
+        self.busy = False
+        self.queue: "Deque[_InFlight]" = deque()
+
+
+class _Plan:
+    """A :class:`PlanTiming` compiled for the loop.  Holding ``timing``
+    keeps it alive, so the ``id(timing)`` it is cached under cannot be
+    recycled by a later table."""
+
+    __slots__ = ("timing", "name", "stages", "head", "last")
+
+    def __init__(self, timing: "PlanTiming", stages) -> None:
+        self.timing = timing
+        self.name = timing.name
+        self.stages = stages
+        self.head = stages[0]
+        self.last = len(stages) - 1
 
 
 def run_scenario(
@@ -163,17 +227,19 @@ def run_scenario(
     Returns a :class:`~repro.sim.result.SimResult`, or a constant-memory
     :class:`~repro.sim.result.SimStats` when ``keep_records=False``.
     """
-    seq = itertools.count()
-    heap: "List[Tuple[float, int, int, str, object]]" = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap: "List[Tuple[float, int, int, int, object]]" = []
+    seq = 0
     for at, payload in churn:
-        heapq.heappush(heap, (float(at), _P_CHURN, next(seq), "churn", payload))
+        heappush(heap, (float(at), _P_CHURN, seq, _CHURN, payload))
+        seq += 1
 
     arrival_iter = iter(arrivals)
     next_task_id = 0
     last_arrival = None
 
     def push_next_arrival() -> None:
-        nonlocal next_task_id, last_arrival
+        nonlocal next_task_id, last_arrival, seq
         for t in arrival_iter:
             t = float(t)
             if last_arrival is not None and t < last_arrival:
@@ -182,21 +248,53 @@ def run_scenario(
                     f"(got {t} after {last_arrival})"
                 )
             last_arrival = t
-            heapq.heappush(heap, (t, _P_ARRIVAL, next(seq), "arrival", next_task_id))
+            heappush(heap, (t, _P_ARRIVAL, seq, _ARRIVAL, next_task_id))
+            seq += 1
             next_task_id += 1
             return
 
     push_next_arrival()
 
-    current = initial_timing
+    link_states: "Dict[NetworkLink, _LinkState]" = {}
+    compiled: "Dict[int, _Plan]" = {}
+
+    def compile_plan(timing: "PlanTiming") -> _Plan:
+        """Resolve, once per timing table, everything the loop reads."""
+        plan = compiled.get(id(timing))
+        if plan is not None:
+            return plan
+        templates = (
+            None if transmissions_for is None else transmissions_for(timing)
+        )
+        stages = []
+        for index, timing_stage in enumerate(timing.stages):
+            routes = None
+            if templates is not None:
+                routes = tuple(
+                    _Route(
+                        spec,
+                        tuple(
+                            link_states.setdefault(link, _LinkState())
+                            for link in spec.route
+                        ),
+                        rng,
+                    )
+                    for spec in templates[index]
+                    if spec.route
+                )
+            stages.append(_Stage(index, timing_stage, routes))
+        plan = compiled[id(timing)] = _Plan(timing, tuple(stages))
+        return plan
+
     desired = initial_timing
-    queues: "List[Deque[_InFlight]]" = [deque() for _ in range(current.n_stages)]
-    busy: "List[bool]" = [False] * current.n_stages
+    current = compile_plan(initial_timing)
+    head = current.head
     device_busy: "Dict[str, float]" = {}
     plan_usage: "Dict[str, int]" = {}
     records: "List[TaskRecord]" = []
     shed: "List[int]" = []
     in_system = 0
+    net_inflight = 0
     makespan = 0.0
     n_events = 0
     # keep_records=False aggregates:
@@ -205,175 +303,93 @@ def run_scenario(
     sum_latency = 0.0
     max_latency = 0.0
 
-    link_states: "Dict[object, _LinkState]" = {}
-    net_inflight = 0
-    # Per-stage transmission templates, cached per live timing table.
-    template_cache: "Dict[int, Tuple[object, object]]" = {}
-
-    def stage_templates(timing: "PlanTiming"):
-        if transmissions_for is None:
-            return None
-        cached = template_cache.get(id(timing))
-        if cached is not None and cached[0] is timing:
-            return cached[1]
-        templates = transmissions_for(timing)
-        template_cache[id(timing)] = (timing, templates)
-        return templates
-
     def maybe_swap() -> None:
-        nonlocal current, queues, busy
-        if desired is current:
-            return
-        if any(busy) or any(len(q) for q in queues[1:]):
-            return  # tasks mid-pipeline must finish first
+        """Adopt ``desired`` if the pipeline is at a service boundary."""
+        nonlocal current, head
         if net_inflight:
             return  # transfers in flight
-        backlog = queues[0]
-        current = desired
-        queues = [deque() for _ in range(current.n_stages)]
-        busy = [False] * current.n_stages
+        for stage in current.stages:
+            if stage.busy or (stage.queue and stage is not head):
+                return  # tasks mid-pipeline must finish first
+        backlog = head.queue
+        current = compile_plan(desired)
+        head = current.head
         for task in backlog:
-            task.timing = current
-            queues[0].append(task)
+            task.plan = current
+            task.stage = head
+        head.queue.extend(backlog)
+        backlog.clear()
 
-    def try_link(link, now: float) -> None:
-        state = link_states[link]
+    def try_link(state: _LinkState, now: float) -> None:
+        nonlocal seq
         if state.busy or not state.queue:
             return
         transfer = state.queue.popleft()
         state.busy = True
-        if transfer.spec.duration is not None:
-            hop_time = transfer.spec.duration
+        route = transfer.route
+        if route.times is not None:
+            hop_time = route.times[transfer.hop]
         else:
-            hop_time = link.transfer_time(transfer.spec.nbytes, rng)
-        heapq.heappush(
-            heap, (now + hop_time, _P_OTHER, next(seq), "hop", transfer)
-        )
+            spec = route.spec
+            hop_time = spec.route[transfer.hop].transfer_time(spec.nbytes, rng)
+        heappush(heap, (now + hop_time, _P_OTHER, seq, _HOP, transfer))
+        seq += 1
 
-    def try_start(stage_idx: int, now: float) -> None:
-        nonlocal makespan, net_inflight
-        timing = current
-        if busy[stage_idx] or not queues[stage_idx]:
+    def try_start(stage: _Stage, now: float) -> None:
+        nonlocal seq, net_inflight
+        if stage.busy or not stage.queue:
             return
-        task = queues[stage_idx].popleft()
-        assert task.timing is timing, "task queued under a stale timing"
-        busy[stage_idx] = True
-        if stage_idx == 0 and task.started < 0:
+        task = stage.queue.popleft()
+        stage.busy = True
+        if task.started < 0 and stage is head:
             task.started = now
         if tracer is not None:
             tracer.emit(
                 TraceEvent(
-                    "enqueue", task.task_id, stage_idx, "", task.entry, now
+                    "enqueue", task.task_id, stage.index, "", task.entry, now
                 )
             )
-        for name, t_comp in timing.stages[stage_idx].busy_shares:
+        for name, t_comp in stage.busy_shares:
             device_busy[name] = device_busy.get(name, 0.0) + t_comp
             if tracer is not None:
                 tracer.emit(
                     TraceEvent(
-                        "compute", task.task_id, stage_idx, name,
+                        "compute", task.task_id, stage.index, name,
                         now, now + t_comp,
                     )
                 )
-        templates = stage_templates(timing)
-        if templates is None:
-            service = timing.stages[stage_idx].service
-            heapq.heappush(
-                heap,
-                (now + service, _P_OTHER, next(seq), "done", (stage_idx, task)),
-            )
+        routes = stage.routes
+        if not routes:
+            # folded communication, or nothing to send: straight to done
+            after = stage.service if routes is None else stage.comp
+            heappush(heap, (now + after, _P_OTHER, seq, _DONE, task))
+            seq += 1
             return
-        transmissions = templates[stage_idx]
-        live = tuple(t for t in transmissions if t.route)
-        if not live:
-            comp = timing.stages[stage_idx].comp
-            heapq.heappush(
-                heap,
-                (now + comp, _P_OTHER, next(seq), "done", (stage_idx, task)),
-            )
-            return
-        group = _Group(len(live), stage_idx, task)
-        net_inflight += len(live)
-        for spec in live:
-            transfer = _Transfer(spec, group)
-            first = spec.route[0]
-            if first not in link_states:
-                link_states[first] = _LinkState()
-            link_states[first].queue.append(transfer)
+        task.remaining = len(routes)
+        net_inflight += len(routes)
+        for route in routes:
+            first = route.links[0]
+            first.queue.append(_Transfer(route, task))
             try_link(first, now)
 
     while heap:
-        now, _, _, kind, payload = heapq.heappop(heap)
+        now, _, _, kind, payload = heappop(heap)
         n_events += 1
-        if kind == "arrival":
-            task_id = payload
-            desired = pick_timing(now, in_system)
-            maybe_swap()
-            if queue_capacity is not None and in_system >= queue_capacity:
-                if keep_records:
-                    shed.append(task_id)
-                else:
-                    shed_count += 1
-                if tracer is not None:
-                    tracer.emit(TraceEvent("shed", task_id, 0, "", now, now))
-                push_next_arrival()
-                continue
-            in_system += 1
-            makespan = max(makespan, now)
-            task = _InFlight(task_id, now, -1.0, current, entry=now)
-            queues[0].append(task)
-            try_start(0, now)
-            push_next_arrival()
-        elif kind == "hop":
-            transfer = payload  # type: ignore[assignment]
-            makespan = max(makespan, now)
-            link = transfer.spec.route[transfer.hop]
-            link_states[link].busy = False
-            transfer.hop += 1
-            if transfer.hop < len(transfer.spec.route):
-                nxt = transfer.spec.route[transfer.hop]
-                if nxt not in link_states:
-                    link_states[nxt] = _LinkState()
-                link_states[nxt].queue.append(transfer)
-                try_link(nxt, now)
-            else:
-                group = transfer.group
-                group.remaining -= 1
-                net_inflight -= 1
-                if group.remaining == 0:
-                    comp = group.task.timing.stages[group.stage_idx].comp
-                    heapq.heappush(
-                        heap,
-                        (
-                            now + comp,
-                            _P_OTHER,
-                            next(seq),
-                            "done",
-                            (group.stage_idx, group.task),
-                        ),
-                    )
-            try_link(link, now)
-        elif kind == "churn":
-            if on_churn is not None:
-                fresh = on_churn(now, payload)
-                if fresh is not None:
-                    desired = fresh
-                    maybe_swap()
-                    try_start(0, now)
-        else:  # "done"
-            stage_idx, task = payload  # type: ignore[misc]
-            makespan = max(makespan, now)
-            busy[stage_idx] = False
-            if stage_idx == task.timing.n_stages - 1:
+        if kind == _DONE:
+            task = payload
+            stage = task.stage
+            if now > makespan:
+                makespan = now
+            stage.busy = False
+            plan = task.plan
+            if stage.index == plan.last:
                 in_system -= 1
-                plan_usage[task.timing.name] = (
-                    plan_usage.get(task.timing.name, 0) + 1
-                )
+                plan_usage[plan.name] = plan_usage.get(plan.name, 0) + 1
                 if keep_records:
                     records.append(
                         TaskRecord(
                             task.task_id, task.arrival, task.started, now,
-                            task.timing.name,
+                            plan.name,
                         )
                     )
                 else:
@@ -384,14 +400,65 @@ def run_scenario(
                         max_latency = latency
             else:
                 task.entry = now
-                queues[stage_idx + 1].append(task)
-                try_start(stage_idx + 1, now)
-            maybe_swap()
-            # A swap may have replaced the queues with the new plan's
-            # (possibly shorter) stage list; only restart valid stages.
-            if stage_idx < len(queues):
-                try_start(stage_idx, now)
-            try_start(0, now)
+                task.stage = following = plan.stages[stage.index + 1]
+                following.queue.append(task)
+                try_start(following, now)
+            if desired is not current.timing:
+                maybe_swap()
+            # A swap may have replaced the stages with the new plan's
+            # (possibly shorter) list; only restart valid stages.
+            if stage.index <= current.last:
+                try_start(current.stages[stage.index], now)
+            try_start(head, now)
+        elif kind == _HOP:
+            transfer = payload
+            if now > makespan:
+                makespan = now
+            links = transfer.route.links
+            state = links[transfer.hop]
+            state.busy = False
+            transfer.hop += 1
+            if transfer.hop < len(links):
+                onward = links[transfer.hop]
+                onward.queue.append(transfer)
+                try_link(onward, now)
+            else:
+                task = transfer.task
+                task.remaining -= 1
+                net_inflight -= 1
+                if not task.remaining:
+                    heappush(
+                        heap,
+                        (now + task.stage.comp, _P_OTHER, seq, _DONE, task),
+                    )
+                    seq += 1
+            try_link(state, now)
+        elif kind == _ARRIVAL:
+            desired = pick_timing(now, in_system)
+            if desired is not current.timing:
+                maybe_swap()
+            if queue_capacity is not None and in_system >= queue_capacity:
+                if keep_records:
+                    shed.append(payload)
+                else:
+                    shed_count += 1
+                if tracer is not None:
+                    tracer.emit(TraceEvent("shed", payload, 0, "", now, now))
+                push_next_arrival()
+                continue
+            in_system += 1
+            if now > makespan:
+                makespan = now
+            head.queue.append(_InFlight(payload, now, current))
+            try_start(head, now)
+            push_next_arrival()
+        elif on_churn is not None:  # _CHURN
+            fresh = on_churn(now, payload)
+            if fresh is not None:
+                desired = fresh
+                if desired is not current.timing:
+                    maybe_swap()
+                try_start(head, now)
 
     if not keep_records:
         return SimStats(
@@ -403,3 +470,4 @@ def run_scenario(
     return SimResult(
         records, makespan, device_busy, plan_usage, trace, tuple(shed)
     )
+

@@ -144,7 +144,9 @@ def simulate_scenario(
     land in ``SimResult.trace``.  ``keep_records=False`` returns a
     constant-memory :class:`~repro.sim.result.SimStats` instead of a
     full :class:`~repro.sim.result.SimResult` — the million-request
-    mode.
+    mode.  It has nowhere to put a trace, so ``trace=True`` is refused
+    there; a caller-owned :class:`~repro.runtime.trace.Tracer` still
+    collects (and its memory is the caller's to bound).
     """
     from repro.adaptive.switcher import AdaptiveSwitcher
     from repro.cluster.device import Cluster
@@ -152,6 +154,12 @@ def simulate_scenario(
     from repro.runtime.faults import replan_or_degrade
     from repro.schemes import Scheme, get_scheme
 
+    if trace is True and not keep_records:
+        raise ValueError(
+            "trace=True with keep_records=False would mint a Tracer nobody "
+            "can read (SimStats carries no trace) and grow it without "
+            "bound; pass your own Tracer, or keep_records=True"
+        )
     tracer = coerce_tracer(trace)
     if topology is None:
         topology = Topology.bus(network or wifi_50mbps())

@@ -42,6 +42,13 @@ class NetworkLink:
     inflated by the retransmission factor ``1 / (1 - loss)`` — so
     default runs stay deterministic.  Pass a generator to sample
     jitter uniformly and loss geometrically instead.
+
+    Contract: without an ``rng``, ``transfer_time`` is a pure function
+    of ``(self, nbytes)`` — same arguments, same float, no hidden
+    state.  The event engine relies on it to compute each route's hop
+    times once per plan instead of once per hop; a subclass that
+    overrides ``transfer_time`` must keep that, and keep all its
+    randomness behind ``rng``.
     """
 
     name: str

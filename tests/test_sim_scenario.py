@@ -6,15 +6,20 @@ digest over the full ``SimResult``, traces, shed lists and device-busy
 totals included, equals the one recorded through the legacy adapter
 before it was deleted (``tests/data/sim_golden.json``) — across
 schemes, both communication modes, admission control, frame-indexed
-crashes and measured service times.  On top of that: churn
-replanning, mobility joins, multi-hop behaviour and the
-constant-memory stats mode.
+crashes and measured service times.  Routed topologies (star, fat
+tree, mesh; per-link FIFOs, churn with rejoin, sampled links) are
+pinned the same way to the engine as it stood before its hot loop was
+compiled into per-plan tables.  On top of that: churn replanning,
+mobility joins, multi-hop behaviour, an event-accounting identity that
+leans on no golden, and the constant-memory stats mode.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
+from collections import defaultdict, deque
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from repro.cost.comm import NetworkModel
 from repro.cost.flops import DEFAULT_OPTIONS
 from repro.models.toy import toy_chain
 from repro.runtime.faults import FaultSchedule
+from repro.runtime.timing import plan_timing
 from repro.runtime.trace import Tracer
 from repro.schemes.base import PlanningError
 from repro.schemes.early_fused import EarlyFusedScheme
@@ -168,7 +174,79 @@ def golden_cases():
                  network=net, arrivals=steady, trace=True,
                  measured_services=[0.02, 0.015]),
         )
+    cases.update(routed_cases())
     return model, cases
+
+
+#: The routed cases' model and cluster: PICO spreads this chain over all
+#: eight devices in four stages, so every stage has transfers to route.
+ROUTED_MODEL = toy_chain(8, 2, input_hw=64, in_channels=3)
+ROUTED_CLUSTER = heterogeneous_cluster(
+    [1200.0, 1200.0, 1000.0, 1000.0, 800.0, 800.0, 600.0, 600.0]
+)
+
+
+def routed_topologies(**link):
+    names = [d.name for d in ROUTED_CLUSTER]
+    return {
+        "star": Topology.star(names, **link),
+        "fat_tree": Topology.fat_tree(names, **link),
+        "mesh": Topology.mesh(names, entry=names[0], **link),
+    }
+
+
+def routed_cases():
+    """The ``routed-*`` cases: multi-hop topologies on the 8-device
+    heterogeneous cluster, two devices leaving in a calm stretch and
+    rejoining inside a rush at twice the flat model's capacity (the
+    routed hops make it more), with and without admission control and
+    per-hop sampling.
+
+    Their digests (and ``keep_records=False`` field tuples, under
+    ``"stats"`` in the golden file) were recorded at the commit named
+    by ``routed_recorded_at`` — the engine before its per-event lookups
+    were compiled into per-plan tables (script in the PR 15 entry of
+    CHANGES.md).
+    """
+    names = [d.name for d in ROUTED_CLUSTER]
+    link = dict(mbps=50.0, latency_s=0.0005, jitter_s=0.002, loss=0.05)
+    cases = {}
+    for kind, topo in routed_topologies(**link).items():
+        net = topo.as_network_model()
+        plan = PicoScheme().plan(ROUTED_MODEL, ROUTED_CLUSTER, net)
+        period = plan_cost(ROUTED_MODEL, plan, net).period
+        calm = poisson_arrivals(0.2 / period, 100 * period, np.random.default_rng(1))
+        rush = poisson_arrivals(2.0 / period, 40 * period, np.random.default_rng(2))
+        tail = poisson_arrivals(0.2 / period, 100 * period, np.random.default_rng(3))
+        arrivals = (
+            calm + [100 * period + t for t in rush]
+            + [140 * period + t for t in tail]
+        )
+        churn = correlated_churn(
+            names[-2:], at=50 * period, stagger_s=period,
+            rejoin_after=70 * period,
+        )
+        for capacity in (None, 8):
+            for sampled in (False, True):
+                label = "sampled" if sampled else "expected"
+                cases[f"routed-{kind}-q{capacity}-{label}"] = (
+                    lambda: "pico", ROUTED_CLUSTER,
+                    dict(topology=topo, arrivals=arrivals, churn=churn,
+                         trace=True, queue_capacity=capacity,
+                         sample_network=sampled, seed=11),
+                )
+    return cases
+
+
+def stats_fields(stats):
+    """Every field of a ``SimStats`` as JSON-ready lists; floats survive
+    the JSON round trip bit for bit."""
+    return [
+        stats.completed, stats.shed_count, stats.makespan,
+        sorted([k, v] for k, v in stats.device_busy.items()),
+        sorted([k, v] for k, v in stats.plan_usage.items()),
+        stats.sum_latency, stats.max_latency, stats.n_events,
+    ]
 
 
 MODEL, GOLDEN_CASES = golden_cases()
@@ -176,9 +254,12 @@ with open(os.path.join(os.path.dirname(__file__), "data", "sim_golden.json")) as
     GOLDEN = json.load(_fh)
 
 
-def run_golden(name):
+def run_golden(name, **overrides):
     factory, cluster, kwargs = GOLDEN_CASES[name]
-    return simulate_scenario(MODEL, factory(), cluster, **kwargs)
+    model = ROUTED_MODEL if name.startswith("routed-") else MODEL
+    return simulate_scenario(
+        model, factory(), cluster, **{**kwargs, **overrides}
+    )
 
 
 class TestOneLinkDifferential:
@@ -210,7 +291,8 @@ class TestOneLinkDifferential:
         assert digest == GOLDEN["digests"]["lazy-poisson"]
 
     @pytest.mark.parametrize(
-        "name", [n for n in GOLDEN_CASES if not n.startswith(("light", "lazy"))]
+        "name",
+        [n for n in GOLDEN_CASES if not n.startswith(("light", "lazy", "routed"))],
     )
     def test_matches_legacy_digest(self, name):
         result = run_golden(name)
@@ -224,6 +306,170 @@ class TestOneLinkDifferential:
         if name.startswith("crash"):
             assert "device_dead" in kinds
             assert ("degraded" if "degraded" in name else "replan") in kinds
+
+
+ROUTED = [n for n in GOLDEN_CASES if n.startswith("routed-")]
+
+
+class TestRoutedGoldens:
+    """Star / fat tree / mesh with churn, shedding and sampled links:
+    the engine's routed path, pinned to the loop it replaced."""
+
+    def test_routed_cases_are_all_recorded(self):
+        assert len(ROUTED) == 12
+        assert set(GOLDEN["stats"]) == set(ROUTED)
+        assert len(GOLDEN["routed_recorded_at"]) == 40
+
+    @pytest.mark.parametrize("name", ROUTED)
+    def test_traced_result_matches_digest(self, name):
+        result = run_golden(name)
+        assert result_digest(result) == GOLDEN["digests"][name]
+        kinds = [e.kind for e in result.trace]
+        assert kinds.count("device_dead") == kinds.count("device_join") == 2
+        assert kinds.count("replan") == 4
+        assert len(result.plan_usage) == 2  # the backlog did migrate
+        assert bool(result.shed) == ("-q8-" in name)
+
+    @pytest.mark.parametrize("name", ROUTED)
+    def test_stats_mode_matches_field_tuple(self, name):
+        stats = run_golden(name, trace=None, keep_records=False)
+        assert isinstance(stats, SimStats)
+        assert stats_fields(stats) == GOLDEN["stats"][name]
+
+    def test_sampling_draws_change_the_run(self):
+        """The sampled cases are not the expected-time cases in
+        disguise: same scenario, different bits."""
+        for name in ROUTED:
+            if name.endswith("-sampled"):
+                twin = name.replace("-sampled", "-expected")
+                assert GOLDEN["digests"][name] != GOLDEN["digests"][twin]
+
+
+def replay_links(releases):
+    """An independent model of the network alone: one FIFO per link,
+    one transfer on a link at a time, store-and-forward hops.
+
+    ``releases`` lists, in the order the stages started, ``(time,
+    routes)`` with each route a list of ``(link name, hop seconds)``.
+    Returns when each release's last hop landed and every link's
+    occupancy intervals.
+    """
+    heap, order = [], 0
+    for index, (at, _) in enumerate(releases):
+        heap.append((at, order, "release", index))
+        order += 1
+    heapq.heapify(heap)
+    waiting, busy = defaultdict(deque), set()
+    outstanding = [len(routes) for _, routes in releases]
+    landed = [at for at, _ in releases]  # nothing to send: lands at once
+    occupancy = defaultdict(list)
+
+    def serve(link, now):
+        nonlocal order
+        if link in busy or not waiting[link]:
+            return
+        transfer = waiting[link].popleft()
+        busy.add(link)
+        _, route, hop = transfer
+        occupancy[link].append((now, now + route[hop][1]))
+        heapq.heappush(heap, (now + route[hop][1], order, "hop", transfer))
+        order += 1
+
+    while heap:
+        now, _, what, item = heapq.heappop(heap)
+        if what == "release":
+            for route in releases[item][1]:
+                waiting[route[0][0]].append((item, route, 0))
+                serve(route[0][0], now)
+            continue
+        index, route, hop = item
+        freed = route[hop][0]
+        busy.discard(freed)
+        if hop + 1 < len(route):
+            onward = route[hop + 1][0]
+            waiting[onward].append((index, route, hop + 1))
+            serve(onward, now)
+        else:
+            outstanding[index] -= 1
+            if not outstanding[index]:
+                landed[index] = now
+        serve(freed, now)
+    assert not any(outstanding)
+    return landed, occupancy
+
+
+class TestEventAccounting:
+    """What the engine must do, counted and timed without it: no golden
+    digest, only the plan's own timing table, the topology's routes and
+    the FIFO-per-link model above."""
+
+    @pytest.mark.parametrize("capacity", [None, 6])
+    @pytest.mark.parametrize("kind", ["star", "mesh", "fat_tree"])
+    def test_events_and_link_schedule_add_up(self, kind, capacity):
+        topo = routed_topologies(mbps=50.0, latency_s=0.0005)[kind]
+        net = topo.as_network_model()
+        plan = PicoScheme().plan(ROUTED_MODEL, ROUTED_CLUSTER, net)
+        timing = plan_timing(ROUTED_MODEL, plan, net)
+        arrivals = poisson_arrivals(
+            1.5 / timing.period, 80 * timing.period, np.random.default_rng(4)
+        )
+        kwargs = dict(topology=topo, arrivals=arrivals, queue_capacity=capacity)
+        stats = simulate_scenario(
+            ROUTED_MODEL, plan, keep_records=False, **kwargs
+        )
+        full = simulate_scenario(ROUTED_MODEL, plan, trace=True, **kwargs)
+
+        # Every request ends one way, the same way in both modes.
+        assert stats.completed + stats.shed_count == len(arrivals)
+        assert (full.completed, len(full.shed)) == (
+            stats.completed, stats.shed_count
+        )
+        assert bool(stats.shed_count) == (capacity is not None)
+
+        # One plan throughout, so every completed task costs the same
+        # events: per stage one ``done`` plus one ``hop`` per link of
+        # every transfer that has anywhere to go.
+        routes = [
+            [
+                [
+                    (link.name, link.transfer_time(nbytes))
+                    for link in topo.route(src, dst)
+                ]
+                for src, dst, nbytes in stage
+                if src != dst
+            ]
+            for stage in timing.stage_transfers(net, entry=topo.entry)
+        ]
+        per_task = sum(
+            1 + sum(len(route) for route in stage) for stage in routes
+        )
+        n_churn = 0  # a bare plan cannot be re-planned: no churn, no switch
+        assert stats.n_events == len(arrivals) + n_churn + stats.completed * per_task
+        multi_hop = any(len(route) > 1 for stage in routes for route in stage)
+        assert multi_hop == (kind != "mesh")  # a mesh links every pair
+
+        # Stage starts (in engine order) and stage ends, from the trace.
+        starts = [e for e in full.trace if e.kind == "enqueue"]
+        done = {(t.task_id, timing.n_stages - 1): t.completion for t in full.tasks}
+        for e in starts:
+            if e.stage:
+                done[(e.frame, e.stage - 1)] = e.start  # joined the next queue
+        landed, occupancy = replay_links(
+            [(e.end, routes[e.stage]) for e in starts]
+        )
+        # No link ever carries two transfers at once ...
+        assert len(occupancy) > 2
+        for intervals in occupancy.values():
+            intervals.sort()
+            assert all(
+                a[1] <= b[0] for a, b in zip(intervals, intervals[1:])
+            )
+        # ... and under exactly that discipline each stage's compute
+        # starts when its last hop lands, never earlier.
+        for e, last_hop in zip(starts, landed):
+            compute_from = done[(e.frame, e.stage)] - timing.stages[e.stage].comp
+            assert compute_from == pytest.approx(last_hop, abs=1e-12)
+            assert last_hop >= e.end
 
 
 class TestChurn:
@@ -422,6 +668,28 @@ class TestStatsMode:
         assert stats.max_latency == pytest.approx(full.max_latency)
         assert stats.device_busy == full.device_busy
         assert stats.n_events > 0
+
+    def test_private_tracer_refused_in_stats_mode(self, model, cluster, net):
+        """``trace=True`` would mint a Tracer that ``SimStats`` cannot
+        hand back: an unreadable list growing with every event."""
+        with pytest.raises(ValueError, match="your own Tracer.*keep_records=True"):
+            simulate_scenario(
+                model, PicoScheme(), cluster, network=net,
+                arrivals=[0.0, 0.1], trace=True, keep_records=False,
+            )
+
+    def test_caller_owned_tracer_works_in_stats_mode(self, model, cluster, net):
+        tracer = Tracer()
+        kwargs = dict(network=net, arrivals=[0.0, 0.1, 0.2])
+        stats = simulate_scenario(
+            model, PicoScheme(), cluster, trace=tracer, keep_records=False,
+            **kwargs,
+        )
+        full = simulate_scenario(
+            model, PicoScheme(), cluster, trace=True, **kwargs
+        )
+        assert isinstance(stats, SimStats) and stats.completed == 3
+        assert tuple(tracer.events) == tuple(full.trace) != ()
 
 
 class TestValidation:
