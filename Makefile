@@ -72,6 +72,14 @@ lint-forks:
 	! grep -rnI "cluster\.simulator" tests/
 	test "$$(grep -rnI "run_scenario(" src/repro | grep -vc "def run_scenario")" = 1
 	test "$$(grep -rnI "local_fallback_plan(" src/repro --exclude-dir=schemes | wc -l)" = 1
+# One Eq. 9: every planner's search asks SegmentTable.stage_total, so the
+# scalar stage_time( is called only inside the cost package and by
+# plan_cost; the table's channel mirror and bfs_optimal's cost-cache
+# parameter stay deleted; and the weighted-strip realization is spelled
+# once, in partition/strips.py (weighted_strips).
+	! grep -rnIE "(^|[^_A-Za-z])stage_time\(" src/repro --exclude-dir=cost | grep -v "^src/repro/core/plan.py:"
+	! grep -rnIE "channel_stage_total|stage_cache" src/ tests/ benchmarks/ examples/ docs/ README.md
+	! grep -rnIE "Region\.from_bounds\(iv\.start|Region\(iv, *Interval\(0" src/repro/core src/repro/schemes
 
 # Every committed BENCH file that can re-derive itself does, plus the
 # fork lint: the one line CI calls.  serve/batch/fleet join when they
@@ -79,6 +87,7 @@ lint-forks:
 bench-check: lint-forks
 	python -m repro.bench.sim --check BENCH_sim.json --quick
 	python -m repro.bench.exact --check BENCH_exact.json --quick
+	python -m repro.bench.planner --check BENCH_planner.json --quick --repeats 1
 
 report:
 	python -m repro report --out report.md

@@ -353,10 +353,10 @@ def build_apico_switcher(
         schemes = tuple(
             get_scheme(s) if isinstance(s, str) else s for s in schemes
         )
-    # Prewarm the shared segment table: every candidate scheme (and any
-    # later online re-plan for the same model) draws its stage costs
-    # from this single vectorized table instead of rebuilding FLOP
-    # prefix maps per scheme.
+    # Prewarm the shared segment table: every candidate scheme — PICO's
+    # DP and OFL's fusion search alike — and any later online re-plan
+    # for the same model draws its stage costs from this single
+    # vectorized table.
     get_segment_table(model, options)
     candidates = []
     for scheme in schemes:

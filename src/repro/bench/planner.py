@@ -21,6 +21,12 @@ by the median, which cancels the slow drift of shared-host machines.
 Run it via ``make bench-json`` or directly::
 
     python -m repro.bench.planner --out BENCH_planner.json
+
+``--check BENCH_planner.json`` re-runs the cases (every round still
+asserts cold/warm plans equal the reference DP) and fails if a
+deterministic field of the committed report — case, unit/device/stage
+counts, period — no longer reproduces; timings are ignored.  ``make
+bench-check`` runs it on the ``--quick`` subset.
 """
 
 from __future__ import annotations
@@ -189,6 +195,35 @@ def run_suite(
     }
 
 
+#: The ``--quick`` case subset (CI smoke run).
+QUICK_CASES = {"models": (("vgg16", 64),), "grid": ((8, 4),)}
+
+#: Host-independent fields of a result row — what ``--check`` compares.
+DETERMINISTIC_FIELDS = ("n_units", "n_devices", "n_stages", "period")
+
+
+def check_report(path: str, quick: bool, repeats: int) -> "List[str]":
+    """Re-run the committed report's cases and list any drifts."""
+    with open(path) as fh:
+        committed = json.load(fh)
+    suite = run_suite(repeats=repeats, **(QUICK_CASES if quick else {}))
+    fresh = {r["case"]: r for r in suite["results"]}
+    errors = []
+    for entry in committed["results"]:
+        case = entry["case"]
+        now = fresh.get(case)
+        if now is None:
+            if not quick:
+                errors.append(f"{case}: missing from fresh run")
+            continue
+        for key in DETERMINISTIC_FIELDS:
+            if entry[key] != now[key]:
+                errors.append(
+                    f"{case}: {key} committed {entry[key]!r} != fresh {now[key]!r}"
+                )
+    return errors
+
+
 def main(argv: "Optional[Sequence[str]]" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -200,17 +235,23 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         action="store_true",
         help="small case subset (CI smoke run)",
     )
+    parser.add_argument(
+        "--check",
+        metavar="PATH",
+        help="re-run the cases of a committed report and fail if a "
+        "deterministic field drifted (with --quick only the quick subset)",
+    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.quick:
-        report = run_suite(
-            models=(("vgg16", 64),),
-            grid=((8, 4),),
-            repeats=args.repeats,
-        )
-    else:
-        report = run_suite(repeats=args.repeats)
+    if args.check:
+        errors = check_report(args.check, args.quick, args.repeats)
+        for err in errors:
+            print(f"DRIFT: {err}", file=sys.stderr)
+        if not errors:
+            print(f"{args.check}: committed plans reproduce")
+        return 1 if errors else 0
+    report = run_suite(repeats=args.repeats, **(QUICK_CASES if args.quick else {}))
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

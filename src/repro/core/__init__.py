@@ -1,13 +1,7 @@
 """PICO's planning core: DP planner, heterogeneous adaptation, optimal search."""
 
 from repro.core.bfs import BFSResult, bfs_optimal
-from repro.core.dp_planner import (
-    HomoPlan,
-    HomoStage,
-    StageTimeTable,
-    plan_homogeneous,
-    plan_homogeneous_reference,
-)
+from repro.core.dp_planner import HomoPlan, HomoStage, plan_homogeneous
 from repro.core.heterogeneous import adapt_to_cluster
 from repro.core.pareto import plan_pareto
 from repro.core.plan import PipelinePlan, PlanCost, StagePlan, plan_cost
@@ -20,7 +14,6 @@ __all__ = [
     "PipelinePlan",
     "PlanCost",
     "StagePlan",
-    "StageTimeTable",
     "adapt_to_cluster",
     "bfs_optimal",
     "dump_plan",
@@ -29,6 +22,5 @@ __all__ = [
     "plan_from_dict",
     "plan_to_dict",
     "plan_homogeneous",
-    "plan_homogeneous_reference",
     "plan_pareto",
 ]

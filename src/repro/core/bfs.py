@@ -16,17 +16,15 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.device import Cluster, Device
 from repro.core.plan import PipelinePlan, StagePlan
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.stage_cost import stage_time
 from repro.cost.tables import SegmentTable, get_segment_table
 from repro.models.graph import Model
-from repro.partition.regions import Region
-from repro.partition.strips import weighted_partition
+from repro.partition.strips import weighted_partition, weighted_strips
 
 __all__ = ["BFSResult", "bfs_optimal"]
 
@@ -43,13 +41,15 @@ class BFSResult:
     elapsed_s: float
 
 
-def _device_classes(cluster: Cluster) -> "List[Tuple[Device, int]]":
-    """Group devices into (representative, count) capacity classes."""
+def _device_classes(cluster: Cluster) -> "List[List[Device]]":
+    """Group devices into capacity classes, strongest class first
+    (members keep cluster order)."""
     classes: "Dict[Tuple[float, float], List[Device]]" = {}
     for device in cluster:
         classes.setdefault((device.capacity, device.alpha), []).append(device)
-    ordered = sorted(classes.items(), key=lambda kv: -kv[0][0])
-    return [(devs[0], len(devs)) for _, devs in ordered]
+    return [
+        devs for _, devs in sorted(classes.items(), key=lambda kv: -kv[0][0])
+    ]
 
 
 def bfs_optimal(
@@ -61,7 +61,6 @@ def bfs_optimal(
     deadline_s: Optional[float] = None,
     max_stages: Optional[int] = None,
     table: Optional[SegmentTable] = None,
-    stage_cache: "Optional[Dict[Tuple[int, int, Tuple[int, ...]], float]]" = None,
 ) -> BFSResult:
     """Find the minimum-period pipeline by exhaustive search.
 
@@ -69,69 +68,45 @@ def bfs_optimal(
     returned with ``optimal=False``.  ``max_stages`` optionally caps the
     stage count (useful to keep tiny benchmark instances comparable).
 
-    Stage costs are answered by the shared vectorized
-    :class:`~repro.cost.tables.SegmentTable` (pass ``table`` to supply a
-    caller-managed one), which is bit-identical to ``stage_time``; pass
-    ``stage_cache`` to reuse evaluated (segment, allocation) costs
-    across repeated searches over the same deployment.
+    Stage costs are answered by the shared
+    :class:`~repro.cost.tables.SegmentTable` (``table`` is the test
+    seam for supplying another one): ``stage_total`` is bit-identical
+    to ``stage_time`` and falls back to it by itself on the segments
+    the closed form cannot express.
     """
     started = time.perf_counter()
     if table is None:
         table = get_segment_table(model, options)
     classes = _device_classes(cluster)
-    n_classes = len(classes)
     n_units = model.n_units
-    class_devices: "List[List[Device]]" = []
-    for (rep, count) in classes:
-        members = [d for d in cluster if (d.capacity, d.alpha) == (rep.capacity, rep.alpha)]
-        class_devices.append(members)
+    memo: "Dict[Tuple[int, int, Tuple[int, ...]], float]" = {}
 
-    if stage_cache is None:
-        stage_cache = {}
-
-    def make_assignments(
-        start: int, end: int, alloc: "Tuple[int, ...]", offsets: "Tuple[int, ...]"
-    ):
-        """Concrete (device, region) pairs; ``offsets`` tracks how many
-        devices of each class earlier stages already consumed, so no
-        device appears in two pipelined stages."""
+    def stage_devices(
+        alloc: "Tuple[int, ...]", offsets: "Sequence[int]"
+    ) -> "List[Device]":
+        """``alloc[c]`` devices of each class; ``offsets`` tracks how
+        many of each class earlier stages already consumed, so no device
+        appears in two pipelined stages."""
         devices: "List[Device]" = []
-        for cls_idx, count in enumerate(alloc):
-            base = offsets[cls_idx]
-            devices.extend(class_devices[cls_idx][base : base + count])
-        _, h, w = model.out_shape(end - 1)
-        rows = weighted_partition(h, [d.capacity for d in devices])
-        return tuple(
-            (device, Region.from_bounds(iv.start, iv.end, 0, w))
-            for device, iv in zip(devices, rows)
-        )
+        for members, base, count in zip(classes, offsets, alloc):
+            devices.extend(members[base : base + count])
+        return devices
 
     def stage_cost_of(start: int, end: int, alloc: "Tuple[int, ...]") -> float:
-        # Cost depends only on the capacity multiset, so offsets of 0
-        # are fine for evaluation.
         key = (start, end, alloc)
-        cached = stage_cache.get(key)
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        if table is not None and table.exact(start, end):
-            devices: "List[Device]" = []
-            for cls_idx, count in enumerate(alloc):
-                devices.extend(class_devices[cls_idx][:count])
-            _, h, _ = model.out_shape(end - 1)
-            rows = weighted_partition(h, [d.capacity for d in devices])
-            cost = table.stage_total(
-                start, end, list(zip(devices, rows)), network,
-                with_head=end == n_units,
-            )
-        else:
-            assignments = make_assignments(
-                start, end, alloc, tuple(0 for _ in alloc)
-            )
-            cost = stage_time(
-                model, start, end, assignments, network, options,
-                with_head=end == n_units,
-            ).total
-        stage_cache[key] = cost
+        # Cost depends only on the capacity multiset, so offsets of 0
+        # are fine for evaluation.
+        devices = stage_devices(alloc, [0] * len(alloc))
+        _, h, _ = model.out_shape(end - 1)
+        rows = weighted_partition(h, [d.capacity for d in devices])
+        cost = table.stage_total(
+            start, end, list(zip(devices, rows)), network,
+            with_head=end == n_units,
+        )
+        memo[key] = cost
         return cost
 
     best_period = math.inf
@@ -187,15 +162,16 @@ def bfs_optimal(
                 if timed_out:
                     return
 
-    dfs(0, tuple(count for _, count in classes), 0.0, 0.0, [])
+    dfs(0, tuple(len(members) for members in classes), 0.0, 0.0, [])
     elapsed = time.perf_counter() - started
     if best_choice is None:
         return BFSResult(None, math.inf, math.inf, not timed_out, nodes, elapsed)
     # Materialise the winning abstract stages with distinct devices.
-    offsets = [0] * n_classes
+    offsets = [0] * len(classes)
     stages: "List[StagePlan]" = []
     for start_u, end_u, alloc in best_choice:
-        assignments = make_assignments(start_u, end_u, alloc, tuple(offsets))
+        _, h, w = model.out_shape(end_u - 1)
+        assignments = weighted_strips(h, w, stage_devices(alloc, offsets))
         stages.append(StagePlan(start_u, end_u, assignments))
         offsets = [o + a for o, a in zip(offsets, alloc)]
     plan = PipelinePlan(model.name, tuple(stages), mode="pipelined")

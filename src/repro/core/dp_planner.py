@@ -13,19 +13,19 @@ with ``Ts(s, j, p')`` the Eq. (9) cost of a single stage running units
 partition.  Solutions whose accumulated pipeline latency exceeds
 ``t_lim`` are pruned, as in the paper's Algorithm 1 (lines 11–16).
 
-Two implementations share the DP core:
+:func:`plan_homogeneous` is the planner.  ``Ts`` comes from the
+vectorized :class:`~repro.cost.tables.SegmentCostTable` (shared across
+calls through a registry), and dominated split points are skipped: a
+split whose cheapest possible tail stage already exceeds the incumbent
+period cannot improve the state, so its whole device sub-loop is
+pruned.  Pruning only discards transitions that are strictly worse in
+period, so the result is identical to the unpruned DP.
 
-* :func:`plan_homogeneous` — the production planner.  ``Ts`` comes from
-  the vectorized :class:`~repro.cost.tables.SegmentCostTable` (shared
-  across calls through a registry), and dominated split points are
-  skipped: a split whose cheapest possible tail stage already exceeds
-  the incumbent period cannot improve the state, so its whole device
-  sub-loop is pruned.  Pruning only discards transitions that are
-  strictly worse in period, so the result is identical to the
-  unpruned DP.
-* :func:`plan_homogeneous_reference` — the per-query scalar baseline
-  (the exactness oracle and benchmark reference), backed by
-  :class:`StageTimeTable`.
+:func:`plan_homogeneous_reference` runs the same DP, unpruned, over
+:class:`StageTimeTable` — the same ``Ts`` memo with the scalar
+per-query cost model plugged in as its strip cost.  It is the DP's
+exactness oracle and the planner benchmark's baseline, not a second
+production path (and not re-exported from :mod:`repro.core`).
 
 The returned :class:`HomoPlan` is abstract (device *counts*, not
 devices); Algorithm 2 (:mod:`repro.core.heterogeneous`) maps it onto
@@ -38,12 +38,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.device import Cluster, Device
+from repro.cluster.device import Cluster
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.stage_cost import branch_stage_time, homogeneous_stage_time
-from repro.cost.tables import get_cost_table
-from repro.partition.branches import assign_paths_lpt, is_branchable, path_flops
+from repro.cost.stage_cost import homogeneous_stage_time
+from repro.cost.tables import StageTimeMemo, get_cost_table
 from repro.models.graph import Model
 
 __all__ = [
@@ -86,42 +85,16 @@ class HomoPlan:
         return sum(s.n_devices for s in self.stages)
 
 
-class StageTimeTable:
-    """Memoised ``Ts(start, end, p)`` single-stage costs (Eq. 9).
-
-    The *reference* implementation: every cache miss re-walks the
-    segment through the scalar cost model.  Kept as the exactness
-    oracle for the vectorized
+class StageTimeTable(StageTimeMemo):
+    """The *reference* ``Ts``: every cache miss re-walks the segment
+    through the scalar cost model.  Not a production path — kept as the
+    exactness oracle for the vectorized
     :class:`~repro.cost.tables.SegmentCostTable`, which must agree
-    bit-for-bit (``tests/test_cost_tables.py``).
+    bit-for-bit (``tests/test_cost_tables.py``), and as the planner
+    benchmark's baseline."""
 
-    With ``allow_branch=True`` a single-unit segment over a concat
-    block also considers the branch-parallel layout (paths assigned to
-    devices by LPT) and keeps whichever is faster — the intra-block
-    partition the paper leaves as future work."""
-
-    def __init__(
-        self,
-        model: Model,
-        device: Device,
-        network: NetworkModel,
-        options: CostOptions = DEFAULT_OPTIONS,
-        allow_branch: bool = False,
-    ) -> None:
-        self.model = model
-        self.device = device
-        self.network = network
-        self.options = options
-        self.allow_branch = allow_branch
-        self._cache: "Dict[Tuple[int, int, int], Tuple[float, bool]]" = {}
-
-    def best(self, start: int, end: int, p: int) -> "Tuple[float, bool]":
-        """(cost, is_branch) of the cheapest layout for this stage."""
-        key = (start, end, p)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        strip_cost = homogeneous_stage_time(
+    def strip_cost(self, start: int, end: int, p: int, with_head: bool) -> float:
+        return homogeneous_stage_time(
             self.model,
             start,
             end,
@@ -129,35 +102,8 @@ class StageTimeTable:
             self.device,
             self.network,
             self.options,
-            with_head=end == self.model.n_units,
+            with_head=with_head,
         ).total
-        result = (strip_cost, False)
-        if (
-            self.allow_branch
-            and end == start + 1
-            and p >= 2
-            and is_branchable(self.model.units[start])
-        ):
-            weights = path_flops(self.model, start, self.options)
-            groups = assign_paths_lpt(weights, [self.device.capacity] * p)
-            branch_cost = branch_stage_time(
-                self.model,
-                start,
-                tuple((self.device, g) for g in groups),
-                self.network,
-                self.options,
-                with_head=end == self.model.n_units,
-            ).total
-            if branch_cost < strip_cost:
-                result = (branch_cost, True)
-        self._cache[key] = result
-        return result
-
-    def __call__(self, start: int, end: int, p: int) -> float:
-        return self.best(start, end, p)[0]
-
-    def is_branch(self, start: int, end: int, p: int) -> bool:
-        return self.best(start, end, p)[1]
 
 
 # A DP entry: (period, latency, n_stages, back-pointer); the back-pointer
@@ -267,8 +213,8 @@ def plan_homogeneous(
     stages (less inter-stage traffic for equal analytic cost).
 
     ``Ts`` comes from the shared vectorized cost table for ``(model,
-    homogenised device, network, options)``; pass ``table`` (any object
-    with the :class:`StageTimeTable` protocol) to reuse a caller-managed
+    homogenised device, network, options)``; pass ``table`` (any
+    :class:`~repro.cost.tables.StageTimeMemo`) to reuse a caller-managed
     table across invocations, e.g. during online re-planning.
     """
     homo = cluster.homogenized()

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.cluster.device import Cluster, Device
 from repro.core.plan import PipelinePlan, StagePlan
@@ -48,8 +48,8 @@ from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.cost.tables import get_segment_table
 from repro.models.graph import Model
-from repro.partition.regions import Region
-from repro.partition.strips import equal_partition, weighted_partition
+from repro.partition.regions import Interval
+from repro.partition.strips import equal_partition, strip_regions, weighted_partition
 from repro.schemes.base import PlanningError, Scheme
 
 __all__ = [
@@ -116,6 +116,18 @@ def _canonical_order(
     return tuple(sorted(indices, key=lambda i: (-devices[i].capacity, i)))
 
 
+def _canonical_rows(height: int, devices: "Sequence[Device]") -> "List[Interval]":
+    """Canonical row split of a stage's output map over its (ordered)
+    devices: capacity-weighted — Algorithm 2's realization — unless
+    every capacity is equal, where it is Algorithm 1's equal split so
+    the homogeneous search space matches the DP bit-for-bit
+    (``weighted_partition`` may order remainder rows differently)."""
+    caps = [d.capacity for d in devices]
+    if all(c == caps[0] for c in caps):
+        return equal_partition(height, len(caps))
+    return weighted_partition(height, caps)
+
+
 class _StageCosts:
     """Memoised canonical stage costs over ``(start, end, device set)``."""
 
@@ -131,38 +143,22 @@ class _StageCosts:
         self.network = network
         self.segments = get_segment_table(model, options)
         self._memo: "Dict[Tuple[int, int, FrozenSet[int]], float]" = {}
-        self.evals = 0
-
-    def rows(self, end: int, ordered: "Sequence[int]") -> "List":
-        """Canonical row split of the stage's output map."""
-        _, h, _ = self.segments.out_shape(end)
-        caps = [self.devices[i].capacity for i in ordered]
-        if all(c == caps[0] for c in caps):
-            # Equal capacities: Algorithm 1's equal split, so the
-            # homogeneous search space matches the DP bit-for-bit
-            # (weighted_partition may order remainder rows differently).
-            return equal_partition(h, len(caps))
-        return weighted_partition(h, caps)
 
     def cost(self, start: int, end: int, subset: "FrozenSet[int]") -> float:
         key = (start, end, subset)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        ordered = _canonical_order(subset, self.devices)
-        assignments = [
-            (self.devices[i], rows)
-            for i, rows in zip(ordered, self.rows(end, ordered))
-        ]
+        devices = [self.devices[i] for i in _canonical_order(subset, self.devices)]
+        _, h, _ = self.segments.out_shape(end)
         total = self.segments.stage_total(
             start,
             end,
-            assignments,
+            list(zip(devices, _canonical_rows(h, devices))),
             self.network,
             with_head=end == self.model.n_units,
         )
         self._memo[key] = total
-        self.evals += 1
         return total
 
 
@@ -341,16 +337,10 @@ def realize_exact(model: Model, plan: ExactPlan) -> PipelinePlan:
     stage_plans = []
     for stage in plan.stages:
         _, h, w = model.out_shape(stage.end - 1)
-        caps = [d.capacity for d in stage.devices]
-        if all(c == caps[0] for c in caps):
-            rows = equal_partition(h, len(caps))
-        else:
-            rows = weighted_partition(h, caps)
-        assignments = tuple(
-            (device, Region.from_bounds(iv.start, iv.end, 0, w))
-            for device, iv in zip(stage.devices, rows)
+        regions = strip_regions(h, w, _canonical_rows(h, stage.devices))
+        stage_plans.append(
+            StagePlan(stage.start, stage.end, tuple(zip(stage.devices, regions)))
         )
-        stage_plans.append(StagePlan(stage.start, stage.end, assignments))
     return PipelinePlan(model.name, tuple(stage_plans), mode="pipelined")
 
 

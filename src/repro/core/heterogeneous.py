@@ -21,7 +21,7 @@ from repro.core.plan import PipelinePlan, StagePlan
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS, segment_flops
 from repro.models.graph import Model
 from repro.partition.regions import Region
-from repro.partition.strips import equal_partition, strip_regions, weighted_partition
+from repro.partition.strips import equal_partition, strip_regions, weighted_strips
 
 __all__ = ["adapt_to_cluster"]
 
@@ -103,11 +103,7 @@ def adapt_to_cluster(
                 StagePlan(stage.start, stage.end, assignments, path_groups=groups)
             )
             continue
-        weights = [d.capacity for d in stage.devices]
-        rows = weighted_partition(h, weights)
-        assignments = tuple(
-            (device, Region.from_bounds(iv.start, iv.end, 0, w))
-            for device, iv in zip(stage.devices, rows)
+        stage_plans.append(
+            StagePlan(stage.start, stage.end, weighted_strips(h, w, stage.devices))
         )
-        stage_plans.append(StagePlan(stage.start, stage.end, assignments))
     return PipelinePlan(model.name, tuple(stage_plans), mode="pipelined")

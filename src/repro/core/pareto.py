@@ -58,8 +58,7 @@ def plan_pareto(
     ``Ts`` values come from the shared vectorized cost table, so
     repeated calls — e.g. a ``t_lim`` sweep over the same deployment —
     reuse every memoised stage cost; pass ``table`` to supply a
-    caller-managed one (any :class:`~repro.core.dp_planner.StageTimeTable`
-    compatible object)."""
+    caller-managed one (any :class:`~repro.cost.tables.StageTimeMemo`)."""
     homo = cluster.homogenized()
     device = homo.devices[0]
     n_devices = len(homo)

@@ -19,7 +19,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.device import Device
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.stage_cost import StageCost, stage_time
+from repro.cost.stage_cost import (
+    StageCost,
+    branch_stage_time,
+    channel_stage_time,
+    stage_time,
+)
 from repro.models.graph import Model
 from repro.partition.regions import Region
 
@@ -207,56 +212,24 @@ def plan_cost(
         )
     costs = []
     for stage in plan.stages:
+        # One Eq. 9 fold, three geometries producing its rows.
         with_head = stage.end == model.n_units
         if stage.path_groups is not None:
-            from repro.cost.stage_cost import branch_stage_time
-
-            costs.append(
-                branch_stage_time(
-                    model,
-                    stage.start,
-                    tuple(
-                        (device, group)
-                        for (device, _), group in zip(
-                            stage.assignments, stage.path_groups
-                        )
-                    ),
-                    network,
-                    options,
-                    with_head=with_head,
-                )
+            cost = branch_stage_time(
+                model, stage.start, tuple(zip(stage.devices, stage.path_groups)),
+                network, options, with_head,
             )
-            continue
-        if stage.channel_groups is not None:
-            from repro.cost.stage_cost import channel_stage_time
-
-            costs.append(
-                channel_stage_time(
-                    model,
-                    stage.start,
-                    tuple(
-                        (device, interval)
-                        for (device, _), interval in zip(
-                            stage.assignments, stage.channel_groups
-                        )
-                    ),
-                    network,
-                    options,
-                    with_head=with_head,
-                )
+        elif stage.channel_groups is not None:
+            cost = channel_stage_time(
+                model, stage.start, tuple(zip(stage.devices, stage.channel_groups)),
+                network, options, with_head,
             )
-            continue
-        costs.append(
-            stage_time(
-                model,
-                stage.start,
-                stage.end,
-                stage.assignments,
-                network,
-                options,
-                with_head=with_head,
+        else:
+            cost = stage_time(
+                model, stage.start, stage.end, stage.assignments,
+                network, options, with_head,
             )
-        )
+        costs.append(cost)
     latency = sum(c.total for c in costs)
     if plan.mode == "pipelined":
         period = max(c.total for c in costs)

@@ -8,12 +8,17 @@ A stage executes a fused unit segment ``[start, end)`` over a set of
 — compute is parallel (Eq. 6), communication shares the medium (Eq. 8).
 The pipeline *period* is the maximum stage cost (Eq. 10), its *latency*
 the sum (Eq. 11).
+
+:func:`fold_stage` is the only place that formula is written.  The three
+stage geometries below (row strips, block paths, channel slices) and the
+vectorized table's strip fast path (:mod:`repro.cost.tables`) only
+produce per-device ``(device, t_comp, t_comm)`` rows for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cluster.device import Device
 from repro.cost.comm import NetworkModel, region_bytes
@@ -27,10 +32,10 @@ from repro.cost.flops import (
 from repro.models.graph import Model
 from repro.partition.fused import segment_input_region
 from repro.partition.regions import Region
-from repro.partition.strips import equal_partition, strip_regions
+from repro.partition.strips import check_tiling, equal_partition, strip_regions
 
-__all__ = ["DeviceCost", "StageCost", "stage_time", "branch_stage_time",
-           "channel_stage_time", "channel_slice_flops",
+__all__ = ["DeviceCost", "StageCost", "fold_stage", "stage_time",
+           "branch_stage_time", "channel_stage_time", "channel_slice_flops",
            "homogeneous_stage_time", "single_device_time"]
 
 Assignment = Tuple[Device, Region]
@@ -76,6 +81,62 @@ class StageCost:
         return self.t_comp + self.t_comm + self.t_head
 
 
+def fold_stage(
+    model: Model,
+    rows: "Sequence[Tuple[Device, float, float]]",
+    options: CostOptions,
+    with_head: bool,
+) -> "Tuple[float, float, float]":
+    """Eq. 9, written once: ``(t_comp, t_comm, t_head)`` of a stage from
+    its per-device ``(device, t_comp, t_comm)`` rows, in assignment
+    order (an idle device is a row of zeros — it still counts as
+    assigned).
+
+    Compute is the maximum over devices, communication the sum;
+    ``with_head`` adds the dense-head compute, serial on the fastest
+    assigned device — used by segments that end at the final unit.
+    """
+    if not rows:
+        raise ValueError("stage needs at least one device assignment")
+    t_comp = 0.0
+    t_comm = 0.0
+    for _, comp, comm in rows:
+        if comp > t_comp:
+            t_comp = comp
+        t_comm += comm
+    t_head = 0.0
+    if with_head and options.include_head and model.head:
+        fastest = max((row[0] for row in rows), key=lambda d: d.capacity)
+        t_head = fastest.compute_time(head_flops(model))
+    return t_comp, t_comm, t_head
+
+
+def _stage_cost(
+    model: Model,
+    start: int,
+    end: int,
+    device_costs: "List[DeviceCost]",
+    options: CostOptions,
+    with_head: bool,
+) -> StageCost:
+    """Fold a geometry's per-device shares into the stage's cost."""
+    t_comp, t_comm, t_head = fold_stage(
+        model,
+        [(dc.device, dc.t_comp, dc.t_comm) for dc in device_costs],
+        options,
+        with_head,
+    )
+    return StageCost(start, end, tuple(device_costs), t_comp, t_comm, t_head)
+
+
+def _idle(device: Device, region: Region) -> DeviceCost:
+    """An assigned device with nothing to do."""
+    return DeviceCost(device, region, region, 0.0, 0.0, 0.0, 0.0)
+
+
+_NO_REGION = Region.from_bounds(0, 0, 0, 0)
+
+
 def stage_time(
     model: Model,
     start: int,
@@ -86,21 +147,16 @@ def stage_time(
     with_head: bool = False,
 ) -> StageCost:
     """Cost of a stage executing units ``[start, end)`` with the given
-    ``(device, final-output-region)`` assignments.
-
-    ``with_head`` adds the dense-head compute (serial, on the fastest
-    assigned device) — used by segments that end at the final unit.
+    ``(device, final-output-region)`` assignments — the *row-strip*
+    geometry (any regions, grid tiles included): each device receives
+    its halo-grown segment input region and returns its output region.
     """
-    if not assignments:
-        raise ValueError("stage needs at least one device assignment")
     c_in = model.in_shape(start)[0]
     c_out = model.out_shape(end - 1)[0]
     device_costs = []
     for device, out_region in assignments:
         if out_region.empty:
-            device_costs.append(
-                DeviceCost(device, out_region, out_region, 0.0, 0.0, 0.0, 0.0)
-            )
+            device_costs.append(_idle(device, out_region))
             continue
         in_region = segment_input_region(model, start, end, out_region)
         flops = segment_flops(model, start, end, out_region, options)
@@ -113,18 +169,7 @@ def stage_time(
         device_costs.append(
             DeviceCost(device, out_region, in_region, flops, owned, t_comp, t_comm)
         )
-    t_head = 0.0
-    if with_head and options.include_head and model.head:
-        fastest = max((dc.device for dc in device_costs), key=lambda d: d.capacity)
-        t_head = fastest.compute_time(head_flops(model))
-    return StageCost(
-        start,
-        end,
-        tuple(device_costs),
-        t_comp=max(dc.t_comp for dc in device_costs),
-        t_comm=sum(dc.t_comm for dc in device_costs),
-        t_head=t_head,
-    )
+    return _stage_cost(model, start, end, device_costs, options, with_head)
 
 
 def branch_stage_time(
@@ -149,8 +194,6 @@ def branch_stage_time(
         path_out_channels,
     )
 
-    if not assignments:
-        raise ValueError("stage needs at least one device assignment")
     flops_per_path = path_flops(model, unit_index, options)
     channels_per_path = path_out_channels(model, unit_index)
     covered = [idx for _, paths in assignments for idx in paths]
@@ -164,10 +207,7 @@ def branch_stage_time(
     device_costs = []
     for device, paths in assignments:
         if not paths:
-            empty = Region.from_bounds(0, 0, 0, 0)
-            device_costs.append(
-                DeviceCost(device, empty, empty, 0.0, 0.0, 0.0, 0.0)
-            )
+            device_costs.append(_idle(device, _NO_REGION))
             continue
         flops = sum(flops_per_path[i] for i in paths)
         in_region = path_input_region(model, unit_index, paths)
@@ -186,17 +226,8 @@ def branch_stage_time(
                 network.transfer_time(nbytes),
             )
         )
-    t_head = 0.0
-    if with_head and options.include_head and model.head:
-        fastest = max((dc.device for dc in device_costs), key=lambda d: d.capacity)
-        t_head = fastest.compute_time(head_flops(model))
-    return StageCost(
-        unit_index,
-        unit_index + 1,
-        tuple(device_costs),
-        t_comp=max(dc.t_comp for dc in device_costs),
-        t_comm=sum(dc.t_comm for dc in device_costs),
-        t_head=t_head,
+    return _stage_cost(
+        model, unit_index, unit_index + 1, device_costs, options, with_head
     )
 
 
@@ -253,32 +284,14 @@ def channel_stage_time(
     FLOPs equal actual FLOPs — channel partitioning pays zero halo
     redundancy; its price is the full-input broadcast per stage.
     """
-    if not assignments:
-        raise ValueError("stage needs at least one device assignment")
     c_out, oh, ow = model.out_shape(unit_index)
-    covered = sorted(
-        (lo, hi) for _, (lo, hi) in assignments if hi > lo
-    )
-    cursor = 0
-    for lo, hi in covered:
-        if lo != cursor:
-            raise ValueError(
-                f"channel intervals {covered} must tile [0, {c_out}) exactly"
-            )
-        cursor = hi
-    if cursor != c_out:
-        raise ValueError(
-            f"channel intervals {covered} must tile [0, {c_out}) exactly"
-        )
+    check_tiling([interval for _, interval in assignments], c_out)
     c_in, h_in, w_in = model.in_shape(unit_index)
     full_in = Region.full(h_in, w_in)
     device_costs = []
     for device, (lo, hi) in assignments:
         if hi <= lo:
-            empty = Region.from_bounds(0, 0, 0, 0)
-            device_costs.append(
-                DeviceCost(device, empty, empty, 0.0, 0.0, 0.0, 0.0)
-            )
+            device_costs.append(_idle(device, _NO_REGION))
             continue
         flops = channel_slice_flops(model, unit_index, lo, hi, options)
         nbytes = region_bytes(c_in, full_in, options.bytes_per_value) + (
@@ -295,17 +308,8 @@ def channel_stage_time(
                 network.transfer_time(nbytes),
             )
         )
-    t_head = 0.0
-    if with_head and options.include_head and model.head:
-        fastest = max((dc.device for dc in device_costs), key=lambda d: d.capacity)
-        t_head = fastest.compute_time(head_flops(model))
-    return StageCost(
-        unit_index,
-        unit_index + 1,
-        tuple(device_costs),
-        t_comp=max(dc.t_comp for dc in device_costs),
-        t_comm=sum(dc.t_comm for dc in device_costs),
-        t_head=t_head,
+    return _stage_cost(
+        model, unit_index, unit_index + 1, device_costs, options, with_head
     )
 
 

@@ -33,9 +33,14 @@ builder detects that case per ``(start, end)`` and flags the segment, and
 every consumer transparently falls back to the scalar oracle for it.
 
 Tables are shared process-wide through a weak registry keyed by the
-model, so ``plan_pareto`` ``t_lim`` sweeps, ``bfs_optimal``, the schemes
-and the adaptive switcher all reuse one table per
-``(model, cluster, network, options)`` instead of rebuilding caches.
+model, so ``plan_pareto`` ``t_lim`` sweeps, ``bfs_optimal``,
+``plan_exact``, the schemes (PICO's DP and OFL's fusion search alike)
+and the adaptive switcher all reuse one table per ``(model, options)``
+instead of rebuilding caches.
+
+The table only produces the per-strip ``(device, t_comp, t_comm)`` rows;
+the Eq. (9) fold itself is :func:`repro.cost.stage_cost.fold_stage`, the
+same function the scalar geometries call.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ import numpy as np
 
 from repro.cluster.device import Device
 from repro.cost.comm import NetworkModel
-from repro.cost.flops import CostOptions, DEFAULT_OPTIONS, head_flops
-from repro.cost.stage_cost import branch_stage_time, stage_time
+from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
+from repro.cost.stage_cost import branch_stage_time, fold_stage, stage_time
 from repro.models.graph import BlockUnit, LayerUnit, Model
 from repro.models.layers import ConvSpec, PoolSpec, SpatialLayer
 from repro.partition.branches import assign_paths_lpt, is_branchable, path_flops
@@ -60,6 +65,7 @@ __all__ = [
     "BATCH_AMORTIZED_FRACTION",
     "SegmentTable",
     "SegmentCostTable",
+    "StageTimeMemo",
     "batched_service",
     "get_segment_table",
     "get_cost_table",
@@ -190,11 +196,9 @@ class SegmentTable:
     def __init__(self, model: Model, options: CostOptions = DEFAULT_OPTIONS) -> None:
         self.model = model
         self.options = options
-        self._head_flops = head_flops(model) if model.head else 0.0
         self._ends: "List[Optional[_EndTable]]" = [None] * (model.n_units + 1)
         for end in range(1, model.n_units + 1):
             self._ends[end] = self._build_end(end)
-        self._channel_coefs: "Dict[int, int]" = {}
 
     # ------------------------------------------------------------------
     # table construction
@@ -336,104 +340,21 @@ class SegmentTable:
     ) -> float:
         """Eq. (9) stage cost for row-strip assignments, bit-identical to
         ``stage_time(...).total`` on the equivalent Region assignments."""
-        if not assignments:
-            raise ValueError("stage needs at least one device assignment")
         if not self.exact(start, end):
             return self._oracle_total(start, end, assignments, network, with_head)
-        t_comp = 0.0
-        t_comm = 0.0
-        for device, rows in assignments:
-            if rows.empty:
-                continue
-            flops = float(self.strip_flops(start, end, rows))
-            t = device.compute_time(flops)
-            if t > t_comp:
-                t_comp = t
-            t_comm += network.transfer_time(self.strip_bytes(start, end, rows))
-        t_head = 0.0
-        if with_head and self.options.include_head and self.model.head:
-            fastest = max((d for d, _ in assignments), key=lambda d: d.capacity)
-            t_head = fastest.compute_time(self._head_flops)
-        return t_comp + t_comm + t_head
-
-    # ------------------------------------------------------------------
-    # channel-parallel (IOP) stages
-
-    def _channel_coef(self, unit_index: int) -> int:
-        """Integer FLOPs per *output channel* of the layer unit — the
-        full-map Eq. 2 cost divided by ``c_out``, exact because Eq. 2 is
-        linear in the output channel count."""
-        coef = self._channel_coefs.get(unit_index)
-        if coef is None:
-            unit = self.model.units[unit_index]
-            if not isinstance(unit, LayerUnit):
-                raise ValueError(
-                    f"channel-parallel stages need a layer unit, got {unit.name!r}"
-                )
-            _, oh, ow = self.model.out_shape(unit_index)
-            layer = unit.layer
-            kh, kw = layer.kernel_size
-            if isinstance(layer, ConvSpec):
-                coef = kh * kw * (layer.in_channels // layer.groups) * oh * ow
-            else:
-                assert isinstance(layer, PoolSpec)
-                coef = kh * kw * oh * ow if self.options.include_pool else 0
-            self._channel_coefs[unit_index] = coef
-        return coef
-
-    def channel_flops(self, unit_index: int, lo: int, hi: int) -> int:
-        """Exact integer FLOPs of output-channel slice ``[lo, hi)`` of
-        one layer unit over its full spatial map (zero halo redundancy),
-        matching ``channel_slice_flops`` bit-for-bit."""
-        if hi <= lo:
-            return 0
-        return self._channel_coef(unit_index) * (hi - lo)
-
-    def channel_stage_total(
-        self,
-        unit_index: int,
-        assignments: "Sequence[Tuple[Device, Tuple[int, int]]]",
-        network: NetworkModel,
-        with_head: bool = False,
-    ) -> float:
-        """Eq. (9) stage cost of a channel-parallel (IOP) stage,
-        bit-identical to ``channel_stage_time(...).total``: full input
-        map broadcast per active device, disjoint output-channel slices
-        back, compute max / communication sum over the assignments."""
-        if not assignments:
-            raise ValueError("stage needs at least one device assignment")
-        c_out, oh, ow = self.model.out_shape(unit_index)
-        covered = sorted((lo, hi) for _, (lo, hi) in assignments if hi > lo)
-        cursor = 0
-        for lo, hi in covered:
-            if lo != cursor:
-                raise ValueError(
-                    f"channel intervals {covered} must tile [0, {c_out}) exactly"
-                )
-            cursor = hi
-        if cursor != c_out:
-            raise ValueError(
-                f"channel intervals {covered} must tile [0, {c_out}) exactly"
+        rows = [
+            (device, 0.0, 0.0)
+            if strip.empty
+            else (
+                device,
+                device.compute_time(float(self.strip_flops(start, end, strip))),
+                network.transfer_time(self.strip_bytes(start, end, strip)),
             )
-        bpv = self.options.bytes_per_value
-        c_in, h_in, w_in = self.model.in_shape(unit_index)
-        in_bytes = c_in * h_in * w_in * bpv
-        t_comp = 0.0
-        t_comm = 0.0
-        for device, (lo, hi) in assignments:
-            if hi <= lo:
-                continue
-            flops = float(self.channel_flops(unit_index, lo, hi))
-            t = device.compute_time(flops)
-            if t > t_comp:
-                t_comp = t
-            t_comm += network.transfer_time(
-                in_bytes + (hi - lo) * oh * ow * bpv
-            )
-        t_head = 0.0
-        if with_head and self.options.include_head and self.model.head:
-            fastest = max((d for d, _ in assignments), key=lambda d: d.capacity)
-            t_head = fastest.compute_time(self._head_flops)
+            for device, strip in assignments
+        ]
+        t_comp, t_comm, t_head = fold_stage(
+            self.model, rows, self.options, with_head
+        )
         return t_comp + t_comm + t_head
 
     def _oracle_total(
@@ -454,15 +375,20 @@ class SegmentTable:
         ).total
 
 
-class SegmentCostTable:
-    """Memoised ``Ts(start, end, p)`` backed by a :class:`SegmentTable`.
+class StageTimeMemo:
+    """Memoised ``Ts(start, end, p)`` (Eq. 9) over a pluggable strip cost.
 
-    Drop-in replacement for the reference
-    :class:`repro.core.dp_planner.StageTimeTable`: same ``best`` /
-    ``is_branch`` / ``__call__`` protocol and bit-identical values, but
-    each cache miss costs O(p) table lookups instead of an O(units ×
-    layers) Python recursion.  Adds :meth:`min_cost_upto`, the monotone
-    bound the pruned DP uses to skip dominated split points.
+    The protocol Algorithm 1 plans against — ``best`` / ``is_branch`` /
+    ``__call__`` — written once.  A subclass supplies only
+    :meth:`strip_cost`, the cost of the equal-strip layout:
+    :class:`SegmentCostTable` reads it off the vectorized tables, the
+    scalar reference :class:`repro.core.dp_planner.StageTimeTable`
+    re-walks the segment per query.
+
+    With ``allow_branch=True`` a single-unit segment over a concat
+    block also considers the branch-parallel layout (paths assigned to
+    devices by LPT) and keeps whichever is faster — the intra-block
+    partition the paper leaves as future work.
     """
 
     def __init__(
@@ -472,27 +398,18 @@ class SegmentCostTable:
         network: NetworkModel,
         options: CostOptions = DEFAULT_OPTIONS,
         allow_branch: bool = False,
-        segments: Optional[SegmentTable] = None,
     ) -> None:
         self.model = model
         self.device = device
         self.network = network
         self.options = options
         self.allow_branch = allow_branch
-        self.segments = (
-            segments if segments is not None else get_segment_table(model, options)
-        )
         self._cache: "Dict[Tuple[int, int, int], Tuple[float, bool]]" = {}
-        self._rows_cache: "Dict[Tuple[int, int], List[Interval]]" = {}
-        self._min_upto: "Dict[Tuple[int, int], List[float]]" = {}
 
-    def _equal_rows(self, h: int, p: int) -> "List[Interval]":
-        key = (h, p)
-        rows = self._rows_cache.get(key)
-        if rows is None:
-            rows = equal_partition(h, p)
-            self._rows_cache[key] = rows
-        return rows
+    def strip_cost(self, start: int, end: int, p: int, with_head: bool) -> float:
+        """Eq. 9 cost of units ``[start, end)`` on ``p`` copies of the
+        device with an equal strip partition (§IV-A1)."""
+        raise NotImplementedError
 
     def best(self, start: int, end: int, p: int) -> "Tuple[float, bool]":
         """(cost, is_branch) of the cheapest layout for this stage."""
@@ -500,15 +417,8 @@ class SegmentCostTable:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        _, h, _ = self.segments.out_shape(end)
         with_head = end == self.model.n_units
-        strip_cost = self.segments.stage_total(
-            start,
-            end,
-            [(self.device, rows) for rows in self._equal_rows(h, p)],
-            self.network,
-            with_head,
-        )
+        strip_cost = self.strip_cost(start, end, p, with_head)
         result = (strip_cost, False)
         if (
             self.allow_branch
@@ -536,6 +446,46 @@ class SegmentCostTable:
 
     def is_branch(self, start: int, end: int, p: int) -> bool:
         return self.best(start, end, p)[1]
+
+
+class SegmentCostTable(StageTimeMemo):
+    """``Ts(start, end, p)`` backed by a :class:`SegmentTable`.
+
+    The production ``Ts``: bit-identical to the scalar reference
+    :class:`repro.core.dp_planner.StageTimeTable`, but each cache miss
+    costs O(p) table lookups instead of an O(units × layers) Python
+    recursion.  Adds :meth:`min_cost_upto`, the monotone bound the
+    pruned DP uses to skip dominated split points.
+    """
+
+    def __init__(
+        self,
+        model: Model,
+        device: Device,
+        network: NetworkModel,
+        options: CostOptions = DEFAULT_OPTIONS,
+        allow_branch: bool = False,
+        segments: Optional[SegmentTable] = None,
+    ) -> None:
+        super().__init__(model, device, network, options, allow_branch)
+        self.segments = (
+            segments if segments is not None else get_segment_table(model, options)
+        )
+        self._rows_cache: "Dict[Tuple[int, int], List[Interval]]" = {}
+        self._min_upto: "Dict[Tuple[int, int], List[float]]" = {}
+
+    def strip_cost(self, start: int, end: int, p: int, with_head: bool) -> float:
+        _, h, _ = self.segments.out_shape(end)
+        rows = self._rows_cache.get((h, p))
+        if rows is None:
+            rows = self._rows_cache[(h, p)] = equal_partition(h, p)
+        return self.segments.stage_total(
+            start,
+            end,
+            [(self.device, strip) for strip in rows],
+            self.network,
+            with_head,
+        )
 
     def min_cost_upto(self, start: int, end: int, p_max: int) -> float:
         """``min over 1 <= p' <= p_max of Ts(start, end, p')`` — the

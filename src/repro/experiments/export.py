@@ -105,7 +105,6 @@ def _table2_rows(result) -> "List[Dict[str, Any]]":
             "n_layers": r.n_layers,
             "n_devices": r.n_devices,
             "pico_seconds": r.pico_seconds,
-            "pico_reference_seconds": r.pico_reference_seconds,
             "bfs_seconds": r.bfs_seconds,
             "bfs_completed": r.bfs_completed,
             "period_gap": r.period_gap,

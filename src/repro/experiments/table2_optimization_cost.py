@@ -16,12 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.device import heterogeneous_cluster
 from repro.core.bfs import bfs_optimal
-from repro.core.dp_planner import plan_homogeneous, plan_homogeneous_reference
+from repro.core.dp_planner import plan_homogeneous
 from repro.core.heterogeneous import adapt_to_cluster
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.tables import SegmentCostTable, get_segment_table
+from repro.cost.tables import get_segment_table
 from repro.experiments.common import paper_network
 from repro.models.toy import toy_chain
 
@@ -41,7 +41,6 @@ class CostRow:
     bfs_seconds: float
     bfs_completed: bool  # False == the paper's "> budget" cells
     period_gap: float  # (pico_period - bfs_period) / bfs_period
-    pico_reference_seconds: float = 0.0  # scalar-cost-model baseline planner
 
     def format(self) -> str:
         bfs = (
@@ -51,8 +50,7 @@ class CostRow:
         )
         return (
             f"({self.n_layers:2d}, {self.n_devices}): "
-            f"PICO {self.pico_seconds:6.3f}s "
-            f"(ref {self.pico_reference_seconds:6.3f}s)   BFS {bfs}   "
+            f"PICO {self.pico_seconds:6.3f}s   BFS {bfs}   "
             f"period gap {self.period_gap:+.1%}"
         )
 
@@ -83,32 +81,19 @@ def run(
             [600.0 + 75.0 * i for i in range(n_devices)]
         )
 
-        # One shared segment table per cell serves both the PICO DP
-        # (through a SegmentCostTable view) and the BFS baseline.
-        segments = get_segment_table(model, options)
-        homo_device = cluster.homogenized().devices[0]
-        table = SegmentCostTable(
-            model, homo_device, network, options, segments=segments
-        )
+        # The registry's one segment table per cell serves both the
+        # PICO DP and the BFS baseline; built outside either clock.
+        get_segment_table(model, options)
 
         started = time.perf_counter()
-        homo = plan_homogeneous(
-            model, cluster, network, options, table=table
-        )
+        homo = plan_homogeneous(model, cluster, network, options)
         assert homo is not None
         plan = adapt_to_cluster(model, homo, cluster, options)
         pico_seconds = time.perf_counter() - started
         pico_period = plan_cost(model, plan, network, options).period
 
-        started = time.perf_counter()
-        ref = plan_homogeneous_reference(model, cluster, network, options)
-        assert ref is not None
-        adapt_to_cluster(model, ref, cluster, options)
-        pico_reference_seconds = time.perf_counter() - started
-
         bfs = bfs_optimal(
-            model, cluster, network, options, deadline_s=bfs_budget_s,
-            table=segments,
+            model, cluster, network, options, deadline_s=bfs_budget_s
         )
         gap = 0.0
         if bfs.plan is not None and bfs.period > 0:
@@ -121,7 +106,6 @@ def run(
                 bfs.elapsed_s,
                 bfs.optimal,
                 gap,
-                pico_reference_seconds,
             )
         )
     return Table2Result(tuple(rows))

@@ -23,10 +23,12 @@ from repro.partition.regions import (
     receptive_region,
 )
 from repro.partition.strips import (
+    check_tiling,
     equal_partition,
     proportional_partition,
     strip_regions,
     weighted_partition,
+    weighted_strips,
 )
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "Region",
     "chain_backprop",
     "chain_forward_hw",
+    "check_tiling",
     "equal_partition",
     "grid_partition",
     "grid_shape_for",
@@ -54,4 +57,5 @@ __all__ = [
     "unit_owned_input",
     "weighted_grid_partition",
     "weighted_partition",
+    "weighted_strips",
 ]

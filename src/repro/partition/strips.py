@@ -7,15 +7,17 @@ a capacity-weighted *divide-and-conquer* split (Algorithm 2, line 10).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.partition.regions import Interval, Region
 
 __all__ = [
+    "check_tiling",
     "equal_partition",
     "weighted_partition",
     "proportional_partition",
     "strip_regions",
+    "weighted_strips",
 ]
 
 
@@ -107,3 +109,24 @@ def strip_regions(height: int, width: int, rows: "Sequence[Interval]") -> "List[
     if any(iv.end > height for iv in rows):
         raise ValueError("row interval exceeds map height")
     return [Region(iv, Interval(0, width)) for iv in rows]
+
+
+def weighted_strips(height: int, width: int, devices: "Sequence") -> "Tuple":
+    """The capacity-weighted strip realization of a stage: one
+    ``(device, full-width Region)`` pair per device, in the given order,
+    rows split by :func:`weighted_partition` over the devices'
+    ``capacity`` (surplus devices get empty regions).  Every planner
+    that materialises a heterogeneous strip stage goes through here."""
+    rows = weighted_partition(height, [d.capacity for d in devices])
+    return tuple(zip(devices, strip_regions(height, width, rows)))
+
+
+def check_tiling(intervals: "Sequence[Tuple[int, int]]", length: int) -> None:
+    """Raise ``ValueError`` unless the non-empty half-open ``(lo, hi)``
+    intervals tile ``[0, length)`` exactly — no gap, overlap or overrun.
+    The one validity check of a channel-parallel (IOP) stage's slices,
+    shared by the cost model and the stage compiler."""
+    covered = sorted((lo, hi) for lo, hi in intervals if hi > lo)
+    edges = [0] + [hi for _, hi in covered]
+    if [lo for lo, _ in covered] != edges[:-1] or edges[-1] != length:
+        raise ValueError(f"intervals {covered} must tile [0, {length}) exactly")

@@ -49,11 +49,7 @@ import numpy as np
 from repro.core.plan import PipelinePlan
 from repro.models.graph import Model
 from repro.nn.executor import Engine
-from repro.nn.tiles import compile_block_paths_cached, compile_segment_cached
 from repro.nn.weights import Weights, init_weights
-from repro.partition.branches import concat_channel_blocks
-from repro.partition.regions import Region
-from repro.partition.strips import weighted_partition
 from repro.runtime.core import StageTrace, TaskTiming, Transport
 from repro.runtime.faults import (
     DEFAULT_RUNTIME_CONFIG,
@@ -73,8 +69,10 @@ from repro.runtime.messages import (
 )
 from repro.runtime.program import (
     PlanProgram,
+    StageProgram,
     TaskSpec,
     compile_plan,
+    repartition_stage,
     task_weight_names,
 )
 from repro.runtime.scheduler import StageScheduler
@@ -446,81 +444,30 @@ class TcpTransport(Transport):
 
     # ------------------------------------------------------------------
     def repartition(self, stage_index: int) -> None:
-        """Redistribute the stage partition over surviving workers."""
+        """Redistribute the stage partition over surviving workers:
+        :func:`repartition_stage`'s ``"rebalance"`` policy, then one
+        ``Reconfigure`` per worker that still has work."""
         survivors = self.alive_handles(stage_index)
         if not survivors:
             raise StageFailure(f"stage {stage_index}: no workers left")
         self._epochs[stage_index] += 1
         stage = self._program.stages[stage_index]
-        if stage.branch:
-            from repro.partition.branches import assign_paths_lpt, path_flops
-
-            weights = path_flops(self.model, stage.start)
-            groups = assign_paths_lpt(
-                weights, [h.task.capacity for h in survivors]
-            )
-            for handle, group in zip(survivors, groups):
-                if not group:
-                    handle.alive = False  # healthy, just out of work
-                    continue
-                program = compile_block_paths_cached(
-                    self.model, stage.start, tuple(sorted(group))
-                )
-                handle.task = TaskSpec(
-                    handle.task.device_name,
-                    handle.task.capacity,
-                    program,
-                    None,
-                    tuple(concat_channel_blocks(self.model, stage.start, group)),
-                    tuple(sorted(group)),
-                )
-                handle.channel.send(Reconfigure(program))
-            with self.stats_lock:
-                self.stats.recoveries += 1
-            return
-        if stage.channel:
-            from repro.nn.tiles import compile_channel_slice_cached
-
-            c_out = stage.out_shape[0]
-            slices = weighted_partition(
-                c_out, [hd.task.capacity for hd in survivors]
-            )
-            for handle, iv in zip(survivors, slices):
-                if iv.end <= iv.start:
-                    handle.alive = False  # nothing left for it to do
-                    continue
-                program = compile_channel_slice_cached(
-                    self.model, stage.start, iv.start, iv.end
-                )
-                handle.task = TaskSpec(
-                    handle.task.device_name,
-                    handle.task.capacity,
-                    program,
-                    None,
-                    ((0, iv.end - iv.start, iv.start, iv.end),),
-                )
-                handle.channel.send(Reconfigure(program))
-            with self.stats_lock:
-                self.stats.recoveries += 1
-            return
-        _, h, w = stage.out_shape
-        rows = weighted_partition(h, [hd.task.capacity for hd in survivors])
-        for handle, iv in zip(survivors, rows):
-            region = Region.from_bounds(iv.start, iv.end, 0, w)
-            if region.empty:
-                handle.alive = False  # nothing left for it to do
+        alive = StageProgram(
+            stage.index,
+            stage.start,
+            stage.end,
+            stage.out_shape,
+            tuple(h.task for h in survivors),
+        )
+        rebalanced = repartition_stage(self.model, alive, (), policy="rebalance")
+        tasks = {task.device_name: task for task in rebalanced.tasks}
+        for handle in survivors:
+            task = tasks.get(handle.task.device_name)
+            if task is None:
+                handle.alive = False  # healthy, just out of work
                 continue
-            program = compile_segment_cached(
-                self.model, stage.start, stage.end, region
-            )
-            handle.task = TaskSpec(
-                handle.task.device_name,
-                handle.task.capacity,
-                program,
-                region,
-                None,
-            )
-            handle.channel.send(Reconfigure(program))
+            handle.task = task
+            handle.channel.send(Reconfigure(task.program))
         with self.stats_lock:
             self.stats.recoveries += 1
 

@@ -29,6 +29,7 @@ from repro.nn.tiles import (
 )
 from repro.partition.branches import concat_channel_blocks
 from repro.partition.regions import Region
+from repro.partition.strips import check_tiling, weighted_partition, weighted_strips
 
 __all__ = [
     "TaskSpec",
@@ -138,21 +139,7 @@ def compile_stage(model: Model, stage: StagePlan, index: int) -> StageProgram:
                 TaskSpec(device.name, device.capacity, program, None, blocks, group)
             )
     elif stage.channel_groups is not None:
-        c_out = out_shape[0]
-        covered = sorted(
-            (lo, hi) for lo, hi in stage.channel_groups if hi > lo
-        )
-        cursor = 0
-        for lo, hi in covered:
-            if lo != cursor:
-                raise ValueError(
-                    f"channel groups {covered} must tile [0, {c_out}) exactly"
-                )
-            cursor = hi
-        if cursor != c_out:
-            raise ValueError(
-                f"channel groups {covered} must tile [0, {c_out}) exactly"
-            )
+        check_tiling(stage.channel_groups, out_shape[0])
         for (device, _), (lo, hi) in zip(stage.assignments, stage.channel_groups):
             if hi <= lo:
                 continue  # idle device in a channel stage
@@ -267,7 +254,6 @@ def repartition_stage(
     # One surviving device may carry several migrated tasks; rebalance
     # collapses it back to one capacity share.
     from repro.cluster.device import Device
-    from repro.core.plan import StagePlan
 
     capacities: "dict" = {}
     for t in survivors:
@@ -286,8 +272,6 @@ def repartition_stage(
             path_groups=tuple(tuple(sorted(g)) for g in groups),
         )
     elif stage.channel:
-        from repro.partition.strips import weighted_partition
-
         c_out, h, w = stage.out_shape
         slices = weighted_partition(c_out, [d.capacity for d in devices])
         plan_stage = StagePlan(
@@ -297,17 +281,9 @@ def repartition_stage(
             channel_groups=tuple((iv.start, iv.end) for iv in slices),
         )
     else:
-        from repro.partition.strips import weighted_partition
-
         _, h, w = stage.out_shape
-        rows = weighted_partition(h, [d.capacity for d in devices])
         plan_stage = StagePlan(
-            stage.start,
-            stage.end,
-            tuple(
-                (d, Region.from_bounds(iv.start, iv.end, 0, w))
-                for d, iv in zip(devices, rows)
-            ),
+            stage.start, stage.end, weighted_strips(h, w, devices)
         )
     return compile_stage(model, plan_stage, stage.index)
 

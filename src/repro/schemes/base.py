@@ -19,7 +19,7 @@ from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.models.graph import Model
 from repro.partition.regions import Region
-from repro.partition.strips import weighted_partition
+from repro.partition.strips import weighted_strips
 
 __all__ = ["Scheme", "PlanningError", "weighted_assignments"]
 
@@ -35,7 +35,9 @@ def weighted_assignments(
     allow_idle: bool = False,
 ) -> "Tuple[Tuple[Device, Region], ...]":
     """Capacity-weighted strip assignments over the output map of unit
-    ``end_unit - 1`` (the adaptive partition of MeDNN/AOFL baselines).
+    ``end_unit - 1`` (the adaptive partition of MeDNN/AOFL baselines):
+    :func:`~repro.partition.strips.weighted_strips` behind a scheme-level
+    guard.
 
     With more devices than output rows the surplus devices get nothing:
     by default that is a :class:`PlanningError` (a silent zip would
@@ -50,11 +52,7 @@ def weighted_assignments(
             f"{len(devices)} devices (pass allow_idle=True to idle the "
             "surplus)"
         )
-    rows = weighted_partition(h, [d.capacity for d in devices])
-    return tuple(
-        (device, Region.from_bounds(iv.start, iv.end, 0, w))
-        for device, iv in zip(devices, rows)
-    )
+    return weighted_strips(h, w, devices)
 
 
 class Scheme(ABC):

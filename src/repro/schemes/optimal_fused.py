@@ -8,6 +8,11 @@ groups prefer fewer devices), with running on one device as the ``k=1``
 degenerate case; the per-group choices chain to minimise total
 single-task time.  Still a one-stage scheme: one task occupies the
 whole cluster.
+
+Group costs are Eq. 9 queries against the shared vectorized
+:class:`~repro.cost.tables.SegmentTable` — the table PICO's DP uses —
+so a re-plan on churn costs milliseconds, not a scalar re-walk of every
+(group, width) pair.
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ from repro.cluster.device import Cluster
 from repro.core.plan import PipelinePlan, StagePlan
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.stage_cost import stage_time
+from repro.cost.tables import get_segment_table
 from repro.models.graph import Model
-from repro.partition.regions import Region
-from repro.partition.strips import weighted_partition
+from repro.partition.strips import weighted_strips
 from repro.schemes.base import Scheme
 
 __all__ = ["OptimalFusedScheme"]
@@ -53,34 +57,27 @@ class OptimalFusedScheme(Scheme):
     ) -> PipelinePlan:
         n = model.n_units
         ranked = cluster.sorted_by_capacity()
+        table = get_segment_table(model, options)
         choice: "dict[Tuple[int, int], _GroupChoice]" = {}
 
         def assignments_for(end: int, k: int):
-            devices = ranked[:k]
             _, h, w = model.out_shape(end - 1)
-            rows = weighted_partition(h, [d.capacity for d in devices])
-            return tuple(
-                (device, Region.from_bounds(iv.start, iv.end, 0, w))
-                for device, iv in zip(devices, rows)
-            )
+            return weighted_strips(h, w, ranked[:k])
 
         def group_cost(start: int, end: int) -> _GroupChoice:
             key = (start, end)
             cached = choice.get(key)
             if cached is not None:
                 return cached
-            with_head = end == n
             result: Optional[_GroupChoice] = None
             for k in range(1, len(ranked) + 1):
-                cost = stage_time(
-                    model,
+                cost = table.stage_total(
                     start,
                     end,
-                    assignments_for(end, k),
+                    [(d, region.rows) for d, region in assignments_for(end, k)],
                     network,
-                    options,
-                    with_head=with_head,
-                ).total
+                    with_head=end == n,
+                )
                 if result is None or cost < result.cost:
                     result = _GroupChoice(cost, k)
             assert result is not None

@@ -19,7 +19,6 @@ from repro.core.pareto import plan_pareto
 from repro.core.plan import PipelinePlan
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.tables import get_cost_table
 from repro.models.graph import Model
 from repro.schemes.base import PlanningError, Scheme
 
@@ -62,26 +61,18 @@ class PicoScheme(Scheme):
             raise ValueError(
                 "branch_parallel is not implemented for the Pareto planner"
             )
-        # One shared vectorized cost table per (model, homogenised
-        # device, network, options): repeated plan() calls — adaptive
-        # re-planning, t_lim sweeps — reuse every memoised Ts entry.
-        table = get_cost_table(
-            model,
-            cluster.homogenized().devices[0],
-            network,
-            options,
-            allow_branch=self.branch_parallel,
-        )
+        # Both planners draw ``Ts`` from the registry's one vectorized
+        # cost table per (model, homogenised device, network, options),
+        # so repeated plan() calls — adaptive re-planning, t_lim sweeps
+        # — reuse every memoised entry.
         if self.branch_parallel:
             homo = plan_homogeneous(
                 model, cluster, network, options, t_lim=self.t_lim,
-                allow_branch=True, table=table,
+                allow_branch=True,
             )
         else:
             planner = plan_pareto if self.use_pareto else plan_homogeneous
-            homo = planner(
-                model, cluster, network, options, t_lim=self.t_lim, table=table
-            )
+            homo = planner(model, cluster, network, options, t_lim=self.t_lim)
         if homo is None:
             raise PlanningError(
                 f"no pipeline satisfies latency limit {self.t_lim:.4f}s "

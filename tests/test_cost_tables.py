@@ -212,17 +212,22 @@ class TestBfsTable:
         assert with_table.latency == without.latency
 
 
+def overpadded_model():
+    """padding >= kernel lets a strip's intermediate interval clip to
+    empty — the one case the closed form cannot express."""
+    layers = [
+        conv3x3("c1", 1, 8),
+        ConvSpec("overpad", 8, 8, kernel_size=1, stride=1, padding=1),
+        conv3x3("c2", 8, 8),
+    ]
+    return chain_model("overpadded", (1, 16, 16), layers)
+
+
 class TestScalarFallback:
     def test_overpadded_layer_falls_back_to_oracle(self):
-        """padding >= kernel lets a strip's intermediate interval clip
-        to empty — the one case the closed form cannot express.  The
-        table must flag it and still answer through the oracle."""
-        layers = [
-            conv3x3("c1", 1, 8),
-            ConvSpec("overpad", 8, 8, kernel_size=1, stride=1, padding=1),
-            conv3x3("c2", 8, 8),
-        ]
-        model = chain_model("overpadded", (1, 16, 16), layers)
+        """The table must flag the over-padded segments and still answer
+        them through the oracle."""
+        model = overpadded_model()
         table = SegmentTable(model, OPTIONS)
         n = model.n_units
         # Segments *ending at* the over-padded layer see its clipped
@@ -247,6 +252,47 @@ class TestScalarFallback:
             ref.period,
             ref.latency,
         )
+
+    def test_searches_ride_the_tables_own_fallback(self, monkeypatch):
+        """``bfs_optimal``, ``plan_exact`` and OFL have no scalar fork
+        of their own: they ask ``stage_total`` for every segment, and on
+        the non-exact ones its oracle fallback must give them exactly
+        what an all-scalar search finds."""
+        import repro.core.exact as exact
+        import repro.schemes.optimal_fused as ofl
+
+        model = overpadded_model()
+        cluster = heterogeneous_cluster([600.0, 800.0, 1000.0])
+        fell_back = set()
+
+        class Counting(SegmentTable):
+            def _oracle_total(self, start, end, *args):
+                fell_back.add((start, end))
+                return super()._oracle_total(start, end, *args)
+
+        class NeverExact(SegmentTable):
+            def exact(self, start, end):
+                return False
+
+        mixed, scalar = Counting(model, OPTIONS), NeverExact(model, OPTIONS)
+        results = {}
+        for name, table in (("mixed", mixed), ("scalar", scalar)):
+            for module in (exact, ofl):
+                monkeypatch.setattr(
+                    module, "get_segment_table", lambda m, o, t=table: t
+                )
+            bfs = bfs_optimal(model, cluster, NET, OPTIONS, table=table)
+            assert bfs.optimal
+            results[name] = (
+                bfs.plan,
+                bfs.period,
+                bfs.latency,
+                exact.plan_exact(model, cluster, NET, OPTIONS),
+                ofl.OptimalFusedScheme().plan(model, cluster, NET, OPTIONS),
+            )
+            if name == "mixed":
+                assert fell_back == {(0, 2), (1, 2)}
+        assert results["mixed"] == results["scalar"]
 
 
 class TestRegistry:

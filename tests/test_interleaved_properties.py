@@ -7,8 +7,8 @@ Three families, per the scheme's contracts:
 * de-interleaving channel slices is the exact inverse of interleaving —
   both on raw arrays and through the compiled runtime's
   ``split_stage``/``stitch_stage`` path, single-frame and batched;
-* the vectorized channel cost tables agree **bit-for-bit** with the
-  scalar oracle (``channel_slice_flops`` / ``channel_stage_time``).
+* one tiling check (``partition.strips.check_tiling``) guards both the
+  channel cost (``channel_stage_time``) and the stage compiler.
 """
 
 from __future__ import annotations
@@ -19,12 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.device import Device, heterogeneous_cluster
+from repro.core.plan import StagePlan
 from repro.cost.comm import NetworkModel
-from repro.cost.flops import DEFAULT_OPTIONS
 from repro.cost.stage_cost import channel_slice_flops, channel_stage_time
-from repro.cost.tables import get_segment_table
 from repro.models.toy import toy_chain
-from repro.runtime.program import compile_plan, split_stage, stitch_stage
+from repro.partition.regions import Region
+from repro.partition.strips import check_tiling
+from repro.runtime.program import (
+    compile_plan,
+    compile_stage,
+    split_stage,
+    stitch_stage,
+)
 from repro.schemes import get_scheme
 from repro.schemes.interleaved import channel_partition
 
@@ -134,64 +140,40 @@ def test_property_compiled_stitch_inverts_interleave(toy_model, seed):
 
 
 # ---------------------------------------------------------------------------
-# Cost tables == scalar oracle, bit-for-bit
+# One tiling check, shared by the cost model and the stage compiler
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    unit_index=st.integers(min_value=0, max_value=4),
-    caps=st.lists(
-        st.floats(min_value=100.0, max_value=2000.0, allow_nan=False),
-        min_size=1,
-        max_size=5,
-    ),
-)
-def test_property_channel_cost_table_matches_oracle(toy_model, unit_index, caps):
-    """`SegmentTable.channel_flops` / ``channel_stage_total`` reproduce
-    the scalar ``channel_slice_flops`` / ``channel_stage_time`` exactly
-    (same integers, same float operation order)."""
-    devices = tuple(
-        Device(f"d{i}", cap) for i, cap in enumerate(caps)
-    )
-    c_out = toy_model.out_shape(unit_index)[0]
-    groups = channel_partition(c_out, tuple(d.capacity for d in devices))
-    assignments = tuple(zip(devices, groups))
-    table = get_segment_table(toy_model)
-    for lo, hi in groups:
-        assert float(table.channel_flops(unit_index, lo, hi)) == (
-            channel_slice_flops(toy_model, unit_index, lo, hi, DEFAULT_OPTIONS)
-        )
-    for with_head in (False, True):
-        scalar = channel_stage_time(
-            toy_model, unit_index, assignments, NETWORK,
-            DEFAULT_OPTIONS, with_head=with_head,
-        ).total
-        vectorized = table.channel_stage_total(
-            unit_index, assignments, NETWORK, with_head=with_head
-        )
-        assert scalar == vectorized, (
-            f"unit {unit_index} caps {caps} with_head={with_head}: "
-            f"{scalar!r} != {vectorized!r}"
-        )
-
-
 def test_channel_cost_rejects_non_tiling_intervals(toy_model):
-    """Both the scalar and the vectorized cost refuse a channel layout
-    that leaves a gap, overlaps, or overruns c_out."""
+    """The shared check — and through it the cost model and the stage
+    compiler — refuses a channel layout that leaves a gap, overlaps, or
+    overruns c_out."""
     device = Device("d0", 1000.0)
     c_out = toy_model.out_shape(0)[0]
-    table = get_segment_table(toy_model)
+    _, oh, ow = toy_model.out_shape(0)
+    full = Region.full(oh, ow)
     for bad in (
-        ((device, (1, c_out)),),          # gap at the front
-        ((device, (0, c_out - 1)),),      # short of c_out
-        ((device, (0, c_out + 1)),),      # overruns c_out
-        ((device, (0, 2)), (device, (1, c_out))),  # overlap
+        ((1, c_out),),          # gap at the front
+        ((0, c_out - 1),),      # short of c_out
+        ((0, c_out + 1),),      # overruns c_out
+        ((0, 2), (1, c_out)),   # overlap
     ):
         with pytest.raises(ValueError):
-            channel_stage_time(toy_model, 0, bad, NETWORK)
+            check_tiling(bad, c_out)
         with pytest.raises(ValueError):
-            table.channel_stage_total(0, bad, NETWORK)
+            channel_stage_time(
+                toy_model, 0, tuple((device, iv) for iv in bad), NETWORK
+            )
+        with pytest.raises(ValueError):
+            # (StagePlan itself already refuses the overlapping layout.)
+            compile_stage(
+                toy_model,
+                StagePlan(
+                    0, 1, tuple((device, full) for _ in bad), channel_groups=bad
+                ),
+                0,
+            )
+    check_tiling(((0, 3), (5, 5), (3, c_out)), c_out)  # idle slices are fine
 
 
 def test_channel_cost_rejects_block_units():
@@ -208,6 +190,6 @@ def test_channel_cost_rejects_block_units():
     with pytest.raises(ValueError):
         channel_slice_flops(model, block_index, 0, c_out)
     with pytest.raises(ValueError):
-        get_segment_table(model).channel_stage_total(
-            block_index, ((device, (0, c_out)),), NETWORK
+        channel_stage_time(
+            model, block_index, ((device, (0, c_out)),), NETWORK
         )

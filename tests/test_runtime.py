@@ -18,6 +18,7 @@ from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 from repro.runtime.coordinator import DistributedPipeline, StageFailure
 from repro.schemes.early_fused import EarlyFusedScheme
+from repro.schemes.interleaved import InterleavedScheme
 from repro.schemes.pico import PicoScheme
 
 
@@ -115,6 +116,26 @@ class TestFailureRecovery:
         # Kill a stage-0 worker that is NOT reused by the serial tail.
         victim = plan.stages[0].assignments[1][0].name
         xs = make_inputs(model, 4)
+        refs = reference_outputs(model, weights, xs)
+        with DistributedPipeline(
+            model, plan, weights=weights, recover=True, fail_after={victim: 1}
+        ) as pipe:
+            outs, stats = pipe.run_batch(xs)
+        for out, ref in zip(outs, refs):
+            np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
+        assert stats.recoveries >= 1
+
+    def test_channel_worker_death_recovers_with_correct_output(
+        self, model, weights
+    ):
+        """IOP stages: the survivors' channel slices are re-split by
+        ``repartition_stage`` (the same path strip and branch stages
+        take) and the de-interleave still reassembles the right map."""
+        cluster = heterogeneous_cluster([1200, 1000, 800, 600])
+        plan = InterleavedScheme().plan(model, cluster, NET)
+        assert any(s.channel_groups is not None for s in plan.stages)
+        victim = cluster.devices[1].name
+        xs = make_inputs(model, 3)
         refs = reference_outputs(model, weights, xs)
         with DistributedPipeline(
             model, plan, weights=weights, recover=True, fail_after={victim: 1}
