@@ -74,12 +74,18 @@ lint-forks:
 	test "$$(grep -rnI "local_fallback_plan(" src/repro --exclude-dir=schemes | wc -l)" = 1
 # One Eq. 9: every planner's search asks SegmentTable.stage_total, so the
 # scalar stage_time( is called only inside the cost package and by
-# plan_cost; the table's channel mirror and bfs_optimal's cost-cache
-# parameter stay deleted; and the weighted-strip realization is spelled
+# plan_cost; the table's channel mirror and the exhaustive search's
+# cost-cache parameter stay deleted; and the weighted-strip realization is spelled
 # once, in partition/strips.py (weighted_strips).
 	! grep -rnIE "(^|[^_A-Za-z])stage_time\(" src/repro --exclude-dir=cost | grep -v "^src/repro/core/plan.py:"
 	! grep -rnIE "channel_stage_total|stage_cache" src/ tests/ benchmarks/ examples/ docs/ README.md
 	! grep -rnIE "Region\.from_bounds\(iv\.start|Region\(iv, *Interval\(0" src/repro/core src/repro/schemes
+# One exhaustive planner: core/exact.py::plan_exact is the paper's BFS
+# baseline and the optimality-gap oracle alike; the second search, its
+# result type and the device-count ceiling stay deleted.
+	test ! -e src/repro/core/bfs.py
+	! grep -rnIE "core\.bfs|bfs_optimal\(|BFSResult|MAX_EXACT_DEVICES" src/ tests/ benchmarks/ examples/ docs/ README.md
+	test "$$(grep -rnI "def dfs" src/repro/core | wc -l)" = 1
 
 # Every committed BENCH file that can re-derive itself does, plus the
 # fork lint: the one line CI calls.  serve/batch/fleet join when they

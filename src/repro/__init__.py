@@ -35,7 +35,6 @@ from repro.core import (
     PipelinePlan,
     PlanCost,
     StagePlan,
-    bfs_optimal,
     dump_plan,
     load_plan,
     plan_cost,
@@ -126,7 +125,6 @@ __all__ = [
     "Tracer",
     "available_arrivals",
     "available_schemes",
-    "bfs_optimal",
     "build_apico_switcher",
     "churn_replanner",
     "compile_plan",

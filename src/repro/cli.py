@@ -49,12 +49,22 @@ def _cluster_from_args(args: argparse.Namespace) -> Cluster:
     return pi_cluster(args.devices, args.freq)
 
 
+def _setup_from_args(args: argparse.Namespace):
+    """``(model, cluster, network)`` of one invocation: the zoo model
+    (at ``--hw`` when the command has that flag and it is set), the
+    cluster flags, the flat WLAN."""
+    hw = getattr(args, "hw", 0)
+    model = get_model(args.model, input_hw=hw) if hw else get_model(args.model)
+    return model, _cluster_from_args(args), NetworkModel.from_mbps(args.mbps)
+
+
 def _add_planner_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--planner", choices=["greedy", "exact"], default="greedy",
         help="pipeline planner: greedy = Algorithm 1+2 (default), exact "
-             "= branch-and-bound heterogeneous search (pico scheme, "
-             "small clusters only)",
+             "= branch-and-bound heterogeneous search (pico scheme; "
+             "up to 255 device allocations per stage, e.g. eight "
+             "distinct devices or the 8-Pi testbed mixes)",
     )
 
 
@@ -84,6 +94,24 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mbps", type=float, default=50.0, help="WLAN bandwidth")
 
 
+def _add_scheme_arg(
+    parser: argparse.ArgumentParser, what: str = "scheme name from the registry"
+) -> None:
+    parser.add_argument("--scheme", type=str, default="pico",
+                        help=what + " (pico, lw, efl, ofl, iop)")
+
+
+def _add_hw_arg(
+    parser: argparse.ArgumentParser,
+    help: str = "override input resolution (0 = model default)",
+) -> None:
+    parser.add_argument("--hw", type=int, default=0, help=help)
+
+
+def _add_seed_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="PICO pipelined edge inference (ICDCS'21)"
@@ -98,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="plan a pipeline")
     p.add_argument("model")
     _add_cluster_args(p)
-    p.add_argument("--scheme", type=str, default="pico",
-                   help="scheme name from the registry "
-                        "(pico, lw, efl, ofl, iop)")
+    _add_scheme_arg(p)
     p.add_argument("--t-lim", type=float, default=0.0,
                    help="pipeline latency bound in seconds (0 = none, "
                         "pico only)")
@@ -118,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", type=float, default=1.0,
                    help="arrival rate as a fraction of EFL capacity")
     p.add_argument("--horizon", type=float, default=600.0, help="seconds")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
 
     p = sub.add_parser(
         "sim",
@@ -127,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model")
     _add_cluster_args(p)
-    p.add_argument("--scheme", type=str, default="pico",
-                   help="scheme name from the registry "
-                        "(pico, lw, efl, ofl, iop)")
+    _add_scheme_arg(p)
     _add_planner_arg(p)
     p.add_argument(
         "--topology", choices=["one-link", "star", "mesh", "fat-tree"],
@@ -169,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--capacity", type=int, default=0,
                    help="admission queue bound (0 = unbounded)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
     p.add_argument("--stats", action="store_true",
                    help="constant-memory counters instead of per-task "
                         "records (the million-request mode)")
@@ -192,12 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="transport backend (both = inproc+sim, all = inproc+sim+shm; "
         "multi-backend runs diff canonical traces)",
     )
-    p.add_argument("--hw", type=int, default=0,
-                   help="override input resolution (0 = model default)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", type=str, default="pico",
-                   help="scheme name from the registry "
-                        "(pico, lw, efl, ofl, iop)")
+    _add_hw_arg(p)
+    _add_seed_arg(p)
+    _add_scheme_arg(p)
     p.add_argument(
         "--crash", action="append", default=[], metavar="DEVICE:FRAME",
         help="inject a crash: kill DEVICE from frame FRAME on "
@@ -209,12 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model")
     _add_cluster_args(p)
-    p.add_argument("--scheme", type=str, default="pico",
-                   help="scheme name from the registry "
-                        "(pico, lw, efl, ofl, iop)")
+    _add_scheme_arg(p)
     _add_planner_arg(p)
-    p.add_argument("--hw", type=int, default=0,
-                   help="override input resolution (0 = model default)")
+    _add_hw_arg(p)
     p.add_argument(
         "--backend", choices=["sim", "inproc"], default="sim",
         help="sim = virtual clock (default), inproc = real threaded run",
@@ -237,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-timeout", type=float, default=0.0,
                    help="seconds a forming batch holds the entrance open "
                         "for stragglers (0 = take only what is queued)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
     p.add_argument("--adaptive", action="store_true",
                    help="APICO switching fed by the measured queue depth "
                         "(sim backend only)")
@@ -256,23 +274,21 @@ def build_parser() -> argparse.ArgumentParser:
              "Poisson rate in frames/s, latency SLO in seconds, optional "
              "placement priority (higher places first)",
     )
-    p.add_argument("--scheme", type=str, default="pico",
-                   help="scheme used for every tenant's pipeline "
-                        "(pico, lw, efl, ofl, iop)")
+    _add_scheme_arg(p, "scheme used for every tenant's pipeline")
     _add_planner_arg(p)
-    p.add_argument("--hw", type=int, default=0,
-                   help="override input resolution for every model "
-                        "(0 = model defaults)")
+    _add_hw_arg(p, "override input resolution for every model "
+                   "(0 = model defaults)")
     p.add_argument("--frames", type=int, default=32,
                    help="frames per tenant")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(p)
     p.add_argument("--compute", action="store_true",
                    help="run real kernels in the virtual clock "
                         "(default: timing only)")
 
     p = sub.add_parser(
         "gap",
-        help="greedy vs exact planner: the optimality gap on one cell",
+        help="greedy vs exact planner: the optimality gap on one cell "
+             "(any cluster up to 255 device allocations per stage)",
     )
     p.add_argument("model")
     _add_cluster_args(p)
@@ -302,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_models() -> int:
+def _cmd_models(args: argparse.Namespace) -> int:
     for name in available_models():
         print(name)
     return 0
@@ -316,9 +332,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.schemes import get_scheme
 
-    model = get_model(args.model)
-    cluster = _cluster_from_args(args)
-    network = NetworkModel.from_mbps(args.mbps)
+    model, cluster, network = _setup_from_args(args)
     kwargs = {}
     if args.t_lim > 0 and args.scheme.lower() == "pico":
         kwargs["t_lim"] = args.t_lim
@@ -343,9 +357,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    model = get_model(args.model)
-    cluster = _cluster_from_args(args)
-    network = NetworkModel.from_mbps(args.mbps)
+    model, cluster, network = _setup_from_args(args)
     print(
         f"{'scheme':>7s} {'stages':>7s} {'period':>9s} {'latency':>9s} "
         f"{'thpt/min':>9s}"
@@ -363,9 +375,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = get_model(args.model)
-    cluster = _cluster_from_args(args)
-    network = NetworkModel.from_mbps(args.mbps)
+    model, cluster, network = _setup_from_args(args)
     efl_plan = EarlyFusedScheme().plan(model, cluster, network)
     capacity = plan_cost(model, efl_plan, network).throughput
     rate = args.load * capacity
@@ -477,8 +487,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     from repro.runtime.trace import Tracer
     from repro.sim import SimResult, Topology, simulate_scenario
 
-    model = get_model(args.model)
-    cluster = _cluster_from_args(args)
+    model, cluster, _ = _setup_from_args(args)
     names = [d.name for d in cluster]
     latency_s = args.latency_ms / 1e3
     if args.contended and args.topology != "one-link":
@@ -488,14 +497,13 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             NetworkModel.from_mbps(args.mbps, latency_s),
             contended=args.contended,
         )
-    elif args.topology == "star":
-        topology = Topology.star(names, mbps=args.mbps, latency_s=latency_s)
-    elif args.topology == "mesh":
-        topology = Topology.mesh(names, mbps=args.mbps, latency_s=latency_s)
     else:
-        topology = Topology.fat_tree(
-            names, mbps=args.mbps, latency_s=latency_s
-        )
+        build = {
+            "star": Topology.star,
+            "mesh": Topology.mesh,
+            "fat-tree": Topology.fat_tree,
+        }[args.topology]
+        topology = build(names, mbps=args.mbps, latency_s=latency_s)
     network = topology.as_network_model()
 
     scheme = _scheme_from_args(args)
@@ -632,12 +640,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.runtime.trace import Tracer, diff_traces, format_timeline
     from repro.schemes import get_scheme
 
-    model = (
-        get_model(args.model, input_hw=args.hw) if args.hw
-        else get_model(args.model)
-    )
-    cluster = _cluster_from_args(args)
-    network = NetworkModel.from_mbps(args.mbps)
+    model, cluster, network = _setup_from_args(args)
     plan = get_scheme(args.scheme).plan(model, cluster, network)
     engine = Engine(model, seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -707,12 +710,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import PipelineServer, ServerConfig
     from repro.workload.arrivals import poisson_arrivals, poisson_arrivals_count
 
-    model = (
-        get_model(args.model, input_hw=args.hw) if args.hw
-        else get_model(args.model)
-    )
-    cluster = _cluster_from_args(args)
-    network = NetworkModel.from_mbps(args.mbps)
+    model, cluster, network = _setup_from_args(args)
     plan = _scheme_from_args(args).plan(model, cluster, network)
     cost = plan_cost(model, plan, network)
     rate = args.rate if args.rate > 0 else args.load / cost.period
@@ -907,9 +905,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
     from repro.core.exact import plan_exact
 
-    model = get_model(args.model)
-    cluster = _cluster_from_args(args)
-    network = NetworkModel.from_mbps(args.mbps)
+    model, cluster, network = _setup_from_args(args)
     greedy_plan = PicoScheme().plan(model, cluster, network)
     greedy = plan_cost(model, greedy_plan, network)
     bound = args.period_bound if args.period_bound > 0 else math.inf
@@ -939,52 +935,45 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    model = get_model(args.model)
-    cluster = _cluster_from_args(args)
-    network = NetworkModel.from_mbps(args.mbps)
+    model, cluster, network = _setup_from_args(args)
     plan = PicoScheme().plan(model, cluster, network)
     print(render_timeline(model, plan, network, n_tasks=args.tasks))
     return 0
 
 
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.experiments.full_report import FAST, FULL, generate_report
+
+    text = generate_report(FULL if args.full else FAST)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+        print(f"report written to {args.out}")
+    else:
+        print(text)
+    return 0
+
+
+_COMMANDS = {
+    "models": _cmd_models,
+    "describe": _cmd_describe,
+    "plan": _cmd_plan,
+    "compare": _cmd_compare,
+    "simulate": _cmd_simulate,
+    "sim": _cmd_sim,
+    "timeline": _cmd_timeline,
+    "trace": _cmd_trace,
+    "serve": _cmd_serve,
+    "fleet": _cmd_fleet,
+    "gap": _cmd_gap,
+    "experiment": _cmd_experiment,
+    "report": _cmd_report,
+}
+
+
 def main(argv: "Optional[Sequence[str]]" = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "models":
-        return _cmd_models()
-    if args.command == "describe":
-        return _cmd_describe(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "sim":
-        return _cmd_sim(args)
-    if args.command == "timeline":
-        return _cmd_timeline(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "gap":
-        return _cmd_gap(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "report":
-        from repro.experiments.full_report import FAST, FULL, generate_report
-
-        text = generate_report(FULL if args.full else FAST)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-            print(f"report written to {args.out}")
-        else:
-            print(text)
-        return 0
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,18 +4,26 @@ Algorithm 1 + Algorithm 2 is a heuristic pair: the DP is exact only for
 the homogenised cluster (Eq. 12), and the greedy device mapping can lose
 to layouts the averaging step cannot see.  This module searches the
 heterogeneous stage space directly — every way to cut the unit chain
-into contiguous stages *and* every assignment of a device subset to
-each stage — and reports the true minimum period, which bounds the
-greedy pipeline's optimality gap (``repro.bench.exact`` /
-``BENCH_exact.json``).
+into contiguous stages *and* every allocation of disjoint devices to
+each stage — and reports the true minimum period.  It is the only
+exhaustive search in the package: the paper's §V-C "BFS" optimum
+(Fig. 13, Table II) and the greedy optimality gap
+(``repro.bench.exact`` / ``BENCH_exact.json``) are both this function.
 
-The search stays exact yet tractable (≤ :data:`MAX_EXACT_DEVICES`
-devices) through three standard ingredients:
+The search stays exact yet tractable through four ingredients:
 
-* **Canonical stage realization.**  A stage is fully determined by its
-  segment and device *set*: devices are ordered strongest-first (ties
-  keep cluster order) and the output rows are split with
-  :func:`~repro.partition.strips.weighted_partition` — exactly
+* **Capacity-class symmetry.**  A stage's cost depends only on the
+  *multiset* of ``(capacity, alpha)`` it is given, so devices are
+  grouped into classes (strongest first) and a stage choice is a count
+  per class, not a device subset: the paper's 8-Pi testbed with four
+  frequencies has ``3·3·3·3 − 1 = 80`` allocations per stage instead of
+  ``2^8 − 1``.  The DFS state is ``(next unit, remaining count per
+  class)``; the winning allocations are realized with the first unused
+  members of each class in cluster order, so no device serves two
+  stages.
+* **Canonical stage realization.**  A stage's devices are ordered by
+  ``(-capacity, alpha, cluster index)`` and the output rows are split
+  with :func:`~repro.partition.strips.weighted_partition` — exactly
   Algorithm 2's realization — or
   :func:`~repro.partition.strips.equal_partition` when every capacity
   is equal, which makes the homogeneous search space coincide with
@@ -26,10 +34,15 @@ devices) through three standard ingredients:
 * **Greedy incumbent.**  The PICO plan (DP + Algorithm 2), re-costed
   through the same canonical realization, seeds the search — the exact
   result can therefore never be worse than greedy.
-* **Relaxed suffix bound.**  ``LB[u]``, the cheapest any stage chain
-  covering units ``[u, n)`` could possibly cost ignoring device
-  exhaustion (each stage may reuse the globally best subset), prunes
-  any prefix whose period already exceeds the incumbent.
+* **Relaxed suffix bound + dominance.**  ``LB[u]``, the cheapest any
+  stage chain covering units ``[u, n)`` could possibly cost ignoring
+  device exhaustion, prunes any prefix whose period already exceeds the
+  incumbent; per state a frontier of ``(period, latency, stages)``
+  triples cuts every pointwise-dominated prefix.
+
+The width of one stage choice, ``∏(class size + 1) − 1``, is what the
+run time is exponential in; above :data:`MAX_EXACT_ALLOCATIONS` the
+search is refused unless ``deadline_s`` bounds it.
 
 ``period_bound`` caps the pruning threshold from above: a bound of
 ``0.0`` prunes every node immediately and the planner returns the
@@ -38,9 +51,12 @@ greedy incumbent untouched — the degenerate-pruning regression anchor.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.device import Cluster, Device
 from repro.core.plan import PipelinePlan, StagePlan
@@ -53,7 +69,7 @@ from repro.partition.strips import equal_partition, strip_regions, weighted_part
 from repro.schemes.base import PlanningError, Scheme
 
 __all__ = [
-    "MAX_EXACT_DEVICES",
+    "MAX_EXACT_ALLOCATIONS",
     "ExactStage",
     "ExactPlan",
     "ExactScheme",
@@ -61,10 +77,16 @@ __all__ = [
     "realize_exact",
 ]
 
-#: Hard ceiling on the cluster size the exhaustive search accepts.  The
-#: state space grows as (stage cuts) × (device subsets per stage); five
-#: devices keeps the full zoo sweep in seconds.
-MAX_EXACT_DEVICES = 5
+#: Widest stage choice the search accepts without a ``deadline_s``:
+#: ``∏(class size + 1) − 1`` allocation vectors per stage.  255 is eight
+#: pairwise-distinct devices; the 8-Pi testbed mixes of
+#: ``repro.bench.exact`` (three and four frequencies) are 44 and 80.
+MAX_EXACT_ALLOCATIONS = 255
+
+#: One stage choice: how many devices of each capacity class it takes.
+Allocation = Tuple[int, ...]
+#: A stage as the search holds it.
+Cut = Tuple[int, int, Allocation]
 
 
 @dataclass(frozen=True)
@@ -83,6 +105,8 @@ class ExactPlan:
 
     ``incumbent_period`` is the greedy (PICO) period under the same
     canonical realization; ``improved`` whether the search beat it.
+    ``optimal`` is ``False`` when ``deadline_s`` cut the search short
+    and the plan is only the best found so far.
     """
 
     stages: Tuple[ExactStage, ...]
@@ -91,6 +115,7 @@ class ExactPlan:
     incumbent_period: float
     nodes: int
     pruned: int
+    optimal: bool = True
 
     @property
     def n_stages(self) -> int:
@@ -102,18 +127,17 @@ class ExactPlan:
 
     @property
     def gap(self) -> float:
-        """Greedy optimality gap, ``incumbent / exact − 1`` (≥ 0)."""
+        """Greedy optimality gap, ``incumbent / exact − 1`` (≥ 0 unless
+        ``t_lim`` / ``max_stages`` ruled the greedy plan out)."""
         if self.period <= 0.0:
             return 0.0
         return self.incumbent_period / self.period - 1.0
 
 
-def _canonical_order(
-    indices: "FrozenSet[int]", devices: "Tuple[Device, ...]"
-) -> "Tuple[int, ...]":
-    """Stage device order: strongest first, cluster order on ties —
-    Algorithm 2's assignment order inside one stage."""
-    return tuple(sorted(indices, key=lambda i: (-devices[i].capacity, i)))
+def _class_key(device: Device) -> "Tuple[float, float]":
+    """Devices with equal keys are interchangeable to Eq. 9; sorting by
+    it is strongest first — Algorithm 2's assignment order."""
+    return (-device.capacity, device.alpha)
 
 
 def _canonical_rows(height: int, devices: "Sequence[Device]") -> "List[Interval]":
@@ -128,8 +152,17 @@ def _canonical_rows(height: int, devices: "Sequence[Device]") -> "List[Interval]
     return weighted_partition(height, caps)
 
 
+@functools.lru_cache(maxsize=4096)
+def _allocations(remaining: Allocation) -> "Tuple[Allocation, ...]":
+    """Every non-zero count vector ``<= remaining``, the strongest class
+    counting fastest."""
+    ranges = [range(r + 1) for r in reversed(remaining)]
+    return tuple(vec[::-1] for vec in itertools.product(*ranges))[1:]
+
+
 class _StageCosts:
-    """Memoised canonical stage costs over ``(start, end, device set)``."""
+    """The cluster's capacity classes and the memoised canonical stage
+    costs over ``(start, end, allocation)``."""
 
     def __init__(
         self,
@@ -139,17 +172,35 @@ class _StageCosts:
         options: CostOptions,
     ) -> None:
         self.model = model
-        self.devices = cluster.devices
         self.network = network
         self.segments = get_segment_table(model, options)
-        self._memo: "Dict[Tuple[int, int, FrozenSet[int]], float]" = {}
+        members: "Dict[Tuple[float, float], List[Device]]" = {}
+        for device in cluster:
+            members.setdefault(_class_key(device), []).append(device)
+        self.keys = sorted(members)
+        self.classes = [members[key] for key in self.keys]
+        self.sizes: Allocation = tuple(len(c) for c in self.classes)
+        self._rank = {device.name: i for i, device in enumerate(cluster)}
+        self._memo: "Dict[Tuple[int, int, Allocation], float]" = {}
 
-    def cost(self, start: int, end: int, subset: "FrozenSet[int]") -> float:
-        key = (start, end, subset)
+    def members(
+        self, alloc: Allocation, used: "Sequence[int]"
+    ) -> "Tuple[Device, ...]":
+        """``alloc[c]`` devices of each class in canonical order,
+        skipping the ``used[c]`` that earlier stages already hold."""
+        return tuple(
+            device
+            for group, base, count in zip(self.classes, used, alloc)
+            for device in group[base : base + count]
+        )
+
+    def cost(self, start: int, end: int, alloc: Allocation) -> float:
+        key = (start, end, alloc)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        devices = [self.devices[i] for i in _canonical_order(subset, self.devices)]
+        # Any members of a class price alike: take the first.
+        devices = self.members(alloc, [0] * len(alloc))
         _, h, _ = self.segments.out_shape(end)
         total = self.segments.stage_total(
             start,
@@ -161,43 +212,22 @@ class _StageCosts:
         self._memo[key] = total
         return total
 
-
-def _nonempty_subsets(indices: "Tuple[int, ...]") -> "List[FrozenSet[int]]":
-    out = []
-    for mask in range(1, 1 << len(indices)):
-        out.append(
-            frozenset(i for b, i in enumerate(indices) if mask >> b & 1)
+    def stage(self, start: int, end: int, devices: "Sequence[Device]") -> ExactStage:
+        """The stage over exactly these devices, canonically ordered."""
+        ordered = sorted(devices, key=lambda d: (_class_key(d), self._rank[d.name]))
+        alloc = tuple(
+            sum(_class_key(d) == key for d in ordered) for key in self.keys
         )
-    return out
+        return ExactStage(start, end, tuple(ordered), self.cost(start, end, alloc))
 
-
-def _greedy_incumbent(
-    model: Model,
-    cluster: Cluster,
-    network: NetworkModel,
-    options: CostOptions,
-    costs: _StageCosts,
-) -> "Tuple[ExactStage, ...]":
-    """The PICO plan's stage segments + device sets, re-costed through
-    the canonical realization (identical to the greedy plan whenever the
-    stage capacities are pairwise distinct)."""
-    from repro.schemes.pico import PicoScheme
-
-    plan = PicoScheme().plan(model, cluster, network, options)
-    index_of = {id(d): i for i, d in enumerate(cluster.devices)}
-    stages = []
-    for stage in plan.stages:
-        subset = frozenset(index_of[id(d)] for d, _ in stage.assignments)
-        ordered = _canonical_order(subset, cluster.devices)
-        stages.append(
-            ExactStage(
-                stage.start,
-                stage.end,
-                tuple(cluster.devices[i] for i in ordered),
-                costs.cost(stage.start, stage.end, subset),
-            )
-        )
-    return tuple(stages)
+    def realize(self, choice: "Sequence[Cut]") -> "Tuple[ExactStage, ...]":
+        """Hand each stage the first unused members of its classes."""
+        used = [0] * len(self.classes)
+        stages = []
+        for start, end, alloc in choice:
+            stages.append(self.stage(start, end, self.members(alloc, used)))
+            used = [u + a for u, a in zip(used, alloc)]
+        return tuple(stages)
 
 
 def plan_exact(
@@ -206,68 +236,94 @@ def plan_exact(
     network: NetworkModel,
     options: CostOptions = DEFAULT_OPTIONS,
     period_bound: float = math.inf,
-    max_devices: int = MAX_EXACT_DEVICES,
+    *,
+    t_lim: float = math.inf,
+    deadline_s: Optional[float] = None,
+    max_stages: Optional[int] = None,
 ) -> ExactPlan:
     """Exhaustive minimum-period heterogeneous pipeline search.
 
     Minimises the Eq. (10) period (ties break towards lower latency,
-    then fewer stages, like Algorithm 1).  Feasible for small clusters
-    only; raises :class:`PlanningError` above ``max_devices`` devices.
+    then fewer stages, like Algorithm 1) over plans whose latency is
+    within ``t_lim`` and whose stage count is within ``max_stages``;
+    raises :class:`PlanningError` when there is none.  ``deadline_s``
+    bounds wall-clock: if hit, the best plan so far is returned with
+    ``optimal=False``.  Without it a cluster whose stage choice is wider
+    than :data:`MAX_EXACT_ALLOCATIONS` is refused.
     """
-    n_dev = len(cluster)
-    if n_dev > max_devices:
-        raise PlanningError(
-            f"exact search is exponential in devices: {n_dev} > "
-            f"{max_devices} (raise max_devices to force it)"
-        )
+    started = time.perf_counter()
     n_units = model.n_units
     costs = _StageCosts(model, cluster, network, options)
-    incumbent = _greedy_incumbent(model, cluster, network, options, costs)
-    incumbent_period = max(s.cost for s in incumbent)
-    incumbent_latency = sum(s.cost for s in incumbent)
+    width = math.prod(size + 1 for size in costs.sizes) - 1
+    if width > MAX_EXACT_ALLOCATIONS and deadline_s is None:
+        raise PlanningError(
+            f"exact search is exponential in capacity classes: {width} "
+            f"device allocations per stage (class sizes {costs.sizes}) > "
+            f"{MAX_EXACT_ALLOCATIONS}; pass deadline_s to bound the run"
+        )
+    stage_cap = n_units if max_stages is None else max_stages
+    timed_out = False
 
-    all_indices = tuple(range(n_dev))
-    all_subsets = _nonempty_subsets(all_indices)
-    subsets_of: "Dict[FrozenSet[int], List[FrozenSet[int]]]" = {}
+    def out_of_time() -> bool:
+        nonlocal timed_out
+        if deadline_s is not None and time.perf_counter() - started > deadline_s:
+            timed_out = True
+        return timed_out
+
+    # The PICO plan's segments + its own devices, re-costed through the
+    # canonical realization (identical to the greedy plan whenever a
+    # stage's capacities are pairwise distinct).
+    from repro.schemes.pico import PicoScheme
+
+    greedy = PicoScheme().plan(model, cluster, network, options)
+    incumbent = tuple(costs.stage(s.start, s.end, s.devices) for s in greedy.stages)
+    incumbent_period = max(s.cost for s in incumbent)
+    best_key = (incumbent_period, sum(s.cost for s in incumbent), len(incumbent))
+    best_stages: "Optional[Tuple[ExactStage, ...]]" = incumbent
+    if best_key[1] > t_lim or best_key[2] > stage_cap:
+        best_key, best_stages = (math.inf, math.inf, math.inf), None
 
     # Relaxed suffix bound: LB[u] = min over next cut e of
-    # max(cheapest stage over [u, e) with *any* subset, LB[e]).
+    # max(cheapest stage over [u, e) with *any* allocation, LB[e]).
+    # (Cut short by the deadline the unfilled entries stay 0.0, which
+    # still never overestimates.)
     lb = [0.0] * (n_units + 1)
     for u in range(n_units - 1, -1, -1):
+        if out_of_time():
+            break
         best = math.inf
         for e in range(u + 1, n_units + 1):
-            stage_min = min(costs.cost(u, e, s) for s in all_subsets)
+            stage_min = min(costs.cost(u, e, a) for a in _allocations(costs.sizes))
             candidate = stage_min if stage_min > lb[e] else lb[e]
             if candidate < best:
                 best = candidate
         lb[u] = best
 
-    best_key = (incumbent_period, incumbent_latency, len(incumbent))
-    best_stages: "List[Tuple[int, int, FrozenSet[int]]]" = []
-    found_better = False
     nodes = 0
     pruned = 0
-    prefix: "List[Tuple[int, int, FrozenSet[int]]]" = []
+    prefix: "List[Cut]" = []
 
-    # Dominance memo: prefixes reaching the same (position, available
+    # Dominance memo: prefixes reaching the same (position, remaining
     # devices) state with pointwise-worse (period, latency, stages) can
-    # never finish better — the continuation depends only on the state
-    # and the final key is monotone in all three components.
-    frontiers: "Dict[Tuple[int, FrozenSet[int]], List[Tuple[float, float, int]]]" = {}
+    # never finish better — the continuation depends only on the state,
+    # the final key is monotone in all three components, and so are the
+    # t_lim and max_stages feasibility tests.
+    frontiers: "Dict[Tuple[int, Allocation], List[Tuple[float, float, int]]]" = {}
 
     def threshold() -> float:
         return best_key[0] if best_key[0] < period_bound else period_bound
 
-    def dfs(u: int, avail: "FrozenSet[int]", cur_max: float, cur_lat: float) -> None:
-        nonlocal best_key, best_stages, found_better, nodes, pruned
+    def dfs(u: int, remaining: Allocation, cur_max: float, cur_lat: float) -> None:
+        nonlocal best_key, best_stages, nodes, pruned
+        if out_of_time():
+            return
         nodes += 1
         bound = cur_max if cur_max > lb[u] else lb[u]
         if bound > threshold():
             pruned += 1
             return
-        state = (u, avail)
         mine = (cur_max, cur_lat, len(prefix))
-        frontier = frontiers.setdefault(state, [])
+        frontier = frontiers.setdefault((u, remaining), [])
         for seen in frontier:
             if seen[0] <= cur_max and seen[1] <= cur_lat and seen[2] <= mine[2]:
                 pruned += 1
@@ -279,54 +335,40 @@ def plan_exact(
         ]
         frontier.append(mine)
         if u == n_units:
-            key = (cur_max, cur_lat, len(prefix))
-            if key < best_key:
-                best_key = key
-                best_stages = list(prefix)
-                found_better = True
+            if mine < best_key:
+                best_key = mine
+                best_stages = costs.realize(prefix)
             return
-        if not avail:
+        if not any(remaining) or len(prefix) >= stage_cap:
             pruned += 1
             return
-        avail_tuple = tuple(sorted(avail))
-        choices = subsets_of.get(avail)
-        if choices is None:
-            choices = _nonempty_subsets(avail_tuple)
-            subsets_of[avail] = choices
         for e in range(u + 1, n_units + 1):
-            for subset in choices:
-                c = costs.cost(u, e, subset)
+            for alloc in _allocations(remaining):
+                c = costs.cost(u, e, alloc)
                 new_max = cur_max if cur_max > c else c
-                if new_max > threshold():
+                if new_max > threshold() or cur_lat + c > t_lim:
                     continue
-                prefix.append((u, e, subset))
-                dfs(e, avail - subset, new_max, cur_lat + c)
+                prefix.append((u, e, alloc))
+                dfs(
+                    e,
+                    tuple(r - a for r, a in zip(remaining, alloc)),
+                    new_max,
+                    cur_lat + c,
+                )
                 prefix.pop()
+                if timed_out:
+                    return
 
-    dfs(0, frozenset(all_indices), 0.0, 0.0)
+    dfs(0, costs.sizes, 0.0, 0.0)
 
-    if found_better:
-        stages = tuple(
-            ExactStage(
-                start,
-                end,
-                tuple(
-                    cluster.devices[i]
-                    for i in _canonical_order(subset, cluster.devices)
-                ),
-                costs.cost(start, end, subset),
-            )
-            for start, end, subset in best_stages
+    if best_stages is None:
+        raise PlanningError(
+            f"exact search found no plan for {model.name} within "
+            f"t_lim={t_lim}, max_stages={max_stages}, deadline_s={deadline_s}"
         )
-    else:
-        stages = incumbent
     return ExactPlan(
-        stages,
-        best_key[0],
-        best_key[1],
-        incumbent_period,
-        nodes,
-        pruned,
+        best_stages, best_key[0], best_key[1], incumbent_period,
+        nodes, pruned, optimal=not timed_out,
     )
 
 
@@ -349,13 +391,8 @@ class ExactScheme(Scheme):
 
     name = "EXACT"
 
-    def __init__(
-        self,
-        period_bound: float = math.inf,
-        max_devices: int = MAX_EXACT_DEVICES,
-    ) -> None:
+    def __init__(self, period_bound: float = math.inf) -> None:
         self.period_bound = period_bound
-        self.max_devices = max_devices
 
     def plan(
         self,
@@ -365,11 +402,6 @@ class ExactScheme(Scheme):
         options: CostOptions = DEFAULT_OPTIONS,
     ) -> PipelinePlan:
         exact = plan_exact(
-            model,
-            cluster,
-            network,
-            options,
-            period_bound=self.period_bound,
-            max_devices=self.max_devices,
+            model, cluster, network, options, period_bound=self.period_bound
         )
         return realize_exact(model, exact)

@@ -1,7 +1,7 @@
 """Vectorized per-segment cost tables for the planning layer.
 
-The DP planner (Algorithm 1), the Pareto-frontier ablation, the BFS
-baseline and the Table II experiment all evaluate the Eq. (9) stage cost
+The DP planner (Algorithm 1), the Pareto-frontier ablation, the exact
+planner (the paper's BFS baseline) and the Table II experiment all evaluate the Eq. (9) stage cost
 ``Ts(start, end, p)`` for thousands of (segment, device-count) queries.
 The reference implementation (:func:`repro.cost.stage_cost.stage_time`)
 re-walks the segment layer-by-layer per query — an O(units × layers)
@@ -33,8 +33,7 @@ builder detects that case per ``(start, end)`` and flags the segment, and
 every consumer transparently falls back to the scalar oracle for it.
 
 Tables are shared process-wide through a weak registry keyed by the
-model, so ``plan_pareto`` ``t_lim`` sweeps, ``bfs_optimal``,
-``plan_exact``, the schemes (PICO's DP and OFL's fusion search alike)
+model, so ``plan_pareto`` ``t_lim`` sweeps, ``plan_exact``, the schemes (PICO's DP and OFL's fusion search alike)
 and the adaptive switcher all reuse one table per ``(model, options)``
 instead of rebuilding caches.
 

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 from repro.cluster.device import Cluster
 from repro.cluster.metrics import UtilizationTable, utilization_table
-from repro.core.bfs import bfs_optimal
+from repro.core.exact import plan_exact, realize_exact
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.experiments.common import fig13_cluster, paper_network
@@ -67,14 +67,14 @@ def run(
         model, pico_plan, network, pico_sim, options, "PICO"
     )
 
-    bfs = bfs_optimal(model, cluster, network, options, deadline_s=bfs_deadline_s)
-    if bfs.plan is None:
-        raise RuntimeError("BFS found no plan")
+    # The paper's "BFS" baseline is the package's one exhaustive search.
+    bfs = plan_exact(model, cluster, network, options, deadline_s=bfs_deadline_s)
+    bfs_plan = realize_exact(model, bfs)
     bfs_sim = simulate_scenario(
-        model, bfs.plan, network=network,
+        model, bfs_plan, network=network,
         arrivals=saturation_arrivals(sim_tasks), options=options,
     )
-    bfs_table = utilization_table(model, bfs.plan, network, bfs_sim, options, "BFS")
+    bfs_table = utilization_table(model, bfs_plan, network, bfs_sim, options, "BFS")
 
     from repro.core.plan import plan_cost
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.device import heterogeneous_cluster
-from repro.core.bfs import bfs_optimal
 from repro.core.dp_planner import plan_homogeneous
+from repro.core.exact import plan_exact
 from repro.core.heterogeneous import adapt_to_cluster
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
@@ -92,20 +92,19 @@ def run(
         pico_seconds = time.perf_counter() - started
         pico_period = plan_cost(model, plan, network, options).period
 
-        bfs = bfs_optimal(
+        started = time.perf_counter()
+        bfs = plan_exact(
             model, cluster, network, options, deadline_s=bfs_budget_s
         )
-        gap = 0.0
-        if bfs.plan is not None and bfs.period > 0:
-            gap = (pico_period - bfs.period) / bfs.period
+        bfs_seconds = time.perf_counter() - started
         rows.append(
             CostRow(
                 n_layers,
                 n_devices,
                 pico_seconds,
-                bfs.elapsed_s,
+                bfs_seconds,
                 bfs.optimal,
-                gap,
+                (pico_period - bfs.period) / bfs.period,
             )
         )
     return Table2Result(tuple(rows))

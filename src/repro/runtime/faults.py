@@ -77,8 +77,8 @@ class TransientTaskError(RuntimeError):
 class RuntimeConfig:
     """Fault-tolerance knobs shared by every executor.
 
-    ``send_timeout_s``/``recv_timeout_s`` bound socket operations on
-    the TCP backend (``None`` = block forever, the legacy behaviour).
+    ``recv_timeout_s`` bounds socket receives on the TCP backend
+    (``None`` = block forever, the legacy behaviour).
     Transient task failures are retried up to ``max_retries`` times
     with exponential backoff ``backoff_base_s * backoff_factor**n``.
     The TCP coordinator probes worker liveness every
@@ -88,7 +88,6 @@ class RuntimeConfig:
     stays local to the affected stages (``repartition`` policy).
     """
 
-    send_timeout_s: Optional[float] = None
     recv_timeout_s: Optional[float] = None
     max_retries: int = 3
     backoff_base_s: float = 0.05
@@ -114,8 +113,7 @@ class RuntimeConfig:
             raise ValueError(
                 f"unknown repartition policy {self.repartition!r}"
             )
-        for name in ("send_timeout_s", "recv_timeout_s",
-                     "worker_idle_timeout_s"):
+        for name in ("recv_timeout_s", "worker_idle_timeout_s"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive or None")

@@ -1,19 +1,22 @@
-"""Tests for the exhaustive BFS search and the Pareto-frontier DP."""
+"""Tests for the paper's "BFS" exhaustive optimum — ``plan_exact``, the
+package's one exhaustive search — and the Pareto-frontier DP."""
 
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
-from repro.core.bfs import bfs_optimal
 from repro.core.dp_planner import plan_homogeneous
+from repro.core.exact import plan_exact, realize_exact
 from repro.core.heterogeneous import adapt_to_cluster
 from repro.core.pareto import plan_pareto
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
+from repro.schemes import PlanningError
 
 
 @pytest.fixture
@@ -29,7 +32,7 @@ def model():
 class TestBFS:
     def test_not_worse_than_pico(self, model, net):
         cluster = heterogeneous_cluster([1200, 800, 600])
-        result = bfs_optimal(model, cluster, net)
+        result = plan_exact(model, cluster, net)
         assert result.optimal
         homo = plan_homogeneous(model, cluster, net)
         pico = plan_cost(model, adapt_to_cluster(model, homo, cluster), net)
@@ -37,9 +40,8 @@ class TestBFS:
 
     def test_plan_valid(self, model, net):
         cluster = pi_cluster(3, 800)
-        result = bfs_optimal(model, cluster, net)
-        plan = result.plan
-        assert plan is not None
+        result = plan_exact(model, cluster, net)
+        plan = realize_exact(model, result)
         assert plan.stages[0].start == 0
         assert plan.stages[-1].end == model.n_units
         cost = plan_cost(model, plan, net)
@@ -48,39 +50,49 @@ class TestBFS:
     def test_deadline_returns_incumbent(self, net):
         model = toy_chain(8, 2, input_hw=64)
         cluster = heterogeneous_cluster([1200, 1000, 800, 800, 600, 600])
-        result = bfs_optimal(model, cluster, net, deadline_s=0.05)
-        # Either it got lucky and finished, or it reports non-optimal.
+        started = time.perf_counter()
+        result = plan_exact(model, cluster, net, deadline_s=0.05)
+        elapsed = time.perf_counter() - started
+        # Either it got lucky and finished, or it reports non-optimal —
+        # and then still hands back a complete plan no worse than greedy.
         if not result.optimal:
-            assert result.elapsed_s >= 0.05
+            assert elapsed >= 0.05
+        assert result.stages[-1].end == model.n_units
+        assert result.period <= result.incumbent_period
 
     def test_latency_budget_respected(self, model, net):
         cluster = pi_cluster(3, 800)
-        free = bfs_optimal(model, cluster, net)
+        free = plan_exact(model, cluster, net)
+        with pytest.raises(PlanningError, match="no plan"):
+            plan_exact(model, cluster, net, t_lim=0.0)
         budget = free.latency * 0.9
-        constrained = bfs_optimal(model, cluster, net, t_lim=budget)
-        if constrained.plan is not None:
-            assert constrained.latency <= budget + 1e-9
+        try:
+            constrained = plan_exact(model, cluster, net, t_lim=budget)
+        except PlanningError:
+            return
+        assert constrained.latency <= budget + 1e-9
+        assert constrained.period >= free.period
 
     def test_max_stages_cap(self, model, net):
         cluster = pi_cluster(4, 800)
-        result = bfs_optimal(model, cluster, net, max_stages=1)
-        assert result.plan is not None
-        assert result.plan.n_stages == 1
+        result = plan_exact(model, cluster, net, max_stages=1)
+        assert result.n_stages == 1
+        assert realize_exact(model, result).n_stages == 1
 
     def test_single_device(self, net):
         model = toy_chain(3, 0, input_hw=16)
         cluster = pi_cluster(1, 600)
-        result = bfs_optimal(model, cluster, net)
-        assert result.plan.n_stages == 1
+        result = plan_exact(model, cluster, net)
+        assert result.n_stages == 1
 
     def test_device_classes_collapse_search(self, model, net):
         """Homogeneous 4 devices must explore far fewer nodes than 4
         distinct capacity classes."""
-        homo = bfs_optimal(model, pi_cluster(4, 800), net)
-        hetero = bfs_optimal(
+        homo = plan_exact(model, pi_cluster(4, 800), net)
+        hetero = plan_exact(
             model, heterogeneous_cluster([1200, 1000, 800, 600]), net
         )
-        assert homo.nodes_explored < hetero.nodes_explored
+        assert homo.nodes < hetero.nodes
 
 
 class TestPareto:

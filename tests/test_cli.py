@@ -304,3 +304,14 @@ class TestGap:
         )
         assert code == 0
         assert "optimality gap: 0.00%" in out
+
+    def test_eight_device_two_class_cluster(self, capsys):
+        """Eight devices in two capacity classes are 5 * 5 - 1 = 24
+        allocations per stage: well inside the exact planner's width."""
+        code, out = run_cli(
+            capsys, "gap", "fig13_toy",
+            "--freqs", "1200,1200,1200,1200,600,600,600,600",
+        )
+        assert code == 0
+        assert "exact (branch-and-bound)" in out
+        assert "optimality gap:" in out

@@ -14,7 +14,6 @@ import math
 import pytest
 
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
-from repro.core.bfs import bfs_optimal
 from repro.core.dp_planner import (
     StageTimeTable,
     plan_homogeneous,
@@ -191,22 +190,23 @@ class TestBranchParallel:
 
 
 class TestBfsTable:
-    def test_same_result_with_and_without_table(self):
+    def test_same_result_with_and_without_table(self, monkeypatch):
+        """The exhaustive search through the closed-form table and
+        through a table that claims no segment is exact (so every stage
+        is answered by the scalar oracle) must agree."""
+        import repro.core.exact as exact
+
         model = toy_chain(4, 1, input_hw=32)
         cluster = heterogeneous_cluster([600.0, 800.0, 1000.0])
-        with_table = bfs_optimal(
-            model, cluster, NET, OPTIONS,
-            table=get_segment_table(model, OPTIONS),
-        )
-        # Force the scalar path by handing over a table that claims no
-        # segment is exact.
+        with_table = exact.plan_exact(model, cluster, NET, OPTIONS)
+
         class NeverExact(SegmentTable):
             def exact(self, start, end):
                 return False
 
-        without = bfs_optimal(
-            model, cluster, NET, OPTIONS, table=NeverExact(model, OPTIONS)
-        )
+        scalar = NeverExact(model, OPTIONS)
+        monkeypatch.setattr(exact, "get_segment_table", lambda m, o: scalar)
+        without = exact.plan_exact(model, cluster, NET, OPTIONS)
         assert with_table.optimal and without.optimal
         assert with_table.period == without.period
         assert with_table.latency == without.latency
@@ -254,10 +254,10 @@ class TestScalarFallback:
         )
 
     def test_searches_ride_the_tables_own_fallback(self, monkeypatch):
-        """``bfs_optimal``, ``plan_exact`` and OFL have no scalar fork
-        of their own: they ask ``stage_total`` for every segment, and on
-        the non-exact ones its oracle fallback must give them exactly
-        what an all-scalar search finds."""
+        """``plan_exact`` and OFL have no scalar fork of their own: they
+        ask ``stage_total`` for every segment, and on the non-exact
+        ones its oracle fallback must give them exactly what an
+        all-scalar search finds."""
         import repro.core.exact as exact
         import repro.schemes.optimal_fused as ofl
 
@@ -281,12 +281,7 @@ class TestScalarFallback:
                 monkeypatch.setattr(
                     module, "get_segment_table", lambda m, o, t=table: t
                 )
-            bfs = bfs_optimal(model, cluster, NET, OPTIONS, table=table)
-            assert bfs.optimal
             results[name] = (
-                bfs.plan,
-                bfs.period,
-                bfs.latency,
                 exact.plan_exact(model, cluster, NET, OPTIONS),
                 ofl.OptimalFusedScheme().plan(model, cluster, NET, OPTIONS),
             )

@@ -6,9 +6,14 @@ the commit; the recording script is in CHANGES.md).  It pins, for the
 six planner configurations × four models × three clusters, every
 stage's ``(start, end, device names, regions, path groups, channel
 groups)`` plus ``plan_cost``'s period, latency and per-stage ``(t_comp,
-t_comm, t_head)`` as ``float.hex()`` — and the ``bfs_optimal`` /
-``plan_exact`` results on the toy cells their own test modules use.  A
-mismatch means a planner's *output* changed, not its speed.
+t_comm, t_head)`` as ``float.hex()`` — and the ``plan_exact`` results
+on the toy cells of its two test modules.  The ``bfs`` section was
+recorded through the deleted ``core/bfs.py`` search; when ``plan_exact``
+took its place only the ``optimal`` / ``nodes`` statistics were re-keyed
+(and ``exact.homo*``'s ``nodes`` / ``pruned``, which capacity-class
+symmetry shrank) — every period, latency, stage and device name is the
+recorded one.  A mismatch means a planner's *output* changed, not its
+speed.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
-from repro.core.bfs import bfs_optimal
 from repro.core.exact import plan_exact, realize_exact
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
@@ -53,7 +57,7 @@ CLUSTERS = {
     ),
 }
 
-#: ``bfs_optimal`` on the cells of ``test_bfs_and_pareto.py`` (model
+#: ``plan_exact`` on the cells of ``test_bfs_and_pareto.py`` (model
 #: ``toy_chain(4, 1, input_hw=32)``): cluster frequencies + kwargs.
 BFS_CELLS = {
     "het3": ([1200, 800, 600], {}),
@@ -118,13 +122,13 @@ def scheme_case(planner, model_name, cluster_name):
 def bfs_case(name):
     freqs, kwargs = BFS_CELLS[name]
     model = toy_chain(4, 1, input_hw=32)
-    result = bfs_optimal(model, heterogeneous_cluster(freqs), NETWORK, **kwargs)
+    result = plan_exact(model, heterogeneous_cluster(freqs), NETWORK, **kwargs)
     return {
         "period": result.period.hex(),
         "latency": result.latency.hex(),
         "optimal": result.optimal,
-        "nodes": result.nodes_explored,
-        "plan": plan_snapshot(model, result.plan),
+        "nodes": result.nodes,
+        "plan": plan_snapshot(model, realize_exact(model, result)),
     }
 
 
