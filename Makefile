@@ -1,7 +1,11 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: install test test-fast test-slow bench bench-json bench-serve bench-batch bench-transport bench-fleet bench-sim bench-exact bench-e2e exact-smoke trace-smoke fault-smoke fleet-smoke sim-smoke lint-forks bench-check report examples all
+.PHONY: install test test-fast test-slow bench bench-json bench-e2e lint-forks bench-check report examples all
+
+# Every committed BENCH_<name>.json has a module repro.bench.<name> on
+# the one spine (repro.bench.common.BENCHES).
+BENCHES := engine planner exact sim serve batch fleet transport
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -19,49 +23,10 @@ bench:
 	python -m pytest benchmarks/ --benchmark-only -s
 
 bench-json:
-	python -m repro.bench.engine --out BENCH_engine.json
-	python -m repro.bench.planner --out BENCH_planner.json
-	python -m repro.bench.serve --out BENCH_serve.json
-	python -m repro.bench.batch --out BENCH_batch.json
-	python -m repro.bench.fleet --out BENCH_fleet.json
-	python -m repro.bench.sim --out BENCH_sim.json
-	python -m repro.bench.exact --out BENCH_exact.json
-
-bench-serve:
-	python -m repro.bench.serve --out BENCH_serve.json
-
-bench-batch:
-	python -m repro.bench.batch --out BENCH_batch.json
-
-bench-transport:
-	python -m repro.bench.transport --out BENCH_transport.json
-
-bench-fleet:
-	python -m repro.bench.fleet --out BENCH_fleet.json
-
-bench-sim:
-	python -m repro.bench.sim --out BENCH_sim.json
-
-bench-exact:
-	python -m repro.bench.exact --out BENCH_exact.json
+	for b in $(BENCHES); do python -m repro.bench.$$b || exit 1; done
 
 bench-e2e:
 	python3 -m benchmarks.e2e
-
-exact-smoke:
-	python -m repro.bench.exact --quick --out /tmp/BENCH_exact_smoke.json
-
-trace-smoke:
-	python -m repro.bench.trace_smoke --hw 64 --frames 2 --devices 4
-
-fault-smoke:
-	python -m repro.bench.fault_smoke --frames 4 --devices 4
-
-fleet-smoke:
-	python -m repro.bench.fleet --quick --out /tmp/BENCH_fleet_smoke.json
-
-sim-smoke:
-	python -m repro.bench.sim --quick --out /tmp/BENCH_sim_smoke.json
 
 # One virtual-time front door: the legacy simulator adapter stays
 # deleted, simulate_scenario is the only caller of the event engine and
@@ -87,13 +52,27 @@ lint-forks:
 	! grep -rnIE "core\.bfs|bfs_optimal\(|BFSResult|MAX_EXACT_DEVICES" src/ tests/ benchmarks/ examples/ docs/ README.md
 	test "$$(grep -rnI "def dfs" src/repro/core | wc -l)" = 1
 
-# Every committed BENCH file that can re-derive itself does, plus the
-# fork lint: the one line CI calls.  serve/batch/fleet join when they
-# grow --check.
+# One bench spine: the protocol, the envelope, --check and the parser
+# are spelled once, in repro/bench/common.py, and the two smoke programs
+# stay deleted (tests/test_differential.py and tests/test_faults.py make
+# their assertions).
+	test "$$(grep -rnI "argparse.ArgumentParser(" src/repro/bench | wc -l)" = 1
+	test "$$(grep -rnI "json.dump(" src/repro/bench | wc -l)" = 1
+	! grep -rnI "def _interleaved_medians" src/ tests/ benchmarks/ examples/
+	! grep -rnIE "(trace|fault)[_]smoke" src/ Makefile .github/ docs/ README.md
+
+# The fork lint, then every committed BENCH file re-derives itself:
+# serve and fleet are virtual time and must reproduce whole, in full
+# mode; the rest re-run their --quick configuration, compare what a
+# quick run can reproduce and enforce their gates on the fresh run.
 bench-check: lint-forks
-	python -m repro.bench.sim --check BENCH_sim.json --quick
-	python -m repro.bench.exact --check BENCH_exact.json --quick
+	python -m repro.bench.serve --check BENCH_serve.json
+	python -m repro.bench.fleet --check BENCH_fleet.json
+	python -m repro.bench.engine --check BENCH_engine.json --quick --repeats 1
 	python -m repro.bench.planner --check BENCH_planner.json --quick --repeats 1
+	for b in exact sim batch transport; do \
+		python -m repro.bench.$$b --check BENCH_$$b.json --quick || exit 1; \
+	done
 
 report:
 	python -m repro report --out report.md

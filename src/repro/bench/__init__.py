@@ -1,15 +1,3 @@
-"""Benchmark harnesses (JSON-emitting, no pytest dependency)."""
-
-__all__ = ["run_suite"]
-
-
-def run_suite(*args, **kwargs):
-    """Lazy proxy for :func:`repro.bench.engine.run_suite`.
-
-    Deferred so ``python -m repro.bench.engine`` does not import the
-    submodule twice (runpy warns when a package ``__init__`` pre-imports
-    the module being executed).
-    """
-    from repro.bench.engine import run_suite as _run_suite
-
-    return _run_suite(*args, **kwargs)
+"""Benchmark harnesses (JSON-emitting, no pytest dependency); the
+protocol, report envelope, ``--check`` and CLI they share live in
+:mod:`repro.bench.common`."""

@@ -15,24 +15,23 @@ flight instead of B separate panel/pack/dispatch rounds:
 Protocol: the B sweep is *interleaved* inside each repeat (so drift
 hits every B equally) and the reported number per B is the median
 across repeats — both recorded in the JSON.  Results land in
-``BENCH_batch.json``; non-zero exit when a gate fails::
+``BENCH_batch.json``; non-zero exit when a gate fails.  The numbers are
+wall clock, so ``--check`` holds the configuration and the B rows
+against the committed report and enforces the gates on the fresh run::
 
-    make bench-batch
     python -m repro.bench.batch --quick
+    python -m repro.bench.batch --check BENCH_batch.json --quick
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
-import sys
 import time
-from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
@@ -44,7 +43,7 @@ from repro.schemes import get_scheme
 from repro.serve import PipelineServer, ServerConfig
 from repro.workload.arrivals import poisson_arrivals_count
 
-__all__ = ["run", "main"]
+__all__ = ["BENCH", "run"]
 
 BATCHES = (1, 2, 4, 8)
 RHO = 0.9
@@ -66,9 +65,7 @@ def _serve_once(model, weights, program, config, n_frames, arrivals=None):
     server = PipelineServer(program, transport, config)
     start = time.perf_counter()
     try:
-        result = server.serve(
-            n_frames, arrivals=arrivals if arrivals is not None else None
-        )
+        result = server.serve(n_frames, arrivals=arrivals)
     finally:
         server.close()
     elapsed = time.perf_counter() - start
@@ -86,11 +83,8 @@ def _config(batch: int, capacity: int, policy: str) -> ServerConfig:
     )
 
 
-def run(
-    quick: bool = False,
-    out_path: Optional[str] = "BENCH_batch.json",
-    seed: int = 0,
-) -> Dict:
+def run(quick: bool = False, seed: int = 0):
+    """Sweep B saturated and at rho 0.9; returns ``(sections, gates)``."""
     model, weights, program = _build(seed)
     cores = os.cpu_count() or 1
     n_frames = 32 if quick else 64
@@ -98,26 +92,27 @@ def run(
     capacity = 32
 
     # -- capacity: saturated closed loop, interleaved B sweep ----------
-    samples: "Dict[int, List[float]]" = {b: [] for b in BATCHES}
-    mean_batches: "Dict[int, List[float]]" = {b: [] for b in BATCHES}
-    for _ in range(repeats):
-        for b in BATCHES:  # interleave so drift hits every B equally
-            thr, res = _serve_once(
-                model, weights, program,
-                _config(b, capacity, "block"), n_frames,
-            )
-            samples[b].append(thr)
-            mean_batches[b].append(res.mean_batch)
+    def saturated(b: int):
+        thr, res = _serve_once(
+            model, weights, program, _config(b, capacity, "block"), n_frames
+        )
+        return thr, res.mean_batch
+
+    # interleaved so drift hits every B equally
+    sweeps = common.interleaved(
+        [lambda b=b: saturated(b) for b in BATCHES], repeats
+    )
     capacity_rows = []
-    for b in BATCHES:
-        med = statistics.median(samples[b])
+    for b, seen in zip(BATCHES, sweeps):
+        samples = [thr for thr, _ in seen]
+        med = statistics.median(samples)
         capacity_rows.append(
             {
                 "max_batch": b,
                 "throughput_per_s": med,
                 "throughput_per_core": med / cores,
-                "mean_batch": statistics.median(mean_batches[b]),
-                "samples_per_s": samples[b],
+                "mean_batch": statistics.median(mean for _, mean in seen),
+                "samples_per_s": samples,
             }
         )
         print(
@@ -138,27 +133,25 @@ def run(
     arrivals = poisson_arrivals_count(
         rate, n_open, np.random.default_rng(seed)
     )
-    rho_rows = []
-    for _ in range(repeats):
-        for b in BATCHES:
-            thr, res = _serve_once(
-                model, weights, program,
-                _config(b, 16, "shed"), len(arrivals), list(arrivals),
-            )
-            rho_rows.append(
-                {
-                    "max_batch": b,
-                    "goodput_per_s": thr,
-                    "goodput_per_core": thr / cores,
-                    "completed": len(res.completed),
-                    "shed": len(res.shed),
-                    "mean_sojourn_s": res.mean_sojourn,
-                    "mean_batch": res.mean_batch,
-                }
-            )
+
+    def open_loop(b: int):
+        thr, res = _serve_once(
+            model, weights, program,
+            _config(b, 16, "shed"), len(arrivals), list(arrivals),
+        )
+        return {
+            "goodput_per_s": thr,
+            "completed": len(res.completed),
+            "shed": len(res.shed),
+            "mean_sojourn_s": res.mean_sojourn,
+            "mean_batch": res.mean_batch,
+        }
+
+    rho_sweeps = common.interleaved(
+        [lambda b=b: open_loop(b) for b in BATCHES], repeats
+    )
     rho_summary = []
-    for b in BATCHES:
-        rows = [r for r in rho_rows if r["max_batch"] == b]
+    for b, rows in zip(BATCHES, rho_sweeps):
         med = statistics.median(r["goodput_per_s"] for r in rows)
         rho_summary.append(
             {
@@ -191,9 +184,7 @@ def run(
             r["mean_batch"] > 1.0 for r in capacity_rows[1:]
         ),
     }
-    result = {
-        "bench": "batch",
-        "quick": quick,
+    sections = {
         "config": {
             "model": "toy_chain(6,2)", "input_hw": 32,
             "base_channels": 8, "scheme": "pico",
@@ -218,31 +209,25 @@ def run(
         "rho09_speedup_best": {
             "max_batch": rho_best["max_batch"], "speedup": rho_speedup,
         },
-        "gates": gates,
-        "pass": all(gates.values()),
     }
-    if out_path:
-        with open(out_path, "w") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
-        print(f"results written to {out_path}")
-    print("PASS" if result["pass"] else f"FAIL: {gates}")
-    return result
+    return sections, gates
 
 
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="cross-frame batched serving throughput gate"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke)")
-    parser.add_argument("--out", type=str, default="BENCH_batch.json",
-                        help="output JSON path ('' = don't write)")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run(args.quick, args.out or None, args.seed)
-    return 0 if result["pass"] else 1
+BENCH = common.Bench(
+    name="batch",
+    run=run,
+    deterministic=(
+        common.Section("config"),
+        common.Section("protocol", same_mode=True),
+        common.Section("saturated", key=("max_batch",)),
+        common.Section("rho09", key=("max_batch",)),
+    ),
+    timings=(
+        "cores", "batch_gemm", "rho_rate_per_s",
+        "throughput_per_s", "throughput_per_core", "mean_batch", "samples_per_s",
+        "goodput_per_s", "goodput_per_core", "completed", "shed", "mean_sojourn_s",
+    ),
+)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":
+    raise SystemExit(common.main(BENCH))

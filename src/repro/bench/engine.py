@@ -16,6 +16,9 @@ can only remove the non-GEMM overhead (window copies, padding, BN pass,
 epilogue copies, allocation churn) — the measured speedup is bounded by
 the GEMM's share of the runtime, not by 10×-style kernel rewrites.
 
+The gate is correctness, not speed: both engines must produce the same
+activations (float32 tolerance) or the comparison means nothing.
+``--check`` holds a fresh run's model list against the committed one.
 Run it via ``make bench-json`` or directly::
 
     python -m repro.bench.engine --out BENCH_engine.json
@@ -23,23 +26,19 @@ Run it via ``make bench-json`` or directly::
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench import common
 from repro.models.graph import BlockUnit, LayerUnit, Model
 from repro.models.layers import ConvSpec, PoolSpec
 from repro.models.zoo import get_model
-from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 
-__all__ = ["run_suite", "main"]
+__all__ = ["BENCH", "run"]
 
 #: (model name, input_hw) — sized so the suite finishes in seconds while
 #: keeping the conv shapes representative.
@@ -79,20 +78,10 @@ def _time_units(engine: Engine, x: np.ndarray, repeats: int) -> "Dict[str, float
     return by_kind
 
 
-def _interleaved_medians(
-    fns: "Sequence", x: np.ndarray, repeats: int
-) -> "List[float]":
-    """Median seconds per function, alternating calls each round."""
-    samples: "List[List[float]]" = [[] for _ in fns]
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
-            fn(x)
-            samples[i].append(time.perf_counter() - t0)
-    return [float(np.median(s)) for s in samples]
-
-
-def _bench_model(name: str, hw: int, repeats: int, seed: int) -> "Dict[str, object]":
+def _bench_model(
+    name: str, hw: int, repeats: int, seed: int
+) -> "Tuple[Dict[str, object], bool]":
+    """One result row, plus whether both engines computed the same."""
     model: Model = get_model(name, input_hw=hw)
     weights = init_weights(model, seed)
     x = (
@@ -102,15 +91,21 @@ def _bench_model(name: str, hw: int, repeats: int, seed: int) -> "Dict[str, obje
     )
     before = Engine(model, weights, fast=False)
     after = Engine(model, weights, fast=True)
-    after.run(x)  # warm the packed-weight cache outside the clock
-    before.run(x)
+    # Both calls also warm the packed-weight cache outside the clock.
+    matches = np.allclose(after.run(x), before.run(x), rtol=1e-4, atol=1e-4)
     ops_before = _time_units(before, x, repeats)
     ops_after = _time_units(after, x, repeats)
-    e2e_before, e2e_after = _interleaved_medians(
-        [before.run, after.run], x, repeats
+    e2e_before, e2e_after = common.interleaved_medians(
+        [lambda: before.run(x), lambda: after.run(x)], repeats
     )
-    feat_before, feat_after = _interleaved_medians(
-        [before.forward_features, after.forward_features], x, repeats
+    feat_before, feat_after = common.interleaved_medians(
+        [lambda: before.forward_features(x), lambda: after.forward_features(x)],
+        repeats,
+    )
+    print(
+        f"{name:>14} hw={hw:<4} e2e {e2e_before * 1e3:7.1f} -> "
+        f"{e2e_after * 1e3:7.1f} ms ({e2e_before / e2e_after:.2f}x)  "
+        f"features ({feat_before / feat_after:.2f}x)"
     )
     return {
         "model": name,
@@ -123,20 +118,24 @@ def _bench_model(name: str, hw: int, repeats: int, seed: int) -> "Dict[str, obje
         "end_to_end_after_s": e2e_after,
         "speedup": e2e_before / e2e_after,
         "features_speedup": feat_before / feat_after,
-    }
+    }, matches
 
 
-def run_suite(
-    models: "Sequence[Tuple[str, int]]" = DEFAULT_MODELS,
-    repeats: int = 9,
+#: The ``--quick`` model subset (CI smoke run).
+QUICK_MODELS = DEFAULT_MODELS[:1]
+
+
+def run(
+    quick: bool = False,
     seed: int = 0,
-) -> "Dict[str, object]":
-    """Benchmark every model; returns the JSON-ready report dict."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    results = [_bench_model(name, hw, repeats, seed) for name, hw in models]
-    return {
-        "benchmark": "engine_fast_path",
+    repeats: int = 9,
+    models: "Optional[Sequence[Tuple[str, int]]]" = None,
+):
+    """Benchmark every model; returns ``(sections, gates)``."""
+    if models is None:
+        models = QUICK_MODELS if quick else DEFAULT_MODELS
+    rows = [_bench_model(name, hw, repeats, seed) for name, hw in models]
+    sections = {
         "repeats": repeats,
         "protocol": "end-to-end/features: interleaved median; per-op: best-of",
         "baseline_note": (
@@ -145,41 +144,25 @@ def run_suite(
             "non-GEMM share of the runtime (Amdahl); multi-core hosts "
             "additionally overlap block paths and tiles via REPRO_THREADS"
         ),
-        "meta": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "threads": parallel.configured_threads(),
-        },
-        "results": results,
+        "results": [row for row, _ in rows],
+    }
+    return sections, {
+        "fast_matches_reference": all(matches for _, matches in rows)
     }
 
 
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default="BENCH_engine.json", help="output JSON path"
-    )
-    parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    report = run_suite(repeats=args.repeats, seed=args.seed)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for entry in report["results"]:
-        print(
-            f"{entry['model']:>14} hw={entry['input_hw']:<4} "
-            f"e2e {entry['end_to_end_before_s'] * 1e3:7.1f} -> "
-            f"{entry['end_to_end_after_s'] * 1e3:7.1f} ms "
-            f"({entry['speedup']:.2f}x)  features "
-            f"({entry['features_speedup']:.2f}x)"
-        )
-    print(f"wrote {args.out}")
-    return 0
+BENCH = common.Bench(
+    name="engine",
+    run=run,
+    deterministic=(common.Section("results", key=("model",)),),
+    timings=(
+        "ops_before_s", "ops_after_s", "features_before_s", "features_after_s",
+        "end_to_end_before_s", "end_to_end_after_s", "speedup",
+        "features_speedup",
+    ),
+    extras={"--repeats": dict(type=int, default=9)},
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(common.main(BENCH))

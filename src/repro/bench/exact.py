@@ -6,36 +6,32 @@ branch-and-bound exact heterogeneous search
 (:func:`repro.core.exact.plan_exact`), and reports the greedy
 optimality gap ``greedy_period / exact_period − 1``.
 
-Two analytic gates are asserted on every run (they are the
+Three analytic gates hold over every cell (they are the
 ``tests/test_exact_planner.py`` regressions, re-checked on the
-committed numbers):
+committed cells):
 
 * on **homogeneous** mixes the exact period equals the Algorithm 1 DP
   period — the canonical realization makes the two search spaces
   coincide, so any difference is a planner bug;
-* on every mix the exact period is ``<=`` the greedy period — the
-  greedy plan seeds the search as its incumbent.
+* on every mix the exact period is ``<=`` its incumbent's — the greedy
+  plan seeds the search;
+* the realized plan costs exactly what the search said it would.
 
-All quantities are analytic cost-model evaluations (no wall-clock
-noise), so the committed ``BENCH_exact.json`` is reproducible
+All quantities but ``search_s`` are analytic cost-model evaluations (no
+wall-clock noise), so the committed ``BENCH_exact.json`` is reproducible
 bit-for-bit; ``--check`` re-runs the committed cases and fails if any
-period or gap drifts.  Run via ``make bench-exact`` or directly::
+period, gap or search statistic drifts.  Run via ``make bench-json`` or
+directly::
 
     python -m repro.bench.exact --out BENCH_exact.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
-import platform
-import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-import numpy as np
-
+from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster
 from repro.core.dp_planner import plan_homogeneous
 from repro.core.exact import plan_exact, realize_exact
@@ -47,7 +43,7 @@ from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
 from repro.schemes.pico import PicoScheme
 
-__all__ = ["run_suite", "main"]
+__all__ = ["BENCH", "run"]
 
 #: Cluster mixes (MHz).  Heterogeneous mixes use pairwise-distinct
 #: capacities so Algorithm 2's strongest-first stage realization is the
@@ -94,7 +90,8 @@ def _bench_cell(
     mix_name: str,
     freqs: "Tuple[float, ...]",
     network: NetworkModel,
-) -> "Dict[str, object]":
+) -> "Tuple[Dict[str, object], Dict[str, bool]]":
+    """One result row, plus the cell's verdict on each gate."""
     options = DEFAULT_OPTIONS
     cluster = heterogeneous_cluster(freqs)
     homogeneous = len(set(freqs)) == 1
@@ -107,20 +104,22 @@ def _bench_cell(
     search_s = time.perf_counter() - t0
     realized = plan_cost(model, realize_exact(model, exact), network)
 
-    # Gates (mirrored by tests/test_exact_planner.py).
-    assert realized.period == exact.period, (
-        f"{model_name}/{mix_name}: realized plan diverged from search"
-    )
-    assert exact.period <= exact.incumbent_period, (
-        f"{model_name}/{mix_name}: exact worse than its own incumbent"
-    )
-    if homogeneous:
-        homo = plan_homogeneous(model, cluster, network, options)
-        assert homo is not None and exact.period == homo.period, (
-            f"{model_name}/{mix_name}: exact != DP on a homogeneous cluster"
-        )
+    # Mirrored by tests/test_exact_planner.py.
+    verdicts = {
+        "realized_equals_search": realized.period == exact.period,
+        "exact_le_incumbent": exact.period <= exact.incumbent_period,
+        "homogeneous_equals_dp": not homogeneous or (
+            exact.period
+            == plan_homogeneous(model, cluster, network, options).period
+        ),
+    }
 
     gap = exact.gap
+    print(
+        f"{model_name + '/' + mix_name:>18} greedy {greedy.period * 1e3:8.3f} ms  "
+        f"exact {exact.period * 1e3:8.3f} ms  gap {gap * 100.0:6.2f}%  "
+        f"nodes {exact.nodes:6d}  {search_s * 1e3:7.1f} ms"
+    )
     return {
         "case": f"{model_name}/{mix_name}",
         "model": model_name,
@@ -139,21 +138,20 @@ def _bench_cell(
         "nodes": exact.nodes,
         "pruned": exact.pruned,
         "search_s": search_s,
-    }
+    }, verdicts
 
 
-def run_suite(quick: bool = False) -> "Dict[str, object]":
-    """Run every (model, mix) cell; returns the JSON-ready report."""
+def run(quick: bool = False, seed: int = 0):
+    """Run every (model, mix) cell; returns ``(sections, gates)``.  The
+    cells are analytic, so ``seed`` changes nothing."""
     network = NetworkModel.from_mbps(50.0)
     mixes = QUICK_MIXES if quick else DEFAULT_MIXES
-    results = [
+    cells = [
         _bench_cell(name, model, *mix, network)
         for name, model in _zoo(quick)
         for mix in mixes + (TESTBED_MIXES if name in TESTBED_MODELS else ())
     ]
-    return {
-        "benchmark": "exact_planner_gap",
-        "quick": quick,
+    sections = {
         "network_mbps": 50.0,
         "baseline_note": (
             "greedy = Algorithm 1 DP on the homogenised cluster + "
@@ -165,77 +163,21 @@ def run_suite(quick: bool = False) -> "Dict[str, object]":
             "canonical realization, equal to greedy_period_s whenever "
             "a stage's capacities are pairwise distinct)"
         ),
-        "meta": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
-        "results": results,
+        "results": [row for row, _ in cells],
     }
+    gates = {
+        gate: all(verdicts[gate] for _, verdicts in cells)
+        for gate in cells[0][1]
+    }
+    return sections, gates
 
 
-def check_report(path: str, quick: bool = False) -> "List[str]":
-    """Re-run the committed report's cells and list any drifts."""
-    with open(path) as fh:
-        committed = json.load(fh)
-    fresh = {r["case"]: r for r in run_suite(quick=quick)["results"]}
-    errors = []
-    for entry in committed["results"]:
-        case = entry["case"]
-        now = fresh.get(case)
-        if now is None:
-            if not quick:
-                errors.append(f"{case}: missing from fresh run")
-            continue
-        for key in ("greedy_period_s", "exact_period_s", "gap_pct"):
-            if not math.isclose(entry[key], now[key], rel_tol=1e-9, abs_tol=1e-12):
-                errors.append(
-                    f"{case}: {key} committed {entry[key]!r} != fresh {now[key]!r}"
-                )
-        if entry["homogeneous"] and entry["gap_pct"] != 0.0:
-            errors.append(f"{case}: committed homogeneous gap is nonzero")
-    return errors
-
-
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default="BENCH_exact.json", help="output JSON path"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny model on 2-3 devices (CI smoke run)",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        help="re-run the cells of a committed report and fail on drift "
-        "(with --quick only the quick subset of cases is compared)",
-    )
-    args = parser.parse_args(argv)
-    if args.check:
-        errors = check_report(args.check, quick=args.quick)
-        if errors:
-            for err in errors:
-                print(f"DRIFT: {err}", file=sys.stderr)
-            return 1
-        print(f"{args.check}: committed gaps reproduce")
-        return 0
-    report = run_suite(quick=args.quick)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for entry in report["results"]:
-        print(
-            f"{entry['case']:>18} greedy {entry['greedy_period_s'] * 1e3:8.3f} ms  "
-            f"exact {entry['exact_period_s'] * 1e3:8.3f} ms  "
-            f"gap {entry['gap_pct']:6.2f}%  "
-            f"nodes {entry['nodes']:6d}  {entry['search_s'] * 1e3:7.1f} ms"
-        )
-    print(f"wrote {args.out}")
-    return 0
-
+BENCH = common.Bench(
+    name="exact",
+    run=run,
+    deterministic=(common.Section("results", key=("case",)),),
+    timings=("search_s",),
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(common.main(BENCH))

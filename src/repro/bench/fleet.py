@@ -14,21 +14,19 @@ where its SLO still holds; the halved partition under-provisions the
 heavy tenant (ρ > 1 on four devices), so the fleet wins on aggregate
 goodput — in-SLO completions per second — while every tenant keeps its
 own SLO attainment.  Results land in ``BENCH_fleet.json``; the exit
-status is non-zero when any gate fails::
+status is non-zero when any gate fails.  Every number is virtual time,
+so ``--check BENCH_fleet.json`` (what ``make bench-check`` runs) must
+reproduce the whole report::
 
-    make bench-fleet
     python -m repro.bench.fleet --quick
+    python -m repro.bench.fleet --check BENCH_fleet.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Dict, Optional, Sequence
-
 import numpy as np
 
+from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster
 from repro.cost.comm import NetworkModel
 from repro.fleet import FleetScheduler, FleetServer, ModelRegistry, TenantClass
@@ -39,7 +37,7 @@ from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer
 from repro.workload.arrivals import poisson_arrivals_count
 
-__all__ = ["run", "main"]
+__all__ = ["BENCH", "run"]
 
 FREQS_MHZ = (1200.0, 1200.0, 1000.0, 1000.0, 800.0, 800.0, 600.0, 600.0)
 ATTAINMENT_GATE = 0.8
@@ -58,11 +56,8 @@ def _serve_partition(model, cluster, network, tenant, arrivals):
         server.close()
 
 
-def run(
-    quick: bool = False,
-    out_path: Optional[str] = "BENCH_fleet.json",
-    seed: int = 0,
-) -> Dict:
+def run(quick: bool = False, seed: int = 0):
+    """Serve both ways; returns ``(sections, gates)``."""
     network = NetworkModel.from_mbps(50.0)
     cluster = heterogeneous_cluster(list(FREQS_MHZ))
     names = [d.name for d in cluster.devices]
@@ -159,9 +154,7 @@ def run(
             float(a) >= ATTAINMENT_GATE for a in fleet_attainment.values()
         ),
     }
-    result = {
-        "bench": "fleet",
-        "quick": quick,
+    sections = {
         "config": {
             "freqs_mhz": list(FREQS_MHZ), "mbps": 50.0,
             "frames_per_tenant": n_frames,
@@ -202,31 +195,19 @@ def run(
                 k: float(v) for k, v in base_attainment.items()
             },
         },
-        "gates": gates,
-        "pass": all(gates.values()),
     }
-    if out_path:
-        with open(out_path, "w") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
-        print(f"results written to {out_path}")
-    print("PASS" if result["pass"] else f"FAIL: {gates}")
-    return result
+    return sections, gates
 
 
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="fleet scheduling vs static partition gate"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke)")
-    parser.add_argument("--out", type=str, default="BENCH_fleet.json",
-                        help="output JSON path ('' = don't write)")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run(args.quick, args.out or None, args.seed)
-    return 0 if result["pass"] else 1
+BENCH = common.Bench(
+    name="fleet",
+    run=run,
+    deterministic=(
+        common.Section("config", same_mode=True),
+        common.Section("fleet", same_mode=True),
+        common.Section("partition", same_mode=True),
+    ),
+)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":
+    raise SystemExit(common.main(BENCH))

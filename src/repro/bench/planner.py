@@ -22,24 +22,19 @@ Run it via ``make bench-json`` or directly::
 
     python -m repro.bench.planner --out BENCH_planner.json
 
-``--check BENCH_planner.json`` re-runs the cases (every round still
-asserts cold/warm plans equal the reference DP) and fails if a
-deterministic field of the committed report — case, unit/device/stage
-counts, period — no longer reproduces; timings are ignored.  ``make
-bench-check`` runs it on the ``--quick`` subset.
+The gate: in every case the cold and the warm plan equal the reference
+DP's (stages, period, latency).  ``--check BENCH_planner.json`` re-runs
+the cases and fails if that gate does, or if a deterministic field of
+the committed report — case, unit/device/stage counts, period — no
+longer reproduces; timings are ignored.  ``make bench-check`` runs it on
+the ``--quick`` subset.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-import numpy as np
-
+from repro.bench import common
 from repro.cluster.device import Cluster, heterogeneous_cluster, pi_cluster
 from repro.core.dp_planner import (
     plan_homogeneous,
@@ -52,7 +47,7 @@ from repro.models.graph import Model
 from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
 
-__all__ = ["run_suite", "main"]
+__all__ = ["BENCH", "run"]
 
 #: (model name, input_hw) zoo cases — the paper's evaluation models at
 #: benchmark-friendly resolutions, planned on an 8-Pi cluster.
@@ -69,17 +64,6 @@ DEFAULT_GRID: "Tuple[Tuple[int, int], ...]" = (
 )
 
 
-def _interleaved_medians(fns: "Sequence", repeats: int) -> "List[float]":
-    """Median seconds per thunk, alternating calls each round."""
-    samples: "List[List[float]]" = [[] for _ in fns]
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
-            fn()
-            samples[i].append(time.perf_counter() - t0)
-    return [float(np.median(s)) for s in samples]
-
-
 def _bench_case(
     label: str,
     model: Model,
@@ -87,7 +71,9 @@ def _bench_case(
     network: NetworkModel,
     options: CostOptions,
     repeats: int,
-) -> "Dict[str, object]":
+) -> "Tuple[Dict[str, object], bool]":
+    """One result row, plus whether cold and warm planned what the
+    reference DP did."""
     device = cluster.homogenized().devices[0]
     # The warm table is built (and fully populated by the first round)
     # outside the clock; cold runs rebuild everything inside it.
@@ -116,19 +102,20 @@ def _bench_case(
             model, cluster, network, options, table=warm_table
         )
 
-    ref_s, cold_s, warm_s = _interleaved_medians(
+    ref_s, cold_s, warm_s = common.interleaved_medians(
         [run_reference, run_cold, run_warm], repeats
     )
     reference = plans["reference"]
-    assert reference is not None
-    for key in ("cold", "warm"):
-        plan = plans[key]
-        assert plan is not None
-        assert (plan.stages, plan.period, plan.latency) == (
-            reference.stages,
-            reference.period,
-            reference.latency,
-        ), f"{label}: {key} plan diverged from the reference DP"
+    print(
+        f"{label:>22} ref {ref_s * 1e3:8.2f} ms  "
+        f"cold {cold_s * 1e3:7.2f} ms ({ref_s / cold_s:5.1f}x)  "
+        f"warm {warm_s * 1e3:7.2f} ms ({ref_s / warm_s:5.1f}x)"
+    )
+    plans_equal = all(
+        (plans[key].stages, plans[key].period, plans[key].latency)
+        == (reference.stages, reference.period, reference.latency)
+        for key in ("cold", "warm")
+    )
     return {
         "case": label,
         "n_units": model.n_units,
@@ -140,25 +127,26 @@ def _bench_case(
         "speedup_warm": ref_s / warm_s,
         "period": reference.period,
         "n_stages": reference.n_stages,
-    }
+    }, plans_equal
 
 
-def run_suite(
-    models: "Sequence[Tuple[str, int]]" = DEFAULT_MODELS,
-    grid: "Sequence[Tuple[int, int]]" = DEFAULT_GRID,
-    repeats: int = 5,
-    n_devices: int = 8,
-) -> "Dict[str, object]":
-    """Benchmark every case; returns the JSON-ready report dict."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+#: The ``--quick`` case subset (CI smoke run).
+QUICK_CASES = {"models": DEFAULT_MODELS[:1], "grid": ((8, 4),)}
+
+
+def run(quick: bool = False, seed: int = 0, repeats: int = 5, n_devices: int = 8):
+    """Benchmark every case; returns ``(sections, gates)``.  The planners
+    draw nothing, so ``seed`` changes nothing."""
+    models, grid = DEFAULT_MODELS, DEFAULT_GRID
+    if quick:
+        models, grid = QUICK_CASES["models"], QUICK_CASES["grid"]
     network = NetworkModel.from_mbps(50.0)
     options = DEFAULT_OPTIONS
-    results: "List[Dict[str, object]]" = []
+    cases = []
     for name, hw in models:
         model = get_model(name, input_hw=hw)
         cluster = pi_cluster(n_devices, 600.0)
-        results.append(
+        cases.append(
             _bench_case(
                 f"{name}@{hw}x{n_devices}dev",
                 model, cluster, network, options, repeats,
@@ -170,14 +158,16 @@ def run_suite(
         cluster = heterogeneous_cluster(
             [600.0 + 75.0 * i for i in range(n_dev)]
         )
-        results.append(
+        cases.append(
             _bench_case(
                 f"toy{n_layers}x{n_dev}dev",
                 model, cluster, network, options, repeats,
             )
         )
-    return {
-        "benchmark": "planner_cost_tables",
+    gates = {
+        "vectorized_plans_equal_reference": all(equal for _, equal in cases)
+    }
+    sections = {
         "repeats": repeats,
         "protocol": "interleaved median over (reference, cold, warm) rounds",
         "baseline_note": (
@@ -186,86 +176,21 @@ def run_suite(
             "vectorized planner reusing a populated shared table (the "
             "online re-planning path)"
         ),
-        "meta": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
-        "results": results,
+        "results": [row for row, _ in cases],
     }
+    return sections, gates
 
 
-#: The ``--quick`` case subset (CI smoke run).
-QUICK_CASES = {"models": (("vgg16", 64),), "grid": ((8, 4),)}
-
-#: Host-independent fields of a result row — what ``--check`` compares.
-DETERMINISTIC_FIELDS = ("n_units", "n_devices", "n_stages", "period")
-
-
-def check_report(path: str, quick: bool, repeats: int) -> "List[str]":
-    """Re-run the committed report's cases and list any drifts."""
-    with open(path) as fh:
-        committed = json.load(fh)
-    suite = run_suite(repeats=repeats, **(QUICK_CASES if quick else {}))
-    fresh = {r["case"]: r for r in suite["results"]}
-    errors = []
-    for entry in committed["results"]:
-        case = entry["case"]
-        now = fresh.get(case)
-        if now is None:
-            if not quick:
-                errors.append(f"{case}: missing from fresh run")
-            continue
-        for key in DETERMINISTIC_FIELDS:
-            if entry[key] != now[key]:
-                errors.append(
-                    f"{case}: {key} committed {entry[key]!r} != fresh {now[key]!r}"
-                )
-    return errors
-
-
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out", default="BENCH_planner.json", help="output JSON path"
-    )
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small case subset (CI smoke run)",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        help="re-run the cases of a committed report and fail if a "
-        "deterministic field drifted (with --quick only the quick subset)",
-    )
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    if args.check:
-        errors = check_report(args.check, args.quick, args.repeats)
-        for err in errors:
-            print(f"DRIFT: {err}", file=sys.stderr)
-        if not errors:
-            print(f"{args.check}: committed plans reproduce")
-        return 1 if errors else 0
-    report = run_suite(repeats=args.repeats, **(QUICK_CASES if args.quick else {}))
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for entry in report["results"]:
-        print(
-            f"{entry['case']:>22} ref {entry['reference_s'] * 1e3:8.2f} ms  "
-            f"cold {entry['vectorized_cold_s'] * 1e3:7.2f} ms "
-            f"({entry['speedup_cold']:5.1f}x)  "
-            f"warm {entry['vectorized_warm_s'] * 1e3:7.2f} ms "
-            f"({entry['speedup_warm']:5.1f}x)"
-        )
-    print(f"wrote {args.out}")
-    return 0
-
+BENCH = common.Bench(
+    name="planner",
+    run=run,
+    deterministic=(common.Section("results", key=("case",)),),
+    timings=(
+        "reference_s", "vectorized_cold_s", "vectorized_warm_s",
+        "speedup_cold", "speedup_warm",
+    ),
+    extras={"--repeats": dict(type=int, default=5)},
+)
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(common.main(BENCH))

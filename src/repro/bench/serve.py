@@ -13,23 +13,22 @@ claims:
 
 An overloaded run (ρ > 1 with a bounded queue) is also recorded to
 show load shedding keeping the system stable.  Results land in
-``BENCH_serve.json``; the exit status is non-zero when any gate fails,
-so CI can run this as a check::
+``BENCH_serve.json``; the exit status is non-zero when any gate fails.
+Every number is virtual time, so ``--check BENCH_serve.json`` (what
+``make bench-check`` runs) must reproduce the whole report::
 
-    make bench-serve
     python -m repro.bench.serve --quick
+    python -m repro.bench.serve --check BENCH_serve.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from repro.adaptive.queueing import validate_md1
+from repro.bench import common
 from repro.cluster.device import pi_cluster
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
@@ -40,7 +39,7 @@ from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
 from repro.workload.arrivals import poisson_arrivals_count
 
-__all__ = ["run", "main"]
+__all__ = ["BENCH", "run"]
 
 SPEEDUP_GATE = 1.5
 PERIOD_GAP_GATE = 0.15
@@ -56,11 +55,8 @@ def _serve(model, plan, network, config, arrivals, seed=0):
         server.close()
 
 
-def run(
-    quick: bool = False,
-    out_path: Optional[str] = "BENCH_serve.json",
-    seed: int = 0,
-) -> Dict:
+def run(quick: bool = False, seed: int = 0):
+    """Run the three experiments; returns ``(sections, gates)``."""
     model = get_model("vgg16", input_hw=64)
     cluster = pi_cluster(8, 600.0)
     network = NetworkModel.from_mbps(50.0)
@@ -137,9 +133,7 @@ def run(
         ),
         "overload_sheds": len(res_over.shed) > 0,
     }
-    result = {
-        "bench": "serve",
-        "quick": quick,
+    sections = {
         "config": {
             "model": "vgg16", "input_hw": 64,
             "devices": 8, "freq_mhz": 600.0, "mbps": 50.0,
@@ -163,31 +157,20 @@ def run(
             "shed_fraction": shed_fraction,
             "p95_sojourn_s": res_over.percentile_sojourn(95),
         },
-        "gates": gates,
-        "pass": all(gates.values()),
     }
-    if out_path:
-        with open(out_path, "w") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
-        print(f"results written to {out_path}")
-    print("PASS" if result["pass"] else f"FAIL: {gates}")
-    return result
+    return sections, gates
 
 
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="pipelined serving throughput + Theorem 2 gate"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke)")
-    parser.add_argument("--out", type=str, default="BENCH_serve.json",
-                        help="output JSON path ('' = don't write)")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run(args.quick, args.out or None, args.seed)
-    return 0 if result["pass"] else 1
+BENCH = common.Bench(
+    name="serve",
+    run=run,
+    deterministic=(
+        common.Section("config"),
+        common.Section("throughput", same_mode=True),
+        common.Section("md1", same_mode=True),
+        common.Section("overload", same_mode=True),
+    ),
+)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":
+    raise SystemExit(common.main(BENCH))

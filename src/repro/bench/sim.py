@@ -15,8 +15,9 @@ Five sections land in ``BENCH_sim.json``:
   most of them hops over per-link FIFOs.
 * **before_after** — events/s of both rows at a parent checkout and at
   this one, from interleaved subprocess runs (``--before-after
-  PARENT_SRC``); host numbers, carried over from the committed report
-  when not re-measured and never part of ``--check``.
+  PARENT_SRC``; both sides need :mod:`repro.bench.common`); host
+  numbers, carried over from the committed report when not re-measured
+  and never part of ``--check``.
 * **bit_exact** — the one-link bus must still produce, bit for bit,
   what the pre-2.0 single-WLAN simulator produced: a sha256 over the
   full ``SimResult`` (records, busy totals, shed set, trace) in both
@@ -34,7 +35,6 @@ every host-independent field of a committed report (event and request
 counts, simulated makespans, the flash-crowd recovery sequence, both
 digests, every gate) and fails on any difference::
 
-    make bench-sim
     python -m repro.bench.sim --quick
     python -m repro.bench.sim --check BENCH_sim.json [--quick]
     python -m repro.bench.sim --before-after /path/to/parent/src
@@ -42,7 +42,6 @@ digests, every gate) and fails on any difference::
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -51,10 +50,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
 from repro.core.plan import plan_cost
 from repro.cost.comm import NetworkModel
@@ -66,15 +66,19 @@ from repro.sim import Topology, correlated_churn, simulate_scenario
 from repro.workload import get_arrivals
 from repro.workload.arrivals import poisson_arrivals
 
-__all__ = ["run", "main"]
+__all__ = ["BENCH", "result_digest", "run"]
 
 #: Conservative CI floor — the engine does several hundred thousand
 #: events/s on a laptop; shared runners get an order of magnitude slack.
 EVENTS_PER_S_GATE = 50_000.0
 
-#: The report fields that time the host; every other field depends on
-#: (config, seed) only and must reproduce under ``--check``.
-_HOST_FIELDS = ("elapsed_s", "events_per_s", "requests_per_s")
+#: One ``--before-after`` measurement: a fresh interpreter runs this
+#: file by path, so its rows meet whichever ``repro`` is on PYTHONPATH.
+_MEASURE_ROW = (
+    "import json, runpy, sys; path, row, tasks, seed = sys.argv[1:]; "
+    "print(json.dumps(runpy.run_path(path)['_throughput']"
+    "(row, int(tasks), int(seed))))"
+)
 
 
 def result_digest(result) -> str:
@@ -179,9 +183,9 @@ def _before_after(parent_src: str, n_tasks: int, seed: int, rounds: int) -> Dict
 
     Each measurement is a fresh interpreter running *this file* by path
     with one of the two ``src`` directories on ``PYTHONPATH`` — the
-    rows only use API both sides have — alternating which side goes
-    first.  The event counts must agree: same scenario, same engine
-    semantics, only the speed may differ.
+    rows only use API both sides have — parent and change alternating.
+    The event counts must agree: same scenario, same engine semantics,
+    only the speed may differ.
     """
     this_file = Path(__file__).resolve()
     sides = {
@@ -197,22 +201,22 @@ def _before_after(parent_src: str, n_tasks: int, seed: int, rounds: int) -> Dict
         parent = parent_src  # not a checkout: name it by path
     section: Dict = {"parent": parent, "rounds": int(rounds)}
     for row in _ROWS:
-        rates: "Dict[str, List[float]]" = {side: [] for side in sides}
         events = set()
-        for i in range(rounds):
-            for side in sorted(sides, reverse=bool(i % 2)):
-                out = subprocess.run(
-                    [sys.executable, "-c",
-                     "import runpy, sys; sys.argv = sys.argv[1:]; "
-                     "runpy.run_path(sys.argv[0], run_name='__main__')",
-                     str(this_file), "--row", row,
-                     "--tasks", str(n_tasks), "--seed", str(seed)],
-                    env=dict(os.environ, PYTHONPATH=sides[side]),
-                    check=True, capture_output=True, text=True,
-                ).stdout
-                measured = json.loads(out.splitlines()[-1])
-                rates[side].append(measured["events_per_s"])
-                events.add((measured["n_requests"], measured["n_events"]))
+
+        def events_per_s(side: str) -> float:
+            out = subprocess.run(
+                [sys.executable, "-c", _MEASURE_ROW, str(this_file), row,
+                 str(n_tasks), str(seed)],
+                env=dict(os.environ, PYTHONPATH=sides[side]),
+                check=True, capture_output=True, text=True,
+            ).stdout
+            measured = json.loads(out.splitlines()[-1])
+            events.add((measured["n_requests"], measured["n_events"]))
+            return measured["events_per_s"]
+
+        rates = dict(zip(sides, common.interleaved(
+            [lambda side=side: events_per_s(side) for side in sides], rounds
+        )))
         if len(events) != 1:
             raise RuntimeError(f"{row}: parent and change disagree: {events}")
         n_row, _ = events.pop()
@@ -316,29 +320,26 @@ def _flash_crowd(seed: int) -> Dict:
 
 def run(
     quick: bool = False,
-    out_path: Optional[str] = "BENCH_sim.json",
     seed: int = 0,
-    n_tasks: Optional[int] = None,
-    reference_path: str = "BENCH_sim.json",
-    parent_src: Optional[str] = None,
+    tasks: int = 0,
+    before_after: Optional[str] = None,
     rounds: int = 5,
-) -> Dict:
-    """Run every section.  The bit-exact reference digests — and the
-    before/after figures, unless ``parent_src`` names a parent checkout
-    to re-measure against — are read from the committed report at
-    ``reference_path`` and carried over."""
-    if n_tasks is None:
-        n_tasks = 50_000 if quick else 1_000_000
-    with open(reference_path) as handle:
-        committed = json.load(handle)
+    *,
+    committed: Dict,
+):
+    """Run every section; returns ``(sections, gates)``.  The bit-exact
+    reference digests — and the before/after figures, unless
+    ``before_after`` names a parent checkout's ``src`` to re-measure
+    against — are carried over from the ``committed`` report."""
+    n_tasks = tasks or (50_000 if quick else 1_000_000)
     throughput = _throughput("folded", n_tasks, seed)
     routed = _throughput("routed", n_tasks, seed)
     bit_exact = _bit_exact(committed["bit_exact"]["reference"])
     flash = _flash_crowd(seed)
-    if parent_src:
-        before_after = _before_after(parent_src, n_tasks, seed, rounds)
+    if before_after:
+        parent_vs_change = _before_after(before_after, n_tasks, seed, rounds)
     else:
-        before_after = committed.get("before_after")
+        parent_vs_change = committed.get("before_after")
 
     floor = int(EVENTS_PER_S_GATE)
     gates = {
@@ -365,95 +366,46 @@ def run(
             flash["completed"] + flash["shed"] == flash["submitted"]
         ),
     }
-    result = {
-        "bench": "sim",
-        "quick": quick,
+    sections = {
         "config": {"n_requests": int(n_tasks), "seed": int(seed)},
         "throughput": throughput,
         "throughput_routed": routed,
-        "before_after": before_after,
+        "before_after": parent_vs_change,
         "bit_exact": bit_exact,
         "flash_crowd": flash,
-        "gates": gates,
-        "pass": all(gates.values()),
     }
-    if out_path:
-        with open(out_path, "w") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
-        print(f"results written to {out_path}")
-    print("PASS" if result["pass"] else f"FAIL: {gates}")
-    return result
+    return sections, gates
 
 
-def check_report(path: str, quick: bool = False) -> "List[str]":
-    """Re-run a committed report's configuration and list every
-    host-independent field that no longer reproduces.  ``quick`` runs
-    the short throughput streams, whose counts a full report cannot
-    hold, and compares everything else (``before_after`` is all host
-    numbers and never compared)."""
-    with open(path) as handle:
-        committed = json.load(handle)
-    config = committed["config"]
-    fresh = run(
-        quick, None, config["seed"],
-        None if quick else config["n_requests"], reference_path=path,
-    )
-    sections = ["bit_exact", "flash_crowd", "gates"]
-    if quick == committed["quick"]:
-        sections += ["throughput", "throughput_routed"]
-    return [
-        f"{section}.{key}: committed {want!r} "
-        f"!= fresh {fresh[section].get(key)!r}"
-        for section in sections
-        for key, want in committed[section].items()
-        if key not in _HOST_FIELDS and want != fresh[section].get(key)
-    ]
-
-
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="scenario simulator throughput and correctness gate"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="50k requests instead of a million (CI smoke)")
-    parser.add_argument("--out", type=str, default="BENCH_sim.json",
-                        help="output JSON path ('' = don't write)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tasks", type=int, default=0,
-                        help="override the request count (0 = mode default; "
-                        "the routed row streams a fifth of it)")
-    parser.add_argument(
-        "--before-after", metavar="PARENT_SRC",
-        help="also time both throughput rows against the src/ of a parent "
-        "checkout, interleaved, and record the medians",
-    )
-    parser.add_argument("--rounds", type=int, default=5,
-                        help="parent/change pairs per row for --before-after")
-    parser.add_argument("--row", choices=sorted(_ROWS), help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--check", metavar="PATH",
-        help="re-derive the deterministic fields of a committed report "
-        "and fail on any difference (with --quick: all but the "
-        "throughput stream's counts)",
-    )
-    args = parser.parse_args(argv)
-    if args.row:  # one --before-after measurement: the row as one JSON line
-        print(json.dumps(_throughput(args.row, args.tasks, args.seed)))
-        return 0
-    if args.check:
-        errors = check_report(args.check, quick=args.quick)
-        for err in errors:
-            print(f"DRIFT: {err}", file=sys.stderr)
-        if not errors:
-            print(f"{args.check}: committed report reproduces")
-        return 1 if errors else 0
-    result = run(
-        args.quick, args.out or None, args.seed, args.tasks or None,
-        parent_src=args.before_after, rounds=args.rounds,
-    )
-    return 0 if result["pass"] else 1
-
+BENCH = common.Bench(
+    name="sim",
+    run=run,
+    deterministic=(
+        common.Section("bit_exact"),
+        common.Section("flash_crowd"),
+        common.Section("throughput", same_mode=True),
+        common.Section("throughput_routed", same_mode=True),
+    ),
+    # every other field depends on (config, seed) only
+    timings=("elapsed_s", "events_per_s", "requests_per_s"),
+    extras={
+        "--tasks": dict(
+            type=int, default=0,
+            help="override the request count (0 = mode default; the "
+            "routed row streams a fifth of it)",
+        ),
+        "--before-after": dict(
+            metavar="PARENT_SRC",
+            help="also time both throughput rows against the src/ of a "
+            "parent checkout, interleaved, and record the medians",
+        ),
+        "--rounds": dict(
+            type=int, default=5,
+            help="parent/change pairs per row for --before-after",
+        ),
+    },
+    reads_committed=True,
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    raise SystemExit(common.main(BENCH))

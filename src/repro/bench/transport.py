@@ -34,35 +34,35 @@ ring's slot count — a sender blocked on slot acquire cannot drain its
 own socket, which is exactly the backpressure the serving layer sheds
 on, not something to measure through.
 
-The headline gate: shm must beat tcp by ``--min-ratio`` (default 3×)
-frames/s on multi-megabyte oneway frames.  Results land in
-``BENCH_transport.json``; non-zero exit when the gate fails::
+The headline gate: shm must beat tcp by ``--min-ratio`` (default 3×;
+``--quick``, on shared-runner timing, 1.3× over fewer frames, repeats
+and sizes) frames/s on multi-megabyte oneway frames.  Results land in
+``BENCH_transport.json``; non-zero exit when the gate fails.  ``--check``
+holds the case list and frame sizes against the committed report and
+enforces the gate on the fresh run::
 
-    make bench-transport
     python -m repro.bench.transport --quick
+    python -m repro.bench.transport --check BENCH_transport.json --quick
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import multiprocessing as mp
-import os
 import queue
 import socket
 import statistics
-import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench import common
 from repro.runtime.messages import Hello, ShmAttach, Shutdown, TileResult, TileTask
 from repro.runtime.shm import ShmChannel, ShmRing
 from repro.runtime.transport import Channel
 
-__all__ = ["run", "main"]
+__all__ = ["BENCH", "run"]
 
 #: (label, float32 tensor shape) — ~1, ~4 and ~16 MB frames.
 SIZES: "Tuple[Tuple[str, Tuple[int, int, int]], ...]" = (
@@ -240,38 +240,44 @@ def _run_inproc(
 
 
 def run(
-    n_frames: int = 40,
+    quick: bool = False,
+    seed: int = 0,
+    frames: int = 40,
     repeats: int = 5,
-    min_ratio: float = 3.0,
-    sizes: "Optional[Sequence[str]]" = None,
-    modes: "Sequence[str]" = ("oneway", "echo"),
-) -> dict:
-    """Run the interleaved sweep; returns the result document."""
-    chosen = [
-        (label, shape)
-        for label, shape in SIZES
-        if sizes is None or label in sizes
+    min_ratio: Optional[float] = None,
+):
+    """Run the interleaved sweep; returns ``(sections, gates)``.  The
+    frames are constant fills, so ``seed`` changes nothing."""
+    chosen, modes = list(SIZES), ("oneway", "echo")
+    if quick:
+        frames, repeats = min(frames, 10), min(repeats, 2)
+        chosen, modes = [SIZES[1]], ("oneway",)
+    if min_ratio is None:
+        min_ratio = 1.3 if quick else 3.0
+    cases = [
+        (transport, label, mode)
+        for label, _ in chosen
+        for mode in modes
+        for transport in ("tcp", "shm", "inproc")  # interleaved within repeat
     ]
-    transports = ("tcp", "shm", "inproc")
-    samples: "Dict[Tuple[str, str, str], List[float]]" = {}
-    for _rep in range(repeats):
-        for label, shape in chosen:
-            for mode in modes:
-                for transport in transports:  # interleaved within repeat
-                    if transport == "inproc":
-                        elapsed = _run_inproc(shape, mode, n_frames)
-                    else:
-                        elapsed = _run_socket_transport(
-                            transport, shape, mode, n_frames
-                        )
-                    samples.setdefault((transport, label, mode), []).append(
-                        n_frames / elapsed
-                    )
+    shapes = dict(chosen)
+
+    def frames_per_s(transport: str, label: str, mode: str) -> float:
+        if transport == "inproc":
+            elapsed = _run_inproc(shapes[label], mode, frames)
+        else:
+            elapsed = _run_socket_transport(
+                transport, shapes[label], mode, frames
+            )
+        return frames / elapsed
+
+    samples = dict(zip(cases, common.interleaved(
+        [lambda case=case: frames_per_s(*case) for case in cases], repeats
+    )))
 
     results = []
     for (transport, label, mode), fps_samples in sorted(samples.items()):
-        shape = dict(chosen)[label]
-        nbytes = int(np.prod(shape)) * 4
+        nbytes = int(np.prod(shapes[label])) * 4
         fps = statistics.median(fps_samples)
         results.append(
             {
@@ -284,28 +290,28 @@ def run(
                 "samples": [round(s, 2) for s in fps_samples],
             }
         )
-
-    def fps_of(transport: str, label: str, mode: str) -> float:
-        for row in results:
-            if (row["transport"], row["size"], row["mode"]) == (
-                transport, label, mode,
-            ):
-                return row["frames_per_s"]
-        return 0.0
+        print(
+            f"{transport:>7} {label:>5} {mode:>7}: {fps:>8.2f} frames/s "
+            f"({fps * nbytes / 1e6:>9.1f} MB/s)"
+        )
 
     # Gate on the multi-megabyte oneway sizes (every chosen size >= 4MB).
-    gated = [label for label, shape in chosen if int(np.prod(shape)) * 4 >= 4e6]
-    ratios = {
-        label: round(fps_of("shm", label, "oneway")
-                     / max(fps_of("tcp", label, "oneway"), 1e-9), 2)
-        for label in gated
-        if "oneway" in modes
+    fps_of = {
+        (row["transport"], row["size"], row["mode"]): row["frames_per_s"]
+        for row in results
     }
-    passed = all(r >= min_ratio for r in ratios.values()) and bool(ratios)
-    return {
-        "bench": "transport",
+    ratios = {
+        label: round(
+            fps_of["shm", label, "oneway"]
+            / max(fps_of["tcp", label, "oneway"], 1e-9), 2
+        )
+        for label, shape in chosen
+        if int(np.prod(shape)) * 4 >= 4e6 and "oneway" in modes
+    }
+    print(f"shm/tcp oneway ratios {ratios} (min {min_ratio})")
+    sections = {
         "config": {
-            "n_frames": n_frames,
+            "n_frames": frames,
             "repeats": repeats,
             "oneway_window": ONEWAY_WINDOW,
             "slots_per_ring": SLOTS_PER_RING,
@@ -321,63 +327,34 @@ def run(
             "echo = window-1 round trips of an already-materialised array"
         ),
         "results": results,
-        "gate": {
+        "shm_over_tcp": {
             "metric": "shm/tcp oneway frames_per_s",
             "min_ratio": min_ratio,
             "ratios": ratios,
-            "pass": passed,
         },
+    }
+    return sections, {
+        "shm_beats_tcp_oneway": bool(ratios)
+        and all(r >= min_ratio for r in ratios.values())
     }
 
 
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Per-transport tensor streaming benchmark"
-    )
-    parser.add_argument("--out", type=str, default=None,
-                        help="write the JSON document here")
-    parser.add_argument("--frames", type=int, default=40)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--min-ratio", type=float, default=None,
-                        help="shm-over-tcp gate (default 3.0, quick 1.3)")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: fewer frames/repeats/sizes and a "
-                        "relaxed gate (shared-runner timing)")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        doc = run(
-            n_frames=min(args.frames, 10),
-            repeats=min(args.repeats, 2),
-            min_ratio=args.min_ratio if args.min_ratio is not None else 1.3,
-            sizes=("4MB",),
-            modes=("oneway",),
-        )
-    else:
-        doc = run(
-            n_frames=args.frames,
-            repeats=args.repeats,
-            min_ratio=args.min_ratio if args.min_ratio is not None else 3.0,
-        )
-
-    for row in doc["results"]:
-        print(
-            f"{row['transport']:>7} {row['size']:>5} {row['mode']:>7}: "
-            f"{row['frames_per_s']:>8.2f} frames/s "
-            f"({row['mb_per_s']:>9.1f} MB/s)"
-        )
-    gate = doc["gate"]
-    print(
-        f"gate: shm/tcp oneway ratios {gate['ratios']} "
-        f"(min {gate['min_ratio']}) -> {'PASS' if gate['pass'] else 'FAIL'}"
-    )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write(os.linesep)
-        print(f"written to {args.out}")
-    return 0 if gate["pass"] else 1
-
+BENCH = common.Bench(
+    name="transport",
+    run=run,
+    deterministic=(
+        common.Section("config", same_mode=True),
+        common.Section("results", key=("transport", "size", "mode")),
+    ),
+    timings=("frames_per_s", "mb_per_s", "samples"),
+    extras={
+        "--frames": dict(type=int, default=40),
+        "--repeats": dict(type=int, default=5),
+        "--min-ratio": dict(
+            type=float, help="shm-over-tcp gate (default 3.0, quick 1.3)"
+        ),
+    },
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    raise SystemExit(common.main(BENCH))

@@ -149,6 +149,7 @@ class TcpTransport(Transport):
         fail_after: "Optional[Dict[str, int]]" = None,
         connect_timeout_s: float = 30.0,
     ) -> None:
+        super().__init__()
         self.model = model
         self.weights = weights
         self._seed = seed

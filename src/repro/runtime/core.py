@@ -116,14 +116,21 @@ class Transport(ABC):
     model = None
     _config: "Optional[RuntimeConfig]" = None
 
+    def __init__(self) -> None:
+        self._program: "Optional[PlanProgram]" = None
+        self._overrides: "dict" = {}
+        self._dead: "set" = set()
+        self._dead_lock = threading.Lock()
+        self._fleet_shared = False
+        self._tenant_views: "List[Transport]" = []
+
     def open(self, program: PlanProgram) -> None:
         self._program = program
-        self._overrides: "dict" = {}
-        if not getattr(self, "_fleet_shared", False):
+        self._overrides = {}
+        if not self._fleet_shared:
             # Tenant views (open_tenant) arrive with the fleet-wide
             # dead-device set pre-installed; opening must not fork it.
-            self._dead: "set" = set()
-            self._dead_lock = threading.Lock()
+            self._dead = set()
 
     def close(self) -> None:  # pragma: no cover - default no-op
         pass
@@ -141,7 +148,7 @@ class Transport(ABC):
 
     def current_stage(self, stage_index: int) -> StageProgram:
         """The stage's current program (post-recovery override, if any)."""
-        override = getattr(self, "_overrides", {}).get(stage_index)
+        override = self._overrides.get(stage_index)
         if override is not None:
             return override
         return self._program.stages[stage_index]
@@ -170,7 +177,7 @@ class Transport(ABC):
         virtual clock)."""
 
     def dead_devices(self) -> "frozenset":
-        return frozenset(getattr(self, "_dead", ()))
+        return frozenset(self._dead)
 
     def mark_dead(self, device: str) -> bool:
         """Declare a device dead; True the first time it is declared.
@@ -186,7 +193,7 @@ class Transport(ABC):
 
     def needs_repartition(self, stage_index: int) -> bool:
         """Does the stage's current task set reference a dead device?"""
-        if not getattr(self, "_dead", None):
+        if not self._dead:
             return False
         return any(
             t.device_name in self._dead
@@ -202,7 +209,7 @@ class Transport(ABC):
 
     def capacity_lost(self) -> float:
         """Fraction of the program's device capacity now dead."""
-        dead = getattr(self, "_dead", None)
+        dead = self._dead
         if not dead:
             return 0.0
         capacities: "dict" = {}
@@ -250,13 +257,6 @@ class Transport(ABC):
         from the parent's (multi-model fleets).  The parent acts as the
         factory and shared-state holder; it need not be opened itself.
         """
-        if not hasattr(self, "_dead"):
-            # Parent used purely as a factory: seed the shared fleet
-            # state without requiring an open() on the parent itself.
-            self._dead = set()
-            self._dead_lock = threading.Lock()
-        if not hasattr(self, "_tenant_views"):
-            self._tenant_views: "List[Transport]" = []
         view = self._tenant_view(engine)
         view.configure(self._config)
         view._dead = self._dead
@@ -273,10 +273,10 @@ class Transport(ABC):
 
     @property
     def tenant_views(self) -> "Tuple[Transport, ...]":
-        return tuple(getattr(self, "_tenant_views", ()))
+        return tuple(self._tenant_views)
 
     def close_tenants(self) -> None:
-        for view in getattr(self, "_tenant_views", ()):
+        for view in self._tenant_views:
             view.close()
         self._tenant_views = []
 
@@ -490,6 +490,7 @@ class InProcTransport(Transport):
         engine: Engine,
         faults: "Optional[FaultSchedule]" = None,
     ) -> None:
+        super().__init__()
         self.engine = engine
         self.model = engine.model
         self.faults = faults
@@ -628,6 +629,7 @@ class SimTransport(Transport):
     ) -> None:
         from repro.cost.tables import BATCH_AMORTIZED_FRACTION
 
+        super().__init__()
         self.engine = engine
         self.model = engine.model
         self.network = network
@@ -723,7 +725,7 @@ class SimTransport(Transport):
         exclusive token's free time for one-stage-scheme plans).  The
         analytic batcher uses this to decide how many queued frames a
         forming batch can absorb before the server would go idle."""
-        program = getattr(self, "_program", None)
+        program = self._program
         if program is not None and program.mode == "exclusive":
             return self._exclusive_free
         if not self._stage_free:  # not opened yet: everything is idle

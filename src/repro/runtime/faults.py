@@ -28,7 +28,7 @@ The default repartition policy is ``"migrate"``: a dead device's
 *compiled* tasks move wholesale to survivors, keeping every tile's
 geometry — and therefore every GEMM reduction order — identical to the
 fault-free run, so recovered outputs are **bit-identical** (the
-``make fault-smoke`` gate).  ``"rebalance"`` re-splits the stage
+``tests/test_faults.py::test_crash_recovery_bit_exact`` gate).  ``"rebalance"`` re-splits the stage
 capacity-weighted over the survivors instead (better balanced, only
 float-close; what the TCP backend does, since its workers hold one
 tile program each).

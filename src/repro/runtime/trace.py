@@ -22,7 +22,7 @@ the real backends, virtual for :class:`~repro.runtime.core.SimTransport`
 The *canonical* projection drops timestamps entirely, leaving the
 deterministic ``(frame, stage, kind, device, nbytes)`` sequence: two
 backends executed the same plan iff their canonical traces are equal,
-which is the exactness gate ``make trace-smoke`` enforces.
+which is the exactness gate ``tests/test_differential.py`` enforces.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ EVENT_KINDS = ("enqueue", "send", "compute", "recv")
 #: boundary after a repartition, and ``replan``/``degraded`` when the
 #: session adopts a fresh plan over the survivors (or a single-device
 #: fallback).  Fault-free runs never emit these, so the four-kind
-#: canonical gate (``make trace-smoke``) is unchanged.
+#: canonical gate (``tests/test_differential.py``) is unchanged.
 RECOVERY_KINDS = ("device_dead", "device_join", "retry", "frame_replayed",
                   "replan", "degraded")
 

@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro._util import nearest_rank
 from repro.runtime.core import PipelineSession, Transport
 from repro.runtime.faults import RuntimeConfig, StageFailure
 from repro.runtime.program import PlanProgram, compile_plan
@@ -194,13 +195,7 @@ class ServeResult:
 
     def percentile_sojourn(self, q: float) -> float:
         """Sojourn percentile ``q`` in [0, 100] (nearest-rank)."""
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        s = sorted(self.sojourns)
-        if not s:
-            return 0.0
-        rank = min(len(s) - 1, max(0, int(round(q / 100 * (len(s) - 1)))))
-        return s[rank]
+        return nearest_rank(self.sojourns, q)
 
     @property
     def batch_sizes(self) -> "List[int]":
@@ -214,13 +209,7 @@ class ServeResult:
 
     def percentile_batch(self, q: float) -> float:
         """Batch-size percentile ``q`` in [0, 100] (nearest-rank)."""
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        b = sorted(self.batch_sizes)
-        if not b:
-            return 0.0
-        rank = min(len(b) - 1, max(0, int(round(q / 100 * (len(b) - 1)))))
-        return float(b[rank])
+        return float(nearest_rank(self.batch_sizes, q))
 
     @property
     def throughput(self) -> float:

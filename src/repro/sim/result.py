@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro._util import nearest_rank
 from repro.runtime.trace import TraceEvent
 
 __all__ = ["TaskRecord", "SimResult", "SimStats"]
@@ -71,13 +72,7 @@ class SimResult:
 
     def percentile_latency(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100] (nearest-rank)."""
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self.tasks:
-            return 0.0
-        ordered = sorted(t.latency for t in self.tasks)
-        rank = min(len(ordered) - 1, max(0, int(round(q / 100 * (len(ordered) - 1)))))
-        return ordered[rank]
+        return nearest_rank((t.latency for t in self.tasks), q)
 
     @property
     def throughput(self) -> float:

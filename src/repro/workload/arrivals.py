@@ -8,7 +8,7 @@ measuring maximum throughput.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -18,6 +18,34 @@ __all__ = [
     "uniform_arrivals",
     "saturation_arrivals",
 ]
+
+
+def iter_poisson(
+    rate: float,
+    horizon_s: float,
+    n_tasks: Optional[int],
+    rng: np.random.Generator,
+) -> Iterator[float]:
+    """The package's one Poisson gap loop: arrivals at ``rate``/s until
+    ``horizon_s`` or ``n_tasks`` of them, whichever comes first.  Every
+    list helper and lazy process draws through it, which is what makes
+    them draw-for-draw identical under one generator."""
+    t, emitted = 0.0, 0
+    while n_tasks is None or emitted < n_tasks:
+        t += float(rng.exponential(1.0 / rate))
+        if t >= horizon_s:
+            return
+        emitted += 1
+        yield t
+
+
+def iter_uniform(rate: float, horizon_s: float) -> Iterator[float]:
+    """Evenly spaced arrivals, the first one gap after t=0."""
+    gap = 1.0 / rate
+    t = gap
+    while t < horizon_s:
+        yield t
+        t += gap
 
 
 def poisson_arrivals(
@@ -35,14 +63,7 @@ def poisson_arrivals(
         raise ValueError("horizon must be positive")
     if rate == 0:
         return []
-    rng = rng or np.random.default_rng(0)
-    times: "List[float]" = []
-    t = 0.0
-    while True:
-        t += float(rng.exponential(1.0 / rate))
-        if t >= horizon_s:
-            return times
-        times.append(t)
+    return list(iter_poisson(rate, horizon_s, None, rng or np.random.default_rng(0)))
 
 
 def poisson_arrivals_count(
@@ -65,13 +86,7 @@ def uniform_arrivals(rate: float, horizon_s: float) -> "List[float]":
         raise ValueError("rate must be positive")
     if horizon_s <= 0:
         raise ValueError("horizon must be positive")
-    gap = 1.0 / rate
-    times = []
-    t = gap
-    while t < horizon_s:
-        times.append(t)
-        t += gap
-    return times
+    return list(iter_uniform(rate, horizon_s))
 
 
 def saturation_arrivals(n_tasks: int) -> "List[float]":

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.workload.arrivals import iter_poisson, iter_uniform, saturation_arrivals
 from repro.workload.traces import PhasedTrace, day_night_trace
 
 __all__ = [
@@ -124,18 +125,9 @@ class PoissonProcess(ArrivalProcess):
         self.n_tasks = n_tasks
 
     def times(self, rng=None) -> Iterator[float]:
-        rng = _default_rng(rng)
-
-        def generate() -> Iterator[float]:
-            t, emitted = 0.0, 0
-            while self.n_tasks is None or emitted < self.n_tasks:
-                t += float(rng.exponential(1.0 / self.rate))
-                if t >= self.horizon_s:
-                    return
-                emitted += 1
-                yield t
-
-        return generate()
+        return iter_poisson(
+            self.rate, self.horizon_s, self.n_tasks, _default_rng(rng)
+        )
 
     def rate_at(self, t: float) -> float:
         return self.rate if 0 <= t < self.horizon_s else 0.0
@@ -153,14 +145,7 @@ class UniformProcess(ArrivalProcess):
         self.horizon_s = float(horizon_s)
 
     def times(self, rng=None) -> Iterator[float]:
-        def generate() -> Iterator[float]:
-            gap = 1.0 / self.rate
-            t = gap
-            while t < self.horizon_s:
-                yield t
-                t += gap
-
-        return generate()
+        return iter_uniform(self.rate, self.horizon_s)
 
     def rate_at(self, t: float) -> float:
         return self.rate if 0 <= t < self.horizon_s else 0.0
@@ -177,7 +162,7 @@ class SaturationProcess(ArrivalProcess):
         self.n_tasks = n_tasks
 
     def times(self, rng=None) -> Iterator[float]:
-        return iter([0.0] * self.n_tasks)
+        return iter(saturation_arrivals(self.n_tasks))
 
     def rate_at(self, t: float) -> float:
         return math.inf if t == 0 else 0.0
@@ -195,21 +180,7 @@ class PhasedProcess(ArrivalProcess):
         self.horizon_s = trace.horizon_s
 
     def times(self, rng=None) -> Iterator[float]:
-        rng = _default_rng(rng)
-
-        def generate() -> Iterator[float]:
-            offset = 0.0
-            for phase in self.trace.phases:
-                if phase.rate > 0:
-                    t = 0.0
-                    while True:
-                        t += float(rng.exponential(1.0 / phase.rate))
-                        if t >= phase.duration_s:
-                            break
-                        yield offset + t
-                offset += phase.duration_s
-
-        return generate()
+        return self.trace.times(_default_rng(rng))
 
     def rate_at(self, t: float) -> float:
         return self.trace.rate_at(t)

@@ -9,11 +9,11 @@ the light→heavy→light patterns the adaptive switcher must track.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.workload.arrivals import poisson_arrivals
+from repro.workload.arrivals import iter_poisson
 
 __all__ = ["Phase", "PhasedTrace", "day_night_trace"]
 
@@ -50,17 +50,17 @@ class PhasedTrace:
     def sample(self, rng: Optional[np.random.Generator] = None) -> "List[float]":
         """Arrival times over the whole trace (fixed seed unless ``rng``
         is supplied — see :func:`~repro.workload.arrivals.poisson_arrivals`)."""
-        rng = rng or np.random.default_rng(0)
-        arrivals: "List[float]" = []
+        return list(self.times(rng or np.random.default_rng(0)))
+
+    def times(self, rng: np.random.Generator) -> Iterator[float]:
+        """The same arrivals, streamed: one Poisson segment per phase,
+        all drawn from ``rng`` in phase order."""
         offset = 0.0
         for phase in self.phases:
             if phase.rate > 0:
-                arrivals.extend(
-                    offset + t
-                    for t in poisson_arrivals(phase.rate, phase.duration_s, rng)
-                )
+                for t in iter_poisson(phase.rate, phase.duration_s, None, rng):
+                    yield offset + t
             offset += phase.duration_s
-        return arrivals
 
     def rate_at(self, t: float) -> float:
         """The nominal rate active at time ``t``."""

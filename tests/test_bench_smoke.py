@@ -1,5 +1,6 @@
-"""Smoke test for the engine benchmark harness: a tiny configuration
-must produce a complete, JSON-serialisable report."""
+"""The bench spine (``repro.bench.common``) and the harnesses on it: the
+one check, the one envelope over every committed BENCH file, the one
+interleaved protocol, and tiny runs of the engine / exact / sim benches."""
 
 from __future__ import annotations
 
@@ -8,10 +9,10 @@ import pathlib
 
 import pytest
 
-from repro.bench.engine import DEFAULT_MODELS, run_suite
-from repro.bench.exact import check_report
-from repro.bench.exact import run_suite as run_exact_suite
-from repro.bench.sim import check_report as check_sim_report
+from repro.bench import common
+from repro.bench.engine import BENCH as ENGINE, DEFAULT_MODELS
+from repro.bench.exact import BENCH as EXACT
+from repro.bench.sim import BENCH as SIM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_EXACT = ROOT / "BENCH_exact.json"
@@ -19,8 +20,10 @@ BENCH_SIM = ROOT / "BENCH_sim.json"
 
 
 def test_run_suite_smoke():
-    report = run_suite(models=(("vgg16", 32),), repeats=1, seed=0)
-    assert report["benchmark"] == "engine_fast_path"
+    report = common.run_report(
+        ENGINE, models=(("vgg16", 32),), repeats=1, seed=0
+    )
+    assert report["bench"] == "engine"
     assert report["repeats"] == 1
     assert "baseline_note" in report
     for key in ("python", "numpy", "platform", "threads"):
@@ -44,6 +47,7 @@ def test_run_suite_smoke():
     assert entry["speedup"] > 0
     assert "conv" in entry["ops_before_s"]
     assert entry["ops_before_s"]["conv"] > 0
+    assert report["gates"] == {"fast_matches_reference": True}
     # The whole report must round-trip through JSON (what main() writes).
     assert json.loads(json.dumps(report)) == report
 
@@ -56,8 +60,8 @@ def test_default_models_are_paper_models():
 def test_exact_gap_quick_suite_smoke():
     """The optimality-gap harness on its CI subset: a tiny model on 2-3
     devices, homogeneous gap exactly zero, JSON-serialisable report."""
-    report = run_exact_suite(quick=True)
-    assert report["benchmark"] == "exact_planner_gap"
+    report = common.run_report(EXACT, quick=True)
+    assert report["bench"] == "exact"
     assert report["quick"] is True
     cases = {r["case"]: r for r in report["results"]}
     assert set(cases) == {"toy/hom2", "toy/het3"}
@@ -66,20 +70,21 @@ def test_exact_gap_quick_suite_smoke():
     het = cases["toy/het3"]
     assert het["exact_period_s"] <= het["greedy_period_s"]
     assert het["gap_pct"] >= 0.0
+    assert report["pass"] is True
     assert json.loads(json.dumps(report)) == report
 
 
 def test_exact_gap_committed_report_reproduces_quick():
     """The quick subset of the committed BENCH_exact.json must
     reproduce exactly (analytic, deterministic numbers)."""
-    assert check_report(str(BENCH_EXACT), quick=True) == []
+    assert common.check_file(EXACT, str(BENCH_EXACT), quick=True) == []
 
 
 @pytest.mark.slow
 def test_exact_gap_committed_report_reproduces_full_zoo():
     """Full-zoo gap sweep: every committed cell — all four models x all
     four mixes — reproduces bit-for-bit."""
-    assert check_report(str(BENCH_EXACT)) == []
+    assert common.check_file(EXACT, str(BENCH_EXACT)) == []
 
 
 def test_sim_committed_report_reproduces_quick(tmp_path):
@@ -87,15 +92,118 @@ def test_sim_committed_report_reproduces_quick(tmp_path):
     counts, simulated makespans, the flash-crowd recovery sequence, the
     legacy-adapter digests, the gates — reproduces on the quick stream;
     a drifted count or a wrong reference digest is reported."""
-    assert check_sim_report(str(BENCH_SIM), quick=True) == []
+    assert common.check_file(SIM, str(BENCH_SIM), quick=True) == []
 
     report = json.loads(BENCH_SIM.read_text())
     report["flash_crowd"]["shed"] += 1
     report["bit_exact"]["reference"]["folded"] = "0" * 64
     drifted = tmp_path / "BENCH_sim.json"
     drifted.write_text(json.dumps(report))
-    errors = check_sim_report(str(drifted), quick=True)
+    errors = common.check_file(SIM, str(drifted), quick=True)
     assert sorted(e.split(":")[0] for e in errors) == [
         "bit_exact.folded", "flash_crowd.shed",
         "gates.one_link_bit_exact_folded",
     ]
+
+
+# -- the spine itself ---------------------------------------------------------
+
+SECTIONS = (
+    common.Section("config"),
+    common.Section("results", key=("case",)),
+    common.Section("totals", same_mode=True),
+)
+TIMINGS = ("elapsed_s",)
+
+
+def _synthetic(quick=False):
+    cases = ("a",) if quick else ("a", "b")
+    return {
+        "bench": "synthetic", "quick": quick, "meta": {},
+        "config": {"model": "toy", "sizes": [1, 2]},
+        "results": [
+            {"case": c, "period": 0.25, "elapsed_s": 1.0} for c in cases
+        ],
+        "totals": {"frames": 8 if quick else 64, "elapsed_s": 2.0},
+        "host_only": {"cores": 2},
+        "gates": {"accounted": True}, "pass": True,
+    }
+
+
+class TestCheckReport:
+    def check(self, committed, fresh):
+        return common.check_report(committed, fresh, SECTIONS, TIMINGS)
+
+    def test_identical_reports_reproduce(self):
+        assert self.check(_synthetic(), _synthetic()) == []
+
+    def test_drifted_deterministic_field_is_named(self):
+        fresh = _synthetic()
+        fresh["results"][1]["period"] = 0.5
+        fresh["config"]["sizes"][1] = 3
+        fresh["totals"]["frames"] = 65
+        assert self.check(_synthetic(), fresh) == [
+            "config.sizes[1]: committed 2 != fresh 3",
+            "results[b].period: committed 0.25 != fresh 0.5",
+            "totals.frames: committed 64 != fresh 65",
+        ]
+
+    def test_drifted_timing_and_undeclared_section_are_ignored(self):
+        fresh = _synthetic()
+        fresh["results"][0]["elapsed_s"] = 9.0
+        fresh["totals"]["elapsed_s"] = 9.0
+        fresh["host_only"]["cores"] = 64
+        fresh["meta"] = {"platform": "elsewhere"}
+        assert self.check(_synthetic(), fresh) == []
+
+    def test_failing_fresh_gate_fails_the_check(self):
+        fresh = _synthetic()
+        fresh["gates"]["accounted"] = False
+        assert self.check(_synthetic(), fresh) == [
+            "gates.accounted: fails on the fresh run"
+        ]
+
+    def test_case_missing_from_a_quick_run_is_not_an_error(self):
+        # ... nor is a size-dependent section; the same hole in a
+        # same-mode run is.
+        assert self.check(_synthetic(), _synthetic(quick=True)) == []
+        fresh = _synthetic()
+        del fresh["results"][1]
+        assert self.check(_synthetic(), fresh) == [
+            "results[b]: missing from the fresh run"
+        ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name
+)
+def test_committed_reports_share_the_one_envelope(path):
+    report = json.loads(path.read_text())
+    assert list(report)[:3] == ["bench", "quick", "meta"]
+    assert list(report)[-2:] == ["gates", "pass"]
+    assert path.name == f"BENCH_{report['bench']}.json"
+    bench = common.load(report["bench"])  # raises unless registered
+    assert bench.name == report["bench"]
+    assert report["quick"] is False
+    assert set(report["meta"]) == {"python", "numpy", "platform", "threads"}
+    assert report["gates"] and report["pass"] is all(report["gates"].values())
+    assert report["pass"] is True
+    for section in bench.deterministic:
+        assert section.name in report
+
+
+def test_every_registered_bench_has_a_committed_report():
+    names = {p.name for p in ROOT.glob("BENCH_*.json")}
+    assert names == {f"BENCH_{name}.json" for name in common.BENCHES}
+
+
+def test_interleaved_medians_alternates():
+    calls = []
+    medians = common.interleaved_medians(
+        [lambda: calls.append("a"), lambda: calls.append("b")], repeats=3
+    )
+    assert calls == ["a", "b"] * 3  # never a a a b b b
+    assert len(medians) == 2 and all(m >= 0.0 for m in medians)
+    assert common.interleaved([lambda: 1, lambda: 2], 2) == [[1, 1], [2, 2]]
+    with pytest.raises(ValueError):
+        common.interleaved_medians([lambda: None], repeats=0)

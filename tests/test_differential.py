@@ -13,6 +13,7 @@ frames in flight through the serving layer.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +42,10 @@ MODELS = {
     "vggish": lambda: toy_chain(6, 2, input_hw=32, in_channels=3,
                                 base_channels=8),
     "resnetish": lambda: get_model("resnet34", input_hw=64),
+    # The model and resolution the retired trace-smoke program gated
+    # on; headless, because every cell compares backbone features and
+    # the dense head's 29M weights take ~20 s to draw.
+    "vgg16": lambda: replace(get_model("vgg16", input_hw=64), head=()),
 }
 
 
@@ -176,8 +181,13 @@ def _check_in_flight_cell(model_key, scheme_name, n_frames=3):
     assert per_frame_counts["inproc"] == per_frame_counts["sim"]
 
 
-@pytest.mark.parametrize("scheme_name", available_schemes())
-@pytest.mark.parametrize("model_key", ["toy", "vggish"])
+@pytest.mark.parametrize(
+    "model_key, scheme_name",
+    [
+        pytest.param(m, s, id=f"{m}-{s}")
+        for m in ("toy", "vggish") for s in available_schemes()
+    ] + [("vgg16", "pico")],
+)
 def test_single_frame_matrix(model_key, scheme_name):
     _check_matrix_cell(model_key, scheme_name)
 
@@ -206,9 +216,13 @@ def _check_shm_cell(model_key, scheme_name):
     )
 
 
-@pytest.mark.parametrize("scheme_name", available_schemes())
-def test_single_frame_matrix_shm(scheme_name):
-    _check_shm_cell("toy", scheme_name)
+@pytest.mark.parametrize(
+    "model_key, scheme_name",
+    [pytest.param("toy", s, id=s) for s in available_schemes()]
+    + [("vgg16", "pico")],
+)
+def test_single_frame_matrix_shm(model_key, scheme_name):
+    _check_shm_cell(model_key, scheme_name)
 
 
 def test_frames_in_flight_shm():

@@ -17,6 +17,7 @@ from repro.cluster.metrics import utilization_table
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
+from repro.runtime.coordinator import TcpTransport
 from repro.runtime.core import InProcTransport, PipelineSession, SimTransport
 from repro.runtime.program import compile_plan
 from repro.runtime.timing import plan_timing
@@ -165,6 +166,39 @@ class TestExactnessGate:
         assert diff_traces(a, a) == []
         assert any("pi1" in line for line in diff_traces(a, b))
         assert any("count" in line for line in diff_traces(a, a + b))
+
+
+class TestFaultStateFromConstruction:
+    """A transport owns its dead set, lock, overrides and tenant views
+    from ``__init__`` — not from ``open()``, which a fleet's parent
+    factory transport never sees."""
+
+    def test_never_opened_transport_and_fleet_parent(self, model, plan, net):
+        program = compile_plan(model, plan)
+        victim = program.stages[0].tasks[0].device_name
+        engine = Engine(model, seed=0)
+        for bare in (
+            InProcTransport(engine),
+            SimTransport(engine, net),
+            TcpTransport(model),
+        ):
+            assert bare.dead_devices() == frozenset()
+            assert not bare.needs_repartition(0)
+            assert bare.capacity_lost() == 0.0 and bare.tenant_views == ()
+            assert bare.mark_dead(victim) and not bare.mark_dead(victim)
+            assert bare.dead_devices() == {victim}
+            if not isinstance(bare, TcpTransport):  # workers cannot rebind
+                bare.rebind(program)  # adopts a program without an open()
+                assert bare.needs_repartition(0)
+
+        parent = SimTransport(engine, net)  # a factory: never opened itself
+        view = parent.open_tenant()
+        assert parent.mark_dead(victim)
+        view.open(program)  # must keep the fleet-wide set, not fork it
+        assert view.dead_devices() == {victim}
+        assert view.needs_repartition(0) and not view.mark_dead(victim)
+        parent.close_tenants()
+        assert parent.tenant_views == ()
 
 
 class TestTraceSchema:
