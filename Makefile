@@ -60,6 +60,14 @@ lint-forks:
 	test "$$(grep -rnI "json.dump(" src/repro/bench | wc -l)" = 1
 	! grep -rnI "def _interleaved_medians" src/ tests/ benchmarks/ examples/
 	! grep -rnIE "(trace|fault)[_]smoke" src/ Makefile .github/ docs/ README.md
+# A timing-only frame touches no tensor: the zero-tile builder stays
+# deleted, the virtual clock is charged by one function whichever the
+# compute mode (SimTransport.charge, the one caller of batched_service in
+# the runtime core), and the serve bench builds no weights to time it.
+	! grep -rnI "_zero_tile" src/
+	test "$$(grep -c "def charge(" src/repro/runtime/core.py)" = 1
+	test "$$(grep -c "batched_service(" src/repro/runtime/core.py)" = 1
+	! grep -nI "Engine(model, seed" src/repro/bench/serve.py
 
 # The fork lint, then every committed BENCH file re-derives itself:
 # serve and fleet are virtual time and must reproduce whole, in full

@@ -44,11 +44,14 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +68,9 @@ __all__ = [
     "interleaved_medians",
     "load",
     "main",
+    "paired_rates",
+    "parent_commit",
+    "parent_vs_change",
     "run_report",
     "write_report",
 ]
@@ -134,6 +140,81 @@ def interleaved_medians(
 
     timed = [lambda thunk=thunk: seconds(thunk) for thunk in thunks]
     return [statistics.median(seen) for seen in interleaved(timed, repeats)]
+
+
+#: One ``parent_vs_change`` measurement: a fresh interpreter runs a bench
+#: file by path, so its function meets whichever ``repro`` is on PYTHONPATH.
+_MEASURE = (
+    "import json, runpy, sys; path, func, *args = sys.argv[1:]; "
+    "print(json.dumps(runpy.run_path(path)[func](*map(json.loads, args))))"
+)
+
+
+def parent_commit(parent_src: str) -> str:
+    """The commit a parent checkout's ``src`` is at (its path when it is
+    not a checkout) — what a ``before_after`` section names it by."""
+    try:
+        return subprocess.run(
+            ["git", "-C", os.path.abspath(parent_src), "rev-parse", "HEAD"],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return parent_src
+
+
+def parent_vs_change(
+    parent_src: str,
+    bench_file: str,
+    func: str,
+    args: "Sequence[Any]",
+    rounds: int,
+    agree: "Sequence[str]" = (),
+) -> "Dict[str, List[dict]]":
+    """What ``func(*args)`` of ``bench_file`` measures at a parent
+    checkout's ``src`` and at this one: the returned dicts, per side.
+
+    Each measurement is a fresh interpreter running *this checkout's*
+    ``bench_file`` with one of the two ``src`` directories on
+    ``PYTHONPATH`` — ``func`` may only use API both sides have, takes
+    JSON-able ``args`` and returns a JSON-able dict — parent and change
+    alternating through :func:`interleaved`.  The fields named in
+    ``agree`` are what the program decides, not how fast: every run of
+    both sides must return the same values for them.
+    """
+    sides = {
+        "parent": os.path.abspath(parent_src),
+        "change": str(Path(__file__).resolve().parents[2]),  # .../src
+    }
+
+    def measure(side: str) -> dict:
+        out = subprocess.run(
+            [sys.executable, "-c", _MEASURE, os.path.abspath(bench_file), func,
+             *map(json.dumps, args)],
+            env=dict(os.environ, PYTHONPATH=sides[side]),
+            check=True, capture_output=True, text=True,
+        ).stdout
+        return json.loads(out.splitlines()[-1])
+
+    runs = interleaved([lambda side=side: measure(side) for side in sides], rounds)
+    decided = {tuple(m[name] for name in agree) for seen in runs for m in seen}
+    if len(decided) != 1:
+        raise RuntimeError(
+            f"{func}{tuple(args)}: parent and change disagree on {tuple(agree)}: "
+            f"{sorted(decided)}"
+        )
+    return dict(zip(sides, runs))
+
+
+def paired_rates(
+    runs: "Mapping[str, Sequence[dict]]", metric: str
+) -> "Tuple[float, float, int]":
+    """Of :func:`parent_vs_change` runs, for a higher-is-better
+    ``metric``: the parent's median, the change's median and in how many
+    rounds the change was ahead."""
+    before = [m[metric] for m in runs["parent"]]
+    after = [m[metric] for m in runs["change"]]
+    wins = sum(c > p for p, c in zip(before, after))
+    return statistics.median(before), statistics.median(after), wins
 
 
 # -- envelope ----------------------------------------------------------------

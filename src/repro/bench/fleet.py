@@ -46,7 +46,8 @@ ATTAINMENT_GATE = 0.8
 def _serve_partition(model, cluster, network, tenant, arrivals):
     """One tenant alone on its static half of the cluster."""
     plan = PicoScheme().plan(model, cluster, network)
-    transport = SimTransport(Engine(model, seed=0), network, compute=False)
+    # timing-only never reads a weight: an empty dict skips building them
+    transport = SimTransport(Engine(model, weights={}), network, compute=False)
     server = PipelineServer.from_plan(
         model, plan, transport, config=tenant.server_config()
     )
@@ -82,8 +83,8 @@ def run(quick: bool = False, seed: int = 0):
 
     # -- fleet: shared pool, contention-aware placement ----------------
     registry = ModelRegistry()
-    registry.register("vgg16", heavy_model)
-    registry.register("resnet34", light_model)
+    registry.register("vgg16", heavy_model, weights={})  # timing-only
+    registry.register("resnet34", light_model, weights={})
     scheduler = FleetScheduler(registry, cluster, network)
     parent = SimTransport(
         registry.get("vgg16").engine, network, compute=False

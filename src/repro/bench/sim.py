@@ -43,13 +43,7 @@ digests, every gate) and fails on any difference::
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import statistics
-import subprocess
-import sys
 import time
-from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
@@ -71,14 +65,6 @@ __all__ = ["BENCH", "result_digest", "run"]
 #: Conservative CI floor — the engine does several hundred thousand
 #: events/s on a laptop; shared runners get an order of magnitude slack.
 EVENTS_PER_S_GATE = 50_000.0
-
-#: One ``--before-after`` measurement: a fresh interpreter runs this
-#: file by path, so its rows meet whichever ``repro`` is on PYTHONPATH.
-_MEASURE_ROW = (
-    "import json, runpy, sys; path, row, tasks, seed = sys.argv[1:]; "
-    "print(json.dumps(runpy.run_path(path)['_throughput']"
-    "(row, int(tasks), int(seed))))"
-)
 
 
 def result_digest(result) -> str:
@@ -179,60 +165,29 @@ def _throughput(row: str, n_config: int, seed: int) -> Dict:
 
 
 def _before_after(parent_src: str, n_tasks: int, seed: int, rounds: int) -> Dict:
-    """Events/s of both rows at ``parent_src`` and at this checkout.
-
-    Each measurement is a fresh interpreter running *this file* by path
-    with one of the two ``src`` directories on ``PYTHONPATH`` — the
-    rows only use API both sides have — parent and change alternating.
-    The event counts must agree: same scenario, same engine semantics,
-    only the speed may differ.
-    """
-    this_file = Path(__file__).resolve()
-    sides = {
-        "parent": os.path.abspath(parent_src),
-        "change": str(this_file.parents[2]),  # .../src/repro/bench/sim.py
+    """Events/s of both rows at ``parent_src`` and at this checkout,
+    through :func:`repro.bench.common.parent_vs_change`.  The event
+    counts must agree: same scenario, same engine semantics, only the
+    speed may differ."""
+    section: Dict = {
+        "parent": common.parent_commit(parent_src), "rounds": int(rounds)
     }
-    try:
-        parent = subprocess.run(
-            ["git", "-C", sides["parent"], "rev-parse", "HEAD"],
-            check=True, capture_output=True, text=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        parent = parent_src  # not a checkout: name it by path
-    section: Dict = {"parent": parent, "rounds": int(rounds)}
     for row in _ROWS:
-        events = set()
-
-        def events_per_s(side: str) -> float:
-            out = subprocess.run(
-                [sys.executable, "-c", _MEASURE_ROW, str(this_file), row,
-                 str(n_tasks), str(seed)],
-                env=dict(os.environ, PYTHONPATH=sides[side]),
-                check=True, capture_output=True, text=True,
-            ).stdout
-            measured = json.loads(out.splitlines()[-1])
-            events.add((measured["n_requests"], measured["n_events"]))
-            return measured["events_per_s"]
-
-        rates = dict(zip(sides, common.interleaved(
-            [lambda side=side: events_per_s(side) for side in sides], rounds
-        )))
-        if len(events) != 1:
-            raise RuntimeError(f"{row}: parent and change disagree: {events}")
-        n_row, _ = events.pop()
-        before = statistics.median(rates["parent"])
-        after = statistics.median(rates["change"])
+        runs = common.parent_vs_change(
+            parent_src, __file__, "_throughput", (row, n_tasks, seed), rounds,
+            agree=("n_requests", "n_events"),
+        )
+        before, after, wins = common.paired_rates(runs, "events_per_s")
         section[row] = {
-            "n_requests": int(n_row),
+            "n_requests": runs["change"][0]["n_requests"],
             "parent_events_per_s": before,
             "change_events_per_s": after,
             "speedup": after / before,
-            "wins": sum(c > p for p, c in zip(rates["parent"], rates["change"])),
+            "wins": wins,
         }
         print(
             f"before_after[{row}]: {before:,.0f} -> {after:,.0f} events/s "
-            f"(x{after / before:.2f}, change ahead in "
-            f"{section[row]['wins']}/{rounds} rounds)"
+            f"(x{after / before:.2f}, change ahead in {wins}/{rounds} rounds)"
         )
     return section
 

@@ -723,7 +723,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("no arrivals in the horizon; nothing to serve")
         return 0
 
-    engine = Engine(model, seed=args.seed)
+    # --no-compute never reads a weight: an empty dict skips building them
+    engine = Engine(
+        model, weights={} if args.no_compute else None, seed=args.seed
+    )
     switcher = None
     if args.backend == "sim":
         transport = SimTransport(
@@ -850,7 +853,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             get_model(tenant.model, input_hw=args.hw) if args.hw
             else get_model(tenant.model)
         )
-        registry.register(tenant.model, model, seed=args.seed)
+        # without --compute no weight is ever read: skip building them
+        registry.register(
+            tenant.model, model,
+            weights=None if args.compute else {}, seed=args.seed,
+        )
 
     scheduler = FleetScheduler(registry, cluster, network)
     parent = SimTransport(

@@ -29,11 +29,11 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cost.tables import batched_service
+from repro.cost.tables import BATCH_AMORTIZED_FRACTION, batched_service
 from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.tiles import run_segment
@@ -112,6 +112,10 @@ class Transport(ABC):
     #: threaded serving path); virtual-clock backends are driven
     #: serially and stamp pipelined timestamps analytically.
     wall_clock: bool = True
+    #: Whether tasks produce tensors.  ``False`` is a timing-only
+    #: backend (``SimTransport(compute=False)``): the core skips
+    #: split/stitch and only asks it to :meth:`~SimTransport.charge`.
+    compute: bool = True
     #: The model, when the backend can recompile tiles (rebalance).
     model = None
     _config: "Optional[RuntimeConfig]" = None
@@ -412,16 +416,29 @@ def _attempt_stage(
     transport: Transport,
     program: PlanProgram,
     stage_index: int,
-    x: np.ndarray,
+    x: "Optional[np.ndarray]",
     frames: "Tuple[int, ...]",
     tracer: Optional[Tracer] = None,
-) -> np.ndarray:
+) -> "Optional[np.ndarray]":
     """One split → compute → stitch attempt (the legacy hot path).
 
     ``frames`` has one id for a single-frame map, several for a batched
     ``(C, B, H, W)`` input — the split/compute/stitch calls are
     identical either way; only trace emission fans out per frame.
+
+    A timing-only transport (``compute`` false) has no tensors to
+    split, run or stitch: the stage is charged to its clock, the trace
+    reports the tile sizes the compiled IR predicts, and nothing flows
+    to the next stage.
     """
+    if not transport.compute:
+        st = transport.charge(
+            stage_index, frames[0], len(frames), timed=tracer is not None
+        )
+        if tracer is not None:
+            tasks = transport.stage_tasks(stage_index)
+            emit_stage_trace(tracer, frames, stage_index, tasks, None, None, st)
+        return None
     stage = transport.current_stage(stage_index)
     tasks = transport.stage_tasks(stage_index)
     tiles = split_stage(tasks, x)
@@ -435,29 +452,40 @@ def emit_stage_trace(
     frames: "Tuple[int, ...]",
     stage_index: int,
     tasks: "Sequence[TaskSpec]",
-    tiles: "Sequence[np.ndarray]",
-    outs: "Sequence[np.ndarray]",
+    tiles: "Optional[Sequence[np.ndarray]]",
+    outs: "Optional[Sequence[np.ndarray]]",
     st: StageTrace,
 ) -> None:
     """Emit one stage attempt's events in canonical order.
 
     Whatever order a backend gathered its results in, the
     timestamp-free event sequence is the same: enqueue, then per task
-    (in task order) send/compute/recv.
+    (in task order) send/compute/recv.  ``send`` / ``recv`` carry one
+    frame's share of the tile bytes — measured off ``tiles`` / ``outs``,
+    or, when a timing-only run has none (``None``), the sizes
+    :func:`~repro.runtime.program.compile_stage` derived from the
+    task's regions (the same numbers: tiles are float32 of exactly
+    those shapes).
     """
     if tracer is None:
         return
     b = len(frames)
+    if tiles is None:
+        sizes = [(task.in_bytes, task.out_bytes) for task in tasks]
+    else:
+        sizes = [
+            (tile.nbytes // b, out.nbytes // b) for tile, out in zip(tiles, outs)
+        ]
     events = []
     for frame in frames:
         events.append(
             TraceEvent("enqueue", frame, stage_index, "", st.entry, st.start)
         )
-        for task, tile, out, tt in zip(tasks, tiles, outs, st.tasks):
+        for task, (sent, received), tt in zip(tasks, sizes, st.tasks):
             events.append(
                 TraceEvent(
                     "send", frame, stage_index, task.device_name,
-                    tt.send[0], tt.send[1], tile.nbytes // b,
+                    tt.send[0], tt.send[1], sent,
                 )
             )
             events.append(
@@ -469,7 +497,7 @@ def emit_stage_trace(
             events.append(
                 TraceEvent(
                     "recv", frame, stage_index, task.device_name,
-                    tt.recv[0], tt.recv[1], out.nbytes // b,
+                    tt.recv[0], tt.recv[1], received,
                 )
             )
     tracer.extend(events)
@@ -566,25 +594,17 @@ class InProcTransport(Transport):
         return outs, StageTrace(entry, entry, exit_, timings)
 
 
-def _zero_tile(
-    task: TaskSpec, stage: StageProgram, batch: int = 0
-) -> np.ndarray:
-    """A correctly shaped all-zeros output tile (``compute=False`` path).
+class _StageRow(NamedTuple):
+    """One stage's compiled inputs to :meth:`SimTransport.charge`."""
 
-    Strip tasks produce ``(C_out, region_h, region_w)``; branch tasks
-    span the full map spatially and need enough channels to satisfy
-    their copy list.  ``batch > 0`` produces the batched
-    ``(C_out, batch, h, w)`` shape instead.
-    """
-    h = task.program.out_region.height
-    w = task.program.out_region.width
-    if task.channel_blocks is not None:
-        channels = max(t_hi for (_, t_hi, _, _) in task.channel_blocks)
-    else:
-        channels = stage.out_shape[0]
-    if batch > 0:
-        return np.zeros((channels, batch, h, w), dtype=np.float32)
-    return np.zeros((channels, h, w), dtype=np.float32)
+    #: Which FIFO server the stage holds: its own for a pipelined plan,
+    #: the one shared token (slot 0) for an exclusive plan.
+    server: int
+    total: float  # Eq. 9 single-frame service
+    t_comm: float
+    t_work: float  # t_comp + t_head
+    #: ``(device name, t_comm, t_comp)`` per current task, in task order.
+    tasks: "Tuple[Tuple[str, float, float], ...]"
 
 
 class SimTransport(Transport):
@@ -602,11 +622,15 @@ class SimTransport(Transport):
     token.
 
     ``compute=False`` turns the transport into a pure virtual-clock
-    server: kernels are skipped and every output tile is zeros of the
-    correct shape.  Timestamps, traces and queueing are unchanged (the
-    clock is analytic either way), which makes long serving benchmarks
-    cheap; anything that checks tensor values must keep the default
-    ``compute=True``.
+    server that touches no tensor: the core never splits, runs or
+    stitches a tile, frames carry no data (``run_frame`` returns
+    ``None``, ``ServeResult.outputs`` is empty) and a frame costs the
+    same at any input resolution.  Timestamps, queueing, fault
+    injection and the full trace — byte counts included, which come
+    from the compiled regions — are bit-identical to the computing run,
+    because both modes advance the clock through the one
+    :meth:`charge`; anything that checks tensor values must keep the
+    default ``compute=True``.
 
     Batched ``(C, B, H, W)`` tiles charge the B-dependent service
     estimate :func:`repro.cost.tables.batched_service` — linear in B on
@@ -627,8 +651,6 @@ class SimTransport(Transport):
         compute: bool = True,
         batch_amortized: "Optional[float]" = None,
     ) -> None:
-        from repro.cost.tables import BATCH_AMORTIZED_FRACTION
-
         super().__init__()
         self.engine = engine
         self.model = engine.model
@@ -645,8 +667,8 @@ class SimTransport(Transport):
             )
         self._injector = None
         self.timing: Optional[PlanTiming] = None
-        self._stage_free: "List[float]" = []
-        self._exclusive_free = 0.0
+        self._rows: "List[_StageRow]" = []
+        self._stage_free: "List[float]" = []  # per server, see _StageRow
         self._frame_ready = 0.0
         self._last_submit = 0.0
         self._virtual_now = 0.0
@@ -659,14 +681,42 @@ class SimTransport(Transport):
             )
         super().open(program)
         self._injector = self.faults.start() if self.faults else None
-        self.timing = plan_timing(
-            self.engine.model, program.plan, self.network, self.options
-        )
+        self._compile_rows()
         self._stage_free = [0.0] * program.n_stages
-        self._exclusive_free = 0.0
         self._frame_ready = 0.0
         self._last_submit = 0.0
         self._virtual_now = 0.0
+
+    def _compile_rows(self) -> None:
+        """(Re)build the timing tables and every stage's charge row."""
+        program = self._program
+        self.timing = plan_timing(
+            self.engine.model, program.plan, self.network, self.options
+        )
+        self._rows = [self._stage_row(i) for i in range(program.n_stages)]
+
+    def _stage_row(self, stage_index: int) -> "_StageRow":
+        """What :meth:`charge` reads per call, compiled once per task
+        set: the stage's Eq. 9 totals and, per *current* task (in task
+        order), its device and that device's comm/compute shares."""
+        sc = self.timing.cost.stage_costs[stage_index]
+        by_device = {dc.device.name: dc for dc in sc.devices}
+        tasks = []
+        for task in self.stage_tasks(stage_index):
+            dc = by_device.get(task.device_name)
+            tasks.append(
+                (task.device_name, dc.t_comm, dc.t_comp)
+                if dc is not None
+                else (task.device_name, 0.0, 0.0)
+            )
+        server = 0 if self._program.mode == "exclusive" else stage_index
+        return _StageRow(
+            server, sc.total, sc.t_comm, sc.t_comp + sc.t_head, tuple(tasks)
+        )
+
+    def repartition(self, stage_index: int) -> None:
+        super().repartition(stage_index)
+        self._rows[stage_index] = self._stage_row(stage_index)
 
     def _tenant_view(self, engine: "Optional[Engine]") -> "SimTransport":
         # Each tenant keeps its own virtual stage servers: contention
@@ -705,12 +755,9 @@ class SimTransport(Transport):
         """Adopt a re-planned program: rebuild the timing tables and
         start the new pipeline's servers at the current virtual time."""
         super().rebind(program)
-        self.timing = plan_timing(
-            self.engine.model, program.plan, self.network, self.options
-        )
+        self._compile_rows()
         floor = max(self._virtual_now, self._frame_ready)
         self._stage_free = [floor] * program.n_stages
-        self._exclusive_free = floor
 
     def begin_frame(self, frame: int, at: Optional[float] = None) -> None:
         if at is None:
@@ -725,12 +772,9 @@ class SimTransport(Transport):
         exclusive token's free time for one-stage-scheme plans).  The
         analytic batcher uses this to decide how many queued frames a
         forming batch can absorb before the server would go idle."""
-        program = self._program
-        if program is not None and program.mode == "exclusive":
-            return self._exclusive_free
         if not self._stage_free:  # not opened yet: everything is idle
             return 0.0
-        return self._stage_free[stage_index]
+        return self._stage_free[self._rows[stage_index].server]
 
     def run_tasks(
         self,
@@ -738,86 +782,85 @@ class SimTransport(Transport):
         tiles: "Sequence[np.ndarray]",
         frame: int,
     ) -> "Tuple[List[np.ndarray], StageTrace]":
-        assert self.timing is not None, "transport not opened"
+        """The kernels, serially in task order, under :meth:`charge`."""
         tasks = self.stage_tasks(stage_index)
-        sc = self.timing.cost.stage_costs[stage_index]
-        by_device = {dc.device.name: dc for dc in sc.devices}
+        batch = tiles[0].shape[1] if tiles and tiles[0].ndim == 4 else 1
+        outs: "List[np.ndarray]" = []
+
+        def kernel(i: int) -> None:
+            outs.append(run_segment(self.engine, tasks[i].program, tiles[i]))
+
+        return outs, self.charge(stage_index, frame, batch, kernel)
+
+    def charge(
+        self,
+        stage_index: int,
+        frame: int,
+        batch: int = 1,
+        kernel=None,
+        timed: bool = True,
+    ) -> StageTrace:
+        """Serve one frame (or batch of ``batch``) at a stage: the clock.
+
+        The FIFO recurrence — start at ``max(frame ready, server
+        free)``, hold the server (the shared token, for exclusive plans)
+        for the Eq. 9 service time plus the slowest injected compute
+        delay — and the fault injector's per-task decisions, consumed in
+        task order.  ``kernel(i)`` runs task ``i``'s tensor work where a
+        worker would (after its send succeeded, before its result can be
+        dropped); a timing-only run passes none.  ``timed=False`` skips
+        the per-task spans, which only a tracer reads.
+        """
+        assert self.timing is not None, "transport not opened"
+        row = self._rows[stage_index]
         entry = self._frame_ready
-        if self._program.mode == "exclusive":
-            start = max(entry, self._exclusive_free)
-        else:
-            start = max(entry, self._stage_free[stage_index])
-        stage = self.current_stage(stage_index)
-        batch = (
-            tiles[0].shape[1] if tiles and tiles[0].ndim == 4 else 1
-        )
+        start = max(entry, self._stage_free[row.server])
         injector = self._injector
-        outs = []
-        delays = []
-        for task, tile in zip(tasks, tiles):
-            if injector is not None:
-                if injector.crashed(task.device_name, frame):
-                    raise DeviceDead(task.device_name)
-                if injector.take_link_failure(task.device_name, frame):
-                    raise TransientTaskError(
-                        task.device_name, "send failed (flaky link)"
-                    )
-            if self.compute:
-                outs.append(run_segment(self.engine, task.program, tile))
-            else:
-                outs.append(
-                    _zero_tile(task, stage, batch if tile.ndim == 4 else 0)
-                )
-            if injector is not None:
-                if injector.take_drop(task.device_name, frame):
-                    raise TransientTaskError(
-                        task.device_name, "result dropped"
-                    )
-                delays.append(
-                    injector.compute_delay(task.device_name, frame)
-                )
-            else:
-                delays.append(0.0)
+        delays = [0.0] * len(row.tasks)
+        if injector is not None or kernel is not None:
+            for i, (device, _, _) in enumerate(row.tasks):
+                if injector is not None:
+                    if injector.crashed(device, frame):
+                        raise DeviceDead(device)
+                    if injector.take_link_failure(device, frame):
+                        raise TransientTaskError(
+                            device, "send failed (flaky link)"
+                        )
+                if kernel is not None:
+                    kernel(i)
+                if injector is not None:
+                    if injector.take_drop(device, frame):
+                        raise TransientTaskError(device, "result dropped")
+                    delays[i] = injector.compute_delay(device, frame)
         # An injected compute delay stretches the straggler's span and
         # therefore the whole stage's virtual service time.
-        stage_delay = max(delays) if delays else 0.0
+        stage_delay = max(delays)
         if batch == 1:
-            service = sc.total  # exact single-frame charge, bit-compat
+            service = row.total  # exact single-frame charge, bit-compat
             comp_scale = 1.0
         else:
             service = batched_service(
-                sc.t_comm,
-                sc.t_comp + sc.t_head,
-                batch,
-                self.batch_amortized,
+                row.t_comm, row.t_work, batch, self.batch_amortized
             )
             comp_scale = self.batch_amortized + batch * (
                 1.0 - self.batch_amortized
             )
-        timings = []
-        for task, delay in zip(tasks, delays):
-            dc = by_device.get(task.device_name)
-            t_comm = (dc.t_comm if dc is not None else 0.0) * batch
-            t_comp = (dc.t_comp if dc is not None else 0.0) * comp_scale
-            send_end = start + t_comm
-            timings.append(
-                TaskTiming(
-                    send=(start, send_end),
-                    compute=(send_end, send_end + t_comp + delay),
-                    recv=(
-                        start + service + stage_delay,
-                        start + service + stage_delay,
-                    ),
-                )
-            )
         exit_ = start + service + stage_delay
-        if self._program.mode == "exclusive":
-            self._exclusive_free = exit_
-        else:
-            self._stage_free[stage_index] = exit_
+        timings = []
+        if timed:
+            for (_, t_comm, t_comp), delay in zip(row.tasks, delays):
+                send_end = start + t_comm * batch
+                timings.append(
+                    TaskTiming(
+                        send=(start, send_end),
+                        compute=(send_end, send_end + t_comp * comp_scale + delay),
+                        recv=(exit_, exit_),
+                    )
+                )
+        self._stage_free[row.server] = exit_
         self._frame_ready = exit_
         self._virtual_now = max(self._virtual_now, exit_)
-        return outs, StageTrace(entry, start, exit_, tuple(timings))
+        return StageTrace(entry, start, exit_, tuple(timings))
 
 
 class PipelineSession:
@@ -908,34 +951,41 @@ class PipelineSession:
             return
         self._adopt_replan(self._next_frame)
 
-    def run_frame(
-        self, x: np.ndarray, at: Optional[float] = None
-    ) -> np.ndarray:
-        """Run one frame through every stage; returns the feature map.
+    def _walk(
+        self, x0: "Optional[np.ndarray]", ids: "Tuple[int, ...]",
+        at: Optional[float],
+    ) -> "Optional[np.ndarray]":
+        """Take one frame (or stacked batch) through every stage.
 
         A :class:`~repro.runtime.faults.StageFailure` (a stage lost
         every device) escalates past the threshold check: the session
-        force-replans over whatever survives and replays the frame from
-        its input; without a replanner (or with nothing new dead) it
+        force-replans over whatever survives and replays from the
+        input; without a replanner (or with nothing new dead) it
         propagates.
         """
-        self._maybe_replan()
-        frame = self._next_frame
-        self._next_frame += 1
-        x0 = np.ascontiguousarray(x, dtype=np.float32)
         while True:
-            self.transport.begin_frame(frame, at)
+            self.transport.begin_frame(ids[0], at)
             out = x0
             try:
                 for index in range(self.program.n_stages):
-                    out = execute_stage(
-                        self.transport, self.program, index, out, frame,
+                    out = _execute_stage(
+                        self.transport, self.program, index, out, ids,
                         self.tracer, self.config,
                     )
                 return out
             except StageFailure:
-                if not self._can_replan() or not self._adopt_replan(frame):
+                if not self._can_replan() or not self._adopt_replan(ids[0]):
                     raise
+
+    def run_frame(
+        self, x: "Optional[np.ndarray]", at: Optional[float] = None
+    ) -> "Optional[np.ndarray]":
+        """Run one frame through every stage; returns the feature map.
+
+        On a timing-only transport ``x`` is never read (pass ``None``)
+        and the result is ``None``: the frame only advances the clock.
+        """
+        return self.run_stacked((x,), at)[0]
 
     def run_batch(
         self,
@@ -956,35 +1006,28 @@ class PipelineSession:
         """Run a cross-frame batch as one unit through every stage.
 
         The frames are stacked into one ``(C, B, H, W)`` input, walk the
-        pipeline via :func:`execute_stage_batch` (one batched kernel
-        pass per stage) and come back as per-frame maps bit-identical
-        to ``B`` separate :meth:`run_frame` calls.  A single frame takes
-        the exact :meth:`run_frame` path.  The fault ladder applies to
-        the batch as a unit: a :class:`StageFailure` replans and replays
-        all ``B`` frames together.
+        pipeline as a batch (one batched kernel pass per stage, see
+        :func:`execute_stage_batch`) and come back as per-frame maps
+        bit-identical to ``B`` separate :meth:`run_frame` calls; a
+        single frame walks as the plain ``(C, H, W)`` map it is.  The
+        fault ladder applies to the batch as a unit: a
+        :class:`StageFailure` replans and replays all ``B`` frames
+        together.  A timing-only transport reads no frame, stacks
+        nothing and returns ``None`` per frame.
         """
         if not frames:
             raise ValueError("cannot run an empty batch")
-        if len(frames) == 1:
-            return [self.run_frame(frames[0], at)]
         self._maybe_replan()
         base = self._next_frame
         ids = tuple(range(base, base + len(frames)))
         self._next_frame += len(frames)
-        x0 = stack_frames(frames)
-        while True:
-            self.transport.begin_frame(ids[0], at)
-            out = x0
-            try:
-                for index in range(self.program.n_stages):
-                    out = execute_stage_batch(
-                        self.transport, self.program, index, out, ids,
-                        self.tracer, self.config,
-                    )
-                return unstack_frames(out)
-            except StageFailure:
-                if not self._can_replan() or not self._adopt_replan(ids[0]):
-                    raise
+        if not self.transport.compute:
+            self._walk(None, ids, at)
+            return [None] * len(frames)
+        if len(frames) == 1:
+            x0 = np.ascontiguousarray(frames[0], dtype=np.float32)
+            return [self._walk(x0, ids, at)]
+        return unstack_frames(self._walk(stack_frames(frames), ids, at))
 
     def close(self) -> None:
         self.transport.close()

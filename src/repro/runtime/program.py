@@ -13,7 +13,7 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -61,6 +61,11 @@ class TaskSpec:
     channel_blocks: Optional[Tuple[Tuple[int, int, int, int], ...]]
     #: Block paths this task executes (branch stages only).
     paths: Optional[Tuple[int, ...]] = None
+    #: float32 bytes of one frame's input / output tile, from the
+    #: compiled regions (:func:`compile_stage`) — what a timing-only
+    #: transport reports as ``send`` / ``recv`` sizes without a tensor.
+    in_bytes: int = 0
+    out_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,24 @@ class PlanProgram:
 def compile_stage(model: Model, stage: StagePlan, index: int) -> StageProgram:
     """Compile one plan stage into its task set (memoised compilers)."""
     out_shape = model.out_shape(stage.end - 1)
+    in_channels = model.in_shape(stage.start)[0]
     tasks: "List[TaskSpec]" = []
+
+    def add(device, program, region, blocks, paths=None) -> None:
+        # Branch and channel tiles carry only their own channel blocks;
+        # strip tiles carry every output channel of their region.
+        if blocks is not None:
+            channels = max(t_hi for (_, t_hi, _, _) in blocks)
+        else:
+            channels = out_shape[0]
+        tasks.append(
+            TaskSpec(
+                device.name, device.capacity, program, region, blocks, paths,
+                in_bytes=4 * in_channels * program.input_region.area,
+                out_bytes=4 * channels * program.out_region.area,
+            )
+        )
+
     if stage.path_groups is not None:
         for (device, _), group in zip(stage.assignments, stage.path_groups):
             if not group:
@@ -135,32 +157,20 @@ def compile_stage(model: Model, stage: StagePlan, index: int) -> StageProgram:
             group = tuple(group)
             program = compile_block_paths_cached(model, stage.start, group)
             blocks = tuple(concat_channel_blocks(model, stage.start, group))
-            tasks.append(
-                TaskSpec(device.name, device.capacity, program, None, blocks, group)
-            )
+            add(device, program, None, blocks, group)
     elif stage.channel_groups is not None:
         check_tiling(stage.channel_groups, out_shape[0])
         for (device, _), (lo, hi) in zip(stage.assignments, stage.channel_groups):
             if hi <= lo:
                 continue  # idle device in a channel stage
             program = compile_channel_slice_cached(model, stage.start, lo, hi)
-            tasks.append(
-                TaskSpec(
-                    device.name,
-                    device.capacity,
-                    program,
-                    None,
-                    ((0, hi - lo, lo, hi),),
-                )
-            )
+            add(device, program, None, ((0, hi - lo, lo, hi),))
     else:
         for device, region in stage.assignments:
             if region.empty:
                 continue
             program = compile_segment_cached(model, stage.start, stage.end, region)
-            tasks.append(
-                TaskSpec(device.name, device.capacity, program, region, None)
-            )
+            add(device, program, region, None)
     if not tasks:
         raise ValueError(
             f"stage [{stage.start}, {stage.end}) has no non-empty work"
@@ -235,13 +245,8 @@ def repartition_stage(
         for i, task in enumerate(lost):
             host = ranked[i % len(ranked)]
             tasks.append(
-                TaskSpec(
-                    host.device_name,
-                    host.capacity,
-                    task.program,
-                    task.region,
-                    task.channel_blocks,
-                    task.paths,
+                replace(
+                    task, device_name=host.device_name, capacity=host.capacity
                 )
             )
         return StageProgram(

@@ -160,7 +160,12 @@ class FrameRecord:
 
 @dataclass
 class ServeResult:
-    """Aggregate output of one :meth:`PipelineServer.serve` run."""
+    """Aggregate output of one :meth:`PipelineServer.serve` run.
+
+    ``outputs`` maps each completed frame to its feature map — and is
+    empty on a timing-only transport (``SimTransport(compute=False)``),
+    which serves the clock and touches no tensor.
+    """
 
     records: List[FrameRecord]
     outputs: Dict[int, np.ndarray]
@@ -328,8 +333,9 @@ class PipelineServer:
         """Admit ``frames`` at ``arrivals`` and serve them to completion.
 
         ``frames`` may be an int — ``n`` copies of a zero input frame,
-        the cheap choice for timing-only runs (``SimTransport`` with
-        ``compute=False``).  ``arrivals`` are submit times in seconds
+        or, on a timing-only transport (``SimTransport`` with
+        ``compute=False``), ``n`` frames with no data at all.
+        ``arrivals`` are submit times in seconds
         (virtual for the simulated backend, offsets from serve start
         for wall-clock backends); ``None`` submits back-to-back.
         """
@@ -348,6 +354,8 @@ class PipelineServer:
         if isinstance(frames, (int, np.integer)):
             if frames < 0:
                 raise ValueError("frame count must be non-negative")
+            if not self.transport.compute:
+                return [None] * int(frames)  # never read: clock only
             model = self.transport.model
             if model is None:
                 raise ValueError(
@@ -396,6 +404,8 @@ class PipelineServer:
         session = self._session
         assert session is not None
         completions: "List[float]" = []  # launched frames, FIFO order
+        head = 0  # completions[head:] are still in the system
+        compute = self.transport.compute
         records: "List[FrameRecord]" = []
         outputs: "Dict[int, np.ndarray]" = {}
         plan_usage: "Dict[str, int]" = {}
@@ -416,7 +426,7 @@ class PipelineServer:
             try:
                 outs = session.run_stacked([x for _, x, _ in batch], at=at)
             except StageFailure:
-                for (index, _, admit), _a in zip(batch, admits):
+                for index, _, admit in batch:
                     records.append(
                         FrameRecord(
                             index, arrivals[index], "failed",
@@ -429,7 +439,8 @@ class PipelineServer:
             plan_usage[name] = plan_usage.get(name, 0) + len(batch)
             for (index, _, admit), out in zip(batch, outs):
                 completions.append(done)
-                outputs[index] = out
+                if compute:
+                    outputs[index] = out
                 records.append(
                     FrameRecord(
                         index, arrivals[index], "done", admitted_at=admit,
@@ -445,13 +456,22 @@ class PipelineServer:
                 first_admit + cfg.batch_timeout,
             )
 
+        def in_flight(t: float) -> int:
+            """Launched frames not yet complete at ``t``.  Completions
+            (the virtual clock is monotone) and arrivals are both
+            non-decreasing, so the head only ever moves forward."""
+            nonlocal head
+            while head < len(completions) and completions[head] <= t:
+                head += 1
+            return len(completions) - head
+
         for index, (x, t) in enumerate(zip(frames, arrivals)):
             # A forming batch whose launch instant has passed is gone
             # before this arrival can reach the entrance.
             if pending and t > launch_time():
                 launch()
-            in_system = [c for c in completions if c > t]
-            depth = len(in_system) + len(pending)
+            flying = in_flight(t)
+            depth = flying + len(pending)
             self._observe(t, depth)
             if depth == 0:
                 self._maybe_switch(index)
@@ -462,26 +482,22 @@ class PipelineServer:
                 # Backpressure: the system must drain ``needed`` frames
                 # below the bound before this arrival admits.
                 needed = depth - cfg.queue_capacity + 1
-                if needed <= len(in_system):
+                if needed <= flying:
                     # In-flight completions alone free the slot: admit
                     # at the needed-th oldest completion.  The frame may
                     # still join the forming batch below — matching the
                     # threaded server, where a blocked arrival enters
                     # the queue while the entrance window is open.
-                    admit_at = sorted(in_system)[needed - 1]
+                    admit_at = completions[head + needed - 1]
                 else:
                     # Draining needs the forming batch's own members to
                     # depart; their completion times only exist once the
                     # batch runs, so it must launch now.
                     launch()
-                    in_system = [c for c in completions if c > t]
-                    depth = len(in_system)
-                    if depth < cfg.queue_capacity:
+                    if in_flight(t) < cfg.queue_capacity:
                         admit_at = t
                     else:
-                        admit_at = sorted(in_system)[
-                            depth - cfg.queue_capacity
-                        ]
+                        admit_at = completions[-cfg.queue_capacity]
             else:
                 admit_at = t
             if cfg.max_in_flight is not None and (
@@ -497,7 +513,7 @@ class PipelineServer:
                 launch()
         launch()  # flush the final forming batch
         records.sort(key=lambda r: r.frame)
-        makespan = max(completions) if completions else 0.0
+        makespan = completions[-1] if completions else 0.0
         trace = self.tracer.events if self.tracer is not None else ()
         return ServeResult(records, outputs, makespan, trace, plan_usage)
 

@@ -192,6 +192,22 @@ def test_committed_reports_share_the_one_envelope(path):
         assert section.name in report
 
 
+@pytest.mark.parametrize("name", ["serve", "fleet"])
+def test_timing_only_benches_build_no_weights(name, monkeypatch):
+    """``SimTransport(compute=False)`` never reads a weight; drawing
+    vgg16's for every server was most of ``make bench-check``."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError(f"bench.{name} built weights it never reads")
+
+    monkeypatch.setattr("repro.nn.executor.init_weights", boom)
+    report = common.run_report(common.load(name), quick=True)
+    slow_host_only = "replay_frames_per_s_ge_10000"  # a wall-clock floor
+    assert all(ok for gate, ok in report["gates"].items() if gate != slow_host_only)
+    if name == "serve":
+        assert [r["input_hw"] for r in report["replay"]] == [64, 224]
+
+
 def test_every_registered_bench_has_a_committed_report():
     names = {p.name for p in ROOT.glob("BENCH_*.json")}
     assert names == {f"BENCH_{name}.json" for name in common.BENCHES}
