@@ -68,6 +68,18 @@ lint-forks:
 	test "$$(grep -c "def charge(" src/repro/runtime/core.py)" = 1
 	test "$$(grep -c "batched_service(" src/repro/runtime/core.py)" = 1
 	! grep -nI "Engine(model, seed" src/repro/bench/serve.py
+# One wire frame: runtime/transport.py owns the only encoder, decoder
+# and array-descriptor parser; socket and shm channels both speak it,
+# so no codec version, no version sniff, no second descriptor parser.
+	test "$$(grep -rnI "def decode_message" src/repro/runtime | wc -l)" = 1
+	test "$$(grep -rnI "def encode_parts" src/repro/runtime | wc -l)" = 1
+	! grep -rnIE "_V2_|_CODEC_VERSION|_read_descriptor|_DESC_" src/
+# One tenancy path: FleetServer builds every tenant transport through
+# its factory; the clone-a-parent hooks, the pass-through session and
+# the PhasedTrace wrapper stay deleted, and RuntimeConfig is the one
+# fault-tolerance switch of DistributedPipeline.
+	! grep -rnIE "open_tenant|_tenant_view|close_tenants|tenant_views|_fleet_shared|TenantSession|PhasedProcess" src/ tests/ benchmarks/ examples/ docs/ README.md
+	! grep -rIPzo "DistributedPipeline\((?:[^()]|\([^()]*\))*\brecover=" src/ tests/ benchmarks/ examples/ docs/ README.md
 
 # The fork lint, then every committed BENCH file re-derives itself:
 # serve and fleet are virtual time and must reproduce whole, in full

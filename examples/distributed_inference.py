@@ -15,7 +15,12 @@ import time
 
 import numpy as np
 
-from repro import DistributedPipeline, heterogeneous_cluster, wifi_50mbps
+from repro import (
+    DistributedPipeline,
+    RuntimeConfig,
+    heterogeneous_cluster,
+    wifi_50mbps,
+)
 from repro.models import toy_chain
 from repro.nn import Engine, init_weights
 from repro.schemes import EarlyFusedScheme, PicoScheme
@@ -61,7 +66,8 @@ def main() -> None:
     victim = efl_plan.stages[0].assignments[1][0].name
     print(f"killing worker on {victim} after its first tile...")
     with DistributedPipeline(
-        model, efl_plan, weights=weights, recover=True, fail_after={victim: 1}
+        model, efl_plan, weights=weights, config=RuntimeConfig(),
+        fail_after={victim: 1},
     ) as pipe:
         outputs, stats = pipe.run_batch(frames)
     max_err = max(

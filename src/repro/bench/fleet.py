@@ -86,10 +86,10 @@ def run(quick: bool = False, seed: int = 0):
     registry.register("vgg16", heavy_model, weights={})  # timing-only
     registry.register("resnet34", light_model, weights={})
     scheduler = FleetScheduler(registry, cluster, network)
-    parent = SimTransport(
-        registry.get("vgg16").engine, network, compute=False
-    )
-    with FleetServer(registry, scheduler, parent) as fleet:
+    with FleetServer(
+        registry, scheduler,
+        lambda entry: SimTransport(entry.engine, network, compute=False),
+    ) as fleet:
         placements = fleet.admit([heavy, light])
         for tenant in (heavy, light):
             pl = placements[tenant.name]

@@ -80,16 +80,14 @@ def _echo_child(host: str, port: int, mode: str) -> None:
     """The worker side: ack or echo every frame until Shutdown."""
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    channel = Channel(sock)
-    rings: "List[ShmRing]" = []
+    channel = ShmChannel(sock)  # ring-less unless the parent attaches
     try:
         channel.send(Hello(0))
         first = channel.recv()
         if isinstance(first, ShmAttach):
-            send_ring = ShmRing.attach(first.send_name)
-            recv_ring = ShmRing.attach(first.recv_name)
-            rings = [send_ring, recv_ring]
-            channel = ShmChannel(sock, send_ring, recv_ring)
+            channel.attach(
+                ShmRing.attach(first.send_name), ShmRing.attach(first.recv_name)
+            )
             first = channel.recv()
         while True:
             if isinstance(first, Shutdown):
@@ -102,8 +100,6 @@ def _echo_child(host: str, port: int, mode: str) -> None:
             first = channel.recv()
     finally:
         channel.close()
-        for ring in rings:
-            ring.close()
 
 
 def _timed_stream(
@@ -156,7 +152,7 @@ def _run_socket_transport(
     conn, _ = listener.accept()
     listener.close()
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    channel = Channel(conn)
+    channel = ShmChannel(conn) if transport == "shm" else Channel(conn)
     rings: "List[ShmRing]" = []
     try:
         hello = channel.recv()
@@ -174,7 +170,7 @@ def _run_socket_transport(
                     n_slots=to_child.n_slots,
                 )
             )
-            channel = ShmChannel(conn, send_ring=to_child, recv_ring=from_child)
+            channel.attach(send_ring=to_child, recv_ring=from_child)
         window = ONEWAY_WINDOW if mode == "oneway" else 1
         produce = mode == "oneway"
         loan_shape = shape if produce and transport == "shm" else None

@@ -860,13 +860,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
 
     scheduler = FleetScheduler(registry, cluster, network)
-    parent = SimTransport(
-        registry.get(tenants[0].model).engine, network,
-        compute=args.compute,
-    )
     rng = np.random.default_rng(args.seed)
     schemes = {t.name: _scheme_from_args(args) for t in tenants}
-    with FleetServer(registry, scheduler, parent) as fleet:
+    with FleetServer(
+        registry, scheduler,
+        lambda entry: SimTransport(entry.engine, network, compute=args.compute),
+    ) as fleet:
         placements = fleet.admit(tenants, schemes=schemes)
         print(
             f"{'tenant':>10s} {'model':>10s} {'devices':>24s} "

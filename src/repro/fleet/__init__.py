@@ -10,10 +10,10 @@ The fleet layer packs several tenants' pipelines onto one cluster:
   placement over a :class:`~repro.cluster.device.DevicePool` (shared
   devices get occupancy-scaled effective capacity) with fleet-wide
   churn response.
-* :class:`~repro.fleet.server.FleetServer` /
-  :class:`~repro.fleet.server.TenantSession` — the serving split:
-  shared transports and admission, thin per-tenant sessions whose
-  outputs stay bit-identical to each tenant running alone.
+* :class:`~repro.fleet.server.FleetServer` — placement, admission and
+  the fleet-wide dead-device set; one factory-built transport and one
+  :class:`~repro.serve.server.PipelineServer` per tenant, whose outputs
+  stay bit-identical to each tenant running alone.
 
 See ``docs/fleet.md`` for the full model.
 """
@@ -24,7 +24,6 @@ from repro.fleet.server import (
     FleetResult,
     FleetServer,
     TenantResult,
-    TenantSession,
 )
 from repro.fleet.tenants import TenantClass
 
@@ -37,5 +36,4 @@ __all__ = [
     "FleetServer",
     "FleetResult",
     "TenantResult",
-    "TenantSession",
 ]

@@ -1,20 +1,14 @@
-"""Fleet serving: a shared server owning transports, thin tenant sessions.
+"""Fleet serving: one server placing tenants, one transport per tenant.
 
-This splits the single-tenant :class:`~repro.serve.server.PipelineServer`
-role in two:
+:class:`FleetServer` owns what the tenants share — the
+:class:`~repro.fleet.scheduler.FleetScheduler` placements, admission of
+tenants onto the pool, and the fleet-wide dead-device set — and builds
+each admitted tenant its own backend through a factory.  Per tenant it
+runs one :class:`~repro.serve.server.PipelineServer` (the tenant's
+admission queue and per-frame serving loop), so served outputs stay
+bit-identical to a tenant running alone.
 
-* :class:`FleetServer` owns the shared side — the parent transport (a
-  factory whose :meth:`~repro.runtime.core.Transport.open_tenant` views
-  share one fleet-wide dead-device set), the
-  :class:`~repro.fleet.scheduler.FleetScheduler` placements, and
-  admission of tenants onto the pool.
-* :class:`TenantSession` is the thin per-tenant half: one granted
-  transport view, one admission queue (the tenant's
-  :class:`~repro.serve.server.ServerConfig`), and the per-frame serving
-  loop — delegated to the proven ``PipelineServer`` machinery so served
-  outputs stay bit-identical to a tenant running alone.
-
-Churn is fleet-wide: each session's replanner routes through
+Churn is fleet-wide: each tenant's replanner routes through
 :meth:`FleetScheduler.replace_tenant`, so one device death re-places
 every affected tenant over the survivors (bit-exact frame replay
 preserved by the session ladder), and a tenant whose switcher holds a
@@ -25,46 +19,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fleet.registry import ModelRegistry
+from repro.fleet.registry import ModelEntry, ModelRegistry
 from repro.fleet.scheduler import FleetScheduler, Placement
 from repro.fleet.tenants import TenantClass
 from repro.runtime.core import Transport
 from repro.runtime.faults import RuntimeConfig, replan_or_degrade
 from repro.schemes.base import PlanningError, Scheme
-from repro.serve.server import PipelineServer, ServeResult, ServerConfig
+from repro.serve.server import PipelineServer, ServeResult
 
-__all__ = ["TenantSession", "TenantResult", "FleetResult", "FleetServer"]
-
-
-class TenantSession:
-    """One tenant's serving half: granted view + admission + frames."""
-
-    def __init__(
-        self,
-        tenant: TenantClass,
-        placement: Placement,
-        server: PipelineServer,
-    ) -> None:
-        self.tenant = tenant
-        self.placement = placement
-        self.server = server
-
-    @property
-    def transport(self) -> Transport:
-        return self.server.transport
-
-    def serve(
-        self,
-        frames,
-        arrivals: "Optional[Sequence[float]]" = None,
-    ) -> ServeResult:
-        """Serve this tenant's workload through its granted view."""
-        return self.server.serve(frames, arrivals)
-
-    def close(self) -> None:
-        self.server.close()
+__all__ = ["TenantResult", "FleetResult", "FleetServer"]
 
 
 @dataclass
@@ -131,20 +96,28 @@ class FleetResult:
 
 
 class FleetServer:
-    """The shared half of fleet serving: transports, placement, admission.
+    """The shared half of fleet serving: placement, admission, failures.
 
-    ``transport`` is the parent/factory transport — typically never
-    opened itself; every admitted tenant gets an
-    :meth:`~repro.runtime.core.Transport.open_tenant` view bound to its
-    own program and engine, all views sharing one fleet-wide
-    dead-device set.
+    ``make_transport(entry)`` returns a fresh, *unopened* backend for a
+    tenant serving the registry entry's model; the tenant's
+    :class:`~repro.serve.server.PipelineServer` binds it to that
+    tenant's program through the normal ``configure() → open()`` flow.
+    Each tenant so keeps its own workers, or its own virtual stage
+    servers: contention between tenants is modelled up front by the
+    scheduler's occupancy-scaled capacities, not by interleaving them
+    on one clock.  The failure state is fleet-wide: before a tenant's
+    transport opens it adopts this server's dead-device set
+    (:meth:`~repro.runtime.core.Transport.share_dead`), so a death
+    discovered while serving one tenant immediately makes
+    ``needs_repartition`` true for every other tenant whose plan
+    touches that device.
     """
 
     def __init__(
         self,
         registry: ModelRegistry,
         scheduler: FleetScheduler,
-        transport: Transport,
+        make_transport: "Callable[[ModelEntry], Transport]",
         *,
         runtime_config: "Optional[RuntimeConfig]" = None,
         trace=None,
@@ -153,13 +126,18 @@ class FleetServer:
     ) -> None:
         self.registry = registry
         self.scheduler = scheduler
-        self.transport = transport
+        self.make_transport = make_transport
         self.runtime_config = runtime_config
         self.trace = trace
         self.max_batch = max_batch
         self.batch_timeout = batch_timeout
-        self.sessions: "Dict[str, TenantSession]" = {}
+        self.servers: "Dict[str, PipelineServer]" = {}
+        #: What each tenant's server runs: its admission-time placement,
+        #: replaced when fleet-wide churn re-places the tenant.
+        self.placements: "Dict[str, Placement]" = {}
         self._switchers: "Dict[str, object]" = {}
+        self._dead: "set" = set()
+        self._dead_lock = threading.Lock()
         self._closed = False
 
     # -- admission -----------------------------------------------------
@@ -169,7 +147,7 @@ class FleetServer:
         schemes: "Optional[Dict[str, Scheme]]" = None,
         switchers: "Optional[Dict[str, object]]" = None,
     ) -> "Dict[str, Placement]":
-        """Place ``tenants`` on the pool and open a session for each.
+        """Place ``tenants`` on the pool and open a server for each.
 
         ``switchers`` optionally maps tenant names to an
         :class:`~repro.adaptive.switcher.AdaptiveSwitcher`; each is
@@ -181,21 +159,21 @@ class FleetServer:
         if switchers:
             self._switchers.update(switchers)
         for tenant in tenants:
-            self._open_session(tenant, placements[tenant.name])
+            self._open_server(tenant, placements[tenant.name])
         return placements
 
-    def _open_session(
-        self, tenant: TenantClass, placement: Placement
-    ) -> TenantSession:
+    def _open_server(self, tenant: TenantClass, placement: Placement) -> None:
         entry = self.registry.get(tenant.model)
         program = self.registry.compile(tenant.model, placement.plan)
-        view = self.transport.open_tenant(engine=entry.engine)
+        transport = self.make_transport(entry)
+        transport.share_dead(self._dead, self._dead_lock)
         switcher = self._switchers.get(tenant.name)
         if switcher is not None:
             switcher.grant(placement.devices)
-        server = PipelineServer(
+        self.placements[tenant.name] = placement
+        self.servers[tenant.name] = PipelineServer(
             program,
-            view,
+            transport,
             tenant.server_config(self.max_batch, self.batch_timeout),
             tracer=self.trace,
             runtime_config=self.runtime_config,
@@ -206,9 +184,6 @@ class FleetServer:
             ),
             switcher=switcher,
         )
-        session = TenantSession(tenant, placement, server)
-        self.sessions[tenant.name] = session
-        return session
 
     # -- fleet-wide churn ----------------------------------------------
     def _fleet_replanner(self, tenant: TenantClass):
@@ -236,9 +211,7 @@ class FleetServer:
                     tenant.name, tuple(d.name for d in plan.all_devices)
                 )
                 return compile_plan(entry.model, plan), kind
-            session = self.sessions.get(tenant.name)
-            if session is not None:
-                session.placement = placement
+            self.placements[tenant.name] = placement
             switcher = self._switchers.get(tenant.name)
             if switcher is not None:
                 try:
@@ -259,53 +232,44 @@ class FleetServer:
 
         ``workloads`` maps tenant name to ``(frames, arrivals)`` as
         :meth:`PipelineServer.serve` accepts them.  Virtual-clock
-        sessions replay serially (their interleaving is analytic);
-        wall-clock sessions genuinely overlap, one serving thread per
+        tenants replay serially (their interleaving is analytic);
+        wall-clock tenants genuinely overlap, one serving thread per
         tenant.
         """
-        unknown = set(workloads) - set(self.sessions)
+        unknown = set(workloads) - set(self.servers)
         if unknown:
-            raise KeyError(f"no session for tenants {sorted(unknown)}")
-        fleet = FleetResult()
-        virtual = [
-            n for n in workloads if self.sessions[n].server.virtual
-        ]
-        walled = [n for n in workloads if n not in set(virtual)]
-        for name in virtual:
-            frames, arrivals = workloads[name]
-            result = self.sessions[name].serve(frames, arrivals)
-            fleet.tenants[name] = TenantResult(
-                self.sessions[name].tenant,
-                self.sessions[name].placement,
-                result,
-            )
-        if walled:
-            results: "Dict[str, ServeResult]" = {}
-            errors: "Dict[str, BaseException]" = {}
+            raise KeyError(f"no server for tenants {sorted(unknown)}")
+        results: "Dict[str, ServeResult]" = {}
+        errors: "Dict[str, BaseException]" = {}
 
-            def run(name: str) -> None:
-                frames, arrivals = workloads[name]
-                try:
-                    results[name] = self.sessions[name].serve(frames, arrivals)
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    errors[name] = exc
+        def run(name: str) -> None:
+            try:
+                results[name] = self.servers[name].serve(*workloads[name])
+            except BaseException as exc:  # noqa: BLE001 - re-raised
+                errors[name] = exc
 
-            threads = [
-                threading.Thread(target=run, args=(n,), name=f"tenant-{n}")
-                for n in walled
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise next(iter(errors.values()))
-            for name in walled:
-                fleet.tenants[name] = TenantResult(
-                    self.sessions[name].tenant,
-                    self.sessions[name].placement,
-                    results[name],
+        threads = []
+        for name in workloads:
+            if self.servers[name].virtual:
+                results[name] = self.servers[name].serve(*workloads[name])
+            else:
+                threads.append(
+                    threading.Thread(
+                        target=run, args=(name,), name=f"tenant-{name}"
+                    )
                 )
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise next(iter(errors.values()))
+        fleet = FleetResult()
+        for name in workloads:
+            fleet.tenants[name] = TenantResult(
+                self.scheduler.tenants[name], self.placements[name],
+                results[name],
+            )
         return fleet
 
     # -- lifecycle -----------------------------------------------------
@@ -313,9 +277,8 @@ class FleetServer:
         if self._closed:
             return
         self._closed = True
-        for session in self.sessions.values():
-            session.close()
-        self.transport.close_tenants()
+        for server in self.servers.values():
+            server.close()  # closes that tenant's transport, once
 
     def __enter__(self) -> "FleetServer":
         return self

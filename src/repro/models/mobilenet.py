@@ -20,7 +20,7 @@ from repro.models.layers import ConvSpec, DenseSpec, PoolSpec
 __all__ = ["mobilenet_v2", "inverted_residual"]
 
 # (expansion t, output channels c, repeats n, first stride s)
-_V2_CONFIG = (
+_MOBILENETV2_STAGES = (
     (1, 16, 1, 1),
     (6, 24, 2, 2),
     (6, 32, 3, 2),
@@ -69,7 +69,7 @@ def mobilenet_v2(input_hw: int = 224, num_classes: int = 1000) -> Model:
         LayerUnit(_bn_conv("stem", 3, 32, 3, stride=2, padding=1)),
     ]
     cin = 32
-    for stage_idx, (t, c, n, s) in enumerate(_V2_CONFIG, start=1):
+    for stage_idx, (t, c, n, s) in enumerate(_MOBILENETV2_STAGES, start=1):
         for block_idx in range(n):
             stride = s if block_idx == 0 else 1
             units.append(

@@ -24,7 +24,6 @@ from repro.runtime.core import (
     execute_stage,
 )
 from repro.runtime.faults import (
-    DEFAULT_RUNTIME_CONFIG,
     DeviceDead,
     FaultInjector,
     FaultSchedule,
@@ -77,7 +76,6 @@ from repro.runtime.worker import worker_main
 
 __all__ = [
     "Channel",
-    "DEFAULT_RUNTIME_CONFIG",
     "DeviceDead",
     "DistributedPipeline",
     "EVENT_KINDS",

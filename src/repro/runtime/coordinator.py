@@ -52,7 +52,6 @@ from repro.nn.executor import Engine
 from repro.nn.weights import Weights, init_weights
 from repro.runtime.core import StageTrace, TaskTiming, Transport
 from repro.runtime.faults import (
-    DEFAULT_RUNTIME_CONFIG,
     DeviceDead,
     RuntimeConfig,
     StageFailure,
@@ -137,6 +136,8 @@ class TcpTransport(Transport):
     """
 
     name = "tcp"
+    rebindable = False  # workers hold compiled segments
+    _channel_class = Channel
 
     def __init__(
         self,
@@ -186,22 +187,6 @@ class TcpTransport(Transport):
     def _now(self) -> float:
         return time.perf_counter() - self._clock_epoch
 
-    def _tenant_view(self, engine: "Optional[Engine]" = None) -> "TcpTransport":
-        # Each tenant view launches its own worker processes for its
-        # own program; fleet-wide they pool stats and (via the base
-        # class) the shared dead-device set.
-        model = engine.model if engine is not None else self.model
-        weights = engine.weights if engine is not None else self.weights
-        return type(self)(
-            model,
-            weights,
-            seed=self._seed,
-            stats=self.stats,
-            stats_lock=self.stats_lock,
-            fail_after=self.fail_after,
-            connect_timeout_s=self.connect_timeout_s,
-        )
-
     def clock(self) -> float:
         return self._now()
 
@@ -248,7 +233,7 @@ class TcpTransport(Transport):
             for _ in range(len(by_id)):
                 conn, _addr = listener.accept()
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                channel = Channel(conn)
+                channel = self._channel_class(conn)
                 hello = channel.recv()
                 assert isinstance(hello, Hello)
                 by_id[hello.worker_id].channel = channel
@@ -259,7 +244,7 @@ class TcpTransport(Transport):
         # its rings here), then ship setups: each worker gets its
         # compiled program plus the weights its segment touches.
         for handle in self.all_handles():
-            handle.channel = self._wrap_channel(handle)
+            self._upgrade_channel(handle)
         for stage in program.stages:
             if stage.branch:
                 # Ship the whole block's weights: a failure may later
@@ -299,9 +284,8 @@ class TcpTransport(Transport):
                     handle.channel.settimeout(self._config.recv_timeout_s)
             self.start_heartbeat(self._config.heartbeat_interval_s)
 
-    def _wrap_channel(self, handle: _WorkerHandle) -> Channel:
-        """Hook: upgrade a freshly accepted worker channel."""
-        return handle.channel
+    def _upgrade_channel(self, handle: _WorkerHandle) -> None:
+        """Hook: upgrade a freshly handshaken worker channel."""
 
     # -- heartbeats ----------------------------------------------------
     def start_heartbeat(self, interval_s: float) -> None:
@@ -518,6 +502,7 @@ class ShmTransport(TcpTransport):
     """
 
     name = "shm"
+    _channel_class = ShmChannel
 
     def __init__(
         self,
@@ -540,21 +525,6 @@ class ShmTransport(TcpTransport):
         self._rings: "List[ShmRing]" = []
         self._send_rings: "List[ShmRing]" = []
 
-    def _tenant_view(self, engine: "Optional[Engine]" = None) -> "ShmTransport":
-        model = engine.model if engine is not None else self.model
-        weights = engine.weights if engine is not None else self.weights
-        return ShmTransport(
-            model,
-            weights,
-            slots_per_ring=self.slots_per_ring,
-            slot_frames=self.slot_frames,
-            seed=self._seed,
-            stats=self.stats,
-            stats_lock=self.stats_lock,
-            fail_after=self.fail_after,
-            connect_timeout_s=self.connect_timeout_s,
-        )
-
     def _slot_bytes(self, stage_index: int) -> int:
         """A slot fits the stage's largest possible tile: its full
         input map or full output map (repartitions can grow any task's
@@ -568,7 +538,7 @@ class ShmTransport(TcpTransport):
         out_bytes = int(np.prod(stage.out_shape)) * 4
         return max(in_bytes, out_bytes) * self.slot_frames
 
-    def _wrap_channel(self, handle: _WorkerHandle) -> Channel:
+    def _upgrade_channel(self, handle: _WorkerHandle) -> None:
         slot_bytes = self._slot_bytes(handle.stage_index)
         to_worker = ShmRing.create(slot_bytes, self.slots_per_ring)
         from_worker = ShmRing.create(slot_bytes, self.slots_per_ring)
@@ -582,9 +552,7 @@ class ShmTransport(TcpTransport):
                 n_slots=to_worker.n_slots,
             )
         )
-        return ShmChannel(
-            handle.channel.sock, send_ring=to_worker, recv_ring=from_worker
-        )
+        handle.channel.attach(send_ring=to_worker, recv_ring=from_worker)
 
     def materialise_outputs(
         self,
@@ -646,9 +614,8 @@ class DistributedPipeline:
 
     A :class:`~repro.runtime.faults.RuntimeConfig` turns on the fault
     tolerance layer: heartbeat probing of worker processes, recv
-    timeouts on worker channels, worker idle timeouts, and recovery
-    (``config.recover`` supersedes the legacy ``recover`` flag, which
-    alone runs the ladder on :data:`DEFAULT_RUNTIME_CONFIG`).  A frame
+    timeouts on worker channels, worker idle timeouts, and the recovery
+    ladder; without one (the default) failures propagate.  A frame
     that fails past the ladder fails the pipeline: :meth:`collect`
     raises its exception, then and on every later call.
     """
@@ -659,7 +626,6 @@ class DistributedPipeline:
         plan: PipelinePlan,
         weights: Optional[Weights] = None,
         seed: int = 0,
-        recover: bool = False,
         fail_after: "Optional[Dict[str, int]]" = None,
         connect_timeout_s: float = 30.0,
         trace=False,
@@ -671,7 +637,6 @@ class DistributedPipeline:
         self.program = compile_plan(model, plan)
         self.weights = weights if weights is not None else init_weights(model, seed)
         self.config = config
-        self.recover = config.recover if config is not None else recover
         self.fail_after = fail_after or {}
         self.connect_timeout_s = connect_timeout_s
         self.stats = RuntimeStats()
@@ -711,11 +676,8 @@ class DistributedPipeline:
         if self._started:
             return self
         self.transport.open(self.program)
-        ladder = self.config
-        if ladder is None and self.recover:
-            ladder = DEFAULT_RUNTIME_CONFIG
         self._scheduler = StageScheduler(
-            self.program, self.transport, self._tracer, ladder
+            self.program, self.transport, self._tracer, self.config
         )
         self._started = True
         return self

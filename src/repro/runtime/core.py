@@ -116,6 +116,10 @@ class Transport(ABC):
     #: backend (``SimTransport(compute=False)``): the core skips
     #: split/stitch and only asks it to :meth:`~SimTransport.charge`.
     compute: bool = True
+    #: Whether :meth:`rebind` can adopt a new plan mid-session.  Where
+    #: it cannot (worker processes hold compiled segments) a stage that
+    #: loses every device fails its frames instead of re-planning.
+    rebindable: bool = True
     #: The model, when the backend can recompile tiles (rebalance).
     model = None
     _config: "Optional[RuntimeConfig]" = None
@@ -125,16 +129,12 @@ class Transport(ABC):
         self._overrides: "dict" = {}
         self._dead: "set" = set()
         self._dead_lock = threading.Lock()
-        self._fleet_shared = False
-        self._tenant_views: "List[Transport]" = []
 
     def open(self, program: PlanProgram) -> None:
+        # The dead-device set is not reset here: it may be a fleet's
+        # (see share_dead), which opening one tenant must not fork.
         self._program = program
         self._overrides = {}
-        if not self._fleet_shared:
-            # Tenant views (open_tenant) arrive with the fleet-wide
-            # dead-device set pre-installed; opening must not fork it.
-            self._dead = set()
 
     def close(self) -> None:  # pragma: no cover - default no-op
         pass
@@ -182,6 +182,14 @@ class Transport(ABC):
 
     def dead_devices(self) -> "frozenset":
         return frozenset(self._dead)
+
+    def share_dead(self, dead: "set", lock: "threading.Lock") -> None:
+        """Adopt a fleet-wide dead-device set (and its lock) as this
+        transport's own: a death found while serving any tenant then
+        makes :meth:`needs_repartition` true for every tenant whose
+        plan touches the device."""
+        self._dead = dead
+        self._dead_lock = lock
 
     def mark_dead(self, device: str) -> bool:
         """Declare a device dead; True the first time it is declared.
@@ -241,48 +249,6 @@ class Transport(ABC):
         sheds instead of queueing a frame that would stall a stage).
         """
         return 0.0
-
-    # -- multi-tenant views --------------------------------------------
-    def open_tenant(self, engine: "Optional[Engine]" = None) -> "Transport":
-        """A per-tenant view of this transport for fleet serving.
-
-        Fleet serving runs several concurrent programs over one shared
-        backend.  Each tenant gets its own *view* — a fresh transport of
-        the same backend class, returned **unopened** so the tenant's
-        session/server binds it to that tenant's program through the
-        normal ``configure() → open()`` flow — while the failure state
-        is fleet-wide: every view shares this parent's dead-device set
-        and its lock (preserved across the view's ``open``), so a death
-        discovered while serving one tenant immediately makes
-        ``needs_repartition`` true for every other tenant whose plan
-        touches that device.
-
-        ``engine`` supplies the tenant's model engine when it differs
-        from the parent's (multi-model fleets).  The parent acts as the
-        factory and shared-state holder; it need not be opened itself.
-        """
-        view = self._tenant_view(engine)
-        view.configure(self._config)
-        view._dead = self._dead
-        view._dead_lock = self._dead_lock
-        view._fleet_shared = True
-        self._tenant_views.append(view)
-        return view
-
-    def _tenant_view(self, engine: "Optional[Engine]") -> "Transport":
-        """Backend hook: a fresh unbound transport for one tenant."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support tenant views"
-        )
-
-    @property
-    def tenant_views(self) -> "Tuple[Transport, ...]":
-        return tuple(self._tenant_views)
-
-    def close_tenants(self) -> None:
-        for view in self._tenant_views:
-            view.close()
-        self._tenant_views = []
 
 
 def execute_stage(
@@ -538,9 +504,6 @@ class InProcTransport(Transport):
     def _now(self) -> float:
         return time.perf_counter() - self._epoch
 
-    def _tenant_view(self, engine: "Optional[Engine]") -> "InProcTransport":
-        return InProcTransport(engine or self.engine, self.faults)
-
     def clock(self) -> float:
         return self._now()
 
@@ -717,19 +680,6 @@ class SimTransport(Transport):
     def repartition(self, stage_index: int) -> None:
         super().repartition(stage_index)
         self._rows[stage_index] = self._stage_row(stage_index)
-
-    def _tenant_view(self, engine: "Optional[Engine]") -> "SimTransport":
-        # Each tenant keeps its own virtual stage servers: contention
-        # is modelled up front by the scheduler's occupancy-scaled
-        # capacities, not by interleaving tenants on one clock.
-        return SimTransport(
-            engine or self.engine,
-            self.network,
-            self.options,
-            self.faults,
-            self.compute,
-            self.batch_amortized,
-        )
 
     @property
     def now(self) -> float:
@@ -918,6 +868,7 @@ class PipelineSession:
             self.config is not None
             and self.config.recover
             and self.replanner is not None
+            and self.transport.rebindable
         )
 
     def _adopt_replan(self, frame: int) -> bool:

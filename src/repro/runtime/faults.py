@@ -42,7 +42,6 @@ from typing import Dict, Optional, Tuple
 
 __all__ = [
     "RuntimeConfig",
-    "DEFAULT_RUNTIME_CONFIG",
     "FaultSchedule",
     "FaultInjector",
     "TransientTaskError",
@@ -121,9 +120,6 @@ class RuntimeConfig:
     def backoff(self, attempt: int) -> float:
         """Seconds to back off before retry number ``attempt`` (0-based)."""
         return self.backoff_base_s * self.backoff_factor ** attempt
-
-
-DEFAULT_RUNTIME_CONFIG = RuntimeConfig()
 
 
 @dataclass(frozen=True)

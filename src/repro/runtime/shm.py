@@ -8,7 +8,9 @@ descriptors, releases) stays on the existing framed socket:
 
 * the sender copies a contiguous tensor once into a free ring slot
   (or not at all when the tensor is already a slot view);
-* the control frame carries ``(slot, dtype, shape)`` instead of bytes;
+* the control frame — the one frame layout of
+  :mod:`repro.runtime.transport` — carries ``(slot, dtype, shape)``
+  instead of bytes;
 * the receiver maps the slot with ``np.ndarray(buffer=shm.buf)`` — a
   view, zero copy, zero deserialisation.
 
@@ -33,8 +35,8 @@ an ``atexit`` hook, so a coordinator killed by ``KeyboardInterrupt``
 leaves no ``/dev/shm`` segments behind; attachers deregister from the
 ``resource_tracker`` so a worker's exit never unlinks segments the
 coordinator still serves from.  Tensors that don't fit a slot (or are
-too small to be worth one) fall back inline to the framed codec —
-correctness never depends on slot geometry.
+too small to be worth one) ship inline in the same frame — correctness
+never depends on slot geometry.
 """
 
 from __future__ import annotations
@@ -51,14 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.runtime.messages import TileResult, TileTask
-from repro.runtime.transport import (
-    Channel,
-    array_header,
-    decode_message,
-    pickle_skeleton,
-    require_wire_safe,
-    unpickle_skeleton,
-)
+from repro.runtime.transport import Channel, decode_message, encode_parts
 
 __all__ = [
     "SHM_PREFIX",
@@ -77,15 +72,17 @@ _RING_HEADER = struct.Struct(">IQI")  # magic, slot_bytes, n_slots
 _HEADER_BYTES = 64
 _SLOT_ALIGN = 64
 
-_V2_VERSION = 2
-_V2_PREAMBLE = struct.Struct(">BH")  # version, n_releases
-_U32 = struct.Struct(">I")
-_KIND = struct.Struct(">B")
-_INLINE, _SLOT = 0, 1
-
 #: Arrays smaller than this ship inline — a slot round-trip costs more
 #: than the copy it saves.
 MIN_SLOT_PAYLOAD = 1 << 10
+
+#: Only tile traffic rides slots.  Everything else — ``Setup`` weights a
+#: worker retains past the message lifetime, handshakes, errors — ships
+#: inline.
+SLOT_TYPES = (TileTask, TileResult)
+
+#: How long a send waits for a free slot before :class:`SlotExhausted`.
+ACQUIRE_TIMEOUT_S = 60.0
 
 _seq = itertools.count()
 _registry_lock = threading.Lock()
@@ -245,6 +242,8 @@ class ShmRing:
 
     # -- slot data -----------------------------------------------------
     def _offset(self, slot: int) -> int:
+        if not 0 <= slot < self.n_slots:
+            raise ValueError(f"slot {slot} out of range [0, {self.n_slots})")
         return _HEADER_BYTES + slot * self.slot_bytes
 
     def write(self, slot: int, contiguous: np.ndarray) -> None:
@@ -291,39 +290,37 @@ class ShmRing:
 class ShmChannel(Channel):
     """A framed channel whose tensor payloads ride shared-memory slots.
 
-    Control frames (codec version 2) stay on the socket::
+    The socket carries the same frame every :class:`Channel` speaks;
+    this class adds only the ring side of it — which arrays go to a
+    slot on encode, the slot views and release bookkeeping on decode.
+    Until :meth:`attach` hands it rings (a worker learns their names
+    from ``ShmAttach``, over this very channel) it is ring-less.
 
-        u8 version=2 | u16 n_releases | n_releases × u32 slot
-        u32 n_arrays
-        n_arrays × [u8 kind | array descriptor |
-                    kind=0: raw bytes — kind=1: u32 slot]
-        pickled skeleton
-
-    Only message types in ``slot_types`` (tile traffic) use slots;
-    everything else — ``Setup`` weights a worker retains past the
-    message lifetime, handshakes, errors — ships inline, as do tensors
-    larger than a slot or too small to be worth one.  Received slot
-    views are valid until this side's next :meth:`send` on the channel
-    (which is when their release is announced) — exactly the window the
-    stage protocol needs, since a stage stitches (copying) before the
-    next frame is sent.
+    Only :data:`SLOT_TYPES` messages use slots, and within them only
+    tensors of at least :data:`MIN_SLOT_PAYLOAD` bytes that fit one.
+    Received slot views are valid until this side's next :meth:`send`
+    on the channel (which is when their release is announced) —
+    exactly the window the stage protocol needs, since a stage stitches
+    (copying) before the next frame is sent.
     """
 
     def __init__(
         self,
         sock,
-        send_ring: ShmRing,
-        recv_ring: ShmRing,
-        slot_types: "Tuple[type, ...]" = (TileTask, TileResult),
-        acquire_timeout_s: float = 60.0,
+        send_ring: "Optional[ShmRing]" = None,
+        recv_ring: "Optional[ShmRing]" = None,
     ) -> None:
         super().__init__(sock)
-        self.send_ring = send_ring
-        self.recv_ring = recv_ring
-        self._slot_types = tuple(slot_types)
-        self._acquire_timeout_s = acquire_timeout_s
         self._to_release: "List[int]" = []
         self._loans: "Dict[int, int]" = {}  # data pointer -> owned slot
+        self.attach(send_ring, recv_ring)
+
+    def attach(
+        self, send_ring: "Optional[ShmRing]", recv_ring: "Optional[ShmRing]"
+    ) -> None:
+        """Back the channel with its ring pair."""
+        self.send_ring = send_ring
+        self.recv_ring = recv_ring
 
     def loan_slot(self, shape, dtype=np.float32) -> np.ndarray:
         """Borrow a send-ring slot as a writable ndarray (zero-copy send).
@@ -336,110 +333,45 @@ class ShmChannel(Channel):
         frame.  Each loan must be sent exactly once; a loan that is
         never sent holds its slot until the channel closes.
         """
-        slot = self.send_ring.acquire(self._acquire_timeout_s)
+        slot = self.send_ring.acquire(ACQUIRE_TIMEOUT_S)
         view = self.send_ring.slot_view(slot, shape, dtype)
         self._loans[view.__array_interface__["data"][0]] = slot
         return view
 
-    # -- codec ---------------------------------------------------------
+    # -- the ring side of the codec -------------------------------------
+    def _place(self, contiguous: np.ndarray) -> "Optional[int]":
+        """The slot now holding ``contiguous``, or ``None`` for inline."""
+        if not MIN_SLOT_PAYLOAD <= contiguous.nbytes <= self.send_ring.slot_bytes:
+            return None
+        ptr = contiguous.__array_interface__["data"][0]
+        slot = self._loans.pop(ptr, None)
+        if slot is None:  # not produced in place via loan_slot()
+            slot = self.send_ring.acquire(ACQUIRE_TIMEOUT_S)
+            self.send_ring.write(slot, contiguous)
+        return slot
+
+    def _slot_view(self, slot: int, descr: str, shape, nbytes: int) -> np.ndarray:
+        arr = self.recv_ring.view(slot, descr, shape, nbytes)
+        self._to_release.append(slot)
+        return arr
+
     def _encode_parts(self, message: Any) -> "Tuple[List[Any], int]":
-        skeleton, arrays = pickle_skeleton(message)
-        use_slots = isinstance(message, self._slot_types)
         releases, self._to_release = self._to_release, []
-        parts: "List[Any]" = [_V2_PREAMBLE.pack(_V2_VERSION, len(releases))]
-        parts.extend(_U32.pack(slot) for slot in releases)
-        parts.append(_U32.pack(len(arrays)))
-        for arr in arrays:
-            require_wire_safe(arr)
-            contiguous = np.ascontiguousarray(arr)
-            slot = None
-            if (
-                use_slots
-                and MIN_SLOT_PAYLOAD
-                <= contiguous.nbytes
-                <= self.send_ring.slot_bytes
-            ):
-                ptr = contiguous.__array_interface__["data"][0]
-                loaned = self._loans.pop(ptr, None)
-                if loaned is not None:
-                    slot = loaned  # produced in place via loan_slot()
-                else:
-                    slot = self.send_ring.acquire(self._acquire_timeout_s)
-                    self.send_ring.write(slot, contiguous)
-            if slot is None:
-                parts.append(_KIND.pack(_INLINE))
-                parts.append(array_header(contiguous, arr.shape))
-                parts.append(memoryview(contiguous).cast("B"))
-            else:
-                parts.append(_KIND.pack(_SLOT))
-                parts.append(array_header(contiguous, arr.shape))
-                parts.append(_U32.pack(slot))
-        parts.append(skeleton)
-        return parts, sum(len(p) for p in parts)
+        use_slots = self.send_ring is not None and isinstance(message, SLOT_TYPES)
+        return encode_parts(message, releases, self._place if use_slots else None)
 
     def _decode(self, payload: memoryview) -> Any:
-        if len(payload) < _V2_PREAMBLE.size or payload[0] != _V2_VERSION:
-            # Pre-attach traffic (Hello) is plain codec version 1.
+        if self.send_ring is None:
             return decode_message(payload)
-        _version, n_releases = _V2_PREAMBLE.unpack_from(payload, 0)
-        offset = _V2_PREAMBLE.size
-        for _ in range(n_releases):
-            (slot,) = _U32.unpack_from(payload, offset)
-            offset += _U32.size
-            self.send_ring.release(slot)
-        (n_arrays,) = _U32.unpack_from(payload, offset)
-        offset += _U32.size
-        arrays: "List[np.ndarray]" = []
-        for _ in range(n_arrays):
-            (kind,) = _KIND.unpack_from(payload, offset)
-            offset += _KIND.size
-            descr, shape, nbytes, offset = _read_descriptor(payload, offset)
-            if kind == _INLINE:
-                if offset + nbytes > len(payload):
-                    raise ValueError("array segment overruns the frame")
-                arr = np.frombuffer(
-                    payload[offset : offset + nbytes], dtype=np.dtype(descr)
-                ).reshape(shape)
-                offset += nbytes
-            elif kind == _SLOT:
-                (slot,) = _U32.unpack_from(payload, offset)
-                offset += _U32.size
-                arr = self.recv_ring.view(slot, descr, shape, nbytes)
-                self._to_release.append(slot)
-            else:
-                raise ValueError(f"unknown array kind {kind}")
-            arrays.append(arr)
-        return unpickle_skeleton(payload[offset:], arrays)
+        return decode_message(payload, self.send_ring.release, self._slot_view)
 
     def occupancy(self) -> float:
         """The send ring's in-use fraction (the backpressure signal)."""
-        return self.send_ring.occupancy()
+        return self.send_ring.occupancy() if self.send_ring is not None else 0.0
 
     def close(self) -> None:
         super().close()
         # Detach only — unlinking is the creator transport's job.
-        self.send_ring.close()
-        self.recv_ring.close()
-
-
-_DESC_FIXED = struct.Struct(">B")
-_DESC_U8 = struct.Struct(">B")
-_DESC_U64 = struct.Struct(">Q")
-
-
-def _read_descriptor(payload: memoryview, offset: int):
-    """Parse one array descriptor (shared with the framed codec)."""
-    (descr_len,) = _DESC_FIXED.unpack_from(payload, offset)
-    offset += _DESC_FIXED.size
-    descr = bytes(payload[offset : offset + descr_len]).decode("ascii")
-    offset += descr_len
-    (ndim,) = _DESC_U8.unpack_from(payload, offset)
-    offset += _DESC_U8.size
-    shape = []
-    for _ in range(ndim):
-        (dim,) = _DESC_U64.unpack_from(payload, offset)
-        offset += _DESC_U64.size
-        shape.append(dim)
-    (nbytes,) = _DESC_U64.unpack_from(payload, offset)
-    offset += _DESC_U64.size
-    return descr, shape, nbytes, offset
+        if self.send_ring is not None:
+            self.send_ring.close()
+            self.recv_ring.close()

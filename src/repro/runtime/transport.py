@@ -14,12 +14,22 @@ longer a raw pickle:
   package's dataclasses plus a small closed set of safe builtins — a
   frame from a hostile peer cannot name arbitrary callables.
 
-Frame layout (after the 8-byte length)::
+Frame layout (after the 8-byte length) — the one layout every channel
+speaks::
 
-    u8 codec version | u32 n_arrays
-    n_arrays × [u8 len | dtype descr | u8 ndim | u64×ndim shape |
-                u64 nbytes | raw data]
+    u16 n_releases | n_releases × u32 slot
+    u32 n_arrays
+    n_arrays × [u8 kind | u8 len | dtype descr | u8 ndim |
+                u64×ndim shape | u64 nbytes |
+                kind=0: raw data — kind=1: u32 slot]
     pickled skeleton (arrays replaced by persistent ids)
+
+Releases and ``kind=1`` slot references belong to channels backed by
+shared-memory rings (:mod:`repro.runtime.shm`): a tensor rides a ring
+slot instead of the stream, and the reader hands the slot back on its
+next frame.  A plain :class:`Channel` is the ring-less case — nothing
+to release, every array inline — and rejects a frame that names a
+slot.
 
 Oversized frames are rejected from the length header *before* any
 payload allocation, and receives fill one preallocated buffer via
@@ -30,19 +40,17 @@ tensor frame is never duplicated into an intermediate ``bytes``.
 
 Every socket here is blocking: each stage's workers are driven by that
 stage's own thread (:mod:`repro.runtime.scheduler`), so a channel never
-has more than one reader.  The shared-memory channel
-(:mod:`repro.runtime.shm`) builds on the same framing: it reuses the
-skeleton pickler/unpickler via :func:`pickle_skeleton` /
-:func:`unpickle_skeleton` and swaps the array plane for ring slots.
+has more than one reader.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import pickle
 import socket
 import struct
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,17 +63,17 @@ __all__ = [
     "send_message",
     "send_parts",
     "recv_message",
-    "pickle_skeleton",
-    "unpickle_skeleton",
     "Channel",
 ]
 
 _HEADER = struct.Struct(">Q")
-_PREAMBLE = struct.Struct(">BI")  # codec version, array count
-_ARR_FIXED = struct.Struct(">B")  # dtype descr length (then descr, ndim, …)
 _U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-_CODEC_VERSION = 1
+_INLINE, _SLOT = 0, 1  # array kinds
+#: The smallest payload: an empty release list and an array count.
+_MIN_PAYLOAD = _U16.size + _U32.size
 
 #: Refuse absurd frames (corrupt header, protocol desync) before any
 #: allocation happens.
@@ -124,65 +132,54 @@ class _RestrictedUnpickler(pickle.Unpickler):
         )
 
 
-def pickle_skeleton(message: Any) -> "Tuple[bytes, List[np.ndarray]]":
-    """Pickle a message's object skeleton, lifting out its arrays.
+def encode_parts(
+    message: Any,
+    releases: "Sequence[int]" = (),
+    place: "Optional[Callable[[np.ndarray], Optional[int]]]" = None,
+) -> "Tuple[List[Any], int]":
+    """Serialise one message into frame-payload parts plus total bytes.
 
-    Returns ``(skeleton_bytes, arrays)``; each array is replaced in the
-    pickle stream by its index into ``arrays``.  The inverse is
-    :func:`unpickle_skeleton`.  This is the codec half every payload
-    plane shares — the framed codec carries the arrays as raw segments,
-    the shared-memory channel carries them as ring-slot references.
+    ``releases`` and ``place`` are a ring-backed channel's share of the
+    frame: the slots it hands back to the peer, and its choice, per
+    contiguous array, of the ring slot that now holds the data (or
+    ``None`` for inline).  Without them this is the ring-less frame.
+
+    Inline array data contributes flat ``memoryview``s of the
+    contiguous buffers — nothing tensor-sized is copied here;
+    :func:`send_parts` hands the views to ``sendall`` directly.  The
+    views keep their source arrays alive for as long as the parts list
+    is.
     """
     arrays: "List[np.ndarray]" = []
     skeleton = io.BytesIO()
     _ArrayPickler(skeleton, arrays).dump(message)
-    return skeleton.getvalue(), arrays
-
-
-def unpickle_skeleton(data: Any, arrays: "Sequence[np.ndarray]") -> Any:
-    """Rebuild a message from its pickled skeleton and decoded arrays."""
-    if isinstance(data, memoryview):
-        data = bytes(data)
-    return _RestrictedUnpickler(io.BytesIO(data), list(arrays)).load()
-
-
-def require_wire_safe(arr: np.ndarray) -> None:
-    """Reject dtypes the raw-bytes array plane cannot carry."""
-    if arr.dtype.hasobject or arr.dtype.names is not None:
-        raise TypeError(
-            f"cannot encode array of dtype {arr.dtype} (object/"
-            "structured dtypes are not wire-safe)"
+    parts: "List[Any]" = [
+        struct.pack(
+            ">H%dII" % len(releases), len(releases), *releases, len(arrays)
         )
-
-
-def array_header(contiguous: np.ndarray, shape: "Tuple[int, ...]") -> bytes:
-    """The per-array descriptor (dtype descr, ndim, dims, nbytes)."""
-    descr = contiguous.dtype.str.encode("ascii")
-    parts = [_ARR_FIXED.pack(len(descr)), descr, _U8.pack(len(shape))]
-    for dim in shape:
-        parts.append(_U64.pack(dim))
-    parts.append(_U64.pack(contiguous.nbytes))
-    return b"".join(parts)
-
-
-def encode_parts(message: Any) -> "Tuple[List[Any], int]":
-    """Serialise one message into frame-payload parts plus total bytes.
-
-    Array data contributes flat ``memoryview``s of the contiguous
-    buffers — nothing tensor-sized is copied here; :func:`send_parts`
-    hands the views to ``sendall`` directly.  The views keep their
-    source arrays alive for as long as the parts list is.
-    """
-    skeleton, arrays = pickle_skeleton(message)
-    parts: "List[Any]" = [_PREAMBLE.pack(_CODEC_VERSION, len(arrays))]
+    ]
     for arr in arrays:
-        require_wire_safe(arr)
+        if arr.dtype.hasobject or arr.dtype.names is not None:
+            raise TypeError(
+                f"cannot encode array of dtype {arr.dtype} (object/"
+                "structured dtypes are not wire-safe)"
+            )
         # ascontiguousarray promotes 0-d to 1-d; keep the true shape.
         contiguous = np.ascontiguousarray(arr)
-        parts.append(array_header(contiguous, arr.shape))
-        if contiguous.nbytes:
-            parts.append(memoryview(contiguous).cast("B"))
-    parts.append(skeleton)
+        slot = place(contiguous) if place is not None else None
+        descr = contiguous.dtype.str.encode("ascii")
+        head = struct.pack(
+            ">BB%dsB%dQQ" % (len(descr), arr.ndim),
+            _INLINE if slot is None else _SLOT,
+            len(descr), descr, arr.ndim, *arr.shape, contiguous.nbytes,
+        )
+        if slot is None:
+            parts.append(head)
+            if contiguous.nbytes:
+                parts.append(memoryview(contiguous).cast("B"))
+        else:
+            parts.append(head + _U32.pack(slot))
+    parts.append(skeleton.getvalue())
     return parts, sum(len(p) for p in parts)
 
 
@@ -192,40 +189,68 @@ def encode_message(message: Any) -> bytes:
     return b"".join(parts)
 
 
-def decode_message(payload: memoryview) -> Any:
-    """Decode one frame payload produced by :func:`encode_message`."""
-    if len(payload) < _PREAMBLE.size:
-        raise ValueError(f"truncated frame: {len(payload)} byte payload")
-    version, n_arrays = _PREAMBLE.unpack_from(payload, 0)
-    if version != _CODEC_VERSION:
-        raise ValueError(f"unsupported codec version {version}")
-    offset = _PREAMBLE.size
-    arrays: "List[np.ndarray]" = []
+def decode_message(
+    payload: memoryview,
+    release: "Optional[Callable[[int], None]]" = None,
+    slot_view: "Optional[Callable[..., np.ndarray]]" = None,
+) -> Any:
+    """Decode one frame payload produced by :func:`encode_parts`.
+
+    ``release(slot)`` and ``slot_view(slot, descr, shape, nbytes)`` are
+    a ring-backed channel's share; without them a frame that carries a
+    release or a slot reference is malformed.  The whole frame is
+    parsed and bounds-checked before either is called, so a malformed
+    frame touches no ring; inline arrays are views of ``payload``.
+    """
+    arrays: "List[Optional[np.ndarray]]" = []
+    slot_refs = []  # (index into arrays, slot, descr, shape, nbytes)
     try:
+        (n_releases,) = _U16.unpack_from(payload, 0)
+        releases = struct.unpack_from(">%dI" % n_releases, payload, _U16.size)
+        offset = _U16.size + _U32.size * n_releases
+        (n_arrays,) = _U32.unpack_from(payload, offset)
+        offset += _U32.size
         for _ in range(n_arrays):
-            (descr_len,) = _ARR_FIXED.unpack_from(payload, offset)
-            offset += _ARR_FIXED.size
+            kind, descr_len = payload[offset], payload[offset + 1]
+            offset += 2
             descr = bytes(payload[offset : offset + descr_len]).decode("ascii")
             offset += descr_len
+            if offset > len(payload):
+                raise ValueError("truncated frame: bad array header")
+            dtype = np.dtype(descr)
             (ndim,) = _U8.unpack_from(payload, offset)
-            offset += _U8.size
-            shape = []
-            for _ in range(ndim):
-                (dim,) = _U64.unpack_from(payload, offset)
-                offset += _U64.size
-                shape.append(dim)
+            shape = struct.unpack_from(">%dQ" % ndim, payload, offset + 1)
+            offset += _U8.size + _U64.size * ndim
             (nbytes,) = _U64.unpack_from(payload, offset)
             offset += _U64.size
-            if offset + nbytes > len(payload):
-                raise ValueError("array segment overruns the frame")
-            dtype = np.dtype(descr)
-            arr = np.frombuffer(
-                payload[offset : offset + nbytes], dtype=dtype
-            ).reshape(shape)
-            offset += nbytes
-            arrays.append(arr)
-    except struct.error as exc:
+            if nbytes != dtype.itemsize * math.prod(shape):
+                raise ValueError("array descriptor disagrees with its size")
+            if kind == _INLINE:
+                if offset + nbytes > len(payload):
+                    raise ValueError("array segment overruns the frame")
+                arrays.append(
+                    np.frombuffer(
+                        payload[offset : offset + nbytes], dtype=dtype
+                    ).reshape(shape)
+                )
+                offset += nbytes
+            elif kind == _SLOT:
+                (slot,) = _U32.unpack_from(payload, offset)
+                offset += _U32.size
+                slot_refs.append((len(arrays), slot, descr, shape, nbytes))
+                arrays.append(None)
+            else:
+                raise ValueError(f"unknown array kind {kind}")
+    except (struct.error, IndexError) as exc:
         raise ValueError("truncated frame: bad array header") from exc
+    except TypeError as exc:
+        raise ValueError(f"bad array dtype: {exc}") from exc
+    if (releases and release is None) or (slot_refs and slot_view is None):
+        raise ValueError("frame names ring slots on a ring-less channel")
+    for slot in releases:
+        release(slot)
+    for index, slot, descr, shape, nbytes in slot_refs:
+        arrays[index] = slot_view(slot, descr, shape, nbytes)
     return _RestrictedUnpickler(
         io.BytesIO(bytes(payload[offset:])), arrays
     ).load()
@@ -290,7 +315,7 @@ def recv_message(sock: socket.socket, decode=decode_message) -> Any:
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ValueError(f"frame of {length} bytes exceeds limit")
-    if length < _PREAMBLE.size:
+    if length < _MIN_PAYLOAD:
         raise ValueError(f"truncated frame: {length} byte payload")
     payload = bytearray(length)
     _recv_exact_into(sock, memoryview(payload))
@@ -300,9 +325,10 @@ def recv_message(sock: socket.socket, decode=decode_message) -> Any:
 class Channel:
     """A connected socket with message framing and idempotent close.
 
-    Blocking, optionally bounded by :meth:`settimeout`.  Subclasses
-    override :meth:`_encode_parts` / :meth:`_decode` to swap
-    the payload plane (the shared-memory channel does).
+    Blocking, optionally bounded by :meth:`settimeout`.  This is the
+    ring-less channel; the shared-memory channel overrides
+    :meth:`_encode_parts` / :meth:`_decode` to pass the one codec its
+    ring callbacks.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -322,7 +348,7 @@ class Channel:
         """
         self._sock.settimeout(seconds)
 
-    # -- codec hooks (overridden by the shared-memory channel) ---------
+    # -- codec hooks (the shared-memory channel adds its rings) --------
     def _encode_parts(self, message: Any) -> "Tuple[List[Any], int]":
         return encode_parts(message)
 

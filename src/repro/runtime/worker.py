@@ -25,7 +25,7 @@ from repro.runtime.messages import (
     WorkerError,
 )
 from repro.runtime.shm import ShmChannel, ShmRing
-from repro.runtime.transport import Channel, TransportClosed
+from repro.runtime.transport import TransportClosed
 
 __all__ = ["worker_main"]
 
@@ -48,23 +48,20 @@ def worker_main(
     """
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    channel = Channel(sock)
+    channel = ShmChannel(sock)  # ring-less unless the coordinator attaches
     if idle_timeout_s is not None:
         channel.settimeout(idle_timeout_s)
-    rings = []
     try:
         channel.send(Hello(worker_id))
         setup = channel.recv()
         if isinstance(setup, ShmAttach):
             # Zero-copy mode: attach to the coordinator's rings (never
-            # unlink them — they outlive this process) and swap the
-            # payload plane; the socket keeps carrying control frames.
-            send_ring = ShmRing.attach(setup.send_name)
-            recv_ring = ShmRing.attach(setup.recv_name)
-            rings = [send_ring, recv_ring]
-            channel = ShmChannel(sock, send_ring, recv_ring)
-            if idle_timeout_s is not None:
-                channel.settimeout(idle_timeout_s)
+            # unlink them — they outlive this process); tile tensors
+            # now ride slots, the socket keeps carrying control frames.
+            channel.attach(
+                ShmRing.attach(setup.send_name),
+                ShmRing.attach(setup.recv_name),
+            )
             setup = channel.recv()
         if not isinstance(setup, Setup):
             raise RuntimeError(f"expected Setup, got {type(setup).__name__}")
@@ -104,6 +101,4 @@ def worker_main(
     except TransportClosed:
         return
     finally:
-        channel.close()
-        for ring in rings:  # no-op after ShmChannel.close; never unlinks
-            ring.close()
+        channel.close()  # detaches any rings; never unlinks

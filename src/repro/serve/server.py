@@ -636,12 +636,16 @@ class PipelineServer:
         A frame only lands here when a stage raised past the in-stage
         ladder (:class:`StageFailure` — every device of a stage died).
         With a replanner the server adopts a plan over the survivors and
-        replays each lost frame from its original input; without one the
-        frames stay ``failed`` (reported, never silent).
+        replays each lost frame from its original input; without one —
+        or on a transport that cannot ``rebind`` (worker processes hold
+        compiled segments) — the frames stay ``failed`` (reported,
+        never silent).
         """
         failed = sorted(fid for fid in pending if fid not in outputs)
         replayed: "set" = set()
         if not failed or self.replanner is None:
+            return replayed
+        if not self.transport.rebindable:
             return replayed
         if self.runtime_config is not None and not self.runtime_config.recover:
             return replayed

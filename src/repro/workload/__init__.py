@@ -20,7 +20,6 @@ from repro.workload.processes import (
     CompositeProcess,
     DiurnalProcess,
     FlashCrowdProcess,
-    PhasedProcess,
     PoissonProcess,
     SaturationProcess,
     TraceReplayProcess,
@@ -37,7 +36,6 @@ __all__ = [
     "DiurnalProcess",
     "FlashCrowdProcess",
     "Phase",
-    "PhasedProcess",
     "PhasedTrace",
     "PoissonProcess",
     "SaturationProcess",

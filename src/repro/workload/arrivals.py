@@ -8,16 +8,48 @@ measuring maximum throughput.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional
 
 import numpy as np
 
 __all__ = [
+    "ArrivalProcess",
     "poisson_arrivals",
     "poisson_arrivals_count",
     "uniform_arrivals",
     "saturation_arrivals",
 ]
+
+
+def _default_rng(rng) -> np.random.Generator:
+    return rng if rng is not None else np.random.default_rng(0)
+
+
+class ArrivalProcess:
+    """A lazy, reproducible stream of task submit times.
+
+    Subclasses implement :meth:`times` (a nondecreasing iterator of
+    seconds) and :meth:`rate_at` (the nominal instantaneous rate, for
+    rate-envelope tests and capacity planning).  Iterating the process
+    itself uses the default fixed seed.
+    """
+
+    #: End of the process's support (``inf`` for count-bounded ones).
+    horizon_s: float = math.inf
+
+    def times(self, rng: Optional[np.random.Generator] = None) -> Iterator[float]:
+        raise NotImplementedError
+
+    def rate_at(self, t: float) -> float:
+        raise NotImplementedError
+
+    def sample(self, rng: Optional[np.random.Generator] = None) -> "List[float]":
+        """Materialise the whole stream (all processes are finite)."""
+        return list(self.times(rng))
+
+    def __iter__(self) -> Iterator[float]:
+        return self.times()
 
 
 def iter_poisson(

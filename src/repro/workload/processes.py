@@ -25,19 +25,24 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.workload.arrivals import iter_poisson, iter_uniform, saturation_arrivals
-from repro.workload.traces import PhasedTrace, day_night_trace
+from repro.workload.arrivals import (
+    ArrivalProcess,
+    _default_rng,
+    iter_poisson,
+    iter_uniform,
+    saturation_arrivals,
+)
+from repro.workload.traces import day_night_trace
 
 __all__ = [
     "ArrivalProcess",
     "CompositeProcess",
     "DiurnalProcess",
     "FlashCrowdProcess",
-    "PhasedProcess",
     "PoissonProcess",
     "SaturationProcess",
     "TraceReplayProcess",
@@ -46,36 +51,6 @@ __all__ = [
     "day_night_process",
     "get_arrivals",
 ]
-
-
-def _default_rng(rng) -> np.random.Generator:
-    return rng if rng is not None else np.random.default_rng(0)
-
-
-class ArrivalProcess:
-    """A lazy, reproducible stream of task submit times.
-
-    Subclasses implement :meth:`times` (a nondecreasing iterator of
-    seconds) and :meth:`rate_at` (the nominal instantaneous rate, for
-    rate-envelope tests and capacity planning).  Iterating the process
-    itself uses the default fixed seed.
-    """
-
-    #: End of the process's support (``inf`` for count-bounded ones).
-    horizon_s: float = math.inf
-
-    def times(self, rng: Optional[np.random.Generator] = None) -> Iterator[float]:
-        raise NotImplementedError
-
-    def rate_at(self, t: float) -> float:
-        raise NotImplementedError
-
-    def sample(self, rng: Optional[np.random.Generator] = None) -> "List[float]":
-        """Materialise the whole stream (all processes are finite)."""
-        return list(self.times(rng))
-
-    def __iter__(self) -> Iterator[float]:
-        return self.times()
 
 
 def _thinned(
@@ -168,34 +143,9 @@ class SaturationProcess(ArrivalProcess):
         return math.inf if t == 0 else 0.0
 
 
-class PhasedProcess(ArrivalProcess):
-    """Lazy playback of a :class:`~repro.workload.traces.PhasedTrace`.
-
-    Draw-for-draw identical to ``PhasedTrace.sample`` under the same
-    generator, just streamed instead of materialised.
-    """
-
-    def __init__(self, trace: PhasedTrace) -> None:
-        self.trace = trace
-        self.horizon_s = trace.horizon_s
-
-    def times(self, rng=None) -> Iterator[float]:
-        return self.trace.times(_default_rng(rng))
-
-    def rate_at(self, t: float) -> float:
-        return self.trace.rate_at(t)
-
-
-def day_night_process(
-    light_rate: float,
-    heavy_rate: float,
-    phase_duration_s: float,
-    cycles: int = 1,
-) -> PhasedProcess:
-    """The smart-home motivation: alternating light/heavy phases."""
-    return PhasedProcess(
-        day_night_trace(light_rate, heavy_rate, phase_duration_s, cycles)
-    )
+#: The smart-home motivation, alternating light/heavy phases: a
+#: :class:`~repro.workload.traces.PhasedTrace` is itself a process.
+day_night_process = day_night_trace
 
 
 class DiurnalProcess(ArrivalProcess):
@@ -395,7 +345,7 @@ _REGISTRY = {
     "poisson": PoissonProcess,
     "uniform": UniformProcess,
     "saturation": SaturationProcess,
-    "day-night": day_night_process,
+    "day-night": day_night_trace,
     "diurnal": DiurnalProcess,
     "flash-crowd": FlashCrowdProcess,
     "trace-replay": TraceReplayProcess,

@@ -13,7 +13,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.workload.arrivals import iter_poisson
+from repro.workload.arrivals import ArrivalProcess, _default_rng, iter_poisson
 
 __all__ = ["Phase", "PhasedTrace", "day_night_trace"]
 
@@ -33,7 +33,7 @@ class Phase:
 
 
 @dataclass(frozen=True)
-class PhasedTrace:
+class PhasedTrace(ArrivalProcess):
     """A sequence of Poisson phases played back to back."""
 
     phases: Tuple[Phase, ...]
@@ -47,14 +47,10 @@ class PhasedTrace:
     def horizon_s(self) -> float:
         return sum(p.duration_s for p in self.phases)
 
-    def sample(self, rng: Optional[np.random.Generator] = None) -> "List[float]":
-        """Arrival times over the whole trace (fixed seed unless ``rng``
-        is supplied — see :func:`~repro.workload.arrivals.poisson_arrivals`)."""
-        return list(self.times(rng or np.random.default_rng(0)))
-
-    def times(self, rng: np.random.Generator) -> Iterator[float]:
-        """The same arrivals, streamed: one Poisson segment per phase,
-        all drawn from ``rng`` in phase order."""
+    def times(self, rng: Optional[np.random.Generator] = None) -> Iterator[float]:
+        """The arrivals, streamed: one Poisson segment per phase, all
+        drawn from ``rng`` (fixed seed unless supplied) in phase order."""
+        rng = _default_rng(rng)
         offset = 0.0
         for phase in self.phases:
             if phase.rate > 0:

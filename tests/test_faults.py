@@ -631,6 +631,39 @@ class TestFaultsUnderLoad:
         for i, want in enumerate(load_baseline):
             assert np.allclose(result.outputs[i], want, atol=1e-4)
 
+    @pytest.mark.parametrize("backend", ["tcp", "shm"])
+    def test_stage_wipeout_on_workers_that_cannot_rebind_reports_failed(
+        self, model, program, weights, net, cluster, load_frames,
+        load_baseline, backend,
+    ):
+        """Worker processes hold compiled segments and cannot adopt a
+        re-plan mid-session: when the last stage loses every worker the
+        lost frames stay ``failed`` and the caller still gets the
+        result — and the frames that did complete — instead of an
+        exception out of the drain-time replay."""
+        from repro.runtime.coordinator import ShmTransport, TcpTransport
+
+        last = [t.device_name for t in program.stages[-1].tasks]
+        cls = {"tcp": TcpTransport, "shm": ShmTransport}[backend]
+        server = PipelineServer(
+            program,
+            cls(model, weights, fail_after={name: 1 for name in last}),
+            ServerConfig(queue_capacity=8, policy="block"),
+            runtime_config=RuntimeConfig(),
+            replanner=churn_replanner(model, cluster, net, scheme=PicoScheme()),
+        )
+        try:
+            result = server.serve(load_frames, arrivals=[0.0] * len(load_frames))
+        finally:
+            server.close()
+        self._assert_no_silent_loss(result, len(load_frames))
+        assert result.failed and not result.shed
+        assert result.completed, "frame 0 finished before the wipeout"
+        for record in result.completed:
+            assert np.array_equal(
+                result.outputs[record.frame], load_baseline[record.frame]
+            )
+
     def test_shm_worker_crash_recovers_and_unlinks(
         self, model, plan, weights, load_frames, load_baseline,
     ):
@@ -643,7 +676,7 @@ class TestFaultsUnderLoad:
         victim = plan.stages[0].assignments[1][0].name
         with DistributedPipeline(
             model, plan, weights=weights, transport="shm",
-            recover=True, fail_after={victim: 1},
+            config=RuntimeConfig(), fail_after={victim: 1},
         ) as pipe:
             outs, stats = pipe.run_batch(load_frames)
         assert stats.recoveries >= 1

@@ -314,11 +314,10 @@ class TestSwitcherGrant:
 # ---------------------------------------------------------------------------
 
 
-def _fleet_parent(backend, registry, net):
-    entry = registry.get("big")
+def _fleet_factory(backend, net):
     if backend == "inproc":
-        return InProcTransport(entry.engine)
-    return SimTransport(entry.engine, net, compute=True)
+        return lambda entry: InProcTransport(entry.engine)
+    return lambda entry: SimTransport(entry.engine, net, compute=True)
 
 
 def _alone_transport(backend, entry, net):
@@ -327,10 +326,16 @@ def _alone_transport(backend, entry, net):
     return SimTransport(Engine(entry.model, entry.weights), net, compute=True)
 
 
+def _live_workers():
+    import multiprocessing as mp
+
+    return [p for p in mp.active_children() if p.is_alive()]
+
+
 class TestFleetDifferential:
     """Tenants co-scheduled on a shared pool stay bit-identical to the
     same tenant serving alone on the same plan — different models and
-    different schemes sharing one parent transport."""
+    different schemes, each tenant on its own factory-built transport."""
 
     N_FRAMES = 3
 
@@ -344,7 +349,6 @@ class TestFleetDifferential:
         ]
         schemes = {"alpha": PicoScheme(), "beta": LayerWiseScheme()}
         scheduler = FleetScheduler(registry, cluster, net)
-        parent = _fleet_parent(backend, registry, net)
         workloads = {
             "alpha": (
                 _frames(registry.get("big").model, self.N_FRAMES, seed=1),
@@ -355,7 +359,9 @@ class TestFleetDifferential:
                 [0.0] * self.N_FRAMES,
             ),
         }
-        with FleetServer(registry, scheduler, parent) as fleet:
+        with FleetServer(
+            registry, scheduler, _fleet_factory(backend, net)
+        ) as fleet:
             placements = fleet.admit(tenants, schemes=schemes)
             result = fleet.serve(workloads)
 
@@ -390,26 +396,44 @@ class TestFleetDifferential:
     def test_two_tenants_bit_identical_over_shm(self, registry, cluster, net):
         from repro.runtime.coordinator import ShmTransport
 
+        self._bit_identical_over_workers(registry, cluster, net, ShmTransport)
+
+    @pytest.mark.slow
+    def test_two_tenants_bit_identical_over_tcp(self, registry, cluster, net):
+        from repro.runtime.coordinator import TcpTransport
+
+        self._bit_identical_over_workers(registry, cluster, net, TcpTransport)
+
+    def _bit_identical_over_workers(self, registry, cluster, net, backend):
         tenants = [
             TenantClass("alpha", "big", rate=2.0, slo=10.0, priority=1),
             TenantClass("beta", "small", rate=4.0, slo=10.0),
         ]
         scheduler = FleetScheduler(registry, cluster, net)
         big = registry.get("big")
-        parent = ShmTransport(big.model, big.weights)
+        made, closes = [], []
+
+        def make_transport(entry):
+            transport = backend(entry.model, entry.weights)
+            real_close = transport.close
+            transport.close = lambda: (closes.append(transport), real_close())
+            made.append(transport)
+            return transport
+
         workloads = {
-            "alpha": ( _frames(big.model, 2, seed=1), [0.0, 0.0]),
+            "alpha": (_frames(big.model, 2, seed=1), [0.0, 0.0]),
             "beta": (
                 _frames(registry.get("small").model, 2, seed=2),
                 [0.0, 0.0],
             ),
         }
-        try:
-            with FleetServer(registry, scheduler, parent) as fleet:
-                placements = fleet.admit(tenants)
-                result = fleet.serve(workloads)
-        finally:
-            parent.close()
+        with FleetServer(registry, scheduler, make_transport) as fleet:
+            placements = fleet.admit(tenants)
+            result = fleet.serve(workloads)
+        # one transport per tenant, each closed by the fleet exactly
+        # once: no live worker, and (the conftest guard) no /dev/shm residue
+        assert len(made) == len(tenants) and closes == made
+        assert all(t._torn_down for t in made) and not _live_workers()
         for tenant in tenants:
             shared = result.tenants[tenant.name].result
             assert len(shared.completed) == 2
@@ -417,7 +441,7 @@ class TestFleetDifferential:
             program = registry.compile(
                 tenant.model, placements[tenant.name].plan
             )
-            alone_t = ShmTransport(entry.model, entry.weights)
+            alone_t = backend(entry.model, entry.weights)
             alone_server = PipelineServer(
                 program, alone_t, tenant.server_config()
             )
@@ -465,7 +489,6 @@ class TestFleetChurn:
         scheduler = FleetScheduler(registry, cluster, net)
 
         big = registry.get("big")
-        parent = InProcTransport(big.engine, faults=faults)
         n = 4
         workloads = {
             "alpha": (_frames(big.model, n, seed=3), [0.0] * n),
@@ -475,7 +498,9 @@ class TestFleetChurn:
             ),
         }
         with FleetServer(
-            registry, scheduler, parent, runtime_config=RuntimeConfig()
+            registry, scheduler,
+            lambda entry: InProcTransport(entry.engine, faults=faults),
+            runtime_config=RuntimeConfig(),
         ) as fleet:
             placements = fleet.admit(tenants)
             result = fleet.serve(workloads)

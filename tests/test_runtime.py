@@ -17,6 +17,7 @@ from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 from repro.runtime.coordinator import DistributedPipeline, StageFailure
+from repro.runtime.faults import RuntimeConfig
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.interleaved import InterleavedScheme
 from repro.schemes.pico import PicoScheme
@@ -118,7 +119,8 @@ class TestFailureRecovery:
         xs = make_inputs(model, 4)
         refs = reference_outputs(model, weights, xs)
         with DistributedPipeline(
-            model, plan, weights=weights, recover=True, fail_after={victim: 1}
+            model, plan, weights=weights, config=RuntimeConfig(),
+            fail_after={victim: 1},
         ) as pipe:
             outs, stats = pipe.run_batch(xs)
         for out, ref in zip(outs, refs):
@@ -138,7 +140,8 @@ class TestFailureRecovery:
         xs = make_inputs(model, 3)
         refs = reference_outputs(model, weights, xs)
         with DistributedPipeline(
-            model, plan, weights=weights, recover=True, fail_after={victim: 1}
+            model, plan, weights=weights, config=RuntimeConfig(),
+            fail_after={victim: 1},
         ) as pipe:
             outs, stats = pipe.run_batch(xs)
         for out, ref in zip(outs, refs):
@@ -151,7 +154,7 @@ class TestFailureRecovery:
         victim = plan.stages[0].assignments[1][0].name
         xs = make_inputs(model, 4)
         with DistributedPipeline(
-            model, plan, weights=weights, recover=False, fail_after={victim: 1}
+            model, plan, weights=weights, fail_after={victim: 1}
         ) as pipe:
             with pytest.raises((StageFailure, RuntimeError)):
                 pipe.run_batch(xs)

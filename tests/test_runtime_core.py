@@ -15,6 +15,7 @@ import pytest
 from repro.cluster.device import pi_cluster
 from repro.cluster.metrics import utilization_table
 from repro.cost.comm import NetworkModel
+from repro.fleet import FleetScheduler, FleetServer, ModelRegistry, TenantClass
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.runtime.coordinator import TcpTransport
@@ -169,9 +170,9 @@ class TestExactnessGate:
 
 
 class TestFaultStateFromConstruction:
-    """A transport owns its dead set, lock, overrides and tenant views
-    from ``__init__`` — not from ``open()``, which a fleet's parent
-    factory transport never sees."""
+    """A transport owns its dead set, lock and overrides from
+    ``__init__`` — not from ``open()`` — and a fleet's shared set,
+    handed over before ``open()``, survives it."""
 
     def test_never_opened_transport_and_fleet_parent(self, model, plan, net):
         program = compile_plan(model, plan)
@@ -184,21 +185,41 @@ class TestFaultStateFromConstruction:
         ):
             assert bare.dead_devices() == frozenset()
             assert not bare.needs_repartition(0)
-            assert bare.capacity_lost() == 0.0 and bare.tenant_views == ()
+            assert bare.capacity_lost() == 0.0
             assert bare.mark_dead(victim) and not bare.mark_dead(victim)
             assert bare.dead_devices() == {victim}
-            if not isinstance(bare, TcpTransport):  # workers cannot rebind
+            if bare.rebindable:  # workers cannot rebind
                 bare.rebind(program)  # adopts a program without an open()
                 assert bare.needs_repartition(0)
 
-        parent = SimTransport(engine, net)  # a factory: never opened itself
-        view = parent.open_tenant()
-        assert parent.mark_dead(victim)
-        view.open(program)  # must keep the fleet-wide set, not fork it
-        assert view.dead_devices() == {victim}
-        assert view.needs_repartition(0) and not view.mark_dead(victim)
-        parent.close_tenants()
-        assert parent.tenant_views == ()
+        # The fleet's factory path: each tenant gets a fresh transport
+        # that adopts the one fleet-wide set before it opens.
+        registry = ModelRegistry()
+        registry.register("toy", model, weights=engine.weights)
+        made = []
+
+        def make_transport(entry):
+            made.append(SimTransport(entry.engine, net))
+            return made[-1]
+
+        # min_devices=2 on two devices: both plans touch both devices
+        alpha, beta = (
+            TenantClass(name, "toy", rate=1.0, slo=60.0, min_devices=2)
+            for name in ("alpha", "beta")
+        )
+        scheduler = FleetScheduler(registry, pi_cluster(2, 800), net)
+        with FleetServer(registry, scheduler, make_transport) as fleet:
+            early, late = fleet.admit([alpha])["alpha"].devices
+            assert made[0].mark_dead(early)  # before beta exists
+            fleet.admit([beta])  # must keep the fleet-wide set, not fork it
+            first, second = made  # one transport per tenant, none cloned
+            assert second.dead_devices() == {early}
+            assert not second.mark_dead(early)
+            assert second.mark_dead(late)  # found while serving beta
+            assert first.dead_devices() == {early, late}
+            for name, transport in (("alpha", first), ("beta", second)):
+                stages = range(fleet.servers[name].program.n_stages)
+                assert all(transport.needs_repartition(i) for i in stages)
 
 
 class TestTraceSchema:

@@ -136,7 +136,7 @@ def test_collect_reraises_stage_error_and_stays_failed(model, weights):
     plan = EarlyFusedScheme(n_fused=4).plan(model, cluster, NET)
     victim = plan.stages[0].assignments[1][0].name
     with DistributedPipeline(
-        model, plan, weights=weights, recover=False, fail_after={victim: 1}
+        model, plan, weights=weights, fail_after={victim: 1}
     ) as pipe:
         for x in make_inputs(model, 3):
             pipe.submit(x)

@@ -10,11 +10,16 @@ interrupt-style sweeps), and end-to-end bit-exactness of
 from __future__ import annotations
 
 import os
+import pickle
 import socket
+import struct
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
 from repro.cost.comm import NetworkModel
@@ -23,7 +28,7 @@ from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 from repro.runtime.coordinator import DistributedPipeline, ShmTransport
 from repro.runtime.core import InProcTransport, PipelineSession
-from repro.runtime.messages import Hello, TileTask
+from repro.runtime.messages import Hello, ShmAttach, TileResult, TileTask
 from repro.runtime.program import compile_plan
 from repro.runtime.shm import (
     MIN_SLOT_PAYLOAD,
@@ -33,6 +38,7 @@ from repro.runtime.shm import (
     SlotExhausted,
     cleanup_rings,
 )
+from repro.runtime.transport import Channel, encode_message
 from repro.schemes.pico import PicoScheme
 
 NET = NetworkModel.from_mbps(50.0)
@@ -115,13 +121,13 @@ class TestShmRing:
         assert not any(os.path.exists(p) for p in paths)
 
 
-def _channel_pair(slot_bytes=1 << 20, n_slots=3, **kwargs):
+def _channel_pair(slot_bytes=1 << 20, n_slots=3):
     """Two ShmChannels over a socketpair sharing a crossed ring pair."""
     sa, sb = socket.socketpair()
     a_to_b = ShmRing.create(slot_bytes, n_slots)
     b_to_a = ShmRing.create(slot_bytes, n_slots)
-    cha = ShmChannel(sa, send_ring=a_to_b, recv_ring=b_to_a, **kwargs)
-    chb = ShmChannel(sb, send_ring=b_to_a, recv_ring=a_to_b, **kwargs)
+    cha = ShmChannel(sa, send_ring=a_to_b, recv_ring=b_to_a)
+    chb = ShmChannel(sb, send_ring=b_to_a, recv_ring=a_to_b)
 
     def teardown():
         cha.close()
@@ -187,14 +193,17 @@ class TestShmChannel:
             teardown()
 
     def test_non_slot_types_ship_inline(self, rng):
-        cha, chb, teardown = _channel_pair(slot_types=())
+        """Only tile traffic rides slots: the same slot-sized tensor in
+        any other message (weights a worker keeps, say) ships inline."""
+        cha, chb, teardown = _channel_pair()
         try:
             arr = rng.standard_normal((64, 64)).astype(np.float32)
+            assert MIN_SLOT_PAYLOAD <= arr.nbytes <= cha.send_ring.slot_bytes
             t, box = _recv_threaded(chb)
-            cha.send(TileTask(3, arr))
+            cha.send({"weights": arr})
             t.join(timeout=10.0)
             assert cha.occupancy() == 0
-            np.testing.assert_array_equal(box["msg"].tile, arr)
+            np.testing.assert_array_equal(box["msg"]["weights"], arr)
         finally:
             teardown()
 
@@ -230,6 +239,239 @@ class TestShmChannel:
             del first, second, view  # drop slot views before unmap
         finally:
             teardown()
+
+
+# ---------------------------------------------------------------------------
+# One wire frame: a ring-less and a ring-backed channel speak the same
+# layout, differing only in slot references and releases.
+# ---------------------------------------------------------------------------
+
+SLOT_BYTES = 2048  # small slots keep every generated frame socket-buffer sized
+
+
+@contextmanager
+def _pairs():
+    """A ring-backed ShmChannel pair and a ring-less Channel pair."""
+    cha, chb, teardown = _channel_pair(slot_bytes=SLOT_BYTES, n_slots=8)
+    sa, sb = socket.socketpair()
+    plain_a, plain_b = Channel(sa), Channel(sb)
+    try:
+        yield cha, chb, plain_a, plain_b
+    finally:
+        plain_a.close()
+        plain_b.close()
+        teardown()
+
+
+_SHAPES = st.sampled_from([
+    (),            # 0-d
+    (0, 3),        # empty
+    (5,),          # smaller than MIN_SLOT_PAYLOAD
+    (16, 20),      # slot-sized for 4- and 8-byte dtypes
+    (40, 40),      # larger than a slot
+])
+
+
+@st.composite
+def _arrays(draw):
+    dtype = draw(st.sampled_from(["f4", "f8", "i1", "i8", "u2", "c8", "?"]))
+    shape = draw(_SHAPES)
+    n = int(np.prod(shape, dtype=int))
+    arr = (np.arange(n) % 7).astype(dtype).reshape(shape)
+    if arr.ndim and arr.shape[0] > 1 and draw(st.booleans()):
+        arr = arr[::2]  # non-contiguous
+    return arr
+
+
+def _nested(leaves):
+    return st.one_of(
+        st.lists(leaves, max_size=2),
+        st.tuples(leaves, st.integers(0, 9)),
+        st.dictionaries(st.sampled_from("abc"), leaves, max_size=2),
+    )
+
+
+#: Nested containers holding at most four arrays (the ring has 8 slots).
+_PAYLOADS = st.recursive(_arrays(), _nested, max_leaves=4)
+
+
+def _same(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _same(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same(g, w)
+    else:
+        assert got == want
+
+
+class TestOneFrame:
+    @settings(max_examples=30, deadline=None)
+    @given(payloads=st.lists(_PAYLOADS, min_size=1, max_size=4))
+    def test_ringless_and_ring_backed_pairs_decode_alike(self, payloads):
+        """Tile messages round-trip equal over both pairs, in both
+        directions, and alternating traffic hands every slot back."""
+        with _pairs() as (cha, chb, plain_a, plain_b):
+            used_a_slot = False
+            for i, payload in enumerate(payloads):
+                for src, dst, psrc, pdst, wrap in (
+                    (cha, chb, plain_a, plain_b, TileTask),
+                    (chb, cha, plain_b, plain_a, TileResult),
+                ):
+                    message = (
+                        wrap(i, payload) if wrap is TileTask
+                        else wrap(i, 0, payload, 0.0)
+                    )
+                    src.send(message)
+                    used_a_slot = used_a_slot or cha.occupancy() > 0
+                    over_rings = dst.recv()
+                    psrc.send(message)
+                    over_socket = pdst.recv()
+                    assert type(over_rings) is type(over_socket) is wrap
+                    _same(over_rings.tile, payload)
+                    _same(over_socket.tile, payload)
+                    del over_rings  # slot views die before their release
+            # one more exchange announces the last consumed slots
+            cha.send(Hello(0))
+            chb.recv()
+            chb.send(Hello(0))
+            cha.recv()
+            assert cha.occupancy() == 0 and chb.occupancy() == 0
+            slot_sized = any(
+                MIN_SLOT_PAYLOAD <= a.nbytes <= SLOT_BYTES
+                for a in _leaves(payloads)
+            )
+            assert used_a_slot == slot_sized
+
+    @settings(max_examples=30, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_frames_cross_between_channel_classes(self, payload):
+        """The handshake case: a ring-less sender's frame decodes on a
+        ring-backed receiver and (for non-tile messages, which never
+        name a slot) the other way round — byte-identical frames."""
+        cha, chb, teardown = _channel_pair(slot_bytes=SLOT_BYTES, n_slots=8)
+        sa, sb = socket.socketpair()
+        plain, ringed = Channel(sa), ShmChannel(sb)
+        ringed.attach(chb.send_ring, chb.recv_ring)
+        try:
+            for message in (TileTask(1, payload), {"setup": payload}):
+                plain.send(message)  # ring-less -> ring-backed
+                got = ringed.recv()
+                _same(
+                    got.tile if isinstance(message, TileTask) else got["setup"],
+                    payload,
+                )
+            attach = ShmAttach("tx", "rx", SLOT_BYTES, 8)
+            for message in ({"setup": payload}, attach, Hello(3)):
+                parts, total = ringed._encode_parts(message)
+                frame = b"".join(parts)
+                assert len(frame) == total
+                assert frame == encode_message(message)
+                ringed.send(message)  # ring-backed -> ring-less
+                got = plain.recv()
+                if isinstance(message, dict):
+                    _same(got["setup"], payload)
+                else:
+                    assert got == message
+            assert ringed.occupancy() == 0
+        finally:
+            plain.close()
+            ringed.attach(None, None)  # the rings belong to the pair
+            ringed.close()
+            teardown()
+
+
+def _leaves(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _leaves(value)
+
+
+def _frame(releases=(), arrays=(), skeleton=pickle.dumps(None)):
+    """A hand-built payload; ``arrays`` are pre-encoded array entries."""
+    head = struct.pack(">H", len(releases))
+    head += b"".join(struct.pack(">I", slot) for slot in releases)
+    return head + struct.pack(">I", len(arrays)) + b"".join(arrays) + skeleton
+
+
+def _entry(kind, tail, descr=b"<f4", shape=(4,), nbytes=16):
+    head = struct.pack(">BB", kind, len(descr)) + descr
+    head += struct.pack(">B", len(shape))
+    head += b"".join(struct.pack(">Q", d) for d in shape)
+    return head + struct.pack(">Q", nbytes) + tail
+
+
+_SLOT_REF = _entry(1, struct.pack(">I", 0))
+
+
+class TestMalformedFramesOnRings:
+    """A bad frame is a ``ValueError`` and leaves the rings alone."""
+
+    @pytest.fixture
+    def channel(self):
+        cha, chb, teardown = _channel_pair(slot_bytes=SLOT_BYTES, n_slots=3)
+        touched = []
+        for ring in (chb.send_ring, chb.recv_ring):
+            for name in ("release", "view"):
+                real = getattr(ring, name)
+                setattr(
+                    ring, name,
+                    lambda *a, _real=real, _name=name: (
+                        touched.append(_name), _real(*a)
+                    )[1],
+                )
+        chb.touched = touched
+        yield chb
+        teardown()
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            (_frame(arrays=[_SLOT_REF, _entry(7, b"")]), "unknown array kind"),
+            (_frame(arrays=[_SLOT_REF, _entry(0, b"\0" * 16)[:9]], skeleton=b""),
+             "truncated"),
+            (_frame(releases=[0], arrays=[_entry(0, b"\0" * 4)], skeleton=b""),
+             "overruns"),
+            (_frame(releases=[0], arrays=[_SLOT_REF])[:5], "truncated"),
+            (_frame(arrays=[_entry(1, struct.pack(">I", 0), nbytes=12)]),
+             "disagrees"),
+        ],
+        ids=["unknown-kind", "truncated-descriptor", "inline-overrun",
+             "truncated-release-list", "size-mismatch"],
+    )
+    def test_rejected_before_any_ring_access(self, channel, payload, match):
+        with pytest.raises(ValueError, match=match):
+            channel._decode(memoryview(payload))
+        assert channel.touched == [] and channel._to_release == []
+
+    def test_slot_index_out_of_range_rejected(self, channel):
+        payload = _frame(arrays=[_entry(1, struct.pack(">I", 3))])
+        with pytest.raises(ValueError, match="out of range"):
+            channel._decode(memoryview(payload))
+        assert channel._to_release == []
+
+    def test_release_out_of_range_rejected(self, channel):
+        with pytest.raises(ValueError, match="out of range"):
+            channel._decode(memoryview(_frame(releases=[3])))
+        assert channel.occupancy() == 0
+
+    def test_slot_descriptor_larger_than_a_slot_rejected(self, channel):
+        big = _entry(1, struct.pack(">I", 0), shape=(1024,), nbytes=4096)
+        with pytest.raises(ValueError, match="overruns the slot"):
+            channel._decode(memoryview(_frame(arrays=[big])))
+        assert channel._to_release == []
 
 
 class TestShmTransportPipeline:

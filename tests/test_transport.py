@@ -26,6 +26,10 @@ from repro.runtime.transport import (
 )
 
 
+#: The frame prefix of a message without arrays: no releases, no arrays.
+_NO_ARRAYS = struct.pack(">HI", 0, 0)
+
+
 @pytest.fixture
 def sock_pair():
     a, b = socket.socketpair()
@@ -151,25 +155,19 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode_message(memoryview(payload[: len(payload) // 2]))
 
-    def test_bad_codec_version_rejected(self):
-        payload = bytearray(encode_message({"x": 1}))
-        payload[0] = 99
-        with pytest.raises(ValueError, match="codec version"):
-            decode_message(memoryview(payload))
-
     def test_forbidden_global_rejected(self):
         # Hand-craft a frame whose skeleton pickle names os.system: the
         # restricted unpickler must refuse to resolve it.
         skeleton = pickletools.optimize(
             b"\x80\x04cos\nsystem\n."  # GLOBAL os.system
         )
-        payload = struct.pack(">BI", 1, 0) + skeleton
+        payload = _NO_ARRAYS + skeleton
         with pytest.raises(pickle.UnpicklingError, match="forbidden"):
             decode_message(memoryview(payload))
 
     def test_builtin_eval_rejected(self):
         skeleton = b"\x80\x04cbuiltins\neval\n."
-        payload = struct.pack(">BI", 1, 0) + skeleton
+        payload = _NO_ARRAYS + skeleton
         with pytest.raises(pickle.UnpicklingError, match="forbidden"):
             decode_message(memoryview(payload))
 
@@ -179,9 +177,63 @@ class TestCodec:
         pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
         pickler.persistent_id = lambda obj: 5 if obj == "marker" else None
         pickler.dump("marker")
-        payload = struct.pack(">BI", 1, 0) + buf.getvalue()
+        payload = _NO_ARRAYS + buf.getvalue()
         with pytest.raises(pickle.UnpicklingError, match="bad array reference"):
             decode_message(memoryview(payload))
+
+    # -- malformed frames: every one is a ValueError, and the ring-less
+    # -- decoder refuses anything that names a ring slot ----------------
+    @staticmethod
+    def _array_frame(kind=0, descr=b"<f4", shape=(2,), nbytes=8, tail=b"\0" * 8):
+        head = struct.pack(">HI", 0, 1) + struct.pack(">BB", kind, len(descr))
+        head += descr + struct.pack(">B", len(shape))
+        head += b"".join(struct.pack(">Q", d) for d in shape)
+        return head + struct.pack(">Q", nbytes) + tail + pickle.dumps(None)
+
+    def test_well_formed_handmade_frame_decodes(self):
+        # the builder the rejections below mutate does speak the codec
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: 0 if obj == "array" else None
+        pickler.dump("array")
+        payload = self._array_frame()[: -len(pickle.dumps(None))] + buf.getvalue()
+        got = decode_message(memoryview(payload))
+        assert got.dtype == np.float32 and got.tolist() == [0.0, 0.0]
+
+    def test_unknown_array_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown array kind"):
+            decode_message(memoryview(self._array_frame(kind=7)))
+
+    def test_slot_reference_rejected_without_rings(self):
+        payload = self._array_frame(kind=1, tail=struct.pack(">I", 0))
+        with pytest.raises(ValueError, match="ring-less"):
+            decode_message(memoryview(payload))
+
+    def test_release_rejected_without_rings(self):
+        payload = struct.pack(">HI", 1, 3) + struct.pack(">I", 0)
+        with pytest.raises(ValueError, match="ring-less"):
+            decode_message(memoryview(payload + pickle.dumps(None)))
+
+    @pytest.mark.parametrize("cut", [1, 3, 7, 9, 12, 20])
+    def test_truncated_descriptor_rejected(self, cut):
+        payload = self._array_frame()[:cut]
+        with pytest.raises(ValueError, match="truncated"):
+            decode_message(memoryview(payload))
+
+    def test_array_segment_overrunning_frame_rejected(self):
+        payload = self._array_frame(shape=(1 << 20,), nbytes=4 << 20)
+        with pytest.raises(ValueError, match="overruns"):
+            decode_message(memoryview(payload))
+
+    def test_descriptor_size_mismatch_rejected(self):
+        # nbytes must be the dtype's itemsize times the shape: a lying
+        # header never reaches frombuffer/reshape
+        with pytest.raises(ValueError, match="disagrees"):
+            decode_message(memoryview(self._array_frame(shape=(3,), nbytes=8)))
+
+    def test_unparseable_dtype_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            decode_message(memoryview(self._array_frame(descr=b"zz9")))
 
     @settings(max_examples=40, deadline=None)
     @given(

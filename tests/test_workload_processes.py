@@ -115,6 +115,16 @@ class TestEnvelopes:
         process = day_night_process(1.0, 5.0, 30.0, cycles=2)
         times = process.sample(np.random.default_rng(0))
         assert times == sorted(times)
+        # the trace *is* the process: same draws streamed, materialised,
+        # by name, and under the default seed-0 generator
+        assert isinstance(process, ArrivalProcess) and process.horizon_s == 120.0
+        assert list(process.times(np.random.default_rng(0))) == times
+        assert list(process) == process.sample() == times
+        by_name = get_arrivals(
+            "day-night", light_rate=1.0, heavy_rate=5.0,
+            phase_duration_s=30.0, cycles=2,
+        )
+        assert by_name == process and by_name.sample() == times
         assert process.rate_at(10.0) == pytest.approx(1.0)
         assert process.rate_at(40.0) == pytest.approx(5.0)
 
