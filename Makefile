@@ -77,6 +77,13 @@ lint-forks:
 # fault-tolerance switch of DistributedPipeline.
 	! grep -rnIE "open_tenant|_tenant_view|close_tenants|tenant_views|_fleet_shared|TenantSession|PhasedProcess" src/ tests/ benchmarks/ examples/ docs/ README.md
 	! grep -rIPzo "DistributedPipeline\((?:[^()]|\([^()]*\))*\brecover=" src/ tests/ benchmarks/ examples/ docs/ README.md
+# One failure model: a dead device is a name in the one dead set, found
+# by the channel and injected by FaultSchedule on every transport; the
+# liveness thread, the per-worker crash counter, the worker idle timeout
+# and the transport's private stats lock and connect knob stay deleted.
+	! grep -rnIE "heartbeat|fail_after|_pending_dead|worker_idle_timeout|idle_timeout_s|stats_lock=|connect_timeout_s" src/ tests/ examples/ docs/ README.md
+	test "$$(grep -rnI "def needs_repartition" src/repro/runtime | wc -l)" = 1
+	! grep -nI "threading.Thread(" src/repro/runtime/coordinator.py
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro import (
     DistributedPipeline,
+    FaultSchedule,
     RuntimeConfig,
     heterogeneous_cluster,
     wifi_50mbps,
@@ -64,10 +65,10 @@ def main() -> None:
     print("\n=== failure injection ===")
     efl_plan = EarlyFusedScheme(n_fused=6).plan(model, cluster, network)
     victim = efl_plan.stages[0].assignments[1][0].name
-    print(f"killing worker on {victim} after its first tile...")
+    print(f"crashing {victim} at frame 1...")
     with DistributedPipeline(
         model, efl_plan, weights=weights, config=RuntimeConfig(),
-        fail_after={victim: 1},
+        faults=FaultSchedule().crash(victim, at_frame=1),
     ) as pipe:
         outputs, stats = pipe.run_batch(frames)
     max_err = max(

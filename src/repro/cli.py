@@ -545,9 +545,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.backend in ("shm", "all"):
         if faults is not None:
             raise SystemExit(
-                "--crash is schedule-injected (inproc/sim backends only); "
-                "the shm backend crashes real worker processes via the "
-                "fault tests instead"
+                "--crash cannot run on the shm backend: its workers "
+                "recover by rebalancing the stage, which is float-close, "
+                "so it cannot join the bit-exact backend comparison"
             )
         from repro.runtime.coordinator import ShmTransport
 

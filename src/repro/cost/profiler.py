@@ -54,14 +54,18 @@ class CalibrationResult:
 
 
 def calibrate_host(
-    sizes: "Sequence[int]" = (64, 96, 128, 160),
+    sizes: "Sequence[int]" = (32, 48, 64),
     repeats: int = 3,
     rng_seed: int = 0,
 ) -> CalibrationResult:
     """Measure this host's effective matmul FLOP/s with numpy.
 
     Runs square matmuls (the conv engine's im2col inner loop is a
-    matmul) and fits ``seconds = flops / capacity``.
+    matmul) and fits ``seconds = flops / capacity``.  The default sizes
+    stop at 64: matmuls of at most 64^3 multiply-adds run on one
+    OpenBLAS thread, while larger ones go multi-threaded, and on a
+    loaded 2-vCPU host those stalled ~16 ms a call (0.1 ms alone),
+    reading the host 250x slow.
     """
     rng = np.random.default_rng(rng_seed)
     flops_samples = []

@@ -54,10 +54,7 @@ class ValidationResult:
 
 
 def run(n_workers: int = 2, n_tasks: int = 12, seed: int = 0) -> ValidationResult:
-    # Matmuls of at most 64^3 multiply-adds run on one OpenBLAS thread;
-    # larger ones go multi-threaded, and on a loaded host those stalled
-    # ~16 ms a call (0.1 ms alone), reading the host 250x slow.
-    calibration = calibrate_host(sizes=(32, 48, 64))
+    calibration = calibrate_host()
     # Workers share the host: each gets an equal slice of its capacity
     # (pessimistic when cores are idle, optimistic under contention).
     per_worker = calibration.flops_per_second / n_workers

@@ -27,10 +27,12 @@ a thread per stage drives that stage's workers through the blocking
 Stage compute happens in the worker processes; the stage threads only
 split, move bytes and stitch.
 
-Worker failure recovery (extension): if a worker dies mid-task, the
-fault ladder of :func:`~repro.runtime.core.execute_stage` has the
-transport redistribute its strip among the survivors
-(capacity-weighted, new tile programs shipped via
+Worker failure recovery (extension): a dead worker's socket closes (a
+wedged one misses ``RuntimeConfig.recv_timeout_s``), so its channel
+raises :class:`~repro.runtime.faults.DeviceDead`; the fault ladder of
+:func:`~repro.runtime.core.execute_stage` marks the device dead, has
+the transport retire its workers and redistribute their strips among
+the survivors (capacity-weighted, new tile programs shipped via
 :class:`Reconfigure`) and replays the frame from that stage boundary.
 """
 
@@ -53,6 +55,7 @@ from repro.nn.weights import Weights, init_weights
 from repro.runtime.core import StageTrace, TaskTiming, Transport
 from repro.runtime.faults import (
     DeviceDead,
+    FaultSchedule,
     RuntimeConfig,
     StageFailure,
 )
@@ -77,8 +80,11 @@ from repro.runtime.program import (
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.shm import ShmChannel, ShmRing
 from repro.runtime.trace import coerce_tracer
-from repro.runtime.transport import Channel, TransportClosed
+from repro.runtime.transport import Channel
 from repro.runtime.worker import worker_main
+
+#: How long :meth:`TcpTransport.open` waits for each worker to connect.
+_CONNECT_TIMEOUT_S = 30.0
 
 # StageFailure moved to repro.runtime.faults; re-exported here for the
 # existing import sites.
@@ -132,7 +138,8 @@ class TcpTransport(Transport):
     workers and gathers :class:`TileResult` frames; a lost worker
     surfaces as :class:`~repro.runtime.faults.DeviceDead`, which the
     shared fault ladder repairs via :meth:`repartition` (per-stage
-    epochs discard stale results).
+    epochs discard stale results).  ``faults`` is a
+    :class:`~repro.runtime.faults.FaultSchedule` the workers act out.
     """
 
     name = "tcp"
@@ -145,26 +152,24 @@ class TcpTransport(Transport):
         weights: Optional[Weights] = None,
         *,
         seed: int = 0,
-        stats: Optional[RuntimeStats] = None,
-        stats_lock: Optional[threading.Lock] = None,
-        fail_after: "Optional[Dict[str, int]]" = None,
-        connect_timeout_s: float = 30.0,
+        faults: "Optional[FaultSchedule]" = None,
     ) -> None:
         super().__init__()
+        if faults is not None and (faults.drops or faults.flaky_links):
+            raise ValueError(
+                "worker transports inject crashes and delays only: drop "
+                "and flaky_link need a result-retry protocol the worker "
+                "sockets lack"
+            )
         self.model = model
         self.weights = weights
         self._seed = seed
-        self.stats = stats if stats is not None else RuntimeStats()
-        self.stats_lock = stats_lock if stats_lock is not None else threading.Lock()
-        self.fail_after = dict(fail_after or {})
-        self.connect_timeout_s = connect_timeout_s
+        self.faults = faults
+        self.stats = RuntimeStats()
+        self._stats_lock = threading.Lock()
         self._handles: "List[List[_WorkerHandle]]" = []
         self._epochs: "List[int]" = []
         self._clock_epoch = time.perf_counter()
-        self._pending_dead: "set" = set()
-        self._pending_lock = threading.Lock()
-        self._monitor: Optional[threading.Thread] = None
-        self._monitor_stop = threading.Event()
         self._opened = False
         self._torn_down = False
 
@@ -202,22 +207,16 @@ class TcpTransport(Transport):
         listener.bind(("127.0.0.1", 0))
         host, port = listener.getsockname()
         listener.listen(64)
-        listener.settimeout(self.connect_timeout_s)
+        listener.settimeout(_CONNECT_TIMEOUT_S)
 
         worker_id = 0
-        idle_timeout = (
-            self._config.worker_idle_timeout_s
-            if self._config is not None
-            else None
-        )
         ctx = mp.get_context("fork")
         for stage in program.stages:
             handles = []
             for task in stage.tasks:
-                fail_after = self.fail_after.get(task.device_name)
                 process = ctx.Process(
                     target=worker_main,
-                    args=(host, port, worker_id, fail_after, idle_timeout),
+                    args=(host, port, worker_id, task.device_name, self.faults),
                     daemon=True,
                 )
                 process.start()
@@ -275,69 +274,15 @@ class TcpTransport(Transport):
                     Setup(self.model, handle.task.program, subset)
                 )
 
-        # Fault-tolerance plumbing: bound worker recvs and start the
-        # liveness monitor (the handshake above ran unbounded so slow
+        # Bound worker recvs (the handshake above ran unbounded so slow
         # weight shipping never trips the timeout).
-        if self._config is not None:
-            if self._config.recv_timeout_s is not None:
-                for handle in self.all_handles():
-                    handle.channel.settimeout(self._config.recv_timeout_s)
-            self.start_heartbeat(self._config.heartbeat_interval_s)
+        timeout = self._config.recv_timeout_s if self._config else None
+        if timeout is not None:
+            for handle in self.all_handles():
+                handle.channel.settimeout(timeout)
 
     def _upgrade_channel(self, handle: _WorkerHandle) -> None:
         """Hook: upgrade a freshly handshaken worker channel."""
-
-    # -- heartbeats ----------------------------------------------------
-    def start_heartbeat(self, interval_s: float) -> None:
-        """Probe worker-process liveness every ``interval_s`` seconds.
-
-        The monitor never mutates handles directly — it only flags
-        worker ids in a pending set, which the stage's own thread
-        applies (:meth:`needs_repartition`, then a repartition) at its
-        next frame boundary.  That keeps channel use and repartitioning
-        where the epoch protocol already makes them safe.
-        """
-        if self._monitor is not None:
-            return
-        self._monitor_stop.clear()
-
-        def probe() -> None:
-            while not self._monitor_stop.wait(interval_s):
-                with self._pending_lock:
-                    for handle in self.all_handles():
-                        if handle.alive and not handle.process.is_alive():
-                            self._pending_dead.add(handle.worker_id)
-
-        self._monitor = threading.Thread(
-            target=probe, name="heartbeat", daemon=True
-        )
-        self._monitor.start()
-
-    def stop_heartbeat(self) -> None:
-        if self._monitor is not None:
-            self._monitor_stop.set()
-            self._monitor.join(timeout=5.0)
-            self._monitor = None
-
-    def needs_repartition(self, stage_index: int) -> bool:
-        """Mark this stage's monitor-flagged workers dead; True if any.
-
-        (The base-class check keys on dead device *names*, which here
-        would keep firing for every stage hosting a same-name worker
-        whose own process is perfectly healthy.)
-        """
-        with self._pending_lock:
-            if not self._pending_dead:
-                return False
-            flagged = [
-                h
-                for h in self._handles[stage_index]
-                if h.alive and h.worker_id in self._pending_dead
-            ]
-            for h in flagged:
-                h.alive = False
-                self._pending_dead.discard(h.worker_id)
-        return bool(flagged)
 
     def bind_stage(self, stage_index: int, handles: "List[_WorkerHandle]") -> None:
         while len(self._handles) <= stage_index:
@@ -368,7 +313,6 @@ class TcpTransport(Transport):
             try:
                 handle.channel.send(TileTask(frame, tile, epoch))
             except OSError:  # includes TransportClosed / broken pipes
-                handle.alive = False
                 raise DeviceDead(
                     handle.task.device_name,
                     f"worker {handle.worker_id} unreachable",
@@ -380,8 +324,7 @@ class TcpTransport(Transport):
             while True:
                 try:
                     message = handle.channel.recv()
-                except TransportClosed:
-                    handle.alive = False
+                except OSError:  # EOF, timeout (TransportClosed) or reset
                     raise DeviceDead(
                         handle.task.device_name,
                         f"worker {handle.worker_id} connection lost",
@@ -407,7 +350,7 @@ class TcpTransport(Transport):
                     recv=(recv_end, recv_end),
                 )
             )
-            with self.stats_lock:
+            with self._stats_lock:
                 self.stats.worker_compute_s[handle.worker_id] = (
                     self.stats.worker_compute_s.get(handle.worker_id, 0.0)
                     + message.compute_s
@@ -429,9 +372,13 @@ class TcpTransport(Transport):
 
     # ------------------------------------------------------------------
     def repartition(self, stage_index: int) -> None:
-        """Redistribute the stage partition over surviving workers:
-        :func:`repartition_stage`'s ``"rebalance"`` policy, then one
-        ``Reconfigure`` per worker that still has work."""
+        """Retire the stage's workers on dead devices and redistribute
+        the partition over the rest: :func:`repartition_stage`'s
+        ``"rebalance"`` policy, then one ``Reconfigure`` per worker that
+        still has work."""
+        for handle in self._handles[stage_index]:
+            if handle.task.device_name in self._dead:
+                handle.alive = False
         survivors = self.alive_handles(stage_index)
         if not survivors:
             raise StageFailure(f"stage {stage_index}: no workers left")
@@ -453,7 +400,7 @@ class TcpTransport(Transport):
                 continue
             handle.task = task
             handle.channel.send(Reconfigure(task.program))
-        with self.stats_lock:
+        with self._stats_lock:
             self.stats.recoveries += 1
 
     def rebind(self, program: PlanProgram) -> None:
@@ -469,18 +416,26 @@ class TcpTransport(Transport):
         if self._torn_down:
             return
         self._torn_down = True
-        self.stop_heartbeat()
         for handle in self.all_handles():
             if handle.channel is not None:
                 try:
                     handle.channel.send(Shutdown())
-                except (TransportClosed, OSError):
+                except OSError:
                     pass
                 handle.channel.close()
         for handle in self.all_handles():
-            handle.process.join(timeout=10.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
+            process = handle.process
+            # A worker on a dead device may be wedged (a stopped process
+            # ignores SIGTERM until it runs again): no grace for it, and
+            # SIGKILL when SIGTERM does not take.
+            if handle.task.device_name not in self._dead:
+                process.join(timeout=10.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=1.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
 
 
 class ShmTransport(TcpTransport):
@@ -613,11 +568,12 @@ class DistributedPipeline:
     simulated backends emit.
 
     A :class:`~repro.runtime.faults.RuntimeConfig` turns on the fault
-    tolerance layer: heartbeat probing of worker processes, recv
-    timeouts on worker channels, worker idle timeouts, and the recovery
-    ladder; without one (the default) failures propagate.  A frame
-    that fails past the ladder fails the pipeline: :meth:`collect`
-    raises its exception, then and on every later call.
+    tolerance layer: receive deadlines on worker channels and the
+    recovery ladder; without one (the default) failures propagate.  A
+    frame that fails past the ladder fails the pipeline: :meth:`collect`
+    raises its exception, then and on every later call.  ``faults`` is
+    a :class:`~repro.runtime.faults.FaultSchedule` the workers act out
+    (see :class:`TcpTransport`).
     """
 
     def __init__(
@@ -626,8 +582,7 @@ class DistributedPipeline:
         plan: PipelinePlan,
         weights: Optional[Weights] = None,
         seed: int = 0,
-        fail_after: "Optional[Dict[str, int]]" = None,
-        connect_timeout_s: float = 30.0,
+        faults: "Optional[FaultSchedule]" = None,
         trace=False,
         config: "Optional[RuntimeConfig]" = None,
         transport: str = "tcp",
@@ -637,10 +592,6 @@ class DistributedPipeline:
         self.program = compile_plan(model, plan)
         self.weights = weights if weights is not None else init_weights(model, seed)
         self.config = config
-        self.fail_after = fail_after or {}
-        self.connect_timeout_s = connect_timeout_s
-        self.stats = RuntimeStats()
-        self._stats_lock = threading.Lock()
         self._engine = Engine(model, self.weights)
         self._tracer = coerce_tracer(trace)
         transports = {"tcp": TcpTransport, "shm": ShmTransport}
@@ -649,13 +600,10 @@ class DistributedPipeline:
                 f"unknown transport {transport!r} (use 'tcp' or 'shm')"
             )
         self.transport = transports[transport](
-            model,
-            self.weights,
-            stats=self.stats,
-            stats_lock=self._stats_lock,
-            fail_after=self.fail_after,
-            connect_timeout_s=connect_timeout_s,
+            model, self.weights, faults=faults
         )
+        # Stage threads add to it under the transport's lock.
+        self.stats = self.transport.stats
         if config is not None:
             self.transport.configure(config)
         self._scheduler: "Optional[StageScheduler]" = None
@@ -724,10 +672,9 @@ class DistributedPipeline:
             self._error = error
             raise error
         now = time.perf_counter()
-        with self._stats_lock:
-            self.stats.latencies.append(now - self._submit_times.pop(task_id))
-            if self._first_submit is not None:
-                self.stats.makespan = now - self._first_submit
+        self.stats.latencies.append(now - self._submit_times.pop(task_id))
+        if self._first_submit is not None:
+            self.stats.makespan = now - self._first_submit
         output = self._engine.run_head(features) if self.model.head else features
         return task_id, output
 

@@ -204,7 +204,8 @@ class Transport(ABC):
             return True
 
     def needs_repartition(self, stage_index: int) -> bool:
-        """Does the stage's current task set reference a dead device?"""
+        """Does the stage's current task set reference a dead device?
+        (The one liveness rule, on every backend and every tenant.)"""
         if not self._dead:
             return False
         return any(
@@ -214,9 +215,8 @@ class Transport(ABC):
 
     def repartition(self, stage_index: int) -> None:
         """Rebuild the stage's task set without its dead devices."""
-        policy = self._config.repartition if self._config else "migrate"
         self._overrides[stage_index] = repartition_stage(
-            self.model, self.current_stage(stage_index), self._dead, policy
+            self.model, self.current_stage(stage_index), self._dead, "migrate"
         )
 
     def capacity_lost(self) -> float:
@@ -336,14 +336,14 @@ def _execute_stage(
     while True:
         try:
             if transport.needs_repartition(stage_index):
-                # A heartbeat (or an earlier stage) already declared a
-                # death; repair proactively instead of failing the send.
+                # Another stage (or tenant) already declared a death;
+                # repair proactively instead of failing the send.
                 transport.repartition(stage_index)
             return _attempt_stage(
                 transport, program, stage_index, x, frames, tracer
             )
         except TransientTaskError as exc:
-            if not config.recover or attempt >= config.max_retries:
+            if attempt >= config.max_retries:
                 raise StageFailure(
                     f"stage {stage_index}: {exc} "
                     f"(after {attempt} retries)"
@@ -356,8 +356,6 @@ def _execute_stage(
             transport.penalty(config.backoff(attempt))
             attempt += 1
         except DeviceDead as exc:
-            if not config.recover:
-                raise
             newly_dead = transport.mark_dead(exc.device)
             now = transport.clock()
             if tracer is not None and newly_dead:
@@ -866,7 +864,6 @@ class PipelineSession:
     def _can_replan(self) -> bool:
         return (
             self.config is not None
-            and self.config.recover
             and self.replanner is not None
             and self.transport.rebindable
         )

@@ -5,14 +5,16 @@ off WiFi mid-frame, a worker process dies, a link stalls.  This module
 defines the three pieces every backend shares:
 
 * :class:`RuntimeConfig` — the knobs of the fault-tolerance layer
-  (timeouts, bounded exponential-backoff retries, heartbeat cadence,
-  the re-plan threshold and the repartition policy), threaded through
+  (the worker receive deadline, bounded exponential-backoff retries
+  and the re-plan threshold), threaded through
   :func:`~repro.runtime.core.execute_stage` and the executors.
 * :class:`FaultSchedule` — a deterministic fault-injection script
   (crash-at-frame, compute delay, dropped result, flaky link) honored
   by :class:`~repro.runtime.core.SimTransport` and
-  :class:`~repro.runtime.core.InProcTransport`, so every recovery path
-  is reproducible and testable without real hardware dying.
+  :class:`~repro.runtime.core.InProcTransport` — and, crashes and
+  delays only, by the worker processes of the socket transports — so
+  every recovery path is reproducible and testable without real
+  hardware dying.
 * the failure exceptions — :class:`TransientTaskError` (retry with
   backoff), :class:`DeviceDead` (repartition and replay the stage) and
   :class:`StageFailure` (a stage lost every device).
@@ -24,14 +26,17 @@ device is first declared dead, ``retry`` per backoff attempt,
 and ``replan``/``degraded`` when the session adopts a fresh plan over
 the survivors (or falls back to a single device).
 
-The default repartition policy is ``"migrate"``: a dead device's
-*compiled* tasks move wholesale to survivors, keeping every tile's
-geometry — and therefore every GEMM reduction order — identical to the
-fault-free run, so recovered outputs are **bit-identical** (the
-``tests/test_faults.py::test_crash_recovery_bit_exact`` gate).  ``"rebalance"`` re-splits the stage
-capacity-weighted over the survivors instead (better balanced, only
-float-close; what the TCP backend does, since its workers hold one
-tile program each).
+A death is a device name in the transport's dead set, whichever way it
+was found; every role the device held leaves with it.  The in-process
+and simulated backends repartition with the ``"migrate"`` policy: a
+dead device's *compiled* tasks move wholesale to survivors, keeping
+every tile's geometry — and therefore every GEMM reduction order —
+identical to the fault-free run, so recovered outputs are
+**bit-identical** (the
+``tests/test_faults.py::test_crash_recovery_bit_exact`` gate).  The
+worker-process backends ``"rebalance"`` instead: they re-split the
+stage capacity-weighted over the survivors (only float-close, since
+each worker holds one tile program).
 """
 
 from __future__ import annotations
@@ -76,26 +81,22 @@ class TransientTaskError(RuntimeError):
 class RuntimeConfig:
     """Fault-tolerance knobs shared by every executor.
 
-    ``recv_timeout_s`` bounds socket receives on the TCP backend
-    (``None`` = block forever, the legacy behaviour).
-    Transient task failures are retried up to ``max_retries`` times
-    with exponential backoff ``backoff_base_s * backoff_factor**n``.
-    The TCP coordinator probes worker liveness every
-    ``heartbeat_interval_s``.  When the dead devices' share of cluster
-    capacity *exceeds* ``replan_threshold`` the session asks its
-    replanner for a fresh plan over the survivors; below it, recovery
-    stays local to the affected stages (``repartition`` policy).
+    ``recv_timeout_s`` bounds the coordinator's receives from worker
+    processes (``None`` = block forever): a worker that stays silent
+    past it — alive but wedged — is declared dead like one whose
+    socket closed.  Transient task failures are retried up to
+    ``max_retries`` times with exponential backoff
+    ``backoff_base_s * backoff_factor**n``.  When the dead devices'
+    share of cluster capacity *exceeds* ``replan_threshold`` the
+    session asks its replanner for a fresh plan over the survivors;
+    below it, recovery stays local to the affected stages.
     """
 
     recv_timeout_s: Optional[float] = None
     max_retries: int = 3
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
-    heartbeat_interval_s: float = 0.25
     replan_threshold: float = 0.25
-    repartition: str = "migrate"  # "migrate" | "rebalance"
-    recover: bool = True
-    worker_idle_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -104,18 +105,10 @@ class RuntimeConfig:
             raise ValueError("backoff_base_s must be non-negative")
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
         if not 0.0 <= self.replan_threshold <= 1.0:
             raise ValueError("replan_threshold must be in [0, 1]")
-        if self.repartition not in ("migrate", "rebalance"):
-            raise ValueError(
-                f"unknown repartition policy {self.repartition!r}"
-            )
-        for name in ("recv_timeout_s", "worker_idle_timeout_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None")
+        if self.recv_timeout_s is not None and self.recv_timeout_s <= 0:
+            raise ValueError("recv_timeout_s must be positive or None")
 
     def backoff(self, attempt: int) -> float:
         """Seconds to back off before retry number ``attempt`` (0-based)."""
@@ -161,11 +154,12 @@ class FaultSchedule:
                   .flaky_link("pi2", frame=1)
                   .delay("pi3", frame=0, seconds=0.2))
 
-    and hand it to a fault-aware transport (``InProcTransport(engine,
-    faults=faults)``, ``SimTransport(engine, net, faults=faults)``) or
-    to :func:`repro.simulate`.  The schedule itself is pure data;
-    :meth:`start` mints the mutable per-run :class:`FaultInjector`, so
-    one schedule can drive any number of runs deterministically.
+    and hand it to ``faults=`` of any transport or ``DistributedPipeline``
+    (worker processes act out crashes and delays only) or to
+    :func:`repro.simulate`.  The
+    schedule itself is pure data; :meth:`start` mints the mutable
+    per-run :class:`FaultInjector`, so one schedule can drive any
+    number of runs deterministically.
     """
 
     crashes: Tuple[_Crash, ...] = ()

@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.nn.executor import Engine
 from repro.nn.tiles import run_segment
+from repro.runtime.faults import FaultSchedule
 from repro.runtime.messages import (
     Hello,
     Reconfigure,
@@ -34,23 +35,21 @@ def worker_main(
     host: str,
     port: int,
     worker_id: int,
-    fail_after: Optional[int] = None,
-    idle_timeout_s: Optional[float] = None,
+    device: str = "",
+    faults: "Optional[FaultSchedule]" = None,
 ) -> None:
-    """Entry point for a worker process.
+    """Entry point for a worker process serving one role of ``device``.
 
-    ``fail_after`` makes the worker crash after N tasks — used by the
-    failure-injection tests to exercise coordinator recovery.
-    ``idle_timeout_s`` bounds how long the worker waits for the next
-    message; hitting it exits cleanly (an orphaned worker whose
-    coordinator died stops consuming the host instead of blocking on
-    ``recv`` forever).
+    ``faults`` is acted out for ``device``: the worker exits — its
+    socket closes, as a crashed device's would — on the first tile of a
+    frame at or after the device's crash frame, and sleeps a scheduled
+    compute delay after running a tile, as the in-process backend does.
+    A coordinator that dies is EOF on the worker's next receive.
     """
+    injector = faults.start() if faults is not None else None
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     channel = ShmChannel(sock)  # ring-less unless the coordinator attaches
-    if idle_timeout_s is not None:
-        channel.settimeout(idle_timeout_s)
     try:
         channel.send(Hello(worker_id))
         setup = channel.recv()
@@ -67,7 +66,6 @@ def worker_main(
             raise RuntimeError(f"expected Setup, got {type(setup).__name__}")
         engine = Engine(setup.model, setup.weights)
         program = setup.program
-        processed = 0
         while True:
             message = channel.recv()
             if isinstance(message, Shutdown):
@@ -77,9 +75,9 @@ def worker_main(
                 continue
             if not isinstance(message, TileTask):
                 raise RuntimeError(f"unexpected message {type(message).__name__}")
-            if fail_after is not None and processed >= fail_after:
-                # Simulated crash: drop the connection mid-task.
-                return
+            frame = message.task_id
+            if injector is not None and injector.crashed(device, frame):
+                return  # scheduled crash: drop the connection mid-task
             started = time.perf_counter()
             try:
                 out = run_segment(engine, program, message.tile)
@@ -88,7 +86,8 @@ def worker_main(
                     WorkerError(message.task_id, worker_id, str(exc), message.epoch)
                 )
                 continue
-            processed += 1
+            if injector is not None:
+                time.sleep(injector.compute_delay(device, frame))
             channel.send(
                 TileResult(
                     message.task_id,

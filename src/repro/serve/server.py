@@ -647,8 +647,6 @@ class PipelineServer:
             return replayed
         if not self.transport.rebindable:
             return replayed
-        if self.runtime_config is not None and not self.runtime_config.recover:
-            return replayed
         dead = self.transport.dead_devices()
         if not dead:
             return replayed

@@ -15,7 +15,7 @@ from repro.nn.weights import init_weights
 from repro.partition.branches import assign_paths_lpt, path_flops
 from repro.partition.regions import Region
 from repro.runtime.coordinator import DistributedPipeline
-from repro.runtime.faults import RuntimeConfig
+from repro.runtime.faults import FaultSchedule, RuntimeConfig
 
 
 def inception_like_model():
@@ -128,7 +128,7 @@ class TestBranchRuntime:
         refs = [engine.forward_features(x) for x in xs]
         with DistributedPipeline(
             model, plan, weights=weights, config=RuntimeConfig(),
-            fail_after={victim: 1},
+            faults=FaultSchedule().crash(victim, at_frame=1),
         ) as pipe:
             outs, stats = pipe.run_batch(xs)
         for out, ref in zip(outs, refs):

@@ -135,7 +135,7 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError):
             RuntimeConfig(replan_threshold=1.5)
         with pytest.raises(ValueError):
-            RuntimeConfig(repartition="teleport")
+            RuntimeConfig(recv_timeout_s=0.0)
 
 
 class TestFaultSchedule:
@@ -643,11 +643,13 @@ class TestFaultsUnderLoad:
         exception out of the drain-time replay."""
         from repro.runtime.coordinator import ShmTransport, TcpTransport
 
-        last = [t.device_name for t in program.stages[-1].tasks]
+        faults = FaultSchedule()
+        for name in (t.device_name for t in program.stages[-1].tasks):
+            faults = faults.crash(name, at_frame=1)
         cls = {"tcp": TcpTransport, "shm": ShmTransport}[backend]
         server = PipelineServer(
             program,
-            cls(model, weights, fail_after={name: 1 for name in last}),
+            cls(model, weights, faults=faults),
             ServerConfig(queue_capacity=8, policy="block"),
             runtime_config=RuntimeConfig(),
             replanner=churn_replanner(model, cluster, net, scheme=PicoScheme()),
@@ -676,7 +678,8 @@ class TestFaultsUnderLoad:
         victim = plan.stages[0].assignments[1][0].name
         with DistributedPipeline(
             model, plan, weights=weights, transport="shm",
-            config=RuntimeConfig(), fail_after={victim: 1},
+            config=RuntimeConfig(),
+            faults=FaultSchedule().crash(victim, at_frame=1),
         ) as pipe:
             outs, stats = pipe.run_batch(load_frames)
         assert stats.recoveries >= 1

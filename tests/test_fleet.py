@@ -536,3 +536,57 @@ class TestFleetChurn:
                 ), f"{tenant.name} frame {i} corrupted by fleet churn"
             # both tenants moved off the victim
             assert victim not in scheduler.grant_of(tenant.name)
+
+    @pytest.mark.parametrize("backend", ["tcp", "shm"])
+    def test_death_reaches_every_worker_tenant(self, registry, net, backend):
+        """Worker tenants cannot re-plan, so the plan must leave every
+        stage a survivor: layer-wise plans put both devices in every
+        stage.  The one crash is one ``device_dead`` fleet-wide; every
+        tenant retires the device through the shared dead set and
+        completes its frames on the survivor."""
+        from repro.runtime.coordinator import ShmTransport, TcpTransport
+        from repro.runtime.trace import Tracer
+
+        cls = {"tcp": TcpTransport, "shm": ShmTransport}[backend]
+        cluster = heterogeneous_cluster([1000.0, 800.0])
+        tenants = [
+            TenantClass(
+                "alpha", "big", rate=1.0, slo=60.0, priority=1,
+                min_devices=2,
+            ),
+            TenantClass(
+                "beta", "small", rate=1.0, slo=60.0, min_devices=2,
+            ),
+        ]
+        schemes = {t.name: LayerWiseScheme() for t in tenants}
+        victim = cluster.devices[1].name
+        faults = FaultSchedule().crash(victim, at_frame=1)
+        scheduler = FleetScheduler(registry, cluster, net)
+        n = 3
+        workloads = {
+            t.name: (_frames(registry.get(t.model).model, n, seed=5), [0.0] * n)
+            for t in tenants
+        }
+        tracer = Tracer()
+        with FleetServer(
+            registry, scheduler,
+            lambda entry: cls(entry.model, entry.weights, faults=faults),
+            runtime_config=RuntimeConfig(), trace=tracer,
+        ) as fleet:
+            placements = fleet.admit(tenants, schemes)
+            result = fleet.serve(workloads)
+            transports = {t.name: fleet.servers[t.name].transport for t in tenants}
+        assert not _live_workers()
+        dead = [e for e in tracer.events if e.kind == "device_dead"]
+        assert [e.device for e in dead] == [victim]
+        for tenant in tenants:
+            plan = placements[tenant.name].plan
+            assert all(len(s.assignments) == 2 for s in plan.stages)
+            res = result.tenants[tenant.name].result
+            assert len(res.completed) == n and not res.failed
+            assert transports[tenant.name].dead_devices() == {victim}
+            engine = registry.get(tenant.model).engine
+            for i, x in enumerate(workloads[tenant.name][0]):
+                assert np.allclose(
+                    res.outputs[i], engine.forward_features(x), atol=1e-4
+                ), f"{tenant.name} frame {i} corrupted by fleet churn"

@@ -17,7 +17,7 @@ from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 from repro.runtime.coordinator import DistributedPipeline, StageFailure
-from repro.runtime.faults import RuntimeConfig
+from repro.runtime.faults import FaultSchedule, RuntimeConfig
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.interleaved import InterleavedScheme
 from repro.schemes.pico import PicoScheme
@@ -120,7 +120,7 @@ class TestFailureRecovery:
         refs = reference_outputs(model, weights, xs)
         with DistributedPipeline(
             model, plan, weights=weights, config=RuntimeConfig(),
-            fail_after={victim: 1},
+            faults=FaultSchedule().crash(victim, at_frame=1),
         ) as pipe:
             outs, stats = pipe.run_batch(xs)
         for out, ref in zip(outs, refs):
@@ -141,7 +141,7 @@ class TestFailureRecovery:
         refs = reference_outputs(model, weights, xs)
         with DistributedPipeline(
             model, plan, weights=weights, config=RuntimeConfig(),
-            fail_after={victim: 1},
+            faults=FaultSchedule().crash(victim, at_frame=1),
         ) as pipe:
             outs, stats = pipe.run_batch(xs)
         for out, ref in zip(outs, refs):
@@ -154,7 +154,8 @@ class TestFailureRecovery:
         victim = plan.stages[0].assignments[1][0].name
         xs = make_inputs(model, 4)
         with DistributedPipeline(
-            model, plan, weights=weights, fail_after={victim: 1}
+            model, plan, weights=weights,
+            faults=FaultSchedule().crash(victim, at_frame=1),
         ) as pipe:
             with pytest.raises((StageFailure, RuntimeError)):
                 pipe.run_batch(xs)

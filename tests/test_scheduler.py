@@ -30,7 +30,12 @@ from repro.runtime.coordinator import (
     ShmTransport,
     TcpTransport,
 )
-from repro.runtime.faults import DeviceDead, RuntimeConfig, StageFailure
+from repro.runtime.faults import (
+    DeviceDead,
+    FaultSchedule,
+    RuntimeConfig,
+    StageFailure,
+)
 from repro.runtime.shm import SHM_PREFIX
 from repro.runtime.trace import RECOVERY_KINDS, canonical_trace
 from repro.schemes.early_fused import EarlyFusedScheme
@@ -77,17 +82,17 @@ def test_pipeline_and_server_agree(model, weights, transport, crash):
     # A stage-0 worker that is not reused by the serial tail dies on
     # its second task.
     victim = plan.stages[0].assignments[1][0].name
-    fail_after = {victim: 1} if crash else None
+    faults = FaultSchedule().crash(victim, at_frame=1) if crash else None
     config = RuntimeConfig() if crash else None
 
     with DistributedPipeline(
         model, plan, weights=weights, transport=transport,
-        fail_after=fail_after, config=config, trace=True,
+        faults=faults, config=config, trace=True,
     ) as pipe:
         pipe_outs, pipe_stats = pipe.run_batch(xs)
         pipe_trace = pipe.trace
 
-    backend = TRANSPORTS[transport](model, weights, fail_after=fail_after)
+    backend = TRANSPORTS[transport](model, weights, faults=faults)
     with PipelineServer.from_plan(
         model, plan, backend,
         config=ServerConfig(queue_capacity=4, policy="block"),
@@ -136,7 +141,8 @@ def test_collect_reraises_stage_error_and_stays_failed(model, weights):
     plan = EarlyFusedScheme(n_fused=4).plan(model, cluster, NET)
     victim = plan.stages[0].assignments[1][0].name
     with DistributedPipeline(
-        model, plan, weights=weights, fail_after={victim: 1}
+        model, plan, weights=weights,
+        faults=FaultSchedule().crash(victim, at_frame=1),
     ) as pipe:
         for x in make_inputs(model, 3):
             pipe.submit(x)
