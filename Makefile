@@ -84,6 +84,13 @@ lint-forks:
 	! grep -rnIE "heartbeat|fail_after|_pending_dead|worker_idle_timeout|idle_timeout_s|stats_lock=|connect_timeout_s" src/ tests/ examples/ docs/ README.md
 	test "$$(grep -rnI "def needs_repartition" src/repro/runtime | wc -l)" = 1
 	! grep -nI "threading.Thread(" src/repro/runtime/coordinator.py
+# One fan-out of a stacked batch: run_segment splits it into frame
+# groups on the shared pool, so neither a worker nor the coordinator
+# fans a batch out itself (InProcTransport's per-task fan-out in
+# runtime/core.py stays); and im2col fills its panel in one strided
+# copy, so the only per-tap loop left in nn/ops.py is maxpool2d's.
+	! grep -nI "run_parallel(" src/repro/runtime/worker.py src/repro/runtime/coordinator.py
+	test "$$(grep -c "for i in range(kh)" src/repro/nn/ops.py)" = 1
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

@@ -11,6 +11,14 @@ flight instead of B separate panel/pack/dispatch rounds:
 * **rho09** — open-loop arrivals at ρ ≈ 0.9 of the measured B=1
   capacity with a bounded shed-policy queue: goodput, shed counts,
   sojourns and realised batch sizes per B.
+* **split** — what ``run_segment``'s frame-group split buys a worker:
+  per-stage median ``run_segment`` time of a stacked batch of B ∈ {1,
+  2, 3, 4} frames at pool widths 1 and 2, on the resnet34@64 PICO plan
+  of the end-to-end benchmark (four single-device stages), in a fresh
+  interpreter whose BLAS runs on one thread, as a worker's does.  Its
+  gate is exactness — every stage's per-frame slices at both widths
+  equal the per-frame loop bitwise — and there is no speed gate,
+  because the cores of the host decide the speed.
 
 Protocol: the B sweep is *interleaved* inside each repeat (so drift
 hits every B equally) and the reported number per B is the median
@@ -35,10 +43,19 @@ from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
+from repro.models.zoo import get_model
+from repro.nn import parallel
 from repro.nn.executor import Engine
+from repro.nn.tiles import run_segment
 from repro.nn.weights import init_weights
 from repro.runtime.core import InProcTransport
-from repro.runtime.program import compile_plan
+from repro.runtime.program import (
+    compile_plan,
+    split_stage,
+    stack_frames,
+    stitch_stage,
+    unstack_frames,
+)
 from repro.schemes import get_scheme
 from repro.serve import PipelineServer, ServerConfig
 from repro.workload.arrivals import poisson_arrivals_count
@@ -47,16 +64,81 @@ __all__ = ["BENCH", "run"]
 
 BATCHES = (1, 2, 4, 8)
 RHO = 0.9
+SPLIT_BATCHES = (1, 2, 3, 4)
+SPLIT_WIDTHS = (1, 2)
+#: A worker computes on one BLAS thread (the end-to-end children pin
+#: it), so the pool is the only parallelism the split rows measure.
+#: OpenBLAS reads the pin once, at load: the rows run in a fresh
+#: interpreter that starts with it.
+ONE_BLAS_THREAD = {
+    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+}
 
 
-def _build(seed: int):
-    model = toy_chain(6, 2, input_hw=32, in_channels=3, base_channels=8)
+def _build(seed: int, model=None):
+    if model is None:
+        model = toy_chain(6, 2, input_hw=32, in_channels=3, base_channels=8)
     weights = init_weights(model, seed=seed)
     network = NetworkModel.from_mbps(50.0)
     cluster = heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0])
     plan = get_scheme("pico").plan(model, cluster, network)
     program = compile_plan(model, plan)
     return model, weights, program
+
+
+def _split_rows(quick: bool, seed: int):
+    """The ``split`` rows and whether every output was bit-identical."""
+    model, weights, program = _build(seed, get_model("resnet34", input_hw=64))
+    engine = Engine(model, weights)
+    rng = np.random.default_rng(seed)
+    repeats = 3 if quick else 15
+
+    def timed_ms(width: int, task, tile: np.ndarray):
+        # A fresh pool's threads start with empty scratch arenas: one
+        # untimed run spawns and warms them, the next one is timed.
+        parallel.set_threads(width)
+        run_segment(engine, task.program, tile)
+        start = time.perf_counter()
+        out = run_segment(engine, task.program, tile)
+        return (time.perf_counter() - start) * 1e3, out
+
+    rows, identical = [], True
+    try:
+        for b in (4,) if quick else SPLIT_BATCHES:
+            frames = [
+                rng.standard_normal(model.input_shape).astype(np.float32)
+                for _ in range(b)
+            ]
+            stacked = stack_frames(frames)
+            stage_ms = {w: [] for w in SPLIT_WIDTHS}
+            for stage in program.stages:
+                parallel.set_threads(1)
+                per_frame = [split_stage(stage.tasks, f) for f in frames]
+                outs = []
+                for t, (task, tile) in enumerate(
+                    zip(stage.tasks, split_stage(stage.tasks, stacked))
+                ):
+                    want = stack_frames(
+                        [run_segment(engine, task.program, f[t]) for f in per_frame]
+                    )
+                    seen = common.interleaved(
+                        [lambda w=w: timed_ms(w, task, tile) for w in SPLIT_WIDTHS],
+                        repeats,
+                    )
+                    for w, runs in zip(SPLIT_WIDTHS, seen):
+                        stage_ms[w].append(statistics.median(ms for ms, _ in runs))
+                        identical &= all(np.array_equal(o, want) for _, o in runs)
+                    outs.append(want)
+                stacked = stitch_stage(stage, stage.tasks, outs)
+                frames = unstack_frames(stacked)
+            row = {"batch": b, "stages": program.n_stages}
+            for w in SPLIT_WIDTHS:
+                row[f"stage_ms_w{w}"] = stage_ms[w]
+                row[f"sum_ms_w{w}"] = sum(stage_ms[w])
+            rows.append(row)
+    finally:
+        parallel.set_threads(None)
+    return rows, repeats, identical
 
 
 def _serve_once(model, weights, program, config, n_frames, arrivals=None):
@@ -177,12 +259,24 @@ def run(quick: bool = False, seed: int = 0):
     rho_best = max(rho_summary[1:], key=lambda r: r["goodput_per_s"])
     rho_speedup = rho_best["goodput_per_s"] / rho_base if rho_base else 0.0
 
+    # -- split: one worker's stacked batch at pool widths 1 and 2 -----
+    split_rows, split_repeats, split_identical = common.run_fresh(
+        __file__, "_split_rows", [quick, seed], ONE_BLAS_THREAD
+    )
+    for row in split_rows:
+        print(
+            f"split B={row['batch']}: sum of stage medians "
+            + ", ".join(f"{row[f'sum_ms_w{w}']:.1f} ms at width {w}"
+                        for w in SPLIT_WIDTHS)
+        )
+
     gates = {
         "saturated_some_batch_beats_per_frame": speedup > 1.0,
         "rho09_some_batch_matches_per_frame": rho_speedup >= 0.95,
         "batches_actually_form": any(
             r["mean_batch"] > 1.0 for r in capacity_rows[1:]
         ),
+        "split_outputs_bit_identical": split_identical,
     }
     sections = {
         "config": {
@@ -191,6 +285,8 @@ def run(quick: bool = False, seed: int = 0):
             "devices": [1200.0, 1000.0, 800.0, 600.0], "mbps": 50.0,
             "n_stages": program.n_stages, "cores": cores,
             "batch_gemm": Engine(model, weights).batch_gemm,
+            "split_model": "resnet34", "split_input_hw": 64,
+            "split_widths": list(SPLIT_WIDTHS), "split_blas_threads": 1,
         },
         "protocol": {
             "interleaved": True,
@@ -200,6 +296,7 @@ def run(quick: bool = False, seed: int = 0):
             "open_loop_frames": n_open,
             "rho": RHO,
             "rho_rate_per_s": rate,
+            "split_repeats": split_repeats,
         },
         "saturated": capacity_rows,
         "saturated_speedup_best": {
@@ -209,6 +306,7 @@ def run(quick: bool = False, seed: int = 0):
         "rho09_speedup_best": {
             "max_batch": rho_best["max_batch"], "speedup": rho_speedup,
         },
+        "split": split_rows,
     }
     return sections, gates
 
@@ -221,11 +319,13 @@ BENCH = common.Bench(
         common.Section("protocol", same_mode=True),
         common.Section("saturated", key=("max_batch",)),
         common.Section("rho09", key=("max_batch",)),
+        common.Section("split", key=("batch",)),
     ),
     timings=(
         "cores", "batch_gemm", "rho_rate_per_s",
         "throughput_per_s", "throughput_per_core", "mean_batch", "samples_per_s",
         "goodput_per_s", "goodput_per_core", "completed", "shed", "mean_sojourn_s",
+        "stage_ms_w1", "stage_ms_w2", "sum_ms_w1", "sum_ms_w2",
     ),
 )
 

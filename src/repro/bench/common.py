@@ -71,6 +71,7 @@ __all__ = [
     "paired_rates",
     "parent_commit",
     "parent_vs_change",
+    "run_fresh",
     "run_report",
     "write_report",
 ]
@@ -143,12 +144,31 @@ def interleaved_medians(
     return [statistics.median(seen) for seen in interleaved(timed, repeats)]
 
 
-#: One ``parent_vs_change`` measurement: a fresh interpreter runs a bench
+#: One :func:`run_fresh` measurement: a fresh interpreter runs a bench
 #: file by path, so its function meets whichever ``repro`` is on PYTHONPATH.
 _MEASURE = (
     "import json, runpy, sys; path, func, *args = sys.argv[1:]; "
     "print(json.dumps(runpy.run_path(path)[func](*map(json.loads, args))))"
 )
+_SRC = str(Path(__file__).resolve().parents[2])  # this checkout's .../src
+
+
+def run_fresh(
+    bench_file: str,
+    func: str,
+    args: "Sequence[Any]",
+    env: "Optional[Mapping[str, str]]" = None,
+) -> Any:
+    """``func(*args)`` of ``bench_file`` in a fresh interpreter whose
+    environment is this one plus ``env`` (``PYTHONPATH`` defaults to
+    this checkout's ``src``); ``args`` and the result are JSON-able."""
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURE, os.path.abspath(bench_file), func,
+         *map(json.dumps, args)],
+        env={**os.environ, "PYTHONPATH": _SRC, **(env or {})},
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def parent_commit(parent_src: str) -> str:
@@ -182,19 +202,10 @@ def parent_vs_change(
     ``agree`` are what the program decides, not how fast: every run of
     both sides must return the same values for them.
     """
-    sides = {
-        "parent": os.path.abspath(parent_src),
-        "change": str(Path(__file__).resolve().parents[2]),  # .../src
-    }
+    sides = {"parent": os.path.abspath(parent_src), "change": _SRC}
 
     def measure(side: str) -> dict:
-        out = subprocess.run(
-            [sys.executable, "-c", _MEASURE, os.path.abspath(bench_file), func,
-             *map(json.dumps, args)],
-            env=dict(os.environ, PYTHONPATH=sides[side]),
-            check=True, capture_output=True, text=True,
-        ).stdout
-        return json.loads(out.splitlines()[-1])
+        return run_fresh(bench_file, func, args, {"PYTHONPATH": sides[side]})
 
     runs = interleaved([lambda side=side: measure(side) for side in sides], rounds)
     decided = {tuple(m[name] for name in agree) for seen in runs for m in seen}

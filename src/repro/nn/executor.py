@@ -68,7 +68,8 @@ class _PackedConv:
 class _ThreadScratch(threading.local):
     """Per-thread scratch state (block paths run concurrently).
 
-    ``pad`` holds im2col patch matrices.  ``outs``/``flip`` are the
+    ``pad`` holds im2col patch matrices and ``padded`` the zero-bordered
+    input map they are copied from.  ``outs``/``flip`` are the
     ping-pong output arenas for chain execution: every produced feature
     map is consumed only by the next layer, so two alternating buffers
     suffice and steady-state frames allocate nothing.  ``chain`` gates
@@ -78,6 +79,7 @@ class _ThreadScratch(threading.local):
 
     def __init__(self) -> None:
         self.pad = ops.ScratchPad()
+        self.padded = ops.ScratchPad()
         self.outs = (ops.ScratchPad(), ops.ScratchPad())
         self.flip = 0
         self.chain = False
@@ -285,6 +287,7 @@ class Engine:
             scratch=self._scratch.pad,
             out_scratch=self._take_chain_arena(),
             batch_gemm=self.batch_gemm,
+            pad_scratch=self._scratch.padded,
         )
         if layer.batch_norm and not packed.folded:
             params = self.weights[layer.name]

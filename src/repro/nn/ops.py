@@ -88,8 +88,8 @@ class ScratchPad:
 
     The im2col buffer of a conv layer is ``kh·kw`` times its input map —
     freshly ``malloc``-ing (and page-faulting) it every frame dominates
-    the non-GEMM cost of the fast path.  A pad grows geometrically to the
-    largest request seen and hands out reshaped views of one persistent
+    the non-GEMM cost of the fast path.  A pad grows to the largest
+    request seen and hands out reshaped views of one persistent
     allocation.  Not thread-safe: use one pad per thread.
     """
 
@@ -171,6 +171,7 @@ def im2col(
     stride: _Size2,
     pads: _Pad4,
     scratch: Optional[ScratchPad] = None,
+    pad_scratch: Optional[ScratchPad] = None,
 ) -> "Tuple[np.ndarray, _Size2]":
     """Patch matrix for GEMM convolution.
 
@@ -182,10 +183,13 @@ def im2col(
     ``(C·kh·kw, B·Ho·Wo)`` with columns ordered ``(frame, ho, wo)``:
     frame ``b``'s block is column-for-column the panel the single-frame
     call would build, so the tall GEMM result splits back into
-    bit-identical per-frame outputs.  The buffer is filled tap-by-tap
-    with strided slice copies (one vectorised copy per kernel position,
-    spanning every frame at once) instead of copying a transposed
-    window view, and lives in ``scratch`` when provided.
+    bit-identical per-frame outputs.
+
+    The fill is one strided copy: a padded input is first laid into a
+    zero-bordered map (in ``pad_scratch`` when provided), then a
+    ``(C, kh, kw, *B, Ho, Wo)`` ``as_strided`` view of that map — every
+    kernel tap of every frame at once — is copied into the buffer
+    (``scratch`` when provided).  An unpadded input is viewed in place.
     """
     kh, kw = kernel
     top, bottom, left, right = pads
@@ -199,37 +203,29 @@ def im2col(
     sv, sh = stride
     ho, wo = (hp - kh) // sv + 1, (wp - kw) // sh + 1
     batch = x.shape[1:-2]  # () for single-frame, (B,) for batched
-    shape = (c, kh, kw, *batch, ho, wo)
+    if top or bottom or left or right:
+        xp_shape = (*x.shape[:-2], hp, wp)
+        xp = (
+            pad_scratch.take(xp_shape) if pad_scratch is not None
+            else np.empty(xp_shape, np.float32)
+        )
+        xp[..., :top, :] = 0.0
+        xp[..., top + h :, :] = 0.0
+        xp[..., top : top + h, :left] = 0.0
+        xp[..., top : top + h, left + w :] = 0.0
+        np.copyto(xp[..., top : top + h, left : left + w], x)
+    else:
+        xp = x
+    s_c, *s_b, s_h, s_w = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(c, kh, kw, *batch, ho, wo),
+        strides=(s_c, s_h, s_w, *s_b, s_h * sv, s_w * sh),
+        writeable=False,
+    )
+    shape = taps.shape
     buf = scratch.take(shape) if scratch is not None else np.empty(shape, np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            # Padding is virtual: the tap's out-of-range strips are
-            # zero-filled and the in-range block copies straight from x,
-            # so the padded map is never materialised.
-            dst = buf[:, i, j]
-            r0 = max(0, -((i - top) // sv))
-            r1 = min(ho, (top + h - 1 - i) // sv + 1) if top + h > i else 0
-            c0 = max(0, -((j - left) // sh))
-            c1 = min(wo, (left + w - 1 - j) // sh + 1) if left + w > j else 0
-            r1, c1 = max(r0, r1), max(c0, c1)
-            if r0 > 0:
-                dst[..., :r0, :] = 0.0
-            if r1 < ho:
-                dst[..., r1:, :] = 0.0
-            if c0 > 0:
-                dst[..., r0:r1, :c0] = 0.0
-            if c1 < wo:
-                dst[..., r0:r1, c1:] = 0.0
-            if r1 > r0 and c1 > c0:
-                si, sj = i - top + r0 * sv, j - left + c0 * sh
-                np.copyto(
-                    dst[..., r0:r1, c0:c1],
-                    x[
-                        ...,
-                        si : si + (r1 - r0 - 1) * sv + 1 : sv,
-                        sj : sj + (c1 - c0 - 1) * sh + 1 : sh,
-                    ],
-                )
+    np.copyto(buf, taps)
     n = ho * wo
     for dim in batch:
         n *= dim
@@ -276,19 +272,22 @@ def conv2d_packed(
     scratch: Optional[ScratchPad] = None,
     out_scratch: Optional[ScratchPad] = None,
     batch_gemm: str = "exact",
+    pad_scratch: Optional[ScratchPad] = None,
 ) -> np.ndarray:
     """GEMM convolution against a :func:`pack_conv_weight` matrix.
 
     Lowers to a single BLAS sgemm (one batched matmul for grouped
     convolutions); bias add and activation run in place on the GEMM
     output in cache-sized row blocks, so the op allocates exactly one
-    array beyond the scratch arenas — or none when ``out_scratch``
-    provides the output buffer (chain execution ping-pongs two arenas;
-    the returned array aliases ``out_scratch``'s storage).
+    array beyond the scratch arenas (``scratch`` for the patch matrix,
+    ``pad_scratch`` for a padded input's zero-bordered map) — or none
+    when ``out_scratch`` provides the output buffer (chain execution
+    ping-pongs two arenas; the returned array aliases ``out_scratch``'s
+    storage).
 
     A batched ``(C, B, H, W)`` input builds one **stacked** im2col
-    panel — ``B·Ho·Wo`` columns instead of ``Ho·Wo`` — so the tap-fill
-    pack, the bias/activation epilogue and the per-layer dispatch are
+    panel — ``B·Ho·Wo`` columns instead of ``Ho·Wo`` — so the panel
+    fill, the bias/activation epilogue and the per-layer dispatch are
     all paid once per batch, and returns ``(Cout, B, Ho, Wo)``.
     ``batch_gemm`` picks how the panel hits BLAS:
 
@@ -315,7 +314,7 @@ def conv2d_packed(
         cout = packed.shape[0] * packed.shape[1]
         cin_w = packed.shape[2] // (kh * kw)
     _check_conv(x, cout, cin_w, groups)
-    cols, (ho, wo) = im2col(x, kernel, stride, pads, scratch)
+    cols, (ho, wo) = im2col(x, kernel, stride, pads, scratch, pad_scratch)
     n = cols.shape[1]
     split = x.ndim == 4 and x.shape[1] > 1 and batch_gemm == "exact"
     if groups == 1:

@@ -1,19 +1,21 @@
 """Shared thread pool for intra-node parallel execution.
 
 Numpy's BLAS kernels release the GIL, so independent convolutions —
-inception branches of a :class:`~repro.models.graph.BlockUnit`, or the
-per-device tiles of a plan executed locally — genuinely overlap on a
-multi-core host when dispatched from threads.  This module owns one
-process-wide :class:`~concurrent.futures.ThreadPoolExecutor` shared by
-the engine, the tile runtime and the local plan executor.
+inception branches of a :class:`~repro.models.graph.BlockUnit`, the
+per-device tiles of a plan executed locally, or the frame groups of a
+stacked cross-frame batch — genuinely overlap on a multi-core host when
+dispatched from threads.  This module owns one process-wide
+:class:`~concurrent.futures.ThreadPoolExecutor` shared by the engine,
+the tile runtime and the local plan executor.
 
 The worker count comes from the ``REPRO_THREADS`` environment variable
 (default: the cores this process may use).  ``REPRO_THREADS=1`` — or a
-single-core host, like the paper's Raspberry Pi 3s — disables the pool
-entirely and every caller falls back to plain serial loops, so the
-serial path stays the behavioural reference.  Nested :func:`run_parallel`
-calls from inside a pool worker also run serially, which both avoids
-pool-starvation deadlocks and keeps the work units coarse.
+single-core host, like the paper's Raspberry Pi 4Bs run on one core —
+disables the pool entirely and every caller falls back to plain serial
+loops, so the serial path stays the behavioural reference.  Nested
+:func:`run_parallel` calls from inside a pool worker also run serially,
+which both avoids pool-starvation deadlocks and keeps the work units
+coarse.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "configured_threads",
     "set_threads",
     "get_pool",
+    "in_pool_worker",
     "run_parallel",
     "shutdown_pool",
 ]
@@ -118,6 +121,12 @@ def get_pool() -> Optional[ThreadPoolExecutor]:
                 max_workers=n, thread_name_prefix="repro-nn"
             )
         return _pool
+
+
+def in_pool_worker() -> bool:
+    """Whether the calling thread is running a :func:`run_parallel`
+    thunk (where a further fan-out would run serially anyway)."""
+    return _flags.inside_pool
 
 
 def run_parallel(thunks: "Sequence[Callable[[], _T]]") -> "List[_T]":

@@ -413,6 +413,15 @@ def run_segment(engine: Engine, program: SegmentProgram, tile: np.ndarray) -> np
     kernels underneath (per-frame slices of the result match the
     per-tile runs).  Returns the ``out_region`` tile of the segment's
     output map.
+
+    A stack of ``B > 1`` frames uses every thread of the shared pool:
+    it is cut into ``k = min(threads, B)`` contiguous frame groups that
+    run the program concurrently and are concatenated back on the
+    frame axis (a fresh array).  Under ``batch_gemm="exact"`` each
+    frame is its own single-frame sgemm whatever its group, so the
+    result is bit-identical at any pool width.  A single thread, a
+    caller that already is a pool worker, or a single frame runs the
+    whole tile on the calling thread.
     """
     if tile.ndim not in (3, 4):
         raise ValueError(
@@ -421,6 +430,26 @@ def run_segment(engine: Engine, program: SegmentProgram, tile: np.ndarray) -> np
     expected = (program.input_region.height, program.input_region.width)
     if tile.shape[-2:] != expected:
         raise ValueError(f"tile spatial {tile.shape[-2:]} != program input {expected}")
+    b = tile.shape[1] if tile.ndim == 4 else 1
+    if b > 1 and not parallel.in_pool_worker():
+        k = min(parallel.configured_threads(), b)
+        if k > 1:
+            cuts = [b * i // k for i in range(k + 1)]
+            groups = [
+                np.ascontiguousarray(tile[:, lo:hi])
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            outs = parallel.run_parallel(
+                [lambda g=g: _run_program(engine, program, g) for g in groups]
+            )
+            return np.concatenate(outs, axis=1)
+    return _run_program(engine, program, tile)
+
+
+def _run_program(
+    engine: Engine, program: SegmentProgram, tile: np.ndarray
+) -> np.ndarray:
+    """:func:`run_segment`'s body on one thread, for a checked tile."""
     from repro.nn import ops  # local import to avoid cycle at module load
 
     current = tile

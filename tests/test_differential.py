@@ -12,6 +12,8 @@ frames in flight through the serving layer.
 
 from __future__ import annotations
 
+import glob
+import multiprocessing as mp
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -21,12 +23,16 @@ import pytest
 
 from repro.cluster.device import heterogeneous_cluster
 from repro.cost.comm import NetworkModel
+from repro.models.graph import BlockUnit, LayerUnit, Model
+from repro.models.layers import ConvSpec, conv1x1, conv3x3
 from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
+from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import ShmTransport
+from repro.runtime.coordinator import ShmTransport, TcpTransport
 from repro.runtime.core import InProcTransport, PipelineSession, SimTransport
+from repro.runtime.shm import SHM_PREFIX
 from repro.runtime.trace import Tracer, canonical_trace
 from repro.schemes import available_schemes, get_scheme
 from repro.schemes.local import LocalPlanExecutor
@@ -46,6 +52,16 @@ MODELS = {
     # on; headless, because every cell compares backbone features and
     # the dense head's 29M weights take ~20 s to draw.
     "vgg16": lambda: replace(get_model("vgg16", input_hw=64), head=()),
+    # A stem, a three-path concat block (inception-style) and a tail.
+    "branchy": lambda: Model("branchy", (3, 24, 24), (
+        LayerUnit(conv3x3("stem", 3, 8)),
+        BlockUnit("mix", (
+            (conv1x1("b1", 8, 4),),
+            (conv1x1("b3r", 8, 4), conv3x3("b3", 4, 6)),
+            (ConvSpec("b5", 8, 5, kernel_size=5, padding=2),),
+        ), merge="concat"),
+        LayerUnit(conv3x3("tail", 15, 8)),
+    )),
 }
 
 
@@ -386,9 +402,53 @@ def test_batched_serving_matches_per_frame_serving(scheme_name):
     assert results["sim"].mean_batch > 1.0
 
 
+@pytest.mark.parametrize(
+    "transport_class, options",
+    [(TcpTransport, {}), (ShmTransport, {}), (ShmTransport, {"slot_frames": 3})],
+    ids=["tcp", "shm-inline", "shm-slots"],
+)
+def test_batched_serving_over_worker_transports(transport_class, options):
+    """Stacked batches through forked workers, as the end-to-end
+    benchmark serves them: every frame arrives at t=0 and each worker
+    splits its batches over a two-thread pool.  Outputs equal the
+    per-frame in-process run bit for bit, and ``close()`` leaves no
+    child and no ``/dev/shm`` residue.  ``slot_frames=3`` lets a batch
+    ride the shm slots; at the default it rides inline frames."""
+    model_key, scheme_name, n_frames = "toy", "pico", 6
+    model, plan = _model(model_key), _plan(model_key, scheme_name)
+    frames = [_frame(model_key, seed=400 + i) for i in range(n_frames)]
+    want = [_run_backend("inproc", model_key, scheme_name, f)[0] for f in frames]
+    transport = transport_class(model, _weights(model_key), **options)
+    config = ServerConfig(
+        queue_capacity=n_frames + 1, policy="block", max_batch=3
+    )
+    parallel.set_threads(2)  # the workers fork with this width
+    try:
+        server = PipelineServer.from_plan(model, plan, transport, config=config)
+        try:
+            workers = [h.process for h in transport.all_handles()]
+            result = server.serve(frames, arrivals=[0.0] * n_frames)
+        finally:
+            server.close()
+    finally:
+        parallel.set_threads(None)
+    assert len(result.completed) == n_frames
+    assert not result.shed and not result.failed
+    assert result.mean_batch > 1.0
+    for i, w in enumerate(want):
+        assert np.array_equal(result.outputs[i], w), (
+            f"{transport.name} batched frame {i} is not bit-identical to "
+            "the per-frame loop"
+        )
+    assert workers and not any(p.is_alive() for p in workers)
+    assert not mp.active_children()
+    assert not glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+
+
 # ---------------------------------------------------------------------------
 # Property: run_segment over a stacked batch == per-tile runs, for any
-# batch size, seed and compiled segment of the toy model.
+# batch size, seed, pool width and compiled segment of the toy chain and
+# of two block models.
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
@@ -404,37 +464,72 @@ from repro.runtime.program import (  # noqa: E402
 )
 
 
+#: Pool widths every stacked tile runs at: serial, a split into frame
+#: groups, and more threads than some batches have frames.
+POOL_WIDTHS = (1, 2, 3)
+SCHEMES = st.sampled_from(("pico", "efl", "ofl", "lw", "iop"))
+
+
+def _check_stacked_run_segment(model_key, scheme_name, batch, seed):
+    """For every stage task of a compiled plan: running the stacked
+    (C, B, H, W) tile at every pool width equals stacking the per-frame
+    runs of the serial loop, bitwise."""
+    engine = _engine(model_key)
+    program = compile_plan(_model(model_key), _plan(model_key, scheme_name))
+    rng = np.random.default_rng(seed)
+    frames = [
+        rng.standard_normal(_model(model_key).input_shape).astype(np.float32)
+        for _ in range(batch)
+    ]
+    stacked = stack_frames(frames)
+    try:
+        for stage in program.stages:
+            tiles_b = split_stage(stage.tasks, stacked)
+            tiles_f = [split_stage(stage.tasks, f) for f in frames]
+            outs_b = []
+            for t_index, (task, tile_b) in enumerate(zip(stage.tasks, tiles_b)):
+                parallel.set_threads(1)
+                want = stack_frames([
+                    run_segment(engine, task.program, tiles_f[b][t_index])
+                    for b in range(batch)
+                ])
+                for threads in POOL_WIDTHS:
+                    parallel.set_threads(threads)
+                    out_b = run_segment(engine, task.program, tile_b)
+                    assert np.array_equal(out_b, want), (
+                        f"stage {stage.index} task {t_index} ({scheme_name} "
+                        f"on {model_key}, B={batch}, seed={seed}, "
+                        f"{threads} threads)"
+                    )
+                outs_b.append(want)
+            stacked = stitch_stage(stage, stage.tasks, outs_b)
+            frames = unstack_frames(stacked)
+    finally:
+        parallel.set_threads(None)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     batch=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=2**16),
-    scheme_name=st.sampled_from(("pico", "efl", "ofl", "lw", "iop")),
+    scheme_name=SCHEMES,
 )
 def test_property_stacked_run_segment_equals_per_tile(batch, seed, scheme_name):
-    """For every stage task of a compiled plan: running the stacked
-    (C, B, H, W) tile equals stacking the per-frame runs, bitwise."""
-    engine = _engine("toy")
-    program = compile_plan(_model("toy"), _plan("toy", scheme_name))
-    rng = np.random.default_rng(seed)
-    frames = [
-        rng.standard_normal(_model("toy").input_shape).astype(np.float32)
-        for _ in range(batch)
-    ]
-    stacked = stack_frames(frames)
-    for stage in program.stages:
-        tiles_b = split_stage(stage.tasks, stacked)
-        tiles_f = [split_stage(stage.tasks, f) for f in frames]
-        outs_b = []
-        for t_index, (task, tile_b) in enumerate(zip(stage.tasks, tiles_b)):
-            out_b = run_segment(engine, task.program, tile_b)
-            per_tile = [
-                run_segment(engine, task.program, tiles_f[b][t_index])
-                for b in range(batch)
-            ]
-            assert np.array_equal(out_b, stack_frames(per_tile)), (
-                f"stage {stage.index} task {t_index} ({scheme_name}, "
-                f"B={batch}, seed={seed})"
-            )
-            outs_b.append(out_b)
-        stacked = stitch_stage(stage, stage.tasks, outs_b)
-        frames = unstack_frames(stacked)
+    """The toy chain, every scheme, at every pool width."""
+    _check_stacked_run_segment("toy", scheme_name, batch, seed)
+
+
+@pytest.mark.parametrize("model_key", ["resnetish", "branchy"])
+@settings(max_examples=8, deadline=None)
+@given(
+    batch=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    scheme_name=SCHEMES,
+)
+def test_property_stacked_run_segment_block_units(
+    model_key, batch, seed, scheme_name
+):
+    """Residual ``add`` blocks (resnet34) and a ``concat`` block: the
+    split runs each frame group's block paths serially inside its pool
+    thread, and the frames still equal the per-frame loop bitwise."""
+    _check_stacked_run_segment(model_key, scheme_name, batch, seed)

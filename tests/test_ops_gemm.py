@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.nn import ops
 
@@ -42,8 +42,8 @@ class TestGemmBitExact:
         self, cin, cout, kh, kw, sv, sh, top, bottom, left, right, size, seed
     ):
         """GEMM conv is bit-identical to the tensordot reference across
-        kernels, strides and *asymmetric* padding (the virtual-padding
-        im2col fills border taps without materialising the padded map).
+        kernels, strides and *asymmetric* padding (im2col copies every
+        tap out of one zero-bordered map).
 
         ``cout >= 2`` only: for a single output channel numpy's dot
         routes the reference's strided window operand through a
@@ -97,11 +97,11 @@ class TestGemmBitExact:
         x, w, b = _rand((4, 9, 9), 7), _rand((6, 4, 3, 3), 8), _rand(6, 9)
         packed = ops.pack_conv_weight(w)
         plain = ops.conv2d_packed(x, packed, b, (3, 3), (1, 1), (1, 1, 1, 1))
-        pad, out_pad = ops.ScratchPad(), ops.ScratchPad()
+        pad, out_pad, padded = ops.ScratchPad(), ops.ScratchPad(), ops.ScratchPad()
         for _ in range(3):  # arena reuse across frames must be invisible
             arena_out = ops.conv2d_packed(
                 x, packed, b, (3, 3), (1, 1), (1, 1, 1, 1),
-                scratch=pad, out_scratch=out_pad,
+                scratch=pad, out_scratch=out_pad, pad_scratch=padded,
             )
             np.testing.assert_array_equal(arena_out, plain)
 
@@ -115,6 +115,65 @@ class TestGemmBitExact:
             ops.conv2d_packed(x, packed, b, (3, 3), (1, 1), (0, 0, 0, 0)), "relu"
         )
         np.testing.assert_array_equal(fused, unfused)
+
+
+def _im2col_oracle(x, kernel, stride, pads):
+    """The patch matrix the obvious way: ``np.pad``, then a transposed
+    copy of the strided ``sliding_window_view``."""
+    top, bottom, left, right = pads
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)])
+    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(-2, -1))
+    win = win[..., :: stride[0], :: stride[1], :, :]  # (C, *B, Ho, Wo, kh, kw)
+    n = x.ndim
+    cols = np.ascontiguousarray(win.transpose(0, n, n + 1, *range(1, n)))
+    return cols.reshape(x.shape[0] * kernel[0] * kernel[1], -1), win.shape[-4:-2]
+
+
+class TestIm2col:
+    @given(
+        c=st.integers(1, 4),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        pads=st.tuples(*[st.integers(0, 2)] * 4),
+        batch=st.sampled_from([None, 1, 2, 3]),
+        layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+        seed=st.integers(0, 50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_equals_naive_oracle(
+        self, c, h, w, kernel, stride, pads, batch, layout, seed
+    ):
+        """One strided copy out of a zero-bordered map builds the very
+        patch matrix of pad-then-window, bit for bit: same shape, same
+        ``(channel, kh, kw)`` row order, ``(frame, ho, wo)`` columns —
+        for single and stacked maps, contiguous or not, into fresh
+        buffers or dirty arenas."""
+        top, bottom, left, right = pads
+        assume(h + top + bottom >= kernel[0] and w + left + right >= kernel[1])
+        shape = (c, h, w) if batch is None else (c, batch, h, w)
+        rng = np.random.default_rng(seed)
+        if layout == "contiguous":
+            x = rng.standard_normal(shape).astype(np.float32)
+        elif layout == "strided":  # every other column of a wider map
+            x = rng.standard_normal((*shape[:-1], 2 * w)).astype(np.float32)
+            x = x[..., ::2]
+        else:  # channel-last storage viewed channel-first
+            x = rng.standard_normal(shape[1:] + (c,)).astype(np.float32)
+            x = np.moveaxis(x, -1, 0)
+        want, want_hw = _im2col_oracle(x, kernel, stride, pads)
+        got, got_hw = ops.im2col(x, kernel, stride, pads)
+        arenas = ops.ScratchPad(), ops.ScratchPad()
+        for arena in arenas:  # stale NaNs must never leak into a panel
+            arena.take((4096,)).fill(np.nan)
+        dirty, _ = ops.im2col(x, kernel, stride, pads, *arenas)
+        assert tuple(got_hw) == tuple(want_hw)
+        for cols in (got, dirty):
+            assert cols.shape == want.shape
+            np.testing.assert_array_equal(
+                cols.view(np.uint32), want.view(np.uint32)
+            )
 
 
 class TestGroupedConv:

@@ -7,6 +7,9 @@ model would, or distributed inference would silently change outputs.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from repro.models.graph import BlockUnit, Model, chain_model
 from repro.models.layers import ConvSpec, PoolSpec, conv1x1, conv3x3, maxpool2
 from repro.models.resnet import basic_block
 from repro.models.toy import toy_chain
+from repro.nn import parallel, tiles
 from repro.nn.executor import Engine
 from repro.nn.tiles import compile_segment, extract_tile, run_segment
 from repro.partition.regions import Region
@@ -133,6 +137,106 @@ class TestProgramValidation:
         )
         with pytest.raises(ValueError):
             run_segment(engine, program, np.zeros((3, 1, 1), dtype=np.float32))
+
+
+class TestFrameGroupSplit:
+    """``run_segment`` cuts a stacked batch into one contiguous frame
+    group per pool thread — and touches the pool only when that can
+    help: more than one thread, more than one frame, and a caller that
+    is not already a pool worker."""
+
+    @pytest.fixture
+    def setup(self, small_model):
+        engine = Engine(small_model, seed=0)
+        _, h, w = small_model.out_shape(small_model.n_units - 1)
+        program = compile_segment(
+            small_model, 0, small_model.n_units, Region.full(h, w)
+        )
+        rng = np.random.default_rng(3)
+        frames = rng.standard_normal(
+            (small_model.input_shape[0], 4, *small_model.input_shape[1:])
+        ).astype(np.float32)
+        yield engine, program, frames
+        parallel.set_threads(None)
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records the thunk count of every ``run_parallel`` call and
+        the frame count of every tile the program body runs on."""
+        seen = {"fanouts": [], "groups": []}
+        real_fanout, real_body = parallel.run_parallel, tiles._run_program
+
+        def run_parallel(thunks):
+            seen["fanouts"].append(len(thunks))
+            return real_fanout(thunks)
+
+        def run_program(engine, program, tile):
+            seen["groups"].append(tile.shape[1] if tile.ndim == 4 else None)
+            return real_body(engine, program, tile)
+
+        monkeypatch.setattr(parallel, "run_parallel", run_parallel)
+        monkeypatch.setattr(tiles, "_run_program", run_program)
+        return seen, real_fanout
+
+    @pytest.mark.parametrize(
+        "threads, batch, want",
+        [(2, 4, [2, 2]), (3, 4, [1, 1, 2]), (3, 2, [1, 1])],
+        ids=["2threads-B4", "3threads-B4", "3threads-B2"],
+    )
+    def test_one_group_per_thread(self, setup, spy, threads, batch, want):
+        engine, program, frames = setup
+        seen, _ = spy
+        tile = frames[:, :batch]
+        parallel.set_threads(1)
+        serial = run_segment(engine, program, tile)
+        parallel.set_threads(threads)
+        got = run_segment(engine, program, tile)
+        assert seen == {"fanouts": [len(want)], "groups": [batch] + want}
+        assert np.array_equal(got, serial)
+        assert got.flags.c_contiguous and not np.shares_memory(got, tile)
+
+    def test_pool_untouched_at_one_thread(self, setup, spy):
+        engine, program, frames = setup
+        parallel.set_threads(1)
+        run_segment(engine, program, frames)
+        assert spy[0] == {"fanouts": [], "groups": [4]}
+
+    def test_pool_untouched_for_one_frame(self, setup, spy):
+        engine, program, frames = setup
+        parallel.set_threads(2)
+        run_segment(engine, program, frames[:, :1])
+        run_segment(engine, program, np.ascontiguousarray(frames[:, 0]))
+        assert spy[0] == {"fanouts": [], "groups": [1, None]}
+
+    def test_pool_untouched_inside_a_pool_worker(self, setup, spy):
+        engine, program, frames = setup
+        seen, real_fanout = spy
+        parallel.set_threads(2)
+        # The real fan-out, so that only run_segment's calls are seen.
+        outs = real_fanout(
+            [lambda: run_segment(engine, program, frames), lambda: None]
+        )
+        assert outs[0].shape[1] == 4
+        assert seen == {"fanouts": [], "groups": [4]}
+
+    def test_stress_more_threads_than_cores(self, setup):
+        """Frame groups share one engine (its packed-weight cache is
+        filled on first use; arenas are per thread): with more pool
+        threads than cores, a cold cache and a short switch interval,
+        every run still equals the serial one bitwise."""
+        engine, program, frames = setup
+        tile = np.concatenate([frames, frames[:, ::-1]], axis=1)  # B = 8
+        parallel.set_threads(1)
+        serial = run_segment(engine, program, tile)
+        cold = Engine(engine.model, engine.weights)
+        interval = sys.getswitchinterval()
+        parallel.set_threads(2 * (os.cpu_count() or 1) + 1)
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert np.array_equal(run_segment(cold, program, tile), serial)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 @st.composite
