@@ -91,6 +91,12 @@ lint-forks:
 # copy, so the only per-tap loop left in nn/ops.py is maxpool2d's.
 	! grep -nI "run_parallel(" src/repro/runtime/worker.py src/repro/runtime/coordinator.py
 	test "$$(grep -c "for i in range(kh)" src/repro/nn/ops.py)" = 1
+# One batched GEMM path: conv2d_packed takes one tall sgemm exactly where
+# the loaded BLAS was measured to compute it bit-identically to one sgemm
+# per frame, so the batch_gemm knob and its env var stay deleted and
+# nothing outside nn/ops.py runs the per-frame loop itself.
+	! grep -rnIE "batch_gemm|REPRO_BATCH_GEMM" src/ tests/ docs/ examples/ README.md
+	! grep -rnI "_gemm_per_frame_(" src/ tests/ examples/ | grep -v "^src/repro/nn/ops.py:"
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

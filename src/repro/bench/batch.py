@@ -19,6 +19,15 @@ flight instead of B separate panel/pack/dispatch rounds:
   gate is exactness — every stage's per-frame slices at both widths
   equal the per-frame loop bitwise — and there is no speed gate,
   because the cores of the host decide the speed.
+* **gemm** — what a batch's tall sgemm buys: one row per distinct conv
+  GEMM geometry of that plan at a frame group of 2 (a B=4 batch at
+  width 2), with this host's decision (``tall`` where the loaded BLAS
+  computes one sgemm over both frames bit-identically to one sgemm per
+  frame, ``per_frame`` elsewhere) and both paths' interleaved median
+  ms, in a fresh interpreter on one BLAS thread.  Its gate: every
+  ``tall`` row is bitwise equal to the per-frame sgemms on a second
+  seeded draw.  The decisions belong to the BLAS and the CPU, so
+  ``--check`` compares the geometries, never the decisions.
 
 Protocol: the B sweep is *interleaved* inside each repeat (so drift
 hits every B equally) and the reported number per B is the median
@@ -44,7 +53,7 @@ from repro.cluster.device import heterogeneous_cluster
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
-from repro.nn import parallel
+from repro.nn import ops, parallel
 from repro.nn.executor import Engine
 from repro.nn.tiles import run_segment
 from repro.nn.weights import init_weights
@@ -66,6 +75,8 @@ BATCHES = (1, 2, 4, 8)
 RHO = 0.9
 SPLIT_BATCHES = (1, 2, 3, 4)
 SPLIT_WIDTHS = (1, 2)
+#: The frame group a B=4 batch forms at pool width 2.
+GEMM_GROUP = 2
 #: A worker computes on one BLAS thread (the end-to-end children pin
 #: it), so the pool is the only parallelism the split rows measure.
 #: OpenBLAS reads the pin once, at load: the rows run in a fresh
@@ -139,6 +150,54 @@ def _split_rows(quick: bool, seed: int):
     finally:
         parallel.set_threads(None)
     return rows, repeats, identical
+
+
+def _gemm_geometries(model):
+    """Distinct ``(M, K, columns per frame)`` of the model's convs (all
+    ungrouped in resnet34).  Each stage of the plan is one device
+    running whole maps, so these are the plan's GEMMs."""
+    seen = []
+    for info in model.iter_layers():
+        layer = info.layer
+        if layer.kind == "conv":
+            kh, kw = layer.kernel_size
+            _, ho, wo = info.out_shape
+            geometry = (layer.out_channels, layer.in_channels * kh * kw, ho * wo)
+            if geometry not in seen:
+                seen.append(geometry)
+    return seen
+
+
+def _gemm_rows(quick: bool, seed: int):
+    """The ``gemm`` rows and whether every ``tall`` row was bit-identical."""
+    repeats = 3 if quick else 15
+
+    def operands(draw: int, m: int, k: int, nf: int):
+        rng = np.random.default_rng([seed, draw])
+        packed = rng.standard_normal((m, k)).astype(np.float32)
+        cols = rng.standard_normal((k, GEMM_GROUP * nf)).astype(np.float32)
+        return packed, cols, [np.ascontiguousarray(c) for c in np.hsplit(cols, GEMM_GROUP)]
+
+    rows, identical = [], True
+    for m, k, nf in _gemm_geometries(get_model("resnet34", input_hw=64)):
+        tall = ops._tall_is_exact((m, k), nf, GEMM_GROUP)
+        packed, cols, frames = operands(0, m, k, nf)
+        per_frame_s, tall_s = common.interleaved_medians(
+            [lambda: [np.dot(packed, f) for f in frames], lambda: np.dot(packed, cols)],
+            repeats,
+        )
+        if tall:
+            packed, cols, frames = operands(1, m, k, nf)
+            want = np.hstack([np.dot(packed, f) for f in frames])
+            identical &= np.array_equal(
+                np.dot(packed, cols).view(np.uint32), want.view(np.uint32)
+            )
+        rows.append({
+            "m": m, "k": k, "cols": nf,
+            "decision": "tall" if tall else "per_frame",
+            "per_frame_ms": per_frame_s * 1e3, "tall_ms": tall_s * 1e3,
+        })
+    return rows, repeats, bool(identical)
 
 
 def _serve_once(model, weights, program, config, n_frames, arrivals=None):
@@ -270,6 +329,17 @@ def run(quick: bool = False, seed: int = 0):
                         for w in SPLIT_WIDTHS)
         )
 
+    # -- gemm: per-frame vs tall sgemm per conv geometry of that plan --
+    gemm_rows, gemm_repeats, gemm_identical = common.run_fresh(
+        __file__, "_gemm_rows", [quick, seed], ONE_BLAS_THREAD
+    )
+    for row in gemm_rows:
+        print(
+            f"gemm ({row['m']}, {row['k']}) x {GEMM_GROUP}*{row['cols']}: "
+            f"{row['decision']}, per-frame {row['per_frame_ms']:.3f} ms, "
+            f"tall {row['tall_ms']:.3f} ms"
+        )
+
     gates = {
         "saturated_some_batch_beats_per_frame": speedup > 1.0,
         "rho09_some_batch_matches_per_frame": rho_speedup >= 0.95,
@@ -277,6 +347,7 @@ def run(quick: bool = False, seed: int = 0):
             r["mean_batch"] > 1.0 for r in capacity_rows[1:]
         ),
         "split_outputs_bit_identical": split_identical,
+        "gemm_tall_rows_bit_identical": gemm_identical,
     }
     sections = {
         "config": {
@@ -284,9 +355,9 @@ def run(quick: bool = False, seed: int = 0):
             "base_channels": 8, "scheme": "pico",
             "devices": [1200.0, 1000.0, 800.0, 600.0], "mbps": 50.0,
             "n_stages": program.n_stages, "cores": cores,
-            "batch_gemm": Engine(model, weights).batch_gemm,
             "split_model": "resnet34", "split_input_hw": 64,
             "split_widths": list(SPLIT_WIDTHS), "split_blas_threads": 1,
+            "gemm_group": GEMM_GROUP,
         },
         "protocol": {
             "interleaved": True,
@@ -297,6 +368,7 @@ def run(quick: bool = False, seed: int = 0):
             "rho": RHO,
             "rho_rate_per_s": rate,
             "split_repeats": split_repeats,
+            "gemm_repeats": gemm_repeats,
         },
         "saturated": capacity_rows,
         "saturated_speedup_best": {
@@ -307,6 +379,7 @@ def run(quick: bool = False, seed: int = 0):
             "max_batch": rho_best["max_batch"], "speedup": rho_speedup,
         },
         "split": split_rows,
+        "gemm": gemm_rows,
     }
     return sections, gates
 
@@ -320,12 +393,14 @@ BENCH = common.Bench(
         common.Section("saturated", key=("max_batch",)),
         common.Section("rho09", key=("max_batch",)),
         common.Section("split", key=("batch",)),
+        common.Section("gemm", key=("m", "k", "cols")),
     ),
     timings=(
-        "cores", "batch_gemm", "rho_rate_per_s",
+        "cores", "rho_rate_per_s",
         "throughput_per_s", "throughput_per_core", "mean_batch", "samples_per_s",
         "goodput_per_s", "goodput_per_core", "completed", "shed", "mean_sojourn_s",
         "stage_ms_w1", "stage_ms_w2", "sum_ms_w1", "sum_ms_w2",
+        "decision", "per_frame_ms", "tall_ms",
     ),
 )
 

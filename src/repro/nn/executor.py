@@ -102,12 +102,6 @@ class Engine:
     fold_bn:
         Fold batch norm into conv weights at pack time.  Defaults to
         ``fast``; only meaningful on the fast path.
-    batch_gemm:
-        How batched ``(C, B, H, W)`` maps hit BLAS — ``"exact"``
-        (per-frame column-block sgemms over the stacked im2col panel,
-        bit-identical to the per-frame loop) or ``"tall"`` (one tall
-        sgemm, float-close).  Defaults to the ``REPRO_BATCH_GEMM``
-        environment variable, which defaults to ``"exact"``.
     """
 
     def __init__(
@@ -118,17 +112,11 @@ class Engine:
         *,
         fast: Optional[bool] = None,
         fold_bn: Optional[bool] = None,
-        batch_gemm: Optional[str] = None,
     ) -> None:
         self.model = model
         self.weights = weights if weights is not None else init_weights(model, seed)
         self.fast = _env_flag("REPRO_FAST", True) if fast is None else fast
         self.fold_bn = self.fast if fold_bn is None else fold_bn
-        if batch_gemm is None:
-            batch_gemm = os.environ.get("REPRO_BATCH_GEMM", "exact").strip() or "exact"
-        if batch_gemm not in ("exact", "tall"):
-            raise ValueError(f"unknown batch_gemm mode {batch_gemm!r}")
-        self.batch_gemm = batch_gemm
         self._packed: "Dict[str, _PackedConv]" = {}
         self._packed_slices: "Dict[Tuple[str, int, int], _PackedConv]" = {}
         self._scratch = _ThreadScratch()
@@ -286,7 +274,6 @@ class Engine:
             activation=fused_activation,
             scratch=self._scratch.pad,
             out_scratch=self._take_chain_arena(),
-            batch_gemm=self.batch_gemm,
             pad_scratch=self._scratch.padded,
         )
         if layer.batch_norm and not packed.folded:

@@ -6,10 +6,10 @@ with batch second, so the batched GEMM output lands in the same layout
 with zero transposes).  Every spatial op indexes the trailing two axes,
 so the same kernels serve both ranks; per-frame slices of a batched
 result are bit-identical to the corresponding single-frame calls (the
-tall GEMM computes each column independently, and the pooling
-reductions are per-plane).  Every op takes *explicit* padding so
-region-restricted execution can substitute the per-tile virtual padding
-computed by the region algebra.
+batched GEMM is one call per frame, or one tall call measured to give
+the same bits, and the pooling reductions are per-plane).  Every op
+takes *explicit* padding so region-restricted execution can substitute
+the per-tile virtual padding computed by the region algebra.
 
 Two convolution paths coexist:
 
@@ -38,7 +38,7 @@ the tile-vs-full bit-exactness contract — is unchanged.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -182,8 +182,8 @@ def im2col(
     ``(C, B, H, W)`` input builds one **stacked panel** of shape
     ``(C·kh·kw, B·Ho·Wo)`` with columns ordered ``(frame, ho, wo)``:
     frame ``b``'s block is column-for-column the panel the single-frame
-    call would build, so the tall GEMM result splits back into
-    bit-identical per-frame outputs.
+    call would build, so the batched GEMM's column blocks are the
+    per-frame outputs.
 
     The fill is one strided copy: a padded input is first laid into a
     zero-bordered map (in ``pad_scratch`` when provided), then a
@@ -271,7 +271,6 @@ def conv2d_packed(
     activation: str = "linear",
     scratch: Optional[ScratchPad] = None,
     out_scratch: Optional[ScratchPad] = None,
-    batch_gemm: str = "exact",
     pad_scratch: Optional[ScratchPad] = None,
 ) -> np.ndarray:
     """GEMM convolution against a :func:`pack_conv_weight` matrix.
@@ -288,25 +287,14 @@ def conv2d_packed(
     A batched ``(C, B, H, W)`` input builds one **stacked** im2col
     panel — ``B·Ho·Wo`` columns instead of ``Ho·Wo`` — so the panel
     fill, the bias/activation epilogue and the per-layer dispatch are
-    all paid once per batch, and returns ``(Cout, B, Ho, Wo)``.
-    ``batch_gemm`` picks how the panel hits BLAS:
-
-    ``"exact"`` (default)
-        One sgemm per frame over the panel's contiguous-row column
-        blocks.  Each call has exactly the single-frame ``(M, K, N)``
-        geometry, so every frame's slice is **bit-identical** to the
-        per-frame loop — the batched differential guarantee.
-
-    ``"tall"``
-        One tall sgemm over all ``B·Ho·Wo`` columns.  Highest BLAS
-        efficiency, but OpenBLAS picks kernels by shape (the
-        small-matrix path re-associates the K accumulation when the
-        per-frame column count is not vector-aligned), so frames are
-        only float-close (ULP-scale) to the per-frame loop.
+    all paid once per batch, and returns ``(Cout, B, Ho, Wo)``.  Every
+    frame's slice is **bit-identical** to the single-frame call: the
+    panel takes one tall GEMM where this process's BLAS computes that
+    bit for bit like the per-frame GEMMs (:func:`_tall_is_exact`, which
+    streams the weights once instead of ``B`` times), and one GEMM per
+    frame everywhere else.
     """
     kh, kw = kernel
-    if batch_gemm not in ("exact", "tall"):
-        raise ValueError(f"unknown batch_gemm mode {batch_gemm!r}")
     if groups == 1:
         cout, k = packed.shape
         cin_w = k // (kh * kw)
@@ -316,37 +304,35 @@ def conv2d_packed(
     _check_conv(x, cout, cin_w, groups)
     cols, (ho, wo) = im2col(x, kernel, stride, pads, scratch, pad_scratch)
     n = cols.shape[1]
-    split = x.ndim == 4 and x.shape[1] > 1 and batch_gemm == "exact"
-    if groups == 1:
-        if out_scratch is not None:
-            out = out_scratch.take((cout, n))
-        else:
-            out = np.empty((cout, n), np.float32)
-        if split:
-            _gemm_per_frame_(packed, cols, x.shape[1], out)
-        else:
-            np.dot(packed, cols, out=out)
+    if groups != 1:
+        cols = cols.reshape(groups, packed.shape[2], n)
+    shape = (*packed.shape[:-1], n)
+    out = out_scratch.take(shape) if out_scratch is not None else np.empty(shape, np.float32)
+    b = x.shape[1] if x.ndim == 4 else 1
+    if b > 1 and not _tall_is_exact(packed.shape, n // b, b):
+        _gemm_per_frame_(packed, cols, b, out)
     else:
-        k_g = packed.shape[2]
-        cols3 = cols.reshape(groups, k_g, n)
-        if out_scratch is not None:
-            out3 = out_scratch.take((groups, cout // groups, n))
-        else:
-            out3 = np.empty((groups, cout // groups, n), np.float32)
-        if split:
-            _gemm_per_frame_(packed, cols3, x.shape[1], out3)
-        else:
-            np.matmul(packed, cols3, out=out3)
-        out = out3.reshape(cout, n)
+        _gemm_(packed, cols, out)
+    out = out.reshape(cout, n)
     _conv_epilogue_(out, bias, activation)
     return out.reshape(cout, *x.shape[1:-2], ho, wo)
+
+
+def _gemm_(packed: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """One GEMM over the whole panel into ``out``: the ``np.dot`` sgemm
+    ``np.tensordot`` also calls for a 2-D pack, one stacked
+    ``np.matmul`` for a grouped ``(g, Cout/g, K/g)`` pack."""
+    if packed.ndim == 2:
+        np.dot(packed, cols, out=out)
+    else:
+        np.matmul(packed, cols, out=out)
 
 
 def _gemm_per_frame_(
     packed: np.ndarray, cols: np.ndarray, b: int, out: np.ndarray
 ) -> None:
-    """The ``batch_gemm="exact"`` inner loop: one GEMM per frame over
-    the stacked panel's column blocks, written into ``out``.
+    """One GEMM per frame over the stacked panel's column blocks,
+    written into ``out``.
 
     Column block ``i`` of the panel is the very matrix the single-frame
     call would build (same values, same ``(M, K, N)``), so BLAS runs the
@@ -358,6 +344,51 @@ def _gemm_per_frame_(
         lo = i * nf
         block = np.matmul(packed, cols[..., lo : lo + nf])
         out[..., lo : lo + nf] = block
+
+
+#: ``(packed shape, columns per frame, frames)`` → whether one tall GEMM
+#: equals the per-frame GEMMs bit for bit.  Filled by
+#: :func:`_tall_is_exact` once per geometry; a forked worker inherits it
+#: together with the BLAS that decided it.  Concurrent first use is a
+#: benign race: both threads store the same measured value.
+_TALL_EXACT: "Dict[Tuple[Tuple[int, ...], int, int], bool]" = {}
+
+
+def _tall_is_exact(shape: "Tuple[int, ...]", nf: int, b: int) -> bool:
+    """Whether a panel of ``b`` frames × ``nf`` columns may take one
+    :func:`_gemm_` against a pack of ``shape`` instead of
+    :func:`_gemm_per_frame_` without changing a bit.
+
+    OpenBLAS picks kernels by shape, so the answer belongs to the
+    geometry and the loaded BLAS, and it is measured, by
+    :func:`_probe_tall`.  Only a pack with at least as many rows as a
+    frame has columns (``M >= nf``) is probed: there the weights are
+    most of what each per-frame call streams, which the tall call pays
+    once.  Wider frames keep their per-frame GEMMs unprobed, as they
+    cost the same either way.
+    """
+    key = (shape, nf, b)
+    exact = _TALL_EXACT.get(key)
+    if exact is None:
+        exact = shape[-2] >= nf and _probe_tall(shape, nf, b)
+        _TALL_EXACT[key] = exact
+    return exact
+
+
+def _probe_tall(shape: "Tuple[int, ...]", nf: int, b: int) -> bool:
+    """Run both GEMM paths on seeded uniform operands of exactly this
+    geometry and compare their bits.  Never the caller's data: an
+    all-zero batch would agree under any summation order."""
+    rng = np.random.default_rng(0)
+    packed = rng.random(shape, dtype=np.float32)
+    cols = rng.random((*shape[:-2], shape[-1], nf * b), dtype=np.float32)
+    packed -= np.float32(0.5)
+    cols -= np.float32(0.5)
+    tall = np.empty((*shape[:-1], nf * b), np.float32)
+    per_frame = np.empty_like(tall)
+    _gemm_(packed, cols, tall)
+    _gemm_per_frame_(packed, cols, b, per_frame)
+    return np.array_equal(tall.view(np.uint32), per_frame.view(np.uint32))
 
 
 def _conv_epilogue_(out: np.ndarray, bias: Optional[np.ndarray], activation: str) -> None:
@@ -386,7 +417,6 @@ def conv2d(
     stride: _Size2 = (1, 1),
     pads: _Pad4 = (0, 0, 0, 0),
     groups: int = 1,
-    batch_gemm: str = "exact",
 ) -> np.ndarray:
     """2-D convolution (cross-correlation) via im2col + GEMM.
 
@@ -397,10 +427,7 @@ def conv2d(
     """
     _check_conv(x, weight.shape[0], weight.shape[1], groups)
     packed = pack_conv_weight(weight, groups)
-    return conv2d_packed(
-        x, packed, bias, weight.shape[2:], stride, pads, groups,
-        batch_gemm=batch_gemm,
-    )
+    return conv2d_packed(x, packed, bias, weight.shape[2:], stride, pads, groups)
 
 
 def conv2d_reference(

@@ -417,11 +417,12 @@ def run_segment(engine: Engine, program: SegmentProgram, tile: np.ndarray) -> np
     A stack of ``B > 1`` frames uses every thread of the shared pool:
     it is cut into ``k = min(threads, B)`` contiguous frame groups that
     run the program concurrently and are concatenated back on the
-    frame axis (a fresh array).  Under ``batch_gemm="exact"`` each
-    frame is its own single-frame sgemm whatever its group, so the
-    result is bit-identical at any pool width.  A single thread, a
-    caller that already is a pool worker, or a single frame runs the
-    whole tile on the calling thread.
+    frame axis (a fresh array).  A group's convs take one tall sgemm
+    only where it is bit-identical to one sgemm per frame
+    (``ops.conv2d_packed``), so every frame's bits are its
+    single-frame bits whatever its group, at any pool width.  A single
+    thread, a caller that already is a pool worker, or a single frame
+    runs the whole tile on the calling thread.
     """
     if tile.ndim not in (3, 4):
         raise ValueError(

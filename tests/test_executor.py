@@ -150,26 +150,3 @@ class TestBatchedEngine:
         for b, frame in enumerate(frames):
             single = chain_engine.run_layer(layer, frame, pads)
             np.testing.assert_array_equal(got[:, b], single)
-
-    def test_batch_gemm_tall_is_float_close(self, rng):
-        model = toy_chain(3, 1, input_hw=16, in_channels=3, base_channels=4)
-        exact = Engine(model, seed=0)
-        tall = Engine(model, exact.weights, batch_gemm="tall")
-        layer = model.units[0].layer
-        frames, stacked = self._stacked(rng)
-        pads = (1, 1, 1, 1)
-        want = exact.run_layer(layer, stacked, pads)
-        got = tall.run_layer(layer, stacked, pads)
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
-
-    def test_batch_gemm_mode_validation(self):
-        model = toy_chain(2, 0, input_hw=8, in_channels=1, base_channels=4)
-        with pytest.raises(ValueError, match="batch_gemm"):
-            Engine(model, seed=0, batch_gemm="fused")
-
-    def test_batch_gemm_env_default(self, monkeypatch):
-        model = toy_chain(2, 0, input_hw=8, in_channels=1, base_channels=4)
-        monkeypatch.delenv("REPRO_BATCH_GEMM", raising=False)
-        assert Engine(model, seed=0).batch_gemm == "exact"
-        monkeypatch.setenv("REPRO_BATCH_GEMM", "tall")
-        assert Engine(model, seed=0).batch_gemm == "tall"

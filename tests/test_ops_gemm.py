@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.models.zoo import get_model
 from repro.nn import ops
 
 
@@ -115,6 +116,134 @@ class TestGemmBitExact:
             ops.conv2d_packed(x, packed, b, (3, 3), (1, 1), (0, 0, 0, 0)), "relu"
         )
         np.testing.assert_array_equal(fused, unfused)
+
+
+def _conv_geometries(model):
+    """Distinct ``(M, K, columns per frame)`` GEMM geometries of a
+    model's convs run on whole maps."""
+    seen = []
+    for info in model.iter_layers():
+        layer = info.layer
+        if layer.kind == "conv":
+            k = info.in_shape[0] // layer.groups * layer.kernel_size[0] * layer.kernel_size[1]
+            geometry = (layer.out_channels, k, info.out_shape[1] * info.out_shape[2])
+            if geometry not in seen:
+                seen.append(geometry)
+    return seen
+
+
+_RESNET34_GEOMETRIES = _conv_geometries(get_model("resnet34", input_hw=64))
+
+
+def _resnet34_examples(test):
+    """Every resnet34@64 conv geometry at 2–4 frames, as explicit
+    examples; ``(512, 256)`` against 4 columns a frame is layer4's 1×1
+    downsample, the one probed geometry whose tall call changes bits
+    under OpenBLAS 0.3.31's Haswell kernels."""
+    assert (512, 256, 4) in _RESNET34_GEOMETRIES
+    for m, k, nf in _RESNET34_GEOMETRIES:
+        for b in (2, 3, 4):
+            test = example(m=m, k=k, nf=nf, b=b, groups=1, seed=0)(test)
+    return test
+
+
+def _batched_vs_frames(m, k, nf, b, groups, seed):
+    """A batched 1×1 conv whose GEMM is ``(M, K)`` against ``b`` frames of
+    ``nf`` columns (per group when ``groups > 1``), and the same conv
+    run frame by frame."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((groups * k, b, 1, nf)).astype(np.float32)
+    w = rng.standard_normal((groups * m, k, 1, 1)).astype(np.float32)
+    bias = rng.standard_normal(groups * m).astype(np.float32)
+    packed = ops.pack_conv_weight(w, groups)
+    batched = ops.conv2d_packed(x, packed, bias, (1, 1), groups=groups)
+    frames = [
+        ops.conv2d_packed(np.ascontiguousarray(x[:, i]), packed, bias, (1, 1), groups=groups)
+        for i in range(b)
+    ]
+    return packed, batched, np.stack(frames, axis=1)
+
+
+class TestBatchedGemm:
+    """A batched conv's GEMM goes tall only where that is bit-identical
+    to one GEMM per frame, as measured by ``ops._tall_is_exact``."""
+
+    @_resnet34_examples
+    @given(
+        m=st.integers(2, 96),
+        k=st.integers(1, 96),
+        nf=st.integers(1, 40),
+        b=st.integers(2, 5),
+        groups=st.sampled_from([1, 1, 2, 3]),
+        seed=st.integers(0, 50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_batched_equals_per_frame(self, m, k, nf, b, groups, seed):
+        """Whatever the probe decided, every frame's slice of a batched
+        conv is bit for bit the single-frame conv — for the 2-D pack
+        and the grouped 3-D pack."""
+        packed, batched, per_frame = _batched_vs_frames(m, k, nf, b, groups, seed)
+        assert packed.ndim == (2 if groups == 1 else 3)
+        np.testing.assert_array_equal(
+            batched.view(np.uint32), per_frame.view(np.uint32)
+        )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """A fresh decision cache, with spies counting probes, per-frame
+        GEMM loops and whole-panel GEMMs."""
+        monkeypatch.setattr(ops, "_TALL_EXACT", {})
+        counts = {"probe": 0, "per_frame": 0, "tall": 0}
+        for name, key in (
+            ("_probe_tall", "probe"), ("_gemm_per_frame_", "per_frame"), ("_gemm_", "tall")
+        ):
+            def spy(*args, _real=getattr(ops, name), _key=key):
+                counts[_key] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(ops, name, spy)
+        return counts
+
+    def test_geometry_probed_once(self, calls):
+        _batched_vs_frames(64, 72, 16, 3, 1, seed=0)
+        assert calls["probe"] == 1
+        assert list(ops._TALL_EXACT) == [((64, 72), 16, 3)]
+        _batched_vs_frames(64, 72, 16, 3, 1, seed=1)
+        assert calls["probe"] == 1
+
+    def test_wide_frames_are_not_probed(self, calls):
+        """Fewer weight rows than columns a frame: per-frame, unprobed."""
+        _batched_vs_frames(8, 16, 32, 2, 1, seed=0)
+        assert calls["probe"] == 0
+        assert ops._TALL_EXACT == {((8, 16), 32, 2): False}
+
+    @pytest.mark.parametrize("geometry", [(512, 256, 4, 4), (128, 576, 64, 2), (6, 9, 5, 3)])
+    def test_zero_batch_decides_like_the_seeded_probe(self, calls, geometry):
+        """The decision never reads the call's data: an all-zero first
+        batch, which agrees under any summation order, leaves what the
+        seeded probe measures."""
+        m, k, nf, b = geometry
+        packed = ops.pack_conv_weight(np.zeros((m, k, 1, 1), np.float32))
+        x = np.zeros((k, b, 1, nf), np.float32)
+        ops.conv2d_packed(x, packed, None, (1, 1))
+        decided = ops._TALL_EXACT[((m, k), nf, b)]
+        assert decided == ops._probe_tall((m, k), nf, b)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_decision_picks_the_gemm_path(self, calls, groups):
+        """A "no" geometry runs the per-frame loop, a "yes" geometry one
+        GEMM over the whole panel, on either pack layout."""
+        m, k, nf, b = 16, 8, 4, 3
+        shape = (m, k) if groups == 1 else (groups, m, k)
+        for tall in (False, True):
+            ops._TALL_EXACT[(shape, nf, b)] = tall
+            calls.update(per_frame=0, tall=0)
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal((groups * k, b, 1, nf)).astype(np.float32)
+            w = rng.standard_normal((groups * m, k, 1, 1)).astype(np.float32)
+            ops.conv2d_packed(x, ops.pack_conv_weight(w, groups), None, (1, 1), groups=groups)
+            assert calls["probe"] == 0
+            assert (calls["per_frame"], calls["tall"]) == ((0, 1) if tall else (1, 0))
 
 
 def _im2col_oracle(x, kernel, stride, pads):
