@@ -97,6 +97,14 @@ lint-forks:
 # nothing outside nn/ops.py runs the per-frame loop itself.
 	! grep -rnIE "batch_gemm|REPRO_BATCH_GEMM" src/ tests/ docs/ examples/ README.md
 	! grep -rnI "_gemm_per_frame_(" src/ tests/ examples/ | grep -v "^src/repro/nn/ops.py:"
+# One stage loop and one wire exchange: every stage dispatches one frame
+# ahead of the one it collects through Transport.dispatch/collect, so the
+# scheduler never calls the blocking run_tasks and there is one
+# _run_stage; the server's queue_capacity bounds frames in the system
+# (the scheduler's capacity), not only the ones waiting at the entrance.
+	test "$$(grep -rn "def _run_stage" src/repro/runtime | wc -l)" = 1
+	! grep -n "run_tasks(" src/repro/runtime/scheduler.py
+	! grep -rnI "entry_capacity" src/ tests/ docs/ README.md
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

@@ -190,6 +190,7 @@ def parent_vs_change(
     args: "Sequence[Any]",
     rounds: int,
     agree: "Sequence[str]" = (),
+    env: "Optional[Mapping[str, str]]" = None,
 ) -> "Dict[str, List[dict]]":
     """What ``func(*args)`` of ``bench_file`` measures at a parent
     checkout's ``src`` and at this one: the returned dicts, per side.
@@ -200,12 +201,15 @@ def parent_vs_change(
     JSON-able ``args`` and returns a JSON-able dict — parent and change
     alternating through :func:`interleaved`.  The fields named in
     ``agree`` are what the program decides, not how fast: every run of
-    both sides must return the same values for them.
+    both sides must return the same values for them.  ``env`` is added
+    to both sides' environment.
     """
     sides = {"parent": os.path.abspath(parent_src), "change": _SRC}
 
     def measure(side: str) -> dict:
-        return run_fresh(bench_file, func, args, {"PYTHONPATH": sides[side]})
+        return run_fresh(
+            bench_file, func, args, {**(env or {}), "PYTHONPATH": sides[side]}
+        )
 
     runs = interleaved([lambda side=side: measure(side) for side in sides], rounds)
     decided = {tuple(m[name] for name in agree) for seen in runs for m in seen}

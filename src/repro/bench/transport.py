@@ -36,31 +36,55 @@ on, not something to measure through.
 
 The headline gate: shm must beat tcp by ``--min-ratio`` (default 3×;
 ``--quick``, on shared-runner timing, 1.3× over fewer frames, repeats
-and sizes) frames/s on multi-megabyte oneway frames.  Results land in
-``BENCH_transport.json``; non-zero exit when the gate fails.  ``--check``
-holds the case list and frame sizes against the committed report and
-enforces the gate on the fresh run::
+and sizes) frames/s on multi-megabyte oneway frames.
+
+The **dispatch** section measures the runtime around the wire: the
+e2e toy chain (``toy_chain(8, 2, input_hw=64, base_channels=8)``, PICO
+on the 1200/1000/800/600 MHz cluster at 50 Mbps — two stages of two
+workers) served by :class:`~repro.runtime.coordinator.DistributedPipeline`
+with 8 frames outstanding, over tcp and shm: frames/s and the CPU
+milliseconds a frame costs the coordinator process and its workers
+(``/proc/<pid>/stat``), BLAS pinned to one thread as in the e2e
+children.  Its gate is exactness only — every output equals the
+single-process oracle bit for bit; there is no speed gate.
+``before_after`` times the same rows at a parent checkout and at this
+one, alternating (``--before-after PARENT_SRC``), and is carried over
+from the committed report when not re-measured.
+
+Results land in ``BENCH_transport.json``; non-zero exit when a gate
+fails.  ``--check`` holds the case list and frame sizes against the
+committed report and enforces the gates on the fresh run::
 
     python -m repro.bench.transport --quick
     python -m repro.bench.transport --check BENCH_transport.json --quick
+    python -m repro.bench.transport --before-after /path/to/parent/src
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import queue
 import socket
 import statistics
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bench import common
+from repro.cluster.device import heterogeneous_cluster
+from repro.cost.comm import NetworkModel
+from repro.models.toy import toy_chain
+from repro.nn import parallel
+from repro.nn.executor import Engine
+from repro.nn.weights import init_weights
+from repro.runtime.coordinator import DistributedPipeline
 from repro.runtime.messages import Hello, ShmAttach, Shutdown, TileResult, TileTask
 from repro.runtime.shm import ShmChannel, ShmRing
 from repro.runtime.transport import Channel
+from repro.schemes.pico import PicoScheme
 
 __all__ = ["BENCH", "run"]
 
@@ -74,6 +98,14 @@ SIZES: "Tuple[Tuple[str, Tuple[int, int, int]], ...]" = (
 #: Outstanding oneway frames; must stay < the shm ring's slot count.
 ONEWAY_WINDOW = 3
 SLOTS_PER_RING = 4
+
+#: The dispatch rows: frames per run (full, quick), outstanding
+#: submits, distinct input frames cycled, and the fresh interpreter's
+#: BLAS pinning (the e2e children's).
+DISPATCH_FRAMES = (3000, 300)
+DISPATCH_WINDOW = 8
+DISPATCH_INPUTS = 16
+DISPATCH_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def _echo_child(host: str, port: int, mode: str) -> None:
@@ -235,15 +267,122 @@ def _run_inproc(
     return elapsed
 
 
+def _cpu_seconds(pid: int) -> float:
+    """utime + stime of one process, from ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _dispatch_row(transport: str, frames: int, seed: int) -> Dict:
+    """Serve ``frames`` toy-chain frames with ``DISPATCH_WINDOW``
+    outstanding; frames/s, CPU ms a frame on each side, exactness."""
+    model = toy_chain(8, 2, input_hw=64, base_channels=8)
+    cluster = heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0])
+    plan = PicoScheme().plan(model, cluster, NetworkModel.from_mbps(50.0))
+    weights = init_weights(model, seed)
+    rng = np.random.default_rng(seed)
+    inputs = [
+        rng.standard_normal(model.input_shape).astype(np.float32)
+        for _ in range(DISPATCH_INPUTS)
+    ]
+    engine = Engine(model, weights)
+    oracle = [engine.forward_features(x) for x in inputs]  # the chain has no head
+    parallel.shutdown_pool()  # no live pool in the parent of forked workers
+    exact = True
+    with DistributedPipeline(model, plan, weights, transport=transport) as pipe:
+        pipe.run_batch(inputs)  # warm-up: sockets, rings, kernels
+        pids = [h.process.pid for h in pipe.transport.all_handles()]
+        coord0, work0 = _cpu_seconds(os.getpid()), sum(map(_cpu_seconds, pids))
+        t0 = time.perf_counter()
+        submitted = collected = 0
+        while collected < frames:
+            while submitted < frames and submitted - collected < DISPATCH_WINDOW:
+                pipe.submit(inputs[submitted % DISPATCH_INPUTS])
+                submitted += 1
+            task_id, out = pipe.collect(timeout_s=60.0)
+            expected = oracle[(task_id - DISPATCH_INPUTS) % DISPATCH_INPUTS]
+            exact = exact and np.array_equal(out, expected)
+            collected += 1
+        elapsed = time.perf_counter() - t0
+        coord = _cpu_seconds(os.getpid()) - coord0
+        work = sum(map(_cpu_seconds, pids)) - work0
+    return {
+        "transport": transport,
+        "frames": frames,
+        "exact": bool(exact),
+        "frames_per_s": round(frames / elapsed, 1),
+        "coordinator_cpu_ms": round(1e3 * coord / frames, 3),
+        "worker_cpu_ms": round(1e3 * work / frames, 3),
+    }
+
+
+def _dispatch_rows(frames: int, seed: int) -> "List[Dict]":
+    rows = [
+        common.run_fresh(__file__, "_dispatch_row", (t, frames, seed), DISPATCH_ENV)
+        for t in ("tcp", "shm")
+    ]
+    for row in rows:
+        print(
+            f"dispatch[{row['transport']}]: {row['frames_per_s']:.1f} frames/s, "
+            f"coordinator {row['coordinator_cpu_ms']:.3f} + workers "
+            f"{row['worker_cpu_ms']:.3f} CPU ms a frame, exact {row['exact']}"
+        )
+    return rows
+
+
+def _before_after(parent_src: str, frames: int, seed: int, rounds: int) -> Dict:
+    """The dispatch rows at ``parent_src`` and at this checkout,
+    alternating (:func:`repro.bench.common.parent_vs_change`); both
+    sides must be exact."""
+    section: Dict = {
+        "parent": common.parent_commit(parent_src), "rounds": int(rounds),
+        "frames": int(frames), "rows": [],
+    }
+    for transport in ("tcp", "shm"):
+        runs = common.parent_vs_change(
+            parent_src, __file__, "_dispatch_row", (transport, frames, seed),
+            rounds, agree=("exact",), env=DISPATCH_ENV,
+        )
+        before, after, wins = common.paired_rates(runs, "frames_per_s")
+        row = {
+            "transport": transport,
+            "parent_frames_per_s": before,
+            "change_frames_per_s": after,
+            "speedup": round(after / before, 3),
+            "wins": wins,
+        }
+        for field in ("coordinator_cpu_ms", "worker_cpu_ms"):
+            for side in ("parent", "change"):
+                row[f"{side}_{field}"] = round(
+                    statistics.median(m[field] for m in runs[side]), 3
+                )
+        section["rows"].append(row)
+        print(
+            f"before_after[{transport}]: {before:.1f} -> {after:.1f} frames/s "
+            f"(x{after / before:.3f}, change ahead in {wins}/{rounds} rounds); "
+            f"coordinator {row['parent_coordinator_cpu_ms']:.3f} -> "
+            f"{row['change_coordinator_cpu_ms']:.3f}, workers "
+            f"{row['parent_worker_cpu_ms']:.3f} -> "
+            f"{row['change_worker_cpu_ms']:.3f} CPU ms a frame"
+        )
+    return section
+
+
 def run(
     quick: bool = False,
     seed: int = 0,
     frames: int = 40,
     repeats: int = 5,
     min_ratio: Optional[float] = None,
+    before_after: Optional[str] = None,
+    rounds: int = 10,
+    *,
+    committed: Optional[Dict] = None,
 ):
-    """Run the interleaved sweep; returns ``(sections, gates)``.  The
-    frames are constant fills, so ``seed`` changes nothing."""
+    """Run the interleaved sweep and the dispatch rows; returns
+    ``(sections, gates)``.  The sweep's frames are constant fills, so
+    ``seed`` only seeds the dispatch rows' weights and inputs."""
     chosen, modes = list(SIZES), ("oneway", "echo")
     if quick:
         frames, repeats = min(frames, 10), min(repeats, 2)
@@ -305,6 +444,12 @@ def run(
         if int(np.prod(shape)) * 4 >= 4e6 and "oneway" in modes
     }
     print(f"shm/tcp oneway ratios {ratios} (min {min_ratio})")
+    dispatch_frames = DISPATCH_FRAMES[quick]
+    dispatch = _dispatch_rows(dispatch_frames, seed)
+    if before_after:
+        parent_vs_change = _before_after(before_after, dispatch_frames, seed, rounds)
+    else:
+        parent_vs_change = (committed or {}).get("before_after")
     sections = {
         "config": {
             "n_frames": frames,
@@ -313,6 +458,7 @@ def run(
             "slots_per_ring": SLOTS_PER_RING,
             "sizes": {label: list(shape) for label, shape in chosen},
             "modes": list(modes),
+            "dispatch_window": DISPATCH_WINDOW,
         },
         "protocol": (
             "transports interleaved within each repeat; median frames/s "
@@ -328,10 +474,13 @@ def run(
             "min_ratio": min_ratio,
             "ratios": ratios,
         },
+        "dispatch": dispatch,
+        "before_after": parent_vs_change,
     }
     return sections, {
         "shm_beats_tcp_oneway": bool(ratios)
-        and all(r >= min_ratio for r in ratios.values())
+        and all(r >= min_ratio for r in ratios.values()),
+        "dispatch_outputs_exact": all(row["exact"] for row in dispatch),
     }
 
 
@@ -341,15 +490,29 @@ BENCH = common.Bench(
     deterministic=(
         common.Section("config", same_mode=True),
         common.Section("results", key=("transport", "size", "mode")),
+        common.Section("dispatch", key=("transport",), same_mode=True),
     ),
-    timings=("frames_per_s", "mb_per_s", "samples"),
+    timings=(
+        "frames_per_s", "mb_per_s", "samples", "coordinator_cpu_ms",
+        "worker_cpu_ms",
+    ),
     extras={
         "--frames": dict(type=int, default=40),
         "--repeats": dict(type=int, default=5),
         "--min-ratio": dict(
             type=float, help="shm-over-tcp gate (default 3.0, quick 1.3)"
         ),
+        "--before-after": dict(
+            metavar="PARENT_SRC",
+            help="also time the dispatch rows against the src/ of a parent "
+            "checkout, alternating, and record the medians",
+        ),
+        "--rounds": dict(
+            type=int, default=10,
+            help="parent/change pairs per row for --before-after",
+        ),
     },
+    reads_committed=True,
 )
 
 if __name__ == "__main__":  # pragma: no cover

@@ -375,20 +375,33 @@ def _tall_is_exact(shape: "Tuple[int, ...]", nf: int, b: int) -> bool:
     return exact
 
 
+#: Products per output row the probe sums at least: two kernels that
+#: differ on some rows only disagree where a sum rounds differently,
+#: which one draw of a short, narrow panel can miss (a row of two
+#: 2-term dot products agrees about half the time).
+_PROBE_ROW_PRODUCTS = 256
+
+
 def _probe_tall(shape: "Tuple[int, ...]", nf: int, b: int) -> bool:
     """Run both GEMM paths on seeded uniform operands of exactly this
-    geometry and compare their bits.  Never the caller's data: an
-    all-zero batch would agree under any summation order."""
-    rng = np.random.default_rng(0)
-    packed = rng.random(shape, dtype=np.float32)
-    cols = rng.random((*shape[:-2], shape[-1], nf * b), dtype=np.float32)
-    packed -= np.float32(0.5)
-    cols -= np.float32(0.5)
-    tall = np.empty((*shape[:-1], nf * b), np.float32)
-    per_frame = np.empty_like(tall)
-    _gemm_(packed, cols, tall)
-    _gemm_per_frame_(packed, cols, b, per_frame)
-    return np.array_equal(tall.view(np.uint32), per_frame.view(np.uint32))
+    geometry and compare their bits — over as many seeded draws as a
+    row needs to sum :data:`_PROBE_ROW_PRODUCTS` products (one draw
+    unless the panel is both short and narrow).  Never the caller's
+    data: an all-zero batch would agree under any summation order."""
+    n = nf * b
+    for seed in range(-(-_PROBE_ROW_PRODUCTS // (n * shape[-1]))):
+        rng = np.random.default_rng(seed)
+        packed = rng.random(shape, dtype=np.float32)
+        cols = rng.random((*shape[:-2], shape[-1], n), dtype=np.float32)
+        packed -= np.float32(0.5)
+        cols -= np.float32(0.5)
+        tall = np.empty((*shape[:-1], n), np.float32)
+        per_frame = np.empty_like(tall)
+        _gemm_(packed, cols, tall)
+        _gemm_per_frame_(packed, cols, b, per_frame)
+        if not np.array_equal(tall.view(np.uint32), per_frame.view(np.uint32)):
+            return False
+    return True
 
 
 def _conv_epilogue_(out: np.ndarray, bias: Optional[np.ndarray], activation: str) -> None:

@@ -22,18 +22,22 @@ in-process and simulated backends, fault ladder and tracing included.
 :class:`DistributedPipeline` keeps frames from *different* stages in
 flight concurrently.  It is a submit/collect client of the one
 wall-clock scheduler, :class:`~repro.runtime.scheduler.StageScheduler`:
-a thread per stage drives that stage's workers through the blocking
-:meth:`TcpTransport.run_tasks` and hands the frame to the next stage.
+a thread per stage sends a frame's tiles to its workers
+(:meth:`TcpTransport.dispatch`), sends the next frame's too when one is
+queued, then gathers the first (:meth:`TcpTransport.collect`) and hands
+it to the next stage — a worker's next tile is waiting when it finishes.
 Stage compute happens in the worker processes; the stage threads only
 split, move bytes and stitch.
 
 Worker failure recovery (extension): a dead worker's socket closes (a
 wedged one misses ``RuntimeConfig.recv_timeout_s``), so its channel
 raises :class:`~repro.runtime.faults.DeviceDead`; the fault ladder of
-:func:`~repro.runtime.core.execute_stage` marks the device dead, has
+:func:`~repro.runtime.core.collect_stage` marks the device dead, has
 the transport retire its workers and redistribute their strips among
 the survivors (capacity-weighted, new tile programs shipped via
-:class:`Reconfigure`) and replays the frame from that stage boundary.
+:class:`Reconfigure`) and replays the frame from that stage boundary;
+the frame dispatched ahead of it is re-sent to the survivors, and the
+replies stamped with the old epoch are skipped.
 """
 
 from __future__ import annotations
@@ -127,6 +131,19 @@ class _WorkerHandle:
     alive: bool = True
 
 
+@dataclass
+class _Dispatched:
+    """One stage's frame on the wire: what :meth:`TcpTransport.collect`
+    matches the replies against, and the send spans it reports."""
+
+    stage_index: int
+    frame: int
+    epoch: int
+    handles: "List[_WorkerHandle]"
+    entry: float
+    send_spans: "List[Tuple[float, float]]"
+
+
 class TcpTransport(Transport):
     """The framed-socket backend: one worker process per task.
 
@@ -134,11 +151,12 @@ class TcpTransport(Transport):
     protocol and is *self-launching*: :meth:`open` spawns one forked
     worker process per compiled task, handshakes them and ships their
     setups, so any session/server can use it directly.
-    :meth:`run_tasks` scatters :class:`TileTask` frames to the stage's
-    workers and gathers :class:`TileResult` frames; a lost worker
-    surfaces as :class:`~repro.runtime.faults.DeviceDead`, which the
-    shared fault ladder repairs via :meth:`repartition` (per-stage
-    epochs discard stale results).  ``faults`` is a
+    :meth:`dispatch` scatters :class:`TileTask` frames to the stage's
+    workers and :meth:`collect` gathers the :class:`TileResult` frames,
+    matched by ``(task_id, epoch)``; a lost worker surfaces as
+    :class:`~repro.runtime.faults.DeviceDead`, which the shared fault
+    ladder repairs via :meth:`repartition` (per-stage epochs discard
+    stale results).  ``faults`` is a
     :class:`~repro.runtime.faults.FaultSchedule` the workers act out.
     """
 
@@ -304,6 +322,16 @@ class TcpTransport(Transport):
         tiles: "Sequence[np.ndarray]",
         frame: int,
     ) -> "Tuple[List[np.ndarray], StageTrace]":
+        return self.collect(self.dispatch(stage_index, tiles, frame))
+
+    def dispatch(
+        self,
+        stage_index: int,
+        tiles: "Sequence[np.ndarray]",
+        frame: int,
+    ) -> "_Dispatched":
+        """Send one ``TileTask`` per alive worker of the stage, stamped
+        with the frame and the stage's current epoch."""
         handles = self.alive_handles(stage_index)
         epoch = self._epochs[stage_index]
         entry = self._now()
@@ -318,27 +346,24 @@ class TcpTransport(Transport):
                     f"worker {handle.worker_id} unreachable",
                 ) from None
             send_spans.append((t0, self._now()))
+        return _Dispatched(stage_index, frame, epoch, handles, entry, send_spans)
+
+    def collect(self, sent: "_Dispatched") -> "Tuple[List[np.ndarray], StageTrace]":
+        """Receive every worker's result for ``sent``.
+
+        A ``WorkerError`` fails the frame only after every other
+        worker's result for it is read, so the frame dispatched behind
+        it still finds its own results first on every channel.
+        """
         outs: "List[np.ndarray]" = []
         timings: "List[TaskTiming]" = []
-        for handle, span in zip(handles, send_spans):
-            while True:
-                try:
-                    message = handle.channel.recv()
-                except OSError:  # EOF, timeout (TransportClosed) or reset
-                    raise DeviceDead(
-                        handle.task.device_name,
-                        f"worker {handle.worker_id} connection lost",
-                    ) from None
-                if getattr(message, "epoch", epoch) < epoch:
-                    continue  # stale result from before a repartition
-                break
+        failed: "Optional[WorkerError]" = None
+        for handle, span in zip(sent.handles, sent.send_spans):
+            message = self._recv_result(handle, sent)
             recv_end = self._now()
             if isinstance(message, WorkerError):
-                raise RuntimeError(
-                    f"worker {message.worker_id} failed task "
-                    f"{message.task_id}: {message.message}"
-                )
-            assert isinstance(message, TileResult)
+                failed = failed or message
+                continue
             outs.append(message.tile)
             timings.append(
                 TaskTiming(
@@ -355,10 +380,43 @@ class TcpTransport(Transport):
                     self.stats.worker_compute_s.get(handle.worker_id, 0.0)
                     + message.compute_s
                 )
+        if failed is not None:
+            raise RuntimeError(
+                f"worker {failed.worker_id} failed task "
+                f"{failed.task_id}: {failed.message}"
+            )
         outs = self.materialise_outputs(
-            stage_index, tuple(h.task for h in handles), outs
+            sent.stage_index, tuple(h.task for h in sent.handles), outs
         )
-        return outs, StageTrace(entry, entry, self._now(), tuple(timings))
+        return outs, StageTrace(sent.entry, sent.entry, self._now(), tuple(timings))
+
+    @staticmethod
+    def _recv_result(handle: _WorkerHandle, sent: "_Dispatched"):
+        """The worker's reply to ``sent``, matched by ``(task_id, epoch)``:
+        replies from before a repartition are skipped; a reply of the
+        current epoch for another frame is a protocol error."""
+        while True:
+            try:
+                message = handle.channel.recv()
+            except OSError:  # EOF, timeout (TransportClosed) or reset
+                raise DeviceDead(
+                    handle.task.device_name,
+                    f"worker {handle.worker_id} connection lost",
+                ) from None
+            if not isinstance(message, (TileResult, WorkerError)):
+                raise RuntimeError(
+                    f"worker {handle.worker_id} sent "
+                    f"{type(message).__name__} where a result was due"
+                )
+            if message.epoch < sent.epoch:
+                continue  # stale result from before a repartition
+            if message.epoch == sent.epoch and message.task_id == sent.frame:
+                return message
+            raise RuntimeError(
+                f"worker {handle.worker_id} returned frame "
+                f"{message.task_id} (epoch {message.epoch}) while frame "
+                f"{sent.frame} (epoch {sent.epoch}) was collected"
+            )
 
     def materialise_outputs(
         self,
@@ -559,7 +617,7 @@ class DistributedPipeline:
     or ``"shm"`` (shared-memory slot rings, zero-copy on the same
     host).  Either way the frames ride the shared
     :class:`~repro.runtime.scheduler.StageScheduler` — one thread per
-    stage, every stage through the ``execute_stage`` fault ladder.
+    stage, every stage through the ``collect_stage`` fault ladder.
 
     ``trace`` follows the shared contract (``Tracer | bool | None``,
     see :func:`~repro.runtime.trace.coerce_tracer`): per-frame

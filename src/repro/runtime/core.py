@@ -64,6 +64,9 @@ __all__ = [
     "Transport",
     "InProcTransport",
     "SimTransport",
+    "StageWork",
+    "collect_stage",
+    "dispatch_stage",
     "emit_stage_trace",
     "execute_stage",
     "execute_stage_batch",
@@ -94,9 +97,16 @@ class Transport(ABC):
     """Carries one stage's tiles to compute sites and back.
 
     A transport is bound to a :class:`PlanProgram` via :meth:`open`.
-    :meth:`run_tasks` receives the per-task input tiles (split by the
-    core, in task order) and returns the per-task output tiles plus the
-    stage's :class:`StageTrace` under this backend's clock.
+    :meth:`dispatch` receives the per-task input tiles (split by the
+    core, in task order) and returns a handle; :meth:`collect` turns the
+    handle into the per-task output tiles plus the stage's
+    :class:`StageTrace` under this backend's clock.  Between the two
+    the tasks run, so a stage can dispatch its next frame before it
+    collects this one (:class:`~repro.runtime.scheduler.StageScheduler`
+    does).  The default split is lazy — :meth:`dispatch` only records
+    the tiles and :meth:`collect` runs :meth:`run_tasks` — which is all
+    an in-process backend implements; a backend with workers of its own
+    overrides both halves, and :meth:`run_tasks` is ``collect(dispatch())``.
 
     The base class also owns the backend-agnostic half of the
     fault-tolerance state: a :class:`~repro.runtime.faults.RuntimeConfig`
@@ -169,6 +179,20 @@ class Transport(ABC):
         frame: int,
     ) -> "Tuple[List[np.ndarray], StageTrace]":
         """Execute the stage's tasks on their input tiles."""
+
+    def dispatch(
+        self,
+        stage_index: int,
+        tiles: "Sequence[np.ndarray]",
+        frame: int,
+    ):
+        """Start the stage's current tasks on their input tiles; the
+        returned handle is :meth:`collect`'s to finish, exactly once."""
+        return stage_index, tiles, frame
+
+    def collect(self, handle) -> "Tuple[List[np.ndarray], StageTrace]":
+        """Wait for a :meth:`dispatch`'s results."""
+        return self.run_tasks(*handle)
 
     # -- failure detection & recovery ----------------------------------
     def clock(self) -> float:
@@ -251,6 +275,80 @@ class Transport(ABC):
         return 0.0
 
 
+class StageWork:
+    """One frame (or stacked batch) at one stage, dispatched or not yet.
+
+    What a stage holds between :func:`dispatch_stage` and
+    :func:`collect_stage`: the stage input (kept, so a repartition can
+    re-split it), the task set its tiles were cut for, the tiles, and
+    the transport's handle — or the exception the dispatch raised, which
+    is re-raised into the frame's own fault ladder when it is collected.
+    """
+
+    __slots__ = ("x", "frames", "tasks", "tiles", "handle")
+
+    def __init__(self, x: "Optional[np.ndarray]", frames: "Sequence[int]") -> None:
+        self.x = x
+        self.frames = tuple(frames)
+        self.tasks: "Optional[Tuple[TaskSpec, ...]]" = None
+        self.tiles: "Optional[List[np.ndarray]]" = None
+        self.handle = None
+
+    def dispatched_for(self, tasks: "Sequence[TaskSpec]") -> bool:
+        """Is a dispatch outstanding for exactly this task set?  (A
+        repartition replaces the task objects, so identity suffices.)"""
+        mine = self.tasks
+        return (
+            self.handle is not None
+            and mine is not None
+            and len(mine) == len(tasks)
+            and all(a is b for a, b in zip(mine, tasks))
+        )
+
+
+def _ensure_dispatched(
+    transport: Transport, stage_index: int, work: StageWork
+) -> None:
+    """Unless ``work`` is out for the current task set already, split
+    its input for that set and send it."""
+    tasks = transport.stage_tasks(stage_index)
+    if work.dispatched_for(tasks):
+        return
+    work.handle = None
+    work.tasks = tasks
+    work.tiles = split_stage(tasks, work.x)
+    work.handle = transport.dispatch(stage_index, work.tiles, work.frames[0])
+
+
+def dispatch_stage(
+    transport: Transport,
+    stage_index: int,
+    work: StageWork,
+    config: "Optional[RuntimeConfig]" = None,
+    repair: bool = True,
+) -> None:
+    """Send ``work``'s tiles now, unless they are out for the current
+    task set already; :func:`collect_stage` finishes it.
+
+    Never raises: a failure is kept on ``work`` for its own frame's
+    fault ladder.  ``repair=False`` is for a frame dispatched *ahead* of
+    one still outstanding at the stage: a repartition would re-send the
+    outstanding frame behind this one, and a channel returns results in
+    the order it got tasks, so a stage that needs one leaves ``work``
+    undispatched until the outstanding frame is collected.
+    """
+    if not transport.compute:
+        return
+    try:
+        if config is not None and transport.needs_repartition(stage_index):
+            if not repair:
+                return
+            transport.repartition(stage_index)
+        _ensure_dispatched(transport, stage_index, work)
+    except Exception as exc:  # noqa: BLE001 - raised again on collect
+        work.handle = exc
+
+
 def execute_stage(
     transport: Transport,
     program: PlanProgram,
@@ -262,7 +360,8 @@ def execute_stage(
 ) -> np.ndarray:
     """Run one stage of one frame through a transport.
 
-    The single split → compute → stitch path shared by every backend.
+    The single split → compute → stitch path shared by every backend
+    (:func:`collect_stage` of an undispatched :class:`StageWork`).
     Trace events are emitted in canonical order — enqueue, then per
     task (in task order) send/compute/recv — so event *ordering* is
     deterministic for any backend; only timestamps differ.
@@ -275,8 +374,8 @@ def execute_stage(
     config (the default) failures propagate untouched — the exact
     legacy path.
     """
-    return _execute_stage(
-        transport, program, stage_index, x, (frame,), tracer, config
+    return collect_stage(
+        transport, program, stage_index, StageWork(x, (frame,)), tracer, config
     )
 
 
@@ -314,24 +413,31 @@ def execute_stage_batch(
         )
     if not frames:
         raise ValueError("batch needs at least one frame")
-    return _execute_stage(
-        transport, program, stage_index, x, tuple(frames), tracer, config
+    return collect_stage(
+        transport, program, stage_index, StageWork(x, frames), tracer, config
     )
 
 
-def _execute_stage(
+def collect_stage(
     transport: Transport,
     program: PlanProgram,
     stage_index: int,
-    x: np.ndarray,
-    frames: "Tuple[int, ...]",
-    tracer: Optional[Tracer],
-    config: "Optional[RuntimeConfig]",
-) -> np.ndarray:
-    """The shared single-frame / batched fault ladder."""
-    frame = frames[0]
+    work: StageWork,
+    tracer: Optional[Tracer] = None,
+    config: "Optional[RuntimeConfig]" = None,
+) -> "Optional[np.ndarray]":
+    """Finish one stage of ``work`` — the shared single-frame / batched
+    fault ladder.
+
+    ``work`` may have been dispatched already (:func:`dispatch_stage`);
+    if its tiles went out for a task set a repartition has since
+    replaced, they are re-split and re-sent (the stale results are the
+    transport's to skip), and a failure its dispatch kept is raised
+    here, into this frame's ladder.
+    """
+    frame = work.frames[0]
     if config is None:
-        return _attempt_stage(transport, program, stage_index, x, frames, tracer)
+        return _attempt_stage(transport, program, stage_index, work, tracer)
     attempt = 0
     while True:
         try:
@@ -339,9 +445,7 @@ def _execute_stage(
                 # Another stage (or tenant) already declared a death;
                 # repair proactively instead of failing the send.
                 transport.repartition(stage_index)
-            return _attempt_stage(
-                transport, program, stage_index, x, frames, tracer
-            )
+            return _attempt_stage(transport, program, stage_index, work, tracer)
         except TransientTaskError as exc:
             if attempt >= config.max_retries:
                 raise StageFailure(
@@ -380,21 +484,22 @@ def _attempt_stage(
     transport: Transport,
     program: PlanProgram,
     stage_index: int,
-    x: "Optional[np.ndarray]",
-    frames: "Tuple[int, ...]",
+    work: StageWork,
     tracer: Optional[Tracer] = None,
 ) -> "Optional[np.ndarray]":
-    """One split → compute → stitch attempt (the legacy hot path).
+    """One split → compute → stitch attempt (the hot path).
 
-    ``frames`` has one id for a single-frame map, several for a batched
-    ``(C, B, H, W)`` input — the split/compute/stitch calls are
-    identical either way; only trace emission fans out per frame.
+    ``work.frames`` has one id for a single-frame map, several for a
+    batched ``(C, B, H, W)`` input — the split/compute/stitch calls are
+    identical either way; only trace emission fans out per frame.  The
+    handle is collected once: a retry dispatches afresh.
 
     A timing-only transport (``compute`` false) has no tensors to
     split, run or stitch: the stage is charged to its clock, the trace
     reports the tile sizes the compiled IR predicts, and nothing flows
     to the next stage.
     """
+    frames = work.frames
     if not transport.compute:
         st = transport.charge(
             stage_index, frames[0], len(frames), timed=tracer is not None
@@ -403,12 +508,13 @@ def _attempt_stage(
             tasks = transport.stage_tasks(stage_index)
             emit_stage_trace(tracer, frames, stage_index, tasks, None, None, st)
         return None
-    stage = transport.current_stage(stage_index)
-    tasks = transport.stage_tasks(stage_index)
-    tiles = split_stage(tasks, x)
-    outs, st = transport.run_tasks(stage_index, tiles, frames[0])
-    emit_stage_trace(tracer, frames, stage_index, tasks, tiles, outs, st)
-    return stitch_stage(stage, tasks, outs)
+    _ensure_dispatched(transport, stage_index, work)
+    handle, work.handle = work.handle, None
+    if isinstance(handle, BaseException):
+        raise handle
+    outs, st = transport.collect(handle)
+    emit_stage_trace(tracer, frames, stage_index, work.tasks, work.tiles, outs, st)
+    return stitch_stage(transport.current_stage(stage_index), work.tasks, outs)
 
 
 def emit_stage_trace(
@@ -913,14 +1019,16 @@ class PipelineSession:
         """
         while True:
             self.transport.begin_frame(ids[0], at)
-            out = x0
+            # One StageWork walks every stage: a collected stage leaves
+            # it undispatched, and its output is the next stage's input.
+            work = StageWork(x0, ids)
             try:
                 for index in range(self.program.n_stages):
-                    out = _execute_stage(
-                        self.transport, self.program, index, out, ids,
+                    work.x = collect_stage(
+                        self.transport, self.program, index, work,
                         self.tracer, self.config,
                     )
-                return out
+                return work.x
             except StageFailure:
                 if not self._can_replan() or not self._adopt_replan(ids[0]):
                     raise

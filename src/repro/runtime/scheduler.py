@@ -2,20 +2,29 @@
 
 :class:`StageScheduler` is the single owner of frames in flight on
 wall-clock transports (in-process, TCP, shared memory).  Each stage of
-the compiled plan gets one thread that takes a frame from its input
-queue, serves it through the shared
-:func:`~repro.runtime.core.execute_stage` path — fault ladder and trace
-emission included — and hands the output map to the next stage through
-a single-slot queue, so every stage holds at most one frame (or one
-cross-frame batch) and different stages overlap freely.  The blocking
-:meth:`~repro.runtime.core.Transport.run_tasks` is all it asks of a
-transport, which is why one design serves backends with sockets and
-backends without.
+the compiled plan gets one thread.  It takes a frame from its input
+queue and dispatches it (:func:`~repro.runtime.core.dispatch_stage`);
+if another frame is already queued it dispatches that one too, *ahead*,
+then collects the first through the shared fault ladder
+(:func:`~repro.runtime.core.collect_stage`, trace emission included)
+and hands the output map to the next stage through a single-slot
+queue.  So a stage holds at most two frames (or cross-frame batches):
+the one it collects and the one whose tiles already wait at its
+workers, which start on it the moment they finish the first — the
+period is the slowest stage's compute, not compute plus the
+coordinator's turn.  Different stages overlap freely.  A transport
+without workers of its own dispatches lazily
+(:meth:`~repro.runtime.core.Transport.dispatch`), which is why one
+design serves backends with sockets and backends without.
+
+Admission counts frames in the system: with ``capacity`` set,
+:meth:`StageScheduler.submit` holds one permit per frame from submit
+until its result is delivered.
 
 Two clients sit on top: :class:`~repro.serve.server.PipelineServer`
-(bounded entry queue, admission policy, arrival pacing, frame records)
-and :class:`~repro.runtime.coordinator.DistributedPipeline` (unbounded
-entry queue, submit/collect).
+(bounded admission, policy, arrival pacing, frame records) and
+:class:`~repro.runtime.coordinator.DistributedPipeline` (unbounded,
+submit/collect; its client's window bounds it).
 """
 
 from __future__ import annotations
@@ -27,7 +36,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.core import Transport, execute_stage, execute_stage_batch
+from repro.runtime.core import (
+    StageWork,
+    Transport,
+    collect_stage,
+    dispatch_stage,
+)
 from repro.runtime.faults import RuntimeConfig
 from repro.runtime.program import PlanProgram, stack_frames, unstack_frames
 from repro.runtime.trace import Tracer
@@ -41,21 +55,24 @@ class StageScheduler:
     """Walk frames through a program's stages, one thread per stage.
 
     Threads start with the object.  :meth:`submit` feeds the entry
-    queue (``entry_capacity`` bounds it; ``0`` = unbounded); every
-    submitted frame ends as exactly one
-    ``(frame, output, error, batch, done_at)`` tuple on :attr:`results`
-    — ``output`` is the final feature map, or ``None`` with the
-    exception that a stage raised past the fault ladder in ``error``;
-    ``batch`` is the size of the cross-frame batch the frame rode in;
-    ``done_at`` is the transport clock when the last stage finished.
-    :meth:`close` lets the frames already submitted finish, then stops
-    the threads; :meth:`drain` also hands out what is left on
-    :attr:`results`.
+    queue; ``capacity`` bounds the frames submitted and not yet
+    delivered (``0`` = unbounded).  Every submitted frame ends as
+    exactly one ``(frame, output, error, batch, done_at)`` tuple on
+    :attr:`results` — ``output`` is the final feature map, or ``None``
+    with the exception that a stage raised past the fault ladder in
+    ``error``; ``batch`` is the size of the cross-frame batch the frame
+    rode in; ``done_at`` is the transport clock when the last stage
+    finished.  :meth:`close` lets the frames already submitted finish,
+    then stops the threads; :meth:`drain` also hands out what is left
+    on :attr:`results`.
 
-    With ``max_batch > 1`` the entry stage coalesces queued frames into
-    a ``(C, B, H, W)`` batch (holding the window open ``batch_timeout``
-    seconds for stragglers) that traverses every stage as one unit; a
-    singleton batch takes the exact per-frame path.
+    Every stage dispatches one frame ahead of the one it collects
+    (see the module docstring), except a batching entrance: with
+    ``max_batch > 1`` the entry stage coalesces queued frames into a
+    ``(C, B, H, W)`` batch (holding the window open ``batch_timeout``
+    seconds for stragglers) that traverses every stage as one unit, and
+    forms it only when it is free — a batch formed ahead would close
+    the window early.  A singleton batch takes the exact per-frame path.
     """
 
     def __init__(
@@ -65,7 +82,7 @@ class StageScheduler:
         tracer: Optional[Tracer] = None,
         config: "Optional[RuntimeConfig]" = None,
         *,
-        entry_capacity: int = 0,
+        capacity: int = 0,
         max_batch: int = 1,
         batch_timeout: float = 0.0,
     ) -> None:
@@ -76,11 +93,13 @@ class StageScheduler:
         self.max_batch = max_batch
         self.batch_timeout = batch_timeout
         n_stages = program.n_stages
-        # One frame per stage slot: only the entry queue holds a backlog.
-        self._queues: "List[queue.Queue]" = [queue.Queue(maxsize=entry_capacity)]
+        self._admit = threading.BoundedSemaphore(capacity) if capacity else None
+        # Hand-offs hold one frame: a stage's backlog is the frame it
+        # collects, the one it dispatched ahead and one in its queue.
+        self._queues: "List[queue.Queue]" = [queue.Queue()]
         self._queues += [queue.Queue(maxsize=1) for _ in range(n_stages - 1)]
         self.results: "queue.Queue" = queue.Queue()
-        self._serving: "List[Tuple[int, ...]]" = [()] * n_stages
+        self._serving: "List[Tuple[Tuple[int, ...], ...]]" = [()] * n_stages
         self._closed = False
         self._threads = [
             threading.Thread(
@@ -95,18 +114,21 @@ class StageScheduler:
     def submit(self, frame: int, x: np.ndarray, block: bool = True) -> bool:
         """Queue one frame at the pipeline entrance.
 
-        With ``block=False`` a full entry queue refuses the frame and
-        the call returns ``False`` (the caller sheds it).
+        With a ``capacity`` the call waits for the frame count to fall
+        below it; with ``block=False`` it refuses the frame instead and
+        returns ``False`` (the caller sheds it).
         """
-        try:
-            self._queues[0].put(((frame,), x, None), block=block)
-        except queue.Full:
+        if self._admit is not None and not self._admit.acquire(blocking=block):
             return False
+        self._queues[0].put(((frame,), x, None))
         return True
 
     def in_flight(self) -> "List[Tuple[int, Tuple[int, ...]]]":
-        """``(stage, frames)`` for every stage serving something now."""
-        return [(s, fids) for s, fids in enumerate(self._serving) if fids]
+        """``(stage, frames)`` for every frame (or batch) a stage holds
+        now: the one it collects, then the one dispatched ahead."""
+        return [
+            (s, fids) for s, held in enumerate(self._serving) for fids in held
+        ]
 
     def close(self, timeout: Optional[float] = None) -> None:
         """Finish the submitted frames and stop the stage threads.
@@ -159,39 +181,76 @@ class StageScheduler:
         fids = tuple(fid for (fid,), _, _ in items)
         return (fids, stack_frames([x for _, x, _ in items]), None), stop
 
+    @staticmethod
+    def _take_queued(in_q: "queue.Queue"):
+        """The next item if one is queued already: ``(item, stop)``."""
+        try:
+            item = in_q.get_nowait()
+        except queue.Empty:
+            return None, False
+        if item is _SENTINEL:
+            return None, True
+        return item, False
+
     def _run_stage(self, stage_index: int) -> None:
         in_q = self._queues[stage_index]
         last = stage_index + 1 == self.program.n_stages
         out_q = None if last else self._queues[stage_index + 1]
         limit = self.max_batch if stage_index == 0 else 1
-        stop = False
-        while not stop:
-            item, stop = self._take(in_q, limit)
-            if item is None:
-                break
-            fids, x, error = item
-            if error is None:  # else it failed upstream: forward its fate
-                self._serving[stage_index] = fids
-                try:
-                    if len(fids) == 1:
-                        x = execute_stage(
-                            self.transport, self.program, stage_index, x,
-                            fids[0], self.tracer, self.config,
-                        )
-                    else:
-                        x = execute_stage_batch(
-                            self.transport, self.program, stage_index, x,
-                            fids, self.tracer, self.config,
-                        )
-                except Exception as exc:  # noqa: BLE001 - fate recorded
-                    x, error = None, exc
-                self._serving[stage_index] = ()
-            if last:
-                self._deliver(fids, x, error)
-            else:
-                out_q.put((fids, x, error))
+        current, stop = None, False
+        while True:
+            if current is None:
+                if stop:
+                    break
+                item, stop = self._take(in_q, limit)
+                if item is None:
+                    break
+                current = self._hold(stage_index, item)
+            # (Re-)dispatch unless its tiles are out for the current
+            # task set — a repartition while collecting the frame
+            # before makes them stale — and only then send the next.
+            self._dispatch(stage_index, current, repair=True)
+            ahead = None
+            if limit == 1 and not stop:  # a batching entrance waits until free
+                item, stop = self._take_queued(in_q)
+                if item is not None:
+                    ahead = self._hold(stage_index, item)
+                    self._dispatch(stage_index, ahead, repair=False)
+            self._finish(stage_index, current, last, out_q)
+            current = ahead
         if not last:
             out_q.put(_SENTINEL)
+
+    def _hold(self, stage_index: int, item):
+        """``(frames, work, error)`` for a taken item; ``work`` is
+        ``None`` for a frame that failed upstream (its fate forwards)."""
+        fids, x, error = item
+        if error is not None:
+            return fids, None, error
+        self._serving[stage_index] += (fids,)
+        return fids, StageWork(x, fids), None
+
+    def _dispatch(self, stage_index: int, held, repair: bool) -> None:
+        work = held[1]
+        if work is not None:
+            dispatch_stage(self.transport, stage_index, work, self.config, repair)
+
+    def _finish(self, stage_index: int, held, last: bool, out_q) -> None:
+        fids, work, error = held
+        x = None
+        if work is not None:
+            try:
+                x = collect_stage(
+                    self.transport, self.program, stage_index, work,
+                    self.tracer, self.config,
+                )
+            except Exception as exc:  # noqa: BLE001 - fate recorded
+                error = exc
+            self._serving[stage_index] = self._serving[stage_index][1:]
+        if last:
+            self._deliver(fids, x, error)
+        else:
+            out_q.put((fids, x, error))
 
     def _deliver(self, fids, x, error) -> None:
         now = self.transport.clock()
@@ -203,3 +262,5 @@ class StageScheduler:
             outs = unstack_frames(x)
         for fid, out in zip(fids, outs):
             self.results.put((fid, out, error, len(fids), now))
+            if self._admit is not None:
+                self._admit.release()

@@ -2,8 +2,8 @@
 
 :class:`PipelineServer` is the serving layer on top of the runtime
 core: it admits frames from an arrival process into a bounded queue and
-keeps multiple frames in flight across the pipeline stages — one frame
-per stage slot — so steady-state throughput approaches ``1/period``
+keeps multiple frames in flight across the pipeline stages, so
+steady-state throughput approaches ``1/period``
 instead of the frame-at-a-time ``1/latency``.  A full queue triggers
 *backpressure* (``policy="block"``: admission waits for a slot) or
 *load shedding* (``policy="shed"``: the frame is rejected and reported).
@@ -19,8 +19,10 @@ Two execution strategies, selected by the transport's clock:
 * **wall-clock transports** (:class:`~repro.runtime.core.InProcTransport`,
   the TCP and shared-memory backends) are handed to the runtime's
   :class:`~repro.runtime.scheduler.StageScheduler` — one thread per
-  stage with single-slot hand-off queues, so the frames genuinely
-  overlap; the server adds pacing, admission and the records.
+  stage, each dispatching one frame ahead of the one it collects, with
+  single-slot hand-off queues, so the frames genuinely overlap; the
+  server adds pacing, admission (``queue_capacity`` counts every frame
+  from admission to delivery) and the records.
 * **virtual-clock transports** (:class:`~repro.runtime.core.SimTransport`)
   are driven serially in arrival order; the transport's per-stage
   ``stage_free`` recurrence ``C(n, s) = max(C(n, s-1), C(n-1, s)) + d_s``
@@ -33,13 +35,13 @@ With ``max_batch > 1`` both paths additionally *micro-batch*: frames
 queued at the pipeline entrance coalesce into a ``(C, B, H, W)``
 cross-frame batch (up to ``max_batch``, holding the window open
 ``batch_timeout`` seconds for stragglers) that traverses every stage
-as one unit via :func:`~repro.runtime.core.execute_stage_batch` — one
+as one unit — one
 batched kernel pass per stage, amortising per-frame dispatch and
 panel-packing overhead.  Batched outputs are bit-identical to the
 per-frame loop, and the virtual server replays the same formation
 policy analytically.
 
-Both paths run the shared :func:`~repro.runtime.core.execute_stage`
+Both paths run the shared :func:`~repro.runtime.core.collect_stage`
 split/compute/stitch, so served outputs stay bit-identical to
 frame-at-a-time runs, and the PR-4 fault ladder (retry → repartition →
 replan → degrade) applies per stage with frames in flight.  Every
@@ -77,14 +79,15 @@ class ServerConfig:
     """Admission-control knobs of a :class:`PipelineServer`.
 
     ``queue_capacity`` bounds the frames concurrently *in the system*
-    (waiting plus in service — the M/D/1/K convention), so it should
-    exceed the plan's stage count for pipelining to reach full depth.
-    ``policy`` picks what happens at the bound: ``"shed"`` rejects the
-    arrival (recorded, never executed), ``"block"`` delays admission
-    until a slot frees (closed-loop backpressure).  ``max_in_flight``
-    further caps concurrently *served* frames on the virtual path
-    (``1`` reproduces the frame-at-a-time baseline); the threaded path
-    is structurally capped at one frame per stage slot.
+    (waiting plus in service — the M/D/1/K convention) on both paths,
+    so it should exceed the plan's stage count for pipelining to reach
+    full depth.  ``policy`` picks what happens at the bound: ``"shed"``
+    rejects the arrival (recorded, never executed), ``"block"`` delays
+    admission until a slot frees (closed-loop backpressure).
+    ``max_in_flight`` further caps concurrently *served* frames on the
+    virtual path (``1`` reproduces the frame-at-a-time baseline); on
+    the threaded path a stage serves at most two frames, the one it
+    collects and the one it dispatched ahead.
 
     ``max_batch`` turns on cross-frame micro-batching: frames queued at
     the pipeline entrance coalesce into a ``(C, B, H, W)`` batch of up
@@ -554,7 +557,7 @@ class PipelineServer:
         transport = self.transport
         scheduler = StageScheduler(
             self.program, transport, self.tracer, self.runtime_config,
-            entry_capacity=cfg.queue_capacity,
+            capacity=cfg.queue_capacity,
             max_batch=cfg.max_batch, batch_timeout=cfg.batch_timeout,
         )
         pending: "Dict[int, Dict]" = {}  # fid -> {arrival, admitted_at, x0}

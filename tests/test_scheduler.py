@@ -160,13 +160,13 @@ def test_collect_timeout_names_frame_and_stage(model, weights):
         with pytest.raises(TimeoutError, match="being served: none"):
             pipe.collect(timeout_s=0.05)
         gate = threading.Event()
-        run_tasks = pipe.transport.run_tasks
+        collect = pipe.transport.collect
 
-        def stalled(stage_index, tiles, frame):
+        def stalled(handle):
             gate.wait()
-            return run_tasks(stage_index, tiles, frame)
+            return collect(handle)
 
-        pipe.transport.run_tasks = stalled
+        pipe.transport.collect = stalled
         task_id = pipe.submit(make_inputs(model, 1)[0])
         with pytest.raises(TimeoutError, match=r"frame 0 at stage 0"):
             pipe.collect(timeout_s=0.3)
@@ -202,3 +202,54 @@ def test_pool_warmed_before_fork_does_not_wedge_workers(transport):
         parallel.set_threads(None)
     for out, ref in zip(outs, refs):
         np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
+
+
+@pytest.mark.parametrize("transport", ["tcp", "shm"])
+def test_next_frame_is_sent_before_this_one_is_received(
+    model, weights, transport
+):
+    """With frames queued, a stage dispatches frame f+1 before it
+    collects frame f: f+1's ``send`` starts before f's ``recv`` ends,
+    and ``in_flight()`` lists both frames at the stage."""
+    plan = PicoScheme().plan(model, heterogeneous_cluster([1200, 1000]), NET)
+    xs = make_inputs(model, 4)
+    with DistributedPipeline(
+        model, plan, weights=weights, transport=transport, trace=True
+    ) as pipe:
+        submitted, seen = threading.Event(), []
+        dispatch, collect = pipe.transport.dispatch, pipe.transport.collect
+
+        def gated_dispatch(stage_index, tiles, frame):
+            if stage_index == 0 and frame == 0:
+                submitted.wait(10.0)  # frames 1.. queue behind frame 0
+            return dispatch(stage_index, tiles, frame)
+
+        def watched_collect(sent):
+            if sent.stage_index == 0 and sent.frame == 0:
+                seen.extend(pipe._scheduler.in_flight())
+            return collect(sent)
+
+        pipe.transport.dispatch = gated_dispatch
+        pipe.transport.collect = watched_collect
+        ids = [pipe.submit(x) for x in xs]
+        submitted.set()
+        outs = dict(pipe.collect() for _ in ids)
+        trace = pipe.trace
+    assert seen[:2] == [(0, (0,)), (0, (1,))]
+    engine = Engine(model, weights)
+    for i, x in zip(ids, xs):
+        assert np.array_equal(outs[i], engine.forward_features(x))
+    for stage in range(plan.n_stages):
+        starts = {
+            f: min(e.start for e in trace
+                   if (e.kind, e.frame, e.stage) == ("send", f, stage))
+            for f in ids
+        }
+        ends = {
+            f: max(e.end for e in trace
+                   if (e.kind, e.frame, e.stage) == ("recv", f, stage))
+            for f in ids
+        }
+        if stage == 0:  # the frames were queued: each went out ahead
+            assert all(starts[f + 1] < ends[f] for f in ids[:-1])
+        assert all(starts[f] < ends[f] for f in ids)

@@ -15,6 +15,9 @@ The serving layer's contract, from three angles:
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -596,6 +599,72 @@ class TestTransportBackpressure:
         server.close()
         assert [r.frame for r in result.shed] == [0]
         assert len(result.completed) == 2
+
+
+# ---------------------------------------------------------------------------
+# Threaded admission counts frames in the system
+# ---------------------------------------------------------------------------
+
+
+class _AdmissionSpy(InProcTransport):
+    """Counts the frames between their first dispatch at stage 0 and
+    the end of their last stage (a lower bound on the frames admitted
+    and not yet delivered); every stage takes ``delay`` seconds."""
+
+    def __init__(self, engine, last_stage, delay=0.004):
+        super().__init__(engine)
+        self.last_stage = last_stage
+        self.delay = delay
+        self.held = self.peak = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _frames(tiles):
+        return tiles[0].shape[1] if tiles[0].ndim == 4 else 1
+
+    def dispatch(self, stage_index, tiles, frame):
+        if stage_index == 0:
+            with self._lock:
+                self.held += self._frames(tiles)
+                self.peak = max(self.peak, self.held)
+        return super().dispatch(stage_index, tiles, frame)
+
+    def run_tasks(self, stage_index, tiles, frame):
+        time.sleep(self.delay)
+        result = super().run_tasks(stage_index, tiles, frame)
+        if stage_index == self.last_stage:
+            with self._lock:
+                self.held -= self._frames(tiles)
+        return result
+
+
+class TestThreadedAdmission:
+    @pytest.mark.parametrize("max_batch", [1, 2])
+    @pytest.mark.parametrize("policy", ["block", "shed"])
+    def test_queue_capacity_bounds_frames_in_the_system(
+        self, model, weights, program, policy, max_batch
+    ):
+        """However many frames the stages hold (each dispatches one
+        ahead), admitted-but-undelivered frames never exceed
+        ``queue_capacity``: the stages cannot add to the bound."""
+        capacity = 3
+        assert program.n_stages >= 2
+        spy = _AdmissionSpy(Engine(model, weights), program.n_stages - 1)
+        server = PipelineServer(
+            program, spy,
+            ServerConfig(queue_capacity=capacity, policy=policy,
+                         max_batch=max_batch),
+        )
+        result = server.serve(12, arrivals=[0.0] * 12)
+        server.close()
+        assert 1 <= spy.peak <= capacity
+        assert spy.held == 0
+        assert sorted(r.frame for r in result.records) == list(range(12))
+        assert not result.failed
+        if policy == "block":
+            assert len(result.completed) == 12
+        else:  # a burst of 12 into 3 places sheds
+            assert result.shed and len(result.completed) >= capacity
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ wedged ones included.
 
 from __future__ import annotations
 
+import glob
 import multiprocessing as mp
 import os
 import signal
@@ -29,6 +30,8 @@ from repro.runtime.coordinator import (
     _WorkerHandle,
 )
 from repro.runtime.faults import DeviceDead, FaultSchedule, RuntimeConfig
+from repro.runtime.messages import TileResult, WorkerError
+from repro.runtime.shm import SHM_PREFIX
 from repro.runtime.program import compile_plan
 from repro.runtime.trace import RECOVERY_KINDS
 from repro.schemes.early_fused import EarlyFusedScheme
@@ -88,6 +91,80 @@ def test_reset_on_recv_is_device_dead(small_model, hetero4):
     with pytest.raises(DeviceDead) as err:
         transport.run_tasks(0, [tile], 0)
     assert err.value.device == task.device_name
+
+
+class _ScriptedChannel:
+    """A worker channel that replies from a script, whatever was sent."""
+
+    def __init__(self, replies) -> None:
+        self.replies = list(replies)
+        self.sent = []
+
+    def send(self, message) -> None:
+        self.sent.append(message)
+
+    def recv(self):
+        return self.replies.pop(0)
+
+
+def _scripted_transport(small_model, hetero4, scripts, epoch=0):
+    """A one-stage tcp transport whose workers are ``scripts``."""
+    plan = PicoScheme().plan(small_model, hetero4, NET)
+    task = compile_plan(small_model, plan).stages[0].tasks[0]
+    transport = TcpTransport(small_model)
+    transport._epochs = [epoch]
+    channels = [_ScriptedChannel(script) for script in scripts]
+    transport.bind_stage(0, [
+        _WorkerHandle(i, None, task, 0, channel)
+        for i, channel in enumerate(channels)
+    ])
+    return transport, channels
+
+
+def _tile(value: float) -> np.ndarray:
+    return np.full((2, 2, 2), value, dtype=np.float32)
+
+
+def test_stale_epoch_result_is_skipped(small_model, hetero4):
+    """A reply from before a repartition is read past, never returned
+    as the frame's result."""
+    transport, _ = _scripted_transport(small_model, hetero4, [[
+        TileResult(0, 0, _tile(1.0), 0.0, epoch=0),
+        TileResult(0, 0, _tile(2.0), 0.0, epoch=1),
+    ]], epoch=1)
+    outs, _ = transport.collect(transport.dispatch(0, [_tile(0.0)], 0))
+    assert np.array_equal(outs[0], _tile(2.0))
+
+
+def test_result_of_the_frame_ahead_is_rejected(small_model, hetero4):
+    """Frame 1's reply while frame 0 is collected is a protocol error:
+    results are matched by (task id, epoch), never by arrival order."""
+    transport, _ = _scripted_transport(small_model, hetero4, [[
+        TileResult(1, 0, _tile(1.0), 0.0, epoch=0),
+    ]])
+    first = transport.dispatch(0, [_tile(0.0)], 0)
+    transport.dispatch(0, [_tile(0.0)], 1)
+    with pytest.raises(RuntimeError, match="returned frame 1 .* while frame 0"):
+        transport.collect(first)
+
+
+def test_worker_error_fails_its_frame_alone(small_model, hetero4):
+    """A WorkerError on frame 0 fails frame 0 after the other worker's
+    frame-0 result is read, so frame 1 — dispatched ahead — still
+    collects its own results on both channels."""
+    transport, channels = _scripted_transport(small_model, hetero4, [
+        [WorkerError(0, 0, "boom"), TileResult(1, 0, _tile(1.0), 0.0)],
+        [TileResult(0, 1, _tile(5.0), 0.0), TileResult(1, 1, _tile(6.0), 0.0)],
+    ])
+    tiles = [_tile(0.0), _tile(0.0)]
+    first = transport.dispatch(0, tiles, 0)
+    ahead = transport.dispatch(0, tiles, 1)
+    assert [m.task_id for m in channels[0].sent] == [0, 1]
+    with pytest.raises(RuntimeError, match="worker 0 failed task 0: boom"):
+        transport.collect(first)
+    outs, _ = transport.collect(ahead)
+    assert np.array_equal(outs[0], _tile(1.0))
+    assert np.array_equal(outs[1], _tile(6.0))
 
 
 @pytest.mark.parametrize(
@@ -247,3 +324,66 @@ def test_scheduled_delay_stretches_the_worker_compute(
         if e.kind == "compute" and e.device == slow and e.stage == 0
     }
     assert spans[1] >= 0.3 > spans[0]
+
+
+@pytest.mark.parametrize("sig", ["SIGKILL", "SIGSTOP"])
+@pytest.mark.parametrize("transport", ["tcp", "shm"])
+def test_worker_lost_with_a_frame_dispatched_ahead(
+    small_model, weights, hetero4, transport, sig
+):
+    """A stage-0 worker is SIGKILLed or SIGSTOPped while stage 0
+    collects frame 1 with frame 2 already dispatched ahead to it.
+    Whichever frame finds the death replays on the survivors, the
+    frame ahead is re-sent to them; every frame ends once, equal to
+    the oracle, and nothing is left behind."""
+    plan = EarlyFusedScheme(n_fused=4).plan(small_model, hetero4, NET)
+    victim = plan.stages[0].assignments[1][0].name
+    xs = _inputs(small_model, 5)
+    config = RuntimeConfig(recv_timeout_s=0.5 if sig == "SIGSTOP" else None)
+    pipe = DistributedPipeline(
+        small_model, plan, weights=weights, transport=transport,
+        config=config, trace=True,
+    ).start()
+    victims = [
+        h.process for h in pipe.transport.all_handles()
+        if h.task.device_name == victim
+    ]
+    submitted = threading.Event()
+    held = []
+    dispatch, collect = pipe.transport.dispatch, pipe.transport.collect
+
+    def gated_dispatch(stage_index, tiles, frame):
+        if stage_index == 0 and frame == 0:
+            submitted.wait(10.0)  # every frame queued before frame 0 leaves
+        return dispatch(stage_index, tiles, frame)
+
+    def killing_collect(sent):
+        if sent.stage_index == 0 and sent.frame == 1 and not held:
+            held.extend(pipe._scheduler.in_flight())
+            for process in victims:
+                os.kill(process.pid, getattr(signal, sig))
+        return collect(sent)
+
+    pipe.transport.dispatch = gated_dispatch
+    pipe.transport.collect = killing_collect
+    try:
+        ids = [pipe.submit(x) for x in xs]
+        submitted.set()
+        got = dict(pipe.collect(timeout_s=30.0) for _ in ids)
+        assert pipe._scheduler.results.empty()
+        trace = pipe.trace
+    finally:
+        pipe.close()
+    leaked = [p for p in victims if p.is_alive()]
+    for process in leaked:  # never leave a stopped child past the test
+        os.kill(process.pid, signal.SIGKILL)
+        process.join()
+    assert (0, (1,)) in held and (0, (2,)) in held, held
+    assert sorted(got) == ids
+    _assert_close(small_model, weights, xs, [got[i] for i in ids])
+    recovery = _recovery(trace)
+    assert [kind for kind, _, _ in recovery].count("device_dead") == 1
+    assert ("device_dead", recovery[0][1], victim) == recovery[0]
+    assert ("frame_replayed", recovery[0][1], victim) in recovery
+    assert not leaked and not mp.active_children()
+    assert not glob.glob(f"/dev/shm/{SHM_PREFIX}*")
