@@ -105,6 +105,15 @@ lint-forks:
 	test "$$(grep -rn "def _run_stage" src/repro/runtime | wc -l)" = 1
 	! grep -n "run_tasks(" src/repro/runtime/scheduler.py
 	! grep -rnI "entry_capacity" src/ tests/ docs/ README.md
+# One re-plan door: PlanDoor.adopt is the only caller of rebind and the
+# door the only reader of rebindable, on both clocks; the threaded server
+# runs one scheduler, which re-plans in place at a drain boundary, and the
+# per-path re-plan helpers stay deleted.
+	test "$$(grep -rnI "\.rebind(" src/repro | grep -vc "def rebind")" = 1
+	test "$$(grep -rnI "\.rebindable" src/repro | grep -vc "^src/repro/runtime/faults.py:")" = 0
+	test "$$(grep -c "\.rebindable" src/repro/runtime/faults.py)" = 1
+	! grep -rnIE "_replay_failed|_maybe_switch|_adopt_replan|_maybe_replan|_can_replan" src/ tests/ docs/
+	test "$$(grep -c "StageScheduler(" src/repro/serve/server.py)" = 1
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_arg(p)
     p.add_argument("--adaptive", action="store_true",
                    help="APICO switching fed by the measured queue depth "
-                        "(sim backend only)")
+                        "(the sim and inproc backends)")
     p.add_argument("--no-compute", action="store_true",
                    help="sim backend: skip kernels, timing only")
 
@@ -613,19 +613,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = Engine(
         model, weights={} if args.no_compute else None, seed=args.seed
     )
-    switcher = None
     if args.backend == "sim":
         transport = SimTransport(
             engine, network, compute=not args.no_compute
         )
-        if args.adaptive:
-            switcher = build_apico_switcher(model, cluster, network)
     else:
-        if args.adaptive:
-            raise SystemExit("--adaptive needs --backend sim")
         if args.no_compute:
             raise SystemExit("--no-compute needs --backend sim")
         transport = InProcTransport(engine)
+    switcher = None
+    if args.adaptive:
+        switcher = build_apico_switcher(model, cluster, network)
     config = ServerConfig(
         queue_capacity=args.capacity, policy=args.policy,
         max_batch=args.max_batch, batch_timeout=args.batch_timeout,

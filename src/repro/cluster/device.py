@@ -180,13 +180,15 @@ class DevicePool:
         )
 
     def lease(self, tenant: str, names: "Sequence[str]") -> "Tuple[DeviceLease, ...]":
-        """Grant ``tenant`` every device in ``names`` (idempotent)."""
-        leases = []
+        """Grant ``tenant`` every device in ``names`` or, if one is
+        unknown or dead, none (idempotent)."""
         for name in names:
             if name not in self._by_name:
                 raise KeyError(f"unknown device {name!r}")
             if name in self._dead:
                 raise ValueError(f"device {name!r} is dead")
+        leases = []
+        for name in names:
             if tenant not in self._holders[name]:
                 self._holders[name].append(tenant)
             leases.append(

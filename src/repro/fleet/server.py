@@ -26,6 +26,7 @@ from repro.fleet.scheduler import FleetScheduler, Placement
 from repro.fleet.tenants import TenantClass
 from repro.runtime.core import Transport
 from repro.runtime.faults import RuntimeConfig, replan_or_degrade
+from repro.runtime.program import compile_plan
 from repro.schemes.base import PlanningError, Scheme
 from repro.serve.server import PipelineServer, ServeResult
 
@@ -198,26 +199,27 @@ class FleetServer:
         """
 
         def replan(dead):
-            from repro.runtime.program import compile_plan
-
             entry = self.registry.get(tenant.model)
-            try:
-                placement = self.scheduler.replace_tenant(tenant.name, dead)
-            except PlanningError:
-                plan, kind = replan_or_degrade(
-                    entry.model, self.scheduler.pool.alive()
-                )
-                self.scheduler.pool.lease(
-                    tenant.name, tuple(d.name for d in plan.all_devices)
-                )
-                return compile_plan(entry.model, plan), kind
-            self.placements[tenant.name] = placement
-            switcher = self._switchers.get(tenant.name)
-            if switcher is not None:
+            # Wall-clock tenants re-plan from their own serving threads:
+            # one at a time, or the pool's lease book races.
+            with self._dead_lock:
                 try:
-                    switcher.grant(placement.devices)
-                except ValueError:
-                    switcher.grant(None)
+                    placement = self.scheduler.replace_tenant(tenant.name, dead)
+                except PlanningError:
+                    plan, kind = replan_or_degrade(
+                        entry.model, self.scheduler.pool.alive()
+                    )
+                    self.scheduler.pool.lease(
+                        tenant.name, tuple(d.name for d in plan.all_devices)
+                    )
+                    return compile_plan(entry.model, plan), kind
+                self.placements[tenant.name] = placement
+                switcher = self._switchers.get(tenant.name)
+                if switcher is not None:
+                    try:
+                        switcher.grant(placement.devices)
+                    except ValueError:
+                        switcher.grant(None)
             program = self.registry.compile(tenant.model, placement.plan)
             return program, "replan"
 

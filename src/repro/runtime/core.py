@@ -40,6 +40,7 @@ from repro.nn.tiles import run_segment
 from repro.runtime.faults import (
     DeviceDead,
     FaultSchedule,
+    PlanDoor,
     RuntimeConfig,
     StageFailure,
     TransientTaskError,
@@ -69,7 +70,6 @@ __all__ = [
     "dispatch_stage",
     "emit_stage_trace",
     "execute_stage",
-    "execute_stage_batch",
     "PipelineSession",
 ]
 
@@ -126,9 +126,9 @@ class Transport(ABC):
     #: backend (``SimTransport(compute=False)``): the core skips
     #: split/stitch and only asks it to :meth:`~SimTransport.charge`.
     compute: bool = True
-    #: Whether :meth:`rebind` can adopt a new plan mid-session.  Where
-    #: it cannot (worker processes hold compiled segments) a stage that
-    #: loses every device fails its frames instead of re-planning.
+    #: Whether :meth:`rebind` can adopt a new plan mid-session (asked by
+    #: the re-plan door).  Where it cannot (worker processes hold compiled
+    #: segments) a stage that loses every device fails its frames.
     rebindable: bool = True
     #: The model, when the backend can recompile tiles (rebalance).
     model = None
@@ -205,7 +205,8 @@ class Transport(ABC):
         virtual clock)."""
 
     def dead_devices(self) -> "frozenset":
-        return frozenset(self._dead)
+        with self._dead_lock:  # stage threads may be adding to it
+            return frozenset(self._dead)
 
     def share_dead(self, dead: "set", lock: "threading.Lock") -> None:
         """Adopt a fleet-wide dead-device set (and its lock) as this
@@ -258,8 +259,8 @@ class Transport(ABC):
         return sum(c for n, c in capacities.items() if n in dead) / total
 
     def rebind(self, program: PlanProgram) -> None:
-        """Adopt a new program mid-session (churn re-plan), keeping the
-        clock and the dead-device set."""
+        """Adopt a new program mid-session (through the re-plan door),
+        keeping the clock and the dead-device set."""
         self._program = program
         self._overrides.clear()
 
@@ -376,45 +377,6 @@ def execute_stage(
     """
     return collect_stage(
         transport, program, stage_index, StageWork(x, (frame,)), tracer, config
-    )
-
-
-def execute_stage_batch(
-    transport: Transport,
-    program: PlanProgram,
-    stage_index: int,
-    x: np.ndarray,
-    frames: "Sequence[int]",
-    tracer: Optional[Tracer] = None,
-    config: "Optional[RuntimeConfig]" = None,
-) -> np.ndarray:
-    """Run one stage of a *cross-frame batch* through a transport.
-
-    ``x`` is the ``(C, B, H, W)`` stack of the batch members' stage
-    inputs (:func:`~repro.runtime.program.stack_frames`); ``frames``
-    their frame ids in stack order.  The same split → compute → stitch
-    path as :func:`execute_stage` runs once over the batched tiles — one
-    stacked im2col panel and GEMM pass per layer — and returns the
-    batched stage output.  Per-frame slices are bit-identical to ``B``
-    separate :func:`execute_stage` calls.
-
-    Trace events replicate per member frame (each frame keeps its
-    canonical enqueue/send/compute/recv sequence; tile bytes split
-    evenly), so per-frame canonical traces stay comparable with
-    unbatched runs.  The fault ladder treats the batch as a unit:
-    retries, repartitions and replays apply to every member together,
-    and transports key fault injection by the batch's lead frame.
-    """
-    if x.ndim != 4:
-        raise ValueError(f"batched stage input must be (C, B, H, W), got {x.shape}")
-    if x.shape[1] != len(frames):
-        raise ValueError(
-            f"batch of {x.shape[1]} maps does not match {len(frames)} frame ids"
-        )
-    if not frames:
-        raise ValueError("batch needs at least one frame")
-    return collect_stage(
-        transport, program, stage_index, StageWork(x, frames), tracer, config
     )
 
 
@@ -790,12 +752,6 @@ class SimTransport(Transport):
         """The virtual clock: completion time of the latest work."""
         return self._virtual_now
 
-    @property
-    def frame_completion(self) -> float:
-        """Virtual completion time of the most recently finished work —
-        after a frame's last stage this is that frame's exit time."""
-        return self._frame_ready
-
     def clock(self) -> float:
         return max(self._virtual_now, self._frame_ready)
 
@@ -807,8 +763,10 @@ class SimTransport(Transport):
 
     def rebind(self, program: PlanProgram) -> None:
         """Adopt a re-planned program: rebuild the timing tables and
-        start the new pipeline's servers at the current virtual time."""
-        super().rebind(program)
+        start the new pipeline's servers at the current virtual time
+        (the analytic drain)."""
+        self._program = program
+        self._overrides.clear()
         self._compile_rows()
         floor = max(self._virtual_now, self._frame_ready)
         self._stage_free = [floor] * program.n_stages
@@ -927,11 +885,8 @@ class PipelineSession:
     With a :class:`~repro.runtime.faults.RuntimeConfig` the session is
     fault-tolerant (see :func:`execute_stage`); with a ``replanner`` —
     e.g. :func:`~repro.runtime.faults.churn_replanner` — it also reacts
-    to *churn*: at each frame boundary, once the dead devices' capacity
-    share exceeds ``config.replan_threshold``, the replanner supplies a
-    fresh program over the survivors (``replan`` event) or a
-    single-device fallback (``degraded`` event) and the transport is
-    rebound to it.
+    to *churn* through its :class:`~repro.runtime.faults.PlanDoor`,
+    asked before every frame and when a stage fails outright.
     """
 
     def __init__(
@@ -942,16 +897,18 @@ class PipelineSession:
         config: "Optional[RuntimeConfig]" = None,
         replanner=None,
     ) -> None:
-        self.program = program
         self.transport = transport
         self.tracer = tracer
         self.config = config
-        self.replanner = replanner
+        self.door = PlanDoor(program, transport, tracer, config, replanner)
         if config is not None:
             transport.configure(config)
         transport.open(program)
         self._next_frame = 0
-        self._replanned_for: "frozenset" = frozenset()
+
+    @property
+    def program(self) -> PlanProgram:
+        return self.door.program
 
     @classmethod
     def from_plan(
@@ -967,44 +924,6 @@ class PipelineSession:
             compile_plan(model, plan), transport, tracer, config, replanner
         )
 
-    def _can_replan(self) -> bool:
-        return (
-            self.config is not None
-            and self.replanner is not None
-            and self.transport.rebindable
-        )
-
-    def _adopt_replan(self, frame: int) -> bool:
-        """Ask the replanner for a fresh program; True if one was adopted.
-
-        Only consults it when the dead-device set changed since the
-        last adoption — the guarantee that a failing plan is never
-        retried unchanged.
-        """
-        dead = self.transport.dead_devices()
-        if not dead or dead == self._replanned_for:
-            return False
-        result = self.replanner(dead)
-        self._replanned_for = dead
-        if result is None:
-            return False
-        program, kind = result
-        if self.tracer is not None:
-            now = self.transport.clock()
-            tag = ",".join(sorted(dead))
-            self.tracer.emit(TraceEvent(kind, frame, 0, tag, now, now))
-        self.transport.rebind(program)
-        self.program = program
-        return True
-
-    def _maybe_replan(self) -> None:
-        """Adopt a fresh plan when churn ate too much capacity."""
-        if not self._can_replan():
-            return
-        if self.transport.capacity_lost() <= self.config.replan_threshold:
-            return
-        self._adopt_replan(self._next_frame)
-
     def _walk(
         self, x0: "Optional[np.ndarray]", ids: "Tuple[int, ...]",
         at: Optional[float],
@@ -1012,9 +931,8 @@ class PipelineSession:
         """Take one frame (or stacked batch) through every stage.
 
         A :class:`~repro.runtime.faults.StageFailure` (a stage lost
-        every device) escalates past the threshold check: the session
-        force-replans over whatever survives and replays from the
-        input; without a replanner (or with nothing new dead) it
+        every device) goes to the door: when it adopts a plan over the
+        survivors the frame replays from its input; otherwise it
         propagates.
         """
         while True:
@@ -1023,14 +941,15 @@ class PipelineSession:
             # it undispatched, and its output is the next stage's input.
             work = StageWork(x0, ids)
             try:
-                for index in range(self.program.n_stages):
+                for index in range(self.door.program.n_stages):
                     work.x = collect_stage(
-                        self.transport, self.program, index, work,
+                        self.transport, self.door.program, index, work,
                         self.tracer, self.config,
                     )
                 return work.x
             except StageFailure:
-                if not self._can_replan() or not self._adopt_replan(ids[0]):
+                door = self.door
+                if door.replanner is None or not door.step(ids[0], failed=True):
                     raise
 
     def run_frame(
@@ -1062,8 +981,9 @@ class PipelineSession:
         """Run a cross-frame batch as one unit through every stage.
 
         The frames are stacked into one ``(C, B, H, W)`` input, walk the
-        pipeline as a batch (one batched kernel pass per stage, see
-        :func:`execute_stage_batch`) and come back as per-frame maps
+        pipeline as a batch (one stacked im2col panel and GEMM pass per
+        layer; trace events replicate per member frame, see
+        :func:`emit_stage_trace`) and come back as per-frame maps
         bit-identical to ``B`` separate :meth:`run_frame` calls; a
         single frame walks as the plain ``(C, H, W)`` map it is.  The
         fault ladder applies to the batch as a unit: a
@@ -1073,7 +993,8 @@ class PipelineSession:
         """
         if not frames:
             raise ValueError("cannot run an empty batch")
-        self._maybe_replan()
+        if self.door.replanner is not None:
+            self.door.step(self._next_frame)
         base = self._next_frame
         ids = tuple(range(base, base + len(frames)))
         self._next_frame += len(frames)

@@ -23,8 +23,8 @@ Recovery emits the extended trace kinds
 (:data:`~repro.runtime.trace.RECOVERY_KINDS`): ``device_dead`` when a
 device is first declared dead, ``retry`` per backoff attempt,
 ``frame_replayed`` when a stage is replayed from its input boundary,
-and ``replan``/``degraded`` when the session adopts a fresh plan over
-the survivors (or falls back to a single device).
+and ``replan``/``degraded`` when :class:`PlanDoor`, the one place a
+plan changes, adopts a fresh plan over the survivors (or one device).
 
 A death is a device name in the transport's dead set, whichever way it
 was found; every role the device held leaves with it.  The in-process
@@ -43,7 +43,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
+
+from repro.runtime.program import compile_plan
+from repro.runtime.trace import TraceEvent
 
 __all__ = [
     "RuntimeConfig",
@@ -54,6 +57,8 @@ __all__ = [
     "StageFailure",
     "churn_replanner",
     "replan_or_degrade",
+    "PlanChange",
+    "PlanDoor",
 ]
 
 
@@ -88,7 +93,7 @@ class RuntimeConfig:
     ``max_retries`` times with exponential backoff
     ``backoff_base_s * backoff_factor**n``.  When the dead devices'
     share of cluster capacity *exceeds* ``replan_threshold`` the
-    session asks its replanner for a fresh plan over the survivors;
+    :class:`PlanDoor` re-plans over the survivors, on either clock;
     below it, recovery stays local to the affected stages.
     """
 
@@ -321,7 +326,6 @@ def churn_replanner(
 
     def replan(dead):
         from repro.cost.flops import DEFAULT_OPTIONS
-        from repro.runtime.program import compile_plan
 
         opts = options or DEFAULT_OPTIONS
 
@@ -338,3 +342,98 @@ def churn_replanner(
         return compile_plan(model, plan), kind
 
     return replan
+
+
+class PlanChange(NamedTuple):
+    """What :meth:`PlanDoor.decide` chose; ``kind`` is the event."""
+
+    program: object
+    kind: str  # "replan" | "degraded"
+    name: str  # the plan's new name
+    tag: str  # the event's: the dead devices, or the candidate
+
+
+class PlanDoor:
+    """The one re-plan door: the running program, its name, and the
+    only way either changes, on the virtual and the wall clock alike.
+
+    :meth:`decide`, asked at frame boundaries, consults the churn
+    ``replanner`` (``replan(dead) -> (program, kind)``, only with a
+    ``config``) once the dead set changed since it was last asked and
+    either the dead capacity share exceeds ``config.replan_threshold`` or
+    a frame hit :class:`StageFailure` (``failed``); then the
+    ``switcher``, whose active candidate is adopted only at a natural
+    drain boundary (``drained``) and never onto a dead device.
+    :meth:`adopt` emits the event, rebinds the transport, installs the
+    program and renames the plan: ``<base>+replan`` / ``+degraded``
+    after churn (``<base>``: the name before any churn), the candidate's
+    after a switch.  A transport that cannot rebind gets no change.
+    """
+
+    def __init__(
+        self, program, transport, tracer=None,
+        config: "Optional[RuntimeConfig]" = None, replanner=None,
+        switcher=None,
+    ) -> None:
+        self.program = program
+        self.transport = transport
+        self.tracer = tracer
+        self.config = config
+        #: ``None`` unless churn can re-plan (one check a frame).
+        self.replanner = replanner if config is not None else None
+        self.switcher = switcher
+        candidates = switcher.candidates if switcher is not None else ()
+        self.name = next(
+            (c.name for c in candidates if c.plan == program.plan),
+            program.plan.mode,
+        )
+        self._replanned_for: "frozenset" = frozenset()
+
+    def decide(
+        self, drained: bool = False, failed: bool = False
+    ) -> "Optional[PlanChange]":
+        """The plan change due now, or ``None``."""
+        transport = self.transport
+        if not transport.rebindable:
+            return None
+        base = self.name.partition("+")[0]
+        dead = transport.dead_devices()
+        if (
+            self.replanner is not None
+            and dead and dead != self._replanned_for
+            and (failed or transport.capacity_lost() > self.config.replan_threshold)
+        ):
+            self._replanned_for = dead
+            try:
+                result = self.replanner(dead)
+            except StageFailure:  # nothing survives to plan over
+                result = None
+            if result is not None:
+                program, kind = result
+                tag = ",".join(sorted(dead))
+                return PlanChange(program, kind, f"{base}+{kind}", tag)
+        active = self.switcher.active if self.switcher is not None else None
+        if drained and active is not None and active.name != base and not any(
+            d.name in dead for d in active.plan.all_devices
+        ):
+            program = compile_plan(transport.model, active.plan)
+            return PlanChange(program, "replan", active.name, active.name)
+        return None
+
+    def adopt(self, change: PlanChange, frame: int) -> None:
+        """Emit the change's event, rebind, install, rename."""
+        if self.tracer is not None:
+            now = self.transport.clock()
+            self.tracer.emit(
+                TraceEvent(change.kind, frame, 0, change.tag, now, now)
+            )
+        self.transport.rebind(change.program)
+        self.program, self.name = change.program, change.name
+
+    def step(self, frame: int, drained: bool = False, failed: bool = False) -> bool:
+        """:meth:`decide`, then :meth:`adopt` its change (where the drain
+        is analytic or the walk synchronous); True if one was adopted."""
+        change = self.decide(drained, failed)
+        if change is not None:
+            self.adopt(change, frame)
+        return change is not None

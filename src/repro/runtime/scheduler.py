@@ -19,7 +19,8 @@ design serves backends with sockets and backends without.
 
 Admission counts frames in the system: with ``capacity`` set,
 :meth:`StageScheduler.submit` holds one permit per frame from submit
-until its result is delivered.
+until its result is delivered.  :meth:`StageScheduler.replan` swaps
+the program at a drain boundary.
 
 Two clients sit on top: :class:`~repro.serve.server.PipelineServer`
 (bounded admission, policy, arrival pacing, frame records) and
@@ -92,15 +93,19 @@ class StageScheduler:
         self.config = config
         self.max_batch = max_batch
         self.batch_timeout = batch_timeout
-        n_stages = program.n_stages
         self._admit = threading.BoundedSemaphore(capacity) if capacity else None
+        self.results: "queue.Queue" = queue.Queue()
+        self._closed = False
+        self._start()
+
+    def _start(self) -> None:
+        """One thread per stage of :attr:`program`, and their queues."""
+        n_stages = self.program.n_stages
         # Hand-offs hold one frame: a stage's backlog is the frame it
         # collects, the one it dispatched ahead and one in its queue.
         self._queues: "List[queue.Queue]" = [queue.Queue()]
         self._queues += [queue.Queue(maxsize=1) for _ in range(n_stages - 1)]
-        self.results: "queue.Queue" = queue.Queue()
         self._serving: "List[Tuple[Tuple[int, ...], ...]]" = [()] * n_stages
-        self._closed = False
         self._threads = [
             threading.Thread(
                 target=self._run_stage, args=(i,), name=f"stage-{i}", daemon=True
@@ -109,6 +114,12 @@ class StageScheduler:
         ]
         for thread in self._threads:
             thread.start()
+
+    def _stop(self, timeout: Optional[float] = None) -> None:
+        """Let every submitted frame finish, then stop the threads."""
+        self._queues[0].put(_SENTINEL)
+        for thread in self._threads:
+            thread.join(timeout)
 
     # -- client interface ----------------------------------------------
     def submit(self, frame: int, x: np.ndarray, block: bool = True) -> bool:
@@ -139,9 +150,17 @@ class StageScheduler:
         if self._closed:
             return
         self._closed = True
-        self._queues[0].put(_SENTINEL)
-        for thread in self._threads:
-            thread.join(timeout)
+        self._stop(timeout)
+
+    def replan(self, program: PlanProgram, adopt) -> None:
+        """Swap to ``program`` at a drain boundary.  Called from the
+        submitting thread, so admission holds: every frame in the system
+        (both frames each stage holds) finishes, ``adopt()`` rebinds the
+        transport, and one thread per stage of ``program`` starts."""
+        self._stop()
+        adopt()
+        self.program = program
+        self._start()
 
     def drain(self):
         """Close, then hand out every result not collected yet."""

@@ -49,24 +49,25 @@ admitted frame ends in exactly one of three states — ``done``, ``shed``
 or ``failed`` — and is accounted for in the :class:`ServeResult`; no
 frame is silently lost.
 
-With an :class:`~repro.adaptive.switcher.AdaptiveSwitcher` the virtual
-server also feeds the *measured* queue depth into the switcher at every
-arrival and adopts the newly active candidate at drain boundaries
-(pipeline empty), the serving-layer counterpart of the event
-simulator's drain-before-switch.
+Every plan change goes through one :class:`~repro.runtime.faults.PlanDoor`:
+an :class:`~repro.adaptive.switcher.AdaptiveSwitcher` fed the *measured*
+queue depth switches where an arrival finds the system empty, churn
+forces the drain, and frames a stage failure lost replay on the new
+plan in the same scheduler — on both paths.
 """
 
 from __future__ import annotations
 
+import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._util import nearest_rank
 from repro.runtime.core import PipelineSession, Transport
-from repro.runtime.faults import RuntimeConfig, StageFailure
+from repro.runtime.faults import PlanDoor, RuntimeConfig, StageFailure
 from repro.runtime.program import PlanProgram, compile_plan
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.trace import TraceEvent, coerce_tracer
@@ -137,7 +138,7 @@ class FrameRecord:
     ``admitted_at`` is when the frame entered the pipeline queue
     (> ``arrival`` only under ``policy="block"`` backpressure).
     ``batch`` is how many frames shared the cross-frame batch this one
-    rode in (1 outside micro-batching).
+    rode in (1 outside micro-batching); ``plan``, the plan it was served on.
     """
 
     frame: int
@@ -174,7 +175,14 @@ class ServeResult:
     outputs: Dict[int, np.ndarray]
     makespan: float
     trace: Tuple[TraceEvent, ...] = ()
-    plan_usage: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def plan_usage(self) -> "Dict[str, int]":
+        """Done frames per plan name (:attr:`FrameRecord.plan`)."""
+        usage: "Dict[str, int]" = {}
+        for r in self.completed:
+            usage[r.plan] = usage.get(r.plan, 0) + 1
+        return usage
 
     @property
     def submitted(self) -> int:
@@ -263,12 +271,13 @@ class PipelineServer:
     runtime_config:
         Enables the fault-tolerance ladder per stage.
     replanner:
-        ``replan(dead) -> (PlanProgram, kind)`` — adopted when a stage
-        fails outright (see :func:`~repro.runtime.faults.churn_replanner`).
+        ``replan(dead) -> (PlanProgram, kind)`` — adopted when churn
+        passes ``runtime_config.replan_threshold`` or a stage fails
+        outright (see :func:`~repro.runtime.faults.churn_replanner`).
     switcher:
         An :class:`~repro.adaptive.switcher.AdaptiveSwitcher`; the
-        virtual server feeds it the measured queue depth per arrival
-        and switches candidate plans at drain boundaries.
+        server feeds it the measured queue depth per arrival and
+        switches candidate plans at drain boundaries (via :attr:`door`).
     """
 
     def __init__(
@@ -281,34 +290,31 @@ class PipelineServer:
         replanner=None,
         switcher=None,
     ) -> None:
-        self.program = program
         self.transport = transport
         self.config = config or ServerConfig()
         self.tracer = coerce_tracer(tracer)
         self.runtime_config = runtime_config
-        self.replanner = replanner
-        self.switcher = switcher
         self.virtual = not transport.wall_clock
-        if switcher is not None and not self.virtual:
-            raise ValueError(
-                "adaptive switching is only supported on virtual-clock "
-                "transports (drain boundaries are analytic there)"
-            )
+        self.door = PlanDoor(
+            program, transport, self.tracer, runtime_config, replanner,
+            switcher,
+        )
         self._session: Optional[PipelineSession] = None
-        self._plan_name = program.plan.mode
-        if switcher is not None:
-            self._plan_name = switcher.active.name
         if self.virtual:
-            # PipelineSession opens the transport and owns the per-frame
-            # fault ladder + churn replanning.
+            # PipelineSession opens the transport and walks each frame.
             self._session = PipelineSession(
-                program, transport, self.tracer, runtime_config, replanner
+                program, transport, self.tracer, runtime_config
             )
+            self._session.door = self.door
         else:
             if runtime_config is not None:
                 transport.configure(runtime_config)
             transport.open(program)
         self._closed = False
+
+    @property
+    def program(self) -> PlanProgram:
+        return self.door.program
 
     @classmethod
     def from_plan(
@@ -405,13 +411,12 @@ class PipelineServer:
         """
         cfg = self.config
         session = self._session
-        assert session is not None
+        switcher = self.door.switcher
         completions: "List[float]" = []  # launched frames, FIFO order
         head = 0  # completions[head:] are still in the system
         compute = self.transport.compute
         records: "List[FrameRecord]" = []
         outputs: "Dict[int, np.ndarray]" = {}
-        plan_usage: "Dict[str, int]" = {}
         #: forming batch: ``(index, frame, admitted_at)`` per member.
         pending: "List[Tuple[int, np.ndarray, float]]" = []
         last_admit = 0.0
@@ -432,14 +437,13 @@ class PipelineServer:
                 for index, _, admit in batch:
                     records.append(
                         FrameRecord(
-                            index, arrivals[index], "failed",
-                            admitted_at=admit, batch=len(batch),
+                            index, arrivals[index], "failed", admitted_at=admit,
+                            plan=self.door.name, batch=len(batch),
                         )
                     )
                 return
             done = self.transport.clock()
-            name = self._plan_name
-            plan_usage[name] = plan_usage.get(name, 0) + len(batch)
+            name = self.door.name  # after any re-plan the walk adopted
             for (index, _, admit), out in zip(batch, outs):
                 completions.append(done)
                 if compute:
@@ -475,9 +479,10 @@ class PipelineServer:
                 launch()
             flying = in_flight(t)
             depth = flying + len(pending)
-            self._observe(t, depth)
-            if depth == 0:
-                self._maybe_switch(index)
+            if switcher is not None:
+                switcher.on_arrival(t, queue_depth=depth)
+                if depth == 0:  # a natural drain boundary
+                    self.door.step(index, drained=True)
             if depth >= cfg.queue_capacity:
                 if cfg.policy == "shed":
                     records.append(FrameRecord(index, t, "shed"))
@@ -515,35 +520,13 @@ class PipelineServer:
             if len(pending) >= cfg.max_batch:
                 launch()
         launch()  # flush the final forming batch
-        records.sort(key=lambda r: r.frame)
         makespan = completions[-1] if completions else 0.0
+        return self._result(records, outputs, makespan)
+
+    def _result(self, records, outputs, makespan) -> ServeResult:
+        records.sort(key=lambda r: r.frame)
         trace = self.tracer.events if self.tracer is not None else ()
-        return ServeResult(records, outputs, makespan, trace, plan_usage)
-
-    def _observe(self, now: float, depth: int) -> None:
-        """Feed the measured queue depth into the adaptive switcher."""
-        if self.switcher is not None:
-            self.switcher.on_arrival(now, queue_depth=depth)
-
-    def _maybe_switch(self, frame: int) -> None:
-        """Adopt the switcher's active candidate at a drain boundary."""
-        if self.switcher is None:
-            return
-        active = self.switcher.active
-        if active.name == self._plan_name:
-            return
-        model = self.transport.model
-        program = compile_plan(model, active.plan)
-        self.transport.rebind(program)
-        assert self._session is not None
-        self._session.program = program
-        self.program = program
-        self._plan_name = active.name
-        if self.tracer is not None:
-            now = self.transport.clock()
-            self.tracer.emit(
-                TraceEvent("replan", frame, 0, active.name, now, now)
-            )
+        return ServeResult(records, outputs, makespan, trace)
 
     # ------------------------------------------------------------------
     # Wall-clock strategy: the runtime's stage-thread scheduler owns the
@@ -555,12 +538,55 @@ class PipelineServer:
     ) -> ServeResult:
         cfg = self.config
         transport = self.transport
+        door = self.door
+        if door.replanner is None and door.switcher is None:
+            door = None  # nothing can change the plan: skip the door
         scheduler = StageScheduler(
-            self.program, transport, self.tracer, self.runtime_config,
+            self.door.program, transport, self.tracer, self.runtime_config,
             capacity=cfg.queue_capacity,
             max_batch=cfg.max_batch, batch_timeout=cfg.batch_timeout,
         )
-        pending: "Dict[int, Dict]" = {}  # fid -> {arrival, admitted_at, x0}
+        #: fid -> its FrameRecord fields (but frame and status) so far
+        books: "Dict[int, Dict]" = {}
+        inputs: "Dict[int, np.ndarray]" = {}  # kept for a replay
+        outputs: "Dict[int, np.ndarray]" = {}
+        lost: "List[int]" = []  # lost to StageFailure, not replayed yet
+        owed = 0  # results not taken off the scheduler yet
+
+        def take(block: bool) -> None:
+            """Take every result the scheduler has (waiting for one)."""
+            nonlocal owed
+            while owed:
+                try:
+                    fid, out, error, batch, done = scheduler.results.get(block)
+                except queue.Empty:
+                    return
+                owed, block = owed - 1, False
+                books[fid]["batch"] = batch
+                if out is not None:
+                    outputs[fid], books[fid]["completion"] = out, done
+                    if books[fid]["replayed"] and self.tracer is not None:
+                        self.tracer.emit(
+                            TraceEvent("frame_replayed", fid, 0, "", done, done)
+                        )
+                elif isinstance(error, StageFailure):
+                    lost.append(fid)
+
+        def through_door(frame: int, drained: bool) -> None:
+            """Adopt the door's change at a drain boundary, then replay
+            the frames a stage failure lost, ahead of new arrivals."""
+            nonlocal owed
+            change = door.decide(drained, failed=bool(lost))
+            if change is None:
+                return
+            scheduler.replan(change.program, lambda: door.adopt(change, frame))
+            take(False)  # drained: every result is in
+            for fid in lost:
+                books[fid].update(plan=door.name, replayed=True)
+                scheduler.submit(fid, inputs[fid])
+            owed += len(lost)
+            lost.clear()
+
         epoch = transport.clock()
         shed: "List[Tuple[int, float]]" = []
         for index, x in enumerate(frames):
@@ -570,6 +596,11 @@ class PipelineServer:
                 time.sleep(wait)
             x0 = np.ascontiguousarray(x, dtype=np.float32)
             arrival_t = transport.clock()
+            if door is not None:
+                take(False)
+                if door.switcher is not None:
+                    door.switcher.on_arrival(arrival_t, queue_depth=owed)
+                through_door(index, drained=owed == 0)
             if cfg.policy == "block":
                 # Closed-loop backpressure also honours the transport's
                 # own buffering: a saturated shm slot ring would stall a
@@ -586,95 +617,22 @@ class PipelineServer:
                 # would only stall a stage thread on the send: shed now.
                 shed.append((index, arrival_t))
                 continue
-            pending[index] = {
-                "arrival": arrival_t,
-                "admitted_at": transport.clock(),
-                "x0": x0,
-            }
-        outputs: "Dict[int, np.ndarray]" = {}
-        done_at: "Dict[int, float]" = {}
-        batch_of: "Dict[int, int]" = {}  # fid -> batch size it rode in
-        for fid, out, _error, batch, done in scheduler.drain():
-            batch_of[fid] = batch
-            if out is not None:
-                outputs[fid], done_at[fid] = out, done
-        replayed = self._replay_failed(pending, outputs, done_at)
-        records: "List[FrameRecord]" = []
-        for index, arrival_t in shed:
-            records.append(FrameRecord(index, arrival_t, "shed"))
-        for fid, info in pending.items():
-            if fid in outputs:
-                records.append(
-                    FrameRecord(
-                        fid, info["arrival"], "done",
-                        admitted_at=info["admitted_at"],
-                        completion=done_at[fid],
-                        plan=self._plan_name,
-                        replayed=fid in replayed,
-                        batch=batch_of[fid],
-                    )
-                )
-            else:
-                records.append(
-                    FrameRecord(
-                        fid, info["arrival"], "failed",
-                        admitted_at=info["admitted_at"],
-                        batch=batch_of[fid],
-                    )
-                )
-        records.sort(key=lambda r: r.frame)
-        makespan = max(done_at.values()) - epoch if done_at else 0.0
-        trace = self.tracer.events if self.tracer is not None else ()
-        usage = {self._plan_name: len(outputs)} if outputs else {}
-        return ServeResult(records, outputs, makespan, trace, usage)
-
-    def _replay_failed(
-        self,
-        pending: "Dict[int, Dict]",
-        outputs: "Dict[int, np.ndarray]",
-        done_at: "Dict[int, float]",
-    ) -> "set":
-        """Drain-time recovery: replay unrecoverable frames on a fresh plan.
-
-        A frame only lands here when a stage raised past the in-stage
-        ladder (:class:`StageFailure` — every device of a stage died).
-        With a replanner the server adopts a plan over the survivors and
-        replays each lost frame from its original input; without one —
-        or on a transport that cannot ``rebind`` (worker processes hold
-        compiled segments) — the frames stay ``failed`` (reported,
-        never silent).
-        """
-        failed = sorted(fid for fid in pending if fid not in outputs)
-        replayed: "set" = set()
-        if not failed or self.replanner is None:
-            return replayed
-        if not self.transport.rebindable:
-            return replayed
-        dead = self.transport.dead_devices()
-        if not dead:
-            return replayed
-        result = self.replanner(dead)
-        if result is None:
-            return replayed
-        program, kind = result
-        if self.tracer is not None:
-            now = self.transport.clock()
-            tag = ",".join(sorted(dead))
-            self.tracer.emit(TraceEvent(kind, failed[0], 0, tag, now, now))
-        self.transport.rebind(program)
-        self.program = program
-        scheduler = StageScheduler(
-            program, self.transport, self.tracer, self.runtime_config
-        )
-        for fid in failed:
-            scheduler.submit(fid, pending[fid]["x0"])
-        for fid, out, _error, _batch, done in scheduler.drain():
-            if out is None:
-                continue  # stays failed; recorded as such
-            outputs[fid], done_at[fid] = out, done
-            replayed.add(fid)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEvent("frame_replayed", fid, 0, "", done, done)
-                )
-        return replayed
+            owed += 1
+            inputs[index] = x0
+            books[index] = dict(
+                arrival=arrival_t, admitted_at=transport.clock(),
+                plan=self.door.name, replayed=False,
+            )
+        while owed:
+            take(True)
+            if door is not None and lost:
+                through_door(lost[0], drained=False)
+        scheduler.close()
+        records = [FrameRecord(index, t, "shed") for index, t in shed]
+        records += [
+            FrameRecord(fid, status="done" if fid in outputs else "failed", **book)
+            for fid, book in books.items()
+        ]
+        done = [books[fid]["completion"] for fid in outputs]
+        makespan = max(done) - epoch if done else 0.0
+        return self._result(records, outputs, makespan)

@@ -167,6 +167,18 @@ class TestServe:
         assert code == 0
         assert "frames/batch" in out
 
+    def test_adaptive_on_the_wall_clock(self, capsys):
+        code, out = run_cli(
+            capsys, "serve", "fig13_toy", "--devices", "4", "--freq", "800",
+            "--load", "0.9", "--frames", "6", "--backend", "inproc",
+            "--adaptive",
+        )
+        assert code == 0
+        usage = out.split("plan usage: ")[1].split("\n")[0]
+        counts = [int(item.split(":")[1]) for item in usage.split(", ")]
+        done = int(out.split("served: ")[1].split(" done")[0])
+        assert counts and sum(counts) == done == 6
+
     def test_max_batch_one_omits_batch_stats(self, capsys):
         code, out = run_cli(
             capsys, "serve", "fig13_toy", "--devices", "4", "--freq", "800",

@@ -688,3 +688,87 @@ class TestFaultsUnderLoad:
             assert np.allclose(outs[i], want, atol=1e-4), (
                 f"frame {i} corrupted by shm worker crash"
             )
+
+
+class TestOneReplanDoor:
+    """Every plan change goes through the one door, with the same
+    decision and the same plan names on the virtual and the wall clock."""
+
+    def _serve(self, model, program, weights, net, cluster, crashed,
+               backend, arrivals):
+        faults = FaultSchedule()
+        for name in crashed:
+            faults = faults.crash(name, at_frame=1)
+        engine = Engine(model, weights)
+        if backend == "inproc":
+            transport = InProcTransport(engine, faults=faults)
+        else:
+            transport = SimTransport(engine, net, faults=faults)
+        server = PipelineServer(
+            program, transport, ServerConfig(queue_capacity=8, policy="block"),
+            tracer=True, runtime_config=RuntimeConfig(),
+            replanner=churn_replanner(model, cluster, net, scheme=PicoScheme()),
+        )
+        with server:
+            return server.serve(len(arrivals), arrivals=arrivals)
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_stage_wipeout_names_the_replanned_plan(
+        self, model, program, weights, net, cluster, backend
+    ):
+        stage0 = [t.device_name for t in program.stages[0].tasks]
+        result = self._serve(
+            model, program, weights, net, cluster, stage0, backend, [0.0] * 6
+        )
+        assert not result.failed and not result.shed
+        base = program.plan.mode
+        assert [r.plan for r in result.records] == (
+            [base] + [f"{base}+replan"] * 5
+        )
+        assert sum(result.plan_usage.values()) == len(result.completed)
+
+    def test_capacity_loss_replans_alike_on_both_clocks(
+        self, model, program, weights, net, cluster
+    ):
+        """One device of each stage dies: half the capacity is gone,
+        past ``replan_threshold``, so both paths re-plan mid-serve and
+        emit the same ``device_dead``/``replan``/``degraded`` events."""
+        crashed = [stage.tasks[0].device_name for stage in program.stages]
+        assert len(crashed) == 2
+        arrivals = [0.03 * i for i in range(8)]
+        churn = ("device_dead", "replan", "degraded")
+        seen = {}
+        for backend in ("sim", "inproc"):
+            result = self._serve(
+                model, program, weights, net, cluster, crashed, backend,
+                arrivals,
+            )
+            assert len(result.completed) == len(arrivals)
+            seen[backend] = [
+                (e.kind, e.device) for e in result.trace if e.kind in churn
+            ]
+        assert seen["sim"] == seen["inproc"]
+        assert seen["sim"][-1] == ("replan", ",".join(sorted(crashed)))
+
+    def test_door_declines_where_the_transport_cannot_rebind(
+        self, model, program, weights, net, cluster
+    ):
+        """The door is the one reader of ``rebindable``: a transport
+        whose workers hold compiled segments gets no change from it,
+        while the same churn re-plans a transport that can rebind."""
+        changes = {}
+        for rebindable in (False, True):
+            transport = InProcTransport(Engine(model, weights))
+            transport.rebindable = rebindable
+            server = PipelineServer(
+                program, transport, runtime_config=RuntimeConfig(),
+                replanner=churn_replanner(
+                    model, cluster, net, scheme=PicoScheme()
+                ),
+            )
+            with server:
+                transport.mark_dead(program.stages[0].tasks[0].device_name)
+                changes[rebindable] = server.door.decide(failed=True)
+        assert changes[False] is None
+        assert changes[True].kind == "replan"
+        assert changes[True].name == f"{program.plan.mode}+replan"

@@ -1,13 +1,16 @@
 """The ``StageScheduler`` as a state machine.
 
 Hypothesis drives one scheduler over ``InProcTransport`` with stub
-stages that are slow or fail on demand, through the four things a
-client does — submit (blocking or not), close, drain — and a stage
-error injected for a chosen frame.  After every step the frames
-admitted and not yet delivered stay within the admission bound; at
-every close or drain each submitted frame has yielded exactly one
-result, in submit order (the failed ones with their error), every stage
-let its frames go in submit order, and no ``stage-`` thread is left.
+stages that are slow or fail on demand, through the things a client
+does — submit (blocking or not), replan, close, drain — and a stage
+error injected for a chosen frame.  A replan swaps between a
+multi-stage and a one-stage program at a drain boundary.  After every
+step the frames admitted and not yet delivered stay within the
+admission bound and the live ``stage-`` threads are one per stage of
+the current program; at every close or drain each submitted frame has
+yielded exactly one result, in submit order (the failed ones with their
+error), every stage let its frames go in submit order, and no
+``stage-`` thread is left.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.runtime.core import InProcTransport
 from repro.runtime.program import compile_plan
 from repro.runtime.scheduler import StageScheduler
 from repro.schemes.layer_wise import LayerWiseScheme
+from repro.schemes.local import local_fallback_plan
 
 MODEL = toy_chain(3, 0, input_hw=8, in_channels=1, base_channels=2)
 WEIGHTS = init_weights(MODEL, seed=3)
@@ -42,6 +46,8 @@ PROGRAM = compile_plan(
     MODEL,
     LayerWiseScheme().plan(MODEL, pi_cluster(2, 1000), NetworkModel.from_mbps(50.0)),
 )
+#: The replan rule's other program: the whole model on one device.
+SINGLE = compile_plan(MODEL, local_fallback_plan(MODEL, pi_cluster(1, 1000).devices[0]))
 X = np.random.default_rng(4).standard_normal(MODEL.input_shape).astype(np.float32)
 ORACLE = Engine(MODEL, WEIGHTS).forward_features(X)
 
@@ -58,7 +64,7 @@ class _StubStages(InProcTransport):
         self._lock = threading.Lock()
 
     def reset(self) -> None:
-        self.left = [[] for _ in range(PROGRAM.n_stages)]
+        self.left = [[] for _ in range(PROGRAM.n_stages)]  # SINGLE has fewer
 
     def run_tasks(self, stage_index, tiles, frame):
         if self.delay:
@@ -77,6 +83,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         super().__init__()
         self.transport = _StubStages()
         self.transport.open(PROGRAM)
+        self.program = PROGRAM  # what the transport is bound to
         self.scheduler = None
         self.capacity = 0
         self.submitted: "list" = []
@@ -87,7 +94,8 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.transport.reset()
         self.submitted = []
         self.scheduler = StageScheduler(
-            PROGRAM, self.transport, capacity=self.capacity
+            self.program, self.transport,
+            capacity=self.capacity,
         )
 
     @initialize(
@@ -107,11 +115,22 @@ class SchedulerMachine(RuleBasedStateMachine):
         else:
             assert not block and self.capacity
 
-    @rule(stage=st.integers(0, PROGRAM.n_stages - 1))
-    def stage_error(self, stage) -> None:
-        """The next frame submitted fails at ``stage``."""
+    @rule(data=st.data())
+    def stage_error(self, data) -> None:
+        """The next frame submitted fails at one of the current stages."""
+        stage = data.draw(
+            st.integers(0, self.scheduler.program.n_stages - 1), label="stage"
+        )
         self.transport.fail.add((stage, self.next_frame))
         self.failing.add(self.next_frame)
+
+    @precondition(lambda self: self.next_frame not in self.failing)
+    @rule()
+    def replan(self) -> None:
+        """Swap to the other program once the frames in flight finish."""
+        new = SINGLE if self.program is PROGRAM else PROGRAM
+        self.scheduler.replan(new, lambda: self.transport.rebind(new))
+        self.program = new
 
     @rule()
     def close(self) -> None:
@@ -131,6 +150,11 @@ class SchedulerMachine(RuleBasedStateMachine):
         delivered = self.scheduler.results.qsize()
         assert len(self.submitted) - delivered <= self.capacity
 
+    @precondition(lambda self: self.scheduler is not None)
+    @invariant()
+    def one_thread_per_stage(self) -> None:
+        assert len(_stage_threads()) == self.scheduler.program.n_stages
+
     def _check(self, got) -> None:
         assert [fid for fid, *_ in got] == self.submitted
         for fid, out, error, batch, _ in got:
@@ -141,9 +165,7 @@ class SchedulerMachine(RuleBasedStateMachine):
                 assert error is None and np.array_equal(out, ORACLE)
         for left in self.transport.left:
             assert left == sorted(left)
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("stage-")
-        ]
+        assert not _stage_threads()
         self._open()
 
     def teardown(self) -> None:
@@ -151,7 +173,12 @@ class SchedulerMachine(RuleBasedStateMachine):
             self.scheduler.close()
 
 
+def _stage_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("stage-")]
+
+
 assert PROGRAM.n_stages >= 2, "the machine needs stage hand-offs"
+assert SINGLE.n_stages == 1
 
 TestStageSchedulerMachine = SchedulerMachine.TestCase
 TestStageSchedulerMachine.settings = settings(

@@ -118,15 +118,6 @@ class TestConfig:
             server.serve(2, arrivals=[1.0, 0.5])
         server.close()
 
-    def test_switcher_requires_virtual_clock(self, model, weights, net,
-                                             cluster, program):
-        switcher = build_apico_switcher(model, cluster, net)
-        with pytest.raises(ValueError, match="virtual"):
-            PipelineServer(
-                program, InProcTransport(Engine(model, weights)),
-                switcher=switcher,
-            )
-
 
 # ---------------------------------------------------------------------------
 # Virtual path: pipelining and exact agreement with the event simulator
@@ -303,7 +294,6 @@ class TestAdaptiveServing:
     def test_switches_to_pipelined_under_load(self, model, weights, net,
                                               cluster):
         from repro.adaptive.estimator import ArrivalRateTracker
-        from repro.runtime.program import compile_plan as _compile
 
         probe = build_apico_switcher(model, cluster, net)
         by_name = {c.name: c for c in probe.candidates}
@@ -327,7 +317,7 @@ class TestAdaptiveServing:
             c.estimated_latency(rate) for c in others
         )
         arrivals = list(uniform_arrivals(rate, 60 / rate))[:60]
-        program0 = _compile(model, switcher.active.plan)
+        program0 = compile_plan(model, switcher.active.plan)
         server = _sim_server(
             model, weights, net, program0, ServerConfig(queue_capacity=32),
             switcher=switcher, tracer=True,
@@ -339,6 +329,56 @@ class TestAdaptiveServing:
         assert any(
             e.kind == "replan" and e.device == "PICO" for e in result.trace
         )
+
+    def test_threaded_switcher_follows_a_rate_step(self, model, weights,
+                                                   net, cluster):
+        """A scripted low → high → low rate step on the wall clock: the
+        switcher's plan is adopted at drain boundaries (this toy model
+        computes far inside its modelled period, so the system empties
+        between arrivals), every frame is accounted for, and each done
+        frame equals a plain session run of the plan its record names."""
+        from repro.adaptive.estimator import ArrivalRateTracker
+        from repro.runtime.core import PipelineSession
+
+        probe = build_apico_switcher(model, cluster, net)
+        slow = max(c.period for c in probe.candidates if c.name != "PICO")
+        low, high = 0.05 / slow, 0.8 / slow
+        arrivals, t = [], 0.0
+        for rate, n in ((low, 4), (high, 30), (low, 4)):
+            for _ in range(n):
+                t += 1.0 / rate
+                arrivals.append(t)
+        switcher = build_apico_switcher(
+            model, cluster, net,
+            tracker=ArrivalRateTracker(window_s=10.0 / high),
+        )
+        plans = {c.name: c.plan for c in switcher.candidates}
+        rng = np.random.default_rng(21)
+        frames = [
+            rng.standard_normal(model.input_shape).astype(np.float32)
+            for _ in arrivals
+        ]
+        server = PipelineServer(
+            compile_plan(model, switcher.active.plan),
+            InProcTransport(Engine(model, weights)),
+            ServerConfig(queue_capacity=32), tracer=True, switcher=switcher,
+        )
+        with server:
+            result = server.serve(frames, arrivals=arrivals)
+        assert sorted(r.frame for r in result.records) == list(
+            range(len(frames))
+        )
+        assert all(r.status in ("done", "shed", "failed") for r in result.records)
+        switches = [e for e in result.trace if e.kind == "replan"]
+        assert switches and len(result.plan_usage) > 1
+        assert sum(result.plan_usage.values()) == len(result.completed)
+        for record in result.completed:
+            with PipelineSession(
+                compile_plan(model, plans[record.plan]),
+                InProcTransport(Engine(model, weights)),
+            ) as oracle:
+                want = oracle.run_frame(frames[record.frame])
+            assert np.array_equal(result.outputs[record.frame], want)
 
     def test_queue_depth_overrides_stale_rate(self, model, cluster, net):
         switcher = build_apico_switcher(model, cluster, net)
