@@ -87,7 +87,7 @@ lint-forks:
 # One fan-out of a stacked batch: run_segment splits it into frame
 # groups on the shared pool, so neither a worker nor the coordinator
 # fans a batch out itself (InProcTransport's per-task fan-out in
-# runtime/core.py stays); and im2col fills its panel in one strided
+# runtime/core.py stays); and a conv gathers its patch in one strided
 # copy, so the only per-tap loop left in nn/ops.py is maxpool2d's.
 	! grep -nI "run_parallel(" src/repro/runtime/worker.py src/repro/runtime/coordinator.py
 	test "$$(grep -c "for i in range(kh)" src/repro/nn/ops.py)" = 1
@@ -114,6 +114,15 @@ lint-forks:
 	test "$$(grep -c "\.rebindable" src/repro/runtime/faults.py)" = 1
 	! grep -rnIE "_replay_failed|_maybe_switch|_adopt_replan|_maybe_replan|_can_replan" src/ tests/ docs/
 	test "$$(grep -c "StageScheduler(" src/repro/serve/server.py)" = 1
+# One compiled tile plan: run_segment and Engine.forward_features run
+# every program through the plan _build_plan lowers once per tile shape,
+# the one function under nn/ that builds one; the chain-mode arenas and
+# the per-frame chain runners stay deleted, and so do the per-call
+# kernels' output arenas and the gather entry point beside ConvKernel.
+	! grep -rnIE "_take_chain_arena|def run_chain|ts\.chain|def _run_steps" src/ tests/ docs/ README.md
+	! grep -rnIE "out_scratch|out_arena|def im2col|ops\.im2col" src/ tests/ docs/ README.md
+	test "$$(grep -rnI "def _build_plan" src/repro/nn | wc -l)" = 1
+	test "$$(grep -rnI "_Plan(" src/repro/nn | grep -vc "class _Plan")" = 1
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

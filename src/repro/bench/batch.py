@@ -77,13 +77,6 @@ SPLIT_BATCHES = (1, 2, 3, 4)
 SPLIT_WIDTHS = (1, 2)
 #: The frame group a B=4 batch forms at pool width 2.
 GEMM_GROUP = 2
-#: A worker computes on one BLAS thread (the end-to-end children pin
-#: it), so the pool is the only parallelism the split rows measure.
-#: OpenBLAS reads the pin once, at load: the rows run in a fresh
-#: interpreter that starts with it.
-ONE_BLAS_THREAD = {
-    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-}
 
 
 def _build(seed: int, model=None):
@@ -320,7 +313,7 @@ def run(quick: bool = False, seed: int = 0):
 
     # -- split: one worker's stacked batch at pool widths 1 and 2 -----
     split_rows, split_repeats, split_identical = common.run_fresh(
-        __file__, "_split_rows", [quick, seed], ONE_BLAS_THREAD
+        __file__, "_split_rows", [quick, seed], common.ONE_BLAS_THREAD
     )
     for row in split_rows:
         print(
@@ -331,7 +324,7 @@ def run(quick: bool = False, seed: int = 0):
 
     # -- gemm: per-frame vs tall sgemm per conv geometry of that plan --
     gemm_rows, gemm_repeats, gemm_identical = common.run_fresh(
-        __file__, "_gemm_rows", [quick, seed], ONE_BLAS_THREAD
+        __file__, "_gemm_rows", [quick, seed], common.ONE_BLAS_THREAD
     )
     for row in gemm_rows:
         print(

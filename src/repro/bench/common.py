@@ -61,6 +61,7 @@ from repro.nn import parallel
 __all__ = [
     "BENCHES",
     "Bench",
+    "ONE_BLAS_THREAD",
     "Section",
     "check_file",
     "check_report",
@@ -151,6 +152,15 @@ _MEASURE = (
     "print(json.dumps(runpy.run_path(path)[func](*map(json.loads, args))))"
 )
 _SRC = str(Path(__file__).resolve().parents[2])  # this checkout's .../src
+
+
+#: A worker computes on one BLAS thread (the end-to-end children pin
+#: it), so rows that stand for a worker's compute run in a fresh
+#: interpreter that starts with this pin (OpenBLAS reads it once, at
+#: load): ``run_fresh(..., env=ONE_BLAS_THREAD)``.
+ONE_BLAS_THREAD = {
+    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+}
 
 
 def run_fresh(

@@ -16,8 +16,17 @@ can only remove the non-GEMM overhead (window copies, padding, BN pass,
 epilogue copies, allocation churn) — the measured speedup is bounded by
 the GEMM's share of the runtime, not by 10×-style kernel rewrites.
 
+A second section, ``stage_tasks``, times what a pipeline worker runs:
+``run_segment`` on each of the four stage tasks of the end-to-end
+benchmark's ``toy64_tcp_evloop`` plan (``toy_chain(8, 2, input_hw=64,
+base_channels=8)``, PICO on the 1200/1000/800/600 MHz mix at 50 Mbps),
+reference vs fast engine, interleaved, in a fresh interpreter on one
+BLAS thread as a worker computes.  There the per-call overhead the
+compiled tile plans remove is a large share of each task.
+
 The gate is correctness, not speed: both engines must produce the same
-activations (float32 tolerance) or the comparison means nothing.
+activations (float32 tolerance), on every model and every stage task,
+or the comparison means nothing.
 ``--check`` holds a fresh run's model list against the committed one.
 Run it via ``make bench-json`` or directly::
 
@@ -32,11 +41,17 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bench import common
+from repro.cluster.device import heterogeneous_cluster
+from repro.cost.comm import NetworkModel
 from repro.models.graph import BlockUnit, LayerUnit, Model
 from repro.models.layers import ConvSpec, PoolSpec
+from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
 from repro.nn.executor import Engine
+from repro.nn.tiles import run_segment
 from repro.nn.weights import init_weights
+from repro.runtime.program import compile_plan, split_stage, stitch_stage
+from repro.schemes import get_scheme
 
 __all__ = ["BENCH", "run"]
 
@@ -121,6 +136,54 @@ def _bench_model(
     }, matches
 
 
+#: ``run_segment`` calls per timed sample of a stage task (a task takes
+#: ~0.1-0.3 ms, too short to time one call at a time).
+STAGE_TASK_CALLS = 50
+
+
+def _stage_task_rows(repeats: int, seed: int):
+    """Per stage task of the ``toy64_tcp_evloop`` plan: median ms of one
+    ``run_segment`` on the reference and the fast engine, and whether
+    every task's outputs matched."""
+    model = toy_chain(8, 2, input_hw=64, base_channels=8)
+    weights = init_weights(model, seed)
+    plan = get_scheme("pico").plan(
+        model,
+        heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0]),
+        NetworkModel.from_mbps(50.0),
+    )
+    program = compile_plan(model, plan)
+    before = Engine(model, weights, fast=False)
+    after = Engine(model, weights, fast=True)
+    x = np.random.default_rng(seed).normal(size=model.input_shape).astype(np.float32)
+    rows, matches = [], True
+    for s, stage in enumerate(program.stages):
+        outs = []
+        for t, (task, tile) in enumerate(zip(stage.tasks, split_stage(stage.tasks, x))):
+            want = run_segment(before, task.program, tile)
+            got = run_segment(after, task.program, tile)  # builds the plan
+            matches &= bool(np.allclose(got, want, rtol=1e-4, atol=1e-4))
+            outs.append(got)
+
+            def calls(engine, program=task.program, tile=tile):
+                for _ in range(STAGE_TASK_CALLS):
+                    run_segment(engine, program, tile)
+
+            t_before, t_after = common.interleaved_medians(
+                [lambda: calls(before), lambda: calls(after)], repeats
+            )
+            rows.append({
+                "stage": s,
+                "task": t,
+                "tile": list(tile.shape),
+                "before_ms": t_before / STAGE_TASK_CALLS * 1e3,
+                "after_ms": t_after / STAGE_TASK_CALLS * 1e3,
+                "speedup": t_before / t_after,
+            })
+        x = stitch_stage(stage, stage.tasks, outs)
+    return rows, matches
+
+
 #: The ``--quick`` model subset (CI smoke run).
 QUICK_MODELS = DEFAULT_MODELS[:1]
 
@@ -135,6 +198,15 @@ def run(
     if models is None:
         models = QUICK_MODELS if quick else DEFAULT_MODELS
     rows = [_bench_model(name, hw, repeats, seed) for name, hw in models]
+    task_rows, tasks_match = common.run_fresh(
+        __file__, "_stage_task_rows", [repeats, seed], common.ONE_BLAS_THREAD
+    )
+    before_ms = sum(row["before_ms"] for row in task_rows)
+    after_ms = sum(row["after_ms"] for row in task_rows)
+    print(
+        f"{'stage tasks':>14} toy64 plan, {len(task_rows)} tasks: "
+        f"{before_ms:.3f} -> {after_ms:.3f} ms a frame ({before_ms / after_ms:.2f}x)"
+    )
     sections = {
         "repeats": repeats,
         "protocol": "end-to-end/features: interleaved median; per-op: best-of",
@@ -145,20 +217,29 @@ def run(
             "additionally overlap block paths and tiles via REPRO_THREADS"
         ),
         "results": [row for row, _ in rows],
+        "stage_tasks": task_rows,
+        "stage_tasks_sum": {
+            "before_ms": before_ms,
+            "after_ms": after_ms,
+            "speedup": before_ms / after_ms,
+        },
     }
     return sections, {
-        "fast_matches_reference": all(matches for _, matches in rows)
+        "fast_matches_reference": tasks_match and all(matches for _, matches in rows)
     }
 
 
 BENCH = common.Bench(
     name="engine",
     run=run,
-    deterministic=(common.Section("results", key=("model",)),),
+    deterministic=(
+        common.Section("results", key=("model",)),
+        common.Section("stage_tasks", key=("stage", "task")),
+    ),
     timings=(
         "ops_before_s", "ops_after_s", "features_before_s", "features_after_s",
         "end_to_end_before_s", "end_to_end_after_s", "speedup",
-        "features_speedup",
+        "features_speedup", "before_ms", "after_ms",
     ),
     extras={"--repeats": dict(type=int, default=9)},
 )

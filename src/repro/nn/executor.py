@@ -15,15 +15,23 @@ or ``Engine(..., fast=False)`` selects the reference kernels):
 * **batch norm is folded** into the packed conv weight and bias once
   (:func:`repro.nn.weights.fold_batch_norm`), eliminating the separate
   per-frame BN pass.  Folding happens identically for full-map and
-  tiled execution (both go through :meth:`Engine.run_layer`), so the
+  tiled execution (both read :meth:`Engine._packed_conv`), so the
   tile-vs-full bit-exactness contract is preserved;
 * bias adds and activations run **in place** on fresh conv outputs;
-* im2col patch matrices live in per-thread scratch arenas instead of
-  being reallocated every frame;
+* steady-state frames run through **compiled tile plans**: a tile
+  program lowered once per tile shape onto buffers it keeps (bordered
+  input maps, patch arena, GEMM outputs), built at first use and held
+  by the engine, one per concurrent run (:func:`repro.nn.tiles.run_segment`;
+  :meth:`Engine.forward_features` runs the full-map program of every
+  unit through the same plans);
 * multi-path :class:`~repro.models.graph.BlockUnit`\\ s (inception
   branches) execute **concurrently** on the shared thread pool
   (:mod:`repro.nn.parallel`) — BLAS releases the GIL — with a serial
   fallback when ``REPRO_THREADS`` resolves to one.
+
+:meth:`Engine.run_layer` and :meth:`Engine.run_unit` are the per-call
+path over the same kernels (:func:`repro.nn.ops.conv2d_packed`,
+:func:`repro.nn.ops.maxpool2d`), with im2col in per-thread arenas.
 
 The fast and reference paths are bit-exact for ``groups == 1``
 convolutions and pooling; grouped convolutions and folded BN agree to
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -66,23 +75,63 @@ class _PackedConv:
 
 
 class _ThreadScratch(threading.local):
-    """Per-thread scratch state (block paths run concurrently).
+    """Per-thread scratch state (block paths and frame groups run
+    concurrently).
 
-    ``pad`` holds im2col patch matrices and ``padded`` the zero-bordered
-    input map they are copied from.  ``outs``/``flip`` are the
-    ping-pong output arenas for chain execution: every produced feature
-    map is consumed only by the next layer, so two alternating buffers
-    suffice and steady-state frames allocate nothing.  ``chain`` gates
-    the mode — it is only set by :meth:`Engine.forward_features` on
-    block-free models, where the consumed-by-next invariant holds.
+    ``pad`` holds the per-call path's im2col patch matrices and
+    ``padded`` the zero-bordered input map they are copied from.
     """
 
     def __init__(self) -> None:
         self.pad = ops.ScratchPad()
         self.padded = ops.ScratchPad()
-        self.outs = (ops.ScratchPad(), ops.ScratchPad())
-        self.flip = 0
-        self.chain = False
+
+
+#: Bytes of buffers an engine keeps in idle compiled tile plans; past
+#: it the least recently used go (but never the plan just run).  Tens of
+#: plans at the 64-pixel inputs the benchmarks serve; at 224 pixels a
+#: whole-network plan is larger alone, and a rebuilt plan costs about a
+#: warm-up frame's page faults.
+PLAN_POOL_BYTES = 64 << 20
+
+
+class _PlanPool:
+    """Idle compiled tile plans (:func:`repro.nn.tiles.run_segment`)
+    per ``(program id, tile shape)``, least recently used first: a run
+    takes one out (``None``: build one) and gives it back, so a program
+    keeps as many plans as ran it at once.  Bounded by
+    :data:`PLAN_POOL_BYTES` of plan buffers (``plan.nbytes``), not by a
+    count: a plan's size follows its tile, from kilobytes to hundreds of
+    megabytes."""
+
+    def __init__(self) -> None:
+        self._idle: "OrderedDict[Tuple[int, Tuple[int, ...]], list]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0  # of the idle plans
+
+    def take(self, key):
+        with self._lock:
+            idle = self._idle.get(key)
+            if idle is None:
+                return None
+            plan = idle.pop()
+            if not idle:
+                del self._idle[key]
+            self.nbytes -= plan.nbytes
+            return plan
+
+    def give(self, key, plan) -> None:
+        with self._lock:
+            self._idle.setdefault(key, []).append(plan)
+            self._idle.move_to_end(key)
+            self.nbytes += plan.nbytes
+            while self.nbytes > PLAN_POOL_BYTES:
+                oldest, idle = next(iter(self._idle.items()))
+                if oldest == key and len(idle) == 1:
+                    break
+                self.nbytes -= idle.pop(0).nbytes
+                if not idle:
+                    del self._idle[oldest]
 
 
 class Engine:
@@ -95,7 +144,9 @@ class Engine:
     weights:
         Optional pre-built weights; seeded random weights otherwise.
         Weight dicts may be partial (a worker only ships its segment's
-        layers) — packing is lazy per layer.
+        layers) — packing is lazy per layer.  The packed weights and
+        the compiled tile plans capture them: call
+        :meth:`refresh_weights` after mutating ``weights``.
     fast:
         Use the packed-GEMM fast path.  Defaults to the ``REPRO_FAST``
         environment flag, which defaults to on.
@@ -120,9 +171,8 @@ class Engine:
         self._packed: "Dict[str, _PackedConv]" = {}
         self._packed_slices: "Dict[Tuple[str, int, int], _PackedConv]" = {}
         self._scratch = _ThreadScratch()
-        self._is_chain = all(
-            isinstance(unit, LayerUnit) for unit in model.units
-        )
+        self._plans = _PlanPool()
+        self._full_map = None  # forward_features' program, built at first use
 
     # ------------------------------------------------------------------
     # Packed-weight cache.
@@ -172,9 +222,12 @@ class Engine:
         return sliced
 
     def refresh_weights(self) -> None:
-        """Drop cached packed weights (call after mutating ``weights``)."""
+        """Drop cached packed weights and the compiled plans, which hold
+        them (call after mutating ``weights``); a plan still running
+        goes back to the dropped pool."""
         self._packed.clear()
         self._packed_slices.clear()
+        self._plans = _PlanPool()
 
     # ------------------------------------------------------------------
     # Layer-level dispatch (shared with tiled execution).
@@ -233,21 +286,9 @@ class Engine:
             x = x[lo:hi]
         if layer.kind_ == "max":
             if self.fast:
-                return ops.maxpool2d(
-                    x, layer.kernel_size, layer.stride, pads,
-                    out_scratch=self._take_chain_arena(),
-                )
+                return ops.maxpool2d(x, layer.kernel_size, layer.stride, pads)
             return ops.maxpool2d_reference(x, layer.kernel_size, layer.stride, pads)
         return ops.avgpool2d(x, layer.kernel_size, layer.stride, pads)
-
-    def _take_chain_arena(self) -> "Optional[ops.ScratchPad]":
-        """The next ping-pong output arena, or ``None`` outside chain mode."""
-        ts = self._scratch
-        if not ts.chain:
-            return None
-        arena = ts.outs[ts.flip]
-        ts.flip ^= 1
-        return arena
 
     def _run_conv_fast(
         self,
@@ -273,7 +314,6 @@ class Engine:
             groups=layer.groups,
             activation=fused_activation,
             scratch=self._scratch.pad,
-            out_scratch=self._take_chain_arena(),
             pad_scratch=self._scratch.padded,
         )
         if layer.batch_norm and not packed.folded:
@@ -294,46 +334,17 @@ class Engine:
         pv, ph = layer.padding
         return (pv, pv, ph, ph)
 
-    def run_chain(
-        self,
-        steps: "Tuple[Tuple[SpatialLayer, _Pad4], ...]",
-        x: np.ndarray,
-    ) -> np.ndarray:
-        """Run consecutive layers where each output feeds only the next.
-
-        On the fast path the intermediate outputs live in the per-thread
-        ping-pong arenas (zero steady-state allocation); the **final**
-        output is always freshly allocated, so callers may hold it
-        across frames, merge it with other paths, or stitch it from
-        another thread.  Values are identical to running the layers
-        one by one.
-        """
-        if not steps:
-            return x
-        ts = self._scratch
-        if self.fast and len(steps) > 1 and not ts.chain:
-            ts.chain = True
-            try:
-                for layer, pads in steps[:-1]:
-                    x = self.run_layer(layer, x, pads)
-            finally:
-                ts.chain = False
-        else:
-            for layer, pads in steps[:-1]:
-                x = self.run_layer(layer, x, pads)
-        layer, pads = steps[-1]
-        return self.run_layer(layer, x, pads)
-
     # ------------------------------------------------------------------
     # Full-map execution.
     # ------------------------------------------------------------------
     def _run_path(self, path, x: np.ndarray) -> np.ndarray:
-        return self.run_chain(
-            tuple((layer, self.spec_pads(layer)) for layer in path), x
-        )
+        for layer in path:
+            x = self.run_layer(layer, x, self.spec_pads(layer))
+        return x
 
     def run_unit(self, unit: PlanUnit, x: np.ndarray) -> np.ndarray:
-        """Execute one plan unit on a full feature map."""
+        """Execute one plan unit on a full feature map, op by op (the
+        per-call path; :meth:`forward_features` runs a compiled plan)."""
         if isinstance(unit, LayerUnit):
             return self.run_layer(unit.layer, x, self.spec_pads(unit.layer))
         assert isinstance(unit, BlockUnit)
@@ -360,25 +371,18 @@ class Engine:
         return ops.apply_activation_(merged, unit.post_activation)
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
-        """Run every plan unit; returns the final feature map."""
+        """Run every plan unit; returns the final feature map (fresh).
+
+        Runs :func:`repro.nn.tiles.full_map_program` — every unit on the
+        whole map at its spec padding, built once per engine — through
+        this thread's compiled plan, so steady-state frames reuse its
+        buffers."""
+        from repro.nn import tiles  # tiles builds on this module
+
         self._check_input(x)
-        out = x.astype(np.float32, copy=False)
-        ts = self._scratch
-        if self.fast and self._is_chain and not ts.chain:
-            # Chain models (every output consumed only by the next
-            # layer) run with ping-pong output arenas: zero steady-state
-            # allocation.  Detach the final map so it survives the next
-            # frame's arena reuse.
-            ts.chain = True
-            try:
-                for unit in self.model.units:
-                    out = self.run_unit(unit, out)
-            finally:
-                ts.chain = False
-            return out.copy() if out is not x else out
-        for unit in self.model.units:
-            out = self.run_unit(unit, out)
-        return out
+        if self._full_map is None:
+            self._full_map = tiles.full_map_program(self.model)
+        return tiles.run_segment(self, self._full_map, x.astype(np.float32, copy=False))
 
     def run_head(self, features: np.ndarray) -> np.ndarray:
         """Flatten + dense head (identity if the model has no head)."""

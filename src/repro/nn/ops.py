@@ -38,16 +38,17 @@ the tile-vs-full bit-exactness contract — is unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "pad2d",
-    "im2col",
     "pack_conv_weight",
     "conv2d",
     "conv2d_packed",
+    "ConvKernel",
+    "MaxPoolKernel",
     "conv2d_reference",
     "maxpool2d",
     "maxpool2d_reference",
@@ -145,17 +146,18 @@ def _windows(x: np.ndarray, kernel: _Size2, stride: _Size2) -> np.ndarray:
     return view[..., :: stride[0], :: stride[1], :, :]
 
 
-def _out_hw(xp: np.ndarray, kernel: _Size2, stride: _Size2) -> _Size2:
-    """Output spatial size of a kernel sweep over a padded map."""
-    kh, kw = kernel
-    if xp.shape[-2] < kh or xp.shape[-1] < kw:
-        raise ValueError(
-            f"input spatial {xp.shape[-2:]} smaller than kernel {kernel}"
-        )
-    return (
-        (xp.shape[-2] - kh) // stride[0] + 1,
-        (xp.shape[-1] - kw) // stride[1] + 1,
-    )
+def _sweep_hw(
+    shape: "Tuple[int, ...]", kernel: _Size2, stride: _Size2, pads: _Pad4
+) -> _Size2:
+    """Output spatial size of a kernel sweep over a ``shape`` map grown
+    by ``pads``; rejects negative pads and maps smaller than the kernel."""
+    if min(pads) < 0:
+        raise ValueError(f"negative padding {pads}")
+    top, bottom, left, right = pads
+    hp, wp = shape[-2] + top + bottom, shape[-1] + left + right
+    if hp < kernel[0] or wp < kernel[1]:
+        raise ValueError(f"padded spatial {(hp, wp)} smaller than kernel {kernel}")
+    return ((hp - kernel[0]) // stride[0] + 1, (wp - kernel[1]) // stride[1] + 1)
 
 
 def _tap(xp: np.ndarray, i: int, j: int, stride: _Size2, out_hw: _Size2) -> np.ndarray:
@@ -165,82 +167,59 @@ def _tap(xp: np.ndarray, i: int, j: int, stride: _Size2, out_hw: _Size2) -> np.n
     return xp[..., i : i + (ho - 1) * sv + 1 : sv, j : j + (wo - 1) * sh + 1 : sh]
 
 
-def im2col(
-    x: np.ndarray,
-    kernel: _Size2,
-    stride: _Size2,
+def _bordered_map(
+    shape: "Tuple[int, ...]",
     pads: _Pad4,
-    scratch: Optional[ScratchPad] = None,
-    pad_scratch: Optional[ScratchPad] = None,
-) -> "Tuple[np.ndarray, _Size2]":
-    """Patch matrix for GEMM convolution.
+    fill: float,
+    arena: Optional[ScratchPad] = None,
+) -> "Tuple[np.ndarray, np.ndarray]":
+    """A map of ``shape`` grown by ``pads`` on its trailing two axes,
+    with ``fill`` written into the border only: ``(map, interior)``,
+    where ``interior`` is the view a caller copies its input into.
 
-    Returns ``(cols, (Ho, Wo))`` where ``cols`` has shape
-    ``(C·kh·kw, Ho·Wo)`` with rows ordered ``(channel, kh, kw)`` — the
-    exact operand layout ``np.tensordot`` builds internally, which is
-    what makes the GEMM path bit-exact with the reference.  A batched
-    ``(C, B, H, W)`` input builds one **stacked panel** of shape
-    ``(C·kh·kw, B·Ho·Wo)`` with columns ordered ``(frame, ho, wo)``:
-    frame ``b``'s block is column-for-column the panel the single-frame
-    call would build, so the batched GEMM's column blocks are the
-    per-frame outputs.
-
-    The fill is one strided copy: a padded input is first laid into a
-    zero-bordered map (in ``pad_scratch`` when provided), then a
-    ``(C, kh, kw, *B, Ho, Wo)`` ``as_strided`` view of that map — every
-    kernel tap of every frame at once — is copied into the buffer
-    (``scratch`` when provided).  An unpadded input is viewed in place.
+    The map lives in ``arena`` when given and is fresh otherwise; a
+    compiled tile plan keeps one per step, so its border is written
+    once and each frame pays only the interior copy.
     """
-    kh, kw = kernel
     top, bottom, left, right = pads
-    if min(pads) < 0:
-        raise ValueError(f"negative padding {pads}")
-    _check_map(x, "im2col")
-    c, h, w = x.shape[0], x.shape[-2], x.shape[-1]
-    hp, wp = h + top + bottom, w + left + right
-    if hp < kh or wp < kw:
-        raise ValueError(f"padded spatial {(hp, wp)} smaller than kernel {kernel}")
+    h, w = shape[-2], shape[-1]
+    full = (*shape[:-2], h + top + bottom, w + left + right)
+    xp = arena.take(full) if arena is not None else np.empty(full, np.float32)
+    xp[..., :top, :] = fill
+    xp[..., top + h :, :] = fill
+    xp[..., top : top + h, :left] = fill
+    xp[..., top : top + h, left + w :] = fill
+    return xp, xp[..., top : top + h, left : left + w]
+
+
+def _tap_view(
+    xp: np.ndarray, kernel: _Size2, stride: _Size2, out_hw: _Size2
+) -> np.ndarray:
+    """Every kernel tap of every frame of a bordered map at once: a
+    read-only ``(C, kh, kw, *B, Ho, Wo)`` ``as_strided`` view, whose
+    copy is the im2col panel with rows in ``(channel, kh, kw)`` order.
+    ``xp`` may itself be a strided view (a block path's crop)."""
+    kh, kw = kernel
     sv, sh = stride
-    ho, wo = (hp - kh) // sv + 1, (wp - kw) // sh + 1
-    batch = x.shape[1:-2]  # () for single-frame, (B,) for batched
-    if top or bottom or left or right:
-        xp_shape = (*x.shape[:-2], hp, wp)
-        xp = (
-            pad_scratch.take(xp_shape) if pad_scratch is not None
-            else np.empty(xp_shape, np.float32)
-        )
-        xp[..., :top, :] = 0.0
-        xp[..., top + h :, :] = 0.0
-        xp[..., top : top + h, :left] = 0.0
-        xp[..., top : top + h, left + w :] = 0.0
-        np.copyto(xp[..., top : top + h, left : left + w], x)
-    else:
-        xp = x
     s_c, *s_b, s_h, s_w = xp.strides
-    taps = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp,
-        shape=(c, kh, kw, *batch, ho, wo),
+        shape=(xp.shape[0], kh, kw, *xp.shape[1:-2], *out_hw),
         strides=(s_c, s_h, s_w, *s_b, s_h * sv, s_w * sh),
         writeable=False,
     )
-    shape = taps.shape
-    buf = scratch.take(shape) if scratch is not None else np.empty(shape, np.float32)
-    np.copyto(buf, taps)
-    n = ho * wo
-    for dim in batch:
-        n *= dim
-    return buf.reshape(c * kh * kw, n), (ho, wo)
 
 
-def _check_conv(x: np.ndarray, cout: int, cin_w: int, groups: int) -> None:
-    if groups < 1 or x.shape[0] % groups or cout % groups:
+def _check_conv(shape: "Tuple[int, ...]", cout: int, cin_w: int, groups: int) -> None:
+    """Reject a conv whose ``shape`` input does not fit its weights."""
+    if groups < 1 or shape[0] % groups or cout % groups:
         raise ValueError(
-            f"invalid groups={groups} for shapes {x.shape}, "
+            f"invalid groups={groups} for shapes {tuple(shape)}, "
             f"({cout}, {cin_w}, ...)"
         )
-    if x.shape[0] // groups != cin_w:
+    if shape[0] // groups != cin_w:
         raise ValueError(
-            f"channel mismatch: input {x.shape[0]} / groups {groups} != "
+            f"channel mismatch: input {shape[0]} / groups {groups} != "
             f"weight in-channels {cin_w}"
         )
 
@@ -270,52 +249,140 @@ def conv2d_packed(
     groups: int = 1,
     activation: str = "linear",
     scratch: Optional[ScratchPad] = None,
-    out_scratch: Optional[ScratchPad] = None,
     pad_scratch: Optional[ScratchPad] = None,
 ) -> np.ndarray:
     """GEMM convolution against a :func:`pack_conv_weight` matrix.
 
-    Lowers to a single BLAS sgemm (one batched matmul for grouped
+    The per-call wrapper over :class:`ConvKernel`, the kernel sequence a
+    compiled tile plan (:mod:`repro.nn.tiles`) runs on buffers it built
+    once.  Lowers to a single BLAS sgemm (one batched matmul for grouped
     convolutions); bias add and activation run in place on the GEMM
     output in cache-sized row blocks, so the op allocates exactly one
     array beyond the scratch arenas (``scratch`` for the patch matrix,
-    ``pad_scratch`` for a padded input's zero-bordered map) — or none
-    when ``out_scratch`` provides the output buffer (chain execution
-    ping-pongs two arenas; the returned array aliases ``out_scratch``'s
-    storage).
+    ``pad_scratch`` for a padded input's zero-bordered map).
 
-    A batched ``(C, B, H, W)`` input builds one **stacked** im2col
-    panel — ``B·Ho·Wo`` columns instead of ``Ho·Wo`` — so the panel
-    fill, the bias/activation epilogue and the per-layer dispatch are
-    all paid once per batch, and returns ``(Cout, B, Ho, Wo)``.  Every
-    frame's slice is **bit-identical** to the single-frame call: the
-    panel takes one tall GEMM where this process's BLAS computes that
-    bit for bit like the per-frame GEMMs (:func:`_tall_is_exact`, which
-    streams the weights once instead of ``B`` times), and one GEMM per
-    frame everywhere else.
+    A batched ``(C, B, H, W)`` input returns ``(Cout, B, Ho, Wo)`` and
+    pays the panel fill, the epilogue and the per-layer dispatch once
+    per batch.  Every frame's slice is **bit-identical** to the
+    single-frame call: the batch takes one tall GEMM where this
+    process's BLAS computes that bit for bit like the per-frame GEMMs
+    (:func:`_tall_is_exact`, which streams the weights once instead of
+    ``B`` times), and otherwise the single-frame GEMM itself, once per
+    frame.  The per-frame GEMMs fill a frame-major buffer, so that
+    result is a ``(Cout, B, Ho, Wo)`` view of it, not C-contiguous; the
+    next kernel gathers from any layout, and a plan's result is made
+    contiguous once, at its end.
     """
-    kh, kw = kernel
-    if groups == 1:
-        cout, k = packed.shape
-        cin_w = k // (kh * kw)
-    else:
-        cout = packed.shape[0] * packed.shape[1]
-        cin_w = packed.shape[2] // (kh * kw)
-    _check_conv(x, cout, cin_w, groups)
-    cols, (ho, wo) = im2col(x, kernel, stride, pads, scratch, pad_scratch)
-    n = cols.shape[1]
-    if groups != 1:
-        cols = cols.reshape(groups, packed.shape[2], n)
-    shape = (*packed.shape[:-1], n)
-    out = out_scratch.take(shape) if out_scratch is not None else np.empty(shape, np.float32)
-    b = x.shape[1] if x.ndim == 4 else 1
-    if b > 1 and not _tall_is_exact(packed.shape, n // b, b):
-        _gemm_per_frame_(packed, cols, b, out)
-    else:
-        _gemm_(packed, cols, out)
-    out = out.reshape(cout, n)
-    _conv_epilogue_(out, bias, activation)
-    return out.reshape(cout, *x.shape[1:-2], ho, wo)
+    conv = ConvKernel(
+        x.shape, packed, bias, kernel, stride, pads, groups, activation,
+        src=x, map_arena=pad_scratch,
+    )
+    conv.bind_patch(
+        scratch.take((conv.patch_size,)) if scratch is not None
+        else np.empty(conv.patch_size, np.float32)
+    )
+    return conv(x)
+
+
+class ConvKernel:
+    """One convolution's kernel sequence on buffers fixed when it is
+    built for an input ``shape``.  Per call: copy the input into the
+    zero-bordered map (skipped when the conv reads ``src`` unpadded),
+    gather every tap into the patch, the GEMM(s), the in-place
+    epilogue; returns the ``(Cout, *B, Ho, Wo)`` output view.
+
+    :func:`conv2d_packed` builds one per call, on scratch arenas; a
+    compiled tile plan builds one per step at its first frame, so the
+    border, the tap view, the epilogue's row blocks and the tall-vs-
+    per-frame choice (:func:`_tall_is_exact`) are settled once.
+
+    ``src`` is the array the conv reads when it is unpadded — a plan
+    buffer that stays put, or the call's own input; ``None`` makes it
+    copy its input every call.  The patch lives in whatever flat buffer
+    :meth:`bind_patch` is given (a plan binds it to the running thread's
+    patch arena).
+
+    A tall batch gathers one ``(K, B·Ho·Wo)`` panel.  Per-frame GEMMs
+    gather the panel frame-major, ``(B, K, Ho·Wo)``, so each frame's
+    GEMM is the single-frame call on the very operands it would see
+    (contiguous panel, contiguous output); the output is then a
+    ``(B, Cout, ...)`` buffer, seen as ``(Cout, B, Ho, Wo)``.
+    """
+
+    __slots__ = (
+        "interior", "taps", "cols_shape", "patch", "cols", "packed",
+        "frames", "gemm", "epilogue", "activation", "out",
+    )
+
+    def __init__(
+        self,
+        shape: "Tuple[int, ...]",
+        packed: np.ndarray,
+        bias: Optional[np.ndarray],
+        kernel: _Size2,
+        stride: _Size2,
+        pads: _Pad4,
+        groups: int,
+        activation: str,
+        src: Optional[np.ndarray] = None,
+        map_arena: Optional[ScratchPad] = None,
+    ) -> None:
+        if len(shape) not in (3, 4):
+            raise ValueError(
+                f"conv expects a (C, H, W) or (C, B, H, W) feature map, got shape {shape}"
+            )
+        cout = packed.shape[0] if groups == 1 else packed.shape[0] * packed.shape[1]
+        _check_conv(shape, cout, packed.shape[-1] // (kernel[0] * kernel[1]), groups)
+        out_hw = _sweep_hw(shape, kernel, stride, pads)
+        if src is not None and not any(pads):
+            xp, self.interior = src, None
+        else:
+            xp, self.interior = _bordered_map(shape, pads, 0.0, map_arena)
+        taps = _tap_view(xp, kernel, stride, out_hw)
+        b = shape[1] if len(shape) == 4 else 1
+        nf = out_hw[0] * out_hw[1]
+        self.frames = 1 if b == 1 or _tall_is_exact(packed.shape, nf, b) else b
+        k_rows = packed.shape[-1]
+        if self.frames == 1:
+            self.taps = taps
+            self.cols_shape = (*packed.shape[:-2], k_rows, b * nf)
+            gemm_shape: "Tuple[int, ...]" = (*packed.shape[:-1], b * nf)
+        else:
+            self.taps = taps.transpose(3, 0, 1, 2, 4, 5)
+            self.cols_shape = (b, *packed.shape[:-2], k_rows, nf)
+            gemm_shape = (b, *packed.shape[:-1], nf)
+        self.patch = self.cols = None
+        self.packed, self.activation = packed, activation
+        self.gemm = np.empty(gemm_shape, np.float32)
+        if self.frames == 1:
+            self.out = self.gemm.reshape(cout, *shape[1:-2], *out_hw)
+        else:
+            self.out = self.gemm.reshape(b, cout, *out_hw).swapaxes(0, 1)
+        self.epilogue = _epilogue_blocks(self.out, bias, activation)
+
+    @property
+    def patch_size(self) -> int:
+        """Floats the patch takes (:meth:`bind_patch` needs as many)."""
+        return self.taps.size
+
+    def bind_patch(self, arena: np.ndarray) -> None:
+        """Put the patch at the start of the flat float32 ``arena``."""
+        self.patch = arena[: self.taps.size].reshape(self.taps.shape)
+        self.cols = self.patch.reshape(self.cols_shape)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.interior is not None:
+            np.copyto(self.interior, x)
+        np.copyto(self.patch, self.taps)
+        if self.frames == 1:
+            _gemm_(self.packed, self.cols, self.gemm)
+        else:
+            _gemm_per_frame_(self.packed, self.cols, self.gemm)
+        for block, bias in self.epilogue:
+            if bias is not None:
+                block += bias
+            apply_activation_(block, self.activation)
+        return self.out
 
 
 def _gemm_(packed: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
@@ -328,22 +395,20 @@ def _gemm_(packed: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
         np.matmul(packed, cols, out=out)
 
 
-def _gemm_per_frame_(
-    packed: np.ndarray, cols: np.ndarray, b: int, out: np.ndarray
-) -> None:
-    """One GEMM per frame over the stacked panel's column blocks,
-    written into ``out``.
-
-    Column block ``i`` of the panel is the very matrix the single-frame
-    call would build (same values, same ``(M, K, N)``), so BLAS runs the
-    identical kernel with the identical accumulation order — only the
-    leading dimension differs, which the pack step normalises away.
-    """
-    nf = cols.shape[-1] // b
-    for i in range(b):
-        lo = i * nf
-        block = np.matmul(packed, cols[..., lo : lo + nf])
-        out[..., lo : lo + nf] = block
+def _gemm_per_frame_(packed: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """One GEMM per frame of a frame-major panel, into frame-major
+    ``out``: frame ``i``'s panel and output are contiguous, so its call
+    is :func:`_gemm_`'s single-frame call on identical operands — the
+    same BLAS routine, shape, layout and so accumulation order.  (A
+    strided column block of a stacked panel is not: for a one-row pack
+    or a one-column frame, numpy hands it to another routine, which
+    rounds differently.)"""
+    if packed.ndim == 2:
+        for frame, dest in zip(cols, out):
+            np.dot(packed, frame, out=dest)
+    else:
+        for frame, dest in zip(cols, out):
+            np.matmul(packed, frame, out=dest)
 
 
 #: ``(packed shape, columns per frame, frames)`` → whether one tall GEMM
@@ -396,31 +461,38 @@ def _probe_tall(shape: "Tuple[int, ...]", nf: int, b: int) -> bool:
         packed -= np.float32(0.5)
         cols -= np.float32(0.5)
         tall = np.empty((*shape[:-1], n), np.float32)
-        per_frame = np.empty_like(tall)
         _gemm_(packed, cols, tall)
-        _gemm_per_frame_(packed, cols, b, per_frame)
+        frames = np.moveaxis(cols.reshape(*cols.shape[:-1], b, nf), -2, 0)
+        per_frame = np.empty((b, *shape[:-1], nf), np.float32)
+        _gemm_per_frame_(packed, np.ascontiguousarray(frames), per_frame)
+        tall = np.moveaxis(tall.reshape(*tall.shape[:-1], b, nf), -2, 0)
         if not np.array_equal(tall.view(np.uint32), per_frame.view(np.uint32)):
             return False
     return True
 
 
-def _conv_epilogue_(out: np.ndarray, bias: Optional[np.ndarray], activation: str) -> None:
-    """In-place bias + activation over ``(Cout, N)`` in row blocks.
+def _epilogue_blocks(
+    out: np.ndarray, bias: Optional[np.ndarray], activation: str
+) -> "List[Tuple[np.ndarray, Optional[np.ndarray]]]":
+    """The channel blocks of a ``(Cout, ...)`` conv output that the
+    in-place bias + activation epilogue visits, each with its bias
+    column (``None`` without bias); no blocks when there is nothing to
+    do.
 
     Blocks are sized to ~128 KiB so the activation pass reads the rows
     the bias add just touched from cache instead of re-streaming the
     whole output from memory.  Identical values to the two full passes —
-    both visit each element once, in the same order.
+    both visit each element once, and each is elementwise.
     """
     if bias is None and activation == "linear":
-        return
-    cout, n = out.shape
-    rows = max(1, 32768 // max(1, n))
-    for i in range(0, cout, rows):
-        block = out[i : i + rows]
-        if bias is not None:
-            block += bias[i : i + rows, None]
-        apply_activation_(block, activation)
+        return []
+    rows = max(1, 32768 // max(1, out[0].size))
+    if bias is not None:
+        bias = bias.reshape(-1, *(1,) * (out.ndim - 1))
+    return [
+        (out[i : i + rows], None if bias is None else bias[i : i + rows])
+        for i in range(0, out.shape[0], rows)
+    ]
 
 
 def conv2d(
@@ -438,7 +510,7 @@ def conv2d(
     on every call — steady-state callers (the engine) pre-pack once and
     use :func:`conv2d_packed`.
     """
-    _check_conv(x, weight.shape[0], weight.shape[1], groups)
+    _check_conv(x.shape, weight.shape[0], weight.shape[1], groups)
     packed = pack_conv_weight(weight, groups)
     return conv2d_packed(x, packed, bias, weight.shape[2:], stride, pads, groups)
 
@@ -470,7 +542,7 @@ def conv2d_reference(
             ],
             axis=1,
         )
-    _check_conv(x, weight.shape[0], weight.shape[1], groups)
+    _check_conv(x.shape, weight.shape[0], weight.shape[1], groups)
     xp = pad2d(x, pads)
     win = _windows(xp, weight.shape[2:], stride)
     if groups == 1:
@@ -492,14 +564,12 @@ def maxpool2d(
     kernel: _Size2,
     stride: _Size2,
     pads: _Pad4 = (0, 0, 0, 0),
-    out_scratch: Optional[ScratchPad] = None,
 ) -> np.ndarray:
     """Max pooling; padded cells use -inf so they never win.
 
     Accumulates the ``kh·kw`` kernel taps with vectorised ``np.maximum``
     over strided slices — bit-exact with the windowed reference (max is
-    order-free) and much faster than reducing a 5-D strided view.  With
-    ``out_scratch`` the result lives in (and aliases) the arena.
+    order-free) and much faster than reducing a 5-D strided view.
 
     The tap path is fully general: non-square inputs, non-square
     kernels, asymmetric padding and batched ``(C, B, H, W)`` maps all
@@ -508,29 +578,45 @@ def maxpool2d(
     never fall back to the windowed reference.
     """
     _check_map(x, "maxpool2d")
-    top, bottom, left, right = pads
-    if any(pads):
-        if min(pads) < 0:
-            raise ValueError(f"negative padding {pads}")
-        xp = np.full(
-            (*x.shape[:-2], x.shape[-2] + top + bottom, x.shape[-1] + left + right),
-            -np.inf,
-            dtype=x.dtype,
-        )
-        xp[..., top : top + x.shape[-2], left : left + x.shape[-1]] = x
-    else:
-        xp = x
-    kh, kw = kernel
-    out_hw = _out_hw(xp, kernel, stride)
-    shape = (*x.shape[:-2], *out_hw)
-    out = out_scratch.take(shape) if out_scratch is not None else np.empty(shape, np.float32)
-    np.copyto(out, _tap(xp, 0, 0, stride, out_hw))
-    for i in range(kh):
-        for j in range(kw):
-            if i == 0 and j == 0:
-                continue
-            np.maximum(out, _tap(xp, i, j, stride, out_hw), out=out)
-    return out
+    return MaxPoolKernel(x.shape, kernel, stride, pads, src=x)(x)
+
+
+class MaxPoolKernel:
+    """One max pool's kernel sequence on buffers fixed when it is built
+    for an input ``shape``: the −inf border is written once; per call,
+    the interior copy (skipped when the pool reads ``src`` unpadded)
+    and the tap maxima into ``out``.  :func:`maxpool2d` builds one per
+    call, a compiled tile plan one per step (see :class:`ConvKernel`)."""
+
+    __slots__ = ("interior", "taps", "out")
+
+    def __init__(
+        self,
+        shape: "Tuple[int, ...]",
+        kernel: _Size2,
+        stride: _Size2,
+        pads: _Pad4,
+        src: Optional[np.ndarray] = None,
+    ) -> None:
+        out_hw = _sweep_hw(shape, kernel, stride, pads)
+        if src is not None and not any(pads):
+            xp, self.interior = src, None
+        else:
+            xp, self.interior = _bordered_map(shape, pads, -np.inf)
+        kh, kw = kernel
+        self.taps = [
+            _tap(xp, i, j, stride, out_hw) for i in range(kh) for j in range(kw)
+        ]
+        self.out = np.empty((*shape[:-2], *out_hw), np.float32)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.interior is not None:
+            np.copyto(self.interior, x)
+        out = self.out
+        np.copyto(out, self.taps[0])
+        for tap in self.taps[1:]:
+            np.maximum(out, tap, out=out)
+        return out
 
 
 def maxpool2d_reference(

@@ -129,25 +129,33 @@ def in_pool_worker() -> bool:
     return _flags.inside_pool
 
 
+def _call(thunk: "Callable[[], _T]") -> _T:
+    """Run ``thunk`` as pool work: nothing it calls fans out again."""
+    _flags.inside_pool = True
+    try:
+        return thunk()
+    finally:
+        _flags.inside_pool = False
+
+
 def run_parallel(thunks: "Sequence[Callable[[], _T]]") -> "List[_T]":
     """Run thunks concurrently on the shared pool, preserving order.
 
-    Falls back to a plain serial loop when the pool is disabled, when
-    there is a single thunk, or when called from inside a pool worker
-    (nested fan-out).  Exceptions propagate to the caller either way.
+    Falls back to a plain serial loop when the pool is disabled or when
+    called from inside a pool worker (nested fan-out).  A single thunk
+    runs inline, but still as pool work, so it does not fan out either:
+    a caller's unit of parallel work never subdivides, whether it got a
+    pool thread or not.  (The in-process transport hands each stage's
+    tasks here from one thread per stage, which already keeps the cores
+    busy; a one-task stage splitting its frames across the pool only
+    added hand-offs.)  Exceptions propagate to the caller either way.
     """
-    if len(thunks) <= 1 or _flags.inside_pool:
+    if _flags.inside_pool:
         return [thunk() for thunk in thunks]
+    if len(thunks) == 1:
+        return [_call(thunks[0])]
     pool = get_pool()
     if pool is None:
         return [thunk() for thunk in thunks]
-
-    def call(thunk: "Callable[[], _T]") -> _T:
-        _flags.inside_pool = True
-        try:
-            return thunk()
-        finally:
-            _flags.inside_pool = False
-
-    futures = [pool.submit(call, thunk) for thunk in thunks]
+    futures = [pool.submit(_call, thunk) for thunk in thunks]
     return [future.result() for future in futures]

@@ -14,6 +14,15 @@ memoise compilation by ``(model, segment, region)`` so the region
 algebra runs once per configuration instead of once per frame or
 worker setup.  Specs and regions are immutable/hashable, so the cache
 key is the structural identity of the request.
+
+:func:`run_segment` then lowers each program once more, per input tile
+shape and concurrent run: :func:`_build_plan` fixes every step's
+bordered input map, tap view, patch view, GEMM output, epilogue
+blocks, packed weights and tall-vs-per-frame sgemm choice at the first
+frame, so a steady-state conv is an interior copy, a tap gather, the
+sgemm and the epilogue on buffers that already exist.  The engine pools
+the plans for every thread.  :meth:`Engine.forward_features` runs
+:func:`full_map_program` through the same plans.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.models.graph import BlockUnit, LayerUnit, Model
-from repro.models.layers import SpatialLayer
-from repro.nn import parallel
+from repro.models.layers import ConvSpec, SpatialLayer
+from repro.nn import ops, parallel
 from repro.nn.executor import Engine
 from repro.partition.fused import chain_backprop
 from repro.partition.regions import PaddedRegion, Region, receptive_region
@@ -42,6 +51,7 @@ __all__ = [
     "compile_block_paths_cached",
     "compile_channel_slice",
     "compile_channel_slice_cached",
+    "full_map_program",
     "program_cache_info",
     "clear_program_cache",
     "extract_tile",
@@ -306,6 +316,45 @@ def compile_channel_slice(
     )
 
 
+def full_map_program(model: Model) -> SegmentProgram:
+    """The program :meth:`Engine.forward_features` runs (each engine
+    builds it once): every unit over the whole map at its spec padding,
+    block paths uncropped — the per-call dispatch's geometry exactly.
+    (A :func:`compile_segment` of
+    the full output region may trim rows a strided layer never reads,
+    which would change a GEMM's width and so, possibly, its bits.)"""
+
+    def steps(layers, hw):
+        out = []
+        for layer in layers:
+            hw = layer.out_spatial(hw)
+            out.append(LayerStep(layer, Engine.spec_pads(layer), Region.full(*hw)))
+        return tuple(out)
+
+    units = []
+    for idx, unit in enumerate(model.units):
+        _, h, w = model.in_shape(idx)
+        _, oh, ow = model.out_shape(idx)
+        if isinstance(unit, LayerUnit):
+            program = UnitProgram(
+                unit.name, Region.full(h, w), Region.full(oh, ow),
+                steps=steps((unit.layer,), (h, w)),
+            )
+        else:
+            program = UnitProgram(
+                unit.name, Region.full(h, w), Region.full(oh, ow),
+                paths=tuple(PathProgram((0, h, 0, w), steps(p, (h, w))) for p in unit.paths),
+                merge=unit.merge,
+                post_activation=unit.post_activation,
+            )
+        units.append(program)
+    _, h, w = model.in_shape(0)
+    _, oh, ow = model.out_shape(model.n_units - 1)
+    return SegmentProgram(
+        model.name, 0, model.n_units, Region.full(h, w), Region.full(oh, ow), tuple(units)
+    )
+
+
 @lru_cache(maxsize=512)
 def _compile_segment_cached(
     model: Model, start: int, end: int, out_region: Region
@@ -383,25 +432,7 @@ def extract_tile(feature_map: np.ndarray, region: Region) -> np.ndarray:
     view = feature_map[
         ..., region.rows.start : region.rows.end, region.cols.start : region.cols.end
     ]
-    from repro.nn import ops  # local import to avoid cycle at module load
-
     return ops.ensure_f32c(view)
-
-
-def _run_steps(engine: Engine, steps: Tuple[LayerStep, ...], tile: np.ndarray) -> np.ndarray:
-    if not steps:
-        return tile
-    # run_chain keeps intermediate tiles in per-thread arenas and always
-    # returns a fresh final array, so the result is safe to stitch or
-    # merge from any thread.
-    tile = engine.run_chain(tuple((s.layer, s.pads) for s in steps), tile)
-    last = steps[-1]
-    if tile.shape[-2:] != (last.out_region.height, last.out_region.width):
-        raise AssertionError(
-            f"{last.layer.name}: produced {tile.shape[-2:]}, expected "
-            f"{(last.out_region.height, last.out_region.width)}"
-        )
-    return tile
 
 
 def run_segment(engine: Engine, program: SegmentProgram, tile: np.ndarray) -> np.ndarray:
@@ -412,17 +443,23 @@ def run_segment(engine: Engine, program: SegmentProgram, tile: np.ndarray) -> np
     frames' tiles, which runs the same program once with batched
     kernels underneath (per-frame slices of the result match the
     per-tile runs).  Returns the ``out_region`` tile of the segment's
-    output map.
+    output map, always a fresh array.
+
+    The program runs through a compiled plan for the tile's shape, out
+    of the engine's pool (:func:`_build_plan`, at first use), so a
+    steady-state conv is
+    an interior copy, one tap gather, the sgemm and its epilogue on
+    buffers that already exist.
 
     A stack of ``B > 1`` frames uses every thread of the shared pool:
     it is cut into ``k = min(threads, B)`` contiguous frame groups that
-    run the program concurrently and are concatenated back on the
-    frame axis (a fresh array).  A group's convs take one tall sgemm
-    only where it is bit-identical to one sgemm per frame
-    (``ops.conv2d_packed``), so every frame's bits are its
-    single-frame bits whatever its group, at any pool width.  A single
-    thread, a caller that already is a pool worker, or a single frame
-    runs the whole tile on the calling thread.
+    run the program concurrently (each on a plan of its own) and
+    are concatenated back on the frame axis.  A group's convs take one
+    tall sgemm only where it is bit-identical to one sgemm per frame
+    (``ops._tall_is_exact``), so every frame's bits are its single-frame
+    bits whatever its group, at any pool width.  A single thread, a
+    caller that already is a pool worker, or a single frame runs the
+    whole tile on the calling thread.
     """
     if tile.ndim not in (3, 4):
         raise ValueError(
@@ -436,12 +473,11 @@ def run_segment(engine: Engine, program: SegmentProgram, tile: np.ndarray) -> np
         k = min(parallel.configured_threads(), b)
         if k > 1:
             cuts = [b * i // k for i in range(k + 1)]
-            groups = [
-                np.ascontiguousarray(tile[:, lo:hi])
-                for lo, hi in zip(cuts, cuts[1:])
-            ]
             outs = parallel.run_parallel(
-                [lambda g=g: _run_program(engine, program, g) for g in groups]
+                [
+                    lambda lo=lo, hi=hi: _run_program(engine, program, tile[:, lo:hi])
+                    for lo, hi in zip(cuts, cuts[1:])
+                ]
             )
             return np.concatenate(outs, axis=1)
     return _run_program(engine, program, tile)
@@ -450,82 +486,244 @@ def run_segment(engine: Engine, program: SegmentProgram, tile: np.ndarray) -> np
 def _run_program(
     engine: Engine, program: SegmentProgram, tile: np.ndarray
 ) -> np.ndarray:
-    """:func:`run_segment`'s body on one thread, for a checked tile."""
-    from repro.nn import ops  # local import to avoid cycle at module load
+    """:func:`run_segment`'s body on one thread, for a checked tile: a
+    plan for ``(program, tile.shape)`` checked out of the engine's pool,
+    built when none is idle, and put back after the run.
 
-    current = tile
-    pending: "List[Tuple[SpatialLayer, _Pad4]]" = []
-    pending_region: Optional[Region] = None
+    The pool is shared by every thread, so a program keeps as many
+    plans as ran it at once, not one per thread that ever ran it; a
+    one-frame stack runs the single-frame plan (the same GEMMs, so the
+    same bits).  Plans are keyed by the program's identity, and each
+    holds its program, so a live key's ``id`` cannot be reused and no
+    frame hashes the nested program dataclass.  The pool keeps at most
+    ``executor.PLAN_POOL_BYTES`` of idle plans; the least recently used
+    go first."""
+    one = tile.ndim == 4 and tile.shape[1] == 1
+    x = tile[:, 0] if one else tile
+    plans, key = engine._plans, (id(program), x.shape)
+    plan = plans.take(key) or _build_plan(engine, program, x.shape)
+    try:
+        out = plan(x)
+        return out[:, None] if one else out
+    finally:
+        plans.give(key, plan)
 
-    def flush(x: np.ndarray) -> np.ndarray:
-        # Consecutive chain units run as one arena-backed chain (fresh
-        # final output); merging them amortises allocation across the
-        # whole segment, not just within a unit.
-        nonlocal pending, pending_region
-        if not pending:
-            return x
-        x = engine.run_chain(tuple(pending), x)
-        if x.shape[-2:] != (pending_region.height, pending_region.width):
-            raise AssertionError(
-                f"chain produced {x.shape[-2:]}, expected "
-                f"{(pending_region.height, pending_region.width)}"
-            )
-        pending, pending_region = [], None
+
+# ----------------------------------------------------------------------
+# Compiled plans: one program lowered onto buffers for one tile shape.
+# ----------------------------------------------------------------------
+
+_Shape = Tuple[int, ...]
+
+
+class _Call:
+    """Any other step, per call through :meth:`Engine.run_layer` (the
+    reference engine, average pools, channel-sliced pools, convs whose
+    batch norm is not folded); its output is fresh, so the next step
+    copies it."""
+
+    __slots__ = ("engine", "step")
+
+    def __init__(self, engine: Engine, step: LayerStep) -> None:
+        self.engine, self.step = engine, step
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        s = self.step
+        return self.engine.run_layer(s.layer, x, s.pads, channels=s.channels)
+
+
+class _Patches:
+    """The convs one thread runs in turn (a plan's chain steps, or one
+    block path's), gathering into the running thread's patch arena —
+    the engine's per-thread scratch pad, grown to the largest gather it
+    has served, as the per-call path's is.  A patch lives only from its
+    gather to its GEMM, so every plan a thread runs shares that one
+    arena; the convs are re-pointed only when a run finds another
+    arena than the last one (another thread, or a grown pad)."""
+
+    __slots__ = ("scratch", "convs", "size", "arena")
+
+    def __init__(self, engine: Engine, convs: "List[ops.ConvKernel]") -> None:
+        self.scratch, self.convs, self.arena = engine._scratch, convs, None
+        self.size = max((conv.patch_size for conv in convs), default=0)
+
+    def bind(self) -> None:
+        if not self.convs:
+            return
+        arena = self.scratch.pad.take((self.size,))
+        if arena.base is not self.arena:
+            for conv in self.convs:
+                conv.bind_patch(arena)
+            self.arena = arena.base
+
+
+class _Path:
+    """One block path: its crop of the block input, then its steps."""
+
+    __slots__ = ("crop", "steps", "patches")
+
+    def __init__(self, crop: Tuple[int, int, int, int]) -> None:
+        r_off, r_len, c_off, c_len = crop
+        self.crop = (Ellipsis, slice(r_off, r_off + r_len), slice(c_off, c_off + c_len))
+        self.steps: list = []
+        self.patches: Optional[_Patches] = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.patches.bind()
+        x = x[self.crop]
+        for step in self.steps:
+            x = step(x)
         return x
 
-    for unit_prog in program.units:
-        if unit_prog.merge is None:
-            if any(s.channels is not None for s in unit_prog.steps):
-                # Channel-sliced steps bypass the chain batcher: the
-                # engine must see the slice bounds to pick the packed
-                # weight rows, and a slice's output channel count no
-                # longer matches the model layout downstream layers
-                # expect — IOP programs are single-unit by construction.
-                current = flush(current)
-                for s in unit_prog.steps:
-                    current = engine.run_layer(
-                        s.layer, current, s.pads, channels=s.channels
-                    )
-                if current.shape[-2:] != (
-                    unit_prog.out_region.height,
-                    unit_prog.out_region.width,
-                ):
-                    raise AssertionError(
-                        f"{unit_prog.unit_name}: produced "
-                        f"{current.shape[-2:]}, expected "
-                        f"{(unit_prog.out_region.height, unit_prog.out_region.width)}"
-                    )
-                continue
-            pending.extend((s.layer, s.pads) for s in unit_prog.steps)
-            pending_region = unit_prog.out_region
-            continue
-        current = flush(current)
 
-        def run_path(path: PathProgram, block_in: np.ndarray = current) -> np.ndarray:
-            r_off, r_len, c_off, c_len = path.crop
-            sub = block_in[..., r_off : r_off + r_len, c_off : c_off + c_len]
-            return _run_steps(engine, path.steps, np.ascontiguousarray(sub))
+class _Block:
+    """A block unit: its paths fanned out on the shared pool, merged into
+    a persistent buffer in the per-call association order (``((p0 + p1) +
+    p2) ...`` or a channel concat), then the post-activation in place."""
 
-        # Block paths are independent given the union input tile: fan
-        # them out on the shared pool (serial fallback inside).
-        outputs = parallel.run_parallel(
-            [lambda path=path: run_path(path) for path in unit_prog.paths]
+    __slots__ = ("paths", "merge", "out", "activation")
+
+    def __init__(self, paths: list, merge: str, out: np.ndarray, activation: str) -> None:
+        self.paths, self.merge, self.out, self.activation = paths, merge, out, activation
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        outs = parallel.run_parallel([lambda p=p: p(x) for p in self.paths])
+        out = self.out
+        if self.merge == "concat":
+            np.concatenate(outs, axis=0, out=out)
+        elif len(outs) == 1:
+            np.copyto(out, outs[0])
+        else:
+            np.add(outs[0], outs[1], out=out)
+            for other in outs[2:]:
+                out += other
+        ops.apply_activation_(out, self.activation)
+        return out
+
+
+class _Plan:
+    """A program lowered for one tile shape: run its units in order and
+    return a fresh copy when the result is a plan buffer (a per-call
+    step's result is fresh already, made C-contiguous if it is a view:
+    a batched conv's per-frame GEMMs fill a frame-major buffer)."""
+
+    __slots__ = ("program", "units", "patches", "copy_out", "nbytes")
+
+    def __init__(
+        self,
+        program: SegmentProgram,
+        units: list,
+        patches: _Patches,
+        copy_out: bool,
+        nbytes: int,
+    ) -> None:
+        self.program, self.units, self.copy_out = program, units, copy_out
+        self.patches, self.nbytes = patches, nbytes
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.patches.bind()
+        for unit in self.units:
+            x = unit(x)
+        return x.copy() if self.copy_out else ops.ensure_f32c(x)
+
+
+def _lower_step(
+    engine: Engine, step: LayerStep, shape: _Shape, src: Optional[np.ndarray]
+):
+    """One lowered step reading a ``shape`` input (``src``: the plan
+    buffer holding it, ``None`` when it arrives fresh each frame):
+    ``(runner, out shape, out buffer or None)``.  Convs and max pools
+    become :mod:`repro.nn.ops` kernels on persistent buffers, anything
+    else a per-call :class:`_Call`."""
+    layer, pads, channels = step.layer, step.pads, step.channels
+    top, bottom, left, right = pads
+    kh, kw = layer.kernel_size
+    h, w = shape[-2] + top + bottom, shape[-1] + left + right
+    out_hw = ((h - kh) // layer.stride[0] + 1, (w - kw) // layer.stride[1] + 1)
+    if out_hw != (step.out_region.height, step.out_region.width):
+        raise AssertionError(
+            f"{layer.name}: produces {out_hw}, expected "
+            f"{(step.out_region.height, step.out_region.width)}"
         )
-        if unit_prog.merge == "add":
-            # Same association order as the serial reference; the first
-            # sum allocates, the rest accumulate in place (every path
-            # output is a fresh array — identity paths return a copy).
-            if len(outputs) == 1:
-                merged = outputs[0]
-            else:
-                merged = outputs[0] + outputs[1]
-                for out in outputs[2:]:
-                    merged += out
+    if isinstance(layer, ConvSpec):
+        lo, hi = channels if channels is not None else (0, layer.out_channels)
+        out_shape = (hi - lo, *shape[1:-2], *out_hw)
+        packed = None
+        if engine.fast and (channels is None or layer.groups == 1):
+            packed = (
+                engine._packed_conv(layer) if channels is None
+                else engine._packed_conv_slice(layer, lo, hi)
+            )
+        if packed is None or (layer.batch_norm and not packed.folded):
+            return _Call(engine, step), out_shape, None
+        kernel = ops.ConvKernel(
+            shape, packed.packed, packed.bias, layer.kernel_size, layer.stride,
+            pads, layer.groups, layer.activation, src=src,
+        )
+        return kernel, out_shape, kernel.out
+    c = shape[0] if channels is None else channels[1] - channels[0]
+    out_shape = (c, *shape[1:-2], *out_hw)
+    if not engine.fast or layer.kind_ != "max" or channels is not None:
+        return _Call(engine, step), out_shape, None
+    kernel = ops.MaxPoolKernel(shape, layer.kernel_size, layer.stride, pads, src=src)
+    return kernel, out_shape, kernel.out
+
+
+def _build_plan(engine: Engine, program: SegmentProgram, shape: _Shape) -> _Plan:
+    """Lower ``program`` for input tiles of ``shape`` — the one place a
+    plan is built.
+
+    Chain steps read the previous step's buffer; each block path reads
+    its crop of the block input.  The chain's convs and each path's
+    convs gather into the patch arena of whichever thread runs them
+    (:class:`_Patches`), so concurrently running paths never share a
+    patch buffer, and no plan keeps one of its own.
+    """
+    chain: "List[ops.ConvKernel]" = []
+    held: "List[np.ndarray]" = []  # every buffer the plan keeps
+
+    def lower(steps, shape, src, convs):
+        runners = []
+        for step in steps:
+            runner, shape, src = _lower_step(engine, step, shape, src)
+            if isinstance(runner, ops.ConvKernel):
+                convs.append(runner)
+            if not isinstance(runner, _Call):
+                held.append(runner.out)
+                if runner.interior is not None:
+                    held.append(runner.interior)
+            runners.append(runner)
+        return runners, shape, src
+
+    units: list = []
+    src: Optional[np.ndarray] = None
+    for unit in program.units:
+        if unit.merge is None:
+            runners, shape, src = lower(unit.steps, shape, src, chain)
+            units.extend(runners)
+            continue
+        paths, outs = [], []
+        for path_prog in unit.paths:
+            path, convs = _Path(path_prog.crop), []
+            _, rows, _, cols = path_prog.crop
+            path.steps, out_shape, _ = lower(
+                path_prog.steps, (*shape[:-2], rows, cols),
+                None if src is None else src[path.crop], convs,
+            )
+            path.patches = _Patches(engine, convs)
+            paths.append(path)
+            outs.append(out_shape)
+        if unit.merge == "concat":
+            shape = (sum(o[0] for o in outs), *outs[0][1:])
         else:
-            merged = np.concatenate(outputs, axis=0)
-        merged = ops.ensure_f32c(merged)
-        if merged is current:  # lone identity path may alias the block input
-            current = ops.apply_activation(merged, unit_prog.post_activation)
-        else:
-            current = ops.apply_activation_(merged, unit_prog.post_activation)
-    return flush(current)
+            shape = outs[0]
+        src = np.empty(shape, np.float32)
+        held.append(src)
+        units.append(_Block(paths, unit.merge, src, unit.post_activation))
+    if shape[-2:] != (program.out_region.height, program.out_region.width):
+        raise AssertionError(
+            f"{program.model_name}: produces {shape[-2:]}, expected "
+            f"{(program.out_region.height, program.out_region.width)}"
+        )
+    nbytes = sum((a if a.base is None else a.base).nbytes for a in held)
+    return _Plan(program, units, _Patches(engine, chain), src is not None, nbytes)

@@ -540,7 +540,9 @@ class InProcTransport(Transport):
 
     Per-device tiles genuinely overlap on a multi-core host (numpy's
     kernels release the GIL); with ``REPRO_THREADS=1`` they run
-    serially and bit-identically.
+    serially and bit-identically.  Each task is one unit of pool work,
+    so a stacked batch is never split into frame groups further (see
+    :func:`repro.nn.parallel.run_parallel`).
     """
 
     name = "inproc"

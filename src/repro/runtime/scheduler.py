@@ -71,8 +71,9 @@ class StageScheduler:
     (see the module docstring), except a batching entrance: with
     ``max_batch > 1`` the entry stage coalesces queued frames into a
     ``(C, B, H, W)`` batch (holding the window open ``batch_timeout``
-    seconds for stragglers) that traverses every stage as one unit, and
-    forms it only when it is free — a batch formed ahead would close
+    seconds for stragglers, but not past a frame submitted as the
+    ``last`` of its schedule) that traverses every stage as one unit,
+    and forms it only when it is free — a batch formed ahead would close
     the window early.  A singleton batch takes the exact per-frame path.
     """
 
@@ -94,6 +95,7 @@ class StageScheduler:
         self.max_batch = max_batch
         self.batch_timeout = batch_timeout
         self._admit = threading.BoundedSemaphore(capacity) if capacity else None
+        self._last: Optional[int] = None  # the schedule's last frame, once submitted
         self.results: "queue.Queue" = queue.Queue()
         self._closed = False
         self._start()
@@ -122,15 +124,22 @@ class StageScheduler:
             thread.join(timeout)
 
     # -- client interface ----------------------------------------------
-    def submit(self, frame: int, x: np.ndarray, block: bool = True) -> bool:
+    def submit(
+        self, frame: int, x: np.ndarray, block: bool = True, last: bool = False
+    ) -> bool:
         """Queue one frame at the pipeline entrance.
 
         With a ``capacity`` the call waits for the frame count to fall
         below it; with ``block=False`` it refuses the frame instead and
-        returns ``False`` (the caller sheds it).
+        returns ``False`` (the caller sheds it).  ``last`` marks the
+        final frame of the caller's arrival schedule: a batch window
+        that takes it launches at once instead of waiting out
+        ``batch_timeout`` for frames that will never come.
         """
         if self._admit is not None and not self._admit.acquire(blocking=block):
             return False
+        if last:
+            self._last = frame
         self._queues[0].put(((frame,), x, None))
         return True
 
@@ -176,12 +185,13 @@ class StageScheduler:
         shutdown sentinel was left.  With ``limit > 1`` (the entrance,
         when batching) frames already queued coalesce into one batch:
         blocks for the first frame, then takes stragglers, holding the
-        window open up to ``batch_timeout``.
+        window open up to ``batch_timeout`` — or until it holds the
+        schedule's ``last`` frame (:meth:`submit`).
         """
         first = in_q.get()
         if first is _SENTINEL:
             return None, True
-        if limit == 1:
+        if limit == 1 or first[0] == (self._last,):
             return first, False
         items, stop = [first], False
         deadline = time.monotonic() + self.batch_timeout
@@ -195,6 +205,8 @@ class StageScheduler:
                 stop = True
                 break
             items.append(nxt)
+            if nxt[0] == (self._last,):
+                break
         if len(items) == 1:
             return first, stop
         fids = tuple(fid for (fid,), _, _ in items)

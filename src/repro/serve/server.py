@@ -34,9 +34,9 @@ Two execution strategies, selected by the transport's clock:
 With ``max_batch > 1`` both paths additionally *micro-batch*: frames
 queued at the pipeline entrance coalesce into a ``(C, B, H, W)``
 cross-frame batch (up to ``max_batch``, holding the window open
-``batch_timeout`` seconds for stragglers) that traverses every stage
-as one unit — one
-batched kernel pass per stage, amortising per-frame dispatch and
+``batch_timeout`` seconds for stragglers, but never past the last
+frame of the arrival schedule) that traverses every stage as one unit
+— one batched kernel pass per stage, amortising per-frame dispatch and
 panel-packing overhead.  Batched outputs are bit-identical to the
 per-frame loop, and the virtual server replays the same formation
 policy analytically.
@@ -95,7 +95,8 @@ class ServerConfig:
     to ``max_batch`` frames that traverses every stage as one unit (one
     batched kernel pass per stage).  ``batch_timeout`` is how long a
     forming batch holds the entrance open for stragglers once the first
-    stage is free; ``0`` launches with whatever is already queued — the
+    stage is free (a batch holding the schedule's last frame does not
+    wait); ``0`` launches with whatever is already queued — the
     deterministic default that the virtual replay matches analytically.
     ``max_batch=1`` (default) is the exact PR-5 per-frame server.
     Batching composes with admission control but not with the
@@ -393,9 +394,10 @@ class PipelineServer:
         ``max(stage-0 free, first member's admission + batch_timeout)``
         — the entrance worker launches as soon as the first stage frees
         *and* the timeout window has closed (immediately, for the
-        default ``batch_timeout=0``); a batch that fills launches on its
-        last member's admission.  Everything is driven by the
-        transport's deterministic FIFO recurrence, so the completion
+        default ``batch_timeout=0``); a batch that fills, or that holds
+        the schedule's last frame, launches on its last member's
+        admission.  Everything is driven by the transport's
+        deterministic FIFO recurrence, so the completion
         and shed sets match what the threaded server produces under
         unambiguous spacing.
 
@@ -427,10 +429,12 @@ class PipelineServer:
             if not batch:
                 return
             admits = [a for _, _, a in batch]
-            if len(batch) < cfg.max_batch:
+            if len(batch) < cfg.max_batch and batch[-1][0] + 1 < len(arrivals):
                 at = max(admits[-1], admits[0] + cfg.batch_timeout)
             else:
-                at = admits[-1]  # filled up: launches on the last admit
+                # filled up, or holds the schedule's last frame (nothing
+                # is left to wait for): launches on the last admit
+                at = admits[-1]
             try:
                 outs = session.run_stacked([x for _, x, _ in batch], at=at)
             except StageFailure:
@@ -596,6 +600,7 @@ class PipelineServer:
                 time.sleep(wait)
             x0 = np.ascontiguousarray(x, dtype=np.float32)
             arrival_t = transport.clock()
+            last = index + 1 == len(frames)  # no window waits past it
             if door is not None:
                 take(False)
                 if door.switcher is not None:
@@ -608,9 +613,9 @@ class PipelineServer:
                 # ring to drain as well as for a queue slot.
                 while transport.backpressure() >= 1.0:
                     time.sleep(0.0005)
-                scheduler.submit(index, x0)
+                scheduler.submit(index, x0, last=last)
             elif transport.backpressure() >= 1.0 or not scheduler.submit(
-                index, x0, block=False
+                index, x0, block=False, last=last
             ):
                 # A full admission queue — or a saturated transport
                 # (e.g. a full shm slot ring), where queueing the frame

@@ -21,7 +21,7 @@ def replay(arrivals, stage_costs, exclusive, cfg):
             return
         b, admits = len(batch), [a for _, a in batch]
         ready = admits[-1]
-        if b < cfg.max_batch:
+        if b < cfg.max_batch and batch[-1][0] + 1 < len(arrivals):
             ready = max(ready, admits[0] + cfg.batch_timeout)
         for s, sc in enumerate(stage_costs):
             k, work = 0 if exclusive else s, sc.t_comp + sc.t_head

@@ -30,7 +30,8 @@ def serial_pool():
 class TestFastVsReference:
     def test_chain_model_bit_exact(self):
         """groups == 1, no BN: the fast path must be bitwise identical,
-        and repeat runs (which reuse the ping-pong arenas) must be too."""
+        and repeat runs (which reuse the compiled plan's buffers) must be
+        too."""
         model = toy_chain(6, 2, input_hw=64, in_channels=3)
         weights = init_weights(model, 3)
         ref = Engine(model, weights, fast=False)
@@ -39,7 +40,7 @@ class TestFastVsReference:
         want = ref.forward_features(x)
         first = fast.forward_features(x)
         np.testing.assert_array_equal(first, want)
-        # The first output must survive the second frame's arena reuse.
+        # The first output must survive the second frame's buffer reuse.
         second = fast.forward_features(_input(model, seed=9))
         np.testing.assert_array_equal(first, want)
         assert not np.array_equal(second, first)

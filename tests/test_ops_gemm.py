@@ -98,11 +98,11 @@ class TestGemmBitExact:
         x, w, b = _rand((4, 9, 9), 7), _rand((6, 4, 3, 3), 8), _rand(6, 9)
         packed = ops.pack_conv_weight(w)
         plain = ops.conv2d_packed(x, packed, b, (3, 3), (1, 1), (1, 1, 1, 1))
-        pad, out_pad, padded = ops.ScratchPad(), ops.ScratchPad(), ops.ScratchPad()
+        pad, padded = ops.ScratchPad(), ops.ScratchPad()
         for _ in range(3):  # arena reuse across frames must be invisible
             arena_out = ops.conv2d_packed(
                 x, packed, b, (3, 3), (1, 1), (1, 1, 1, 1),
-                scratch=pad, out_scratch=out_pad, pad_scratch=padded,
+                scratch=pad, pad_scratch=padded,
             )
             np.testing.assert_array_equal(arena_out, plain)
 
@@ -258,6 +258,14 @@ def _im2col_oracle(x, kernel, stride, pads):
     return cols.reshape(x.shape[0] * kernel[0] * kernel[1], -1), win.shape[-4:-2]
 
 
+def _panel(conv):
+    """A conv kernel's gathered patch as one ``(K, B·Ho·Wo)`` panel,
+    whichever layout it gathered (frame-major for per-frame GEMMs)."""
+    if conv.frames == 1:
+        return conv.cols
+    return np.moveaxis(conv.cols, 0, 1).reshape(conv.cols.shape[1], -1)
+
+
 class TestIm2col:
     @given(
         c=st.integers(1, 4),
@@ -268,17 +276,19 @@ class TestIm2col:
         pads=st.tuples(*[st.integers(0, 2)] * 4),
         batch=st.sampled_from([None, 1, 2, 3]),
         layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+        rows=st.sampled_from([1, 16]),
         seed=st.integers(0, 50),
     )
     @settings(max_examples=150, deadline=None)
     def test_property_equals_naive_oracle(
-        self, c, h, w, kernel, stride, pads, batch, layout, seed
+        self, c, h, w, kernel, stride, pads, batch, layout, rows, seed
     ):
-        """One strided copy out of a zero-bordered map builds the very
-        patch matrix of pad-then-window, bit for bit: same shape, same
-        ``(channel, kh, kw)`` row order, ``(frame, ho, wo)`` columns —
-        for single and stacked maps, contiguous or not, into fresh
-        buffers or dirty arenas."""
+        """The patch :class:`ops.ConvKernel` gathers — the input laid
+        into a zero-bordered map, then one strided copy of every tap —
+        is the very patch matrix of pad-then-window, bit for bit: same
+        shape, same ``(channel, kh, kw)`` row order, ``(frame, ho, wo)``
+        columns — for single and stacked maps, contiguous or not, tall
+        or frame-major panels, into fresh buffers or dirty arenas."""
         top, bottom, left, right = pads
         assume(h + top + bottom >= kernel[0] and w + left + right >= kernel[1])
         shape = (c, h, w) if batch is None else (c, batch, h, w)
@@ -292,13 +302,18 @@ class TestIm2col:
             x = rng.standard_normal(shape[1:] + (c,)).astype(np.float32)
             x = np.moveaxis(x, -1, 0)
         want, want_hw = _im2col_oracle(x, kernel, stride, pads)
-        got, got_hw = ops.im2col(x, kernel, stride, pads)
-        arenas = ops.ScratchPad(), ops.ScratchPad()
-        for arena in arenas:  # stale NaNs must never leak into a panel
-            arena.take((4096,)).fill(np.nan)
-        dirty, _ = ops.im2col(x, kernel, stride, pads, *arenas)
-        assert tuple(got_hw) == tuple(want_hw)
-        for cols in (got, dirty):
+        packed = np.ones((rows, c * kernel[0] * kernel[1]), np.float32)
+        args = (x.shape, packed, None, kernel, stride, pads, 1, "linear")
+        fresh = ops.ConvKernel(*args, src=x)
+        fresh.bind_patch(np.empty(fresh.patch_size, np.float32))
+        bordered = ops.ScratchPad()  # stale NaNs must never leak into a panel
+        bordered.take((4096,)).fill(np.nan)
+        dirty = ops.ConvKernel(*args, src=x, map_arena=bordered)
+        dirty.bind_patch(np.full(dirty.patch_size + 3, np.nan, np.float32))
+        for conv in (fresh, dirty):
+            out = conv(x)
+            assert tuple(out.shape[-2:]) == tuple(want_hw)
+            cols = _panel(conv)
             assert cols.shape == want.shape
             np.testing.assert_array_equal(
                 cols.view(np.uint32), want.view(np.uint32)
@@ -348,12 +363,14 @@ class TestMaxPoolFast:
         np.testing.assert_array_equal(got, want)
 
     def test_arena_output(self):
-        x = _rand((4, 10, 10), 21)
-        arena = ops.ScratchPad()
-        got = ops.maxpool2d(x, (2, 2), (2, 2), out_scratch=arena)
-        np.testing.assert_array_equal(
-            got, ops.maxpool2d_reference(x, (2, 2), (2, 2))
-        )
+        """A kernel's persistent output buffer and −inf border serve
+        every call: each new input pools to its own reference values."""
+        pool = ops.MaxPoolKernel((4, 10, 10), (3, 3), (2, 2), (1, 0, 1, 0))
+        for seed in (21, 22):
+            x = _rand((4, 10, 10), seed)
+            np.testing.assert_array_equal(
+                pool(x), ops.maxpool2d_reference(x, (3, 3), (2, 2), (1, 0, 1, 0))
+            )
 
 
 class TestInPlaceActivation:

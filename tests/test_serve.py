@@ -553,6 +553,31 @@ class TestBatchedServing:
         assert len(result.completed) == 2
         assert max(r.completion for r in result.completed) < 100.0
 
+    def test_last_frame_closes_the_window_on_both_clocks(
+        self, model, weights, net, program
+    ):
+        # A partial batch that holds the schedule's last frame has no
+        # straggler left to wait for: it launches on its last admit, in
+        # virtual time as on the wall clock.
+        cfg = ServerConfig(queue_capacity=4, policy="block", max_batch=4,
+                           batch_timeout=100.0)
+        server = _sim_server(model, weights, net, program, cfg)
+        virtual = server.serve(2, arrivals=[0.0, 0.001])
+        server.close()
+        assert virtual.batch_sizes == [2, 2]
+        assert max(r.completion for r in virtual.completed) < 100.0
+
+        server = PipelineServer(
+            program, InProcTransport(Engine(model, weights)),
+            ServerConfig(queue_capacity=4, policy="block", max_batch=4,
+                         batch_timeout=30.0),
+        )
+        start = time.perf_counter()
+        threaded = server.serve(2, arrivals=[0.0, 0.0])
+        server.close()
+        assert len(threaded.completed) == 2
+        assert time.perf_counter() - start < 30.0
+
     def test_threaded_batched_bit_exact(self, model, weights, net, program):
         rng = np.random.default_rng(12)
         frames = [
