@@ -123,6 +123,11 @@ lint-forks:
 	! grep -rnIE "out_scratch|out_arena|def im2col|ops\.im2col" src/ tests/ docs/ README.md
 	test "$$(grep -rnI "def _build_plan" src/repro/nn | wc -l)" = 1
 	test "$$(grep -rnI "_Plan(" src/repro/nn | grep -vc "class _Plan")" = 1
+# One width decision: the transport that launches the workers ships
+# each its share of the deployment's threads in Setup, and the worker
+# start-up is the one place in the program that sizes a pool (the bench
+# modules time widths on purpose).
+	test "$$(grep -rnI "set_threads(" src/repro --exclude-dir=bench | grep -v "def set_threads" | cut -d: -f1)" = "src/repro/runtime/worker.py"
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

@@ -65,6 +65,7 @@ __all__ = [
     "Section",
     "check_file",
     "check_report",
+    "cpu_seconds",
     "interleaved",
     "interleaved_medians",
     "load",
@@ -143,6 +144,13 @@ def interleaved_medians(
 
     timed = [lambda thunk=thunk: seconds(thunk) for thunk in thunks]
     return [statistics.median(seen) for seen in interleaved(timed, repeats)]
+
+
+def cpu_seconds(pid: int) -> float:
+    """utime + stime of one process, from ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 #: One :func:`run_fresh` measurement: a fresh interpreter runs a bench

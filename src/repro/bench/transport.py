@@ -267,13 +267,6 @@ def _run_inproc(
     return elapsed
 
 
-def _cpu_seconds(pid: int) -> float:
-    """utime + stime of one process, from ``/proc/<pid>/stat``."""
-    with open(f"/proc/{pid}/stat") as handle:
-        fields = handle.read().rsplit(")", 1)[1].split()
-    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
-
-
 def _dispatch_row(transport: str, frames: int, seed: int) -> Dict:
     """Serve ``frames`` toy-chain frames with ``DISPATCH_WINDOW``
     outstanding; frames/s, CPU ms a frame on each side, exactness."""
@@ -293,7 +286,8 @@ def _dispatch_row(transport: str, frames: int, seed: int) -> Dict:
     with DistributedPipeline(model, plan, weights, transport=transport) as pipe:
         pipe.run_batch(inputs)  # warm-up: sockets, rings, kernels
         pids = [h.process.pid for h in pipe.transport.all_handles()]
-        coord0, work0 = _cpu_seconds(os.getpid()), sum(map(_cpu_seconds, pids))
+        coord0 = common.cpu_seconds(os.getpid())
+        work0 = sum(map(common.cpu_seconds, pids))
         t0 = time.perf_counter()
         submitted = collected = 0
         while collected < frames:
@@ -305,8 +299,8 @@ def _dispatch_row(transport: str, frames: int, seed: int) -> Dict:
             exact = exact and np.array_equal(out, expected)
             collected += 1
         elapsed = time.perf_counter() - t0
-        coord = _cpu_seconds(os.getpid()) - coord0
-        work = sum(map(_cpu_seconds, pids)) - work0
+        coord = common.cpu_seconds(os.getpid()) - coord0
+        work = sum(map(common.cpu_seconds, pids)) - work0
     return {
         "transport": transport,
         "frames": frames,

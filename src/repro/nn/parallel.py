@@ -8,9 +8,16 @@ dispatched from threads.  This module owns one process-wide
 :class:`~concurrent.futures.ThreadPoolExecutor` shared by the engine,
 the tile runtime and the local plan executor.
 
-The worker count comes from the ``REPRO_THREADS`` environment variable
-(default: the cores this process may use).  ``REPRO_THREADS=1`` — or a
-single-core host, like the paper's Raspberry Pi 4Bs run on one core —
+The width comes from the ``REPRO_THREADS`` environment variable
+(default: the cores this process may use): the threads this deployment
+computes on.  A process-backed transport splits them among the worker
+processes it launches — each gets ``max(1, threads // workers)``, in its
+``Setup``, and sizes its own pool to that before it builds its engine —
+so on a host with fewer cores than workers every worker runs its tiles
+on one thread, as each of the paper's Raspberry Pis computes its share
+on its own core.  (Four workers on two cores holding two threads each
+measured slower end to end, in sojourn and in CPU a frame, than one
+thread each: ``BENCH_batch.json`` ``workers``.)  A width of one
 disables the pool entirely and every caller falls back to plain serial
 loops, so the serial path stays the behavioural reference.  Nested
 :func:`run_parallel` calls from inside a pool worker also run serially,
@@ -76,7 +83,7 @@ def _default_threads() -> int:
 
 
 def configured_threads() -> int:
-    """The worker count currently in effect."""
+    """The width currently in effect."""
     global _threads
     with _lock:
         if _threads is None:
@@ -85,10 +92,12 @@ def configured_threads() -> int:
 
 
 def set_threads(n: Optional[int]) -> None:
-    """Override the worker count (``None`` re-reads the environment).
+    """Override the width (``None`` re-reads the environment).
 
     Tears down any existing pool; the next :func:`run_parallel` call
-    builds a fresh one.  Intended for tests and benchmarks.
+    builds a fresh one.  In the program only a worker process's
+    start-up calls it, with the width its transport shipped; otherwise
+    it is for tests and benchmarks.
     """
     global _pool, _threads
     if n is not None and n < 1:

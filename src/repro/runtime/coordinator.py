@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.core.plan import PipelinePlan
 from repro.models.graph import Model
+from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import Weights, init_weights
 from repro.runtime.core import StageTrace, TaskTiming, Transport
@@ -150,7 +151,9 @@ class TcpTransport(Transport):
     Conforms to the core :class:`~repro.runtime.core.Transport`
     protocol and is *self-launching*: :meth:`open` spawns one forked
     worker process per compiled task, handshakes them and ships their
-    setups, so any session/server can use it directly.
+    setups, so any session/server can use it directly.  The workers
+    split this process's :mod:`repro.nn.parallel` width: each computes
+    on ``max(1, width // workers)`` threads (:attr:`worker_threads`).
     :meth:`dispatch` scatters :class:`TileTask` frames to the stage's
     workers and :meth:`collect` gathers the :class:`TileResult` frames,
     matched by ``(task_id, epoch)``; a lost worker surfaces as
@@ -186,6 +189,8 @@ class TcpTransport(Transport):
         self.stats = RuntimeStats()
         self._stats_lock = threading.Lock()
         self._handles: "List[List[_WorkerHandle]]" = []
+        #: The compute width every worker was launched with (set by :meth:`open`).
+        self.worker_threads: Optional[int] = None
         self._epochs: "List[int]" = []
         self._clock_epoch = time.perf_counter()
         self._opened = False
@@ -244,7 +249,9 @@ class TcpTransport(Transport):
                 worker_id += 1
             self.bind_stage(stage.index, handles)
 
-        # Accept connections and match them to handles via Hello.
+        # Accept connections and match them to handles via Hello.  The
+        # listener takes any local connection, so a wrong greeting is an
+        # error, not an assertion.
         by_id = {h.worker_id: h for h in self.all_handles()}
         try:
             for _ in range(len(by_id)):
@@ -252,10 +259,23 @@ class TcpTransport(Transport):
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 channel = self._channel_class(conn)
                 hello = channel.recv()
-                assert isinstance(hello, Hello)
-                by_id[hello.worker_id].channel = channel
+                if not isinstance(hello, Hello):
+                    problem = f"expected a Hello, got {type(hello).__name__}"
+                elif hello.worker_id not in by_id:
+                    problem = f"unknown worker id {hello.worker_id!r}"
+                elif by_id[hello.worker_id].channel is not None:
+                    problem = f"duplicate worker id {hello.worker_id}"
+                else:
+                    by_id[hello.worker_id].channel = channel
+                    continue
+                channel.close()
+                raise RuntimeError(f"worker handshake: {problem}")
         finally:
             listener.close()
+
+        # The workers share this deployment's threads: each computes on
+        # its share, one thread wherever there are more workers than threads.
+        self.worker_threads = max(1, parallel.configured_threads() // len(by_id))
 
         # Transport-specific channel upgrade (the shm backend attaches
         # its rings here), then ship setups: each worker gets its
@@ -263,33 +283,25 @@ class TcpTransport(Transport):
         for handle in self.all_handles():
             self._upgrade_channel(handle)
         for stage in program.stages:
-            if stage.branch:
-                # Ship the whole block's weights: a failure may later
-                # reassign any path to any surviving worker, and
-                # Reconfigure does not carry parameters.
-                unit = self.model.units[stage.start]
-                block_names = {
-                    layer.name for p in unit.paths for layer in p
-                }
-                subset = {
-                    name: params
-                    for name, params in self.weights.items()
-                    if name in block_names
-                }
-                for handle in self.alive_handles(stage.index):
-                    handle.channel.send(
-                        Setup(self.model, handle.task.program, subset)
-                    )
-                continue
             for handle in self.alive_handles(stage.index):
-                names = task_weight_names(handle.task.program)
+                if stage.branch:
+                    # Ship the whole block's weights: a failure may later
+                    # reassign any path to any surviving worker, and
+                    # Reconfigure does not carry parameters.
+                    unit = self.model.units[stage.start]
+                    names = {layer.name for p in unit.paths for layer in p}
+                else:
+                    names = task_weight_names(handle.task.program)
                 subset = {
                     name: params
                     for name, params in self.weights.items()
                     if name in names
                 }
                 handle.channel.send(
-                    Setup(self.model, handle.task.program, subset)
+                    Setup(
+                        self.model, handle.task.program, subset,
+                        self.worker_threads,
+                    )
                 )
 
         # Bound worker recvs (the handshake above ran unbounded so slow

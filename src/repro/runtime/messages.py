@@ -2,9 +2,9 @@
 
 The coordinator ships each worker a one-time :class:`Setup` (its
 compiled tile program plus the weights its segment touches — the model
-copy of paper Fig. 6), then streams :class:`TileTask` frames per
-inference.  Everything is a plain dataclass so the framed-pickle
-transport can carry it.
+copy of paper Fig. 6 — and the threads it computes on), then streams
+:class:`TileTask` frames per inference.  Everything is a plain
+dataclass so the framed-pickle transport can carry it.
 """
 
 from __future__ import annotations
@@ -56,11 +56,14 @@ class ShmAttach:
 
 @dataclass(frozen=True)
 class Setup:
-    """Coordinator → worker: model spec, segment program and weights."""
+    """Coordinator → worker: model spec, segment program, weights and
+    ``threads``, the worker's compute width (its share of the
+    deployment's :mod:`repro.nn.parallel` threads)."""
 
     model: Model
     program: SegmentProgram
     weights: Weights
+    threads: int
 
 
 @dataclass(frozen=True)

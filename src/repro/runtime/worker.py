@@ -2,8 +2,10 @@
 
 A worker owns one device role in one stage.  It connects back to the
 coordinator, receives its :class:`Setup` (model spec + segment program
-+ weights), then loops: receive a tile, run the compiled program with
-the numpy engine, return the output tile with its compute time.
++ weights + its compute width), sizes its :mod:`repro.nn.parallel`
+pool to that width, then loops: receive a tile, run the compiled
+program with the numpy engine, return the output tile with its compute
+time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import socket
 import time
 from typing import Optional
 
+from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.tiles import run_segment
 from repro.runtime.faults import FaultSchedule
@@ -64,6 +67,10 @@ def worker_main(
             setup = channel.recv()
         if not isinstance(setup, Setup):
             raise RuntimeError(f"expected Setup, got {type(setup).__name__}")
+        # The one width decision of a worker, made by the transport that
+        # launched it: one thread means no pool, no per-thread scratch
+        # and every batch run whole on this thread.
+        parallel.set_threads(setup.threads)
         engine = Engine(setup.model, setup.weights)
         program = setup.program
         while True:

@@ -428,7 +428,9 @@ class TestStalePlans:
         channel = Channel(conn)
         try:
             assert isinstance(channel.recv(), Hello)
-            channel.send(Setup(MODEL, top, weights))
+            # The worker runs on a thread of this process: it sets this
+            # process's width, which the finally clause gives back.
+            channel.send(Setup(MODEL, top, weights, 1))
             outs = []
             for i, program in enumerate((top, bottom)):
                 if i:
@@ -445,4 +447,5 @@ class TestStalePlans:
             worker.join(timeout=30)
             channel.close()
             listener.close()
+            parallel.set_threads(None)
         assert not worker.is_alive()

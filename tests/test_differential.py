@@ -410,7 +410,8 @@ def test_batched_serving_matches_per_frame_serving(scheme_name):
 def test_batched_serving_over_worker_transports(transport_class, options):
     """Stacked batches through forked workers, as the end-to-end
     benchmark serves them: every frame arrives at t=0 and each worker
-    splits its batches over a two-thread pool.  Outputs equal the
+    splits its batches over a two-thread pool (twice as many threads
+    as workers, so each worker's share is two).  Outputs equal the
     per-frame in-process run bit for bit, and ``close()`` leaves no
     child and no ``/dev/shm`` residue.  ``slot_frames=3`` lets a batch
     ride the shm slots; at the default it rides inline frames."""
@@ -422,10 +423,12 @@ def test_batched_serving_over_worker_transports(transport_class, options):
     config = ServerConfig(
         queue_capacity=n_frames + 1, policy="block", max_batch=3
     )
-    parallel.set_threads(2)  # the workers fork with this width
+    n_workers = sum(len(stage.tasks) for stage in compile_plan(model, plan).stages)
+    parallel.set_threads(2 * n_workers)  # the workers' share is two each
     try:
         server = PipelineServer.from_plan(model, plan, transport, config=config)
         try:
+            assert transport.worker_threads == 2
             workers = [h.process for h in transport.all_handles()]
             result = server.serve(frames, arrivals=[0.0] * n_frames)
         finally:

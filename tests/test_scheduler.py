@@ -36,6 +36,7 @@ from repro.runtime.faults import (
     RuntimeConfig,
     StageFailure,
 )
+from repro.runtime.program import compile_plan
 from repro.runtime.shm import SHM_PREFIX
 from repro.runtime.trace import RECOVERY_KINDS, canonical_trace
 from repro.schemes.early_fused import EarlyFusedScheme
@@ -186,17 +187,21 @@ def test_pool_warmed_before_fork_does_not_wedge_workers(transport):
     weights = init_weights(model, seed=2)
     plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
     xs = make_inputs(model, 2)
-    parallel.set_threads(2)  # a live pool whatever the host's core count
+    # A live pool whatever the host's core count, and two threads for
+    # every worker, so each worker's own pool is one too.
+    width = 2 * sum(len(stage.tasks) for stage in compile_plan(model, plan).stages)
+    parallel.set_threads(width)
     try:
         engine = Engine(model, weights)
         refs = [engine.forward_features(x) for x in xs]
         # Every pool thread spawned, so a child that inherits the pool
         # believes it is fully staffed.
-        barrier = threading.Barrier(2)
-        parallel.run_parallel([barrier.wait, barrier.wait])
+        barrier = threading.Barrier(width)
+        parallel.run_parallel([barrier.wait] * width)
         with DistributedPipeline(
             model, plan, weights=weights, transport=transport
         ) as pipe:
+            assert pipe.transport.worker_threads == 2
             outs, _ = pipe.run_batch(xs, timeout_s=30.0)
     finally:
         parallel.set_threads(None)
