@@ -128,6 +128,13 @@ lint-forks:
 # start-up is the one place in the program that sizes a pool (the bench
 # modules time widths on purpose).
 	test "$$(grep -rnI "set_threads(" src/repro --exclude-dir=bench | grep -v "def set_threads" | cut -d: -f1)" = "src/repro/runtime/worker.py"
+# One production engine and one Ts: the oracles (the seed's kernels, the
+# reference engine, the scalar Ts memo and its DP) live once, in
+# repro/testing, which only the bench modules and the tests import; the
+# engine's fast/fold_bn switches and the REPRO_FAST read stay deleted.
+	! grep -rnIE "REPRO_FAST|fold_bn|\bfast=|\bfast: *Optional|\.fast\b" src/ tests/ examples/ docs/ README.md
+	! grep -rnIE "^\s*(from|import) +repro\.testing|^\s*from +repro +import .*\btesting\b" src/repro --exclude-dir=testing --exclude-dir=bench
+	! grep -rnIE "conv2d_reference|maxpool2d_reference|StageTimeTable|plan_homogeneous_reference|ReferenceEngine|run_segment_reference" src/repro --exclude-dir=testing --exclude-dir=bench
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /

@@ -1,10 +1,10 @@
 """Engine fast-path benchmark: reference kernels vs packed-GEMM path.
 
-Runs the paper's evaluation models through both engine configurations —
-``Engine(fast=False)`` (the seed's tensordot/einsum kernels with a
-separate BN pass) and ``Engine(fast=True)`` (packed-GEMM convs, folded
-BN, virtual-pad im2col, arena-backed outputs, in-place epilogues) — and
-writes a JSON report with per-unit-kind op times plus feature-extractor
+Runs the paper's evaluation models through both engines —
+:class:`repro.testing.ReferenceEngine` (the seed's tensordot/einsum
+kernels, per call, with a separate BN pass) and :class:`Engine`
+(packed-GEMM convs, folded BN, compiled tile plans, in-place
+epilogues) — and writes a JSON report with per-unit-kind op times plus feature-extractor
 and end-to-end latencies.
 
 Protocol: end-to-end runs are *interleaved* (before, after, before,
@@ -20,8 +20,9 @@ A second section, ``stage_tasks``, times what a pipeline worker runs:
 ``run_segment`` on each of the four stage tasks of the end-to-end
 benchmark's ``toy64_tcp_evloop`` plan (``toy_chain(8, 2, input_hw=64,
 base_channels=8)``, PICO on the 1200/1000/800/600 MHz mix at 50 Mbps),
-reference vs fast engine, interleaved, in a fresh interpreter on one
-BLAS thread as a worker computes.  There the per-call overhead the
+reference (:func:`repro.testing.run_segment_reference`, op by op on the
+reference engine) vs the engine's compiled plan, interleaved, in a fresh
+interpreter on one BLAS thread as a worker computes.  There the per-call overhead the
 compiled tile plans remove is a large share of each task.
 
 The gate is correctness, not speed: both engines must produce the same
@@ -52,6 +53,7 @@ from repro.nn.tiles import run_segment
 from repro.nn.weights import init_weights
 from repro.runtime.program import compile_plan, split_stage, stitch_stage
 from repro.schemes import get_scheme
+from repro.testing import ReferenceEngine, run_segment_reference
 
 __all__ = ["BENCH", "run"]
 
@@ -74,7 +76,7 @@ def _unit_kind(unit) -> str:
     return f"{unit.layer.kind_}pool"
 
 
-def _time_units(engine: Engine, x: np.ndarray, repeats: int) -> "Dict[str, float]":
+def _time_units(engine, x: np.ndarray, repeats: int) -> "Dict[str, float]":
     """Best-of-``repeats`` seconds per unit, summed by unit kind."""
     inputs = []
     out = x
@@ -104,8 +106,8 @@ def _bench_model(
         .normal(size=model.input_shape)
         .astype(np.float32)
     )
-    before = Engine(model, weights, fast=False)
-    after = Engine(model, weights, fast=True)
+    before = ReferenceEngine(model, weights)
+    after = Engine(model, weights)
     # Both calls also warm the packed-weight cache outside the clock.
     matches = np.allclose(after.run(x), before.run(x), rtol=1e-4, atol=1e-4)
     ops_before = _time_units(before, x, repeats)
@@ -153,24 +155,28 @@ def _stage_task_rows(repeats: int, seed: int):
         NetworkModel.from_mbps(50.0),
     )
     program = compile_plan(model, plan)
-    before = Engine(model, weights, fast=False)
-    after = Engine(model, weights, fast=True)
+    before = ReferenceEngine(model, weights)
+    after = Engine(model, weights)
     x = np.random.default_rng(seed).normal(size=model.input_shape).astype(np.float32)
     rows, matches = [], True
     for s, stage in enumerate(program.stages):
         outs = []
         for t, (task, tile) in enumerate(zip(stage.tasks, split_stage(stage.tasks, x))):
-            want = run_segment(before, task.program, tile)
+            want = run_segment_reference(before, task.program, tile)
             got = run_segment(after, task.program, tile)  # builds the plan
             matches &= bool(np.allclose(got, want, rtol=1e-4, atol=1e-4))
             outs.append(got)
 
-            def calls(engine, program=task.program, tile=tile):
+            def calls(run, engine, program=task.program, tile=tile):
                 for _ in range(STAGE_TASK_CALLS):
-                    run_segment(engine, program, tile)
+                    run(engine, program, tile)
 
             t_before, t_after = common.interleaved_medians(
-                [lambda: calls(before), lambda: calls(after)], repeats
+                [
+                    lambda: calls(run_segment_reference, before),
+                    lambda: calls(run_segment, after),
+                ],
+                repeats,
             )
             rows.append({
                 "stage": s,

@@ -27,12 +27,13 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
-from repro.core.dp_planner import StageTimeTable, plan_homogeneous
+from repro.core.dp_planner import plan_homogeneous
 from repro.core.pareto import plan_pareto
 from repro.core.plan import PipelinePlan, StagePlan, plan_cost
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, segment_flops
 from repro.cost.stage_cost import branch_stage_time, homogeneous_stage_time
+from repro.cost.tables import get_cost_table
 from repro.experiments import (
     fig02_layer_profile,
     fig04_fused_redundancy,
@@ -241,7 +242,7 @@ def _planners(quick: bool, seed: int) -> Rows:
     free = plan_pareto(model, cluster, NET)
     # Feasible budgets lie between the best single-stage latency and the
     # unconstrained optimum's latency.
-    ts = StageTimeTable(model, cluster.homogenized().devices[0], NET)
+    ts = get_cost_table(model, cluster.homogenized().devices[0], NET)
     lat_min = min(ts(0, model.n_units, p) for p in range(1, len(cluster) + 1))
     rows = []
     for budget in (1.0, 0.75, 0.5, 0.25, 0.05):

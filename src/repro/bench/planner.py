@@ -4,7 +4,7 @@ Times Algorithm 1 end-to-end (DP + ``Ts`` evaluation) in three
 configurations over the paper's evaluation models and the Table II
 toy-chain grid:
 
-* ``reference`` — :func:`repro.core.dp_planner.plan_homogeneous_reference`,
+* ``reference`` — :func:`repro.testing.plan_homogeneous_reference`,
   the seed implementation whose every ``Ts`` miss re-walks the segment
   through the scalar cost model;
 * ``cold`` — the vectorized planner with a freshly built
@@ -36,16 +36,14 @@ from typing import Dict, Tuple
 
 from repro.bench import common
 from repro.cluster.device import Cluster, heterogeneous_cluster, pi_cluster
-from repro.core.dp_planner import (
-    plan_homogeneous,
-    plan_homogeneous_reference,
-)
+from repro.core.dp_planner import plan_homogeneous
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.cost.tables import SegmentCostTable, SegmentTable
 from repro.models.graph import Model
 from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
+from repro.testing import plan_homogeneous_reference
 
 __all__ = ["BENCH", "run"]
 

@@ -21,11 +21,8 @@ period cannot improve the state, so its whole device sub-loop is
 pruned.  Pruning only discards transitions that are strictly worse in
 period, so the result is identical to the unpruned DP.
 
-:func:`plan_homogeneous_reference` runs the same DP, unpruned, over
-:class:`StageTimeTable` — the same ``Ts`` memo with the scalar
-per-query cost model plugged in as its strip cost.  It is the DP's
-exactness oracle and the planner benchmark's baseline, not a second
-production path (and not re-exported from :mod:`repro.core`).
+The DP's exactness oracle and the planner benchmark's baseline run
+the same DP, unpruned, over the scalar cost model (:mod:`repro.testing`).
 
 The returned :class:`HomoPlan` is abstract (device *counts*, not
 devices); Algorithm 2 (:mod:`repro.core.heterogeneous`) maps it onto
@@ -41,16 +38,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.device import Cluster
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.stage_cost import homogeneous_stage_time
-from repro.cost.tables import StageTimeMemo, get_cost_table
+from repro.cost.tables import get_cost_table
 from repro.models.graph import Model
 
 __all__ = [
     "HomoStage",
     "HomoPlan",
-    "StageTimeTable",
     "plan_homogeneous",
-    "plan_homogeneous_reference",
 ]
 
 
@@ -83,27 +77,6 @@ class HomoPlan:
     @property
     def devices_used(self) -> int:
         return sum(s.n_devices for s in self.stages)
-
-
-class StageTimeTable(StageTimeMemo):
-    """The *reference* ``Ts``: every cache miss re-walks the segment
-    through the scalar cost model.  Not a production path — kept as the
-    exactness oracle for the vectorized
-    :class:`~repro.cost.tables.SegmentCostTable`, which must agree
-    bit-for-bit (``tests/test_cost_tables.py``), and as the planner
-    benchmark's baseline."""
-
-    def strip_cost(self, start: int, end: int, p: int, with_head: bool) -> float:
-        return homogeneous_stage_time(
-            self.model,
-            start,
-            end,
-            p,
-            self.device,
-            self.network,
-            self.options,
-            with_head=with_head,
-        ).total
 
 
 # A DP entry: (period, latency, n_stages, back-pointer); the back-pointer
@@ -223,18 +196,3 @@ def plan_homogeneous(
         table = get_cost_table(model, device, network, options, allow_branch)
     return _min_period_dp(model, len(homo), table, t_lim, prune=True)
 
-
-def plan_homogeneous_reference(
-    model: Model,
-    cluster: Cluster,
-    network: NetworkModel,
-    options: CostOptions = DEFAULT_OPTIONS,
-    t_lim: float = math.inf,
-    allow_branch: bool = False,
-) -> Optional[HomoPlan]:
-    """Algorithm 1 with the per-query scalar cost model (the seed
-    implementation) — the benchmark baseline and exactness oracle for
-    :func:`plan_homogeneous`.  Must return identical plans."""
-    homo = cluster.homogenized()
-    ts = StageTimeTable(model, homo.devices[0], network, options, allow_branch)
-    return _min_period_dp(model, len(homo), ts, t_lim, prune=False)

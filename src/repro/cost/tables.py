@@ -381,8 +381,8 @@ class StageTimeMemo:
     ``__call__`` — written once.  A subclass supplies only
     :meth:`strip_cost`, the cost of the equal-strip layout:
     :class:`SegmentCostTable` reads it off the vectorized tables, the
-    scalar reference :class:`repro.core.dp_planner.StageTimeTable`
-    re-walks the segment per query.
+    scalar oracle in :mod:`repro.testing` re-walks the segment per
+    query.
 
     With ``allow_branch=True`` a single-unit segment over a concat
     block also considers the branch-parallel layout (paths assigned to
@@ -450,8 +450,8 @@ class StageTimeMemo:
 class SegmentCostTable(StageTimeMemo):
     """``Ts(start, end, p)`` backed by a :class:`SegmentTable`.
 
-    The production ``Ts``: bit-identical to the scalar reference
-    :class:`repro.core.dp_planner.StageTimeTable`, but each cache miss
+    The production ``Ts``: bit-identical to
+    ``homogeneous_stage_time(...).total`` at every entry, but each cache miss
     costs O(p) table lookups instead of an O(units × layers) Python
     recursion.  Adds :meth:`min_cost_upto`, the monotone bound the
     pruned DP uses to skip dominated split points.

@@ -5,8 +5,7 @@ feature maps; :mod:`repro.nn.tiles` reuses its layer dispatch for
 region-restricted (tiled) execution — the two paths are asserted
 bit-exact by the test suite.
 
-The engine owns a *fast execution path* (default on, ``REPRO_FAST=0``
-or ``Engine(..., fast=False)`` selects the reference kernels):
+The engine has one execution path:
 
 * convolutions lower to a single BLAS sgemm against **packed weights**
   — per-layer pre-flattened ``(Cout, Cin·kh·kw)`` matrices built lazily
@@ -33,14 +32,15 @@ or ``Engine(..., fast=False)`` selects the reference kernels):
 path over the same kernels (:func:`repro.nn.ops.conv2d_packed`,
 :func:`repro.nn.ops.maxpool2d`), with im2col in per-thread arenas.
 
-The fast and reference paths are bit-exact for ``groups == 1``
-convolutions and pooling; grouped convolutions and folded BN agree to
-float32 rounding (covered by dedicated tolerance tests).
+The seed's per-call engine on the sliding-window kernels with a
+separate BN pass is the oracle, in :mod:`repro.testing`: bit-exact
+with this engine for ``groups == 1`` convolutions without batch norm
+and for pooling; grouped convolutions and folded BN agree to float32
+rounding (covered by dedicated tolerance tests).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -58,20 +58,12 @@ __all__ = ["Engine"]
 _Pad4 = Tuple[int, int, int, int]
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
-
-
 @dataclass(frozen=True)
 class _PackedConv:
     """Per-layer GEMM-ready parameters (weights packed, BN folded)."""
 
     packed: np.ndarray
     bias: Optional[np.ndarray]
-    folded: bool  # batch norm already folded into packed/bias
 
 
 class _ThreadScratch(threading.local):
@@ -147,27 +139,13 @@ class Engine:
         layers) — packing is lazy per layer.  The packed weights and
         the compiled tile plans capture them: call
         :meth:`refresh_weights` after mutating ``weights``.
-    fast:
-        Use the packed-GEMM fast path.  Defaults to the ``REPRO_FAST``
-        environment flag, which defaults to on.
-    fold_bn:
-        Fold batch norm into conv weights at pack time.  Defaults to
-        ``fast``; only meaningful on the fast path.
     """
 
     def __init__(
-        self,
-        model: Model,
-        weights: Optional[Weights] = None,
-        seed: int = 0,
-        *,
-        fast: Optional[bool] = None,
-        fold_bn: Optional[bool] = None,
+        self, model: Model, weights: Optional[Weights] = None, seed: int = 0
     ) -> None:
         self.model = model
         self.weights = weights if weights is not None else init_weights(model, seed)
-        self.fast = _env_flag("REPRO_FAST", True) if fast is None else fast
-        self.fold_bn = self.fast if fold_bn is None else fold_bn
         self._packed: "Dict[str, _PackedConv]" = {}
         self._packed_slices: "Dict[Tuple[str, int, int], _PackedConv]" = {}
         self._scratch = _ThreadScratch()
@@ -177,16 +155,20 @@ class Engine:
     # ------------------------------------------------------------------
     # Packed-weight cache.
     # ------------------------------------------------------------------
-    def _packed_conv(self, layer: ConvSpec) -> _PackedConv:
-        """The layer's GEMM-ready parameters, built once and cached."""
+    def _packed_conv(
+        self, layer: ConvSpec, channels: "Optional[Tuple[int, int]]" = None
+    ) -> _PackedConv:
+        """The layer's GEMM-ready parameters, built once and cached
+        (``channels``: only the output-channel slice ``[lo, hi)``)."""
+        if channels is not None:
+            return self._packed_conv_slice(layer, *channels)
         cached = self._packed.get(layer.name)
         if cached is not None:
             return cached
         params = self.weights[layer.name]
         weight = params["weight"]
         bias = params.get("bias")
-        folded = False
-        if layer.batch_norm and self.fold_bn:
+        if layer.batch_norm:
             weight, bias = fold_batch_norm(
                 weight,
                 bias,
@@ -195,10 +177,7 @@ class Engine:
                 params["mean"],
                 params["var"],
             )
-            folded = True
-        packed = _PackedConv(
-            ops.pack_conv_weight(weight, layer.groups), bias, folded
-        )
+        packed = _PackedConv(ops.pack_conv_weight(weight, layer.groups), bias)
         # Benign race under concurrent first use: both threads build the
         # same deterministic value; last assignment wins.
         self._packed[layer.name] = packed
@@ -212,11 +191,12 @@ class Engine:
         cached = self._packed_slices.get(key)
         if cached is not None:
             return cached
+        if layer.groups != 1:
+            raise ValueError(f"{layer.name}: channel-sliced conv needs groups == 1")
         full = self._packed_conv(layer)
         sliced = _PackedConv(
             full.packed[lo:hi],
             full.bias[lo:hi] if full.bias is not None else None,
-            full.folded,
         )
         self._packed_slices[key] = sliced
         return sliced
@@ -252,32 +232,19 @@ class Engine:
         full input channels.
         """
         if isinstance(layer, ConvSpec):
-            if channels is not None and layer.groups != 1:
-                raise ValueError(
-                    f"{layer.name}: channel-sliced conv needs groups == 1"
-                )
-            if self.fast:
-                return self._run_conv_fast(layer, x, pads, channels)
-            params = self.weights[layer.name]
-            weight = params["weight"]
-            bias = params.get("bias")
-            if channels is not None:
-                lo, hi = channels
-                weight = weight[lo:hi]
-                bias = bias[lo:hi] if bias is not None else None
-            out = ops.conv2d_reference(
-                x, weight, bias, layer.stride, pads,
+            packed = self._packed_conv(layer, channels)
+            return ops.conv2d_packed(
+                x,
+                packed.packed,
+                packed.bias,
+                layer.kernel_size,
+                layer.stride,
+                pads,
                 groups=layer.groups,
+                activation=layer.activation,
+                scratch=self._scratch.pad,
+                pad_scratch=self._scratch.padded,
             )
-            if layer.batch_norm:
-                gamma, beta = params["gamma"], params["beta"]
-                mean, var = params["mean"], params["var"]
-                if channels is not None:
-                    lo, hi = channels
-                    gamma, beta = gamma[lo:hi], beta[lo:hi]
-                    mean, var = mean[lo:hi], var[lo:hi]
-                out = ops.batch_norm(out, gamma, beta, mean, var)
-            return ops.apply_activation(out, layer.activation)
         assert isinstance(layer, PoolSpec)
         if channels is not None:
             # Pool channel c reads input channel c alone, so the slice
@@ -285,48 +252,8 @@ class Engine:
             lo, hi = channels
             x = x[lo:hi]
         if layer.kind_ == "max":
-            if self.fast:
-                return ops.maxpool2d(x, layer.kernel_size, layer.stride, pads)
-            return ops.maxpool2d_reference(x, layer.kernel_size, layer.stride, pads)
+            return ops.maxpool2d(x, layer.kernel_size, layer.stride, pads)
         return ops.avgpool2d(x, layer.kernel_size, layer.stride, pads)
-
-    def _run_conv_fast(
-        self,
-        layer: ConvSpec,
-        x: np.ndarray,
-        pads: _Pad4,
-        channels: "Optional[Tuple[int, int]]" = None,
-    ) -> np.ndarray:
-        if channels is None:
-            packed = self._packed_conv(layer)
-        else:
-            packed = self._packed_conv_slice(layer, channels[0], channels[1])
-        fused_activation = layer.activation
-        if layer.batch_norm and not packed.folded:
-            fused_activation = "linear"
-        out = ops.conv2d_packed(
-            x,
-            packed.packed,
-            packed.bias,
-            layer.kernel_size,
-            layer.stride,
-            pads,
-            groups=layer.groups,
-            activation=fused_activation,
-            scratch=self._scratch.pad,
-            pad_scratch=self._scratch.padded,
-        )
-        if layer.batch_norm and not packed.folded:
-            params = self.weights[layer.name]
-            gamma, beta = params["gamma"], params["beta"]
-            mean, var = params["mean"], params["var"]
-            if channels is not None:
-                lo, hi = channels
-                gamma, beta = gamma[lo:hi], beta[lo:hi]
-                mean, var = mean[lo:hi], var[lo:hi]
-            out = ops.batch_norm(out, gamma, beta, mean, var)
-            return ops.apply_activation_(out, layer.activation)
-        return out
 
     @staticmethod
     def spec_pads(layer: SpatialLayer) -> _Pad4:

@@ -11,27 +11,20 @@ the same bits, and the pooling reductions are per-plane).  Every op
 takes *explicit* padding so region-restricted execution can substitute
 the per-tile virtual padding computed by the region algebra.
 
-Two convolution paths coexist:
+Convolutions (``conv2d`` / ``conv2d_packed`` / ``ConvKernel``) gather
+im2col patches into a reusable scratch arena, then run a single BLAS
+sgemm against a pre-flattened ``(Cout, Cin·kh·kw)`` weight matrix
+(``pack_conv_weight``), with bias add and activation applied *in place*
+on the GEMM output.  For ``groups == 1`` this is bit-exact with the
+seed's sliding-window tensordot conv (the oracle in
+:mod:`repro.testing.kernels`): both reduce to the identical ``sgemm``
+call on identically laid-out operands.  Grouped convolutions use one
+batched ``matmul`` whose per-group accumulation order can differ from
+the oracle's einsum by a few ULPs.
 
-``conv2d`` / ``conv2d_packed``
-    The fast path: explicit im2col into a reusable scratch arena, then a
-    single BLAS sgemm against a pre-flattened ``(Cout, Cin·kh·kw)``
-    weight matrix (``pack_conv_weight``), with bias add and activation
-    applied *in place* on the freshly allocated GEMM output.  For
-    ``groups == 1`` this is bit-exact with the reference path: both
-    reduce to the identical ``sgemm`` call on identically laid-out
-    operands.  Grouped convolutions use one batched ``matmul`` whose
-    per-group accumulation order can differ from the reference einsum by
-    a few ULPs.
-
-``conv2d_reference``
-    The original sliding-window + tensordot/einsum implementation, kept
-    as the independent oracle for the bit-exactness property tests and
-    as the "before" side of the engine benchmarks.
-
-Pooling follows the same pattern: ``maxpool2d`` accumulates kernel taps
-with vectorised ``np.maximum`` over strided slices (bit-exact with the
-windowed reference — max has no accumulation order), while ``avgpool2d``
+Pooling: ``maxpool2d`` accumulates kernel taps with vectorised
+``np.maximum`` over strided slices (bit-exact with the windowed oracle —
+max has no accumulation order), while ``avgpool2d``
 keeps the windowed sum so its float accumulation order — and therefore
 the tile-vs-full bit-exactness contract — is unchanged.
 """
@@ -49,16 +42,13 @@ __all__ = [
     "conv2d_packed",
     "ConvKernel",
     "MaxPoolKernel",
-    "conv2d_reference",
     "maxpool2d",
-    "maxpool2d_reference",
     "avgpool2d",
     "relu",
     "leaky_relu",
     "relu6",
     "apply_activation",
     "apply_activation_",
-    "batch_norm",
     "linear",
     "softmax",
     "ensure_f32c",
@@ -515,50 +505,6 @@ def conv2d(
     return conv2d_packed(x, packed, bias, weight.shape[2:], stride, pads, groups)
 
 
-def conv2d_reference(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: _Size2 = (1, 1),
-    pads: _Pad4 = (0, 0, 0, 0),
-    groups: int = 1,
-) -> np.ndarray:
-    """The original sliding-window conv (tensordot / grouped einsum).
-
-    Kept verbatim as the oracle for the GEMM bit-exactness tests and as
-    the "before" kernel in the engine benchmarks.  Batched inputs run
-    the frame loop a batched fast path must match — the literal
-    per-frame oracle.
-    """
-    _check_map(x, "conv2d_reference")
-    if x.ndim == 4:
-        return np.stack(
-            [
-                conv2d_reference(
-                    np.ascontiguousarray(x[:, b]), weight, bias, stride,
-                    pads, groups,
-                )
-                for b in range(x.shape[1])
-            ],
-            axis=1,
-        )
-    _check_conv(x.shape, weight.shape[0], weight.shape[1], groups)
-    xp = pad2d(x, pads)
-    win = _windows(xp, weight.shape[2:], stride)
-    if groups == 1:
-        out = np.tensordot(weight, win, axes=([1, 2, 3], [0, 3, 4]))
-    else:
-        c_per_g = x.shape[0] // groups
-        o_per_g = weight.shape[0] // groups
-        win_g = win.reshape(groups, c_per_g, *win.shape[1:])
-        w_g = weight.reshape(groups, o_per_g, c_per_g, *weight.shape[2:])
-        out = np.einsum("gihwkl,goikl->gohw", win_g, w_g)
-        out = out.reshape(weight.shape[0], *out.shape[2:])
-    if bias is not None:
-        out = out + bias[:, None, None]
-    return ensure_f32c(out)
-
-
 def maxpool2d(
     x: np.ndarray,
     kernel: _Size2,
@@ -572,10 +518,9 @@ def maxpool2d(
     order-free) and much faster than reducing a 5-D strided view.
 
     The tap path is fully general: non-square inputs, non-square
-    kernels, asymmetric padding and batched ``(C, B, H, W)`` maps all
-    stay on this fast route (the guard rejects anything else instead of
-    silently pooling the wrong axes), so tiled and batched execution
-    never fall back to the windowed reference.
+    kernels, asymmetric padding and batched ``(C, B, H, W)`` maps (the
+    guard rejects anything else instead of silently pooling the wrong
+    axes).
     """
     _check_map(x, "maxpool2d")
     return MaxPoolKernel(x.shape, kernel, stride, pads, src=x)(x)
@@ -617,25 +562,6 @@ class MaxPoolKernel:
         for tap in self.taps[1:]:
             np.maximum(out, tap, out=out)
         return out
-
-
-def maxpool2d_reference(
-    x: np.ndarray, kernel: _Size2, stride: _Size2, pads: _Pad4 = (0, 0, 0, 0)
-) -> np.ndarray:
-    """The original windowed max pooling (oracle / benchmark baseline)."""
-    _check_map(x, "maxpool2d_reference")
-    top, bottom, left, right = pads
-    if any(pads):
-        xp = np.full(
-            (*x.shape[:-2], x.shape[-2] + top + bottom, x.shape[-1] + left + right),
-            -np.inf,
-            dtype=x.dtype,
-        )
-        xp[..., top : top + x.shape[-2], left : left + x.shape[-1]] = x
-    else:
-        xp = x
-    win = _windows(xp, kernel, stride)
-    return np.ascontiguousarray(win.max(axis=(-2, -1)), dtype=np.float32)
 
 
 def avgpool2d(
@@ -703,25 +629,6 @@ def apply_activation_(x: np.ndarray, activation: str) -> np.ndarray:
     if activation == "linear":
         return x
     raise ValueError(f"unknown activation {activation!r}")
-
-
-def batch_norm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Inference-mode batch normalisation (per-channel affine).
-
-    Broadcasts over whatever trails the channel axis, so single-frame
-    ``(C, H, W)`` and batched ``(C, B, H, W)`` maps share the path.
-    """
-    scale = gamma / np.sqrt(var + eps)
-    shift = beta - mean * scale
-    bshape = scale.shape + (1,) * (x.ndim - 1)
-    return (x * scale.reshape(bshape) + shift.reshape(bshape)).astype(np.float32)
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

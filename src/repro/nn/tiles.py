@@ -517,10 +517,9 @@ _Shape = Tuple[int, ...]
 
 
 class _Call:
-    """Any other step, per call through :meth:`Engine.run_layer` (the
-    reference engine, average pools, channel-sliced pools, convs whose
-    batch norm is not folded); its output is fresh, so the next step
-    copies it."""
+    """Any other step, per call through :meth:`Engine.run_layer`
+    (average pools and channel-sliced pools); its output is fresh, so
+    the next step copies it."""
 
     __slots__ = ("engine", "step")
 
@@ -648,14 +647,7 @@ def _lower_step(
     if isinstance(layer, ConvSpec):
         lo, hi = channels if channels is not None else (0, layer.out_channels)
         out_shape = (hi - lo, *shape[1:-2], *out_hw)
-        packed = None
-        if engine.fast and (channels is None or layer.groups == 1):
-            packed = (
-                engine._packed_conv(layer) if channels is None
-                else engine._packed_conv_slice(layer, lo, hi)
-            )
-        if packed is None or (layer.batch_norm and not packed.folded):
-            return _Call(engine, step), out_shape, None
+        packed = engine._packed_conv(layer, channels)
         kernel = ops.ConvKernel(
             shape, packed.packed, packed.bias, layer.kernel_size, layer.stride,
             pads, layer.groups, layer.activation, src=src,
@@ -663,7 +655,7 @@ def _lower_step(
         return kernel, out_shape, kernel.out
     c = shape[0] if channels is None else channels[1] - channels[0]
     out_shape = (c, *shape[1:-2], *out_hw)
-    if not engine.fast or layer.kind_ != "max" or channels is not None:
+    if layer.kind_ != "max" or channels is not None:
         return _Call(engine, step), out_shape, None
     kernel = ops.MaxPoolKernel(shape, layer.kernel_size, layer.stride, pads, src=src)
     return kernel, out_shape, kernel.out

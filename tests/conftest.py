@@ -87,10 +87,19 @@ def _no_global_rng_use():
     )
 
 
+def own_shm_segments() -> "list[str]":
+    """The ``/dev/shm`` ring segments this process created.  Every ring
+    is created on the coordinator side, here, and named
+    ``repro_shm_<pid>_<seq>``; another process's rings (a live
+    benchmark's, a second test run's) are not this test's to count or
+    unlink."""
+    return glob.glob(f"/dev/shm/{SHM_PREFIX}{os.getpid()}_*")
+
+
 @pytest.fixture(autouse=True)
 def _no_shm_leaks():
     """Resource-hygiene guard: fail any test that leaves a shared-memory
-    ring segment behind in ``/dev/shm``.
+    ring segment of this process behind in ``/dev/shm``.
 
     Every :class:`repro.runtime.shm.ShmRing` the creator side opens must
     be unlinked by the time the test ends — through ``close()``, the
@@ -101,10 +110,9 @@ def _no_shm_leaks():
     if not os.path.isdir("/dev/shm"):  # non-Linux: nothing to guard
         yield
         return
-    pattern = f"/dev/shm/{SHM_PREFIX}*"
-    before = set(glob.glob(pattern))
+    before = set(own_shm_segments())
     yield
-    leaked = set(glob.glob(pattern)) - before
+    leaked = set(own_shm_segments()) - before
     for path in leaked:
         try:
             os.unlink(path)

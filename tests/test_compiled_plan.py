@@ -3,10 +3,10 @@
 ``run_segment`` lowers each program once per tile shape onto buffers it
 keeps (``repro.nn.tiles._build_plan``) and runs every later frame on
 them.  These tests hold the plan to the op-by-op path over the same
-program (``Engine.run_layer`` per step, the block merge spelled out
-here), bit for bit, over random chain and block models, tile grids with
-asymmetric virtual pads, padded max pools, channel slices and stacked
-batches; and they check what a plan must never do: hand out its own
+program (:func:`repro.testing.run_segment_reference`: ``run_layer`` per
+step, the block merge spelled out), bit for bit, over random chain and
+block models, tile grids with asymmetric virtual pads, padded max pools,
+channel slices and stacked batches; and they check what a plan must never do: hand out its own
 buffers, share them between threads, or outlive the weights or the
 program it was built from.
 """
@@ -44,37 +44,10 @@ from repro.runtime.messages import (
 )
 from repro.runtime.transport import Channel
 from repro.runtime.worker import worker_main
+from repro.testing import run_segment_reference
 from tests.test_program_properties import cut_lists
 
 ACTIVATIONS = ("relu", "leaky_relu", "relu6", "linear")
-
-
-def per_call(engine: Engine, program, tile: np.ndarray) -> np.ndarray:
-    """The program op by op: ``run_layer`` per step, each block path on
-    its crop, the merge in the plan's association order."""
-    x = tile
-    for unit in program.units:
-        if unit.merge is None:
-            for s in unit.steps:
-                x = engine.run_layer(s.layer, x, s.pads, channels=s.channels)
-            continue
-        outs = []
-        for path in unit.paths:
-            r0, rows, c0, cols = path.crop
-            y = x[..., r0 : r0 + rows, c0 : c0 + cols]
-            for s in path.steps:
-                y = engine.run_layer(s.layer, y, s.pads)
-            outs.append(y)
-        if unit.merge == "concat":
-            merged = np.concatenate(outs, axis=0)
-        elif len(outs) == 1:
-            merged = np.array(outs[0])
-        else:
-            merged = outs[0] + outs[1]
-            for other in outs[2:]:
-                merged = merged + other
-        x = ops.apply_activation(merged, unit.post_activation)
-    return x
 
 
 def idle_plans(pool) -> list:
@@ -194,7 +167,7 @@ class TestPlanEqualsPerCallOps:
     def test_random_models_on_grid_tiles(self, data, batch, seed):
         model = data.draw(random_models())
         start, program = data.draw(grid_tasks(model))
-        engine = Engine(model, init_weights(model, seed), fold_bn=False)
+        engine = Engine(model, init_weights(model, seed))
         rng = np.random.default_rng(seed)
         frames = stacked(rng, model.input_shape, batch)
         if batch is None:
@@ -205,7 +178,7 @@ class TestPlanEqualsPerCallOps:
                 axis=1,
             )
         tile = extract_tile(x, program.input_region)
-        want = per_call(engine, program, tile)
+        want = run_segment_reference(engine, program, tile)
         for _ in range(2):  # the build frame and a steady-state frame
             assert_same_bits(run_segment(engine, program, tile), want)
 
@@ -226,9 +199,9 @@ class TestPlanEqualsPerCallOps:
         lo = data.draw(st.integers(0, layer.out_channels - 1))
         hi = data.draw(st.integers(lo + 1, layer.out_channels))
         program = compile_channel_slice(model, 0, lo, hi)
-        engine = Engine(model, init_weights(model, seed), fold_bn=False)
+        engine = Engine(model, init_weights(model, seed))
         tile = stacked(np.random.default_rng(seed), model.input_shape, batch)
-        want = per_call(engine, program, tile)
+        want = run_segment_reference(engine, program, tile)
         for _ in range(2):
             assert_same_bits(run_segment(engine, program, tile), want)
 
@@ -244,7 +217,7 @@ class TestPlanEqualsPerCallOps:
         frames = stacked(rng, model.input_shape, 3)
         x = np.stack([unit_input(engine, 1, frames[:, b]) for b in range(3)], axis=1)
         tile = extract_tile(x, program.input_region)
-        want = per_call(engine, program, tile)
+        want = run_segment_reference(engine, program, tile)
         parallel.set_threads(threads)
         try:
             assert_same_bits(run_segment(engine, program, tile), want)
@@ -316,7 +289,7 @@ class TestPlanBuffers:
             extract_tile(stacked(rng, MODEL.input_shape, None), program.input_region)
             for _ in range(2)
         ]
-        want = [per_call(engine, program, t) for t in tiles_]
+        want = [run_segment_reference(engine, program, t) for t in tiles_]
         barrier = threading.Barrier(2)
         bad = []
 

@@ -4,7 +4,19 @@ The :mod:`repro.cost.tables` layer must be *bit-for-bit* identical to
 the reference cost model — ``SegmentCostTable`` vs
 ``homogeneous_stage_time``, ``SegmentTable.stage_total`` vs
 ``stage_time`` — and the vectorized planners must return exactly the
-same plans as the scalar-backed reference DP.
+plans the scalar-backed reference DP returns.
+
+The planner claim is checked in two halves, with no pair dropped:
+
+* every ``(start, end, p <= 8)`` entry of the planners' shared cost
+  table equals the scalar model, once per zoo model
+  (``test_equal_strips_match_oracle``).  The layout choice on top of the
+  strip cost (``StageTimeMemo.best``, branch arm included) is one piece
+  of code shared by the table and the oracle memo, so equal entries make
+  equal ``Ts``;
+* over that proven table, the pruned DP (``plan_homogeneous``) returns
+  what the unpruned DP — the reference's search — returns, at every
+  cluster size and latency budget (``TestPlanEquivalence``).
 """
 
 from __future__ import annotations
@@ -14,11 +26,7 @@ import math
 import pytest
 
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
-from repro.core.dp_planner import (
-    StageTimeTable,
-    plan_homogeneous,
-    plan_homogeneous_reference,
-)
+from repro.core.dp_planner import _min_period_dp, plan_homogeneous
 from repro.core.pareto import plan_pareto
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import DEFAULT_OPTIONS
@@ -33,11 +41,19 @@ from repro.models.graph import chain_model
 from repro.models.layers import ConvSpec, conv3x3
 from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
+from repro.partition.branches import is_branchable
 from repro.partition.regions import Interval, Region
 from repro.partition.strips import weighted_partition
+from repro.testing import StageTimeTable, plan_homogeneous_reference
 
 NET = NetworkModel.from_mbps(50.0)
 OPTIONS = DEFAULT_OPTIONS
+
+#: The homogenised device of every 600 MHz Pi cluster (1 to 8 devices
+#: average to this one device), so one shared cost table per model
+#: answers every cluster size the plan checks use.
+DEVICE = pi_cluster(8, 600).homogenized().devices[0]
+MAX_DEVICES = 8
 
 #: Model zoo at benchmark-friendly resolutions; every architecture kind
 #: (plain chain, residual, concat blocks, depthwise, non-square kernels).
@@ -57,6 +73,36 @@ def model(request):
     return request.param()
 
 
+def proven_table(model, allow_branch: bool = False) -> SegmentCostTable:
+    """The planners' shared cost table for ``model`` on :data:`DEVICE` —
+    the table ``test_equal_strips_match_oracle`` proves entry by entry."""
+    return get_cost_table(model, DEVICE, NET, OPTIONS, allow_branch)
+
+
+def same_plan(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return (got.stages, got.period, got.latency) == (
+        want.stages, want.period, want.latency,
+    )
+
+
+def assert_pruning_exact(model, n_devices, t_lim=math.inf, allow_branch=False):
+    """Pruned DP == unpruned DP over the proven table, and
+    ``plan_homogeneous`` is the pruned DP over that same table."""
+    cluster = pi_cluster(n_devices, 600)
+    assert cluster.homogenized().devices[0] == DEVICE
+    table = proven_table(model, allow_branch)
+    free = _min_period_dp(model, n_devices, table, t_lim, prune=False)
+    pruned = _min_period_dp(model, n_devices, table, t_lim, prune=True)
+    assert same_plan(pruned, free)
+    planned = plan_homogeneous(
+        model, cluster, NET, OPTIONS, t_lim=t_lim, allow_branch=allow_branch
+    )
+    assert same_plan(planned, free)
+    return free
+
+
 class TestBitForBitEquivalence:
     def test_all_segments_exact(self, model):
         """No real CNN here pads past its kernel, so the closed form
@@ -68,19 +114,18 @@ class TestBitForBitEquivalence:
         )
 
     def test_equal_strips_match_oracle(self, model):
-        """SegmentCostTable == homogeneous_stage_time(...).total, exact
-        float equality, across every segment and p in 1..8."""
-        device = pi_cluster(1, 600).devices[0]
-        vec = SegmentCostTable(model, device, NET, OPTIONS)
+        """The planners' shared table == homogeneous_stage_time(...).total,
+        exact float equality, at every segment and every p in 1..8."""
+        table = proven_table(model)
         n = model.n_units
         for start in range(n):
             for end in range(start + 1, n + 1):
-                for p in (1, 2, 3, 8):
+                for p in range(1, MAX_DEVICES + 1):
                     expected = homogeneous_stage_time(
-                        model, start, end, p, device, NET, OPTIONS,
+                        model, start, end, p, DEVICE, NET, OPTIONS,
                         with_head=end == n,
                     ).total
-                    assert vec(start, end, p) == expected, (start, end, p)
+                    assert table(start, end, p) == expected, (start, end, p)
 
     def test_weighted_strips_match_oracle(self, model):
         """stage_total on heterogeneous weighted strips == stage_time."""
@@ -110,83 +155,62 @@ class TestBitForBitEquivalence:
             assert got == expected, (start, end)
 
 
-@pytest.mark.slow
 class TestPlanEquivalence:
     @pytest.mark.parametrize("n_devices", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_unbounded(self, model, n_devices):
-        cluster = pi_cluster(n_devices, 600)
-        ref = plan_homogeneous_reference(model, cluster, NET, OPTIONS)
-        vec = plan_homogeneous(model, cluster, NET, OPTIONS)
-        assert ref is not None and vec is not None
-        assert (vec.stages, vec.period, vec.latency) == (
-            ref.stages,
-            ref.period,
-            ref.latency,
-        )
+        assert assert_pruning_exact(model, n_devices) is not None
 
     def test_finite_t_lim(self, model):
         """A budget strictly between the single-stage minimum latency
         and the unconstrained optimum's latency binds for real."""
-        cluster = pi_cluster(6, 600)
-        free = plan_homogeneous_reference(model, cluster, NET, OPTIONS)
-        assert free is not None
-        ts = StageTimeTable(model, cluster.homogenized().devices[0], NET, OPTIONS)
+        n_devices = 6
+        table = proven_table(model)
+        free = _min_period_dp(model, n_devices, table, math.inf, prune=False)
         min_latency = min(
-            ts(0, model.n_units, p) for p in range(1, len(cluster) + 1)
+            table(0, model.n_units, p) for p in range(1, n_devices + 1)
         )
         for t_lim in (
             (min_latency + free.latency) / 2,
             free.latency,
             min_latency * 0.5,  # infeasible: both must return None
         ):
-            ref = plan_homogeneous_reference(
-                model, cluster, NET, OPTIONS, t_lim=t_lim
-            )
-            vec = plan_homogeneous(model, cluster, NET, OPTIONS, t_lim=t_lim)
-            if ref is None:
-                assert vec is None
-            else:
-                assert vec is not None
-                assert (vec.stages, vec.period, vec.latency) == (
-                    ref.stages,
-                    ref.period,
-                    ref.latency,
-                )
+            assert_pruning_exact(model, n_devices, t_lim)
 
     def test_pareto(self, model):
+        """The frontier DP reads the proven table, and without a budget
+        it finds Algorithm 1's period at no more latency."""
         cluster = pi_cluster(4, 600)
-        device = cluster.homogenized().devices[0]
-        reference_ts = StageTimeTable(model, device, NET, OPTIONS)
+        table = proven_table(model)
+        dp = assert_pruning_exact(model, len(cluster))
         for t_lim in (math.inf, None):
             kwargs = {} if t_lim is None else {"t_lim": t_lim}
-            ref = plan_pareto(
-                model, cluster, NET, OPTIONS, table=reference_ts, **kwargs
+            pareto = plan_pareto(model, cluster, NET, OPTIONS, **kwargs)
+            assert same_plan(
+                plan_pareto(model, cluster, NET, OPTIONS, table=table, **kwargs),
+                pareto,
             )
-            vec = plan_pareto(model, cluster, NET, OPTIONS, **kwargs)
-            assert ref is not None and vec is not None
-            assert (vec.stages, vec.period, vec.latency) == (
-                ref.stages,
-                ref.period,
-                ref.latency,
-            )
+            assert pareto.period == dp.period
+            assert pareto.latency <= dp.latency
 
 
 class TestBranchParallel:
     def test_branch_stages_match_reference(self):
+        """allow_branch=True: the branch table's layout choices equal the
+        oracle memo's on every branchable single-unit stage, and pruning
+        is exact over it."""
         model = get_model("inception_v3", input_hw=96)
-        cluster = pi_cluster(6, 600)
-        ref = plan_homogeneous_reference(
-            model, cluster, NET, OPTIONS, allow_branch=True
-        )
-        vec = plan_homogeneous(
-            model, cluster, NET, OPTIONS, allow_branch=True
-        )
-        assert ref is not None and vec is not None
-        assert (vec.stages, vec.period, vec.latency) == (
-            ref.stages,
-            ref.period,
-            ref.latency,
-        )
+        table = proven_table(model, allow_branch=True)
+        oracle = StageTimeTable(model, DEVICE, NET, OPTIONS, allow_branch=True)
+        n = model.n_units
+        branchable = [s for s in range(n) if is_branchable(model.units[s])]
+        assert branchable
+        for start in branchable:
+            for p in range(2, MAX_DEVICES + 1):
+                assert table.best(start, start + 1, p) == oracle.best(
+                    start, start + 1, p
+                ), (start, p)
+        plan = assert_pruning_exact(model, 6, allow_branch=True)
+        assert plan is not None
 
 
 class TestBfsTable:

@@ -12,7 +12,6 @@ frames in flight through the serving layer.
 
 from __future__ import annotations
 
-import glob
 import multiprocessing as mp
 from collections import Counter
 from dataclasses import replace
@@ -32,11 +31,11 @@ from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 from repro.runtime.coordinator import ShmTransport, TcpTransport
 from repro.runtime.core import InProcTransport, PipelineSession, SimTransport
-from repro.runtime.shm import SHM_PREFIX
 from repro.runtime.trace import Tracer, canonical_trace
 from repro.schemes import available_schemes, get_scheme
 from repro.schemes.local import LocalPlanExecutor
 from repro.serve import PipelineServer, ServerConfig
+from tests.conftest import own_shm_segments
 
 NETWORK = NetworkModel.from_mbps(50.0)
 CLUSTER = heterogeneous_cluster([1200, 1000, 800, 600])
@@ -445,7 +444,7 @@ def test_batched_serving_over_worker_transports(transport_class, options):
         )
     assert workers and not any(p.is_alive() for p in workers)
     assert not mp.active_children()
-    assert not glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+    assert not own_shm_segments()
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ import math
 import pytest
 
 from repro.cluster.device import pi_cluster
-from repro.core.dp_planner import StageTimeTable, plan_homogeneous
+from repro.core.dp_planner import plan_homogeneous
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
+from repro.testing import StageTimeTable
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
-"""Engine fast-path behaviour: packed-weight caching, BN folding,
-chain arenas and threaded execution, all checked against the reference
-configuration on the same weights."""
+"""Engine behaviour: packed-weight caching, BN folding, compiled plans
+and threaded execution, all checked against the seed's reference engine
+(:class:`repro.testing.ReferenceEngine`) on the same weights."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from repro.models.zoo import get_model
 from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
+from repro.testing import ReferenceEngine
 
 
 def _input(model, seed=0):
@@ -29,41 +30,30 @@ def serial_pool():
 
 class TestFastVsReference:
     def test_chain_model_bit_exact(self):
-        """groups == 1, no BN: the fast path must be bitwise identical,
+        """groups == 1, no BN: the engine must be bitwise identical,
         and repeat runs (which reuse the compiled plan's buffers) must be
         too."""
         model = toy_chain(6, 2, input_hw=64, in_channels=3)
         weights = init_weights(model, 3)
-        ref = Engine(model, weights, fast=False)
-        fast = Engine(model, weights, fast=True)
+        ref = ReferenceEngine(model, weights)
+        engine = Engine(model, weights)
         x = _input(model)
         want = ref.forward_features(x)
-        first = fast.forward_features(x)
+        first = engine.forward_features(x)
         np.testing.assert_array_equal(first, want)
         # The first output must survive the second frame's buffer reuse.
-        second = fast.forward_features(_input(model, seed=9))
+        second = engine.forward_features(_input(model, seed=9))
         np.testing.assert_array_equal(first, want)
         assert not np.array_equal(second, first)
-        np.testing.assert_array_equal(fast.forward_features(x), want)
+        np.testing.assert_array_equal(engine.forward_features(x), want)
 
     def test_vgg16_end_to_end_bit_exact(self):
         model = get_model("vgg16", input_hw=32)
         weights = init_weights(model, 0)
         x = _input(model)
         np.testing.assert_array_equal(
-            Engine(model, weights, fast=True).run(x),
-            Engine(model, weights, fast=False).run(x),
-        )
-
-    def test_unfolded_bn_bit_exact(self):
-        """fast=True, fold_bn=False keeps the separate BN pass — the
-        conv GEMM is bit-exact, so the whole layer is too."""
-        model = get_model("resnet34", input_hw=32)
-        weights = init_weights(model, 1)
-        x = _input(model)
-        np.testing.assert_array_equal(
-            Engine(model, weights, fast=True, fold_bn=False).forward_features(x),
-            Engine(model, weights, fast=False).forward_features(x),
+            Engine(model, weights).run(x),
+            ReferenceEngine(model, weights).run(x),
         )
 
     def test_folded_bn_within_float32_rounding(self):
@@ -72,16 +62,16 @@ class TestFastVsReference:
         model = get_model("resnet34", input_hw=32)
         weights = init_weights(model, 1)
         x = _input(model)
-        want = Engine(model, weights, fast=False).forward_features(x)
-        got = Engine(model, weights, fast=True).forward_features(x)
+        want = ReferenceEngine(model, weights).forward_features(x)
+        got = Engine(model, weights).forward_features(x)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
 
     def test_grouped_conv_model_close(self):
         model = get_model("mobilenet_v2", input_hw=32)
         weights = init_weights(model, 2)
         x = _input(model)
-        want = Engine(model, weights, fast=False).forward_features(x)
-        got = Engine(model, weights, fast=True, fold_bn=False).forward_features(x)
+        want = ReferenceEngine(model, weights).forward_features(x)
+        got = Engine(model, weights).forward_features(x)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
 
 
@@ -91,7 +81,7 @@ class TestThreading:
         position, so threading must not change a single bit."""
         model = get_model("inception_v3", input_hw=96)
         weights = init_weights(model, 4)
-        engine = Engine(model, weights, fast=True)
+        engine = Engine(model, weights)
         x = _input(model)
         try:
             parallel.set_threads(1)
@@ -111,7 +101,7 @@ class TestPackedCache:
     def test_cache_populates_lazily_and_refreshes(self):
         model = toy_chain(3, 0, input_hw=16, in_channels=2)
         weights = init_weights(model, 5)
-        engine = Engine(model, weights, fast=True)
+        engine = Engine(model, weights)
         assert not engine._packed
         x = _input(model)
         baseline = engine.forward_features(x)
@@ -130,8 +120,8 @@ class TestPackedCache:
         model = toy_chain(4, 0, input_hw=16, in_channels=1)
         full = init_weights(model, 6)
         first = model.units[0].layer
-        engine = Engine(model, {first.name: full[first.name]}, fast=True)
-        ref = Engine(model, full, fast=False)
+        engine = Engine(model, {first.name: full[first.name]})
+        ref = ReferenceEngine(model, full)
         x = _input(model)
         np.testing.assert_array_equal(
             engine.run_layer(first, x, engine.spec_pads(first)),

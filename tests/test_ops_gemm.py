@@ -1,5 +1,5 @@
 """Fast-kernel exactness: packed-GEMM conv and tap-max pooling against
-the original reference kernels.
+the original reference kernels (:mod:`repro.testing.kernels`).
 
 The fast path's contract is *bitwise* equality for ``groups == 1``
 convolutions and max pooling — both lower to the identical float
@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.models.zoo import get_model
 from repro.nn import ops
+from repro.testing import conv2d_reference, maxpool2d_reference
 
 
 def _rand(shape, seed):
@@ -57,7 +58,7 @@ class TestGemmBitExact:
         b = rng.standard_normal(cout).astype(np.float32)
         pads = (top, bottom, left, right)
         got = ops.conv2d(x, w, b, (sv, sh), pads)
-        want = ops.conv2d_reference(x, w, b, (sv, sh), pads)
+        want = conv2d_reference(x, w, b, (sv, sh), pads)
         np.testing.assert_array_equal(got, want)
 
     def test_single_output_channel_float_close(self):
@@ -69,14 +70,14 @@ class TestGemmBitExact:
         w = rng.standard_normal((1, 1, 1, 2)).astype(np.float32)
         b = rng.standard_normal(1).astype(np.float32)
         got = ops.conv2d(x, w, b, (1, 2))
-        want = ops.conv2d_reference(x, w, b, (1, 2))
+        want = conv2d_reference(x, w, b, (1, 2))
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
     def test_no_bias_and_activationless(self):
         x, w = _rand((3, 12, 12), 0), _rand((8, 3, 3, 3), 1)
         np.testing.assert_array_equal(
             ops.conv2d(x, w, None, (1, 1), (1, 1, 1, 1)),
-            ops.conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1)),
+            conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1)),
         )
 
     def test_padding_wider_than_input(self):
@@ -85,7 +86,7 @@ class TestGemmBitExact:
         pads = (3, 3, 3, 3)
         np.testing.assert_array_equal(
             ops.conv2d(x, w, None, (2, 2), pads),
-            ops.conv2d_reference(x, w, None, (2, 2), pads),
+            conv2d_reference(x, w, None, (2, 2), pads),
         )
 
     def test_packed_matches_unpacked(self):
@@ -335,14 +336,14 @@ class TestGroupedConv:
         x = rng.standard_normal((cin, size, size)).astype(np.float32)
         w = rng.standard_normal((cout, cin // groups, 3, 3)).astype(np.float32)
         got = ops.conv2d(x, w, None, (1, 1), (1, 1, 1, 1), groups=groups)
-        want = ops.conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1), groups=groups)
+        want = conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1), groups=groups)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_depthwise(self):
         x = _rand((6, 8, 8), 13)
         w = _rand((6, 1, 3, 3), 14)
         got = ops.conv2d(x, w, None, (1, 1), (1, 1, 1, 1), groups=6)
-        want = ops.conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1), groups=6)
+        want = conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1), groups=6)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
@@ -359,7 +360,7 @@ class TestMaxPoolFast:
         x = _rand((3, size, size), seed)
         pads = (pad, pad, pad, pad)
         got = ops.maxpool2d(x, (k, k), (s, s), pads)
-        want = ops.maxpool2d_reference(x, (k, k), (s, s), pads)
+        want = maxpool2d_reference(x, (k, k), (s, s), pads)
         np.testing.assert_array_equal(got, want)
 
     def test_arena_output(self):
@@ -369,7 +370,7 @@ class TestMaxPoolFast:
         for seed in (21, 22):
             x = _rand((4, 10, 10), seed)
             np.testing.assert_array_equal(
-                pool(x), ops.maxpool2d_reference(x, (3, 3), (2, 2), (1, 0, 1, 0))
+                pool(x), maxpool2d_reference(x, (3, 3), (2, 2), (1, 0, 1, 0))
             )
 
 

@@ -10,7 +10,6 @@ warmed before the fork cannot wedge a worker.
 
 from __future__ import annotations
 
-import glob
 import multiprocessing as mp
 import threading
 
@@ -37,11 +36,11 @@ from repro.runtime.faults import (
     StageFailure,
 )
 from repro.runtime.program import compile_plan
-from repro.runtime.shm import SHM_PREFIX
 from repro.runtime.trace import RECOVERY_KINDS, canonical_trace
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
+from tests.conftest import own_shm_segments
 
 NET = NetworkModel.from_mbps(50.0)
 TRANSPORTS = {"tcp": TcpTransport, "shm": ShmTransport}
@@ -134,7 +133,7 @@ def test_close_with_uncollected_frames_leaves_nothing(model, weights, transport)
     ]
     assert not any(p.is_alive() for p in workers)
     assert not mp.active_children()
-    assert not glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+    assert not own_shm_segments()
 
 
 def test_collect_reraises_stage_error_and_stays_failed(model, weights):

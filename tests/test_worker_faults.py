@@ -10,7 +10,6 @@ wedged ones included.
 
 from __future__ import annotations
 
-import glob
 import multiprocessing as mp
 import os
 import signal
@@ -31,12 +30,12 @@ from repro.runtime.coordinator import (
 )
 from repro.runtime.faults import DeviceDead, FaultSchedule, RuntimeConfig
 from repro.runtime.messages import TileResult, WorkerError
-from repro.runtime.shm import SHM_PREFIX
 from repro.runtime.program import compile_plan
 from repro.runtime.trace import RECOVERY_KINDS
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.layer_wise import LayerWiseScheme
 from repro.schemes.pico import PicoScheme
+from tests.conftest import own_shm_segments
 
 NET = NetworkModel.from_mbps(50.0)
 TRANSPORTS = {"tcp": TcpTransport, "shm": ShmTransport}
@@ -386,4 +385,4 @@ def test_worker_lost_with_a_frame_dispatched_ahead(
     assert ("device_dead", recovery[0][1], victim) == recovery[0]
     assert ("frame_replayed", recovery[0][1], victim) in recovery
     assert not leaked and not mp.active_children()
-    assert not glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+    assert not own_shm_segments()
