@@ -74,7 +74,7 @@ lint-forks:
 # One tenancy path: FleetServer builds every tenant transport through
 # its factory; the clone-a-parent hooks, the pass-through session and
 # the PhasedTrace wrapper stay deleted, and RuntimeConfig is the one
-# fault-tolerance switch of DistributedPipeline.
+# fault-tolerance switch (no recover= flag anywhere).
 	! grep -rnIE "open_tenant|_tenant_view|close_tenants|tenant_views|_fleet_shared|TenantSession|PhasedProcess" src/ tests/ benchmarks/ examples/ docs/ README.md
 	! grep -rIPzo "DistributedPipeline\((?:[^()]|\([^()]*\))*\brecover=" src/ tests/ benchmarks/ examples/ docs/ README.md
 # One failure model: a dead device is a name in the one dead set, found
@@ -128,6 +128,12 @@ lint-forks:
 # start-up is the one place in the program that sizes a pool (the bench
 # modules time widths on purpose).
 	test "$$(grep -rnI "set_threads(" src/repro --exclude-dir=bench | grep -v "def set_threads" | cut -d: -f1)" = "src/repro/runtime/worker.py"
+# One way to run a plan on the wall clock: every caller serves through
+# PipelineServer.serve; the submit/collect pipeline is left only as the
+# e2e benchmark's shim (and the one test that drives it as the workload
+# does), and the batch runner and its stats stay deleted.
+	test -z "$$(grep -rlI "DistributedPipeline" src/ tests/ examples/ docs/ README.md | grep -vxE "src/repro/runtime/coordinator.py|tests/test_scheduler.py")"
+	! grep -rnIE "RuntimeStats|run_batch\(" src/ tests/ examples/ docs/ README.md
 # One production engine and one Ts: the oracles (the seed's kernels, the
 # reference engine, the scalar Ts memo and its DP) live once, in
 # repro/testing, which only the bench modules and the tests import; the

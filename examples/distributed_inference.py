@@ -16,15 +16,31 @@ import time
 import numpy as np
 
 from repro import (
-    DistributedPipeline,
     FaultSchedule,
+    PipelineServer,
     RuntimeConfig,
+    ServerConfig,
+    TcpTransport,
     heterogeneous_cluster,
     wifi_50mbps,
 )
 from repro.models import toy_chain
 from repro.nn import Engine, init_weights
 from repro.schemes import EarlyFusedScheme, PicoScheme
+
+
+def serve(model, plan, weights, frames, faults=None, config=None):
+    """Serve every frame through one worker process per device role,
+    all of them admitted at once; returns the outputs in frame order,
+    the ServeResult and the transport."""
+    transport = TcpTransport(model, weights, faults=faults)
+    with PipelineServer.from_plan(
+        model, plan, transport, runtime_config=config,
+        config=ServerConfig(queue_capacity=len(frames), policy="block"),
+    ) as server:
+        served = server.serve(frames)
+    outputs = [served.outputs[i] for i in range(len(frames))]
+    return outputs, served, transport
 
 
 def main() -> None:
@@ -49,8 +65,7 @@ def main() -> None:
     local_s = time.perf_counter() - started
 
     print("running distributed (one process per device role)...")
-    with DistributedPipeline(model, plan, weights=weights) as pipe:
-        outputs, stats = pipe.run_batch(frames)
+    outputs, served, _ = serve(model, plan, weights, frames)
 
     max_err = max(
         float(np.abs(out - ref).max()) for out, ref in zip(outputs, references)
@@ -58,24 +73,24 @@ def main() -> None:
     print(f"max |distributed - local| = {max_err:.2e}  (bit-close: {max_err < 1e-3})")
     print(
         f"local: {len(frames) / local_s:.1f} frames/s   "
-        f"distributed pipeline: {stats.throughput:.1f} frames/s   "
-        f"avg latency {stats.avg_latency * 1000:.1f} ms"
+        f"distributed pipeline: {served.throughput:.1f} frames/s   "
+        f"avg latency {served.mean_sojourn * 1000:.1f} ms"
     )
 
     print("\n=== failure injection ===")
     efl_plan = EarlyFusedScheme(n_fused=6).plan(model, cluster, network)
     victim = efl_plan.stages[0].assignments[1][0].name
     print(f"crashing {victim} at frame 1...")
-    with DistributedPipeline(
-        model, efl_plan, weights=weights, config=RuntimeConfig(),
+    outputs, _, transport = serve(
+        model, efl_plan, weights, frames,
         faults=FaultSchedule().crash(victim, at_frame=1),
-    ) as pipe:
-        outputs, stats = pipe.run_batch(frames)
+        config=RuntimeConfig(),
+    )
     max_err = max(
         float(np.abs(out - ref).max()) for out, ref in zip(outputs, references)
     )
     print(
-        f"recovered {stats.recoveries} time(s); outputs still correct "
+        f"recovered {transport.recoveries} time(s); outputs still correct "
         f"(max err {max_err:.2e})"
     )
 

@@ -44,7 +44,6 @@ from repro.cost import CostOptions, NetworkModel, wifi_50mbps
 from repro.models import get_model
 from repro.nn import Engine, init_weights
 from repro.runtime import (
-    DistributedPipeline,
     FaultSchedule,
     InProcTransport,
     PipelineSession,
@@ -94,7 +93,6 @@ __all__ = [
     "Cluster",
     "CostOptions",
     "Device",
-    "DistributedPipeline",
     "EarlyFusedScheme",
     "Engine",
     "FaultSchedule",

@@ -41,8 +41,8 @@ and sizes) frames/s on multi-megabyte oneway frames.
 The **dispatch** section measures the runtime around the wire: the
 e2e toy chain (``toy_chain(8, 2, input_hw=64, base_channels=8)``, PICO
 on the 1200/1000/800/600 MHz cluster at 50 Mbps — two stages of two
-workers) served by :class:`~repro.runtime.coordinator.DistributedPipeline`
-with 8 frames outstanding, over tcp and shm: frames/s and the CPU
+workers) served by :class:`~repro.serve.PipelineServer` (``policy="block"``)
+with 8 frames in the system, over tcp and shm: frames/s and the CPU
 milliseconds a frame costs the coordinator process and its workers
 (``/proc/<pid>/stat``), BLAS pinned to one thread as in the e2e
 children.  Its gate is exactness only — every output equals the
@@ -80,11 +80,12 @@ from repro.models.toy import toy_chain
 from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import DistributedPipeline
+from repro.runtime.coordinator import ShmTransport, TcpTransport
 from repro.runtime.messages import Hello, ShmAttach, Shutdown, TileResult, TileTask
 from repro.runtime.shm import ShmChannel, ShmRing
 from repro.runtime.transport import Channel
 from repro.schemes.pico import PicoScheme
+from repro.serve import PipelineServer, ServerConfig
 
 __all__ = ["BENCH", "run"]
 
@@ -269,7 +270,7 @@ def _run_inproc(
 
 def _dispatch_row(transport: str, frames: int, seed: int) -> Dict:
     """Serve ``frames`` toy-chain frames with ``DISPATCH_WINDOW``
-    outstanding; frames/s, CPU ms a frame on each side, exactness."""
+    in the system; frames/s, CPU ms a frame on each side, exactness."""
     model = toy_chain(8, 2, input_hw=64, base_channels=8)
     cluster = heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0])
     plan = PicoScheme().plan(model, cluster, NetworkModel.from_mbps(50.0))
@@ -282,25 +283,22 @@ def _dispatch_row(transport: str, frames: int, seed: int) -> Dict:
     engine = Engine(model, weights)
     oracle = [engine.forward_features(x) for x in inputs]  # the chain has no head
     parallel.shutdown_pool()  # no live pool in the parent of forked workers
-    exact = True
-    with DistributedPipeline(model, plan, weights, transport=transport) as pipe:
-        pipe.run_batch(inputs)  # warm-up: sockets, rings, kernels
-        pids = [h.process.pid for h in pipe.transport.all_handles()]
+    backend = {"tcp": TcpTransport, "shm": ShmTransport}[transport](model, weights)
+    config = ServerConfig(queue_capacity=DISPATCH_WINDOW, policy="block")
+    with PipelineServer.from_plan(model, plan, backend, config=config) as server:
+        server.serve(inputs)  # warm-up: sockets, rings, kernels
+        pids = [h.process.pid for h in backend.all_handles()]
         coord0 = common.cpu_seconds(os.getpid())
         work0 = sum(map(common.cpu_seconds, pids))
         t0 = time.perf_counter()
-        submitted = collected = 0
-        while collected < frames:
-            while submitted < frames and submitted - collected < DISPATCH_WINDOW:
-                pipe.submit(inputs[submitted % DISPATCH_INPUTS])
-                submitted += 1
-            task_id, out = pipe.collect(timeout_s=60.0)
-            expected = oracle[(task_id - DISPATCH_INPUTS) % DISPATCH_INPUTS]
-            exact = exact and np.array_equal(out, expected)
-            collected += 1
+        served = server.serve([inputs[i % DISPATCH_INPUTS] for i in range(frames)])
         elapsed = time.perf_counter() - t0
         coord = common.cpu_seconds(os.getpid()) - coord0
         work = sum(map(common.cpu_seconds, pids)) - work0
+    exact = len(served.outputs) == frames and all(
+        np.array_equal(out, oracle[i % DISPATCH_INPUTS])
+        for i, out in served.outputs.items()
+    )
     return {
         "transport": transport,
         "frames": frames,

@@ -559,7 +559,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         session = PipelineSession.from_plan(
             model, plan, transport, tracer, config
         )
-        outputs = session.run_batch(frames)
+        outputs = [session.run_frame(x) for x in frames]
         session.close()
         runs[name] = (outputs, tracer.events)
         print(f"--- {name} backend ({len(tracer.events)} events) ---")

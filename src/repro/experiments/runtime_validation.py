@@ -4,8 +4,8 @@ The paper fits ``alpha_k`` by regression against measured layer timings
 (Eq. 5).  This harness closes the same loop on the local host: calibrate
 the numpy engine's FLOP/s with :func:`repro.cost.profiler.calibrate_host`,
 predict a pipeline's period from the analytic model, then execute the
-plan for real with :class:`~repro.runtime.DistributedPipeline` and
-compare.  Agreement is necessarily loose — worker processes share the
+plan for real with :class:`~repro.serve.PipelineServer` over worker
+processes and compare.  Agreement is necessarily loose — worker processes share the
 host's cores and the loopback transport is not a 50 Mbps WLAN — but the
 prediction must land within a small constant factor, and the
 distributed outputs must match local inference exactly.
@@ -25,9 +25,10 @@ from repro.cost.profiler import calibrate_host
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import DistributedPipeline
+from repro.runtime.coordinator import TcpTransport
 from repro.runtime.core import PipelineSession, SimTransport
 from repro.schemes.pico import PicoScheme
+from repro.serve import PipelineServer, ServerConfig
 
 __all__ = ["ValidationResult", "run"]
 
@@ -77,12 +78,16 @@ def run(n_workers: int = 2, n_tasks: int = 12, seed: int = 0) -> ValidationResul
     ]
     engine = Engine(model, weights)
     references = [engine.forward_features(x) for x in frames]
-    with DistributedPipeline(model, plan, weights=weights) as pipe:
-        outputs, stats = pipe.run_batch(frames)
+    with PipelineServer.from_plan(
+        model, plan, TcpTransport(model, weights),
+        config=ServerConfig(queue_capacity=len(frames), policy="block"),
+    ) as server:
+        served = server.serve(frames)
+    outputs = [served.outputs[i] for i in range(len(frames))]
     max_err = max(
         float(np.abs(out - ref).max()) for out, ref in zip(outputs, references)
     )
-    measured_period = stats.makespan / max(1, len(frames) - 1)
+    measured_period = served.makespan / max(1, len(frames) - 1)
 
     # Sim-vs-live exactness: replay the same frames through the
     # virtual-clock backend.  Same PlanProgram, same kernels — the
@@ -90,7 +95,7 @@ def run(n_workers: int = 2, n_tasks: int = 12, seed: int = 0) -> ValidationResul
     sim_session = PipelineSession.from_plan(
         model, plan, SimTransport(engine, network)
     )
-    sim_outputs = sim_session.run_batch(frames)
+    sim_outputs = [sim_session.run_frame(x) for x in frames]
     sim_err = max(
         float(np.abs(out - sim).max())
         for out, sim in zip(outputs, sim_outputs)

@@ -9,8 +9,6 @@ trace schema.
 """
 
 from repro.runtime.coordinator import (
-    DistributedPipeline,
-    RuntimeStats,
     ShmTransport,
     StageFailure,
     TcpTransport,
@@ -77,7 +75,6 @@ from repro.runtime.worker import worker_main
 __all__ = [
     "Channel",
     "DeviceDead",
-    "DistributedPipeline",
     "EVENT_KINDS",
     "FaultInjector",
     "FaultSchedule",
@@ -89,7 +86,6 @@ __all__ = [
     "RECOVERY_KINDS",
     "Reconfigure",
     "RuntimeConfig",
-    "RuntimeStats",
     "Setup",
     "ShmChannel",
     "ShmRing",

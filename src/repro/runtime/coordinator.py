@@ -19,10 +19,10 @@ and :class:`~repro.serve.server.PipelineServer` drive real processes
 through the exact ``configure() → open()`` flow they use for the
 in-process and simulated backends, fault ladder and tracing included.
 
-:class:`DistributedPipeline` keeps frames from *different* stages in
-flight concurrently.  It is a submit/collect client of the one
-wall-clock scheduler, :class:`~repro.runtime.scheduler.StageScheduler`:
-a thread per stage sends a frame's tiles to its workers
+:class:`~repro.serve.server.PipelineServer` keeps frames from
+*different* stages in flight concurrently on the one wall-clock
+scheduler, :class:`~repro.runtime.scheduler.StageScheduler`: a thread
+per stage sends a frame's tiles to its workers
 (:meth:`TcpTransport.dispatch`), sends the next frame's too when one is
 queued, then gathers the first (:meth:`TcpTransport.collect`) and hands
 it to the next stage — a worker's next tile is waiting when it finishes.
@@ -43,25 +43,21 @@ replies stamped with the old epoch are skipped.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
 import socket
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.plan import PipelinePlan
 from repro.models.graph import Model
 from repro.nn import parallel
-from repro.nn.executor import Engine
 from repro.nn.weights import Weights, init_weights
 from repro.runtime.core import StageTrace, TaskTiming, Transport
 from repro.runtime.faults import (
     DeviceDead,
     FaultSchedule,
-    RuntimeConfig,
     StageFailure,
 )
 from repro.runtime.messages import (
@@ -94,32 +90,10 @@ _CONNECT_TIMEOUT_S = 30.0
 # StageFailure moved to repro.runtime.faults; re-exported here for the
 # existing import sites.
 __all__ = [
-    "DistributedPipeline",
-    "RuntimeStats",
     "ShmTransport",
     "StageFailure",
     "TcpTransport",
 ]
-
-
-@dataclass
-class RuntimeStats:
-    """Measured behaviour of a distributed run."""
-
-    latencies: List[float] = field(default_factory=list)
-    makespan: float = 0.0
-    worker_compute_s: Dict[int, float] = field(default_factory=dict)
-    recoveries: int = 0
-
-    @property
-    def avg_latency(self) -> float:
-        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-
-    @property
-    def throughput(self) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.latencies) / self.makespan
 
 
 @dataclass
@@ -186,8 +160,8 @@ class TcpTransport(Transport):
         self.weights = weights
         self._seed = seed
         self.faults = faults
-        self.stats = RuntimeStats()
-        self._stats_lock = threading.Lock()
+        #: Stage repartitions after a worker loss, over the transport's life.
+        self.recoveries = 0
         self._handles: "List[List[_WorkerHandle]]" = []
         #: The compute width every worker was launched with (set by :meth:`open`).
         self.worker_threads: Optional[int] = None
@@ -387,11 +361,6 @@ class TcpTransport(Transport):
                     recv=(recv_end, recv_end),
                 )
             )
-            with self._stats_lock:
-                self.stats.worker_compute_s[handle.worker_id] = (
-                    self.stats.worker_compute_s.get(handle.worker_id, 0.0)
-                    + message.compute_s
-                )
         if failed is not None:
             raise RuntimeError(
                 f"worker {failed.worker_id} failed task "
@@ -470,8 +439,8 @@ class TcpTransport(Transport):
                 continue
             handle.task = task
             handle.channel.send(Reconfigure(task.program))
-        with self._stats_lock:
-            self.stats.recoveries += 1
+        with self._dead_lock:  # stages repartition on their own threads
+            self.recoveries += 1
 
     def rebind(self, program: PlanProgram) -> None:
         raise NotImplementedError(
@@ -618,158 +587,42 @@ class ShmTransport(TcpTransport):
 
 
 class DistributedPipeline:
-    """Execute a :class:`PipelinePlan` on real OS processes.
+    """Submit/collect over :class:`StageScheduler` for the e2e benchmark's
+    ``toy64_tcp_evloop`` workload only; everything else serves through
+    :class:`~repro.serve.server.PipelineServer`.  The next benchmark
+    change moves that workload to the server and deletes this class."""
 
-    Usage::
-
-        with DistributedPipeline(model, plan) as pipe:
-            outputs, stats = pipe.run_batch(inputs)
-
-    ``transport`` selects the tensor plane: ``"tcp"`` (framed sockets)
-    or ``"shm"`` (shared-memory slot rings, zero-copy on the same
-    host).  Either way the frames ride the shared
-    :class:`~repro.runtime.scheduler.StageScheduler` — one thread per
-    stage, every stage through the ``collect_stage`` fault ladder.
-
-    ``trace`` follows the shared contract (``Tracer | bool | None``,
-    see :func:`~repro.runtime.trace.coerce_tracer`): per-frame
-    :class:`~repro.runtime.trace.TraceEvent` records are available as
-    ``pipe.trace`` after the run, on the same schema the in-process and
-    simulated backends emit.
-
-    A :class:`~repro.runtime.faults.RuntimeConfig` turns on the fault
-    tolerance layer: receive deadlines on worker channels and the
-    recovery ladder; without one (the default) failures propagate.  A
-    frame that fails past the ladder fails the pipeline: :meth:`collect`
-    raises its exception, then and on every later call.  ``faults`` is
-    a :class:`~repro.runtime.faults.FaultSchedule` the workers act out
-    (see :class:`TcpTransport`).
-    """
-
-    def __init__(
-        self,
-        model: Model,
-        plan: PipelinePlan,
-        weights: Optional[Weights] = None,
-        seed: int = 0,
-        faults: "Optional[FaultSchedule]" = None,
-        trace=False,
-        config: "Optional[RuntimeConfig]" = None,
-        transport: str = "tcp",
-    ) -> None:
-        self.model = model
-        self.plan = plan
+    def __init__(self, model: Model, plan: PipelinePlan, weights: Weights, *,
+                 transport: str = "tcp", trace=False) -> None:
         self.program = compile_plan(model, plan)
-        self.weights = weights if weights is not None else init_weights(model, seed)
-        self.config = config
-        self._engine = Engine(model, self.weights)
+        backend = {"tcp": TcpTransport, "shm": ShmTransport}[transport]
+        self.transport = backend(model, weights)
         self._tracer = coerce_tracer(trace)
-        transports = {"tcp": TcpTransport, "shm": ShmTransport}
-        if transport not in transports:
-            raise ValueError(
-                f"unknown transport {transport!r} (use 'tcp' or 'shm')"
-            )
-        self.transport = transports[transport](
-            model, self.weights, faults=faults
-        )
-        # Stage threads add to it under the transport's lock.
-        self.stats = self.transport.stats
-        if config is not None:
-            self.transport.configure(config)
         self._scheduler: "Optional[StageScheduler]" = None
-        self._error: Optional[BaseException] = None
-        self._submit_times: "Dict[int, float]" = {}
-        self._next_task = 0
-        self._started = False
-        self._closed = False
-        self._first_submit: Optional[float] = None
+        self._next = 0
 
     @property
     def trace(self):
-        """Collected trace events (empty unless ``trace=True``)."""
         return self._tracer.events if self._tracer is not None else ()
 
-    # ------------------------------------------------------------------
     def start(self) -> "DistributedPipeline":
-        if self._started:
-            return self
         self.transport.open(self.program)
-        self._scheduler = StageScheduler(
-            self.program, self.transport, self._tracer, self.config
-        )
-        self._started = True
+        self._scheduler = StageScheduler(self.program, self.transport, self._tracer)
         return self
 
-    # ------------------------------------------------------------------
     def submit(self, x: np.ndarray) -> int:
-        """Feed one input; returns its task id."""
-        if not self._started:
-            raise RuntimeError("pipeline not started")
-        if x.shape != self.model.input_shape:
-            raise ValueError(
-                f"input shape {x.shape} != model input {self.model.input_shape}"
-            )
-        task_id = self._next_task
-        self._next_task += 1
-        now = time.perf_counter()
-        if self._first_submit is None:
-            self._first_submit = now
-        self._submit_times[task_id] = now
-        self._scheduler.submit(
-            task_id, np.ascontiguousarray(x, dtype=np.float32)
-        )
-        return task_id
+        self._next += 1
+        self._scheduler.submit(self._next - 1, np.ascontiguousarray(x, np.float32))
+        return self._next - 1
 
-    def collect(self, timeout_s: float = 120.0) -> Tuple[int, np.ndarray]:
-        """Fetch one completed (task_id, output) from the final stage."""
-        if self._error is not None:
-            raise self._error
-        try:
-            task_id, features, error, _batch, _done = (
-                self._scheduler.results.get(timeout=timeout_s)
-            )
-        except queue.Empty:
-            serving = ", ".join(
-                f"frame {fids[0]} at stage {stage}"
-                for stage, fids in self._scheduler.in_flight()
-            )
-            raise TimeoutError(
-                f"no frame completed within {timeout_s} s; uncollected "
-                f"frames {sorted(self._submit_times)}, being served: "
-                f"{serving or 'none'}"
-            ) from None
+    def collect(self, timeout_s: float = 0.0) -> "Tuple[int, np.ndarray]":
+        # The scheduler's STALL_S, not timeout_s, bounds the wait.
+        frame, out, error, _batch, _done = self._scheduler.collect()
         if error is not None:
-            self._error = error
             raise error
-        now = time.perf_counter()
-        self.stats.latencies.append(now - self._submit_times.pop(task_id))
-        if self._first_submit is not None:
-            self.stats.makespan = now - self._first_submit
-        output = self._engine.run_head(features) if self.model.head else features
-        return task_id, output
+        return frame, out
 
-    def run_batch(
-        self, inputs: "Sequence[np.ndarray]", timeout_s: float = 120.0
-    ) -> Tuple[List[np.ndarray], RuntimeStats]:
-        """Submit every input, gather every output (in submit order)."""
-        ids = [self.submit(x) for x in inputs]
-        outputs: "Dict[int, np.ndarray]" = {}
-        for _ in ids:
-            task_id, out = self.collect(timeout_s)
-            outputs[task_id] = out
-        return [outputs[i] for i in ids], self.stats
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._started:
+        if self._scheduler is not None:
             self._scheduler.close(timeout=10.0)
-            self.transport.close()
-
-    def __enter__(self) -> "DistributedPipeline":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.transport.close()

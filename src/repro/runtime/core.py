@@ -964,19 +964,6 @@ class PipelineSession:
         """
         return self.run_stacked((x,), at)[0]
 
-    def run_batch(
-        self,
-        frames: "Sequence[np.ndarray]",
-        arrivals: "Optional[Sequence[float]]" = None,
-    ) -> "List[np.ndarray]":
-        """Run frames in order; ``arrivals`` gives virtual submit times."""
-        if arrivals is not None and len(arrivals) != len(frames):
-            raise ValueError("arrivals must align one-to-one with frames")
-        return [
-            self.run_frame(x, arrivals[i] if arrivals is not None else None)
-            for i, x in enumerate(frames)
-        ]
-
     def run_stacked(
         self, frames: "Sequence[np.ndarray]", at: Optional[float] = None
     ) -> "List[np.ndarray]":

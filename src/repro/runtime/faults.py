@@ -159,8 +159,8 @@ class FaultSchedule:
                   .flaky_link("pi2", frame=1)
                   .delay("pi3", frame=0, seconds=0.2))
 
-    and hand it to ``faults=`` of any transport or ``DistributedPipeline``
-    (worker processes act out crashes and delays only) or to
+    and hand it to ``faults=`` of any transport (worker processes act
+    out crashes and delays only) or to
     :func:`repro.simulate`.  The
     schedule itself is pure data; :meth:`start` mints the mutable
     per-run :class:`FaultInjector`, so one schedule can drive any

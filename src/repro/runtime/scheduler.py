@@ -20,12 +20,13 @@ design serves backends with sockets and backends without.
 Admission counts frames in the system: with ``capacity`` set,
 :meth:`StageScheduler.submit` holds one permit per frame from submit
 until its result is delivered.  :meth:`StageScheduler.replan` swaps
-the program at a drain boundary.
+the program at a drain boundary.  A client never waits without bound:
+a blocked admission or :meth:`StageScheduler.collect` that sees no
+frame delivered for :data:`STALL_S` seconds raises a
+:class:`TimeoutError` naming the frames the stages hold.
 
-Two clients sit on top: :class:`~repro.serve.server.PipelineServer`
-(bounded admission, policy, arrival pacing, frame records) and
-:class:`~repro.runtime.coordinator.DistributedPipeline` (unbounded,
-submit/collect; its client's window bounds it).
+Its client is :class:`~repro.serve.server.PipelineServer` (bounded
+admission, policy, arrival pacing, frame records).
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ __all__ = ["StageScheduler"]
 
 _SENTINEL = object()
 
+#: How long a blocked admission or :meth:`StageScheduler.collect` waits
+#: for a frame to be delivered before it names the stalled frames.
+STALL_S = 120.0
+
 
 class StageScheduler:
     """Walk frames through a program's stages, one thread per stage.
@@ -59,13 +64,13 @@ class StageScheduler:
     queue; ``capacity`` bounds the frames submitted and not yet
     delivered (``0`` = unbounded).  Every submitted frame ends as
     exactly one ``(frame, output, error, batch, done_at)`` tuple on
-    :attr:`results` — ``output`` is the final feature map, or ``None``
-    with the exception that a stage raised past the fault ladder in
-    ``error``; ``batch`` is the size of the cross-frame batch the frame
-    rode in; ``done_at`` is the transport clock when the last stage
-    finished.  :meth:`close` lets the frames already submitted finish,
-    then stops the threads; :meth:`drain` also hands out what is left
-    on :attr:`results`.
+    :attr:`results` (:meth:`collect` takes the next) — ``output`` is the
+    final feature map, or ``None`` with the exception that a stage
+    raised past the fault ladder in ``error``; ``batch`` is the size of
+    the cross-frame batch the frame rode in; ``done_at`` is the
+    transport clock when the last stage finished.  :meth:`close` lets
+    the frames already submitted finish, then stops the threads;
+    :meth:`drain` also hands out what is left on :attr:`results`.
 
     Every stage dispatches one frame ahead of the one it collects
     (see the module docstring), except a batching entrance: with
@@ -130,18 +135,42 @@ class StageScheduler:
         """Queue one frame at the pipeline entrance.
 
         With a ``capacity`` the call waits for the frame count to fall
-        below it; with ``block=False`` it refuses the frame instead and
-        returns ``False`` (the caller sheds it).  ``last`` marks the
-        final frame of the caller's arrival schedule: a batch window
-        that takes it launches at once instead of waiting out
-        ``batch_timeout`` for frames that will never come.
+        below it (at most :data:`STALL_S`); with ``block=False`` it
+        refuses the frame instead and returns ``False`` (the caller
+        sheds it).  ``last`` marks the final frame of the caller's
+        arrival schedule: a batch window that takes it launches at once
+        instead of waiting out ``batch_timeout`` for frames that will
+        never come.
         """
-        if self._admit is not None and not self._admit.acquire(blocking=block):
+        wait = STALL_S if block else None
+        if self._admit is not None and not self._admit.acquire(block, wait):
+            if block:
+                raise self._stalled()
             return False
         if last:
             self._last = frame
         self._queues[0].put(((frame,), x, None))
         return True
+
+    def collect(self, block: bool = True):
+        """The next ``(frame, output, error, batch, done_at)`` off
+        :attr:`results`; ``None`` when ``block`` is false and none is
+        there.  A blocking call waits at most :data:`STALL_S`."""
+        try:
+            return self.results.get(block, STALL_S)
+        except queue.Empty:
+            if block:
+                raise self._stalled() from None
+            return None
+
+    def _stalled(self) -> TimeoutError:
+        serving = ", ".join(
+            f"frame {fids[0]} at stage {stage}" for stage, fids in self.in_flight()
+        )
+        return TimeoutError(
+            f"no frame completed within {STALL_S} s; being served: "
+            f"{serving or 'none'}"
+        )
 
     def in_flight(self) -> "List[Tuple[int, Tuple[int, ...]]]":
         """``(stage, frames)`` for every frame (or batch) a stage holds

@@ -137,7 +137,7 @@ class Tracer:
 def coerce_tracer(trace) -> "Tracer | None":
     """Normalise the ``trace=`` kwarg every executor accepts.
 
-    One contract everywhere (``DistributedPipeline``,
+    One contract everywhere (``PipelineServer``'s ``tracer=``,
     ``LocalPlanExecutor``, the simulators, :func:`repro.simulate`):
     ``None``/``False`` disables tracing, ``True`` mints a fresh
     :class:`Tracer`, and an existing :class:`Tracer` is used as-is (so

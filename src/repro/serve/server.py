@@ -58,7 +58,6 @@ plan in the same scheduler — on both paths.
 
 from __future__ import annotations
 
-import queue
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -347,9 +346,22 @@ class PipelineServer:
         ``compute=False``), ``n`` frames with no data at all.
         ``arrivals`` are submit times in seconds
         (virtual for the simulated backend, offsets from serve start
-        for wall-clock backends); ``None`` submits back-to-back.
+        for wall-clock backends); ``None`` submits back-to-back.  On a
+        computing transport a frame whose shape is not the model's
+        input is a ``ValueError`` before any frame is admitted.  On the
+        wall clock, no frame delivered for
+        :data:`~repro.runtime.scheduler.STALL_S` seconds is a
+        ``TimeoutError`` naming the frames the stages hold.
         """
         frames = self._materialise(frames)
+        model = self.transport.model
+        if self.transport.compute and model is not None:
+            for index, x in enumerate(frames):
+                if np.shape(x) != model.input_shape:
+                    raise ValueError(
+                        f"frame {index}: input shape {np.shape(x)} != "
+                        f"model input {model.input_shape}"
+                    )
         if arrivals is None:
             arrivals = [0.0] * len(frames)
         if len(arrivals) != len(frames):
@@ -561,10 +573,10 @@ class PipelineServer:
             """Take every result the scheduler has (waiting for one)."""
             nonlocal owed
             while owed:
-                try:
-                    fid, out, error, batch, done = scheduler.results.get(block)
-                except queue.Empty:
+                result = scheduler.collect(block)
+                if result is None:
                     return
+                fid, out, error, batch, done = result
                 owed, block = owed - 1, False
                 books[fid]["batch"] = batch
                 if out is not None:
@@ -593,45 +605,49 @@ class PipelineServer:
 
         epoch = transport.clock()
         shed: "List[Tuple[int, float]]" = []
-        for index, x in enumerate(frames):
-            target = epoch + arrivals[index]
-            wait = target - transport.clock()
-            if wait > 0:
-                time.sleep(wait)
-            x0 = np.ascontiguousarray(x, dtype=np.float32)
-            arrival_t = transport.clock()
-            last = index + 1 == len(frames)  # no window waits past it
-            if door is not None:
-                take(False)
-                if door.switcher is not None:
-                    door.switcher.on_arrival(arrival_t, queue_depth=owed)
-                through_door(index, drained=owed == 0)
-            if cfg.policy == "block":
-                # Closed-loop backpressure also honours the transport's
-                # own buffering: a saturated shm slot ring would stall a
-                # stage thread on the send, so admission waits for the
-                # ring to drain as well as for a queue slot.
-                while transport.backpressure() >= 1.0:
-                    time.sleep(0.0005)
-                scheduler.submit(index, x0, last=last)
-            elif transport.backpressure() >= 1.0 or not scheduler.submit(
-                index, x0, block=False, last=last
-            ):
-                # A full admission queue — or a saturated transport
-                # (e.g. a full shm slot ring), where queueing the frame
-                # would only stall a stage thread on the send: shed now.
-                shed.append((index, arrival_t))
-                continue
-            owed += 1
-            inputs[index] = x0
-            books[index] = dict(
-                arrival=arrival_t, admitted_at=transport.clock(),
-                plan=self.door.name, replayed=False,
-            )
-        while owed:
-            take(True)
-            if door is not None and lost:
-                through_door(lost[0], drained=False)
+        try:
+            for index, x in enumerate(frames):
+                target = epoch + arrivals[index]
+                wait = target - transport.clock()
+                if wait > 0:
+                    time.sleep(wait)
+                x0 = np.ascontiguousarray(x, dtype=np.float32)
+                arrival_t = transport.clock()
+                last = index + 1 == len(frames)  # no window waits past it
+                if door is not None:
+                    take(False)
+                    if door.switcher is not None:
+                        door.switcher.on_arrival(arrival_t, queue_depth=owed)
+                    through_door(index, drained=owed == 0)
+                if cfg.policy == "block":
+                    # Closed-loop backpressure also honours the transport's
+                    # own buffering: a saturated shm slot ring would stall a
+                    # stage thread on the send, so admission waits for the
+                    # ring to drain as well as for a queue slot.
+                    while transport.backpressure() >= 1.0:
+                        time.sleep(0.0005)
+                    scheduler.submit(index, x0, last=last)
+                elif transport.backpressure() >= 1.0 or not scheduler.submit(
+                    index, x0, block=False, last=last
+                ):
+                    # A full admission queue — or a saturated transport
+                    # (e.g. a full shm slot ring), where queueing the frame
+                    # would only stall a stage thread on the send: shed now.
+                    shed.append((index, arrival_t))
+                    continue
+                owed += 1
+                inputs[index] = x0
+                books[index] = dict(
+                    arrival=arrival_t, admitted_at=transport.clock(),
+                    plan=self.door.name, replayed=False,
+                )
+            while owed:
+                take(True)
+                if door is not None and lost:
+                    through_door(lost[0], drained=False)
+        except BaseException:
+            scheduler.close(timeout=0)  # a stalled stage must not hold the caller
+            raise
         scheduler.close()
         records = [FrameRecord(index, t, "shed") for index, t in shed]
         records += [

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import glob
 import os
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ import pytest
 from repro.cluster.device import heterogeneous_cluster, pi_cluster
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
+from repro.runtime.coordinator import ShmTransport, TcpTransport
+from repro.runtime.scheduler import StageScheduler
 from repro.runtime.shm import SHM_PREFIX
+from repro.serve import PipelineServer, ServerConfig
+from repro.serve import server as server_module
+
+WORKER_TRANSPORTS = {"tcp": TcpTransport, "shm": ShmTransport}
 
 
 @pytest.fixture
@@ -85,6 +93,44 @@ def _no_global_rng_use():
         "test consumed NumPy's global RNG (np.random.*) — use an "
         "explicit np.random.default_rng(seed) generator instead"
     )
+
+
+def serve_on_workers(
+    model, plan, weights, xs, transport="tcp", *, faults=None, config=None
+):
+    """Serve ``xs`` through worker processes, every frame admitted at
+    once (``policy="block"``), traced; returns ``(ServeResult, backend)``
+    — the closed batch run of the wall-clock runtime."""
+    backend = WORKER_TRANSPORTS[transport](model, weights, faults=faults)
+    with PipelineServer.from_plan(
+        model, plan, backend,
+        config=ServerConfig(queue_capacity=max(1, len(xs)), policy="block"),
+        tracer=True, runtime_config=config,
+    ) as server:
+        served = server.serve(xs)
+    return served, backend
+
+
+@pytest.fixture
+def schedulers(monkeypatch):
+    """Watch the schedulers ``PipelineServer`` builds: ``built`` lists
+    them in order, and ``queued`` is set once a serve has submitted its
+    last frame (a stage gated on it sees every frame queued)."""
+    watch = SimpleNamespace(built=[], queued=threading.Event())
+
+    class Watched(StageScheduler):
+        def __init__(self, *args, **kwargs) -> None:
+            watch.built.append(self)  # before the stage threads start
+            super().__init__(*args, **kwargs)
+
+        def submit(self, frame, x, block=True, last=False) -> bool:
+            admitted = super().submit(frame, x, block, last)
+            if last:
+                watch.queued.set()
+            return admitted
+
+    monkeypatch.setattr(server_module, "StageScheduler", Watched)
+    return watch
 
 
 def own_shm_segments() -> "list[str]":

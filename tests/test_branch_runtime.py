@@ -14,8 +14,8 @@ from repro.nn.tiles import compile_block_paths, extract_tile, run_segment
 from repro.nn.weights import init_weights
 from repro.partition.branches import assign_paths_lpt, path_flops
 from repro.partition.regions import Region
-from repro.runtime.coordinator import DistributedPipeline
 from repro.runtime.faults import FaultSchedule, RuntimeConfig
+from tests.conftest import serve_on_workers
 
 
 def inception_like_model():
@@ -111,11 +111,12 @@ class TestBranchRuntime:
         xs = [rng.standard_normal(model.input_shape).astype(np.float32)
               for _ in range(3)]
         refs = [engine.forward_features(x) for x in xs]
-        with DistributedPipeline(model, plan, weights=weights) as pipe:
-            outs, stats = pipe.run_batch(xs)
-        for out, ref in zip(outs, refs):
-            np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
-        assert stats.throughput > 0
+        served, _ = serve_on_workers(model, plan, weights, xs)
+        for i, ref in enumerate(refs):
+            np.testing.assert_allclose(
+                served.outputs[i], ref, atol=1e-4, rtol=1e-4
+            )
+        assert served.throughput > 0
 
     def test_branch_worker_failure_recovers(self, model, weights):
         cluster = pi_cluster(4, 1000)
@@ -126,11 +127,12 @@ class TestBranchRuntime:
         xs = [rng.standard_normal(model.input_shape).astype(np.float32)
               for _ in range(3)]
         refs = [engine.forward_features(x) for x in xs]
-        with DistributedPipeline(
-            model, plan, weights=weights, config=RuntimeConfig(),
+        served, backend = serve_on_workers(
+            model, plan, weights, xs, config=RuntimeConfig(),
             faults=FaultSchedule().crash(victim, at_frame=1),
-        ) as pipe:
-            outs, stats = pipe.run_batch(xs)
-        for out, ref in zip(outs, refs):
-            np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
-        assert stats.recoveries >= 1
+        )
+        for i, ref in enumerate(refs):
+            np.testing.assert_allclose(
+                served.outputs[i], ref, atol=1e-4, rtol=1e-4
+            )
+        assert backend.recoveries >= 1

@@ -44,6 +44,7 @@ from repro.schemes.local import local_fallback_plan
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
 from repro.sim import simulate_scenario
+from tests.conftest import serve_on_workers
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +91,7 @@ def baseline(model, program, weights, frames):
     with PipelineSession(
         program, InProcTransport(Engine(model, weights))
     ) as session:
-        return session.run_batch(frames)
+        return [session.run_frame(x) for x in frames]
 
 
 def _run_faulty(model, program, weights, frames, faults, backend, net,
@@ -105,7 +106,7 @@ def _run_faulty(model, program, weights, frames, faults, backend, net,
         program, transport, tracer,
         config or RuntimeConfig(), replanner=replanner,
     ) as session:
-        outputs = session.run_batch(frames)
+        outputs = [session.run_frame(x) for x in frames]
     return outputs, tracer.events
 
 
@@ -262,7 +263,8 @@ def test_stage_wipeout_without_replanner_raises(model, program, weights,
         Tracer(), RuntimeConfig(),
     ) as session:
         with pytest.raises(StageFailure):
-            session.run_batch(frames)
+            for x in frames:
+                session.run_frame(x)
 
 
 def test_stage_wipeout_with_replanner_recovers(model, program, weights,
@@ -525,7 +527,7 @@ def load_baseline(model, program, weights, load_frames):
     with PipelineSession(
         program, InProcTransport(Engine(model, weights))
     ) as session:
-        return session.run_batch(load_frames)
+        return [session.run_frame(x) for x in load_frames]
 
 
 class TestFaultsUnderLoad:
@@ -673,19 +675,15 @@ class TestFaultsUnderLoad:
         transport: the ladder repartitions onto survivors, replays the
         lost frame, and close() still unlinks every ring segment (the
         conftest guard fails the test on any leak)."""
-        from repro.runtime.coordinator import DistributedPipeline
-
         victim = plan.stages[0].assignments[1][0].name
-        with DistributedPipeline(
-            model, plan, weights=weights, transport="shm",
-            config=RuntimeConfig(),
+        served, backend = serve_on_workers(
+            model, plan, weights, load_frames, "shm", config=RuntimeConfig(),
             faults=FaultSchedule().crash(victim, at_frame=1),
-        ) as pipe:
-            outs, stats = pipe.run_batch(load_frames)
-        assert stats.recoveries >= 1
+        )
+        assert backend.recoveries >= 1
         # Survivor rebalance changes tile geometry, so float-close.
         for i, want in enumerate(load_baseline):
-            assert np.allclose(outs[i], want, atol=1e-4), (
+            assert np.allclose(served.outputs[i], want, atol=1e-4), (
                 f"frame {i} corrupted by shm worker crash"
             )
 

@@ -16,11 +16,13 @@ from repro.models.resnet import basic_block
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import DistributedPipeline, StageFailure
+from repro.runtime.coordinator import TcpTransport
 from repro.runtime.faults import FaultSchedule, RuntimeConfig
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.interleaved import InterleavedScheme
 from repro.schemes.pico import PicoScheme
+from repro.serve import PipelineServer, ServerConfig
+from tests.conftest import serve_on_workers
 
 
 NET = NetworkModel.from_mbps(50.0)
@@ -46,18 +48,21 @@ def make_inputs(model, n, seed=9):
     return [rng.standard_normal(model.input_shape).astype(np.float32) for _ in range(n)]
 
 
+def outputs_of(served, n):
+    return [served.outputs[i] for i in range(n)]
+
+
 class TestPipelinedExecution:
     def test_matches_local_inference(self, model, weights):
         cluster = heterogeneous_cluster([1200, 1000, 800, 600])
         plan = PicoScheme().plan(model, cluster, NET)
         xs = make_inputs(model, 4)
         refs = reference_outputs(model, weights, xs)
-        with DistributedPipeline(model, plan, weights=weights) as pipe:
-            outs, stats = pipe.run_batch(xs)
-        for out, ref in zip(outs, refs):
+        served, _ = serve_on_workers(model, plan, weights, xs)
+        for out, ref in zip(outputs_of(served, 4), refs):
             np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
-        assert len(stats.latencies) == 4
-        assert stats.throughput > 0
+        assert len(served.completed) == 4
+        assert served.throughput > 0
 
     def test_block_model_distributed(self, rng):
         model = Model(
@@ -68,22 +73,30 @@ class TestPipelinedExecution:
         plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
         xs = [rng.standard_normal(model.input_shape).astype(np.float32) for _ in range(2)]
         refs = reference_outputs(model, weights, xs)
-        with DistributedPipeline(model, plan, weights=weights) as pipe:
-            outs, _ = pipe.run_batch(xs)
-        for out, ref in zip(outs, refs):
+        served, _ = serve_on_workers(model, plan, weights, xs)
+        for out, ref in zip(outputs_of(served, 2), refs):
             np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
 
     def test_submit_collect_interleaved(self, model, weights):
+        """One frame in the system at a time: each is admitted only
+        once the one before it was delivered."""
         plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
         xs = make_inputs(model, 3)
         refs = reference_outputs(model, weights, xs)
-        with DistributedPipeline(model, plan, weights=weights) as pipe:
-            for x, ref in zip(xs, refs):
-                pipe.submit(x)
-                _, out = pipe.collect()
-                np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
+        with PipelineServer.from_plan(
+            model, plan, TcpTransport(model, weights),
+            config=ServerConfig(queue_capacity=1, policy="block"),
+        ) as server:
+            served = server.serve(xs)
+        for out, ref in zip(outputs_of(served, 3), refs):
+            np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
+        records = served.records
+        assert all(
+            later.admitted_at >= earlier.completion
+            for earlier, later in zip(records, records[1:])
+        )
 
-    def test_head_applied(self):
+    def test_served_features_feed_the_head(self):
         from repro.models.vgg import vgg16
 
         model = vgg16(input_hw=32, num_classes=7)
@@ -91,23 +104,23 @@ class TestPipelinedExecution:
         plan = PicoScheme().plan(model, pi_cluster(2, 1500), NET)
         xs = make_inputs(model, 1)
         engine = Engine(model, weights)
-        ref = engine.run(xs[0])
-        with DistributedPipeline(model, plan, weights=weights) as pipe:
-            outs, _ = pipe.run_batch(xs)
-        assert outs[0].shape == (7,)
-        np.testing.assert_allclose(outs[0], ref, atol=1e-4, rtol=1e-4)
+        served, _ = serve_on_workers(model, plan, weights, xs)
+        logits = engine.run_head(served.outputs[0])
+        assert logits.shape == (7,)
+        np.testing.assert_allclose(logits, engine.run(xs[0]), atol=1e-4, rtol=1e-4)
 
     def test_bad_input_shape_rejected(self, model, weights):
+        """A frame of the wrong shape is refused before any frame of the
+        call is admitted."""
         plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
-        with DistributedPipeline(model, plan, weights=weights) as pipe:
-            with pytest.raises(ValueError):
-                pipe.submit(np.zeros((1, 2, 2), dtype=np.float32))
-
-    def test_submit_before_start_rejected(self, model, weights):
-        plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
-        pipe = DistributedPipeline(model, plan, weights=weights)
-        with pytest.raises(RuntimeError):
-            pipe.submit(np.zeros(model.input_shape, dtype=np.float32))
+        backend = TcpTransport(model, weights)
+        with PipelineServer.from_plan(model, plan, backend) as server:
+            dispatched = []
+            backend.dispatch = lambda *args: dispatched.append(args)
+            good = np.zeros(model.input_shape, dtype=np.float32)
+            with pytest.raises(ValueError, match="frame 1: input shape"):
+                server.serve([good, np.zeros((1, 2, 2), dtype=np.float32)])
+        assert not dispatched
 
 
 class TestFailureRecovery:
@@ -118,14 +131,13 @@ class TestFailureRecovery:
         victim = plan.stages[0].assignments[1][0].name
         xs = make_inputs(model, 4)
         refs = reference_outputs(model, weights, xs)
-        with DistributedPipeline(
-            model, plan, weights=weights, config=RuntimeConfig(),
+        served, backend = serve_on_workers(
+            model, plan, weights, xs, config=RuntimeConfig(),
             faults=FaultSchedule().crash(victim, at_frame=1),
-        ) as pipe:
-            outs, stats = pipe.run_batch(xs)
-        for out, ref in zip(outs, refs):
+        )
+        for out, ref in zip(outputs_of(served, 4), refs):
             np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
-        assert stats.recoveries >= 1
+        assert backend.recoveries >= 1
 
     def test_channel_worker_death_recovers_with_correct_output(
         self, model, weights
@@ -139,23 +151,32 @@ class TestFailureRecovery:
         victim = cluster.devices[1].name
         xs = make_inputs(model, 3)
         refs = reference_outputs(model, weights, xs)
-        with DistributedPipeline(
-            model, plan, weights=weights, config=RuntimeConfig(),
+        served, backend = serve_on_workers(
+            model, plan, weights, xs, config=RuntimeConfig(),
             faults=FaultSchedule().crash(victim, at_frame=1),
-        ) as pipe:
-            outs, stats = pipe.run_batch(xs)
-        for out, ref in zip(outs, refs):
+        )
+        for out, ref in zip(outputs_of(served, 3), refs):
             np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
-        assert stats.recoveries >= 1
+        assert backend.recoveries >= 1
 
     def test_without_recover_flag_failure_surfaces(self, model, weights):
+        """Without a RuntimeConfig a crash is not repaired: the frames
+        it takes down end ``failed``, none is lost and the run returns."""
         cluster = heterogeneous_cluster([1200, 1000, 800, 600])
         plan = EarlyFusedScheme(n_fused=4).plan(model, cluster, NET)
         victim = plan.stages[0].assignments[1][0].name
         xs = make_inputs(model, 4)
-        with DistributedPipeline(
-            model, plan, weights=weights,
+        refs = reference_outputs(model, weights, xs)
+        served, backend = serve_on_workers(
+            model, plan, weights, xs,
             faults=FaultSchedule().crash(victim, at_frame=1),
-        ) as pipe:
-            with pytest.raises((StageFailure, RuntimeError)):
-                pipe.run_batch(xs)
+        )
+        assert sorted(r.frame for r in served.records) == list(range(4))
+        assert served.failed and not served.shed
+        assert 0 in served.outputs  # finished before the worker died
+        assert backend.recoveries == 0
+        for record in served.completed:
+            np.testing.assert_allclose(
+                served.outputs[record.frame], refs[record.frame],
+                atol=1e-4, rtol=1e-4,
+            )

@@ -105,9 +105,9 @@ class TestExactnessGate:
 
         tr_a, tr_b = Tracer(), Tracer()
         with PipelineSession(program, InProcTransport(engine), tr_a) as s:
-            outs_a = s.run_batch(frames)
+            outs_a = [s.run_frame(x) for x in frames]
         with PipelineSession(program, SimTransport(engine, net), tr_b) as s:
-            outs_b = s.run_batch(frames)
+            outs_b = [s.run_frame(x) for x in frames]
 
         for a, b in zip(outs_a, outs_b):
             np.testing.assert_array_equal(a, b)
@@ -126,9 +126,9 @@ class TestExactnessGate:
         frames = _frames(model, 2, seed=1)
         tr_a, tr_b = Tracer(), Tracer()
         with PipelineSession(program, InProcTransport(engine), tr_a) as s:
-            outs_a = s.run_batch(frames)
+            outs_a = [s.run_frame(x) for x in frames]
         with PipelineSession(program, SimTransport(engine, net), tr_b) as s:
-            outs_b = s.run_batch(frames)
+            outs_b = [s.run_frame(x) for x in frames]
         for a, b in zip(outs_a, outs_b):
             np.testing.assert_array_equal(a, b)
         assert diff_traces(tr_a.events, tr_b.events) == []
@@ -143,9 +143,9 @@ class TestExactnessGate:
         frames = _frames(model, 2, seed=2)
         tr_a, tr_b = Tracer(), Tracer()
         with PipelineSession(program, InProcTransport(engine), tr_a) as s:
-            outs_a = s.run_batch(frames)
+            outs_a = [s.run_frame(x) for x in frames]
         with PipelineSession(program, SimTransport(engine, net), tr_b) as s:
-            outs_b = s.run_batch(frames)
+            outs_b = [s.run_frame(x) for x in frames]
         for a, b in zip(outs_a, outs_b):
             np.testing.assert_array_equal(a, b)
         assert diff_traces(tr_a.events, tr_b.events) == []
@@ -229,7 +229,8 @@ class TestTraceSchema:
         with PipelineSession.from_plan(
             model, plan, SimTransport(engine, net), tracer
         ) as s:
-            s.run_batch(_frames(model, 2))
+            for x in _frames(model, 2):
+                s.run_frame(x)
         assert len(tracer.events) > 0
         devices = {d.name for d in pi_cluster(4, 800).devices}
         for e in tracer.events:
@@ -302,7 +303,8 @@ class TestSimSemantics:
         engine = Engine(model, seed=0)
         transport = SimTransport(engine, net)
         with PipelineSession.from_plan(model, plan, transport) as s:
-            s.run_batch(_frames(model, 2), arrivals=[0.0, 100.0])
+            for x, at in zip(_frames(model, 2), [0.0, 100.0]):
+                s.run_frame(x, at)
         # Second frame arrived long after the first drained: its latency
         # is the plan latency, so completion is arrival + latency.
         timing = plan_timing(model, plan, net)
@@ -325,7 +327,8 @@ class TestAdapters:
         with PipelineSession.from_plan(
             model, plan, SimTransport(engine, net), tracer
         ) as s:
-            s.run_batch(_frames(model, 3))
+            for x in _frames(model, 3):
+                s.run_frame(x)
         table = utilization_table(
             model, plan, net, trace=tracer.events, scheme_name="PICO"
         )
@@ -357,7 +360,7 @@ class TestBatchedExecution:
         program = compile_plan(model, plan)
         frames = _frames(model, 3)
         with PipelineSession(program, InProcTransport(engine)) as s:
-            want = s.run_batch(frames)
+            want = [s.run_frame(x) for x in frames]
         with PipelineSession(program, InProcTransport(engine)) as s:
             got = s.run_stacked(frames)
         assert len(got) == len(frames)
@@ -382,7 +385,8 @@ class TestBatchedExecution:
         frames = _frames(model, 2)
         t_plain = SimTransport(engine, net)
         with PipelineSession.from_plan(model, plan, t_plain) as s:
-            s.run_batch(frames)
+            for x in frames:
+                s.run_frame(x)
         t_stacked = SimTransport(engine, net)
         with PipelineSession.from_plan(model, plan, t_stacked) as s:
             for x in frames:

@@ -1,11 +1,12 @@
-"""The one wall-clock scheduler and its two clients.
+"""The one wall-clock scheduler and its client.
 
-``DistributedPipeline`` and ``PipelineServer`` both ride
-``StageScheduler``; these tests pin what the merge promised: the two
-front ends agree bit for bit (with and without a worker crash),
-``collect()`` always ends in a named error rather than a bare
-``queue.Empty``, ``close()`` leaves nothing behind, and a thread pool
-warmed before the fork cannot wedge a worker.
+``PipelineServer`` serves every wall-clock run on ``StageScheduler``;
+these tests pin that pipelined serving agrees bit for bit with walking
+one frame at a time (with and without a worker crash), that a stalled
+stage ends a wait in a named error rather than a hang, that ``close()``
+leaves nothing behind, that a thread pool warmed before the fork cannot
+wedge a worker, and that the benchmark's submit/collect shim still
+drives the scheduler as the e2e workload does.
 """
 
 from __future__ import annotations
@@ -24,26 +25,23 @@ from repro.models.toy import toy_chain
 from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import (
-    DistributedPipeline,
-    ShmTransport,
-    TcpTransport,
-)
-from repro.runtime.faults import (
-    DeviceDead,
-    FaultSchedule,
-    RuntimeConfig,
-    StageFailure,
-)
+from repro.runtime import scheduler as scheduler_module
+from repro.runtime.coordinator import DistributedPipeline
+from repro.runtime.core import PipelineSession
+from repro.runtime.faults import FaultSchedule, RuntimeConfig
 from repro.runtime.program import compile_plan
-from repro.runtime.trace import RECOVERY_KINDS, canonical_trace
+from repro.runtime.scheduler import StageScheduler
+from repro.runtime.trace import RECOVERY_KINDS, Tracer, canonical_trace
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
-from tests.conftest import own_shm_segments
+from tests.conftest import (
+    WORKER_TRANSPORTS as TRANSPORTS,
+    own_shm_segments,
+    serve_on_workers,
+)
 
 NET = NetworkModel.from_mbps(50.0)
-TRANSPORTS = {"tcp": TcpTransport, "shm": ShmTransport}
 
 
 @pytest.fixture
@@ -74,8 +72,9 @@ def per_frame_stage(events):
 @pytest.mark.parametrize("crash", [False, True], ids=["healthy", "crash"])
 @pytest.mark.parametrize("transport", ["tcp", "shm"])
 def test_pipeline_and_server_agree(model, weights, transport, crash):
-    """Same model, plan and frames through both clients of the
-    scheduler: bit-equal outputs, equal canonical traces."""
+    """Same model, plan and frames walked one at a time through a
+    ``PipelineSession`` and pipelined through the server: bit-equal
+    outputs, equal canonical traces, and a crash recovered alike."""
     cluster = heterogeneous_cluster([1200, 1000, 800, 600])
     plan = EarlyFusedScheme(n_fused=4).plan(model, cluster, NET)
     xs = make_inputs(model, 5)
@@ -85,35 +84,25 @@ def test_pipeline_and_server_agree(model, weights, transport, crash):
     faults = FaultSchedule().crash(victim, at_frame=1) if crash else None
     config = RuntimeConfig() if crash else None
 
-    with DistributedPipeline(
-        model, plan, weights=weights, transport=transport,
-        faults=faults, config=config, trace=True,
-    ) as pipe:
-        pipe_outs, pipe_stats = pipe.run_batch(xs)
-        pipe_trace = pipe.trace
+    walked = TRANSPORTS[transport](model, weights, faults=faults)
+    tracer = Tracer()
+    with PipelineSession.from_plan(model, plan, walked, tracer, config) as session:
+        walked_outs = [session.run_frame(x) for x in xs]
 
-    backend = TRANSPORTS[transport](model, weights, faults=faults)
-    with PipelineServer.from_plan(
-        model, plan, backend,
-        config=ServerConfig(queue_capacity=4, policy="block"),
-        tracer=True, runtime_config=config,
-    ) as server:
-        served = server.serve(xs)
+    served, backend = serve_on_workers(
+        model, plan, weights, xs, transport, faults=faults, config=config
+    )
     assert len(served.completed) == len(xs)
-
     engine = Engine(model, weights)
-    for i, out in enumerate(pipe_outs):
-        want = served.outputs[i]
-        if model.head:
-            want = engine.run_head(want)
-        assert np.array_equal(out, want), f"frame {i} differs"
-    assert per_frame_stage(pipe_trace) == per_frame_stage(served.trace)
+    for i, out in enumerate(walked_outs):
+        assert np.array_equal(served.outputs[i], out), f"frame {i} differs"
+        assert np.array_equal(out, engine.forward_features(xs[i]))
+    assert per_frame_stage(served.trace) == per_frame_stage(tracer.events)
 
-    recovery = [e.kind for e in pipe_trace if e.kind in RECOVERY_KINDS]
+    recovery = [e.kind for e in served.trace if e.kind in RECOVERY_KINDS]
     if crash:
         assert recovery.index("device_dead") < recovery.index("frame_replayed")
-        assert pipe_stats.recoveries >= 1
-        assert backend.stats.recoveries >= 1
+        assert walked.recoveries >= 1 and backend.recoveries >= 1
     else:
         assert not recovery
 
@@ -121,13 +110,15 @@ def test_pipeline_and_server_agree(model, weights, transport, crash):
 @pytest.mark.parametrize("transport", ["tcp", "shm"])
 def test_close_with_uncollected_frames_leaves_nothing(model, weights, transport):
     plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
-    pipe = DistributedPipeline(
-        model, plan, weights=weights, transport=transport
-    ).start()
-    for x in make_inputs(model, 6):
-        pipe.submit(x)
-    workers = [h.process for h in pipe.transport.all_handles()]
-    pipe.close()
+    program = compile_plan(model, plan)
+    backend = TRANSPORTS[transport](model, weights)
+    backend.open(program)
+    scheduler = StageScheduler(program, backend)
+    for i, x in enumerate(make_inputs(model, 6)):
+        scheduler.submit(i, x)
+    workers = [h.process for h in backend.all_handles()]
+    scheduler.close(timeout=10.0)
+    backend.close()
     assert not [
         t for t in threading.enumerate() if t.name.startswith("stage-")
     ]
@@ -136,42 +127,94 @@ def test_close_with_uncollected_frames_leaves_nothing(model, weights, transport)
     assert not own_shm_segments()
 
 
-def test_collect_reraises_stage_error_and_stays_failed(model, weights):
-    cluster = heterogeneous_cluster([1200, 1000, 800, 600])
-    plan = EarlyFusedScheme(n_fused=4).plan(model, cluster, NET)
-    victim = plan.stages[0].assignments[1][0].name
-    with DistributedPipeline(
-        model, plan, weights=weights,
-        faults=FaultSchedule().crash(victim, at_frame=1),
-    ) as pipe:
-        for x in make_inputs(model, 3):
-            pipe.submit(x)
-        pipe.collect()  # frame 0 finished before the worker died
-        with pytest.raises((StageFailure, DeviceDead)) as first:
-            pipe.collect()
-        with pytest.raises((StageFailure, DeviceDead)) as again:
-            pipe.collect()
-        assert again.value is first.value
+def _stall_collect(backend):
+    """Hold every ``collect`` on ``backend`` until the returned event is set."""
+    gate = threading.Event()
+    collect = backend.collect
+
+    def stalled(sent):
+        gate.wait(10.0)
+        return collect(sent)
+
+    backend.collect = stalled
+    return gate
 
 
-def test_collect_timeout_names_frame_and_stage(model, weights):
+def test_collect_timeout_names_frame_and_stage(model, weights, monkeypatch):
+    """A client wait on a stalled stage ends in a ``TimeoutError`` that
+    names the frame and stage: ``collect()``, a blocked admission, and
+    the final drain of ``PipelineServer.serve``."""
+    monkeypatch.setattr(scheduler_module, "STALL_S", 0.3)
     plan = PicoScheme().plan(model, pi_cluster(2, 1000), NET)
-    with DistributedPipeline(model, plan, weights=weights) as pipe:
+    program = compile_plan(model, plan)
+    x = make_inputs(model, 1)[0]
+    backend = TRANSPORTS["tcp"](model, weights)
+    backend.open(program)
+    scheduler = StageScheduler(program, backend, capacity=1)
+    try:
         with pytest.raises(TimeoutError, match="being served: none"):
-            pipe.collect(timeout_s=0.05)
-        gate = threading.Event()
-        collect = pipe.transport.collect
-
-        def stalled(handle):
-            gate.wait()
-            return collect(handle)
-
-        pipe.transport.collect = stalled
-        task_id = pipe.submit(make_inputs(model, 1)[0])
+            scheduler.collect()
+        gate = _stall_collect(backend)
+        scheduler.submit(0, x)
         with pytest.raises(TimeoutError, match=r"frame 0 at stage 0"):
-            pipe.collect(timeout_s=0.3)
+            scheduler.collect()
+        with pytest.raises(TimeoutError, match=r"frame 0 at stage 0"):
+            scheduler.submit(1, x)  # the one permit is frame 0's
         gate.set()
-        assert pipe.collect()[0] == task_id  # the frame was never lost
+        assert scheduler.collect()[0] == 0  # the frame was never lost
+    finally:
+        scheduler.close(timeout=10.0)
+        backend.close()
+
+    backend = TRANSPORTS["tcp"](model, weights)
+    with PipelineServer.from_plan(model, plan, backend) as server:
+        gate = _stall_collect(backend)
+        with pytest.raises(TimeoutError, match=r"frame 0 at stage 0"):
+            server.serve([x])
+        gate.set()
+    stages = [t for t in threading.enumerate() if t.name.startswith("stage-")]
+    for thread in stages:  # the failed serve let them go once unstalled
+        thread.join(10.0)
+    assert not any(t.is_alive() for t in stages)
+
+
+def test_submit_collect_shim_as_the_benchmark_drives_it():
+    """``benchmarks/e2e``'s ``toy64_tcp_evloop`` loop: tcp, traced, eight
+    submits outstanding over 24 frames; every output is the local
+    forward pass, and ``close()`` leaves no thread, child or ring."""
+    model = toy_chain(8, 2, input_hw=64, base_channels=8)
+    weights = init_weights(model, seed=1)
+    plan = PicoScheme().plan(
+        model, heterogeneous_cluster([1200, 1000, 800, 600]), NET
+    )
+    xs = make_inputs(model, 24)
+    engine = Engine(model, weights)
+    parallel.shutdown_pool()
+    pipe = DistributedPipeline(model, plan, weights, transport="tcp", trace=True)
+    pipe.start()
+    index_of, outputs = {}, {}
+    submitted = collected = 0
+    try:
+        while collected < len(xs):
+            while submitted < len(xs) and submitted - collected < 8:
+                index_of[pipe.submit(xs[submitted])] = submitted
+                submitted += 1
+            task_id, out = pipe.collect(timeout_s=60.0)
+            outputs[index_of[task_id]] = out
+            collected += 1
+        workers = [h.process for h in pipe.transport.all_handles()]
+        assert pipe.trace
+    finally:
+        pipe.close()
+    assert sorted(outputs) == list(range(len(xs)))
+    for i, x in enumerate(xs):
+        assert np.array_equal(outputs[i], engine.forward_features(x))
+    assert not [
+        t for t in threading.enumerate() if t.name.startswith("stage-")
+    ]
+    assert not any(p.is_alive() for p in workers)
+    assert not mp.active_children()
+    assert not own_shm_segments()
 
 
 @pytest.mark.parametrize("transport", ["tcp", "shm"])
@@ -197,48 +240,47 @@ def test_pool_warmed_before_fork_does_not_wedge_workers(transport):
         # believes it is fully staffed.
         barrier = threading.Barrier(width)
         parallel.run_parallel([barrier.wait] * width)
-        with DistributedPipeline(
-            model, plan, weights=weights, transport=transport
-        ) as pipe:
-            assert pipe.transport.worker_threads == 2
-            outs, _ = pipe.run_batch(xs, timeout_s=30.0)
+        served, backend = serve_on_workers(model, plan, weights, xs, transport)
     finally:
         parallel.set_threads(None)
-    for out, ref in zip(outs, refs):
+    assert backend.worker_threads == 2
+    for out, ref in zip([served.outputs[i] for i in range(len(xs))], refs):
         np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
 
 
 @pytest.mark.parametrize("transport", ["tcp", "shm"])
 def test_next_frame_is_sent_before_this_one_is_received(
-    model, weights, transport
+    model, weights, transport, schedulers
 ):
     """With frames queued, a stage dispatches frame f+1 before it
     collects frame f: f+1's ``send`` starts before f's ``recv`` ends,
     and ``in_flight()`` lists both frames at the stage."""
     plan = PicoScheme().plan(model, heterogeneous_cluster([1200, 1000]), NET)
     xs = make_inputs(model, 4)
-    with DistributedPipeline(
-        model, plan, weights=weights, transport=transport, trace=True
-    ) as pipe:
-        submitted, seen = threading.Event(), []
-        dispatch, collect = pipe.transport.dispatch, pipe.transport.collect
+    backend = TRANSPORTS[transport](model, weights)
+    seen = []
+    dispatch, collect = backend.dispatch, backend.collect
 
-        def gated_dispatch(stage_index, tiles, frame):
-            if stage_index == 0 and frame == 0:
-                submitted.wait(10.0)  # frames 1.. queue behind frame 0
-            return dispatch(stage_index, tiles, frame)
+    def gated_dispatch(stage_index, tiles, frame):
+        if stage_index == 0 and frame == 0:
+            schedulers.queued.wait(10.0)  # frames 1.. queue behind frame 0
+        return dispatch(stage_index, tiles, frame)
 
-        def watched_collect(sent):
-            if sent.stage_index == 0 and sent.frame == 0:
-                seen.extend(pipe._scheduler.in_flight())
-            return collect(sent)
+    def watched_collect(sent):
+        if sent.stage_index == 0 and sent.frame == 0:
+            seen.extend(schedulers.built[-1].in_flight())
+        return collect(sent)
 
-        pipe.transport.dispatch = gated_dispatch
-        pipe.transport.collect = watched_collect
-        ids = [pipe.submit(x) for x in xs]
-        submitted.set()
-        outs = dict(pipe.collect() for _ in ids)
-        trace = pipe.trace
+    backend.dispatch = gated_dispatch
+    backend.collect = watched_collect
+    with PipelineServer.from_plan(
+        model, plan, backend,
+        config=ServerConfig(queue_capacity=len(xs), policy="block"),
+        tracer=True,
+    ) as server:
+        served = server.serve(xs)
+    outs, trace = served.outputs, served.trace
+    ids = list(range(len(xs)))
     assert seen[:2] == [(0, (0,)), (0, (1,))]
     engine = Engine(model, weights)
     for i, x in zip(ids, xs):

@@ -26,7 +26,7 @@ from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import DistributedPipeline, ShmTransport
+from repro.runtime.coordinator import ShmTransport
 from repro.runtime.core import InProcTransport, PipelineSession
 from repro.runtime.messages import Hello, ShmAttach, TileResult, TileTask
 from repro.runtime.program import compile_plan
@@ -40,6 +40,7 @@ from repro.runtime.shm import (
 )
 from repro.runtime.transport import Channel, encode_message
 from repro.schemes.pico import PicoScheme
+from tests.conftest import serve_on_workers
 
 NET = NetworkModel.from_mbps(50.0)
 
@@ -493,10 +494,10 @@ class TestShmTransportPipeline:
         program = compile_plan(model, PicoScheme().plan(model, cluster, NET))
         frames = self._frames(model, 6)
         with PipelineSession(program, InProcTransport(Engine(model, weights))) as s:
-            refs = s.run_batch(frames)
+            refs = [s.run_frame(x) for x in frames]
         transport = ShmTransport(model, weights, slots_per_ring=2)
         with PipelineSession(program, transport) as s:
-            outs = s.run_batch(frames)
+            outs = [s.run_frame(x) for x in frames]
         for out, ref in zip(outs, refs):
             np.testing.assert_array_equal(out, ref)
 
@@ -509,7 +510,7 @@ class TestShmTransportPipeline:
         frames = self._frames(model, 2)
         transport = ShmTransport(model, weights)
         with PipelineSession(program, transport) as s:
-            outs = s.run_batch(frames)
+            outs = [s.run_frame(x) for x in frames]
         for out in outs:
             assert out.base is None  # a copy, not a view into the ring
 
@@ -519,13 +520,12 @@ class TestShmTransportPipeline:
         frames = self._frames(model, 3)
         engine = Engine(model, weights)
         refs = [engine.forward_features(x) for x in frames]
-        with DistributedPipeline(
-            model, plan, weights=weights, transport="shm"
-        ) as pipe:
-            outs, stats = pipe.run_batch(frames)
-        for out, ref in zip(outs, refs):
-            np.testing.assert_allclose(out, ref, atol=1e-4, rtol=1e-4)
-        assert stats.throughput > 0
+        served, _ = serve_on_workers(model, plan, weights, frames, "shm")
+        for i, ref in enumerate(refs):
+            np.testing.assert_allclose(
+                served.outputs[i], ref, atol=1e-4, rtol=1e-4
+            )
+        assert served.throughput > 0
 
     def test_close_unlinks_all_rings(self, model):
         weights = init_weights(model, seed=5)

@@ -22,12 +22,7 @@ from repro.cluster.device import pi_cluster
 from repro.cost.comm import NetworkModel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.runtime.coordinator import (
-    DistributedPipeline,
-    ShmTransport,
-    TcpTransport,
-    _WorkerHandle,
-)
+from repro.runtime.coordinator import ShmTransport, TcpTransport, _WorkerHandle
 from repro.runtime.faults import DeviceDead, FaultSchedule, RuntimeConfig
 from repro.runtime.messages import TileResult, WorkerError
 from repro.runtime.program import compile_plan
@@ -35,7 +30,8 @@ from repro.runtime.trace import RECOVERY_KINDS
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.layer_wise import LayerWiseScheme
 from repro.schemes.pico import PicoScheme
-from tests.conftest import own_shm_segments
+from repro.serve import PipelineServer, ServerConfig
+from tests.conftest import own_shm_segments, serve_on_workers
 
 NET = NetworkModel.from_mbps(50.0)
 TRANSPORTS = {"tcp": TcpTransport, "shm": ShmTransport}
@@ -219,19 +215,17 @@ def test_victim_in_every_stage_dies_once(small_model, weights, transport):
         victim in {d.name for d, _ in stage.assignments} for stage in plan.stages
     ) and plan.n_stages >= 2
     xs = _inputs(small_model, 3)
-    with DistributedPipeline(
-        small_model, plan, weights=weights, transport=transport,
-        config=RuntimeConfig(), trace=True,
+    served, backend = serve_on_workers(
+        small_model, plan, weights, xs, transport, config=RuntimeConfig(),
         faults=FaultSchedule().crash(victim, at_frame=1),
-    ) as pipe:
-        outs, _ = pipe.run_batch(xs)
-        holders = {
-            h.task.device_name
-            for i in range(plan.n_stages)
-            for h in pipe.transport.alive_handles(i)
-        }
-        trace = pipe.trace
-    _assert_close(small_model, weights, xs, outs)
+    )
+    holders = {
+        h.task.device_name
+        for i in range(plan.n_stages)
+        for h in backend.alive_handles(i)
+    }
+    trace = served.trace
+    _assert_close(small_model, weights, xs, [served.outputs[i] for i in range(3)])
     recovery = _recovery(trace)
     assert recovery[0] == ("device_dead", 1, victim)
     assert [kind for kind, _, _ in recovery].count("device_dead") == 1
@@ -244,27 +238,27 @@ def test_victim_in_every_stage_dies_once(small_model, weights, transport):
 
 
 def _kill_between_frames(model, weights, hetero4, transport, sig, config):
-    """Run frame 0, send ``sig`` to the workers of a stage-0 device the
-    serial tail does not reuse, then run frames 1-2."""
+    """Serve frame 0, send ``sig`` to the workers of a stage-0 device the
+    serial tail does not reuse, then serve frames 1-2 on the same
+    workers (a second ``serve``, which numbers them 0-1)."""
     plan = EarlyFusedScheme(n_fused=4).plan(model, hetero4, NET)
     victim = plan.stages[0].assignments[1][0].name
     xs = _inputs(model, 3)
-    pipe = DistributedPipeline(
-        model, plan, weights=weights, transport=transport,
-        config=config, trace=True,
-    ).start()
-    try:
-        outs, _ = pipe.run_batch(xs[:1])
+    backend = TRANSPORTS[transport](model, weights)
+    with PipelineServer.from_plan(
+        model, plan, backend, tracer=True, runtime_config=config,
+        config=ServerConfig(queue_capacity=2, policy="block"),
+    ) as server:
+        first = server.serve(xs[:1])
         victims = [
-            h.process for h in pipe.transport.all_handles()
+            h.process for h in backend.all_handles()
             if h.task.device_name == victim
         ]
         for process in victims:
             os.kill(process.pid, sig)
-        more, _ = pipe.run_batch(xs[1:])
-    finally:
-        pipe.close()
-    return victim, victims, xs, outs + more, pipe.trace
+        more = server.serve(xs[1:])
+    outs = [first.outputs[0], more.outputs[0], more.outputs[1]]
+    return victim, victims, xs, outs, more.trace
 
 
 @pytest.mark.parametrize("transport", ["tcp", "shm"])
@@ -279,7 +273,7 @@ def test_idle_worker_killed_between_frames(
     )
     _assert_close(small_model, weights, xs, outs)
     assert _recovery(trace) == [
-        ("device_dead", 1, victim), ("frame_replayed", 1, victim),
+        ("device_dead", 0, victim), ("frame_replayed", 0, victim),
     ]
     assert not any(p.is_alive() for p in victims)
 
@@ -302,7 +296,7 @@ def test_wedged_worker_is_declared_dead_and_killed(
     assert not leaked and not mp.active_children()
     _assert_close(small_model, weights, xs, outs)
     assert _recovery(trace) == [
-        ("device_dead", 1, victim), ("frame_replayed", 1, victim),
+        ("device_dead", 0, victim), ("frame_replayed", 0, victim),
     ]
 
 
@@ -311,12 +305,11 @@ def test_scheduled_delay_stretches_the_worker_compute(
 ):
     plan = PicoScheme().plan(small_model, hetero4, NET)
     slow = plan.stages[0].assignments[0][0].name
-    with DistributedPipeline(
-        small_model, plan, weights=weights, trace=True,
+    served, _ = serve_on_workers(
+        small_model, plan, weights, _inputs(small_model, 2),
         faults=FaultSchedule().delay(slow, frame=1, seconds=0.3),
-    ) as pipe:
-        pipe.run_batch(_inputs(small_model, 2))
-        trace = pipe.trace
+    )
+    trace = served.trace
     spans = {
         e.frame: e.end - e.start
         for e in trace
@@ -328,7 +321,7 @@ def test_scheduled_delay_stretches_the_worker_compute(
 @pytest.mark.parametrize("sig", ["SIGKILL", "SIGSTOP"])
 @pytest.mark.parametrize("transport", ["tcp", "shm"])
 def test_worker_lost_with_a_frame_dispatched_ahead(
-    small_model, weights, hetero4, transport, sig
+    small_model, weights, hetero4, transport, sig, schedulers
 ):
     """A stage-0 worker is SIGKILLed or SIGSTOPped while stage 0
     collects frame 1 with frame 2 already dispatched ahead to it.
@@ -339,40 +332,39 @@ def test_worker_lost_with_a_frame_dispatched_ahead(
     victim = plan.stages[0].assignments[1][0].name
     xs = _inputs(small_model, 5)
     config = RuntimeConfig(recv_timeout_s=0.5 if sig == "SIGSTOP" else None)
-    pipe = DistributedPipeline(
-        small_model, plan, weights=weights, transport=transport,
-        config=config, trace=True,
-    ).start()
+    backend = TRANSPORTS[transport](small_model, weights)
+    server = PipelineServer.from_plan(
+        small_model, plan, backend, tracer=True, runtime_config=config,
+        config=ServerConfig(queue_capacity=len(xs), policy="block"),
+    )
     victims = [
-        h.process for h in pipe.transport.all_handles()
+        h.process for h in backend.all_handles()
         if h.task.device_name == victim
     ]
-    submitted = threading.Event()
     held = []
-    dispatch, collect = pipe.transport.dispatch, pipe.transport.collect
+    dispatch, collect = backend.dispatch, backend.collect
 
     def gated_dispatch(stage_index, tiles, frame):
         if stage_index == 0 and frame == 0:
-            submitted.wait(10.0)  # every frame queued before frame 0 leaves
+            schedulers.queued.wait(10.0)  # every frame queued before frame 0 leaves
         return dispatch(stage_index, tiles, frame)
 
     def killing_collect(sent):
         if sent.stage_index == 0 and sent.frame == 1 and not held:
-            held.extend(pipe._scheduler.in_flight())
+            held.extend(schedulers.built[-1].in_flight())
             for process in victims:
                 os.kill(process.pid, getattr(signal, sig))
         return collect(sent)
 
-    pipe.transport.dispatch = gated_dispatch
-    pipe.transport.collect = killing_collect
+    backend.dispatch = gated_dispatch
+    backend.collect = killing_collect
     try:
-        ids = [pipe.submit(x) for x in xs]
-        submitted.set()
-        got = dict(pipe.collect(timeout_s=30.0) for _ in ids)
-        assert pipe._scheduler.results.empty()
-        trace = pipe.trace
+        served = server.serve(xs)
+        assert schedulers.built[-1].results.empty()
     finally:
-        pipe.close()
+        server.close()
+    got, trace = served.outputs, served.trace
+    ids = list(range(len(xs)))
     leaked = [p for p in victims if p.is_alive()]
     for process in leaked:  # never leave a stopped child past the test
         os.kill(process.pid, signal.SIGKILL)
