@@ -123,11 +123,16 @@ lint-forks:
 	! grep -rnIE "out_scratch|out_arena|def im2col|ops\.im2col" src/ tests/ docs/ README.md
 	test "$$(grep -rnI "def _build_plan" src/repro/nn | wc -l)" = 1
 	test "$$(grep -rnI "_Plan(" src/repro/nn | grep -vc "class _Plan")" = 1
-# One width decision: the transport that launches the workers ships
-# each its share of the deployment's threads in Setup, and the worker
+# One width decision: the transport that launches the workers hands
+# each its share of the deployment's threads at the fork, and the worker
 # start-up is the one place in the program that sizes a pool (the bench
 # modules time widths on purpose).
 	test "$$(grep -rnI "set_threads(" src/repro --exclude-dir=bench | grep -v "def set_threads" | cut -d: -f1)" = "src/repro/runtime/worker.py"
+# One way a worker gets its role: the one fork in the runtime hands it
+# model, program, weights and width as process arguments, so the Setup
+# message and the per-worker weight subset stay deleted.
+	! grep -rnIE "class Setup|Setup\(|task_weight_names" src/ tests/ docs/ README.md
+	test "$$(grep -rnIF 'get_context("fork")' src/repro/runtime | wc -l)" = 1
 # One way to run a plan on the wall clock: every caller serves through
 # PipelineServer.serve; the submit/collect pipeline is left only as the
 # e2e benchmark's shim (and the one test that drives it as the workload

@@ -25,34 +25,55 @@ reference engine) vs the engine's compiled plan, interleaved, in a fresh
 interpreter on one BLAS thread as a worker computes.  There the per-call overhead the
 compiled tile plans remove is a large share of each task.
 
-The gate is correctness, not speed: both engines must produce the same
-activations (float32 tolerance), on every model and every stage task,
-or the comparison means nothing.
-``--check`` holds a fresh run's model list against the committed one.
-Run it via ``make bench-json`` or directly::
+A third section, ``memory``, measures what each device holds: the
+end-to-end benchmark's resnet34@64 and vgg16@64 PICO plans on the
+1200/1000/800/600 MHz cluster (at its 50 and 1000 Mbps), served over
+``TcpTransport`` in a fresh interpreter, then every worker's private
+memory (USS), proportional share (PSS) and peak RSS (VmHWM) read from
+``/proc/<pid>/smaps_rollup`` and ``/proc/<pid>/status``, beside the
+weight bytes :func:`repro.cost.memory.plan_memory` predicts for its
+device.  ``--before-after PARENT_SRC`` measures the same at a parent
+checkout, alternating (:func:`repro.bench.common.parent_vs_change`),
+into ``memory_before_after``; without it the committed section is
+carried over.
+
+The gates are correctness, not speed: both engines must produce the
+same activations (float32 tolerance), on every model and every stage
+task, or the comparison means nothing, and the served outputs must
+equal :meth:`Engine.forward_features` bit for bit.  One gate is memory:
+the resnet34 last-stage worker's private memory is at least 40 % below
+the parent's in ``memory_before_after``.
+``--check`` holds a fresh run's model list and plans against the
+committed ones.  Run it via ``make bench-json`` or directly::
 
     python -m repro.bench.engine --out BENCH_engine.json
 """
 
 from __future__ import annotations
 
+import os
+import statistics
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster
 from repro.cost.comm import NetworkModel
+from repro.cost.memory import plan_memory
 from repro.models.graph import BlockUnit, LayerUnit, Model
 from repro.models.layers import ConvSpec, PoolSpec
 from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
+from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.tiles import run_segment
 from repro.nn.weights import init_weights
+from repro.runtime.coordinator import TcpTransport
 from repro.runtime.program import compile_plan, split_stage, stitch_stage
 from repro.schemes import get_scheme
+from repro.serve import PipelineServer, ServerConfig
 from repro.testing import ReferenceEngine, run_segment_reference
 
 __all__ = ["BENCH", "run"]
@@ -190,6 +211,141 @@ def _stage_task_rows(repeats: int, seed: int):
     return rows, matches
 
 
+#: ``(model, input_hw, Mbps)`` of the ``memory`` rows: the end-to-end
+#: benchmark's resnet34 and vgg16 workloads (a quick run takes the first).
+MEMORY_MODELS: "Tuple[Tuple[str, int, float], ...]" = (
+    ("resnet34", 64, 50.0),
+    ("vgg16", 64, 1000.0),
+)
+#: Frames each ``memory`` row serves before it reads the workers.
+MEMORY_FRAMES = 8
+#: The gate: the resnet34 last-stage worker's USS against the parent's.
+MEMORY_DROP = 0.40
+#: Parent/change pairs a ``--before-after`` memory row takes (a
+#: worker's USS moved by about a megabyte from run to run).
+MEMORY_ROUNDS = 3
+
+_MB = float(1 << 20)
+
+
+def _process_memory(pid: int) -> "Dict[str, float]":
+    """USS and PSS from ``smaps_rollup``, VmHWM from ``status``, in MB."""
+    kb: "Dict[str, int]" = {}
+    for path in (f"/proc/{pid}/smaps_rollup", f"/proc/{pid}/status"):
+        with open(path) as handle:
+            for line in handle:
+                name, _, rest = line.partition(":")
+                if rest.strip().endswith("kB"):
+                    kb[name] = int(rest.split()[0])
+    uss = kb["Private_Clean"] + kb["Private_Dirty"]
+    return {
+        "uss_mb": round(uss * 1024 / _MB, 1),
+        "pss_mb": round(kb["Pss"] * 1024 / _MB, 1),
+        "vm_hwm_mb": round(kb["VmHWM"] * 1024 / _MB, 1),
+    }
+
+
+def _memory_row(name: str, hw: int, mbps: float, seed: int) -> Dict:
+    """Serve :data:`MEMORY_FRAMES` frames of ``name`` over tcp and read
+    what every process holds; outputs are checked bit for bit."""
+    model = get_model(name, input_hw=hw)
+    weights = init_weights(model, seed)
+    plan = get_scheme("pico").plan(
+        model, heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0]),
+        NetworkModel.from_mbps(mbps),
+    )
+    predicted = {m.device_name: m.weight_bytes for m in plan_memory(model, plan)}
+    rng = np.random.default_rng(seed)
+    xs = [
+        rng.standard_normal(model.input_shape).astype(np.float32)
+        for _ in range(MEMORY_FRAMES)
+    ]
+    engine = Engine(model, weights)
+    oracle = [engine.forward_features(x) for x in xs]
+    parallel.shutdown_pool()  # no live pool in the parent of forked workers
+    transport = TcpTransport(model, weights)
+    config = ServerConfig(queue_capacity=MEMORY_FRAMES, policy="block")
+    with PipelineServer.from_plan(model, plan, transport, config=config) as server:
+        served = server.serve(xs)
+        workers = [
+            {
+                "stage": h.stage_index,
+                "device": h.task.device_name,
+                "units": [plan.stages[h.stage_index].start,
+                          plan.stages[h.stage_index].end],
+                "plan_weight_mb": round(predicted[h.task.device_name] / _MB, 1),
+                **_process_memory(h.process.pid),
+            }
+            for h in transport.all_handles()
+        ]
+        coordinator = _process_memory(os.getpid())
+    exact = len(served.outputs) == len(xs) and all(
+        np.array_equal(served.outputs[i], want) for i, want in enumerate(oracle)
+    )
+    return {
+        "model": name, "input_hw": hw, "mbps": mbps, "frames": len(xs),
+        "exact": bool(exact), "workers": workers, "coordinator": coordinator,
+    }
+
+
+def _memory_rows(models, seed: int) -> "List[Dict]":
+    rows = [
+        common.run_fresh(__file__, "_memory_row", (name, hw, mbps, seed),
+                         common.ONE_BLAS_THREAD)
+        for name, hw, mbps in models
+    ]
+    for row in rows:
+        for w in row["workers"]:
+            print(
+                f"memory[{row['model']}] stage {w['stage']} {w['device']:>12}: "
+                f"plan {w['plan_weight_mb']:6.1f}  USS {w['uss_mb']:6.1f}  "
+                f"PSS {w['pss_mb']:6.1f}  VmHWM {w['vm_hwm_mb']:6.1f} MB"
+            )
+    return rows
+
+
+def _memory_before_after(parent_src: str, models, seed: int) -> Dict:
+    """Per worker, the median USS / PSS / VmHWM at ``parent_src`` and
+    at this checkout over :data:`MEMORY_ROUNDS` alternating pairs; every
+    run of both sides exact."""
+    section: Dict = {
+        "parent": common.parent_commit(parent_src), "rounds": MEMORY_ROUNDS,
+        "rows": [],
+    }
+    for name, hw, mbps in models:
+        runs = common.parent_vs_change(
+            parent_src, __file__, "_memory_row", (name, hw, mbps, seed),
+            MEMORY_ROUNDS,
+            agree=("exact",), env=common.ONE_BLAS_THREAD,
+        )
+        for i, worker in enumerate(runs["change"][0]["workers"]):
+            row = {"model": name, "stage": worker["stage"], "device": worker["device"]}
+            for field in ("uss_mb", "pss_mb", "vm_hwm_mb"):
+                for side in ("parent", "change"):
+                    row[f"{side}_{field}"] = statistics.median(
+                        run["workers"][i][field] for run in runs[side]
+                    )
+            section["rows"].append(row)
+            print(
+                f"memory_before_after[{name}] stage {row['stage']}: USS "
+                f"{row['parent_uss_mb']:.1f} -> {row['change_uss_mb']:.1f}, "
+                f"PSS {row['parent_pss_mb']:.1f} -> {row['change_pss_mb']:.1f}, "
+                f"VmHWM {row['parent_vm_hwm_mb']:.1f} -> "
+                f"{row['change_vm_hwm_mb']:.1f} MB"
+            )
+    return section
+
+
+def _last_stage_drop(section: "Optional[Dict]") -> bool:
+    """The gate on ``memory_before_after``: the resnet34 last-stage
+    worker's USS at least :data:`MEMORY_DROP` below the parent's."""
+    rows = [r for r in (section or {}).get("rows", ()) if r["model"] == "resnet34"]
+    if not rows:
+        return False
+    last = max(rows, key=lambda r: r["stage"])
+    return last["change_uss_mb"] <= (1.0 - MEMORY_DROP) * last["parent_uss_mb"]
+
+
 #: The ``--quick`` model subset (CI smoke run).
 QUICK_MODELS = DEFAULT_MODELS[:1]
 
@@ -199,10 +355,19 @@ def run(
     seed: int = 0,
     repeats: int = 9,
     models: "Optional[Sequence[Tuple[str, int]]]" = None,
+    before_after: Optional[str] = None,
+    *,
+    committed: Optional[Dict] = None,
 ):
     """Benchmark every model; returns ``(sections, gates)``."""
     if models is None:
         models = QUICK_MODELS if quick else DEFAULT_MODELS
+    memory_models = MEMORY_MODELS[:1] if quick else MEMORY_MODELS
+    memory = _memory_rows(memory_models, seed)
+    if before_after:
+        memory_vs_parent = _memory_before_after(before_after, memory_models, seed)
+    else:
+        memory_vs_parent = (committed or {}).get("memory_before_after")
     rows = [_bench_model(name, hw, repeats, seed) for name, hw in models]
     task_rows, tasks_match = common.run_fresh(
         __file__, "_stage_task_rows", [repeats, seed], common.ONE_BLAS_THREAD
@@ -229,9 +394,13 @@ def run(
             "after_ms": after_ms,
             "speedup": before_ms / after_ms,
         },
+        "memory": memory,
+        "memory_before_after": memory_vs_parent,
     }
     return sections, {
-        "fast_matches_reference": tasks_match and all(matches for _, matches in rows)
+        "fast_matches_reference": tasks_match and all(matches for _, matches in rows),
+        "memory_outputs_exact": all(row["exact"] for row in memory),
+        "memory_last_stage_private_below_parent": _last_stage_drop(memory_vs_parent),
     }
 
 
@@ -241,13 +410,23 @@ BENCH = common.Bench(
     deterministic=(
         common.Section("results", key=("model",)),
         common.Section("stage_tasks", key=("stage", "task")),
+        common.Section("memory", key=("model",)),
     ),
     timings=(
         "ops_before_s", "ops_after_s", "features_before_s", "features_after_s",
         "end_to_end_before_s", "end_to_end_after_s", "speedup",
-        "features_speedup", "before_ms", "after_ms",
+        "features_speedup", "before_ms", "after_ms", "uss_mb", "pss_mb",
+        "vm_hwm_mb", "coordinator",
     ),
-    extras={"--repeats": dict(type=int, default=9)},
+    extras={
+        "--repeats": dict(type=int, default=9),
+        "--before-after": dict(
+            metavar="PARENT_SRC",
+            help="also measure the memory rows against the src/ of a parent "
+            "checkout, alternating, and record the medians",
+        ),
+    },
+    reads_committed=True,
 )
 
 

@@ -135,9 +135,9 @@ class Engine:
         The architecture spec.
     weights:
         Optional pre-built weights; seeded random weights otherwise.
-        Weight dicts may be partial (a worker only ships its segment's
-        layers) — packing is lazy per layer.  The packed weights and
-        the compiled tile plans capture them: call
+        Packing is lazy per layer, so a dict may be partial, and an
+        engine packs (and folds) only the layers it runs.  The packed
+        weights and the compiled tile plans capture them: call
         :meth:`refresh_weights` after mutating ``weights``.
     """
 

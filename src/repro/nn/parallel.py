@@ -11,8 +11,9 @@ the tile runtime and the local plan executor.
 The width comes from the ``REPRO_THREADS`` environment variable
 (default: the cores this process may use): the threads this deployment
 computes on.  A process-backed transport splits them among the worker
-processes it launches — each gets ``max(1, threads // workers)``, in its
-``Setup``, and sizes its own pool to that before it builds its engine —
+processes it launches — each gets ``max(1, threads // workers)`` with
+its role at the fork, and sizes its own pool to that before it builds
+its engine —
 so on a host with fewer cores than workers every worker runs its tiles
 on one thread, as each of the paper's Raspberry Pis computes its share
 on its own core.  (Four workers on two cores holding two threads each

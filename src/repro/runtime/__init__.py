@@ -32,7 +32,6 @@ from repro.runtime.faults import (
 from repro.runtime.messages import (
     Hello,
     Reconfigure,
-    Setup,
     Shutdown,
     TileResult,
     TileTask,
@@ -86,7 +85,6 @@ __all__ = [
     "RECOVERY_KINDS",
     "Reconfigure",
     "RuntimeConfig",
-    "Setup",
     "ShmChannel",
     "ShmRing",
     "ShmTransport",

@@ -12,10 +12,12 @@ processes:
   (:mod:`repro.runtime.shm`): one memcpy on send, a zero-copy
   ``np.ndarray`` view on receive.
 
-Both transports are *self-launching*: :meth:`Transport.open` spawns the
-worker processes, handshakes them, and ships each its compiled segment
-plus the weights it touches — so :class:`~repro.runtime.core.PipelineSession`
-and :class:`~repro.serve.server.PipelineServer` drive real processes
+Both transports are *self-launching*: :meth:`Transport.open` forks the
+worker processes with their roles — model, compiled segment, weights
+and compute width as process arguments, so the weights stay this
+process's pages, shared copy-on-write — and handshakes them; so
+:class:`~repro.runtime.core.PipelineSession` and
+:class:`~repro.serve.server.PipelineServer` drive real processes
 through the exact ``configure() → open()`` flow they use for the
 in-process and simulated backends, fault ladder and tracing included.
 
@@ -35,9 +37,10 @@ raises :class:`~repro.runtime.faults.DeviceDead`; the fault ladder of
 :func:`~repro.runtime.core.collect_stage` marks the device dead, has
 the transport retire its workers and redistribute their strips among
 the survivors (capacity-weighted, new tile programs shipped via
-:class:`Reconfigure`) and replays the frame from that stage boundary;
-the frame dispatched ahead of it is re-sent to the survivors, and the
-replies stamped with the old epoch are skipped.
+:class:`Reconfigure`; every worker already holds every layer) and
+replays the frame from that stage boundary; the frame dispatched ahead
+of it is re-sent to the survivors, and the replies stamped with the old
+epoch are skipped.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from repro.runtime.faults import (
 from repro.runtime.messages import (
     Hello,
     Reconfigure,
-    Setup,
     ShmAttach,
     Shutdown,
     TileResult,
@@ -76,7 +78,6 @@ from repro.runtime.program import (
     TaskSpec,
     compile_plan,
     repartition_stage,
-    task_weight_names,
 )
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.shm import ShmChannel, ShmRing
@@ -123,11 +124,12 @@ class TcpTransport(Transport):
     """The framed-socket backend: one worker process per task.
 
     Conforms to the core :class:`~repro.runtime.core.Transport`
-    protocol and is *self-launching*: :meth:`open` spawns one forked
-    worker process per compiled task, handshakes them and ships their
-    setups, so any session/server can use it directly.  The workers
-    split this process's :mod:`repro.nn.parallel` width: each computes
-    on ``max(1, width // workers)`` threads (:attr:`worker_threads`).
+    protocol and is *self-launching*: :meth:`open` forks one worker
+    process per compiled task, handing each its role through the fork
+    (nothing is shipped but the handshake), so any session/server can
+    use it directly.  The workers split this process's
+    :mod:`repro.nn.parallel` width: each computes on
+    ``max(1, width // workers)`` threads (:attr:`worker_threads`).
     :meth:`dispatch` scatters :class:`TileTask` frames to the stage's
     workers and :meth:`collect` gathers the :class:`TileResult` frames,
     matched by ``(task_id, epoch)``; a lost worker surfaces as
@@ -198,7 +200,7 @@ class TcpTransport(Transport):
 
     # -- worker lifecycle ----------------------------------------------
     def _launch_workers(self, program: PlanProgram) -> None:
-        """Spawn, handshake and set up one worker process per task."""
+        """Fork and handshake one worker process per task."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))
@@ -206,6 +208,13 @@ class TcpTransport(Transport):
         listener.listen(64)
         listener.settimeout(_CONNECT_TIMEOUT_S)
 
+        # The workers share this deployment's threads: each computes on
+        # its share, one thread wherever there are more workers than
+        # threads.  A worker's role — model, program, weights, width —
+        # goes through the fork: the fork context pickles no argument,
+        # so every worker computes on this process's weight pages.
+        n_workers = sum(len(stage.tasks) for stage in program.stages)
+        self.worker_threads = max(1, parallel.configured_threads() // n_workers)
         worker_id = 0
         ctx = mp.get_context("fork")
         for stage in program.stages:
@@ -213,7 +222,11 @@ class TcpTransport(Transport):
             for task in stage.tasks:
                 process = ctx.Process(
                     target=worker_main,
-                    args=(host, port, worker_id, task.device_name, self.faults),
+                    args=(
+                        host, port, worker_id, self.model, task.program,
+                        self.weights, self.worker_threads, task.device_name,
+                        self.faults,
+                    ),
                     daemon=True,
                 )
                 process.start()
@@ -247,42 +260,13 @@ class TcpTransport(Transport):
         finally:
             listener.close()
 
-        # The workers share this deployment's threads: each computes on
-        # its share, one thread wherever there are more workers than threads.
-        self.worker_threads = max(1, parallel.configured_threads() // len(by_id))
-
         # Transport-specific channel upgrade (the shm backend attaches
-        # its rings here), then ship setups: each worker gets its
-        # compiled program plus the weights its segment touches.
+        # its rings here), then bound worker recvs (the handshake above
+        # ran unbounded so a slow worker start never trips the timeout).
+        timeout = self._config.recv_timeout_s if self._config else None
         for handle in self.all_handles():
             self._upgrade_channel(handle)
-        for stage in program.stages:
-            for handle in self.alive_handles(stage.index):
-                if stage.branch:
-                    # Ship the whole block's weights: a failure may later
-                    # reassign any path to any surviving worker, and
-                    # Reconfigure does not carry parameters.
-                    unit = self.model.units[stage.start]
-                    names = {layer.name for p in unit.paths for layer in p}
-                else:
-                    names = task_weight_names(handle.task.program)
-                subset = {
-                    name: params
-                    for name, params in self.weights.items()
-                    if name in names
-                }
-                handle.channel.send(
-                    Setup(
-                        self.model, handle.task.program, subset,
-                        self.worker_threads,
-                    )
-                )
-
-        # Bound worker recvs (the handshake above ran unbounded so slow
-        # weight shipping never trips the timeout).
-        timeout = self._config.recv_timeout_s if self._config else None
-        if timeout is not None:
-            for handle in self.all_handles():
+            if timeout is not None:
                 handle.channel.settimeout(timeout)
 
     def _upgrade_channel(self, handle: _WorkerHandle) -> None:

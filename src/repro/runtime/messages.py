@@ -1,10 +1,11 @@
 """Wire messages for the distributed runtime.
 
-The coordinator ships each worker a one-time :class:`Setup` (its
-compiled tile program plus the weights its segment touches — the model
-copy of paper Fig. 6 — and the threads it computes on), then streams
-:class:`TileTask` frames per inference.  Everything is a plain
-dataclass so the framed-pickle transport can carry it.
+A worker gets its role — model, compiled tile program, weights (the
+model copy of paper Fig. 6) and compute width — through the fork that
+starts it, so the wire carries no weights: after the :class:`Hello`
+handshake (and :class:`ShmAttach` on the shared-memory transport) the
+coordinator streams :class:`TileTask` frames per inference.  Everything
+is a plain dataclass so the framed-pickle transport can carry it.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.models.graph import Model
 from repro.nn.tiles import SegmentProgram
-from repro.nn.weights import Weights
 
 __all__ = [
     "Hello",
     "ShmAttach",
-    "Setup",
     "Reconfigure",
     "TileTask",
     "TileResult",
@@ -41,7 +39,7 @@ class Hello:
 class ShmAttach:
     """Coordinator → worker: switch tile payloads to shared memory.
 
-    Sent right after the handshake (before :class:`Setup`) by the shm
+    Sent right after the handshake, before any tile, by the shm
     transport.  ``send_name`` is the ring this worker writes its
     results into, ``recv_name`` the ring it reads tiles from; both were
     created (and will be unlinked) by the coordinator.  Geometry is
@@ -52,18 +50,6 @@ class ShmAttach:
     recv_name: str
     slot_bytes: int
     n_slots: int
-
-
-@dataclass(frozen=True)
-class Setup:
-    """Coordinator → worker: model spec, segment program, weights and
-    ``threads``, the worker's compute width (its share of the
-    deployment's :mod:`repro.nn.parallel` threads)."""
-
-    model: Model
-    program: SegmentProgram
-    weights: Weights
-    threads: int
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "split_stage",
     "stack_frames",
     "stitch_stage",
-    "task_weight_names",
     "unstack_frames",
 ]
 
@@ -361,15 +360,3 @@ def stitch_stage(
                 region.cols.start : region.cols.end,
             ] = tile
     return out
-
-
-def task_weight_names(program: SegmentProgram) -> "Set[str]":
-    """Layer names a compiled segment touches (for weight shipping)."""
-    names: "Set[str]" = set()
-    for unit in program.units:
-        for step in unit.steps:
-            names.add(step.layer.name)
-        for path in unit.paths:
-            for step in path.steps:
-                names.add(step.layer.name)
-    return names

@@ -76,9 +76,8 @@ _SLOT_ALIGN = 64
 #: than the copy it saves.
 MIN_SLOT_PAYLOAD = 1 << 10
 
-#: Only tile traffic rides slots.  Everything else — ``Setup`` weights a
-#: worker retains past the message lifetime, handshakes, errors — ships
-#: inline.
+#: Only tile traffic rides slots.  Everything else — handshakes,
+#: programs, errors — ships inline.
 SLOT_TYPES = (TileTask, TileResult)
 
 #: How long a send waits for a free slot before :class:`SlotExhausted`.

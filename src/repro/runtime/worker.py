@@ -1,11 +1,13 @@
 """Worker process: executes tile programs on demand.
 
-A worker owns one device role in one stage.  It connects back to the
-coordinator, receives its :class:`Setup` (model spec + segment program
-+ weights + its compute width), sizes its :mod:`repro.nn.parallel`
-pool to that width, then loops: receive a tile, run the compiled
-program with the numpy engine, return the output tile with its compute
-time.
+A worker owns one device role in one stage.  It is forked with that
+role — the model spec, its compiled segment program, the weights and
+its compute width — as process arguments, so the weights it computes
+with are the coordinator's own pages, shared copy-on-write, never
+shipped or decoded.  It sizes its :mod:`repro.nn.parallel` pool to
+that width, connects back to the coordinator, then loops: receive a
+tile, run the program with the numpy engine, return the output tile
+with its compute time.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ import socket
 import time
 from typing import Optional
 
+from repro.models.graph import Model
 from repro.nn import parallel
 from repro.nn.executor import Engine
-from repro.nn.tiles import run_segment
+from repro.nn.tiles import SegmentProgram, run_segment
+from repro.nn.weights import Weights
 from repro.runtime.faults import FaultSchedule
 from repro.runtime.messages import (
     Hello,
     Reconfigure,
-    Setup,
     ShmAttach,
     Shutdown,
     TileResult,
@@ -38,10 +41,19 @@ def worker_main(
     host: str,
     port: int,
     worker_id: int,
+    model: Model,
+    program: SegmentProgram,
+    weights: Weights,
+    threads: int,
     device: str = "",
     faults: "Optional[FaultSchedule]" = None,
 ) -> None:
     """Entry point for a worker process serving one role of ``device``.
+
+    ``program`` is the segment it runs until a ``Reconfigure`` replaces
+    it; ``weights`` holds every layer a later program may touch (the
+    engine packs and folds only the ones it runs) and ``threads`` is
+    the worker's share of the deployment's threads.
 
     ``faults`` is acted out for ``device``: the worker exits — its
     socket closes, as a crashed device's would — on the first tile of a
@@ -49,34 +61,30 @@ def worker_main(
     compute delay after running a tile, as the in-process backend does.
     A coordinator that dies is EOF on the worker's next receive.
     """
+    # The one width decision of a worker, made by the transport that
+    # launched it: one thread means no pool, no per-thread scratch
+    # and every batch run whole on this thread.
+    parallel.set_threads(threads)
+    engine = Engine(model, weights)
     injector = faults.start() if faults is not None else None
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     channel = ShmChannel(sock)  # ring-less unless the coordinator attaches
     try:
         channel.send(Hello(worker_id))
-        setup = channel.recv()
-        if isinstance(setup, ShmAttach):
-            # Zero-copy mode: attach to the coordinator's rings (never
-            # unlink them — they outlive this process); tile tensors
-            # now ride slots, the socket keeps carrying control frames.
-            channel.attach(
-                ShmRing.attach(setup.send_name),
-                ShmRing.attach(setup.recv_name),
-            )
-            setup = channel.recv()
-        if not isinstance(setup, Setup):
-            raise RuntimeError(f"expected Setup, got {type(setup).__name__}")
-        # The one width decision of a worker, made by the transport that
-        # launched it: one thread means no pool, no per-thread scratch
-        # and every batch run whole on this thread.
-        parallel.set_threads(setup.threads)
-        engine = Engine(setup.model, setup.weights)
-        program = setup.program
         while True:
             message = channel.recv()
             if isinstance(message, Shutdown):
                 return
+            if isinstance(message, ShmAttach):
+                # Zero-copy mode: attach to the coordinator's rings (never
+                # unlink them — they outlive this process); tile tensors
+                # now ride slots, the socket keeps carrying control frames.
+                channel.attach(
+                    ShmRing.attach(message.send_name),
+                    ShmRing.attach(message.recv_name),
+                )
+                continue
             if isinstance(message, Reconfigure):
                 program = message.program
                 continue

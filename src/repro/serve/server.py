@@ -168,7 +168,8 @@ class ServeResult:
 
     ``outputs`` maps each completed frame to its feature map — and is
     empty on a timing-only transport (``SimTransport(compute=False)``),
-    which serves the clock and touches no tensor.
+    which serves the clock and touches no tensor.  ``trace`` holds the
+    events the server's tracer recorded during this call only.
     """
 
     records: List[FrameRecord]
@@ -368,9 +369,13 @@ class PipelineServer:
             raise ValueError("arrivals must align one-to-one with frames")
         if any(b < a for a, b in zip(arrivals, arrivals[1:])):
             raise ValueError("arrivals must be non-decreasing")
-        if self.virtual:
-            return self._serve_virtual(frames, list(arrivals))
-        return self._serve_threaded(frames, list(arrivals))
+        # The tracer outlives this call: its trace is what it adds.
+        mark = len(self.tracer) if self.tracer is not None else 0
+        run = self._serve_virtual if self.virtual else self._serve_threaded
+        records, outputs, makespan = run(frames, list(arrivals))
+        records.sort(key=lambda r: r.frame)
+        trace = self.tracer.events[mark:] if self.tracer is not None else ()
+        return ServeResult(records, outputs, makespan, trace)
 
     def _materialise(self, frames) -> "List[np.ndarray]":
         if isinstance(frames, (int, np.integer)):
@@ -392,7 +397,7 @@ class PipelineServer:
     # ------------------------------------------------------------------
     def _serve_virtual(
         self, frames: "List[np.ndarray]", arrivals: "List[float]"
-    ) -> ServeResult:
+    ) -> "Tuple[List[FrameRecord], Dict[int, np.ndarray], float]":
         """Analytic replay of the threaded admission and batching policy.
 
         Frames run serially in arrival order; frame ``i``'s fate depends
@@ -537,12 +542,7 @@ class PipelineServer:
                 launch()
         launch()  # flush the final forming batch
         makespan = completions[-1] if completions else 0.0
-        return self._result(records, outputs, makespan)
-
-    def _result(self, records, outputs, makespan) -> ServeResult:
-        records.sort(key=lambda r: r.frame)
-        trace = self.tracer.events if self.tracer is not None else ()
-        return ServeResult(records, outputs, makespan, trace)
+        return records, outputs, makespan
 
     # ------------------------------------------------------------------
     # Wall-clock strategy: the runtime's stage-thread scheduler owns the
@@ -551,7 +551,7 @@ class PipelineServer:
     # ------------------------------------------------------------------
     def _serve_threaded(
         self, frames: "List[np.ndarray]", arrivals: "List[float]"
-    ) -> ServeResult:
+    ) -> "Tuple[List[FrameRecord], Dict[int, np.ndarray], float]":
         cfg = self.config
         transport = self.transport
         door = self.door
@@ -656,4 +656,4 @@ class PipelineServer:
         ]
         done = [books[fid]["completion"] for fid in outputs]
         makespan = max(done) - epoch if done else 0.0
-        return self._result(records, outputs, makespan)
+        return records, outputs, makespan

@@ -10,7 +10,10 @@ independent oracle lives here, once, for the test suite and the
   walk on those kernels) and :func:`run_segment_reference` (a tile
   program op by op);
 * :mod:`repro.testing.planner` — the scalar ``Ts`` memo
-  :class:`StageTimeTable` and :func:`plan_homogeneous_reference`.
+  :class:`StageTimeTable` and :func:`plan_homogeneous_reference`;
+* :mod:`repro.testing.weights` — the one-shot float64 weight build
+  and BN fold, :func:`init_weights_reference` and
+  :func:`fold_batch_norm_reference`.
 
 No production module imports this package (``make lint-forks``).
 """
@@ -18,12 +21,15 @@ No production module imports this package (``make lint-forks``).
 from repro.testing.engine import ReferenceEngine, run_segment_reference
 from repro.testing.kernels import batch_norm, conv2d_reference, maxpool2d_reference
 from repro.testing.planner import StageTimeTable, plan_homogeneous_reference
+from repro.testing.weights import fold_batch_norm_reference, init_weights_reference
 
 __all__ = [
     "ReferenceEngine",
     "StageTimeTable",
     "batch_norm",
     "conv2d_reference",
+    "fold_batch_norm_reference",
+    "init_weights_reference",
     "maxpool2d_reference",
     "plan_homogeneous_reference",
     "run_segment_reference",

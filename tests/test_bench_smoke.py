@@ -15,13 +15,18 @@ from repro.bench.exact import BENCH as EXACT
 from repro.bench.sim import BENCH as SIM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_ENGINE = ROOT / "BENCH_engine.json"
 BENCH_EXACT = ROOT / "BENCH_exact.json"
 BENCH_SIM = ROOT / "BENCH_sim.json"
 
 
 def test_run_suite_smoke():
+    """A quick run measures the resnet34 memory row and carries the
+    committed parent comparison over, which its gate reads."""
+    committed = json.loads(BENCH_ENGINE.read_text())
     report = common.run_report(
-        ENGINE, models=(("vgg16", 32),), repeats=1, seed=0
+        ENGINE, quick=True, committed=committed, models=(("vgg16", 32),),
+        repeats=1, seed=0,
     )
     assert report["bench"] == "engine"
     assert report["repeats"] == 1
@@ -47,7 +52,17 @@ def test_run_suite_smoke():
     assert entry["speedup"] > 0
     assert "conv" in entry["ops_before_s"]
     assert entry["ops_before_s"]["conv"] > 0
-    assert report["gates"] == {"fast_matches_reference": True}
+    assert report["gates"] == {
+        "fast_matches_reference": True,
+        "memory_outputs_exact": True,
+        "memory_last_stage_private_below_parent": True,
+    }
+    (memory,) = report["memory"]
+    assert memory["model"] == "resnet34" and memory["exact"]
+    assert [w["stage"] for w in memory["workers"]] == [0, 1, 2, 3]
+    for worker in memory["workers"]:
+        assert 0 < worker["uss_mb"] <= worker["pss_mb"] <= worker["vm_hwm_mb"]
+    assert report["memory_before_after"] == committed["memory_before_after"]
     # The whole report must round-trip through JSON (what main() writes).
     assert json.loads(json.dumps(report)) == report
 

@@ -37,7 +37,6 @@ from repro.partition.regions import Region
 from repro.runtime.messages import (
     Hello,
     Reconfigure,
-    Setup,
     Shutdown,
     TileResult,
     TileTask,
@@ -395,15 +394,16 @@ class TestStalePlans:
         oracle = Engine(MODEL, weights)
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
-        worker = threading.Thread(target=worker_main, args=("127.0.0.1", port, 0))
+        # The worker runs on a thread of this process: it sets this
+        # process's width, which the finally clause gives back.
+        worker = threading.Thread(
+            target=worker_main, args=("127.0.0.1", port, 0, MODEL, top, weights, 1)
+        )
         worker.start()
         conn, _ = listener.accept()
         channel = Channel(conn)
         try:
             assert isinstance(channel.recv(), Hello)
-            # The worker runs on a thread of this process: it sets this
-            # process's width, which the finally clause gives back.
-            channel.send(Setup(MODEL, top, weights, 1))
             outs = []
             for i, program in enumerate((top, bottom)):
                 if i:

@@ -428,6 +428,29 @@ class TestThreadedServing:
         assert sorted(r.frame for r in result.records) == list(range(6))
         assert len(result.completed) == 6
 
+    @pytest.mark.parametrize("backend", ["inproc", "sim"])
+    def test_each_call_traces_only_its_own_frames(self, model, weights, net,
+                                                  program, backend):
+        """The tracer outlives a call; each ``ServeResult.trace`` holds
+        only the events of its own call's two frames."""
+        engine = Engine(model, weights)
+        transport = (
+            InProcTransport(engine) if backend == "inproc"
+            else SimTransport(engine, net)
+        )
+        server = PipelineServer(
+            program, transport, ServerConfig(queue_capacity=2, policy="block"),
+            tracer=True,
+        )
+        first, second = server.serve(2), server.serve(2)
+        server.close()
+        assert len(server.tracer) == len(first.trace) + len(second.trace)
+        assert server.tracer.events == first.trace + second.trace
+        for result in (first, second):
+            assert len({e.frame for e in result.trace}) == 2
+            kinds = sorted(e.kind for e in result.trace)
+            assert kinds == sorted(e.kind for e in first.trace)
+
 
 # ---------------------------------------------------------------------------
 # Event-simulator admission control (queue_capacity plumbing)

@@ -258,7 +258,26 @@ def _kill_between_frames(model, weights, hetero4, transport, sig, config):
             os.kill(process.pid, sig)
         more = server.serve(xs[1:])
     outs = [first.outputs[0], more.outputs[0], more.outputs[1]]
+    _assert_second_call_trace(plan, victim, more.trace)
     return victim, victims, xs, outs, more.trace
+
+
+def _assert_second_call_trace(plan, victim, trace):
+    """The second ``serve``'s trace is that call's alone: the death,
+    the replay, then frames 0-1 on the survivors of every stage."""
+    want = [("device_dead", 0, 0, victim), ("frame_replayed", 0, 0, victim)]
+    for frame in (0, 1):
+        for stage_index, stage in enumerate(plan.stages):
+            want.append(("enqueue", frame, stage_index, ""))
+            for device, _ in stage.assignments:
+                if device.name != victim:
+                    want += [
+                        (kind, frame, stage_index, device.name)
+                        for kind in ("send", "compute", "recv")
+                    ]
+    got = [(e.kind, e.frame, e.stage, e.device) for e in trace]
+    assert got[:2] == want[:2]
+    assert sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("transport", ["tcp", "shm"])

@@ -2,10 +2,10 @@
 
 The transport that launches the workers decides one width for all of
 them, ``max(1, threads // workers)`` of the coordinator's
-``repro.nn.parallel`` width, ships it in each ``Setup``, and every
-worker sizes its pool to it before it builds its engine.  The handshake
-that precedes it rejects any greeting but a ``Hello`` from a worker it
-launched, once.
+``repro.nn.parallel`` width, hands it to each worker with its role
+at the fork, and every worker sizes its pool to it before it builds
+its engine.  The handshake that follows rejects any greeting but a
+``Hello`` from a worker it launched, once.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def test_one_worker_gets_the_whole_width(small_model, monkeypatch):
 def _greeter(greeting):
     """A stand-in for ``worker_main`` that greets with ``greeting(id)``."""
 
-    def greet(host, port, worker_id, device="", faults=None):
+    def greet(host, port, worker_id, model, program, weights, threads,
+              device="", faults=None):
         channel = Channel(socket.create_connection((host, port)))
         try:
             channel.send(greeting(worker_id))
