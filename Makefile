@@ -133,6 +133,10 @@ lint-forks:
 # message and the per-worker weight subset stay deleted.
 	! grep -rnIE "class Setup|Setup\(|task_weight_names" src/ tests/ docs/ README.md
 	test "$$(grep -rnIF 'get_context("fork")' src/repro/runtime | wc -l)" = 1
+# One parameter allocator: every weight matrix of at least
+# weights._SHARED_MIN_BYTES is a shared anonymous mapping, allocated in
+# one place, so a forked worker is resident only in the layers it reads.
+	test "$$(grep -rnIF 'mmap.mmap(' src/repro --exclude-dir=bench --exclude-dir=testing | wc -l)" = 1
 # One way to run a plan on the wall clock: every caller serves through
 # PipelineServer.serve; the submit/collect pipeline is left only as the
 # e2e benchmark's shim (and the one test that drives it as the workload

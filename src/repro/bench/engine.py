@@ -29,10 +29,14 @@ A third section, ``memory``, measures what each device holds: the
 end-to-end benchmark's resnet34@64 and vgg16@64 PICO plans on the
 1200/1000/800/600 MHz cluster (at its 50 and 1000 Mbps), served over
 ``TcpTransport`` in a fresh interpreter, then every worker's private
-memory (USS), proportional share (PSS) and peak RSS (VmHWM) read from
-``/proc/<pid>/smaps_rollup`` and ``/proc/<pid>/status``, beside the
-weight bytes :func:`repro.cost.memory.plan_memory` predicts for its
-device.  ``--before-after PARENT_SRC`` measures the same at a parent
+memory (USS), proportional share (PSS), peak RSS (VmHWM) and shared
+resident set (RssShmem, also right after ``open()``) read from
+``/proc/<pid>/smaps_rollup`` and ``/proc/<pid>/status``
+(:func:`repro.testing.memory.process_memory`), beside the weight bytes
+:func:`repro.cost.memory.plan_memory` predicts for its device and the
+raw and folded weight bytes of the layers its program runs
+(:func:`repro.testing.memory.program_param_bytes`).
+``--before-after PARENT_SRC`` measures USS, PSS and VmHWM at a parent
 checkout, alternating (:func:`repro.bench.common.parent_vs_change`),
 into ``memory_before_after``; without it the committed section is
 carried over.
@@ -40,9 +44,12 @@ carried over.
 The gates are correctness, not speed: both engines must produce the
 same activations (float32 tolerance), on every model and every stage
 task, or the comparison means nothing, and the served outputs must
-equal :meth:`Engine.forward_features` bit for bit.  One gate is memory:
-the resnet34 last-stage worker's private memory is at least 40 % below
-the parent's in ``memory_before_after``.
+equal :meth:`Engine.forward_features` bit for bit.  Two gates are
+memory: every worker's shared resident set is under 1 MiB after
+``open()`` and at most its program's weight bytes plus 1 MiB after the
+frames (weights are shared mappings, so a worker is resident only in
+the layers it runs); and the resnet34 last-stage worker's private
+memory is at least 40 % below the parent's in ``memory_before_after``.
 ``--check`` holds a fresh run's model list and plans against the
 committed ones.  Run it via ``make bench-json`` or directly::
 
@@ -75,6 +82,7 @@ from repro.runtime.program import compile_plan, split_stage, stitch_stage
 from repro.schemes import get_scheme
 from repro.serve import PipelineServer, ServerConfig
 from repro.testing import ReferenceEngine, run_segment_reference
+from repro.testing.memory import process_memory, program_param_bytes
 
 __all__ = ["BENCH", "run"]
 
@@ -221,28 +229,13 @@ MEMORY_MODELS: "Tuple[Tuple[str, int, float], ...]" = (
 MEMORY_FRAMES = 8
 #: The gate: the resnet34 last-stage worker's USS against the parent's.
 MEMORY_DROP = 0.40
+#: The slack of the ``memory_workers_hold_only_their_layers`` gate.
+MEMORY_SLACK_MB = 1.0
 #: Parent/change pairs a ``--before-after`` memory row takes (a
 #: worker's USS moved by about a megabyte from run to run).
 MEMORY_ROUNDS = 3
 
 _MB = float(1 << 20)
-
-
-def _process_memory(pid: int) -> "Dict[str, float]":
-    """USS and PSS from ``smaps_rollup``, VmHWM from ``status``, in MB."""
-    kb: "Dict[str, int]" = {}
-    for path in (f"/proc/{pid}/smaps_rollup", f"/proc/{pid}/status"):
-        with open(path) as handle:
-            for line in handle:
-                name, _, rest = line.partition(":")
-                if rest.strip().endswith("kB"):
-                    kb[name] = int(rest.split()[0])
-    uss = kb["Private_Clean"] + kb["Private_Dirty"]
-    return {
-        "uss_mb": round(uss * 1024 / _MB, 1),
-        "pss_mb": round(kb["Pss"] * 1024 / _MB, 1),
-        "vm_hwm_mb": round(kb["VmHWM"] * 1024 / _MB, 1),
-    }
 
 
 def _memory_row(name: str, hw: int, mbps: float, seed: int) -> Dict:
@@ -266,6 +259,10 @@ def _memory_row(name: str, hw: int, mbps: float, seed: int) -> Dict:
     transport = TcpTransport(model, weights)
     config = ServerConfig(queue_capacity=MEMORY_FRAMES, policy="block")
     with PipelineServer.from_plan(model, plan, transport, config=config) as server:
+        at_open = [
+            process_memory(h.process.pid)["shmem_mb"]
+            for h in transport.all_handles()
+        ]
         served = server.serve(xs)
         workers = [
             {
@@ -274,11 +271,15 @@ def _memory_row(name: str, hw: int, mbps: float, seed: int) -> Dict:
                 "units": [plan.stages[h.stage_index].start,
                           plan.stages[h.stage_index].end],
                 "plan_weight_mb": round(predicted[h.task.device_name] / _MB, 1),
-                **_process_memory(h.process.pid),
+                "program_weight_mb": round(
+                    program_param_bytes(weights, h.task.program) / _MB, 1
+                ),
+                "shmem_open_mb": opened,
+                **process_memory(h.process.pid),
             }
-            for h in transport.all_handles()
+            for h, opened in zip(transport.all_handles(), at_open)
         ]
-        coordinator = _process_memory(os.getpid())
+        coordinator = process_memory(os.getpid())
     exact = len(served.outputs) == len(xs) and all(
         np.array_equal(served.outputs[i], want) for i, want in enumerate(oracle)
     )
@@ -298,7 +299,9 @@ def _memory_rows(models, seed: int) -> "List[Dict]":
         for w in row["workers"]:
             print(
                 f"memory[{row['model']}] stage {w['stage']} {w['device']:>12}: "
-                f"plan {w['plan_weight_mb']:6.1f}  USS {w['uss_mb']:6.1f}  "
+                f"plan {w['plan_weight_mb']:6.1f}  program "
+                f"{w['program_weight_mb']:6.1f}  shmem {w['shmem_open_mb']:.1f}"
+                f" -> {w['shmem_mb']:6.1f}  USS {w['uss_mb']:6.1f}  "
                 f"PSS {w['pss_mb']:6.1f}  VmHWM {w['vm_hwm_mb']:6.1f} MB"
             )
     return rows
@@ -334,6 +337,17 @@ def _memory_before_after(parent_src: str, models, seed: int) -> Dict:
                 f"{row['change_vm_hwm_mb']:.1f} MB"
             )
     return section
+
+
+def _hold_only_their_layers(rows: "List[Dict]") -> bool:
+    """The gate on ``memory``: every worker's shared resident set under
+    :data:`MEMORY_SLACK_MB` right after ``open()``, and after the frames
+    at most its program's raw and folded weights plus that slack."""
+    return all(
+        w["shmem_open_mb"] < MEMORY_SLACK_MB
+        and w["shmem_mb"] <= w["program_weight_mb"] + MEMORY_SLACK_MB
+        for row in rows for w in row["workers"]
+    )
 
 
 def _last_stage_drop(section: "Optional[Dict]") -> bool:
@@ -400,6 +414,7 @@ def run(
     return sections, {
         "fast_matches_reference": tasks_match and all(matches for _, matches in rows),
         "memory_outputs_exact": all(row["exact"] for row in memory),
+        "memory_workers_hold_only_their_layers": _hold_only_their_layers(memory),
         "memory_last_stage_private_below_parent": _last_stage_drop(memory_vs_parent),
     }
 
@@ -416,7 +431,7 @@ BENCH = common.Bench(
         "ops_before_s", "ops_after_s", "features_before_s", "features_after_s",
         "end_to_end_before_s", "end_to_end_after_s", "speedup",
         "features_speedup", "before_ms", "after_ms", "uss_mb", "pss_mb",
-        "vm_hwm_mb", "coordinator",
+        "vm_hwm_mb", "shmem_mb", "shmem_open_mb", "coordinator",
     ),
     extras={
         "--repeats": dict(type=int, default=9),

@@ -1,13 +1,25 @@
 """Weight initialisation and containers.
 
-Weights are plain dicts ``{layer_name: {param_name: ndarray}}`` so they
-pickle cheaply for shipment to runtime workers.  He-normal init keeps
-activations in a numerically friendly range through deep stacks, which
-matters for the bit-exactness assertions in the tile tests.
+Weights are plain dicts ``{layer_name: {param_name: ndarray}}``.
+He-normal init keeps activations in a numerically friendly range
+through deep stacks, which matters for the bit-exactness assertions in
+the tile tests.
+
+Every weight matrix — each conv and dense ``weight`` and each BN-folded
+conv weight — of at least :data:`_SHARED_MIN_BYTES` lives in its own
+shared anonymous mapping (:func:`_empty_f32`), not on the private heap.
+A forked worker therefore starts with none of the model resident: the
+kernel copies no page-table entries for a shared mapping at ``fork``,
+and a page faults in, from the one physical copy, the first time the
+worker's program reads it.  Per-channel vectors (bias, BN statistics)
+are a few KiB each and stay ordinary arrays.  A consequence: a write to
+a parameter after the workers are forked is visible to them.  Pickling
+copies the values, as for any array.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -29,6 +41,20 @@ Weights = Dict[str, Dict[str, np.ndarray]]
 #: both work through their float32 output in blocks of this size.
 _CHUNK_VALUES = 1 << 17
 
+#: Parameter arrays of at least this many bytes get a shared anonymous
+#: mapping; smaller ones (the per-channel vectors) a heap array.
+_SHARED_MIN_BYTES = 1 << 16
+
+
+def _empty_f32(shape: "Tuple[int, ...]") -> np.ndarray:
+    """An uninitialised float32 array of ``shape``: over a shared
+    anonymous mapping (``MAP_SHARED | MAP_ANONYMOUS``) from
+    :data:`_SHARED_MIN_BYTES` up, on the heap below."""
+    nbytes = int(np.prod(shape)) * 4
+    if nbytes < _SHARED_MIN_BYTES:
+        return np.empty(shape, np.float32)
+    return np.frombuffer(mmap.mmap(-1, nbytes), np.float32).reshape(shape)
+
 
 def fold_batch_norm(
     weight: np.ndarray,
@@ -47,10 +73,11 @@ def fold_batch_norm(
     unfused conv→BN pipeline to normal float32 rounding (a few ULPs per
     layer — the engine's BN-folding tolerance test pins this down).
     The weight is scaled a block of output rows at a time into the
-    float32 result, so no weight-sized float64 array is ever live.
+    float32 result, so no weight-sized float64 array is ever live; the
+    result is allocated as :func:`_empty_f32` allocates a weight.
     """
     scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + eps)
-    folded_w = np.empty(weight.shape, np.float32)
+    folded_w = _empty_f32(weight.shape)
     rows = max(1, _CHUNK_VALUES // max(1, int(np.prod(weight.shape[1:]))))
     for lo in range(0, len(weight), rows):
         # float32 × float64 multiplies in float64, as the one-shot
@@ -70,7 +97,7 @@ def _normal_f32(
     :data:`_CHUNK_VALUES` at a time into the float32 result: the
     generator's stream does not depend on how its draws are split, and
     each store rounds as ``astype`` does, so the values are the same."""
-    out = np.empty(shape, np.float32)
+    out = _empty_f32(shape)
     flat = out.reshape(-1)
     for lo in range(0, flat.size, _CHUNK_VALUES):
         flat[lo : lo + _CHUNK_VALUES] = rng.normal(

@@ -14,8 +14,9 @@ processes:
 
 Both transports are *self-launching*: :meth:`Transport.open` forks the
 worker processes with their roles — model, compiled segment, weights
-and compute width as process arguments, so the weights stay this
-process's pages, shared copy-on-write — and handshakes them; so
+and compute width as process arguments, so a worker maps this
+process's shared weight pages and faults in only those its segment
+reads — and handshakes them; so
 :class:`~repro.runtime.core.PipelineSession` and
 :class:`~repro.serve.server.PipelineServer` drive real processes
 through the exact ``configure() → open()`` flow they use for the
@@ -201,6 +202,14 @@ class TcpTransport(Transport):
     # -- worker lifecycle ----------------------------------------------
     def _launch_workers(self, program: PlanProgram) -> None:
         """Fork and handshake one worker process per task."""
+        try:
+            ctx = mp.get_context("fork")
+        except ValueError as exc:
+            raise RuntimeError(
+                f"{type(self).__name__} needs the 'fork' start method, which "
+                "this platform lacks: each worker gets its role and the "
+                "shared parameter pages through the fork"
+            ) from exc
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))
@@ -212,11 +221,11 @@ class TcpTransport(Transport):
         # its share, one thread wherever there are more workers than
         # threads.  A worker's role — model, program, weights, width —
         # goes through the fork: the fork context pickles no argument,
-        # so every worker computes on this process's weight pages.
+        # so every worker computes on this process's shared weight
+        # mappings, faulting in only the pages its program reads.
         n_workers = sum(len(stage.tasks) for stage in program.stages)
         self.worker_threads = max(1, parallel.configured_threads() // n_workers)
         worker_id = 0
-        ctx = mp.get_context("fork")
         for stage in program.stages:
             handles = []
             for task in stage.tasks:

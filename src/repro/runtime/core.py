@@ -965,7 +965,10 @@ class PipelineSession:
         return self.run_stacked((x,), at)[0]
 
     def run_stacked(
-        self, frames: "Sequence[np.ndarray]", at: Optional[float] = None
+        self,
+        frames: "Sequence[np.ndarray]",
+        at: Optional[float] = None,
+        ids: "Optional[Sequence[int]]" = None,
     ) -> "List[np.ndarray]":
         """Run a cross-frame batch as one unit through every stage.
 
@@ -979,14 +982,21 @@ class PipelineSession:
         :class:`StageFailure` replans and replays all ``B`` frames
         together.  A timing-only transport reads no frame, stacks
         nothing and returns ``None`` per frame.
+
+        ``ids`` are the members' frame ids, which the transport, the
+        door and the trace see (a server passes its per-call indices);
+        by default the session numbers frames in submission order.
         """
         if not frames:
             raise ValueError("cannot run an empty batch")
+        if ids is None:
+            ids = range(self._next_frame, self._next_frame + len(frames))
+            self._next_frame += len(frames)
+        ids = tuple(ids)
+        if len(ids) != len(frames):
+            raise ValueError("ids must align one-to-one with frames")
         if self.door.replanner is not None:
-            self.door.step(self._next_frame)
-        base = self._next_frame
-        ids = tuple(range(base, base + len(frames)))
-        self._next_frame += len(frames)
+            self.door.step(ids[0])
         if not self.transport.compute:
             self._walk(None, ids, at)
             return [None] * len(frames)

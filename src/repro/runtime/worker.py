@@ -3,11 +3,12 @@
 A worker owns one device role in one stage.  It is forked with that
 role — the model spec, its compiled segment program, the weights and
 its compute width — as process arguments, so the weights it computes
-with are the coordinator's own pages, shared copy-on-write, never
-shipped or decoded.  It sizes its :mod:`repro.nn.parallel` pool to
-that width, connects back to the coordinator, then loops: receive a
-tile, run the program with the numpy engine, return the output tile
-with its compute time.
+with are the coordinator's own pages, never shipped or decoded: a
+shared mapping, faulted in on first use, so the worker is resident
+only in the layers its program reads.  It sizes its
+:mod:`repro.nn.parallel` pool to that width, connects back to the
+coordinator, then loops: receive a tile, run the program with the numpy
+engine, return the output tile with its compute time.
 """
 
 from __future__ import annotations

@@ -453,7 +453,10 @@ class PipelineServer:
                 # is left to wait for): launches on the last admit
                 at = admits[-1]
             try:
-                outs = session.run_stacked([x for _, x, _ in batch], at=at)
+                outs = session.run_stacked(
+                    [x for _, x, _ in batch], at=at,
+                    ids=[index for index, _, _ in batch],
+                )
             except StageFailure:
                 for index, _, admit in batch:
                     records.append(

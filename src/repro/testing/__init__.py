@@ -13,7 +13,9 @@ independent oracle lives here, once, for the test suite and the
   :class:`StageTimeTable` and :func:`plan_homogeneous_reference`;
 * :mod:`repro.testing.weights` — the one-shot float64 weight build
   and BN fold, :func:`init_weights_reference` and
-  :func:`fold_batch_norm_reference`.
+  :func:`fold_batch_norm_reference`;
+* :mod:`repro.testing.memory` — what a worker process holds, read
+  from ``/proc``, and the weight bytes its program may hold.
 
 No production module imports this package (``make lint-forks``).
 """

@@ -21,8 +21,9 @@ BENCH_SIM = ROOT / "BENCH_sim.json"
 
 
 def test_run_suite_smoke():
-    """A quick run measures the resnet34 memory row and carries the
-    committed parent comparison over, which its gate reads."""
+    """A quick run measures the resnet34 memory row — each worker
+    resident only in its own layers — and carries the committed parent
+    comparison over, which its gate reads."""
     committed = json.loads(BENCH_ENGINE.read_text())
     report = common.run_report(
         ENGINE, quick=True, committed=committed, models=(("vgg16", 32),),
@@ -55,6 +56,7 @@ def test_run_suite_smoke():
     assert report["gates"] == {
         "fast_matches_reference": True,
         "memory_outputs_exact": True,
+        "memory_workers_hold_only_their_layers": True,
         "memory_last_stage_private_below_parent": True,
     }
     (memory,) = report["memory"]
@@ -62,6 +64,8 @@ def test_run_suite_smoke():
     assert [w["stage"] for w in memory["workers"]] == [0, 1, 2, 3]
     for worker in memory["workers"]:
         assert 0 < worker["uss_mb"] <= worker["pss_mb"] <= worker["vm_hwm_mb"]
+        assert worker["shmem_open_mb"] < 1.0
+        assert 0 < worker["shmem_mb"] <= worker["program_weight_mb"] + 1.0
     assert report["memory_before_after"] == committed["memory_before_after"]
     # The whole report must round-trip through JSON (what main() writes).
     assert json.loads(json.dumps(report)) == report

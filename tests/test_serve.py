@@ -452,6 +452,67 @@ class TestThreadedServing:
             assert kinds == sorted(e.kind for e in first.trace)
 
 
+class TestOneFrameIdentity:
+    """Records, outputs and trace events of a call carry one frame
+    number, the call's own index, whatever is shed and however many
+    calls came before."""
+
+    def test_shed_frame_shifts_no_trace_id(self, model, weights, net, program):
+        server = _sim_server(
+            model, weights, net, program,
+            ServerConfig(queue_capacity=1, policy="shed"), tracer=True,
+        )
+        result = server.serve(4, arrivals=[0.0, 0.0, 100.0, 200.0])
+        server.close()
+        assert [r.frame for r in result.completed] == [0, 2, 3]
+        assert [r.frame for r in result.shed] == [1]
+        assert sorted({e.frame for e in result.trace}) == [0, 2, 3]
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_traced_ids_are_done_ids(self, model, weights, net, program,
+                                     backend, seed):
+        rng = np.random.default_rng(seed)
+        frames = [
+            rng.standard_normal(model.input_shape).astype(np.float32)
+            for _ in range(6)
+        ]
+        if backend == "sim":
+            transport = SimTransport(Engine(model, weights), net, compute=False)
+            scale = 2.0 * plan_cost(model, program.plan, net).period
+        else:
+            transport = InProcTransport(Engine(model, weights))
+            scale = 0.002  # seconds of wall clock
+        capacity = int(rng.integers(1, 3))
+        server = PipelineServer(
+            program, transport,
+            ServerConfig(queue_capacity=capacity, policy="shed"), tracer=True,
+        )
+        shed = 0
+        for _call in range(3):
+            n = int(rng.integers(capacity + 2, 7))
+            # Each call opens with a burst one frame past the capacity,
+            # so every call sheds, then arrives in random bursts.
+            gaps = rng.choice([0.0, 0.0, 1.0, 3.0], size=n) * scale
+            gaps[: capacity + 1] = 0.0
+            start = transport.clock() if backend == "sim" else 0.0
+            arrivals = list(start + np.cumsum(gaps))
+            result = server.serve(
+                frames[:n] if backend == "inproc" else n, arrivals=arrivals
+            )
+            done = {r.frame for r in result.completed}
+            assert {e.frame for e in result.trace} == done
+            if backend == "inproc":
+                assert set(result.outputs) == done
+                for fid in done:
+                    want = Engine(model, weights).forward_features(frames[fid])
+                    assert np.array_equal(result.outputs[fid], want)
+            shed += len(result.shed)
+        server.close()
+        if backend == "sim":
+            assert shed >= 3
+
+
 # ---------------------------------------------------------------------------
 # Event-simulator admission control (queue_capacity plumbing)
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import mmap
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -165,3 +168,82 @@ def test_bn_fold_holds_one_chunk_of_float64():
         p["weight"], p.get("bias"), p["gamma"], p["beta"], p["mean"], p["var"]
     ))
     assert peak < folded_w.nbytes + folded_b.nbytes + (2 << 20), (peak, folded_w.nbytes)
+
+
+# -- where the bytes live: shared anonymous mappings above the floor ----------
+#: sha256 over every parameter (layer, name, dtype, shape, bytes in dict
+#: order) of each model of MODEL_NAMES at its ``_small_model`` input,
+#: seed 0, recorded before the weights moved into shared mappings.
+PARAM_SHA256 = {
+    "fig13_toy": "536c05f5018b08be78f754d35053b4354ac0a989d86e662657156b273c2f92ab",
+    "inception_v3": "4cba83d8a296ec7c944af5f50ed7d38299efd76e2f75396b3fea9ae7e38b6724",
+    "mobilenet_v2": "21a663f67e34a724ae2815b6b241ceb3935e4b755ef3de363c87f0ed74062a36",
+    "resnet34": "8eb896a644708bfd5aef37b7777822fcb11338ab16cb35eefb69e00778adf1e0",
+    "vgg16": "71bd8411246ace674134c736c7efe26e0c791904d8269c66bb86cc1b38a90c40",
+    "yolov2": "87d9ce4cf59f7b3ddc025066900f090741739fce8c568839ee4797085415de3d",
+    "toy_chain": "8a47deb731b1790a22a7cc3940bace966594363263c738631b1fb674384e37a0",
+}
+
+
+def _backing(array: np.ndarray):
+    """The object that owns ``array``'s bytes (``None``: numpy does)."""
+    owner = array
+    while isinstance(owner, np.ndarray):
+        if owner.base is None:
+            return None
+        owner = owner.base
+    return owner.obj if isinstance(owner, memoryview) else owner
+
+
+def _shared(array: np.ndarray) -> bool:
+    return isinstance(_backing(array), mmap.mmap)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_parameter_bytes_are_unchanged(name):
+    digest = hashlib.sha256()
+    for layer, params in init_weights(_small_model(name)).items():
+        for param, array in params.items():
+            digest.update(f"{layer}/{param}/{array.dtype}/{array.shape}".encode())
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == PARAM_SHA256[name]
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_weights_above_the_floor_are_shared_mappings(name):
+    """Every conv and dense weight and every folded weight of at least
+    the floor is an anonymous mapping; smaller ones and every
+    per-channel vector are heap arrays."""
+    model = _small_model(name)
+    weights = init_weights(model)
+    floor = weights_module._SHARED_MIN_BYTES
+    shared = 0
+    for layer, params in weights.items():
+        for param, array in params.items():
+            big = param == "weight" and array.nbytes >= floor
+            assert _shared(array) == big, (layer, param, array.nbytes)
+            assert array.flags.writeable and array.flags.c_contiguous
+            shared += big
+    for info in model.iter_layers():
+        layer = info.layer
+        if isinstance(layer, ConvSpec) and layer.batch_norm:
+            p = weights[layer.name]
+            folded_w, folded_b = fold_batch_norm(
+                p["weight"], p.get("bias"), p["gamma"], p["beta"], p["mean"], p["var"]
+            )
+            assert _shared(folded_w) == (folded_w.nbytes >= floor), layer.name
+            assert not _shared(folded_b)
+    # fig13_toy's and the toy chain's largest weights are under 64 KiB.
+    assert shared or name in ("fig13_toy", "toy_chain")
+
+
+def test_a_pickle_round_trip_copies_equal_arrays():
+    weights = init_weights(get_model("resnet34", input_hw=64))
+    back = pickle.loads(pickle.dumps(weights))
+    assert list(back) == list(weights)
+    for layer, params in weights.items():
+        for param, array in params.items():
+            got = back[layer][param]
+            assert not _shared(got)
+            assert got.dtype == array.dtype and got.shape == array.shape
+            assert got.tobytes() == array.tobytes(), (layer, param)

@@ -1,0 +1,93 @@
+"""A worker is resident only in the layers its program runs.
+
+Every weight matrix lives in a shared anonymous mapping
+(:mod:`repro.nn.weights`), so ``fork`` copies no page-table entry of
+the model into a worker: right after ``open()`` a worker's shared
+resident set (``RssShmem``) is empty, and after frames it holds at most
+the raw weights of its program's layers plus the folded copies its
+engine builds of the batch-norm ones — and at least the ones above the
+shared-mapping floor, which shows they are shared.  Read from
+``/proc`` on tcp, for resnet34@64 (batch norm folds) and vgg16@64 (no
+batch norm, a large last stage); outputs stay bit-equal to the
+in-process ``Engine``.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pytest
+
+from repro.cluster.device import heterogeneous_cluster
+from repro.cost.comm import NetworkModel
+from repro.models.zoo import get_model
+from repro.nn import parallel
+from repro.nn import weights as weights_module
+from repro.nn.executor import Engine
+from repro.nn.weights import init_weights
+from repro.runtime.coordinator import TcpTransport
+from repro.schemes.pico import PicoScheme
+from repro.serve import PipelineServer, ServerConfig
+from repro.testing.memory import (
+    process_memory,
+    program_layers,
+    program_param_bytes,
+)
+
+pytestmark = pytest.mark.skipif(
+    not os.path.exists("/proc/self/smaps_rollup"), reason="needs Linux /proc"
+)
+
+MIB = 1 << 20
+FRAMES = 4
+
+
+def _shared_bytes(weights, program) -> int:
+    """The bytes of ``program``'s weights and folded weights that are
+    large enough for a shared mapping."""
+    total = 0
+    for name, layer in program_layers(program).items():
+        nbytes = weights[name]["weight"].nbytes
+        if nbytes >= weights_module._SHARED_MIN_BYTES:
+            total += 2 * nbytes if layer.batch_norm else nbytes
+    return total
+
+
+@pytest.mark.parametrize("name, mbps", [("resnet34", 50.0), ("vgg16", 1000.0)])
+def test_workers_hold_only_their_layers(name, mbps):
+    model = get_model(name, input_hw=64)
+    weights = init_weights(model, 0)
+    plan = PicoScheme().plan(
+        model, heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0]),
+        NetworkModel.from_mbps(mbps),
+    )
+    rng = np.random.default_rng(5)
+    xs = [
+        rng.standard_normal(model.input_shape).astype(np.float32)
+        for _ in range(FRAMES)
+    ]
+    engine = Engine(model, weights)
+    want = [engine.forward_features(x) for x in xs]
+    parallel.shutdown_pool()  # no live pool in the parent of forked workers
+    transport = TcpTransport(model, weights)
+    with PipelineServer.from_plan(
+        model, plan, transport,
+        config=ServerConfig(queue_capacity=FRAMES, policy="block"),
+    ) as server:
+        handles = transport.all_handles()
+        assert len(handles) > 1
+        for h in handles:
+            held = process_memory(h.process.pid)["shmem_mb"] * MIB
+            assert held < MIB, (h.stage_index, h.task.device_name, held)
+        served = server.serve(xs)
+        for h in handles:
+            held = process_memory(h.process.pid)["shmem_mb"] * MIB
+            bound = program_param_bytes(weights, h.task.program) + MIB
+            floor = _shared_bytes(weights, h.task.program) - MIB
+            assert floor <= held <= bound, (
+                h.stage_index, h.task.device_name, floor, held, bound
+            )
+    assert sorted(served.outputs) == list(range(FRAMES))
+    for i, out in served.outputs.items():
+        assert np.array_equal(out, want[i]), i

@@ -10,6 +10,7 @@ the in-process ``Engine``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 
@@ -25,12 +26,13 @@ from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 from repro.partition.branches import assign_paths_lpt, path_flops
 from repro.partition.regions import Region
+from repro.runtime import coordinator
 from repro.runtime import transport as wire
 from repro.runtime.faults import RuntimeConfig
 from repro.runtime.program import compile_plan
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
-from tests.conftest import WORKER_TRANSPORTS
+from tests.conftest import WORKER_TRANSPORTS, own_shm_segments
 
 HETERO4 = heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0])
 
@@ -85,6 +87,33 @@ def test_open_ships_no_weights(resnet34, monkeypatch, name):
         _assert_bit_equal(Engine(model, weights), xs, server.serve(xs).outputs)
     finally:
         server.close()
+
+
+@pytest.mark.parametrize("name", ["tcp", "shm"])
+def test_open_without_fork_names_the_requirement(resnet34, monkeypatch, name):
+    """Where the platform has no ``fork`` start method (simulated here
+    as ``get_context`` raises it there), ``open()`` raises a
+    ``RuntimeError`` naming it and leaves no child and no ring behind."""
+    model, weights = resnet34
+    program = compile_plan(
+        model, PicoScheme().plan(model, HETERO4, NetworkModel.from_mbps(50.0))
+    )
+    get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(coordinator.mp, "get_context", no_fork)
+    rings = set(own_shm_segments())
+    transport = WORKER_TRANSPORTS[name](model, weights)
+    with pytest.raises(RuntimeError, match="'fork' start method"):
+        _server(transport, program, 2)
+    assert multiprocessing.active_children() == []
+    assert transport.all_handles() == []
+    assert set(own_shm_segments()) == rings
+    transport.close()  # a second close is a no-op
 
 
 def _branch_plan(model, cluster):
