@@ -66,8 +66,10 @@ lint-forks:
 	test "$$(grep -c "batched_service(" src/repro/runtime/core.py)" = 1
 	! grep -nI "Engine(model, seed" src/repro/bench/serve.py
 # One wire frame: runtime/transport.py owns the only encoder, decoder
-# and array-descriptor parser; socket and shm channels both speak it,
-# so no codec version, no version sniff, no second descriptor parser.
+# and array-descriptor parser; socket and shm channels both speak it.
+# Its body field names the body (pickled skeleton, or the fixed
+# TileTask / TileResult struct), so no codec version, no version sniff,
+# no second descriptor parser.
 	test "$$(grep -rnI "def decode_message" src/repro/runtime | wc -l)" = 1
 	test "$$(grep -rnI "def encode_parts" src/repro/runtime | wc -l)" = 1
 	! grep -rnIE "_V2_|_CODEC_VERSION|_read_descriptor|_DESC_" src/

@@ -51,6 +51,18 @@ single-process oracle bit for bit; there is no speed gate.
 one, alternating (``--before-after PARENT_SRC``), and is carried over
 from the committed report when not re-measured.
 
+The **codec** section times the one frame codec in process, per
+message: µs per :func:`~repro.runtime.transport.encode_parts` and per
+:func:`~repro.runtime.transport.decode_message` of a ``TileTask`` and a
+``TileResult`` at the first stage tile of the e2e toy64 and resnet34@64
+plans (PICO, the 1200/1000/800/600 MHz cluster, 50 Mbps), inline and
+in a ring slot, the fixed tile body beside the pickled body (the body
+every other message takes, and the one tile frames took before the
+fixed body; the encoder is pointed at it for these rows).  Its gate,
+``codec_tile_frames_pickle_nothing``, is deterministic: encoding and
+decoding a tile frame constructs no pickler and no unpickler, and every
+control frame still round-trips through the restricted unpickler.
+
 Results land in ``BENCH_transport.json``; non-zero exit when a gate
 fails.  ``--check`` holds the case list and frame sizes against the
 committed report and enforces the gates on the fresh run::
@@ -62,6 +74,8 @@ committed report and enforces the gates on the fresh run::
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import multiprocessing as mp
 import os
 import queue
@@ -77,13 +91,29 @@ from repro.bench import common
 from repro.cluster.device import heterogeneous_cluster
 from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
+from repro.models.zoo import get_model
 from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
+from repro.runtime import transport as wire
 from repro.runtime.coordinator import ShmTransport, TcpTransport
-from repro.runtime.messages import Hello, ShmAttach, Shutdown, TileResult, TileTask
+from repro.runtime.messages import (
+    Hello,
+    Reconfigure,
+    ShmAttach,
+    Shutdown,
+    TileResult,
+    TileTask,
+    WorkerError,
+)
+from repro.runtime.program import compile_plan, split_stage
 from repro.runtime.shm import ShmChannel, ShmRing
-from repro.runtime.transport import Channel
+from repro.runtime.transport import (
+    Channel,
+    decode_message,
+    encode_message,
+    encode_parts,
+)
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
 
@@ -107,6 +137,14 @@ DISPATCH_FRAMES = (3000, 300)
 DISPATCH_WINDOW = 8
 DISPATCH_INPUTS = 16
 DISPATCH_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+#: The codec rows: the e2e models whose first stage tile they encode,
+#: and the calls per timing (full, quick).
+CODEC_MODELS = (
+    ("toy64", lambda: toy_chain(8, 2, input_hw=64, base_channels=8)),
+    ("resnet34", lambda: get_model("resnet34", input_hw=64)),
+)
+CODEC_CALLS = (2000, 200)
 
 
 def _echo_child(host: str, port: int, mode: str) -> None:
@@ -323,6 +361,155 @@ def _dispatch_rows(frames: int, seed: int) -> "List[Dict]":
     return rows
 
 
+def _first_stage_tiles(model) -> "Tuple[np.ndarray, np.ndarray, Reconfigure]":
+    """The first task of the model's e2e plan: its input tile, an output
+    tile of its shape, and the ``Reconfigure`` that would ship it."""
+    cluster = heterogeneous_cluster([1200.0, 1000.0, 800.0, 600.0])
+    program = compile_plan(
+        model, PicoScheme().plan(model, cluster, NetworkModel.from_mbps(50.0))
+    )
+    stage = program.stages[0]
+    task = stage.tasks[0]
+    x = np.linspace(-1.0, 1.0, int(np.prod(model.input_shape)), dtype=np.float32)
+    tile = split_stage(stage.tasks, x.reshape(model.input_shape))[0]
+    region = task.program.out_region
+    out_shape = (stage.out_shape[0], region.height, region.width)
+    out = np.linspace(0.0, 1.0, int(np.prod(out_shape)), dtype=np.float32)
+    return tile, out.reshape(out_shape), Reconfigure(task.program)
+
+
+@contextlib.contextmanager
+def _pickled_tile_body():
+    """Point the encoder at the pickled body for tile messages too."""
+    fixed = wire._tile_body
+    wire._tile_body = lambda message: None
+    try:
+        yield
+    finally:
+        wire._tile_body = fixed
+
+
+@contextlib.contextmanager
+def _counting_picklers(counts: "Dict[str, int]"):
+    """Count every ``_ArrayPickler`` / ``_RestrictedUnpickler`` the codec
+    constructs while the block runs."""
+    pickler, unpickler = wire._ArrayPickler, wire._RestrictedUnpickler
+
+    class Pickler(pickler):
+        def __init__(self, *args) -> None:
+            counts["picklers"] += 1
+            super().__init__(*args)
+
+    class Unpickler(unpickler):
+        def __init__(self, *args) -> None:
+            counts["unpicklers"] += 1
+            super().__init__(*args)
+
+    wire._ArrayPickler, wire._RestrictedUnpickler = Pickler, Unpickler
+    try:
+        yield
+    finally:
+        wire._ArrayPickler, wire._RestrictedUnpickler = pickler, unpickler
+
+
+def _ring_side(ring: "Optional[ShmRing]"):
+    """``(place, slot_view)`` of a codec call: slot 0 of ``ring``, or
+    inline when there is none."""
+    if ring is None:
+        return None, None
+    return (lambda contiguous: (ring.write(0, contiguous), 0)[1]), ring.view
+
+
+def _codec_us(message, ring: "Optional[ShmRing]", calls: int, pickled: bool):
+    """µs per encode and per decode of ``message`` and its frame bytes."""
+    place, slot_view = _ring_side(ring)
+    with _pickled_tile_body() if pickled else contextlib.nullcontext():
+        parts, total = encode_parts(message, (), place)
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            encode_parts(message, (), place)
+        t1 = time.perf_counter()
+    payload = memoryview(bytearray(b"".join(parts)))
+    t2 = time.perf_counter()
+    for _ in range(calls):
+        decode_message(payload, None, slot_view)
+    t3 = time.perf_counter()
+    return 1e6 * (t1 - t0) / calls, 1e6 * (t3 - t2) / calls, total
+
+
+def _same_message(got, want) -> bool:
+    if isinstance(want, (TileTask, TileResult)):
+        return (
+            type(got) is type(want) and np.array_equal(got.tile, want.tile)
+            and dataclasses.replace(got, tile=None)
+            == dataclasses.replace(want, tile=None)
+        )
+    return got == want
+
+
+def _codec(calls: int, repeats: int) -> "Tuple[List[Dict], Dict]":
+    """The codec rows and the counts behind the pickle-nothing gate."""
+    rows: "List[Dict]" = []
+    counts = {
+        kind: {"frames": 0, "mismatched": 0, "picklers": 0, "unpicklers": 0}
+        for kind in ("tile", "control")
+    }
+    tiles, controls = [], [
+        Hello(3), ShmAttach("tx", "rx", 4096, 2), WorkerError(7, 1, "boom", 2),
+        WorkerError(None, 0, "lost", 0), Shutdown(),
+    ]
+    for name, build in CODEC_MODELS:
+        tile, out, reconfigure = _first_stage_tiles(build())
+        controls.append(reconfigure)
+        tiles += [(name, TileTask(5, tile, 1)), (name, TileResult(5, 2, out, 1e-3, 1))]
+    ring = ShmRing.create(max(m.tile.nbytes for _, m in tiles), 1)
+    try:
+        for placement, on in (("inline", None), ("slot", ring)):
+            place, slot_view = _ring_side(on)
+            for name, message in tiles:
+                with _counting_picklers(counts["tile"]):
+                    parts, _total = encode_parts(message, (), place)
+                    got = decode_message(
+                        memoryview(bytearray(b"".join(parts))), None, slot_view
+                    )
+                counts["tile"]["frames"] += 1
+                counts["tile"]["mismatched"] += not _same_message(got, message)
+                del got  # a slot view dies before the ring
+                (pickled, fixed) = common.interleaved(
+                    [lambda body=body: _codec_us(message, on, calls, body)
+                     for body in (True, False)],
+                    repeats,
+                )
+                row = {
+                    "model": name,
+                    "message": type(message).__name__,
+                    "shape": list(message.tile.shape),
+                    "placement": placement,
+                    "pickled_bytes": pickled[0][2],
+                    "fixed_bytes": fixed[0][2],
+                }
+                for side, samples in (("pickled", pickled), ("fixed", fixed)):
+                    for i, op in enumerate(("encode", "decode")):
+                        row[f"{side}_{op}_us"] = round(
+                            statistics.median(s[i] for s in samples), 2
+                        )
+                rows.append(row)
+                print(
+                    f"codec[{name} {row['message']} {placement}]: encode "
+                    f"{row['pickled_encode_us']:.1f} -> {row['fixed_encode_us']:.1f}"
+                    f" us, decode {row['pickled_decode_us']:.1f} -> "
+                    f"{row['fixed_decode_us']:.1f} us (pickled -> fixed body)"
+                )
+    finally:
+        ring.destroy()
+    for message in controls:
+        with _counting_picklers(counts["control"]):
+            got = decode_message(memoryview(encode_message(message)))
+        counts["control"]["frames"] += 1
+        counts["control"]["mismatched"] += not _same_message(got, message)
+    return rows, counts
+
+
 def _before_after(parent_src: str, frames: int, seed: int, rounds: int) -> Dict:
     """The dispatch rows at ``parent_src`` and at this checkout,
     alternating (:func:`repro.bench.common.parent_vs_change`); both
@@ -436,6 +623,7 @@ def run(
         if int(np.prod(shape)) * 4 >= 4e6 and "oneway" in modes
     }
     print(f"shm/tcp oneway ratios {ratios} (min {min_ratio})")
+    codec, codec_counts = _codec(CODEC_CALLS[quick], repeats)
     dispatch_frames = DISPATCH_FRAMES[quick]
     dispatch = _dispatch_rows(dispatch_frames, seed)
     if before_after:
@@ -466,12 +654,23 @@ def run(
             "min_ratio": min_ratio,
             "ratios": ratios,
         },
+        "codec": codec,
+        "codec_counts": codec_counts,
         "dispatch": dispatch,
         "before_after": parent_vs_change,
     }
+    tile, control = codec_counts["tile"], codec_counts["control"]
     return sections, {
         "shm_beats_tcp_oneway": bool(ratios)
         and all(r >= min_ratio for r in ratios.values()),
+        # tile frames round-trip with no pickler or unpickler built;
+        # every control frame takes one of each
+        "codec_tile_frames_pickle_nothing": (
+            tile["frames"] > 0 and control["frames"] > 0
+            and tile["mismatched"] == control["mismatched"] == 0
+            and tile["picklers"] == tile["unpicklers"] == 0
+            and control["picklers"] == control["unpicklers"] == control["frames"]
+        ),
         "dispatch_outputs_exact": all(row["exact"] for row in dispatch),
     }
 
@@ -482,11 +681,14 @@ BENCH = common.Bench(
     deterministic=(
         common.Section("config", same_mode=True),
         common.Section("results", key=("transport", "size", "mode")),
+        common.Section("codec", key=("model", "message", "placement")),
+        common.Section("codec_counts"),
         common.Section("dispatch", key=("transport",), same_mode=True),
     ),
     timings=(
         "frames_per_s", "mb_per_s", "samples", "coordinator_cpu_ms",
-        "worker_cpu_ms",
+        "worker_cpu_ms", "pickled_encode_us", "pickled_decode_us",
+        "fixed_encode_us", "fixed_decode_us",
     ),
     extras={
         "--frames": dict(type=int, default=40),

@@ -5,7 +5,9 @@ model copy of paper Fig. 6) and compute width — through the fork that
 starts it, so the wire carries no weights: after the :class:`Hello`
 handshake (and :class:`ShmAttach` on the shared-memory transport) the
 coordinator streams :class:`TileTask` frames per inference.  Everything
-is a plain dataclass so the framed-pickle transport can carry it.
+is a plain dataclass: the wire codec (:mod:`repro.runtime.transport`)
+carries a :class:`TileTask` or :class:`TileResult` in a fixed binary
+body and pickles the rest through its restricted unpickler.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The framed TCP transport pays three copies per tensor hop on one box:
 encode → kernel send buffer → receive buffer.  This module moves the
 tensor *payload plane* into a ``multiprocessing.shared_memory`` ring of
-preallocated slots while the *control plane* (message skeletons, slot
+preallocated slots while the *control plane* (message bodies, slot
 descriptors, releases) stays on the existing framed socket:
 
 * the sender copies a contiguous tensor once into a free ring slot
@@ -273,9 +273,10 @@ class ShmRing:
             offset=self._offset(slot),
         ).reshape(shape)
 
-    def view(self, slot: int, descr: str, shape, nbytes: int) -> np.ndarray:
-        """Map a slot as an ndarray — the zero-copy read."""
-        dtype = np.dtype(descr)
+    def view(self, slot: int, dtype, shape, nbytes: int) -> np.ndarray:
+        """Map a slot as an ndarray — the zero-copy read (``dtype`` is a
+        dtype or its descr)."""
+        dtype = np.dtype(dtype)
         if nbytes > self.slot_bytes:
             raise ValueError("slot descriptor overruns the slot")
         return np.frombuffer(
@@ -349,8 +350,8 @@ class ShmChannel(Channel):
             self.send_ring.write(slot, contiguous)
         return slot
 
-    def _slot_view(self, slot: int, descr: str, shape, nbytes: int) -> np.ndarray:
-        arr = self.recv_ring.view(slot, descr, shape, nbytes)
+    def _slot_view(self, slot: int, dtype, shape, nbytes: int) -> np.ndarray:
+        arr = self.recv_ring.view(slot, dtype, shape, nbytes)
         self._to_release.append(slot)
         return arr
 

@@ -3,13 +3,16 @@
 Mirrors the paper's implementation ("a distributed framework …
 using C++ extension and TCP/IP with socket"): each frame is an 8-byte
 big-endian length followed by the encoded message.  The payload is no
-longer a raw pickle:
+raw pickle:
 
-* numpy arrays are lifted out of the object graph and carried as
+* numpy arrays are lifted out of the message and carried as
   header-tagged ``(dtype, shape, raw bytes)`` segments — no pickle
   round-trip for tensor payloads, and the receiver reconstructs them
-  with :func:`numpy.frombuffer` straight off the receive buffer;
-* the remaining object skeleton is pickled, but decoded through a
+  as ndarray views straight off the receive buffer;
+* the per-inference messages, :class:`~repro.runtime.messages.TileTask`
+  and :class:`~repro.runtime.messages.TileResult`, carry their ids in a
+  fixed binary body — one precompiled ``struct``, no pickler at all;
+* every other message's skeleton is pickled, but decoded through a
   restricted ``Unpickler`` whose ``find_class`` only resolves this
   package's dataclasses plus a small closed set of safe builtins — a
   frame from a hostile peer cannot name arbitrary callables.
@@ -22,7 +25,21 @@ speaks::
     n_arrays × [u8 kind | u8 len | dtype descr | u8 ndim |
                 u64×ndim shape | u64 nbytes |
                 kind=0: raw data — kind=1: u32 slot]
-    pickled skeleton (arrays replaced by persistent ids)
+    u8 body
+    body=0: pickled skeleton (arrays replaced by persistent ids)
+    body=1: TileTask   — i64 task_id | i64 epoch
+    body=2: TileResult — i64 task_id | i64 worker_id | f64 compute_s |
+                         i64 epoch
+
+A tile body (1 or 2) follows exactly one array, the tile, and fills
+the rest of the frame.  The body field sits after the arrays so that
+inline data keeps its offset in the frame (4-byte aligned for a
+float32 tile).  The encoder picks a tile body when the message is a
+``TileTask`` or ``TileResult`` whose ``tile`` is one plain ndarray and
+whose ids are Python ints within int64 (``compute_s`` a float); any
+other tile message — nested payloads, ids past int64 — takes the
+pickled body and round-trips all the same.  The body field is written
+by the encoder, never inferred from the bytes that follow it.
 
 Releases and ``kind=1`` slot references belong to channels backed by
 shared-memory rings (:mod:`repro.runtime.shm`): a tensor rides a ring
@@ -45,6 +62,7 @@ has more than one reader.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import pickle
@@ -53,6 +71,8 @@ import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+
+from repro.runtime.messages import TileResult, TileTask
 
 __all__ = [
     "TransportClosed",
@@ -67,13 +87,31 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct(">Q")
-_U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 _INLINE, _SLOT = 0, 1  # array kinds
-#: The smallest payload: an empty release list and an array count.
-_MIN_PAYLOAD = _U16.size + _U32.size
+_PICKLED, _TILE_TASK, _TILE_RESULT = 0, 1, 2  # body kinds
+_TASK_BODY = struct.Struct(">qq")  # task_id, epoch
+_RESULT_BODY = struct.Struct(">qqdq")  # task_id, worker_id, compute_s, epoch
+_TILE_BODIES = {_TILE_TASK: _TASK_BODY, _TILE_RESULT: _RESULT_BODY}
+_BODY_KINDS = tuple(bytes([kind]) for kind in (_PICKLED, _TILE_TASK, _TILE_RESULT))
+#: The smallest payload: no releases, no arrays and a body field.
+_MIN_PAYLOAD = _U16.size + _U32.size + 1
+
+#: An array descriptor, precompiled: its head ``u8 kind | u8 len |
+#: descr | u8 ndim`` per descr length, and its tail ``u64×ndim shape |
+#: u64 nbytes`` (a slot reference adds ``u32 slot``) per ndim — numpy
+#: allows at most 64 dims.
+_ARRAY_HEADS = tuple(struct.Struct(">BB%dsB" % n) for n in range(256))
+_SHAPES = tuple(struct.Struct(">%dQQ" % n) for n in range(65))
+_SLOT_SHAPES = tuple(struct.Struct(">%dQQI" % n) for n in range(65))
+
+#: Distinct dtypes the descriptor writer and parser remember: the
+#: writer's descr per dtype, the parser's dtype per descr — filled only
+#: with dtypes the wire accepts.
+_DTYPE_CACHE_MAX = 64
+_DESCRS: "Dict[np.dtype, bytes]" = {}
+_DTYPES: "Dict[bytes, np.dtype]" = {}
 
 #: Refuse absurd frames (corrupt header, protocol desync) before any
 #: allocation happens.
@@ -132,6 +170,65 @@ class _RestrictedUnpickler(pickle.Unpickler):
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _slots(n: int) -> struct.Struct:
+    """The precompiled ``n × u32`` of a release list."""
+    return struct.Struct(">%dI" % n)
+
+
+def _tile_body(message: Any) -> "Optional[Tuple[int, bytes]]":
+    """``(body kind, body)`` of a tile message the fixed body carries
+    exactly, or ``None`` for the pickled body."""
+    cls = type(message)
+    if cls is TileTask:
+        ids = (message.task_id, message.epoch)
+        exact = type(ids[0]) is int and type(ids[1]) is int
+        kind, body = _TILE_TASK, _TASK_BODY
+    elif cls is TileResult:
+        ids = (message.task_id, message.worker_id, message.compute_s, message.epoch)
+        exact = (
+            type(ids[0]) is int and type(ids[1]) is int
+            and type(ids[2]) is float and type(ids[3]) is int
+        )
+        kind, body = _TILE_RESULT, _RESULT_BODY
+    else:
+        return None
+    if not exact or type(message.tile) is not np.ndarray:
+        return None
+    try:
+        return kind, body.pack(*ids)
+    except struct.error:  # an id outside int64
+        return None
+
+
+def _descr(dtype: np.dtype) -> bytes:
+    """The wire descr of ``dtype``; refuses dtypes the wire cannot carry."""
+    descr = _DESCRS.get(dtype)
+    if descr is None:
+        if dtype.hasobject or dtype.names is not None:
+            raise TypeError(
+                f"cannot encode array of dtype {dtype} (object/"
+                "structured dtypes are not wire-safe)"
+            )
+        descr = dtype.str.encode("ascii")
+        if len(_DESCRS) < _DTYPE_CACHE_MAX:
+            _DESCRS[dtype] = descr
+    return descr
+
+
+def _dtype(descr: bytes) -> np.dtype:
+    """The dtype a descriptor names; ``TypeError`` when numpy refuses it
+    or it holds object pointers (which no byte buffer may forge)."""
+    dtype = _DTYPES.get(descr)
+    if dtype is None:
+        dtype = np.dtype(descr.decode("ascii"))
+        if dtype.hasobject:
+            raise TypeError(f"object dtype {descr!r} is not wire-safe")
+        if len(_DTYPES) < _DTYPE_CACHE_MAX:
+            _DTYPES[descr] = dtype
+    return dtype
+
+
 def encode_parts(
     message: Any,
     releases: "Sequence[int]" = (),
@@ -150,37 +247,39 @@ def encode_parts(
     views keep their source arrays alive for as long as the parts list
     is.
     """
-    arrays: "List[np.ndarray]" = []
-    skeleton = io.BytesIO()
-    _ArrayPickler(skeleton, arrays).dump(message)
+    tile = _tile_body(message)
+    if tile is None:
+        arrays: "List[np.ndarray]" = []
+        skeleton = io.BytesIO()
+        _ArrayPickler(skeleton, arrays).dump(message)
+        kind, body = _PICKLED, skeleton.getvalue()
+    else:
+        (kind, body), arrays = tile, [message.tile]
     parts: "List[Any]" = [
-        struct.pack(
-            ">H%dII" % len(releases), len(releases), *releases, len(arrays)
-        )
+        _U16.pack(len(releases))
+        + (_slots(len(releases)).pack(*releases) if releases else b"")
+        + _U32.pack(len(arrays))
     ]
     for arr in arrays:
-        if arr.dtype.hasobject or arr.dtype.names is not None:
-            raise TypeError(
-                f"cannot encode array of dtype {arr.dtype} (object/"
-                "structured dtypes are not wire-safe)"
-            )
+        descr = _descr(arr.dtype)
         # ascontiguousarray promotes 0-d to 1-d; keep the true shape.
         contiguous = np.ascontiguousarray(arr)
         slot = place(contiguous) if place is not None else None
-        descr = contiguous.dtype.str.encode("ascii")
-        head = struct.pack(
-            ">BB%dsB%dQQ" % (len(descr), arr.ndim),
-            _INLINE if slot is None else _SLOT,
-            len(descr), descr, arr.ndim, *arr.shape, contiguous.nbytes,
-        )
+        ndim, nbytes = arr.ndim, contiguous.nbytes
         if slot is None:
-            parts.append(head)
-            if contiguous.nbytes:
+            parts.append(
+                _ARRAY_HEADS[len(descr)].pack(_INLINE, len(descr), descr, ndim)
+                + _SHAPES[ndim].pack(*arr.shape, nbytes)
+            )
+            if nbytes:
                 parts.append(memoryview(contiguous).cast("B"))
         else:
-            parts.append(head + _U32.pack(slot))
-    parts.append(skeleton.getvalue())
-    return parts, sum(len(p) for p in parts)
+            parts.append(
+                _ARRAY_HEADS[len(descr)].pack(_SLOT, len(descr), descr, ndim)
+                + _SLOT_SHAPES[ndim].pack(*arr.shape, nbytes, slot)
+            )
+    parts.append(_BODY_KINDS[kind] + body)
+    return parts, sum(map(len, parts))
 
 
 def encode_message(message: Any) -> bytes:
@@ -196,61 +295,82 @@ def decode_message(
 ) -> Any:
     """Decode one frame payload produced by :func:`encode_parts`.
 
-    ``release(slot)`` and ``slot_view(slot, descr, shape, nbytes)`` are
+    ``release(slot)`` and ``slot_view(slot, dtype, shape, nbytes)`` are
     a ring-backed channel's share; without them a frame that carries a
-    release or a slot reference is malformed.  The whole frame is
-    parsed and bounds-checked before either is called, so a malformed
-    frame touches no ring; inline arrays are views of ``payload``.
+    release or a slot reference is malformed.  The whole frame — tile
+    body included — is parsed and bounds-checked before either is
+    called, so a malformed frame touches no ring; inline arrays are
+    views of ``payload``.
     """
     arrays: "List[Optional[np.ndarray]]" = []
-    slot_refs = []  # (index into arrays, slot, descr, shape, nbytes)
+    slot_refs = []  # (index into arrays, slot, dtype, shape, nbytes)
+    end = len(payload)
     try:
         (n_releases,) = _U16.unpack_from(payload, 0)
-        releases = struct.unpack_from(">%dI" % n_releases, payload, _U16.size)
-        offset = _U16.size + _U32.size * n_releases
+        offset = _U16.size
+        releases: "Tuple[int, ...]" = ()
+        if n_releases:
+            listed = _slots(n_releases)
+            releases = listed.unpack_from(payload, offset)
+            offset += listed.size
         (n_arrays,) = _U32.unpack_from(payload, offset)
         offset += _U32.size
         for _ in range(n_arrays):
-            kind, descr_len = payload[offset], payload[offset + 1]
-            offset += 2
-            descr = bytes(payload[offset : offset + descr_len]).decode("ascii")
-            offset += descr_len
-            if offset > len(payload):
-                raise ValueError("truncated frame: bad array header")
-            dtype = np.dtype(descr)
-            (ndim,) = _U8.unpack_from(payload, offset)
-            shape = struct.unpack_from(">%dQ" % ndim, payload, offset + 1)
-            offset += _U8.size + _U64.size * ndim
-            (nbytes,) = _U64.unpack_from(payload, offset)
-            offset += _U64.size
+            head = _ARRAY_HEADS[payload[offset + 1]]
+            array_kind, _len, descr, ndim = head.unpack_from(payload, offset)
+            offset += head.size
+            dtype = _dtype(descr)
+            if array_kind == _INLINE:
+                tail = _SHAPES[ndim]
+                fields = tail.unpack_from(payload, offset)
+                shape, nbytes = fields[:-1], fields[-1]
+            elif array_kind == _SLOT:
+                tail = _SLOT_SHAPES[ndim]
+                fields = tail.unpack_from(payload, offset)
+                shape, nbytes, slot = fields[:-2], fields[-2], fields[-1]
+            else:
+                raise ValueError(f"unknown array kind {array_kind}")
+            offset += tail.size
             if nbytes != dtype.itemsize * math.prod(shape):
                 raise ValueError("array descriptor disagrees with its size")
-            if kind == _INLINE:
-                if offset + nbytes > len(payload):
-                    raise ValueError("array segment overruns the frame")
-                arrays.append(
-                    np.frombuffer(
-                        payload[offset : offset + nbytes], dtype=dtype
-                    ).reshape(shape)
-                )
-                offset += nbytes
-            elif kind == _SLOT:
-                (slot,) = _U32.unpack_from(payload, offset)
-                offset += _U32.size
-                slot_refs.append((len(arrays), slot, descr, shape, nbytes))
+            if array_kind == _SLOT:
+                slot_refs.append((len(arrays), slot, dtype, shape, nbytes))
                 arrays.append(None)
             else:
-                raise ValueError(f"unknown array kind {kind}")
+                if offset + nbytes > end:
+                    raise ValueError("array segment overruns the frame")
+                arrays.append(
+                    np.ndarray(shape, dtype, buffer=payload, offset=offset)
+                )
+                offset += nbytes
+        kind = payload[offset]
+        offset += 1
     except (struct.error, IndexError) as exc:
-        raise ValueError("truncated frame: bad array header") from exc
+        raise ValueError("truncated frame: bad header") from exc
     except TypeError as exc:
         raise ValueError(f"bad array dtype: {exc}") from exc
+    if kind != _PICKLED:
+        fixed = _TILE_BODIES.get(kind)
+        if fixed is None:
+            raise ValueError(f"unknown body kind {kind}")
+        if n_arrays != 1:
+            raise ValueError(f"tile body with {n_arrays} arrays")
+        if end - offset != fixed.size:
+            raise ValueError(
+                f"malformed tile body: {end - offset} bytes where "
+                f"{fixed.size} are due"
+            )
+        ids = fixed.unpack_from(payload, offset)
     if (releases and release is None) or (slot_refs and slot_view is None):
         raise ValueError("frame names ring slots on a ring-less channel")
     for slot in releases:
         release(slot)
-    for index, slot, descr, shape, nbytes in slot_refs:
-        arrays[index] = slot_view(slot, descr, shape, nbytes)
+    for index, slot, dtype, shape, nbytes in slot_refs:
+        arrays[index] = slot_view(slot, dtype, shape, nbytes)
+    if kind == _TILE_TASK:
+        return TileTask(ids[0], arrays[0], ids[1])
+    if kind == _TILE_RESULT:
+        return TileResult(ids[0], ids[1], arrays[0], ids[2], ids[3])
     return _RestrictedUnpickler(
         io.BytesIO(bytes(payload[offset:])), arrays
     ).load()

@@ -15,6 +15,7 @@ import socket
 import struct
 import threading
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.cost.comm import NetworkModel
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
+from repro.runtime import transport as wire
 from repro.runtime.coordinator import ShmTransport
 from repro.runtime.core import InProcTransport, PipelineSession
 from repro.runtime.messages import Hello, ShmAttach, TileResult, TileTask
@@ -38,7 +40,7 @@ from repro.runtime.shm import (
     SlotExhausted,
     cleanup_rings,
 )
-from repro.runtime.transport import Channel, encode_message
+from repro.runtime.transport import Channel, decode_message, encode_message
 from repro.schemes.pico import PicoScheme
 from tests.conftest import serve_on_workers
 
@@ -400,11 +402,13 @@ def _leaves(obj):
             yield from _leaves(value)
 
 
-def _frame(releases=(), arrays=(), skeleton=pickle.dumps(None)):
-    """A hand-built payload; ``arrays`` are pre-encoded array entries."""
+def _frame(releases=(), arrays=(), skeleton=pickle.dumps(None), body=0):
+    """A hand-built payload; ``arrays`` are pre-encoded array entries,
+    ``skeleton`` the bytes of body kind ``body``."""
     head = struct.pack(">H", len(releases))
     head += b"".join(struct.pack(">I", slot) for slot in releases)
-    return head + struct.pack(">I", len(arrays)) + b"".join(arrays) + skeleton
+    head += struct.pack(">I", len(arrays)) + b"".join(arrays)
+    return head + struct.pack(">B", body) + skeleton
 
 
 def _entry(kind, tail, descr=b"<f4", shape=(4,), nbytes=16):
@@ -415,6 +419,11 @@ def _entry(kind, tail, descr=b"<f4", shape=(4,), nbytes=16):
 
 
 _SLOT_REF = _entry(1, struct.pack(">I", 0))
+
+
+_TASK_IDS = struct.pack(">qq", 5, 0)
+_RESULT_IDS = struct.pack(">qqdq", 5, 1, 0.25, 0)
+_INLINE_TILE = _entry(0, b"\0" * 16)
 
 
 class TestMalformedFramesOnRings:
@@ -448,9 +457,25 @@ class TestMalformedFramesOnRings:
             (_frame(releases=[0], arrays=[_SLOT_REF])[:5], "truncated"),
             (_frame(arrays=[_entry(1, struct.pack(">I", 0), nbytes=12)]),
              "disagrees"),
+            # tile bodies
+            (_frame([0], [_SLOT_REF], _RESULT_IDS[:-1], body=2), "tile body"),
+            (_frame([0], [_SLOT_REF], _TASK_IDS + b"\0", body=1), "tile body"),
+            (_frame([0], [_SLOT_REF], _TASK_IDS, body=3), "unknown body kind"),
+            (_frame([0], [], _TASK_IDS, body=1), "tile body with 0 arrays"),
+            (_frame([0], [_SLOT_REF, _INLINE_TILE], _TASK_IDS, body=1),
+             "tile body with 2 arrays"),
+            (_frame([0], [_entry(1, struct.pack(">I", 0), nbytes=12)],
+                    _TASK_IDS, body=1), "disagrees"),
+            (_frame([0], [_entry(0, b"\0" * 12, nbytes=12)], _RESULT_IDS,
+                    body=2), "disagrees"),
+            (_frame([0], [_entry(1, struct.pack(">I", 0), descr=b"|O")],
+                    _TASK_IDS, body=1), "dtype"),
         ],
         ids=["unknown-kind", "truncated-descriptor", "inline-overrun",
-             "truncated-release-list", "size-mismatch"],
+             "truncated-release-list", "size-mismatch", "tile-truncated",
+             "tile-trailing-bytes", "unknown-body-kind", "tile-no-array",
+             "tile-two-arrays", "tile-slot-size-mismatch",
+             "tile-inline-size-mismatch", "tile-object-dtype"],
     )
     def test_rejected_before_any_ring_access(self, channel, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -468,11 +493,119 @@ class TestMalformedFramesOnRings:
             channel._decode(memoryview(_frame(releases=[3])))
         assert channel.occupancy() == 0
 
+    def test_tile_slot_reference_rejected_on_a_ringless_channel(self):
+        payload = _frame((), [_SLOT_REF], _TASK_IDS, body=1)
+        with pytest.raises(ValueError, match="ring-less"):
+            decode_message(memoryview(payload))
+
+    def test_well_formed_handmade_tile_frame_decodes(self):
+        payload = _frame((), [_INLINE_TILE], _RESULT_IDS, body=2)
+        got = decode_message(memoryview(payload))
+        assert got == TileResult(5, 1, got.tile, 0.25, 0)
+        assert got.tile.dtype == np.float32 and got.tile.tolist() == [0.0] * 4
+
     def test_slot_descriptor_larger_than_a_slot_rejected(self, channel):
         big = _entry(1, struct.pack(">I", 0), shape=(1024,), nbytes=4096)
         with pytest.raises(ValueError, match="overruns the slot"):
             channel._decode(memoryview(_frame(arrays=[big])))
         assert channel._to_release == []
+
+
+# ---------------------------------------------------------------------------
+# The fixed tile body: TileTask / TileResult with one plain ndarray and
+# int64 ids cross without pickle; anything else takes the pickled body.
+# ---------------------------------------------------------------------------
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_IDS = st.one_of(
+    st.sampled_from([0, 1, -1, _INT64_MIN, _INT64_MAX]),
+    st.integers(_INT64_MIN, _INT64_MAX),
+)
+_WIDE_IDS = st.sampled_from([1 << 63, _INT64_MIN - 1, 1 << 70])
+
+
+@st.composite
+def _tiles(draw):
+    """Rank 1-4 float32 tiles: empty, contiguous or strided."""
+    shape = tuple(draw(st.lists(st.integers(0, 7), min_size=1, max_size=4)))
+    arr = (np.arange(int(np.prod(shape))) * 0.25 - 3.0).astype(np.float32)
+    arr = arr.reshape(shape)
+    if shape[-1] > 1 and draw(st.booleans()):
+        arr = arr[..., ::2]  # strided
+    return arr
+
+
+def _body_kind(message):
+    """The body field of the frame a message encodes to: 0 when the
+    encoder built a pickler, else the byte before the fixed body."""
+    built = []
+
+    class Counting(wire._ArrayPickler):
+        def __init__(self, *args) -> None:
+            built.append(self)
+            super().__init__(*args)
+
+    with mock.patch.object(wire, "_ArrayPickler", Counting):
+        frame = encode_message(message)
+    size = {TileTask: 16, TileResult: 32}[type(message)]
+    return 0 if built else frame[-size - 1]
+
+
+class TestTileBody:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tile=_tiles(), task_id=_IDS, worker_id=_IDS, epoch=_IDS,
+        compute_s=st.floats(allow_nan=False),
+        wide=st.one_of(st.none(), _WIDE_IDS),
+        nested=st.booleans(),
+    )
+    def test_tile_messages_round_trip_on_both_pairs(
+        self, tile, task_id, worker_id, epoch, compute_s, wide, nested
+    ):
+        """int64 ids and one plain ndarray take the fixed body; an id past
+        int64 or a non-array tile takes the pickled body; every message
+        decodes equal on a ring-less and a ring-backed pair."""
+        if wide is not None:
+            task_id = wide
+        payload = [tile, tile] if nested else tile
+        fixed = wide is None and not nested
+        with _pairs() as (cha, chb, plain_a, plain_b):
+            for message, kind in (
+                (TileTask(task_id, payload, epoch), 1),
+                (TileResult(task_id, worker_id, payload, compute_s, epoch), 2),
+            ):
+                assert _body_kind(message) == (kind if fixed else 0)
+                for src, dst in ((cha, chb), (plain_a, plain_b)):
+                    src.send(message)
+                    got = dst.recv()
+                    assert type(got) is type(message)
+                    assert got.task_id == message.task_id
+                    assert got.epoch == message.epoch
+                    if isinstance(message, TileResult):
+                        assert got.worker_id == worker_id
+                        assert got.compute_s == compute_s
+                    _same(got.tile, payload)
+                    del got  # slot views die before their release
+                    dst.send(Hello(0))  # hands the consumed slot back
+                    src.recv()
+            assert cha.occupancy() == 0 and chb.occupancy() == 0
+
+    def test_ids_of_other_types_take_the_pickled_body(self):
+        tile = np.zeros(4, dtype=np.float32)
+        for message in (
+            TileTask(np.int64(3), tile),
+            TileTask(True, tile),
+            TileResult(1, 0, tile, 0, 0),  # an int compute_s
+            TileTask(1, np.ma.masked_array(tile)),  # an ndarray subclass
+        ):
+            assert _body_kind(message) == 0
+            got = decode_message(memoryview(encode_message(message)))
+            assert got.task_id == message.task_id
+            assert type(got.task_id) is type(message.task_id)
+
+    def test_object_tile_is_refused_on_encode(self):
+        with pytest.raises(TypeError, match="wire-safe"):
+            encode_message(TileTask(1, np.array([object()], dtype=object)))
 
 
 class TestShmTransportPipeline:
@@ -526,6 +659,21 @@ class TestShmTransportPipeline:
                 served.outputs[i], ref, atol=1e-4, rtol=1e-4
             )
         assert served.throughput > 0
+
+    @pytest.mark.parametrize("transport", ["tcp", "shm"])
+    def test_served_toy_frames_bit_equal_to_engine(self, transport):
+        """Tile frames cross the wire in the fixed body both ways: the
+        served features equal one process's, bit for bit."""
+        model = toy_chain(8, 2, input_hw=64, base_channels=8)
+        weights = init_weights(model, seed=3)
+        plan = PicoScheme().plan(
+            model, heterogeneous_cluster([1200, 1000, 800, 600]), NET
+        )
+        frames = self._frames(model, 3)
+        engine = Engine(model, weights)
+        served, _ = serve_on_workers(model, plan, weights, frames, transport)
+        for i, x in enumerate(frames):
+            assert np.array_equal(served.outputs[i], engine.forward_features(x))
 
     def test_close_unlinks_all_rings(self, model):
         weights = init_weights(model, seed=5)

@@ -26,8 +26,9 @@ from repro.runtime.transport import (
 )
 
 
-#: The frame prefix of a message without arrays: no releases, no arrays.
-_NO_ARRAYS = struct.pack(">HI", 0, 0)
+#: The frame prefix of a pickled-body message: no releases, no arrays,
+#: body field 0.
+_NO_ARRAYS = struct.pack(">HIB", 0, 0, 0)
 
 
 @pytest.fixture
@@ -188,7 +189,7 @@ class TestCodec:
         head = struct.pack(">HI", 0, 1) + struct.pack(">BB", kind, len(descr))
         head += descr + struct.pack(">B", len(shape))
         head += b"".join(struct.pack(">Q", d) for d in shape)
-        return head + struct.pack(">Q", nbytes) + tail + pickle.dumps(None)
+        return head + struct.pack(">Q", nbytes) + tail + b"\0" + pickle.dumps(None)
 
     def test_well_formed_handmade_frame_decodes(self):
         # the builder the rejections below mutate does speak the codec
@@ -210,7 +211,7 @@ class TestCodec:
             decode_message(memoryview(payload))
 
     def test_release_rejected_without_rings(self):
-        payload = struct.pack(">HI", 1, 3) + struct.pack(">I", 0)
+        payload = struct.pack(">HI", 1, 3) + struct.pack(">IB", 0, 0)
         with pytest.raises(ValueError, match="ring-less"):
             decode_message(memoryview(payload + pickle.dumps(None)))
 
