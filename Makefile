@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: install test test-fast test-slow bench-json bench-e2e lint-forks bench-check examples all
+.PHONY: install test test-fast test-slow bench-json bench-e2e lint-forks lint-dead bench-check examples all
 
 # Every committed BENCH_<name>.json has a module repro.bench.<name> on
 # the one spine (repro.bench.common.BENCHES).
@@ -35,11 +35,12 @@ lint-forks:
 	test "$$(grep -rnI "run_scenario(" src/repro | grep -vc "def run_scenario")" = 1
 	test "$$(grep -rnI "local_fallback_plan(" src/repro --exclude-dir=schemes | wc -l)" = 1
 # One Eq. 9: every planner's search asks SegmentTable.stage_total, so the
-# scalar stage_time( is called only inside the cost package and by
-# plan_cost; the table's channel mirror and the exhaustive search's
-# cost-cache parameter stay deleted; and the weighted-strip realization is spelled
+# scalar stage_time( is called only inside the cost package, by
+# plan_cost and by the scalar oracle in repro/testing; the table's
+# channel mirror and the exhaustive search's cost-cache parameter stay
+# deleted; and the weighted-strip realization is spelled
 # once, in partition/strips.py (weighted_strips).
-	! grep -rnIE "(^|[^_A-Za-z])stage_time\(" src/repro --exclude-dir=cost | grep -v "^src/repro/core/plan.py:"
+	! grep -rnIE "(^|[^_A-Za-z])stage_time\(" src/repro --exclude-dir=cost --exclude-dir=testing | grep -v "^src/repro/core/plan.py:"
 	! grep -rnIE "channel_stage_total|stage_cache" src/ tests/ benchmarks/ examples/ docs/ README.md
 	! grep -rnIE "Region\.from_bounds\(iv\.start|Region\(iv, *Interval\(0" src/repro/core src/repro/schemes
 # One exhaustive planner: core/exact.py::plan_exact is the paper's BFS
@@ -146,18 +147,29 @@ lint-forks:
 	test -z "$$(grep -rlI "DistributedPipeline" src/ tests/ examples/ docs/ README.md | grep -vxE "src/repro/runtime/coordinator.py|tests/test_scheduler.py")"
 	! grep -rnIE "RuntimeStats|run_batch\(" src/ tests/ examples/ docs/ README.md
 # One production engine and one Ts: the oracles (the seed's kernels, the
-# reference engine, the scalar Ts memo and its DP) live once, in
+# reference engine, the scalar Ts memo and its DP, and the test-only
+# helpers lint-dead moved out of production) live once, in
 # repro/testing, which only the bench modules and the tests import; the
 # engine's fast/fold_bn switches and the REPRO_FAST read stay deleted.
 	! grep -rnIE "REPRO_FAST|fold_bn|\bfast=|\bfast: *Optional|\.fast\b" src/ tests/ examples/ docs/ README.md
 	! grep -rnIE "^\s*(from|import) +repro\.testing|^\s*from +repro +import .*\btesting\b" src/repro --exclude-dir=testing --exclude-dir=bench
 	! grep -rnIE "conv2d_reference|maxpool2d_reference|StageTimeTable|plan_homogeneous_reference|ReferenceEngine|run_segment_reference" src/repro --exclude-dir=testing --exclude-dir=bench
+	! grep -rnIE "theorem2_literal|homogeneous_stage_time|churn_replanner|\bconv2d\(|\bapply_activation\b|\b(leaky_)?relu6?\(|\brun_unit\b|send_message|load_jsonl|segment_owned_region|program_cache_info|clear_program_cache|(conv|pool)_layer_count" src/repro --exclude-dir=testing --exclude-dir=bench
+# One way to run a plan in process: PipelineServer over InProcTransport,
+# with Engine as the outputs oracle; the plan executor stays deleted.
+	! grep -rnI "LocalPlanExecutor" src/ examples/ docs/ README.md
 # One front door to the paper's evaluation: repro.bench.paper writes
 # BENCH_paper.json and renders EXPERIMENTS.md's tables; the pytest
 # wrappers, the report generator, the CSV export and the experiment /
 # report / simulate commands stay deleted.
 	test -z "$$(find benchmarks -name '*.py' -not -path 'benchmarks/e2e/*')"
 	! grep -rnIE --exclude-dir="*.egg-info" "full[_]report|generate[_]report|rows[_]for|write[_]csv|format[_]table|_cmd[_](experiment|report|simulate)|benchmark[-]only|bench[_]output" src/ tests/ docs/ README.md EXPERIMENTS.md DESIGN.md Makefile .github/
+
+# Production code only production uses: every definition under src/repro
+# (bench/ and testing/ aside) that no production module refers to is in
+# tools/lint_dead_allowlist.txt with its reason, and the list only shrinks.
+lint-dead:
+	python tools/lint_dead.py
 
 # The fork lint, then every committed BENCH file re-derives itself:
 # serve, fleet and paper must reproduce whole, in full mode (the first

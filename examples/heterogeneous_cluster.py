@@ -28,6 +28,21 @@ from repro.schemes import (
 from repro.workload import saturation_arrivals
 
 
+def report(table) -> str:
+    """Table I's columns for one scheme: utilisation and redundancy."""
+    lines = [
+        f"{table.model} / {table.scheme}: "
+        f"avg util {table.average_utilization:6.2%}, "
+        f"avg redu {table.average_redundancy:6.2%}"
+    ]
+    for d in table.devices:
+        lines.append(
+            f"  {d.name:<16s} util {d.utilization:7.2%}  "
+            f"redu {d.redundancy_ratio:7.2%}"
+        )
+    return "\n".join(lines)
+
+
 def main() -> None:
     model = vgg16()
     cluster = heterogeneous_cluster([1200, 1200, 800, 800, 600, 600, 600, 600])
@@ -46,7 +61,7 @@ def main() -> None:
         )
         table = utilization_table(model, plan, network, sim, scheme_name=scheme.name)
         print()
-        print(table.format())
+        print(report(table))
         print(f"  throughput: {60 * sim.throughput:.1f} tasks/min")
 
     print("\n=== PICO across network settings ===")

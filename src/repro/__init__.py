@@ -53,7 +53,6 @@ from repro.runtime import (
     SimTransport,
     TcpTransport,
     Tracer,
-    churn_replanner,
     compile_plan,
 )
 from repro.schemes import (
@@ -124,7 +123,6 @@ __all__ = [
     "available_arrivals",
     "available_schemes",
     "build_apico_switcher",
-    "churn_replanner",
     "compile_plan",
     "correlated_churn",
     "dump_plan",

@@ -5,7 +5,6 @@ from repro.adaptive.queueing import (
     average_inference_latency,
     md1_waiting_time,
     stable,
-    theorem2_literal,
 )
 from repro.adaptive.switcher import (
     AdaptiveSwitcher,
@@ -22,5 +21,4 @@ __all__ = [
     "build_apico_switcher",
     "md1_waiting_time",
     "stable",
-    "theorem2_literal",
 ]

@@ -37,9 +37,6 @@ class EwmaEstimator:
         self._value = self.beta * measured + (1.0 - self.beta) * self._value
         return self._value
 
-    def reset(self, value: float = 0.0) -> None:
-        self._value = float(value)
-
 
 class ArrivalRateTracker:
     """Sliding-window arrival counter feeding an EWMA estimator.

@@ -10,9 +10,9 @@ and a task's average inference latency is ``W_q + t`` with ``t`` the
 execution (pipeline) latency.  The paper's Theorem 2 prints
 ``p(2 − pλ) / (2(1 − pλ)) + t``, which equals ``W_q + p + t`` — it
 counts the bottleneck-stage service twice when ``t`` is the full
-pipeline latency.  We default to the queueing-correct form and keep the
-paper's literal formula available; the two differ by exactly one
-period, so they agree everywhere except a narrow crossover window.
+pipeline latency.  We use the queueing-correct form; the paper's
+literal formula is a test oracle (:mod:`repro.testing.queueing`), which
+checks that the two differ by exactly one period.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "average_inference_latency",
     "batched_inference_latency",
     "backlog_latency",
-    "theorem2_literal",
     "validate_md1",
     "stable",
 ]
@@ -142,14 +141,3 @@ def validate_md1(
         "predicted_mean": predicted,
         "rel_error": rel_error,
     }
-
-
-def theorem2_literal(period: float, latency: float, arrival_rate: float) -> float:
-    """The paper's Theorem 2 exactly as printed:
-    ``p(2 − pλ) / (2(1 − pλ)) + t``."""
-    if period < 0 or arrival_rate < 0:
-        raise ValueError("period and arrival rate must be non-negative")
-    rho = period * arrival_rate
-    if rho >= 1.0:
-        return math.inf
-    return period * (2.0 - rho) / (2.0 * (1.0 - rho)) + latency

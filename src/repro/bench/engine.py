@@ -81,7 +81,7 @@ from repro.runtime.coordinator import TcpTransport
 from repro.runtime.program import compile_plan, split_stage, stitch_stage
 from repro.schemes import get_scheme
 from repro.serve import PipelineServer, ServerConfig
-from repro.testing import ReferenceEngine, run_segment_reference
+from repro.testing import ReferenceEngine, run_segment_reference, run_unit
 from repro.testing.memory import process_memory, program_param_bytes
 
 __all__ = ["BENCH", "run"]
@@ -111,13 +111,13 @@ def _time_units(engine, x: np.ndarray, repeats: int) -> "Dict[str, float]":
     out = x
     for unit in engine.model.units:
         inputs.append(out)
-        out = engine.run_unit(unit, out)
+        out = run_unit(engine, unit, out)
     by_kind: "Dict[str, float]" = {}
     for unit, inp in zip(engine.model.units, inputs):
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            engine.run_unit(unit, inp)
+            run_unit(engine, unit, inp)
             best = min(best, time.perf_counter() - t0)
         kind = _unit_kind(unit)
         by_kind[kind] = by_kind.get(kind, 0.0) + best

@@ -32,7 +32,7 @@ from repro.core.pareto import plan_pareto
 from repro.core.plan import PipelinePlan, StagePlan, plan_cost
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, segment_flops
-from repro.cost.stage_cost import branch_stage_time, homogeneous_stage_time
+from repro.cost.stage_cost import branch_stage_time
 from repro.cost.tables import get_cost_table
 from repro.experiments import (
     fig02_layer_profile,
@@ -55,6 +55,7 @@ from repro.partition.strips import equal_partition, strip_regions, weighted_part
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.pico import PicoScheme
 from repro.sim import Topology, simulate_scenario
+from repro.testing.planner import homogeneous_stage_time
 from repro.workload.arrivals import saturation_arrivals
 
 __all__ = ["BENCH", "run", "tables"]

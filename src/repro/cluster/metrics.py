@@ -65,19 +65,6 @@ class UtilizationTable:
         )
         return max(0.0, redundant) / total
 
-    def format(self) -> str:
-        lines = [
-            f"{self.model} / {self.scheme}: "
-            f"avg util {self.average_utilization:6.2%}, "
-            f"avg redu {self.average_redundancy:6.2%}"
-        ]
-        for d in self.devices:
-            lines.append(
-                f"  {d.name:<16s} util {d.utilization:7.2%}  "
-                f"redu {d.redundancy_ratio:7.2%}"
-            )
-        return "\n".join(lines)
-
 
 def utilization_table(
     model: Model,

@@ -17,7 +17,6 @@ from repro.cost.profiler import CalibrationResult, calibrate_host, fit_alpha
 from repro.cost.stage_cost import (
     DeviceCost,
     StageCost,
-    homogeneous_stage_time,
     single_device_time,
     stage_time,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "fit_alpha",
     "full_unit_flops",
     "head_flops",
-    "homogeneous_stage_time",
     "layer_flops",
     "layer_profiles",
     "model_flops",

@@ -32,11 +32,11 @@ from repro.cost.flops import (
 from repro.models.graph import Model
 from repro.partition.fused import segment_input_region
 from repro.partition.regions import Region
-from repro.partition.strips import check_tiling, equal_partition, strip_regions
+from repro.partition.strips import check_tiling
 
 __all__ = ["DeviceCost", "StageCost", "fold_stage", "stage_time",
            "branch_stage_time", "channel_stage_time", "channel_slice_flops",
-           "homogeneous_stage_time", "single_device_time"]
+           "single_device_time"]
 
 Assignment = Tuple[Device, Region]
 
@@ -52,17 +52,6 @@ class DeviceCost:
     owned_flops: float
     t_comp: float
     t_comm: float
-
-    @property
-    def redundant_flops(self) -> float:
-        return max(0.0, self.flops - self.owned_flops)
-
-    @property
-    def redundancy_ratio(self) -> float:
-        """Fraction of this device's computation that is halo overlap."""
-        if self.flops <= 0:
-            return 0.0
-        return self.redundant_flops / self.flops
 
 
 @dataclass(frozen=True)
@@ -311,24 +300,6 @@ def channel_stage_time(
     return _stage_cost(
         model, unit_index, unit_index + 1, device_costs, options, with_head
     )
-
-
-def homogeneous_stage_time(
-    model: Model,
-    start: int,
-    end: int,
-    n_devices: int,
-    device: Device,
-    network: NetworkModel,
-    options: CostOptions = DEFAULT_OPTIONS,
-    with_head: bool = False,
-) -> StageCost:
-    """Stage cost with ``n_devices`` copies of ``device`` and an equal
-    strip partition of the segment's final output map (§IV-A1)."""
-    _, h, w = model.out_shape(end - 1)
-    regions = strip_regions(h, w, equal_partition(h, n_devices))
-    assignments = [(device, region) for region in regions]
-    return stage_time(model, start, end, assignments, network, options, with_head)
 
 
 def single_device_time(

@@ -21,10 +21,10 @@ Both tables are exact integer arithmetic: every conv/pool FLOP count is
 an integer, the per-layer strip area decomposes into ``hi(b) − lo(a)``
 because receptive-field propagation moves interval endpoints
 independently, and all totals stay far below 2**53 — so the float cost
-assembled from the tables is **bit-for-bit identical** to the reference
-``homogeneous_stage_time(...).total`` / ``stage_time(...).total``.  The
-scalar implementations remain the exactness oracle; the equivalence is
-asserted by ``tests/test_cost_tables.py``.
+assembled from the tables is **bit-for-bit identical** to the scalar
+reference (:mod:`repro.testing.planner`) and ``stage_time(...).total``.
+The scalar implementations remain the exactness oracle; the equivalence
+is asserted by ``tests/test_cost_tables.py``.
 
 The one corner the closed form cannot express is a strip whose region
 becomes *empty* at an intermediate layer (possible only when a layer's
@@ -450,8 +450,8 @@ class StageTimeMemo:
 class SegmentCostTable(StageTimeMemo):
     """``Ts(start, end, p)`` backed by a :class:`SegmentTable`.
 
-    The production ``Ts``: bit-identical to
-    ``homogeneous_stage_time(...).total`` at every entry, but each cache miss
+    The production ``Ts``: bit-identical to the scalar oracle
+    (:mod:`repro.testing.planner`) at every entry, but each cache miss
     costs O(p) table lookups instead of an O(units × layers) Python
     recursion.  Adds :meth:`min_cost_upto`, the monotone bound the
     pruned DP uses to skip dominated split points.

@@ -15,7 +15,7 @@ shared :class:`~repro.cluster.device.Cluster` through a
   already use; after all tenants hold leases a final re-cost pass
   rebuilds every plan at the final occupancies.
 * **Churn awareness** — a device death voids its leases fleet-wide
-  (:meth:`on_device_dead` names every affected tenant) and
+  (the pool's ``mark_dead`` names every affected tenant) and
   :meth:`replace_tenant` re-places a tenant over the survivors at
   current occupancies, which is what the fleet server's per-tenant
   replanners call from the PR-4 recovery ladder.
@@ -209,12 +209,6 @@ class FleetScheduler:
             )
 
     # -- churn ---------------------------------------------------------
-    def on_device_dead(self, device: str) -> "Tuple[str, ...]":
-        """Retire ``device``; returns the tenants it strands (fleet-wide)."""
-        if device in self.pool.dead:
-            return ()
-        return self.pool.mark_dead(device)
-
     def replace_tenant(
         self, name: str, dead: "Sequence[str]" = ()
     ) -> Placement:
@@ -234,8 +228,3 @@ class FleetScheduler:
         placement = self._place_one(tenant)
         self.placements[name] = placement
         return placement
-
-    def grant_of(self, name: str) -> "Tuple[str, ...]":
-        """The device names tenant ``name`` currently holds leases on."""
-        placement = self.placements.get(name)
-        return placement.devices if placement is not None else ()

@@ -258,12 +258,6 @@ class Model:
                         )
                         channels, hw = layer.out_channels, ohw
 
-    def conv_layer_count(self) -> int:
-        return sum(1 for info in self.iter_layers() if info.layer.kind == "conv")
-
-    def pool_layer_count(self) -> int:
-        return sum(1 for info in self.iter_layers() if info.layer.kind == "pool")
-
     def describe(self) -> str:
         """Human-readable architecture summary."""
         lines = [f"{self.name}  input={self.input_shape}"]

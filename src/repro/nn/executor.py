@@ -28,9 +28,10 @@ The engine has one execution path:
   (:mod:`repro.nn.parallel`) — BLAS releases the GIL — with a serial
   fallback when ``REPRO_THREADS`` resolves to one.
 
-:meth:`Engine.run_layer` and :meth:`Engine.run_unit` are the per-call
-path over the same kernels (:func:`repro.nn.ops.conv2d_packed`,
-:func:`repro.nn.ops.maxpool2d`), with im2col in per-thread arenas.
+:meth:`Engine.run_layer` is the per-call path over the same kernels
+(:func:`repro.nn.ops.conv2d_packed`, :func:`repro.nn.ops.maxpool2d`),
+with im2col in per-thread arenas; :mod:`repro.testing.engine` walks
+whole units op by op on it.
 
 The seed's per-call engine on the sliding-window kernels with a
 separate BN pass is the oracle, in :mod:`repro.testing`: bit-exact
@@ -48,9 +49,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.models.graph import BlockUnit, LayerUnit, Model, PlanUnit
+from repro.models.graph import Model
 from repro.models.layers import ConvSpec, PoolSpec, SpatialLayer
-from repro.nn import ops, parallel
+from repro.nn import ops
 from repro.nn.weights import Weights, fold_batch_norm, init_weights
 
 __all__ = ["Engine"]
@@ -137,8 +138,8 @@ class Engine:
         Optional pre-built weights; seeded random weights otherwise.
         Packing is lazy per layer, so a dict may be partial, and an
         engine packs (and folds) only the layers it runs.  The packed
-        weights and the compiled tile plans capture them: call
-        :meth:`refresh_weights` after mutating ``weights``.
+        weights and the compiled tile plans capture them: build a new
+        engine over changed weights.
     """
 
     def __init__(
@@ -201,14 +202,6 @@ class Engine:
         self._packed_slices[key] = sliced
         return sliced
 
-    def refresh_weights(self) -> None:
-        """Drop cached packed weights and the compiled plans, which hold
-        them (call after mutating ``weights``); a plan still running
-        goes back to the dropped pool."""
-        self._packed.clear()
-        self._packed_slices.clear()
-        self._plans = _PlanPool()
-
     # ------------------------------------------------------------------
     # Layer-level dispatch (shared with tiled execution).
     # ------------------------------------------------------------------
@@ -264,39 +257,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Full-map execution.
     # ------------------------------------------------------------------
-    def _run_path(self, path, x: np.ndarray) -> np.ndarray:
-        for layer in path:
-            x = self.run_layer(layer, x, self.spec_pads(layer))
-        return x
-
-    def run_unit(self, unit: PlanUnit, x: np.ndarray) -> np.ndarray:
-        """Execute one plan unit on a full feature map, op by op (the
-        per-call path; :meth:`forward_features` runs a compiled plan)."""
-        if isinstance(unit, LayerUnit):
-            return self.run_layer(unit.layer, x, self.spec_pads(unit.layer))
-        assert isinstance(unit, BlockUnit)
-        # Inception/residual branches are independent given the block
-        # input: fan them out on the shared pool (serial fallback inside).
-        outputs = parallel.run_parallel(
-            [lambda path=path: self._run_path(path, x) for path in unit.paths]
-        )
-        if unit.merge == "add":
-            # First sum allocates (an identity path may alias the block
-            # input x); the rest accumulate in place.  Same association
-            # order as the serial reference: ((p0 + p1) + p2) ...
-            if len(outputs) == 1:
-                merged = outputs[0]
-            else:
-                merged = outputs[0] + outputs[1]
-                for out in outputs[2:]:
-                    merged += out
-        else:
-            merged = np.concatenate(outputs, axis=0)
-        merged = ops.ensure_f32c(merged)
-        if merged is x:  # single identity path cannot happen, but be safe
-            return ops.apply_activation(merged, unit.post_activation)
-        return ops.apply_activation_(merged, unit.post_activation)
-
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Run every plan unit; returns the final feature map (fresh).
 

@@ -11,7 +11,7 @@ the same bits, and the pooling reductions are per-plane).  Every op
 takes *explicit* padding so region-restricted execution can substitute
 the per-tile virtual padding computed by the region algebra.
 
-Convolutions (``conv2d`` / ``conv2d_packed`` / ``ConvKernel``) gather
+Convolutions (``conv2d_packed`` / ``ConvKernel``) gather
 im2col patches into a reusable scratch arena, then run a single BLAS
 sgemm against a pre-flattened ``(Cout, Cin·kh·kw)`` weight matrix
 (``pack_conv_weight``), with bias add and activation applied *in place*
@@ -38,16 +38,11 @@ import numpy as np
 __all__ = [
     "pad2d",
     "pack_conv_weight",
-    "conv2d",
     "conv2d_packed",
     "ConvKernel",
     "MaxPoolKernel",
     "maxpool2d",
     "avgpool2d",
-    "relu",
-    "leaky_relu",
-    "relu6",
-    "apply_activation",
     "apply_activation_",
     "linear",
     "softmax",
@@ -485,26 +480,6 @@ def _epilogue_blocks(
     ]
 
 
-def conv2d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: _Size2 = (1, 1),
-    pads: _Pad4 = (0, 0, 0, 0),
-    groups: int = 1,
-) -> np.ndarray:
-    """2-D convolution (cross-correlation) via im2col + GEMM.
-
-    ``weight`` is ``(Cout, Cin/groups, kh, kw)``; ``groups == Cin``
-    gives a depthwise convolution (MobileNet-style).  Packs the weight
-    on every call — steady-state callers (the engine) pre-pack once and
-    use :func:`conv2d_packed`.
-    """
-    _check_conv(x.shape, weight.shape[0], weight.shape[1], groups)
-    packed = pack_conv_weight(weight, groups)
-    return conv2d_packed(x, packed, bias, weight.shape[2:], stride, pads, groups)
-
-
 def maxpool2d(
     x: np.ndarray,
     kernel: _Size2,
@@ -584,38 +559,13 @@ def avgpool2d(
     return ensure_f32c(out)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(x > 0, x, slope * x).astype(x.dtype)
-
-
-def relu6(x: np.ndarray) -> np.ndarray:
-    """MobileNet's clipped ReLU."""
-    return np.clip(x, 0.0, 6.0)
-
-
-def apply_activation(x: np.ndarray, activation: str) -> np.ndarray:
-    """Dispatch by activation name ("linear" is identity)."""
-    if activation == "relu":
-        return relu(x)
-    if activation == "leaky_relu":
-        return leaky_relu(x)
-    if activation == "relu6":
-        return relu6(x)
-    if activation == "linear":
-        return x
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def apply_activation_(x: np.ndarray, activation: str) -> np.ndarray:
     """In-place activation for caller-owned arrays (fresh conv outputs).
 
-    Bitwise identical to :func:`apply_activation` for every supported
-    activation; leaky ReLU needs one temporary for the scaled branch but
-    still writes through ``x``.
+    Bitwise identical to the out-of-place activations of
+    :mod:`repro.testing.kernels` for every supported activation; leaky
+    ReLU needs one temporary for the scaled branch but still writes
+    through ``x``.
     """
     if activation == "relu":
         np.maximum(x, 0.0, out=x)

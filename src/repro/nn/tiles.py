@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +52,6 @@ __all__ = [
     "compile_channel_slice",
     "compile_channel_slice_cached",
     "full_map_program",
-    "program_cache_info",
-    "clear_program_cache",
     "extract_tile",
     "run_segment",
 ]
@@ -402,22 +400,6 @@ def compile_channel_slice_cached(
 ) -> SegmentProgram:
     """Memoised :func:`compile_channel_slice` (channel-parallel programs)."""
     return _compile_channel_slice_cached(model, unit_index, lo, hi)
-
-
-def program_cache_info() -> "Dict[str, object]":
-    """Hit/miss statistics for the program caches."""
-    return {
-        "segment": _compile_segment_cached.cache_info(),
-        "block_paths": _compile_block_paths_cached.cache_info(),
-        "channel_slice": _compile_channel_slice_cached.cache_info(),
-    }
-
-
-def clear_program_cache() -> None:
-    """Drop all memoised programs (frees the model references too)."""
-    _compile_segment_cached.cache_clear()
-    _compile_block_paths_cached.cache_clear()
-    _compile_channel_slice_cached.cache_clear()
 
 
 def extract_tile(feature_map: np.ndarray, region: Region) -> np.ndarray:

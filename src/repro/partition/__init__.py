@@ -6,11 +6,10 @@ from repro.partition.fused import (
     chain_backprop,
     chain_forward_hw,
     segment_input_region,
-    segment_owned_region,
     unit_input_region,
     unit_owned_input,
 )
-from repro.partition.grid import grid_partition, grid_shape_for, weighted_grid_partition
+from repro.partition.grid import grid_partition, grid_shape_for
 from repro.partition.regions import (
     EMPTY_INTERVAL,
     Interval,
@@ -25,7 +24,6 @@ from repro.partition.regions import (
 from repro.partition.strips import (
     check_tiling,
     equal_partition,
-    proportional_partition,
     strip_regions,
     weighted_partition,
     weighted_strips,
@@ -47,15 +45,12 @@ __all__ = [
     "grid_shape_for",
     "out_size",
     "owned_interval",
-    "proportional_partition",
     "receptive_interval",
     "receptive_region",
     "segment_input_region",
-    "segment_owned_region",
     "strip_regions",
     "unit_input_region",
     "unit_owned_input",
-    "weighted_grid_partition",
     "weighted_partition",
     "weighted_strips",
 ]

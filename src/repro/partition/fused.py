@@ -33,7 +33,6 @@ __all__ = [
     "chain_forward_hw",
     "unit_input_region",
     "segment_input_region",
-    "segment_owned_region",
     "unit_owned_input",
 ]
 
@@ -139,16 +138,3 @@ def unit_owned_input(unit: PlanUnit, in_hw: _Size2, out_region: Region) -> Regio
         owned_interval(out_region.rows, sv, in_hw[0]),
         owned_interval(out_region.cols, sh, in_hw[1]),
     )
-
-
-def segment_owned_region(
-    model: Model, start: int, end: int, out_region: Region
-) -> Region:
-    """Owned projection across a unit segment (cf. redundancy metrics)."""
-    if not 0 <= start < end <= model.n_units:
-        raise ValueError(f"bad segment [{start}, {end}) for {model.n_units} units")
-    region = out_region
-    for idx in range(end - 1, start - 1, -1):
-        _, h, w = model.in_shape(idx)
-        region = unit_owned_input(model.units[idx], (h, w), region)
-    return region

@@ -9,12 +9,12 @@ partitioner lets the benchmarks quantify the difference.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.partition.regions import Region
-from repro.partition.strips import equal_partition, proportional_partition
+from repro.partition.strips import equal_partition
 
-__all__ = ["grid_shape_for", "grid_partition", "weighted_grid_partition"]
+__all__ = ["grid_shape_for", "grid_partition"]
 
 
 def grid_shape_for(parts: int) -> Tuple[int, int]:
@@ -33,14 +33,4 @@ def grid_partition(height: int, width: int, rows: int, cols: int) -> "List[Regio
     (row-major order)."""
     row_ivs = equal_partition(height, rows)
     col_ivs = equal_partition(width, cols)
-    return [Region(r, c) for r in row_ivs for c in col_ivs]
-
-
-def weighted_grid_partition(
-    height: int, width: int, row_weights: "Sequence[float]",
-    col_weights: "Sequence[float]",
-) -> "List[Region]":
-    """Grid with proportional row/column sizing (row-major order)."""
-    row_ivs = proportional_partition(height, row_weights)
-    col_ivs = proportional_partition(width, col_weights)
     return [Region(r, c) for r in row_ivs for c in col_ivs]

@@ -157,10 +157,6 @@ class PaddedInterval:
     pad_lo: int
     pad_hi: int
 
-    @property
-    def padded_length(self) -> int:
-        return len(self.interval) + self.pad_lo + self.pad_hi
-
 
 @dataclass(frozen=True)
 class PaddedRegion:
@@ -172,14 +168,6 @@ class PaddedRegion:
     @property
     def region(self) -> Region:
         return Region(self.rows.interval, self.cols.interval)
-
-    @property
-    def padded_height(self) -> int:
-        return self.rows.padded_length
-
-    @property
-    def padded_width(self) -> int:
-        return self.cols.padded_length
 
 
 def receptive_interval(

@@ -15,7 +15,6 @@ __all__ = [
     "check_tiling",
     "equal_partition",
     "weighted_partition",
-    "proportional_partition",
     "strip_regions",
     "weighted_strips",
 ]
@@ -34,29 +33,6 @@ def equal_partition(length: int, parts: int) -> "List[Interval]":
     pos = 0
     for i in range(parts):
         size = base + (1 if i < extra else 0)
-        intervals.append(Interval(pos, pos + size))
-        pos += size
-    return intervals
-
-
-def proportional_partition(length: int, weights: "Sequence[float]") -> "List[Interval]":
-    """Largest-remainder proportional split of ``[0, length)``."""
-    if not weights:
-        raise ValueError("weights must be non-empty")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    total = float(sum(weights))
-    if total == 0:
-        return equal_partition(length, len(weights))
-    quotas = [length * w / total for w in weights]
-    sizes = [int(q) for q in quotas]
-    remainder = length - sum(sizes)
-    order = sorted(range(len(weights)), key=lambda i: quotas[i] - sizes[i], reverse=True)
-    for i in order[:remainder]:
-        sizes[i] += 1
-    intervals = []
-    pos = 0
-    for size in sizes:
         intervals.append(Interval(pos, pos + size))
         pos += size
     return intervals

@@ -3,7 +3,7 @@
 Every executor — the in-process threaded runner, the multiprocess TCP
 pipeline (paper Fig. 6), and the virtual-clock simulator — drives the
 same compiled :class:`PlanProgram` through the same
-:func:`~repro.runtime.core.execute_stage` path over a swappable
+:func:`~repro.runtime.core.collect_stage` path over a swappable
 :class:`~repro.runtime.core.Transport`, emitting one shared per-frame
 trace schema.
 """
@@ -18,8 +18,8 @@ from repro.runtime.core import (
     PipelineSession,
     SimTransport,
     Transport,
+    collect_stage,
     emit_stage_trace,
-    execute_stage,
 )
 from repro.runtime.faults import (
     DeviceDead,
@@ -27,7 +27,6 @@ from repro.runtime.faults import (
     FaultSchedule,
     RuntimeConfig,
     TransientTaskError,
-    churn_replanner,
 )
 from repro.runtime.messages import (
     Hello,
@@ -67,7 +66,6 @@ from repro.runtime.transport import (
     decode_message,
     encode_message,
     recv_message,
-    send_message,
 )
 from repro.runtime.worker import worker_main
 
@@ -106,7 +104,6 @@ __all__ = [
     "TransportClosed",
     "WorkerError",
     "canonical_trace",
-    "churn_replanner",
     "coerce_tracer",
     "compile_plan",
     "decode_message",
@@ -114,12 +111,11 @@ __all__ = [
     "diff_traces",
     "emit_stage_trace",
     "encode_message",
-    "execute_stage",
+    "collect_stage",
     "format_timeline",
     "plan_timing",
     "recv_message",
     "repartition_stage",
-    "send_message",
     "split_stage",
     "stitch_stage",
     "trace_makespan",

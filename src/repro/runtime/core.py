@@ -3,7 +3,7 @@
 Every executor in the repo drives frames through the same three steps —
 split the stage input into per-device tiles, run each task's compiled
 segment, stitch the output map — and differ only in *where* tasks run
-and *what clock* stamps the trace.  :func:`execute_stage` owns the
+and *what clock* stamps the trace.  :func:`collect_stage` owns the
 split/stitch and trace emission; a :class:`Transport` supplies task
 execution and timestamps:
 
@@ -69,7 +69,6 @@ __all__ = [
     "collect_stage",
     "dispatch_stage",
     "emit_stage_trace",
-    "execute_stage",
     "PipelineSession",
 ]
 
@@ -113,7 +112,7 @@ class Transport(ABC):
     (via :meth:`configure`), the set of devices declared dead, per-stage
     task-set overrides installed by :meth:`repartition`, and the clock /
     backoff hooks (:meth:`clock`, :meth:`penalty`) the recovery loop in
-    :func:`execute_stage` stamps its events with.
+    :func:`collect_stage` stamps its events with.
     """
 
     name: str = "?"
@@ -350,36 +349,6 @@ def dispatch_stage(
         work.handle = exc
 
 
-def execute_stage(
-    transport: Transport,
-    program: PlanProgram,
-    stage_index: int,
-    x: np.ndarray,
-    frame: int,
-    tracer: Optional[Tracer] = None,
-    config: "Optional[RuntimeConfig]" = None,
-) -> np.ndarray:
-    """Run one stage of one frame through a transport.
-
-    The single split → compute → stitch path shared by every backend
-    (:func:`collect_stage` of an undispatched :class:`StageWork`).
-    Trace events are emitted in canonical order — enqueue, then per
-    task (in task order) send/compute/recv — so event *ordering* is
-    deterministic for any backend; only timestamps differ.
-
-    With a :class:`~repro.runtime.faults.RuntimeConfig` the call is
-    fault-tolerant: transient task failures retry with bounded
-    exponential backoff (``retry`` events), a dead device triggers a
-    stage repartition and a replay of the frame from this stage
-    boundary (``device_dead`` / ``frame_replayed`` events).  Without a
-    config (the default) failures propagate untouched — the exact
-    legacy path.
-    """
-    return collect_stage(
-        transport, program, stage_index, StageWork(x, (frame,)), tracer, config
-    )
-
-
 def collect_stage(
     transport: Transport,
     program: PlanProgram,
@@ -388,14 +357,26 @@ def collect_stage(
     tracer: Optional[Tracer] = None,
     config: "Optional[RuntimeConfig]" = None,
 ) -> "Optional[np.ndarray]":
-    """Finish one stage of ``work`` — the shared single-frame / batched
+    """Finish one stage of ``work`` — the single split → compute →
+    stitch path shared by every backend, and its single-frame / batched
     fault ladder.
+
+    Trace events are emitted in canonical order — enqueue, then per
+    task (in task order) send/compute/recv — so event *ordering* is
+    deterministic for any backend; only timestamps differ.
 
     ``work`` may have been dispatched already (:func:`dispatch_stage`);
     if its tiles went out for a task set a repartition has since
     replaced, they are re-split and re-sent (the stale results are the
     transport's to skip), and a failure its dispatch kept is raised
     here, into this frame's ladder.
+
+    With a :class:`~repro.runtime.faults.RuntimeConfig` the call is
+    fault-tolerant: transient task failures retry with bounded
+    exponential backoff (``retry`` events), a dead device triggers a
+    stage repartition and a replay of the frame from this stage
+    boundary (``device_dead`` / ``frame_replayed`` events).  Without a
+    config (the default) failures propagate untouched.
     """
     frame = work.frames[0]
     if config is None:
@@ -881,12 +862,13 @@ class PipelineSession:
     """Drives frames through a :class:`PlanProgram` over any transport.
 
     The one plan-walking loop: stages in order, each via
-    :func:`execute_stage`.  Construct from a compiled program or let
+    :func:`collect_stage`.  Construct from a compiled program or let
     :meth:`from_plan` compile one.
 
     With a :class:`~repro.runtime.faults.RuntimeConfig` the session is
-    fault-tolerant (see :func:`execute_stage`); with a ``replanner`` —
-    e.g. :func:`~repro.runtime.faults.churn_replanner` — it also reacts
+    fault-tolerant (see :func:`collect_stage`); with a ``replanner``
+    (``replan(dead) -> (PlanProgram, kind)``, typically over
+    :func:`~repro.runtime.faults.replan_or_degrade`) it also reacts
     to *churn* through its :class:`~repro.runtime.faults.PlanDoor`,
     asked before every frame and when a stage fails outright.
     """

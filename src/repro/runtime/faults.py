@@ -7,7 +7,7 @@ defines the three pieces every backend shares:
 * :class:`RuntimeConfig` — the knobs of the fault-tolerance layer
   (the worker receive deadline, bounded exponential-backoff retries
   and the re-plan threshold), threaded through
-  :func:`~repro.runtime.core.execute_stage` and the executors.
+  :func:`~repro.runtime.core.collect_stage` and the executors.
 * :class:`FaultSchedule` — a deterministic fault-injection script
   (crash-at-frame, compute delay, dropped result, flaky link) honored
   by :class:`~repro.runtime.core.SimTransport` and
@@ -55,7 +55,6 @@ __all__ = [
     "TransientTaskError",
     "DeviceDead",
     "StageFailure",
-    "churn_replanner",
     "replan_or_degrade",
     "PlanChange",
     "PlanDoor",
@@ -300,48 +299,6 @@ def replan_or_degrade(model, survivors, plan_over=None):
             pass
     best = max(survivors, key=lambda d: d.capacity)
     return local_fallback_plan(model, best), "degraded"
-
-
-def churn_replanner(
-    model,
-    cluster,
-    network,
-    options=None,
-    scheme=None,
-    switcher=None,
-):
-    """A session replanner: fresh plan over the survivors, or degrade.
-
-    Returns a callable ``replan(dead) -> (PlanProgram, kind)`` for
-    :class:`~repro.runtime.core.PipelineSession`: it re-plans the model
-    over the surviving devices with ``scheme`` (or asks ``switcher`` —
-    an :class:`~repro.adaptive.switcher.AdaptiveSwitcher` — for a fresh
-    candidate set, APICO-style) and degrades through
-    :func:`replan_or_degrade` when planning over the survivors is
-    infeasible.  ``kind`` is ``"replan"`` or ``"degraded"`` and becomes
-    the emitted trace event.
-    """
-    if scheme is None and switcher is None:
-        raise ValueError("churn_replanner needs a scheme or a switcher")
-
-    def replan(dead):
-        from repro.cost.flops import DEFAULT_OPTIONS
-
-        opts = options or DEFAULT_OPTIONS
-
-        def plan_over(survivors):
-            if switcher is not None:
-                return switcher.replan(
-                    model, survivors, network, opts
-                ).active.plan
-            return scheme.plan(model, survivors, network, opts)
-
-        plan, kind = replan_or_degrade(
-            model, (d for d in cluster if d.name not in dead), plan_over
-        )
-        return compile_plan(model, plan), kind
-
-    return replan
 
 
 class PlanChange(NamedTuple):

@@ -198,7 +198,7 @@ def plan_timing(
         comp = [cost.latency - total_comm]
     if measured_services is not None:
         # Replace the analytic per-stage service times with measured
-        # wall-clock ones (e.g. LocalPlanExecutor.measure); the comm
+        # wall-clock ones (e.g. a traced serve's compute spans); the comm
         # component keeps its analytic estimate and compute absorbs
         # the rest, so shared-medium contention still works.
         if len(measured_services) != len(services):

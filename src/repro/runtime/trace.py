@@ -45,7 +45,6 @@ __all__ = [
     "trace_makespan",
     "format_timeline",
     "dump_jsonl",
-    "load_jsonl",
 ]
 
 #: The trace schema's event kinds, in per-task emission order.
@@ -137,8 +136,8 @@ class Tracer:
 def coerce_tracer(trace) -> "Tracer | None":
     """Normalise the ``trace=`` kwarg every executor accepts.
 
-    One contract everywhere (``PipelineServer``'s ``tracer=``,
-    ``LocalPlanExecutor``, the simulators, :func:`repro.simulate`):
+    One contract everywhere (``PipelineServer``'s ``tracer=``, the
+    simulators, :func:`repro.simulate`):
     ``None``/``False`` disables tracing, ``True`` mints a fresh
     :class:`Tracer`, and an existing :class:`Tracer` is used as-is (so
     one sink can aggregate several runs).
@@ -226,8 +225,3 @@ def dump_jsonl(events: "Sequence[TraceEvent]", path: str) -> None:
     with open(path, "w") as handle:
         for e in events:
             handle.write(json.dumps(asdict(e)) + "\n")
-
-
-def load_jsonl(path: str) -> "List[TraceEvent]":
-    with open(path) as handle:
-        return [TraceEvent(**json.loads(line)) for line in handle if line.strip()]

@@ -80,7 +80,6 @@ __all__ = [
     "encode_message",
     "encode_parts",
     "decode_message",
-    "send_message",
     "send_parts",
     "recv_message",
     "Channel",
@@ -409,12 +408,6 @@ def send_parts(sock: socket.socket, parts: "List[Any]", total: int) -> None:
             small.append(part)
     if small:
         sock.sendall(b"".join(small))
-
-
-def send_message(sock: socket.socket, message: Any) -> None:
-    """Serialise and send one framed message."""
-    parts, total = encode_parts(message)
-    send_parts(sock, parts, total)
 
 
 def _recv_exact_into(sock: socket.socket, buf: memoryview) -> None:

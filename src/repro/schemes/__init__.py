@@ -4,7 +4,7 @@ from repro.schemes.base import PlanningError, Scheme, weighted_assignments
 from repro.schemes.early_fused import EarlyFusedScheme, default_fuse_count
 from repro.schemes.interleaved import InterleavedScheme
 from repro.schemes.layer_wise import LayerWiseScheme
-from repro.schemes.local import LocalPlanExecutor, local_fallback_plan
+from repro.schemes.local import local_fallback_plan
 from repro.schemes.optimal_fused import OptimalFusedScheme
 from repro.schemes.pico import PicoScheme
 
@@ -12,7 +12,6 @@ __all__ = [
     "EarlyFusedScheme",
     "InterleavedScheme",
     "LayerWiseScheme",
-    "LocalPlanExecutor",
     "OptimalFusedScheme",
     "PicoScheme",
     "PlanningError",

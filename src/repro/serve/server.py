@@ -274,7 +274,8 @@ class PipelineServer:
     replanner:
         ``replan(dead) -> (PlanProgram, kind)`` — adopted when churn
         passes ``runtime_config.replan_threshold`` or a stage fails
-        outright (see :func:`~repro.runtime.faults.churn_replanner`).
+        outright (typically over
+        :func:`~repro.runtime.faults.replan_or_degrade`).
     switcher:
         An :class:`~repro.adaptive.switcher.AdaptiveSwitcher`; the
         server feeds it the measured queue depth per arrival and
@@ -345,9 +346,10 @@ class PipelineServer:
         ``frames`` may be an int — ``n`` copies of a zero input frame,
         or, on a timing-only transport (``SimTransport`` with
         ``compute=False``), ``n`` frames with no data at all.
-        ``arrivals`` are submit times in seconds
-        (virtual for the simulated backend, offsets from serve start
-        for wall-clock backends); ``None`` submits back-to-back.  On a
+        ``arrivals`` are submit times in seconds, offsets from the
+        transport's clock when the call starts, on either clock (a
+        fresh virtual clock starts at 0); ``None`` submits
+        back-to-back.  On a
         computing transport a frame whose shape is not the model's
         input is a ``ValueError`` before any frame is admitted.  On the
         wall clock, no frame delivered for
@@ -431,6 +433,8 @@ class PipelineServer:
         cfg = self.config
         session = self._session
         switcher = self.door.switcher
+        epoch = self.transport.clock()
+        arrivals = [epoch + t for t in arrivals]
         completions: "List[float]" = []  # launched frames, FIFO order
         head = 0  # completions[head:] are still in the system
         compute = self.transport.compute
@@ -438,7 +442,7 @@ class PipelineServer:
         outputs: "Dict[int, np.ndarray]" = {}
         #: forming batch: ``(index, frame, admitted_at)`` per member.
         pending: "List[Tuple[int, np.ndarray, float]]" = []
-        last_admit = 0.0
+        last_admit = epoch
 
         def launch() -> None:
             """Run the forming batch as one unit; record its frames."""
@@ -544,7 +548,7 @@ class PipelineServer:
             if len(pending) >= cfg.max_batch:
                 launch()
         launch()  # flush the final forming batch
-        makespan = completions[-1] if completions else 0.0
+        makespan = completions[-1] - epoch if completions else 0.0
         return records, outputs, makespan
 
     # ------------------------------------------------------------------

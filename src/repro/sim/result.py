@@ -34,10 +34,6 @@ class TaskRecord:
     def latency(self) -> float:
         return self.completion - self.arrival
 
-    @property
-    def waiting(self) -> float:
-        return self.started - self.arrival
-
 
 @dataclass
 class SimResult:

@@ -137,8 +137,8 @@ def simulate_scenario(
       Frame-level faults (delay, drop, flaky link) have no event-level
       counterpart — use :class:`~repro.runtime.core.SimTransport`.
     * ``measured_services`` — measured wall-clock seconds per stage of
-      the initial plan in place of the analytic ones, the bridge from
-      :meth:`repro.schemes.local.LocalPlanExecutor.measure`.
+      the initial plan in place of the analytic ones (e.g. timed from
+      a traced :meth:`~repro.serve.PipelineServer.serve`).
 
     ``trace`` is the shared ``Tracer | bool | None`` contract; events
     land in ``SimResult.trace``.  ``keep_records=False`` returns a

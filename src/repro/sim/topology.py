@@ -164,19 +164,6 @@ class Topology:
         self.add_link(link)
         return link
 
-    def detach(self, device: str) -> "Tuple[NetworkLink, ...]":
-        """Remove ``device`` and every link touching it (mobility)."""
-        dropped = tuple(self._adjacency.get(device, ()))
-        if not dropped:
-            return ()
-        self._links = [l for l in self._links if l not in dropped]
-        self._adjacency = {}
-        for link in self._links:
-            self._adjacency.setdefault(link.a, []).append(link)
-            self._adjacency.setdefault(link.b, []).append(link)
-        self._route_cache.clear()
-        return dropped
-
     # -- queries ------------------------------------------------------
 
     @property

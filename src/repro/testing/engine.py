@@ -21,11 +21,54 @@ from repro.models.layers import ConvSpec, PoolSpec, SpatialLayer
 from repro.nn import ops, parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import Weights, init_weights
-from repro.testing.kernels import batch_norm, conv2d_reference, maxpool2d_reference
+from repro.testing.kernels import (
+    apply_activation,
+    batch_norm,
+    conv2d_reference,
+    maxpool2d_reference,
+)
 
-__all__ = ["ReferenceEngine", "run_segment_reference"]
+__all__ = ["ReferenceEngine", "run_segment_reference", "run_unit"]
 
 _Pad4 = Tuple[int, int, int, int]
+
+
+def _run_path(engine, path, x: np.ndarray) -> np.ndarray:
+    for layer in path:
+        x = engine.run_layer(layer, x, engine.spec_pads(layer))
+    return x
+
+
+def run_unit(engine, unit: PlanUnit, x: np.ndarray) -> np.ndarray:
+    """Execute one plan unit on a full feature map, op by op, on
+    ``engine`` (an :class:`~repro.nn.executor.Engine` or a
+    :class:`ReferenceEngine`): its per-call ``run_layer`` path, where
+    :meth:`~repro.nn.executor.Engine.forward_features` runs a compiled
+    plan."""
+    if isinstance(unit, LayerUnit):
+        return engine.run_layer(unit.layer, x, engine.spec_pads(unit.layer))
+    assert isinstance(unit, BlockUnit)
+    # Inception/residual branches are independent given the block
+    # input: fan them out on the shared pool (serial fallback inside).
+    outputs = parallel.run_parallel(
+        [lambda path=path: _run_path(engine, path, x) for path in unit.paths]
+    )
+    if unit.merge == "add":
+        # First sum allocates (an identity path may alias the block
+        # input x); the rest accumulate in place.  Same association
+        # order as the serial reference: ((p0 + p1) + p2) ...
+        if len(outputs) == 1:
+            merged = outputs[0]
+        else:
+            merged = outputs[0] + outputs[1]
+            for out in outputs[2:]:
+                merged += out
+    else:
+        merged = np.concatenate(outputs, axis=0)
+    merged = ops.ensure_f32c(merged)
+    if merged is x:  # single identity path cannot happen, but be safe
+        return apply_activation(merged, unit.post_activation)
+    return ops.apply_activation_(merged, unit.post_activation)
 
 
 class ReferenceEngine:
@@ -42,6 +85,7 @@ class ReferenceEngine:
     spec_pads = staticmethod(Engine.spec_pads)
     run_head = Engine.run_head
     _check_input = Engine._check_input
+    run_unit = run_unit
 
     def run_layer(
         self,
@@ -78,7 +122,7 @@ class ReferenceEngine:
                     gamma, beta = gamma[lo:hi], beta[lo:hi]
                     mean, var = mean[lo:hi], var[lo:hi]
                 out = batch_norm(out, gamma, beta, mean, var)
-            return ops.apply_activation(out, layer.activation)
+            return apply_activation(out, layer.activation)
         assert isinstance(layer, PoolSpec)
         if channels is not None:
             lo, hi = channels
@@ -86,35 +130,6 @@ class ReferenceEngine:
         if layer.kind_ == "max":
             return maxpool2d_reference(x, layer.kernel_size, layer.stride, pads)
         return ops.avgpool2d(x, layer.kernel_size, layer.stride, pads)
-
-    def _run_path(self, path, x: np.ndarray) -> np.ndarray:
-        for layer in path:
-            x = self.run_layer(layer, x, self.spec_pads(layer))
-        return x
-
-    def run_unit(self, unit: PlanUnit, x: np.ndarray) -> np.ndarray:
-        """One plan unit on a full feature map; block paths fan out on
-        the shared pool and merge as ``((p0 + p1) + p2) ...`` or a
-        channel concat."""
-        if isinstance(unit, LayerUnit):
-            return self.run_layer(unit.layer, x, self.spec_pads(unit.layer))
-        assert isinstance(unit, BlockUnit)
-        outputs = parallel.run_parallel(
-            [lambda path=path: self._run_path(path, x) for path in unit.paths]
-        )
-        if unit.merge == "add":
-            if len(outputs) == 1:
-                merged = outputs[0]
-            else:
-                merged = outputs[0] + outputs[1]
-                for out in outputs[2:]:
-                    merged += out
-        else:
-            merged = np.concatenate(outputs, axis=0)
-        merged = ops.ensure_f32c(merged)
-        if merged is x:
-            return ops.apply_activation(merged, unit.post_activation)
-        return ops.apply_activation_(merged, unit.post_activation)
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Every plan unit in order; returns the final feature map."""
@@ -155,5 +170,5 @@ def run_segment_reference(engine, program, tile: np.ndarray) -> np.ndarray:
             merged = outs[0] + outs[1]
             for other in outs[2:]:
                 merged = merged + other
-        x = ops.apply_activation(merged, unit.post_activation)
+        x = apply_activation(merged, unit.post_activation)
     return x

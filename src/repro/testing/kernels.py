@@ -4,11 +4,13 @@ engine benchmark.
 
 ``conv2d_reference`` is the original sliding-window + tensordot/einsum
 convolution: for ``groups == 1`` it reduces to the same sgemm as
-:func:`repro.nn.ops.conv2d` on identically laid-out operands (bit-exact);
+:func:`conv2d` (the production :func:`repro.nn.ops.conv2d_packed` on a
+weight packed per call) on identically laid-out operands (bit-exact);
 grouped convolutions agree to a few ULPs.  ``maxpool2d_reference`` is
-the windowed max (bit-exact with the tap maxima), and ``batch_norm`` the
+the windowed max (bit-exact with the tap maxima), ``batch_norm`` the
 separate per-channel BN pass the production engine folds into its
-packed weights.
+packed weights, and ``apply_activation`` the out-of-place activations
+the production kernels apply in place.
 """
 
 from __future__ import annotations
@@ -18,16 +20,48 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.ops import (
+    LEAKY_SLOPE,
     _Pad4,
     _Size2,
     _check_conv,
     _check_map,
     _windows,
+    conv2d_packed,
     ensure_f32c,
+    pack_conv_weight,
     pad2d,
 )
 
-__all__ = ["conv2d_reference", "maxpool2d_reference", "batch_norm"]
+__all__ = [
+    "apply_activation",
+    "batch_norm",
+    "conv2d",
+    "conv2d_reference",
+    "leaky_relu",
+    "maxpool2d_reference",
+    "relu",
+    "relu6",
+]
+
+
+def conv2d(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    stride: _Size2 = (1, 1),
+    pads: _Pad4 = (0, 0, 0, 0),
+    groups: int = 1,
+) -> np.ndarray:
+    """2-D convolution (cross-correlation) via im2col + GEMM.
+
+    ``weight`` is ``(Cout, Cin/groups, kh, kw)``; ``groups == Cin``
+    gives a depthwise convolution (MobileNet-style).  Packs the weight
+    on every call — steady-state callers (the engine) pre-pack once and
+    use :func:`conv2d_packed`.
+    """
+    _check_conv(x.shape, weight.shape[0], weight.shape[1], groups)
+    packed = pack_conv_weight(weight, groups)
+    return conv2d_packed(x, packed, bias, weight.shape[2:], stride, pads, groups)
 
 
 def conv2d_reference(
@@ -108,3 +142,29 @@ def batch_norm(
     shift = beta - mean * scale
     bshape = scale.shape + (1,) * (x.ndim - 1)
     return (x * scale.reshape(bshape) + shift.reshape(bshape)).astype(np.float32)
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
+    return np.where(x > 0, x, slope * x).astype(x.dtype)
+
+
+def relu6(x: np.ndarray) -> np.ndarray:
+    """MobileNet's clipped ReLU."""
+    return np.clip(x, 0.0, 6.0)
+
+
+def apply_activation(x: np.ndarray, activation: str) -> np.ndarray:
+    """Dispatch by activation name ("linear" is identity)."""
+    if activation == "relu":
+        return relu(x)
+    if activation == "leaky_relu":
+        return leaky_relu(x)
+    if activation == "relu6":
+        return relu6(x)
+    if activation == "linear":
+        return x
+    raise ValueError(f"unknown activation {activation!r}")

@@ -1,8 +1,9 @@
 """The seed's Algorithm 1: the scalar ``Ts`` oracle for the vectorized
 cost tables and the planner benchmark's baseline.
 
-:class:`StageTimeTable` is the ``Ts`` memo with the scalar per-query
-cost model plugged in as its strip cost, and
+:func:`homogeneous_stage_time` is the scalar per-query cost of an
+equal strip partition over identical devices, :class:`StageTimeTable`
+the ``Ts`` memo with it plugged in as its strip cost, and
 :func:`plan_homogeneous_reference` runs the Algorithm 1 DP over it,
 unpruned.  The production :class:`~repro.cost.tables.SegmentCostTable`
 must agree with it entry for entry, bit for bit
@@ -14,15 +15,34 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.cluster.device import Cluster
+from repro.cluster.device import Cluster, Device
 from repro.core.dp_planner import HomoPlan, _min_period_dp
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
-from repro.cost.stage_cost import homogeneous_stage_time
+from repro.cost.stage_cost import StageCost, stage_time
 from repro.cost.tables import StageTimeMemo
 from repro.models.graph import Model
+from repro.partition.strips import equal_partition, strip_regions
 
-__all__ = ["StageTimeTable", "plan_homogeneous_reference"]
+__all__ = ["StageTimeTable", "homogeneous_stage_time", "plan_homogeneous_reference"]
+
+
+def homogeneous_stage_time(
+    model: Model,
+    start: int,
+    end: int,
+    n_devices: int,
+    device: Device,
+    network: NetworkModel,
+    options: CostOptions = DEFAULT_OPTIONS,
+    with_head: bool = False,
+) -> StageCost:
+    """Stage cost with ``n_devices`` copies of ``device`` and an equal
+    strip partition of the segment's final output map (§IV-A1)."""
+    _, h, w = model.out_shape(end - 1)
+    regions = strip_regions(h, w, equal_partition(h, n_devices))
+    assignments = [(device, region) for region in regions]
+    return stage_time(model, start, end, assignments, network, options, with_head)
 
 
 class StageTimeTable(StageTimeMemo):

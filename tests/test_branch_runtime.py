@@ -15,6 +15,7 @@ from repro.nn.weights import init_weights
 from repro.partition.branches import assign_paths_lpt, path_flops
 from repro.partition.regions import Region
 from repro.runtime.faults import FaultSchedule, RuntimeConfig
+from repro.testing import run_unit
 from tests.conftest import serve_on_workers
 
 
@@ -51,8 +52,8 @@ class TestCompileBlockPaths:
         engine = Engine(model, weights)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(model.input_shape).astype(np.float32)
-        stem_out = engine.run_unit(model.units[0], x)
-        full_out = engine.run_unit(model.units[1], stem_out)
+        stem_out = run_unit(engine, model.units[0], x)
+        full_out = run_unit(engine, model.units[1], stem_out)
         # Path channel layout: b1 -> [0,4), b3 -> [4,10), b5 -> [10,15).
         cases = [((0,), slice(0, 4)), ((1,), slice(4, 10)), ((2,), slice(10, 15)),
                  ((0, 2), None)]

@@ -43,7 +43,7 @@ from repro.runtime.messages import (
 )
 from repro.runtime.transport import Channel
 from repro.runtime.worker import worker_main
-from repro.testing import run_segment_reference
+from repro.testing import run_segment_reference, run_unit
 from tests.test_program_properties import cut_lists
 
 ACTIVATIONS = ("relu", "leaky_relu", "relu6", "linear")
@@ -146,7 +146,7 @@ def grid_tasks(draw, model: Model):
 
 def unit_input(engine: Engine, start: int, x: np.ndarray) -> np.ndarray:
     for unit in engine.model.units[:start]:
-        x = engine.run_unit(unit, x)
+        x = run_unit(engine, unit, x)
     return x
 
 
@@ -323,22 +323,6 @@ class TestPlanBuffers:
 
 
 class TestStalePlans:
-    def test_refresh_weights_drops_plans(self):
-        weights = init_weights(MODEL, 0)
-        engine = Engine(MODEL, weights)
-        program = _strip_program(MODEL, 0, 5)
-        tile = extract_tile(
-            stacked(np.random.default_rng(2), MODEL.input_shape, None),
-            program.input_region,
-        )
-        before = run_segment(engine, program, tile)
-        name = MODEL.units[0].layer.name
-        weights[name]["weight"] = weights[name]["weight"] * 2.0
-        engine.refresh_weights()
-        got = run_segment(engine, program, tile)
-        assert not np.array_equal(got, before)
-        assert_same_bits(got, run_segment(Engine(MODEL, weights), program, tile))
-
     def test_plan_cache_is_bounded(self, monkeypatch):
         engine = Engine(MODEL, init_weights(MODEL, 0))
         # Freshly compiled programs are distinct objects: one plan each.

@@ -30,7 +30,7 @@ from repro.core.dp_planner import _min_period_dp, plan_homogeneous
 from repro.core.pareto import plan_pareto
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import DEFAULT_OPTIONS
-from repro.cost.stage_cost import homogeneous_stage_time, stage_time
+from repro.cost.stage_cost import stage_time
 from repro.cost.tables import (
     SegmentCostTable,
     SegmentTable,
@@ -45,6 +45,7 @@ from repro.partition.branches import is_branchable
 from repro.partition.regions import Interval, Region
 from repro.partition.strips import weighted_partition
 from repro.testing import StageTimeTable, plan_homogeneous_reference
+from repro.testing.planner import homogeneous_stage_time
 
 NET = NetworkModel.from_mbps(50.0)
 OPTIONS = DEFAULT_OPTIONS

@@ -2,9 +2,10 @@
 
 The repo's strongest end-to-end guarantee, checked exhaustively: for
 every registered scheme and a small family of architectures, the
-execution backends (in-process threads, virtual-clock simulator, local
-plan executor, and — in its own cells, since it forks real workers —
-the shared-memory transport) produce **bit-identical** feature maps —
+execution backends (in-process threads, virtual-clock simulator, the
+threaded server over in-process threads, and — in its own cells, since
+it forks real workers — the shared-memory transport) produce
+**bit-identical** feature maps —
 equal to the plain ``Engine.forward_features`` reference — and report
 equivalent canonical traces.  Both frame-at-a-time and with multiple
 frames in flight through the serving layer.
@@ -33,13 +34,12 @@ from repro.runtime.coordinator import ShmTransport, TcpTransport
 from repro.runtime.core import InProcTransport, PipelineSession, SimTransport
 from repro.runtime.trace import Tracer, canonical_trace
 from repro.schemes import available_schemes, get_scheme
-from repro.schemes.local import LocalPlanExecutor
 from repro.serve import PipelineServer, ServerConfig
 from tests.conftest import own_shm_segments
 
 NETWORK = NetworkModel.from_mbps(50.0)
 CLUSTER = heterogeneous_cluster([1200, 1000, 800, 600])
-BACKENDS = ("inproc", "sim", "local")
+BACKENDS = ("inproc", "sim", "served")
 
 MODELS = {
     "toy": lambda: toy_chain(4, 1, input_hw=24, in_channels=3,
@@ -93,10 +93,12 @@ def _run_backend(backend, model_key, scheme_name, frame):
     """One frame through one backend; returns (features, canonical trace)."""
     model = _model(model_key)
     plan = _plan(model_key, scheme_name)
-    if backend == "local":
-        executor = LocalPlanExecutor(_engine(model_key), plan, trace=True)
-        out = executor.forward_features(frame)
-        return out, canonical_trace(executor.trace)
+    if backend == "served":
+        with PipelineServer.from_plan(
+            model, plan, InProcTransport(_engine(model_key)), tracer=True
+        ) as server:
+            result = server.serve([frame])
+        return result.outputs[0], canonical_trace(result.trace)
     if backend == "inproc":
         transport = InProcTransport(_engine(model_key))
     elif backend == "shm":
@@ -148,12 +150,12 @@ def _check_matrix_cell(model_key, scheme_name):
     # Whatever the scheme, the three backends run the same compiled
     # split/compute/stitch and must agree bit-for-bit with each other.
     assert np.array_equal(outs["inproc"], outs["sim"])
-    assert np.array_equal(outs["inproc"], outs["local"])
+    assert np.array_equal(outs["inproc"], outs["served"])
     # The wall-clock and virtual backends emit the *same* canonical
-    # sequence (the trace-smoke contract); the local executor walks the
-    # same plan so its event count must agree too.
+    # sequence (the trace-smoke contract); the server walks the same
+    # plan so its event count must agree too.
     assert traces["inproc"] == traces["sim"]
-    assert len(traces["local"]) == len(traces["inproc"])
+    assert len(traces["served"]) == len(traces["inproc"])
 
 
 def _check_in_flight_cell(model_key, scheme_name, n_frames=3):
@@ -283,15 +285,18 @@ def test_frames_in_flight_matrix_resnetish(scheme_name):
 
 
 def test_local_executor_sequential_frames_match_engine():
-    """Frame-at-a-time on the local executor, several frames in a row —
-    no state leaks between frames."""
+    """Frame-at-a-time through one in-process server, several calls in
+    a row — no state leaks between frames."""
     engine = _engine("toy")
-    executor = LocalPlanExecutor(engine, _plan("toy", "pico"))
-    for i in range(3):
-        frame = _frame("toy", seed=200 + i)
-        assert np.array_equal(
-            executor.forward_features(frame), engine.forward_features(frame)
-        )
+    with PipelineServer.from_plan(
+        _model("toy"), _plan("toy", "pico"), InProcTransport(engine)
+    ) as server:
+        for i in range(3):
+            frame = _frame("toy", seed=200 + i)
+            assert np.array_equal(
+                server.serve([frame]).outputs[0],
+                engine.forward_features(frame),
+            )
 
 
 # ---------------------------------------------------------------------------

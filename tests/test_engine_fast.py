@@ -106,13 +106,14 @@ class TestPackedCache:
         x = _input(model)
         baseline = engine.forward_features(x)
         assert len(engine._packed) == 3
-        # Mutating weights without refresh serves stale packed matrices.
+        # Mutating weights serves the stale packed matrices; a fresh
+        # engine over the same dict packs (and serves) the new ones.
         name = model.units[0].layer.name
         engine.weights[name]["weight"] = engine.weights[name]["weight"] * 2.0
         np.testing.assert_array_equal(engine.forward_features(x), baseline)
-        engine.refresh_weights()
-        assert not engine._packed
-        assert not np.array_equal(engine.forward_features(x), baseline)
+        fresh = Engine(model, engine.weights)
+        assert not fresh._packed
+        assert not np.array_equal(fresh.forward_features(x), baseline)
 
     def test_partial_weights_pack_on_demand(self):
         """A worker ships only its segment's layers; packing must not

@@ -33,12 +33,6 @@ class TestEwmaEstimator:
         with pytest.raises(ValueError):
             EwmaEstimator(beta=0.5).update(-1.0)
 
-    def test_reset(self):
-        est = EwmaEstimator(beta=0.5, initial=4.0)
-        est.update(8.0)
-        est.reset(1.0)
-        assert est.value == 1.0
-
     @given(
         beta=st.floats(0.01, 1.0),
         values=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=50),

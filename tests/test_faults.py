@@ -28,7 +28,6 @@ from repro.runtime.faults import (
     FaultSchedule,
     RuntimeConfig,
     StageFailure,
-    churn_replanner,
     replan_or_degrade,
 )
 from repro.runtime.program import compile_plan
@@ -44,6 +43,7 @@ from repro.schemes.local import local_fallback_plan
 from repro.schemes.pico import PicoScheme
 from repro.serve import PipelineServer, ServerConfig
 from repro.sim import simulate_scenario
+from repro.testing.faults import churn_replanner
 from tests.conftest import serve_on_workers
 
 
@@ -503,7 +503,7 @@ class TestCoerceTracer:
 
 def test_public_all_exports_fault_api():
     for name in ("RuntimeConfig", "FaultSchedule", "simulate",
-                 "get_scheme", "available_schemes", "churn_replanner"):
+                 "get_scheme", "available_schemes"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
 

@@ -223,7 +223,7 @@ class TestFleetScheduler:
         assert set(placements) == {"alpha", "beta"}
         for name, pl in placements.items():
             assert pl.meets_slo, f"{name}: {pl.estimate} vs SLO"
-            assert pl.devices == sched.grant_of(name)
+            assert pl.devices == sched.placements[name].devices
             assert set(d.name for d in pl.plan.all_devices) <= set(pl.devices)
 
     def test_higher_priority_places_first(self, registry, cluster, net):
@@ -256,9 +256,9 @@ class TestFleetScheduler:
         sched = FleetScheduler(registry, cluster, net)
         placements = sched.place(self._tenants())
         victim = placements["alpha"].devices[0]
-        affected = sched.on_device_dead(victim)
+        affected = sched.pool.mark_dead(victim)
         assert "alpha" in affected
-        assert sched.on_device_dead(victim) == ()  # idempotent
+        assert sched.pool.mark_dead(victim) == ()  # idempotent
         replaced = sched.replace_tenant("alpha")
         assert victim not in replaced.devices
         assert sched.placements["alpha"] is replaced
@@ -268,7 +268,7 @@ class TestFleetScheduler:
         solo_cluster = pi_cluster(1, 1000.0)
         sched = FleetScheduler(registry, solo_cluster, net)
         sched.place([TenantClass("a", "small", rate=1.0, slo=60.0)])
-        sched.on_device_dead(solo_cluster.devices[0].name)
+        sched.pool.mark_dead(solo_cluster.devices[0].name)
         with pytest.raises(PlanningError):
             sched.replace_tenant("a")
 
@@ -535,7 +535,7 @@ class TestFleetChurn:
                     res.outputs[i], baseline.outputs[i], atol=1e-4
                 ), f"{tenant.name} frame {i} corrupted by fleet churn"
             # both tenants moved off the victim
-            assert victim not in scheduler.grant_of(tenant.name)
+            assert victim not in scheduler.placements[tenant.name].devices
 
     @pytest.mark.parametrize("backend", ["tcp", "shm"])
     def test_death_reaches_every_worker_tenant(self, registry, net, backend):

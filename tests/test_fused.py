@@ -12,11 +12,11 @@ from repro.partition.fused import (
     chain_backprop,
     chain_forward_hw,
     segment_input_region,
-    segment_owned_region,
     unit_input_region,
     unit_owned_input,
 )
 from repro.partition.regions import Interval, Region
+from repro.testing.regions import segment_owned_region
 
 
 class TestChainForward:

@@ -7,6 +7,7 @@ import pytest
 from repro.models.graph import BlockUnit, LayerUnit, Model, chain_model
 from repro.models.layers import ConvSpec, DenseSpec, conv1x1, conv3x3, maxpool2
 from repro.models.resnet import basic_block
+from repro.testing.models import conv_layer_count, pool_layer_count
 
 
 class TestLayerUnit:
@@ -129,8 +130,8 @@ class TestModel:
         model = chain_model(
             "m", (3, 16, 16), [conv3x3("c1", 3, 8), maxpool2("p", 8)]
         )
-        assert model.conv_layer_count() == 1
-        assert model.pool_layer_count() == 1
+        assert conv_layer_count(model) == 1
+        assert pool_layer_count(model) == 1
 
     def test_describe_mentions_every_unit(self):
         model = chain_model("m", (3, 8, 8), [conv3x3("c1", 3, 4), maxpool2("p", 4)])

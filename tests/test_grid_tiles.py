@@ -18,6 +18,7 @@ from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.tiles import compile_segment, extract_tile, run_segment
 from repro.partition.grid import grid_partition
+from repro.testing import run_unit
 
 
 def assert_grid_tiles_match(model, start, end, rows, cols, seed=0):
@@ -26,7 +27,7 @@ def assert_grid_tiles_match(model, start, end, rows, cols, seed=0):
     x = rng.standard_normal(model.input_shape).astype(np.float32)
     outs = [x]
     for unit in model.units:
-        outs.append(engine.run_unit(unit, outs[-1]))
+        outs.append(run_unit(engine, unit, outs[-1]))
     _, h, w = model.out_shape(end - 1)
     for region in grid_partition(h, w, rows, cols):
         if region.empty:

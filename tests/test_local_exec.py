@@ -1,4 +1,5 @@
-"""LocalPlanExecutor: staged tile execution inside one process, and the
+"""A plan served in one process: ``PipelineServer`` over
+``InProcTransport`` against the engine it shards, and the
 measured-services bridge into the event simulator."""
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
 from repro.nn.executor import Engine
 from repro.partition.regions import Region
-from repro.schemes import LocalPlanExecutor
+from repro.runtime.core import InProcTransport
 from repro.schemes.pico import PicoScheme
+from repro.serve import PipelineServer
 from repro.sim import simulate_scenario
 
 
@@ -28,28 +30,33 @@ def _input(model, seed=0):
     return rng.standard_normal(model.input_shape).astype(np.float32)
 
 
+def _served(engine, plan, frames):
+    """Each frame's features, served one at a time in process."""
+    with PipelineServer.from_plan(
+        engine.model, plan, InProcTransport(engine)
+    ) as server:
+        result = server.serve(frames)
+    assert len(result.completed) == len(frames)
+    return [result.outputs[i] for i in range(len(frames))]
+
+
 class TestExactness:
     def test_pico_plan_matches_engine(self, net):
         model = get_model("resnet34", input_hw=32)
         plan = PicoScheme().plan(model, pi_cluster(4, 800), net)
         engine = Engine(model, seed=0)
-        executor = LocalPlanExecutor(engine, plan)
         x = _input(model)
-        np.testing.assert_array_equal(
-            executor.forward_features(x), engine.forward_features(x)
-        )
-        np.testing.assert_array_equal(executor.run(x), engine.run(x))
+        (out,) = _served(engine, plan, [x])
+        np.testing.assert_array_equal(out, engine.forward_features(x))
+        np.testing.assert_array_equal(engine.run_head(out), engine.run(x))
 
     def test_toy_chain_multi_frame(self, net):
         model = toy_chain(6, 2, input_hw=64, in_channels=3)
         plan = PicoScheme().plan(model, pi_cluster(4, 800), net)
         engine = Engine(model, seed=1)
-        executor = LocalPlanExecutor(engine, plan)
-        for seed in range(3):
-            x = _input(model, seed)
-            np.testing.assert_array_equal(
-                executor.forward_features(x), engine.forward_features(x)
-            )
+        frames = [_input(model, seed) for seed in range(3)]
+        for x, out in zip(frames, _served(engine, plan, frames)):
+            np.testing.assert_array_equal(out, engine.forward_features(x))
 
     def test_branch_parallel_stage(self):
         from tests.test_branch_runtime import branch_plan, inception_like_model
@@ -57,13 +64,10 @@ class TestExactness:
         model = inception_like_model()
         plan = branch_plan(model, pi_cluster(4, 1000))
         engine = Engine(model, seed=11)
-        executor = LocalPlanExecutor(engine, plan)
         x = _input(model)
+        (out,) = _served(engine, plan, [x])
         np.testing.assert_allclose(
-            executor.forward_features(x),
-            engine.forward_features(x),
-            rtol=1e-5,
-            atol=1e-5,
+            out, engine.forward_features(x), rtol=1e-5, atol=1e-5
         )
 
 
@@ -72,8 +76,10 @@ class TestValidation:
         model = toy_chain(4, 0, input_hw=32)
         other = toy_chain(5, 0, input_hw=32)
         plan = PicoScheme().plan(model, pi_cluster(2, 800), net)
-        with pytest.raises(ValueError, match="plan is for"):
-            LocalPlanExecutor(Engine(other, seed=0), plan)
+        with pytest.raises(ValueError, match="program is for"):
+            PipelineServer.from_plan(
+                model, plan, InProcTransport(Engine(other, seed=0))
+            )
 
     def test_partial_coverage_rejected(self, net):
         model = toy_chain(4, 0, input_hw=32)
@@ -84,23 +90,25 @@ class TestValidation:
             (StagePlan(0, 2, ((devices[0], Region.full(h, w)),)),),
         )
         with pytest.raises(ValueError, match="covers units"):
-            LocalPlanExecutor(Engine(model, seed=0), partial)
+            PipelineServer.from_plan(
+                model, partial, InProcTransport(Engine(model, seed=0))
+            )
 
 
 class TestMeasuredServices:
     def test_measure_feeds_simulator(self, net):
+        """Per-stage services in place of the analytic ones: the
+        simulated period is the slowest stage's service."""
         model = toy_chain(6, 1, input_hw=32, in_channels=1)
         plan = PicoScheme().plan(model, pi_cluster(3, 800), net)
-        executor = LocalPlanExecutor(Engine(model, seed=2), plan)
-        services = executor.measure([_input(model)], repeats=2)
-        assert len(services) == plan.n_stages
-        assert all(s > 0.0 for s in services)
-        arrivals = [0.05 * i for i in range(20)]
+        services = [0.02 + 0.01 * i for i in range(plan.n_stages)]
+        arrivals = [0.0] * 20
         result = simulate_scenario(
             model, plan, network=net, arrivals=arrivals,
             measured_services=services,
         )
         assert result.throughput > 0
+        assert result.throughput <= 1.0 / max(services) + 1e-9
 
     def test_length_mismatch_rejected(self, net):
         model = toy_chain(4, 0, input_hw=32)
@@ -110,12 +118,3 @@ class TestMeasuredServices:
                 model, plan, network=net, arrivals=[0.0, 0.1],
                 measured_services=[0.01] * (plan.n_stages + 1),
             )
-
-    def test_measure_validates_inputs(self, net):
-        model = toy_chain(4, 0, input_hw=32)
-        plan = PicoScheme().plan(model, pi_cluster(2, 800), net)
-        executor = LocalPlanExecutor(Engine(model, seed=0), plan)
-        with pytest.raises(ValueError):
-            executor.measure([])
-        with pytest.raises(ValueError):
-            executor.measure([_input(model)], repeats=0)

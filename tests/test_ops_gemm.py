@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.models.zoo import get_model
 from repro.nn import ops
 from repro.testing import conv2d_reference, maxpool2d_reference
+from repro.testing.kernels import apply_activation, conv2d
 
 
 def _rand(shape, seed):
@@ -57,7 +58,7 @@ class TestGemmBitExact:
         w = rng.standard_normal((cout, cin, kh, kw)).astype(np.float32)
         b = rng.standard_normal(cout).astype(np.float32)
         pads = (top, bottom, left, right)
-        got = ops.conv2d(x, w, b, (sv, sh), pads)
+        got = conv2d(x, w, b, (sv, sh), pads)
         want = conv2d_reference(x, w, b, (sv, sh), pads)
         np.testing.assert_array_equal(got, want)
 
@@ -69,14 +70,14 @@ class TestGemmBitExact:
         x = rng.standard_normal((1, 4, 4)).astype(np.float32)
         w = rng.standard_normal((1, 1, 1, 2)).astype(np.float32)
         b = rng.standard_normal(1).astype(np.float32)
-        got = ops.conv2d(x, w, b, (1, 2))
+        got = conv2d(x, w, b, (1, 2))
         want = conv2d_reference(x, w, b, (1, 2))
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
     def test_no_bias_and_activationless(self):
         x, w = _rand((3, 12, 12), 0), _rand((8, 3, 3, 3), 1)
         np.testing.assert_array_equal(
-            ops.conv2d(x, w, None, (1, 1), (1, 1, 1, 1)),
+            conv2d(x, w, None, (1, 1), (1, 1, 1, 1)),
             conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1)),
         )
 
@@ -85,7 +86,7 @@ class TestGemmBitExact:
         x, w = _rand((2, 3, 3), 2), _rand((4, 2, 3, 3), 3)
         pads = (3, 3, 3, 3)
         np.testing.assert_array_equal(
-            ops.conv2d(x, w, None, (2, 2), pads),
+            conv2d(x, w, None, (2, 2), pads),
             conv2d_reference(x, w, None, (2, 2), pads),
         )
 
@@ -93,7 +94,7 @@ class TestGemmBitExact:
         x, w, b = _rand((3, 10, 10), 4), _rand((5, 3, 3, 3), 5), _rand(5, 6)
         packed = ops.pack_conv_weight(w)
         got = ops.conv2d_packed(x, packed, b, (3, 3), (1, 1), (1, 1, 1, 1))
-        np.testing.assert_array_equal(got, ops.conv2d(x, w, b, (1, 1), (1, 1, 1, 1)))
+        np.testing.assert_array_equal(got, conv2d(x, w, b, (1, 1), (1, 1, 1, 1)))
 
     def test_scratch_arenas_do_not_change_values(self):
         x, w, b = _rand((4, 9, 9), 7), _rand((6, 4, 3, 3), 8), _rand(6, 9)
@@ -113,7 +114,7 @@ class TestGemmBitExact:
         fused = ops.conv2d_packed(
             x, packed, b, (3, 3), (1, 1), (0, 0, 0, 0), activation="relu"
         )
-        unfused = ops.apply_activation(
+        unfused = apply_activation(
             ops.conv2d_packed(x, packed, b, (3, 3), (1, 1), (0, 0, 0, 0)), "relu"
         )
         np.testing.assert_array_equal(fused, unfused)
@@ -335,14 +336,14 @@ class TestGroupedConv:
         cout = groups * mult
         x = rng.standard_normal((cin, size, size)).astype(np.float32)
         w = rng.standard_normal((cout, cin // groups, 3, 3)).astype(np.float32)
-        got = ops.conv2d(x, w, None, (1, 1), (1, 1, 1, 1), groups=groups)
+        got = conv2d(x, w, None, (1, 1), (1, 1, 1, 1), groups=groups)
         want = conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1), groups=groups)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_depthwise(self):
         x = _rand((6, 8, 8), 13)
         w = _rand((6, 1, 3, 3), 14)
-        got = ops.conv2d(x, w, None, (1, 1), (1, 1, 1, 1), groups=6)
+        got = conv2d(x, w, None, (1, 1), (1, 1, 1, 1), groups=6)
         want = conv2d_reference(x, w, None, (1, 1), (1, 1, 1, 1), groups=6)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
@@ -380,7 +381,7 @@ class TestInPlaceActivation:
     )
     def test_matches_out_of_place(self, activation):
         x = _rand((5, 7, 7), 30)
-        want = ops.apply_activation(x.copy(), activation)
+        want = apply_activation(x.copy(), activation)
         got = ops.apply_activation_(x.copy(), activation)
         np.testing.assert_array_equal(got, want)
 

@@ -65,7 +65,7 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule(device=st.sampled_from(DEVICES))
     def mark_dead(self, device) -> None:
-        stranded = self.scheduler.on_device_dead(device)
+        stranded = self.scheduler.pool.mark_dead(device)
         if device in self.dead:
             assert stranded == ()
         else:

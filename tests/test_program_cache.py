@@ -9,13 +9,14 @@ import pytest
 from repro.models.toy import toy_chain
 from repro.nn import tiles
 from repro.partition.regions import Region
+from repro.testing.programs import clear_program_cache, program_cache_info
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    tiles.clear_program_cache()
+    clear_program_cache()
     yield
-    tiles.clear_program_cache()
+    clear_program_cache()
 
 
 @pytest.fixture
@@ -39,11 +40,11 @@ class TestSegmentCache:
         """Keys are structural: a region built from the same bounds (not
         the same object) must hit, as must an equal model spec."""
         first = tiles.compile_segment_cached(model, 0, 2, _region(model))
-        info0 = tiles.program_cache_info()["segment"]
+        info0 = program_cache_info()["segment"]
         again = tiles.compile_segment_cached(
             toy_chain(4, 1, input_hw=32, in_channels=2), 0, 2, _region(model)
         )
-        info1 = tiles.program_cache_info()["segment"]
+        info1 = program_cache_info()["segment"]
         assert again is first
         assert info1.hits == info0.hits + 1
         assert info1.misses == info0.misses
@@ -61,14 +62,14 @@ class TestSegmentCache:
         tiles.compile_segment_cached(
             model, 0, 2, Region.from_bounds(0, max(1, h // 4), 0, w)
         )
-        info = tiles.program_cache_info()["segment"]
+        info = program_cache_info()["segment"]
         assert info.misses == 2
 
     def test_clear(self, model):
         region = _region(model)
         first = tiles.compile_segment_cached(model, 0, 2, region)
-        tiles.clear_program_cache()
-        info = tiles.program_cache_info()["segment"]
+        clear_program_cache()
+        info = program_cache_info()["segment"]
         assert info.currsize == 0
         second = tiles.compile_segment_cached(model, 0, 2, region)
         assert second is not first
@@ -83,7 +84,7 @@ class TestBlockPathCache:
         # list input normalises to the same tuple key
         second = tiles.compile_block_paths_cached(model, 1, [0, 2])
         assert second is first
-        info = tiles.program_cache_info()["block_paths"]
+        info = program_cache_info()["block_paths"]
         assert info.hits >= 1 and info.misses == 1
 
 

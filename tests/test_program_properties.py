@@ -141,7 +141,7 @@ class TestReceptiveIntervalAlgebra:
         # Real rows plus virtual padding reconstruct the exact window a
         # padding-free convolution needs for this output interval.
         want = (length - 1) * stride + kernel
-        assert padded.padded_length == want
+        assert len(padded.interval) + padded.pad_lo + padded.pad_hi == want
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -12,10 +12,10 @@ from repro.core.serialize import plan_from_dict, plan_to_dict
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import segment_flops, segment_owned_flops
 from repro.models.toy import toy_chain
-from repro.nn.ops import conv2d
 from repro.partition.regions import Region
 from repro.partition.strips import strip_regions, weighted_partition
 from repro.sim import simulate_scenario
+from repro.testing.kernels import conv2d
 
 NET = NetworkModel.from_mbps(50.0)
 MODEL = toy_chain(5, 1, input_hw=32, in_channels=3)

@@ -13,8 +13,8 @@ from repro.adaptive.queueing import (
     average_inference_latency,
     md1_waiting_time,
     stable,
-    theorem2_literal,
 )
+from repro.testing.queueing import theorem2_literal
 
 
 def simulate_md1(period: float, arrival_rate: float, n_tasks: int, seed: int = 0):

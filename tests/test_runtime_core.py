@@ -1,7 +1,7 @@
 """Runtime core: PlanProgram IR, transports, and the exactness gate.
 
 The refactor's central promise: every backend drives the same compiled
-:class:`PlanProgram` through the same :func:`execute_stage` path, so
+:class:`PlanProgram` through the same :func:`collect_stage` path, so
 the in-process and virtual-clock backends must produce bit-identical
 outputs and identical *canonical* traces (the timestamp-free event
 projection).
@@ -30,12 +30,12 @@ from repro.runtime.trace import (
     device_busy,
     diff_traces,
     dump_jsonl,
-    load_jsonl,
     trace_makespan,
 )
 from repro.schemes.early_fused import EarlyFusedScheme
-from repro.schemes.local import LocalPlanExecutor
 from repro.schemes.pico import PicoScheme
+from repro.serve import PipelineServer
+from repro.testing.formats import load_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -313,12 +313,14 @@ class TestSimSemantics:
 
 class TestAdapters:
     def test_local_executor_trace(self, model, plan):
+        """A frame served in process traces the four stage kinds."""
         engine = Engine(model, seed=0)
-        executor = LocalPlanExecutor(engine, plan, trace=True)
-        x = _frames(model, 1)[0]
-        executor.forward_features(x)
-        assert executor.trace is not None and len(executor.trace) > 0
-        kinds = {e.kind for e in executor.trace}
+        with PipelineServer.from_plan(
+            model, plan, InProcTransport(engine), tracer=True
+        ) as server:
+            result = server.serve(_frames(model, 1))
+        assert len(result.trace) > 0
+        kinds = {e.kind for e in result.trace}
         assert kinds == set(EVENT_KINDS)
 
     def test_utilization_table_from_trace(self, model, plan, net):

@@ -135,6 +135,27 @@ class TestVirtualPipelining:
         steady = result.steady_throughput(warmup=program.n_stages)
         assert steady == pytest.approx(1.0 / cost.period, rel=0.15)
 
+    def test_arrivals_are_offsets_from_the_call_start(self, model, weights,
+                                                      net, program):
+        """As on the wall clock, a call's arrivals count from the
+        transport's clock at its start: a second call admits its frames
+        after the first call's last completion, and its makespan is the
+        one a fresh server would report."""
+        server = _sim_server(model, weights, net, program)
+        first = server.serve(4, arrivals=[0.0, 0.0, 100.0, 200.0])
+        second = server.serve(2)
+        server.close()
+        last = max(r.completion for r in first.completed)
+        assert last > 200.0
+        assert len(second.completed) == 2
+        for r in second.records:
+            assert r.arrival >= last and r.admitted_at >= last
+            assert r.completion > last
+        fresh = _sim_server(model, weights, net, program)
+        alone = fresh.serve(2)
+        fresh.close()
+        assert second.makespan == pytest.approx(alone.makespan, rel=1e-9)
+
     def test_pipelined_beats_frame_at_a_time(self, model, weights, net,
                                              program):
         cfg = ServerConfig(queue_capacity=8, policy="block")

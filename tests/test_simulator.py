@@ -74,7 +74,10 @@ class TestPipelinedSimulation:
             model, plan, network=net,
             arrivals=uniform_arrivals(slow_rate, 60 * cost.period),
         )
-        assert all(t.waiting == pytest.approx(0.0, abs=1e-9) for t in sim.tasks)
+        assert all(
+            t.started - t.arrival == pytest.approx(0.0, abs=1e-9)
+            for t in sim.tasks
+        )
         assert sim.avg_latency == pytest.approx(cost.latency, rel=1e-6)
 
     def test_overload_queue_grows(self, model, net):

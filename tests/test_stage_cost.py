@@ -7,16 +7,13 @@ import pytest
 from repro.cluster.device import Device, pi_cluster, raspberry_pi
 from repro.cost.comm import NetworkModel, region_bytes
 from repro.cost.flops import CostOptions, head_flops, segment_flops
-from repro.cost.stage_cost import (
-    homogeneous_stage_time,
-    single_device_time,
-    stage_time,
-)
+from repro.cost.stage_cost import single_device_time, stage_time
 from repro.models.graph import chain_model
 from repro.models.layers import DenseSpec, conv3x3
 from repro.models.toy import toy_chain
 from repro.partition.fused import segment_input_region
 from repro.partition.regions import Region
+from repro.testing.planner import homogeneous_stage_time
 
 
 @pytest.fixture

@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.partition.grid import grid_partition, grid_shape_for, weighted_grid_partition
+from repro.partition.grid import grid_partition, grid_shape_for
 from repro.partition.regions import Interval
 from repro.partition.strips import (
     equal_partition,
-    proportional_partition,
     strip_regions,
     weighted_partition,
 )
@@ -100,22 +99,6 @@ class TestWeightedPartition:
         assert [len(p) for p in parts] == [w * scale for w in weights]
 
 
-class TestProportionalPartition:
-    def test_largest_remainder(self):
-        parts = proportional_partition(10, [1.0, 1.0, 1.0])
-        assert sum(len(p) for p in parts) == 10
-        sizes = sorted(len(p) for p in parts)
-        assert sizes == [3, 3, 4]
-
-    @given(
-        length=st.integers(0, 100),
-        weights=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8),
-    )
-    def test_property_coverage(self, length, weights):
-        parts = proportional_partition(length, weights)
-        _assert_covers(parts, length)
-
-
 class TestStripRegions:
     def test_lift(self):
         regions = strip_regions(6, 9, equal_partition(6, 3))
@@ -146,11 +129,6 @@ class TestGrid:
             for b in regions:
                 if a is not b:
                     assert a.overlap_area(b) == 0
-
-    def test_weighted_grid(self):
-        regions = weighted_grid_partition(10, 10, [3.0, 1.0], [1.0, 1.0])
-        assert len(regions) == 4
-        assert sum(r.area for r in regions) == 100
 
     @given(
         h=st.integers(1, 40),

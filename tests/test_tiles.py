@@ -23,12 +23,13 @@ from repro.nn.executor import Engine
 from repro.nn.tiles import compile_segment, extract_tile, run_segment
 from repro.partition.regions import Region
 from repro.partition.strips import equal_partition
+from repro.testing import run_unit
 
 
 def unit_outputs(engine, x):
     outs = [x]
     for unit in engine.model.units:
-        outs.append(engine.run_unit(unit, outs[-1]))
+        outs.append(run_unit(engine, unit, outs[-1]))
     return outs
 
 

@@ -26,10 +26,11 @@ from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
 from repro.runtime.core import SimTransport
-from repro.runtime.faults import FaultSchedule, RuntimeConfig, churn_replanner
+from repro.runtime.faults import FaultSchedule, RuntimeConfig
 from repro.runtime.program import compile_plan
 from repro.schemes import get_scheme
 from repro.serve import PipelineServer, ServerConfig
+from repro.testing.faults import churn_replanner
 from tests.serve_oracle import replay
 from tests.test_branch_runtime import branch_plan, inception_like_model
 

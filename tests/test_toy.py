@@ -5,15 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.models.toy import fig13_model, toy_chain
+from repro.testing.models import conv_layer_count, pool_layer_count
 
 
 def test_conv_count():
-    assert toy_chain(5).conv_layer_count() == 5
+    assert conv_layer_count(toy_chain(5)) == 5
 
 
 def test_pool_count_and_spread():
     model = toy_chain(8, 2, input_hw=64)
-    assert model.pool_layer_count() == 2
+    assert pool_layer_count(model) == 2
     kinds = [u.kind for u in model.units]
     # Pools are interior, not stacked at the ends.
     assert kinds[0] == "conv" and kinds[-1] == "conv"
@@ -47,5 +48,5 @@ def test_custom_name():
 
 def test_fig13_matches_paper():
     model = fig13_model()
-    assert (model.conv_layer_count(), model.pool_layer_count()) == (8, 2)
+    assert (conv_layer_count(model), pool_layer_count(model)) == (8, 2)
     assert model.input_shape == (1, 64, 64)

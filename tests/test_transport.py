@@ -22,8 +22,8 @@ from repro.runtime.transport import (
     decode_message,
     encode_message,
     recv_message,
-    send_message,
 )
+from repro.testing.formats import send_message
 
 
 #: The frame prefix of a pickled-body message: no releases, no arrays,

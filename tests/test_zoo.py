@@ -6,13 +6,14 @@ import pytest
 
 from repro.cost.flops import model_flops
 from repro.models.zoo import available_models, get_model
+from repro.testing.models import conv_layer_count, pool_layer_count
 
 
 class TestVGG16:
     def test_layer_counts_match_paper_table1(self):
         model = get_model("vgg16")
-        assert model.conv_layer_count() == 13
-        assert model.pool_layer_count() == 5
+        assert conv_layer_count(model) == 13
+        assert pool_layer_count(model) == 5
         assert len(model.head) == 3
 
     def test_final_shape(self):
@@ -27,8 +28,8 @@ class TestVGG16:
 class TestYOLOv2:
     def test_layer_counts_match_paper_table1(self):
         model = get_model("yolov2")
-        assert model.conv_layer_count() == 23
-        assert model.pool_layer_count() == 5
+        assert conv_layer_count(model) == 23
+        assert pool_layer_count(model) == 5
         assert not model.head  # 1x1 conv replaces the FC layer
 
     def test_input_448(self):
@@ -53,7 +54,7 @@ class TestResNet34:
 
     def test_conv_count(self):
         # 1 stem + 32 block convs + 3 downsample projections = 36.
-        assert get_model("resnet34").conv_layer_count() == 36
+        assert conv_layer_count(get_model("resnet34")) == 36
 
     def test_flops_match_published(self):
         gmacs = model_flops(get_model("resnet34")) / 1e9
@@ -90,8 +91,8 @@ class TestInceptionV3:
 class TestToy:
     def test_fig13_model(self):
         model = get_model("fig13_toy")
-        assert model.conv_layer_count() == 8
-        assert model.pool_layer_count() == 2
+        assert conv_layer_count(model) == 8
+        assert pool_layer_count(model) == 2
         assert model.input_shape == (1, 64, 64)
 
 
