@@ -140,6 +140,12 @@ lint-forks:
 # weights._SHARED_MIN_BYTES is a shared anonymous mapping, allocated in
 # one place, so a forked worker is resident only in the layers it reads.
 	test "$$(grep -rnIF 'mmap.mmap(' src/repro --exclude-dir=bench --exclude-dir=testing | wc -l)" = 1
+# One stored form of a batch-norm conv: the weight build folds it in
+# place, once (weights.conv_params), so no engine or worker keeps raw
+# weights beside a folded copy, and neither the executor nor the
+# runtime reads raw BN statistics.
+	test "$$(grep -rnIF 'fold_batch_norm(' src/repro --exclude-dir=bench --exclude-dir=testing | grep -v 'def fold_batch_norm' | cut -d: -f1)" = "src/repro/nn/weights.py"
+	! grep -rnIE "[\"']gamma[\"']" src/repro/nn/executor.py src/repro/runtime/
 # One way to run a plan on the wall clock: every caller serves through
 # PipelineServer.serve; the submit/collect pipeline is left only as the
 # e2e benchmark's shim (and the one test that drives it as the workload

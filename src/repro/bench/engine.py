@@ -34,8 +34,8 @@ resident set (RssShmem, also right after ``open()``) read from
 ``/proc/<pid>/smaps_rollup`` and ``/proc/<pid>/status``
 (:func:`repro.testing.memory.process_memory`), beside the weight bytes
 :func:`repro.cost.memory.plan_memory` predicts for its device and the
-raw and folded weight bytes of the layers its program runs
-(:func:`repro.testing.memory.program_param_bytes`).
+parameter bytes of the layers its program runs, each held once, batch
+norm folded (:func:`repro.testing.memory.program_param_bytes`).
 ``--before-after PARENT_SRC`` measures USS, PSS and VmHWM at a parent
 checkout, alternating (:func:`repro.bench.common.parent_vs_change`),
 into ``memory_before_after``; without it the committed section is
@@ -44,11 +44,13 @@ carried over.
 The gates are correctness, not speed: both engines must produce the
 same activations (float32 tolerance), on every model and every stage
 task, or the comparison means nothing, and the served outputs must
-equal :meth:`Engine.forward_features` bit for bit.  Two gates are
+equal :meth:`Engine.forward_features` bit for bit.  Three gates are
 memory: every worker's shared resident set is under 1 MiB after
-``open()`` and at most its program's weight bytes plus 1 MiB after the
+``open()`` and within 1 MiB of its program's weight bytes after the
 frames (weights are shared mappings, so a worker is resident only in
-the layers it runs); and the resnet34 last-stage worker's private
+the layers it runs, each once); every worker's ``plan_memory``
+weights are within 1 MiB of its program's (the model counts what a
+device holds); and the resnet34 last-stage worker's private
 memory is at least 40 % below the parent's in ``memory_before_after``.
 ``--check`` holds a fresh run's model list and plans against the
 committed ones.  Run it via ``make bench-json`` or directly::
@@ -81,7 +83,12 @@ from repro.runtime.coordinator import TcpTransport
 from repro.runtime.program import compile_plan, split_stage, stitch_stage
 from repro.schemes import get_scheme
 from repro.serve import PipelineServer, ServerConfig
-from repro.testing import ReferenceEngine, run_segment_reference, run_unit
+from repro.testing import (
+    ReferenceEngine,
+    init_weights_reference,
+    run_segment_reference,
+    run_unit,
+)
 from repro.testing.memory import process_memory, program_param_bytes
 
 __all__ = ["BENCH", "run"]
@@ -135,7 +142,7 @@ def _bench_model(
         .normal(size=model.input_shape)
         .astype(np.float32)
     )
-    before = ReferenceEngine(model, weights)
+    before = ReferenceEngine(model, init_weights_reference(model, seed))
     after = Engine(model, weights)
     # Both calls also warm the packed-weight cache outside the clock.
     matches = np.allclose(after.run(x), before.run(x), rtol=1e-4, atol=1e-4)
@@ -184,7 +191,7 @@ def _stage_task_rows(repeats: int, seed: int):
         NetworkModel.from_mbps(50.0),
     )
     program = compile_plan(model, plan)
-    before = ReferenceEngine(model, weights)
+    before = ReferenceEngine(model, init_weights_reference(model, seed))
     after = Engine(model, weights)
     x = np.random.default_rng(seed).normal(size=model.input_shape).astype(np.float32)
     rows, matches = [], True
@@ -229,7 +236,8 @@ MEMORY_MODELS: "Tuple[Tuple[str, int, float], ...]" = (
 MEMORY_FRAMES = 8
 #: The gate: the resnet34 last-stage worker's USS against the parent's.
 MEMORY_DROP = 0.40
-#: The slack of the ``memory_workers_hold_only_their_layers`` gate.
+#: The slack of the ``memory_workers_hold_only_their_layers`` and
+#: ``memory_plan_matches_held`` gates.
 MEMORY_SLACK_MB = 1.0
 #: Parent/change pairs a ``--before-after`` memory row takes (a
 #: worker's USS moved by about a megabyte from run to run).
@@ -342,10 +350,19 @@ def _memory_before_after(parent_src: str, models, seed: int) -> Dict:
 def _hold_only_their_layers(rows: "List[Dict]") -> bool:
     """The gate on ``memory``: every worker's shared resident set under
     :data:`MEMORY_SLACK_MB` right after ``open()``, and after the frames
-    at most its program's raw and folded weights plus that slack."""
+    within that slack of its program's weights, each layer once."""
     return all(
         w["shmem_open_mb"] < MEMORY_SLACK_MB
-        and w["shmem_mb"] <= w["program_weight_mb"] + MEMORY_SLACK_MB
+        and abs(w["shmem_mb"] - w["program_weight_mb"]) <= MEMORY_SLACK_MB
+        for row in rows for w in row["workers"]
+    )
+
+
+def _plan_matches_held(rows: "List[Dict]") -> bool:
+    """The gate on ``memory``: every worker's ``plan_memory`` weights
+    within :data:`MEMORY_SLACK_MB` of its program's."""
+    return all(
+        abs(w["plan_weight_mb"] - w["program_weight_mb"]) <= MEMORY_SLACK_MB
         for row in rows for w in row["workers"]
     )
 
@@ -415,6 +432,7 @@ def run(
         "fast_matches_reference": tasks_match and all(matches for _, matches in rows),
         "memory_outputs_exact": all(row["exact"] for row in memory),
         "memory_workers_hold_only_their_layers": _hold_only_their_layers(memory),
+        "memory_plan_matches_held": _plan_matches_held(memory),
         "memory_last_stage_private_below_parent": _last_stage_drop(memory_vs_parent),
     }
 

@@ -7,7 +7,9 @@ per-device memory).  This module computes each device's peak working
 set under a plan:
 
 * **weights** — parameters of every layer in the device's segment
-  (each stage device holds a full copy of its model segment);
+  (each stage device holds a full copy of its model segment), as the
+  engine holds them: a batch-norm conv folded, and no dense head (the
+  coordinator runs it, ``Engine.run_head``);
 * **activations** — the largest (input tile, output tile) pair live at
   once while executing the segment layer by layer.
 
@@ -51,14 +53,12 @@ class DeviceMemory:
 def segment_weight_bytes(
     model: Model, start: int, end: int, bytes_per_value: int = 4
 ) -> int:
-    """Parameter bytes of units ``[start, end)`` (+ head for the last
-    segment — the stitching device holds the dense layers)."""
+    """Parameter bytes of the conv layers of units ``[start, end)``.
+    The dense head is no stage device's: the coordinator runs it."""
     total = 0
     for info in model.iter_layers():
         if start <= info.unit_index < end and info.layer.kind == "conv":
             total += info.layer.weight_count * bytes_per_value
-    if end == model.n_units:
-        total += sum(d.weight_count for d in model.head) * bytes_per_value
     return total
 
 

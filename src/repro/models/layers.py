@@ -87,13 +87,13 @@ class ConvSpec:
 
     @property
     def weight_count(self) -> int:
-        """Number of learned parameters (conv weights + bias + BN affine)."""
+        """Number of parameters the layer is held as: conv weights plus
+        one bias vector if it has a bias or batch norm (batch norm is
+        folded into the weight and bias, :mod:`repro.nn.weights`)."""
         kh, kw = self.kernel_size
         count = self.out_channels * (self.in_channels // self.groups) * kh * kw
-        if self.bias:
+        if self.bias or self.batch_norm:
             count += self.out_channels
-        if self.batch_norm:
-            count += 2 * self.out_channels
         return count
 
 

@@ -11,11 +11,11 @@ The engine has one execution path:
   — per-layer pre-flattened ``(Cout, Cin·kh·kw)`` matrices built lazily
   on first use and cached on the engine, so steady-state frames do no
   per-call reshape or copy;
-* **batch norm is folded** into the packed conv weight and bias once
-  (:func:`repro.nn.weights.fold_batch_norm`), eliminating the separate
-  per-frame BN pass.  Folding happens identically for full-map and
-  tiled execution (both read :meth:`Engine._packed_conv`), so the
-  tile-vs-full bit-exactness contract is preserved;
+* **batch norm arrives folded**: the weight build folds it into the
+  conv's weight and bias once (:func:`repro.nn.weights.fold_batch_norm`),
+  so there is no per-frame BN pass and a BN conv packs like any other —
+  to a view of its one stored weight.  A conv dict that still holds raw
+  BN statistics is refused, not folded again;
 * bias adds and activations run **in place** on fresh conv outputs;
 * steady-state frames run through **compiled tile plans**: a tile
   program lowered once per tile shape onto buffers it keeps (bordered
@@ -34,10 +34,11 @@ with im2col in per-thread arenas; :mod:`repro.testing.engine` walks
 whole units op by op on it.
 
 The seed's per-call engine on the sliding-window kernels with a
-separate BN pass is the oracle, in :mod:`repro.testing`: bit-exact
-with this engine for ``groups == 1`` convolutions without batch norm
-and for pooling; grouped convolutions and folded BN agree to float32
-rounding (covered by dedicated tolerance tests).
+separate BN pass over the raw draws is the oracle, in
+:mod:`repro.testing`: bit-exact with this engine for ``groups == 1``
+convolutions without batch norm and for pooling; grouped convolutions
+and folded BN agree to float32 rounding (covered by dedicated tolerance
+tests).
 """
 
 from __future__ import annotations
@@ -52,16 +53,20 @@ import numpy as np
 from repro.models.graph import Model
 from repro.models.layers import ConvSpec, PoolSpec, SpatialLayer
 from repro.nn import ops
-from repro.nn.weights import Weights, fold_batch_norm, init_weights
+from repro.nn.weights import Weights, init_weights
 
 __all__ = ["Engine"]
 
 _Pad4 = Tuple[int, int, int, int]
 
+#: What a conv's weight dict entry may hold: batch norm is folded in.
+_CONV_PARAMS = frozenset({"weight", "bias"})
+
 
 @dataclass(frozen=True)
 class _PackedConv:
-    """Per-layer GEMM-ready parameters (weights packed, BN folded)."""
+    """Per-layer GEMM-ready parameters: a packed view of the stored
+    (BN-folded) weight, and the bias."""
 
     packed: np.ndarray
     bias: Optional[np.ndarray]
@@ -136,8 +141,10 @@ class Engine:
         The architecture spec.
     weights:
         Optional pre-built weights; seeded random weights otherwise.
-        Packing is lazy per layer, so a dict may be partial, and an
-        engine packs (and folds) only the layers it runs.  The packed
+        A conv's entry is ``weight`` and an optional ``bias``, batch
+        norm folded in (as :func:`~repro.nn.weights.init_weights`
+        builds it).  Packing is lazy per layer, so a dict may be
+        partial, and an engine packs only the layers it runs.  The packed
         weights and the compiled tile plans capture them: build a new
         engine over changed weights.
     """
@@ -167,18 +174,16 @@ class Engine:
         if cached is not None:
             return cached
         params = self.weights[layer.name]
-        weight = params["weight"]
-        bias = params.get("bias")
-        if layer.batch_norm:
-            weight, bias = fold_batch_norm(
-                weight,
-                bias,
-                params["gamma"],
-                params["beta"],
-                params["mean"],
-                params["var"],
+        extra = params.keys() - _CONV_PARAMS
+        if extra:
+            raise ValueError(
+                f"{layer.name}: conv params hold only weight and bias, got "
+                f"{sorted(extra)}; fold batch norm into the conv first "
+                f"(repro.nn.weights.fold_batch_norm)"
             )
-        packed = _PackedConv(ops.pack_conv_weight(weight, layer.groups), bias)
+        packed = _PackedConv(
+            ops.pack_conv_weight(params["weight"], layer.groups), params.get("bias")
+        )
         # Benign race under concurrent first use: both threads build the
         # same deterministic value; last assignment wins.
         self._packed[layer.name] = packed

@@ -5,14 +5,23 @@ He-normal init keeps activations in a numerically friendly range
 through deep stacks, which matters for the bit-exactness assertions in
 the tile tests.
 
-Every weight matrix — each conv and dense ``weight`` and each BN-folded
-conv weight — of at least :data:`_SHARED_MIN_BYTES` lives in its own
-shared anonymous mapping (:func:`_empty_f32`), not on the private heap.
+A conv's parameters are ``weight`` and, if it has one, ``bias``.  A
+batch-norm conv is stored folded (:func:`fold_batch_norm`): the build
+draws its raw weight, bias and BN statistics, then scales the weight in
+place and keeps only the folded weight and bias, so every process that
+runs the layer reads the one folded copy and none holds the raw weight
+beside it.  The engine refuses a conv dict that still carries BN
+statistics; :mod:`repro.testing` keeps the raw draws and the unfused
+conv→BN engine as the oracle.
+
+Every weight matrix — each conv and dense ``weight`` — of at least
+:data:`_SHARED_MIN_BYTES` lives in its own shared anonymous mapping
+(:func:`_empty_f32`), not on the private heap.
 A forked worker therefore starts with none of the model resident: the
 kernel copies no page-table entries for a shared mapping at ``fork``,
 and a page faults in, from the one physical copy, the first time the
-worker's program reads it.  Per-channel vectors (bias, BN statistics)
-are a few KiB each and stay ordinary arrays.  A consequence: a write to
+worker's program reads it.  Biases are a few KiB each and stay
+ordinary arrays.  A consequence: a write to
 a parameter after the workers are forked is visible to them.  Pickling
 copies the values, as for any array.
 """
@@ -38,7 +47,7 @@ __all__ = [
 Weights = Dict[str, Dict[str, np.ndarray]]
 
 #: Float64 values a weight build or a BN fold holds at once (1 MiB):
-#: both work through their float32 output in blocks of this size.
+#: both work through their float32 weight in blocks of this size.
 _CHUNK_VALUES = 1 << 17
 
 #: Parameter arrays of at least this many bytes get a shared anonymous
@@ -65,29 +74,29 @@ def fold_batch_norm(
     var: np.ndarray,
     eps: float = 1e-5,
 ) -> "Tuple[np.ndarray, np.ndarray]":
-    """Fold inference-mode BN into the preceding conv's weight and bias.
+    """Fold inference-mode BN into the preceding conv's weight and bias,
+    **scaling ``weight`` in place**; returns ``(weight, folded bias)``.
 
     ``BN(conv(x, W) + b) == conv(x, W·s) + (b − mean)·s + beta`` with
     ``s = gamma / sqrt(var + eps)``.  The fold is computed in float64 and
     cast back to float32 once, so the folded kernel agrees with the
     unfused conv→BN pipeline to normal float32 rounding (a few ULPs per
     layer — the engine's BN-folding tolerance test pins this down).
-    The weight is scaled a block of output rows at a time into the
-    float32 result, so no weight-sized float64 array is ever live; the
-    result is allocated as :func:`_empty_f32` allocates a weight.
+    The weight is scaled a block of output rows at a time, each block
+    read whole before it is stored back, so no second weight-sized
+    array, float32 or float64, is ever live.
     """
     scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + eps)
-    folded_w = _empty_f32(weight.shape)
     rows = max(1, _CHUNK_VALUES // max(1, int(np.prod(weight.shape[1:]))))
     for lo in range(0, len(weight), rows):
         # float32 × float64 multiplies in float64, as the one-shot
         # weight.astype(float64) * scale does; the store rounds to float32.
-        folded_w[lo : lo + rows] = weight[lo : lo + rows] * scale[
+        weight[lo : lo + rows] = weight[lo : lo + rows] * scale[
             lo : lo + rows, None, None, None
         ]
     b0 = bias.astype(np.float64) if bias is not None else 0.0
     folded_b = (b0 - mean.astype(np.float64)) * scale + beta.astype(np.float64)
-    return folded_w, folded_b.astype(np.float32)
+    return weight, folded_b.astype(np.float32)
 
 
 def _normal_f32(
@@ -107,30 +116,23 @@ def _normal_f32(
 
 
 def conv_params(layer: ConvSpec, rng: np.random.Generator) -> "Dict[str, np.ndarray]":
-    """He-normal conv weights plus optional bias / BN statistics."""
+    """He-normal conv weights plus optional bias; a batch-norm conv's
+    statistics are drawn after them and folded in at once, so its
+    params are the folded ``weight`` and ``bias``."""
     kh, kw = layer.kernel_size
     in_per_group = layer.in_channels // layer.groups
     fan_in = in_per_group * kh * kw
     std = float(np.sqrt(2.0 / fan_in))
-    params = {
-        "weight": _normal_f32(rng, std, (layer.out_channels, in_per_group, kh, kw))
-    }
-    if layer.bias:
-        params["bias"] = _normal_f32(rng, 0.05, (layer.out_channels,))
+    weight = _normal_f32(rng, std, (layer.out_channels, in_per_group, kh, kw))
+    bias = _normal_f32(rng, 0.05, (layer.out_channels,)) if layer.bias else None
     if layer.batch_norm:
-        params["gamma"] = rng.uniform(0.8, 1.2, size=layer.out_channels).astype(
-            np.float32
-        )
-        params["beta"] = rng.normal(0.0, 0.05, size=layer.out_channels).astype(
-            np.float32
-        )
-        params["mean"] = rng.normal(0.0, 0.05, size=layer.out_channels).astype(
-            np.float32
-        )
-        params["var"] = rng.uniform(0.8, 1.2, size=layer.out_channels).astype(
-            np.float32
-        )
-    return params
+        n = layer.out_channels
+        gamma = rng.uniform(0.8, 1.2, size=n).astype(np.float32)
+        beta = rng.normal(0.0, 0.05, size=n).astype(np.float32)
+        mean = rng.normal(0.0, 0.05, size=n).astype(np.float32)
+        var = rng.uniform(0.8, 1.2, size=n).astype(np.float32)
+        weight, bias = fold_batch_norm(weight, bias, gamma, beta, mean, var)
+    return {"weight": weight} if bias is None else {"weight": weight, "bias": bias}
 
 
 def dense_params(layer: DenseSpec, rng: np.random.Generator) -> "Dict[str, np.ndarray]":

@@ -20,13 +20,14 @@ from repro.models.graph import BlockUnit, LayerUnit, Model, PlanUnit
 from repro.models.layers import ConvSpec, PoolSpec, SpatialLayer
 from repro.nn import ops, parallel
 from repro.nn.executor import Engine
-from repro.nn.weights import Weights, init_weights
+from repro.nn.weights import Weights
 from repro.testing.kernels import (
     apply_activation,
     batch_norm,
     conv2d_reference,
     maxpool2d_reference,
 )
+from repro.testing.weights import init_weights_reference
 
 __all__ = ["ReferenceEngine", "run_segment_reference", "run_unit"]
 
@@ -73,14 +74,20 @@ def run_unit(engine, unit: PlanUnit, x: np.ndarray) -> np.ndarray:
 
 class ReferenceEngine:
     """Executes a :class:`~repro.models.graph.Model` on the reference
-    kernels, per call, with unfolded batch norm.  The dense head is the
-    production one (:meth:`repro.nn.executor.Engine.run_head`)."""
+    kernels, per call, with unfolded batch norm: its weights are the raw
+    draws (:func:`~repro.testing.weights.init_weights_reference`, a
+    batch-norm conv's ``gamma``/``beta``/``mean``/``var`` beside its
+    weight), where :class:`~repro.nn.executor.Engine` takes them folded.
+    The dense head is the production one
+    (:meth:`repro.nn.executor.Engine.run_head`)."""
 
     def __init__(
         self, model: Model, weights: Optional[Weights] = None, seed: int = 0
     ) -> None:
         self.model = model
-        self.weights = weights if weights is not None else init_weights(model, seed)
+        self.weights = (
+            weights if weights is not None else init_weights_reference(model, seed)
+        )
 
     spec_pads = staticmethod(Engine.spec_pads)
     run_head = Engine.run_head

@@ -3,8 +3,8 @@
 :func:`process_memory` reads one process's private (USS), proportional
 (PSS), peak (VmHWM) and shared-memory (RssShmem) resident sizes;
 :func:`program_param_bytes` is the bound a worker's shared-memory
-resident set is held to: the raw weights of the layers its tile
-program runs, plus the BN-folded copies its engine builds of them.
+resident set is held to: the parameters of the layers its tile program
+runs, each held once (batch norm is folded in at the build).
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ def program_layers(program: SegmentProgram) -> "Dict[str, ConvSpec]":
 
 
 def program_param_bytes(weights: Weights, program: SegmentProgram) -> int:
-    """Raw weight bytes of the conv layers ``program`` runs, and the
-    folded weight's bytes again for each one with batch norm."""
-    total = 0
-    for name, layer in program_layers(program).items():
-        nbytes = weights[name]["weight"].nbytes
-        total += 2 * nbytes if layer.batch_norm else nbytes
-    return total
+    """Parameter bytes (weight and bias) of the conv layers ``program``
+    runs, each layer once."""
+    return sum(
+        array.nbytes
+        for name in program_layers(program)
+        for array in weights[name].values()
+    )

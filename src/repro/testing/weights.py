@@ -1,10 +1,15 @@
 """The one-shot float64 weight formulas :mod:`repro.nn.weights` is held to.
 
-:func:`repro.nn.weights.init_weights` draws and
-:func:`repro.nn.weights.fold_batch_norm` scales in bounded blocks
-straight into their float32 outputs; these are the whole-array
-formulas they replaced, which build each weight-sized float64 array at
-once.  The two must agree bit for bit.
+:func:`repro.nn.weights.init_weights` draws in bounded blocks straight
+into its float32 weights and folds each batch-norm conv in place
+(:func:`repro.nn.weights.fold_batch_norm`, a block of rows at a time);
+these are the whole-array formulas it replaced, which build each
+weight-sized float64 array at once.  :func:`init_weights_reference`
+keeps the raw draws — a batch-norm conv's ``gamma``, ``beta``, ``mean``
+and ``var`` beside its unfolded weight — which is what
+:class:`repro.testing.ReferenceEngine` runs on;
+:func:`fold_batch_norm_reference` of them must equal the production
+build bit for bit.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ def _dense_params(layer: DenseSpec, rng: np.random.Generator) -> "Dict[str, np.n
 
 
 def init_weights_reference(model: Model, seed: int = 0) -> Weights:
-    """Every layer's parameters, each drawn whole in float64 and cast."""
+    """Every layer's raw parameters, batch norm unfolded, each drawn
+    whole in float64 and cast."""
     rng = np.random.default_rng(seed)
     weights: Weights = {}
     for info in model.iter_layers():

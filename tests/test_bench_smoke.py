@@ -22,7 +22,8 @@ BENCH_SIM = ROOT / "BENCH_sim.json"
 
 def test_run_suite_smoke():
     """A quick run measures the resnet34 memory row — each worker
-    resident only in its own layers — and carries the committed parent
+    resident only in its own layers, each once, as its plan predicts —
+    and carries the committed parent
     comparison over, which its gate reads."""
     committed = json.loads(BENCH_ENGINE.read_text())
     report = common.run_report(
@@ -57,6 +58,7 @@ def test_run_suite_smoke():
         "fast_matches_reference": True,
         "memory_outputs_exact": True,
         "memory_workers_hold_only_their_layers": True,
+        "memory_plan_matches_held": True,
         "memory_last_stage_private_below_parent": True,
     }
     (memory,) = report["memory"]
@@ -65,7 +67,8 @@ def test_run_suite_smoke():
     for worker in memory["workers"]:
         assert 0 < worker["uss_mb"] <= worker["pss_mb"] <= worker["vm_hwm_mb"]
         assert worker["shmem_open_mb"] < 1.0
-        assert 0 < worker["shmem_mb"] <= worker["program_weight_mb"] + 1.0
+        assert abs(worker["shmem_mb"] - worker["program_weight_mb"]) <= 1.0
+        assert abs(worker["plan_weight_mb"] - worker["program_weight_mb"]) <= 1.0
     assert report["memory_before_after"] == committed["memory_before_after"]
     # The whole report must round-trip through JSON (what main() writes).
     assert json.loads(json.dumps(report)) == report

@@ -1,6 +1,9 @@
 """Engine behaviour: packed-weight caching, BN folding, compiled plans
 and threaded execution, all checked against the seed's reference engine
-(:class:`repro.testing.ReferenceEngine`) on the same weights."""
+(:class:`repro.testing.ReferenceEngine`) on the same draws — each side
+from its own builder: the engine's folded by
+:func:`repro.nn.weights.init_weights`, the reference's raw by
+:func:`repro.testing.init_weights_reference`."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from repro.models.zoo import get_model
 from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
-from repro.testing import ReferenceEngine
+from repro.testing import ReferenceEngine, init_weights_reference
 
 
 def _input(model, seed=0):
@@ -34,9 +37,8 @@ class TestFastVsReference:
         and repeat runs (which reuse the compiled plan's buffers) must be
         too."""
         model = toy_chain(6, 2, input_hw=64, in_channels=3)
-        weights = init_weights(model, 3)
-        ref = ReferenceEngine(model, weights)
-        engine = Engine(model, weights)
+        ref = ReferenceEngine(model, init_weights_reference(model, 3))
+        engine = Engine(model, init_weights(model, 3))
         x = _input(model)
         want = ref.forward_features(x)
         first = engine.forward_features(x)
@@ -49,30 +51,51 @@ class TestFastVsReference:
 
     def test_vgg16_end_to_end_bit_exact(self):
         model = get_model("vgg16", input_hw=32)
-        weights = init_weights(model, 0)
         x = _input(model)
         np.testing.assert_array_equal(
-            Engine(model, weights).run(x),
-            ReferenceEngine(model, weights).run(x),
+            Engine(model, init_weights(model, 0)).run(x),
+            ReferenceEngine(model, init_weights_reference(model, 0)).run(x),
         )
 
     def test_folded_bn_within_float32_rounding(self):
         """Folding BN into the packed weight re-associates the per
         channel scale — equal to float32 rounding, not bitwise."""
         model = get_model("resnet34", input_hw=32)
-        weights = init_weights(model, 1)
         x = _input(model)
-        want = ReferenceEngine(model, weights).forward_features(x)
-        got = Engine(model, weights).forward_features(x)
+        want = ReferenceEngine(model, init_weights_reference(model, 1)).forward_features(x)
+        got = Engine(model, init_weights(model, 1)).forward_features(x)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
 
     def test_grouped_conv_model_close(self):
         model = get_model("mobilenet_v2", input_hw=32)
-        weights = init_weights(model, 2)
         x = _input(model)
-        want = ReferenceEngine(model, weights).forward_features(x)
-        got = Engine(model, weights).forward_features(x)
+        want = ReferenceEngine(model, init_weights_reference(model, 2)).forward_features(x)
+        got = Engine(model, init_weights(model, 2)).forward_features(x)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+
+    def test_default_weights_are_each_sides_own_build(self):
+        """Without a dict, each engine draws the seed's weights from its
+        own builder: folded for the engine, raw for the reference."""
+        model = get_model("resnet34", input_hw=32)
+        x = _input(model)
+        np.testing.assert_allclose(
+            ReferenceEngine(model, seed=1).forward_features(x),
+            Engine(model, seed=1).forward_features(x),
+            rtol=1e-4, atol=1e-4,
+        )
+
+
+class TestRawBatchNormRefused:
+    def test_raw_bn_params_are_a_value_error(self):
+        """A dict that still holds a BN conv's statistics is refused by
+        name, pointing at the fold; there is no second fold path."""
+        model = get_model("resnet34", input_hw=32)
+        engine = Engine(model, init_weights_reference(model, 0))
+        with pytest.raises(ValueError, match=r"conv1.*fold_batch_norm"):
+            engine.forward_features(_input(model))
+        first = model.units[0].layer
+        with pytest.raises(ValueError, match="gamma"):
+            engine.run_layer(first, _input(model), engine.spec_pads(first))
 
 
 class TestThreading:
@@ -122,7 +145,7 @@ class TestPackedCache:
         full = init_weights(model, 6)
         first = model.units[0].layer
         engine = Engine(model, {first.name: full[first.name]})
-        ref = ReferenceEngine(model, full)
+        ref = ReferenceEngine(model, init_weights_reference(model, 6))
         x = _input(model)
         np.testing.assert_array_equal(
             engine.run_layer(first, x, engine.spec_pads(first)),

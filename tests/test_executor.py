@@ -12,6 +12,7 @@ from repro.models.resnet import basic_block
 from repro.models.toy import toy_chain
 from repro.nn.executor import Engine
 from repro.nn.weights import init_weights
+from repro.testing import ReferenceEngine, init_weights_reference
 
 
 @pytest.fixture
@@ -68,17 +69,21 @@ class TestBlocks:
         assert out.min() >= 0.0  # post-activation relu
 
     def test_identity_shortcut_contributes(self, rng):
-        """Zeroing the main path must leave the (relu'd) input."""
+        """Zeroing the main path must leave the (relu'd) input: in the
+        engine's folded weights (weight and bias) and in the reference's
+        raw ones (weight, gamma and beta)."""
         model = Model("m", (4, 8, 8), (basic_block("b", 4, 4),))
-        weights = init_weights(model, seed=0)
+        folded = init_weights(model, seed=0)
+        raw = init_weights_reference(model, seed=0)
         for name in ("b.conv1", "b.conv2"):
-            weights[name]["weight"][:] = 0.0
-            weights[name]["gamma"][:] = 0.0
-            weights[name]["beta"][:] = 0.0
-        engine = Engine(model, weights)
+            folded[name]["weight"][:] = 0.0
+            folded[name]["bias"][:] = 0.0
+            for param in ("weight", "gamma", "beta"):
+                raw[name][param][:] = 0.0
         x = rng.standard_normal((4, 8, 8)).astype(np.float32)
-        out = engine.forward_features(x)
-        np.testing.assert_allclose(out, np.maximum(x, 0.0), atol=1e-6)
+        for engine in (Engine(model, folded), ReferenceEngine(model, raw)):
+            out = engine.forward_features(x)
+            np.testing.assert_allclose(out, np.maximum(x, 0.0), atol=1e-6)
 
     def test_concat_channel_order(self, rng):
         from repro.models.graph import BlockUnit

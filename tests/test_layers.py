@@ -38,8 +38,12 @@ class TestConvSpec:
         assert conv.weight_count == 8 * 3 * 9 + 8
 
     def test_weight_count_bn_no_bias(self):
+        """Batch norm is held folded: conv weights plus one bias vector,
+        with or without a bias of its own."""
         conv = ConvSpec("c", 3, 8, kernel_size=3, batch_norm=True, bias=False)
-        assert conv.weight_count == 8 * 3 * 9 + 16
+        assert conv.weight_count == 8 * 3 * 9 + 8
+        both = ConvSpec("c", 3, 8, kernel_size=3, batch_norm=True, bias=True)
+        assert both.weight_count == 8 * 3 * 9 + 8
 
     @pytest.mark.parametrize(
         "kwargs",

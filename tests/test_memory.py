@@ -18,6 +18,7 @@ from repro.models.layers import ConvSpec, DenseSpec, conv3x3
 from repro.models.resnet import basic_block
 from repro.models.toy import toy_chain
 from repro.models.zoo import get_model
+from repro.nn.weights import init_weights
 from repro.partition.regions import Region
 from repro.schemes.early_fused import EarlyFusedScheme
 from repro.schemes.pico import PicoScheme
@@ -31,16 +32,30 @@ class TestWeightBytes:
         # 4*3*9 weights + 4 biases, float32.
         assert segment_weight_bytes(model, 0, 1) == (108 + 4) * 4
 
-    def test_head_charged_to_last_segment(self):
+    def test_head_charged_to_no_segment(self):
+        """The coordinator runs the dense head (``Engine.run_head``), so
+        no stage device holds it, the last one included."""
         model = chain_model(
             "m", (3, 8, 8), [conv3x3("c1", 3, 4), conv3x3("c2", 4, 4)],
             head=[DenseSpec("fc", 256, 10)],
         )
         first = segment_weight_bytes(model, 0, 1)
         last = segment_weight_bytes(model, 1, 2)
-        head_bytes = (256 * 10 + 10) * 4
-        assert last - head_bytes == (4 * 4 * 9 + 4) * 4
+        assert last == (4 * 4 * 9 + 4) * 4
         assert first == (4 * 3 * 9 + 4) * 4
+
+    @pytest.mark.parametrize("name", ["resnet34", "mobilenet_v2", "yolov2"])
+    def test_counts_what_the_build_holds(self, name):
+        """Batch norm counts as the engine holds it, folded: the whole
+        model's segment is its conv parameters' bytes, no head."""
+        model = get_model(name, input_hw=64)
+        head = {dense.name for dense in model.head}
+        held = sum(
+            array.nbytes
+            for layer, params in init_weights(model).items() if layer not in head
+            for array in params.values()
+        )
+        assert segment_weight_bytes(model, 0, model.n_units) == held
 
     def test_block_internals_counted(self):
         model = Model("m", (4, 8, 8), (basic_block("b", 4, 4),))

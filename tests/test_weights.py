@@ -30,14 +30,19 @@ def test_conv_params_present():
 
 
 def test_bn_params_when_requested():
+    """The raw draws carry the BN statistics; the build keeps them
+    folded into the weight and a bias."""
     model = chain_model(
         "m", (3, 8, 8),
         [ConvSpec("c", 3, 4, kernel_size=3, batch_norm=True, bias=False)],
     )
+    raw = init_weights_reference(model)["c"]
+    assert set(raw) == {"weight", "gamma", "beta", "mean", "var"}
+    assert np.all(raw["var"] > 0)
     params = init_weights(model)["c"]
-    assert {"weight", "gamma", "beta", "mean", "var"} <= set(params)
-    assert "bias" not in params
-    assert np.all(params["var"] > 0)
+    assert set(params) == {"weight", "bias"}
+    assert params["weight"].shape == raw["weight"].shape
+    assert params["bias"].shape == (4,)
 
 
 def test_block_internals_initialised():
@@ -89,6 +94,21 @@ def _small_model(name: str) -> Model:
     return get_model(name, input_hw=96 if name == "inception_v3" else 64)
 
 
+def _folded_reference(model: Model, seed: int) -> "dict":
+    """The raw one-shot draws, each batch-norm conv folded by the
+    one-shot formula into ``{"weight", "bias"}``."""
+    weights = init_weights_reference(model, seed)
+    for info in model.iter_layers():
+        layer = info.layer
+        if isinstance(layer, ConvSpec) and layer.batch_norm:
+            p = weights[layer.name]
+            w, b = fold_batch_norm_reference(
+                p["weight"], p.get("bias"), p["gamma"], p["beta"], p["mean"], p["var"]
+            )
+            weights[layer.name] = {"weight": w, "bias": b}
+    return weights
+
+
 def _assert_same_bits(got: "dict", want: "dict") -> None:
     assert list(got) == list(want)
     for layer in want:
@@ -101,25 +121,31 @@ def _assert_same_bits(got: "dict", want: "dict") -> None:
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_init_weights_equals_the_one_shot_draw(name):
     """Chunked draws are the same stream, and each chunk rounds to
-    float32 as the whole-array cast does."""
+    float32 as the whole-array cast does; the in-place fold of each
+    batch-norm conv gives the whole-array fold's bits."""
     model = _small_model(name)
-    _assert_same_bits(init_weights(model, seed=7), init_weights_reference(model, seed=7))
+    _assert_same_bits(init_weights(model, seed=7), _folded_reference(model, seed=7))
 
 
 @pytest.mark.parametrize("name", ["resnet34", "mobilenet_v2", "yolov2", "inception_v3"])
 def test_fold_equals_the_one_shot_fold(name):
-    """Every BN conv of the model folds to the whole-array formula's bits."""
+    """Every BN conv of the model folds, in place, to the whole-array
+    formula's bits, and the fold returns the weight it was given."""
     model = _small_model(name)
-    weights = init_weights(model)
+    raw = init_weights_reference(model)
     folded = 0
     for info in model.iter_layers():
         layer = info.layer
         if isinstance(layer, ConvSpec) and layer.batch_norm:
-            p = weights[layer.name]
-            args = (p["weight"], p.get("bias"), p["gamma"], p["beta"], p["mean"], p["var"])
-            for got, want in zip(fold_batch_norm(*args), fold_batch_norm_reference(*args)):
-                assert got.dtype == want.dtype == np.float32
-                assert got.tobytes() == want.tobytes(), layer.name
+            p = raw[layer.name]
+            args = (p["gamma"], p["beta"], p["mean"], p["var"])
+            want = fold_batch_norm_reference(p["weight"], p.get("bias"), *args)
+            weight = p["weight"].copy()
+            got = fold_batch_norm(weight, p.get("bias"), *args)
+            assert got[0] is weight
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.float32
+                assert g.tobytes() == w.tobytes(), layer.name
             folded += 1
     assert folded
 
@@ -131,8 +157,9 @@ def test_fold_with_bias_and_rows_past_a_chunk():
     args = [rng.standard_normal(s).astype(np.float32)
             for s in ((cout, cin, 3, 3), (cout,), (cout,), (cout,), (cout,))]
     args.append(rng.uniform(0.5, 1.5, cout).astype(np.float32))
-    for got, want in zip(fold_batch_norm(*args), fold_batch_norm_reference(*args)):
-        assert got.tobytes() == want.tobytes()
+    want = fold_batch_norm_reference(*args)
+    for got, w in zip(fold_batch_norm(*args), want):
+        assert got.tobytes() == w.tobytes()
 
 
 def _traced_peak(fn):
@@ -155,9 +182,11 @@ def test_weight_build_holds_one_chunk_of_float64():
 
 
 def test_bn_fold_holds_one_chunk_of_float64():
-    """resnet34's largest BN conv folds under its float32 output plus 2 MiB."""
+    """resnet34's largest BN conv (9 MiB of float32, on the heap, where
+    tracemalloc sees any copy) folds in place under its folded bias plus
+    2 MiB: no second weight-sized array, float32 or float64."""
     model = get_model("resnet34", input_hw=64)
-    weights = init_weights(model)
+    weights = init_weights_reference(model)
     name = max(
         (i.layer for i in model.iter_layers()
          if isinstance(i.layer, ConvSpec) and i.layer.batch_norm),
@@ -167,13 +196,17 @@ def test_bn_fold_holds_one_chunk_of_float64():
     (folded_w, folded_b), peak = _traced_peak(lambda: fold_batch_norm(
         p["weight"], p.get("bias"), p["gamma"], p["beta"], p["mean"], p["var"]
     ))
-    assert peak < folded_w.nbytes + folded_b.nbytes + (2 << 20), (peak, folded_w.nbytes)
+    assert folded_w is p["weight"] and folded_w.nbytes > (8 << 20)
+    assert peak < folded_b.nbytes + (2 << 20), (peak, folded_w.nbytes)
 
 
 # -- where the bytes live: shared anonymous mappings above the floor ----------
-#: sha256 over every parameter (layer, name, dtype, shape, bytes in dict
-#: order) of each model of MODEL_NAMES at its ``_small_model`` input,
-#: seed 0, recorded before the weights moved into shared mappings.
+#: sha256 over every raw parameter (layer, name, dtype, shape, bytes in
+#: dict order; :func:`init_weights_reference`, batch norm unfolded) of
+#: each model of MODEL_NAMES at its ``_small_model`` input, seed 0,
+#: recorded before the weights moved into shared mappings, when the
+#: build still kept batch norm raw.  ``init_weights`` is held to these
+#: draws folded (``test_init_weights_equals_the_one_shot_draw``).
 PARAM_SHA256 = {
     "fig13_toy": "536c05f5018b08be78f754d35053b4354ac0a989d86e662657156b273c2f92ab",
     "inception_v3": "4cba83d8a296ec7c944af5f50ed7d38299efd76e2f75396b3fea9ae7e38b6724",
@@ -202,7 +235,7 @@ def _shared(array: np.ndarray) -> bool:
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_parameter_bytes_are_unchanged(name):
     digest = hashlib.sha256()
-    for layer, params in init_weights(_small_model(name)).items():
+    for layer, params in init_weights_reference(_small_model(name)).items():
         for param, array in params.items():
             digest.update(f"{layer}/{param}/{array.dtype}/{array.shape}".encode())
             digest.update(array.tobytes())
@@ -211,9 +244,9 @@ def test_parameter_bytes_are_unchanged(name):
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_weights_above_the_floor_are_shared_mappings(name):
-    """Every conv and dense weight and every folded weight of at least
-    the floor is an anonymous mapping; smaller ones and every
-    per-channel vector are heap arrays."""
+    """Every conv and dense weight (a batch-norm conv's folded in
+    place) of at least the floor is an anonymous mapping; smaller ones
+    and every bias are heap arrays."""
     model = _small_model(name)
     weights = init_weights(model)
     floor = weights_module._SHARED_MIN_BYTES
@@ -224,15 +257,6 @@ def test_weights_above_the_floor_are_shared_mappings(name):
             assert _shared(array) == big, (layer, param, array.nbytes)
             assert array.flags.writeable and array.flags.c_contiguous
             shared += big
-    for info in model.iter_layers():
-        layer = info.layer
-        if isinstance(layer, ConvSpec) and layer.batch_norm:
-            p = weights[layer.name]
-            folded_w, folded_b = fold_batch_norm(
-                p["weight"], p.get("bias"), p["gamma"], p["beta"], p["mean"], p["var"]
-            )
-            assert _shared(folded_w) == (folded_w.nbytes >= floor), layer.name
-            assert not _shared(folded_b)
     # fig13_toy's and the toy chain's largest weights are under 64 KiB.
     assert shared or name in ("fig13_toy", "toy_chain")
 

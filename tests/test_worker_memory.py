@@ -3,10 +3,11 @@
 Every weight matrix lives in a shared anonymous mapping
 (:mod:`repro.nn.weights`), so ``fork`` copies no page-table entry of
 the model into a worker: right after ``open()`` a worker's shared
-resident set (``RssShmem``) is empty, and after frames it holds at most
-the raw weights of its program's layers plus the folded copies its
-engine builds of the batch-norm ones — and at least the ones above the
-shared-mapping floor, which shows they are shared.  Read from
+resident set (``RssShmem``) is empty, and after frames it holds its
+program's layers once each, within 1 MiB — batch norm is folded at the
+build, so no worker keeps a second copy of a layer — and at least the
+weights above the shared-mapping floor, which shows they are shared.
+Read from
 ``/proc`` on tcp, for resnet34@64 (batch norm folds) and vgg16@64 (no
 batch norm, a large last stage); outputs stay bit-equal to the
 in-process ``Engine``.
@@ -44,14 +45,10 @@ FRAMES = 4
 
 
 def _shared_bytes(weights, program) -> int:
-    """The bytes of ``program``'s weights and folded weights that are
-    large enough for a shared mapping."""
-    total = 0
-    for name, layer in program_layers(program).items():
-        nbytes = weights[name]["weight"].nbytes
-        if nbytes >= weights_module._SHARED_MIN_BYTES:
-            total += 2 * nbytes if layer.batch_norm else nbytes
-    return total
+    """The bytes of ``program``'s weights that are large enough for a
+    shared mapping, each layer once."""
+    sizes = (weights[name]["weight"].nbytes for name in program_layers(program))
+    return sum(n for n in sizes if n >= weights_module._SHARED_MIN_BYTES)
 
 
 @pytest.mark.parametrize("name, mbps", [("resnet34", 50.0), ("vgg16", 1000.0)])
