@@ -146,6 +146,10 @@ lint-forks:
 # runtime reads raw BN statistics.
 	test "$$(grep -rnIF 'fold_batch_norm(' src/repro --exclude-dir=bench --exclude-dir=testing | grep -v 'def fold_batch_norm' | cut -d: -f1)" = "src/repro/nn/weights.py"
 	! grep -rnIE "[\"']gamma[\"']" src/repro/nn/executor.py src/repro/runtime/
+# One head draw: init_weights leaves the dense head undrawn and the one
+# call of dense_params outside bench/ and testing/ is the lazy draw at
+# its first read (weights._LazyHead), so no serving process holds it.
+	test "$$(grep -rIF 'dense_params(' src/repro --exclude-dir=bench --exclude-dir=testing | grep -v 'def dense_params' | tr -s ' ')" = "src/repro/nn/weights.py: self[dense.name] = dense_params(dense, self._rng)"
 # One way to run a plan on the wall clock: every caller serves through
 # PipelineServer.serve; the submit/collect pipeline is left only as the
 # e2e benchmark's shim (and the one test that drives it as the workload

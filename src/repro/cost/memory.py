@@ -8,8 +8,9 @@ set under a plan:
 
 * **weights** — parameters of every layer in the device's segment
   (each stage device holds a full copy of its model segment), as the
-  engine holds them: a batch-norm conv folded, and no dense head (the
-  coordinator runs it, ``Engine.run_head``);
+  engine holds them: a batch-norm conv folded, and no dense head
+  (:func:`~repro.nn.weights.init_weights` draws it at its first read,
+  and no serving path reads it, so no process holds it);
 * **activations** — the largest (input tile, output tile) pair live at
   once while executing the segment layer by layer.
 
@@ -54,7 +55,8 @@ def segment_weight_bytes(
     model: Model, start: int, end: int, bytes_per_value: int = 4
 ) -> int:
     """Parameter bytes of the conv layers of units ``[start, end)``.
-    The dense head is no stage device's: the coordinator runs it."""
+    The dense head is no stage device's: it is drawn at its first read,
+    and serving never reads it."""
     total = 0
     for info in model.iter_layers():
         if start <= info.unit_index < end and info.layer.kind == "conv":

@@ -143,8 +143,10 @@ class Engine:
         Optional pre-built weights; seeded random weights otherwise.
         A conv's entry is ``weight`` and an optional ``bias``, batch
         norm folded in (as :func:`~repro.nn.weights.init_weights`
-        builds it).  Packing is lazy per layer, so a dict may be
-        partial, and an engine packs only the layers it runs.  The packed
+        builds it, with the dense head drawn at its first read — by
+        :meth:`run_head`; nothing else here reads it).  Packing is lazy
+        per layer, so a dict may be partial, and an engine packs only
+        the layers it runs.  The packed
         weights and the compiled tile plans capture them: build a new
         engine over changed weights.
     """
@@ -277,7 +279,10 @@ class Engine:
         return tiles.run_segment(self, self._full_map, x.astype(np.float32, copy=False))
 
     def run_head(self, features: np.ndarray) -> np.ndarray:
-        """Flatten + dense head (identity if the model has no head)."""
+        """Flatten + dense head (identity if the model has no head).
+
+        The first call over :func:`~repro.nn.weights.init_weights`'
+        dict draws the head; a serving pipeline never calls it."""
         out = features.reshape(-1)
         for dense in self.model.head:
             params = self.weights[dense.name]

@@ -1,6 +1,7 @@
 """Weight initialisation and containers.
 
-Weights are plain dicts ``{layer_name: {param_name: ndarray}}``.
+Weights are dicts ``{layer_name: {param_name: ndarray}}`` (the one
+:func:`init_weights` returns draws its dense head at the first read).
 He-normal init keeps activations in a numerically friendly range
 through deep stacks, which matters for the bit-exactness assertions in
 the tile tests.
@@ -24,11 +25,27 @@ worker's program reads it.  Biases are a few KiB each and stay
 ordinary arrays.  A consequence: a write to
 a parameter after the workers are forked is visible to them.  Pickling
 copies the values, as for any array.
+
+The dense head is drawn when something first reads it.  The build draws
+every conv at once and leaves the head undrawn (:class:`_LazyHead`):
+the first subscript of a head layer, ``weights[name]`` — what
+:meth:`~repro.nn.executor.Engine.run_head` does — draws the whole head
+from the generator where the conv draws left it, so every value is
+bit-identical to an eager build.  No serving path reads the head (a
+pipeline's stages end at the backbone's features), so no coordinator
+and no worker holds it: on vgg16@64 that is 29.3 M of its 44 M
+parameters.  Until the first read, iteration, ``len``, ``in`` and
+``get`` see the convs alone; the read inserts the head after them, in
+the model's order, as an eager build does.  A forked child inherits the
+undrawn head with a copy of the generator, so one that reads it draws
+the same values.  Pickling draws the head first and pickles a plain
+dict.
 """
 
 from __future__ import annotations
 
 import mmap
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -143,10 +160,43 @@ def dense_params(layer: DenseSpec, rng: np.random.Generator) -> "Dict[str, np.nd
     }
 
 
+class _LazyHead(dict):
+    """The dict :func:`init_weights` returns: the convs drawn, the dense
+    ``head`` drawn from ``rng`` at the first subscript of one of its
+    layers.  The draw runs once, under a lock, which a caller that
+    missed re-checks after taking it; the generator is dropped after."""
+
+    def __init__(self, head: "Tuple[DenseSpec, ...]", rng: np.random.Generator):
+        super().__init__()
+        self._head = head
+        self._head_names = frozenset(dense.name for dense in head)
+        self._rng: Optional[np.random.Generator] = rng
+        self._lock = threading.Lock()
+
+    def __missing__(self, name: str) -> "Dict[str, np.ndarray]":
+        if name not in self._head_names:
+            raise KeyError(name)
+        self._draw_head()
+        return dict.__getitem__(self, name)
+
+    def _draw_head(self) -> None:
+        with self._lock:
+            if self._rng is None:
+                return  # drawn, by this thread or another
+            for dense in self._head:
+                self[dense.name] = dense_params(dense, self._rng)
+            self._rng = None
+
+    def __reduce__(self):
+        self._draw_head()
+        return dict, (dict(self),)
+
+
 def init_weights(model: Model, seed: int = 0) -> Weights:
-    """Seeded random weights for every conv and dense layer of a model."""
+    """Seeded random weights for every conv and dense layer of a model;
+    the dense head is drawn at its first read (:class:`_LazyHead`)."""
     rng = np.random.default_rng(seed)
-    weights: Weights = {}
+    weights = _LazyHead(model.head, rng)
     for info in model.iter_layers():
         layer = info.layer
         if isinstance(layer, ConvSpec):
@@ -155,8 +205,9 @@ def init_weights(model: Model, seed: int = 0) -> Weights:
             weights[layer.name] = conv_params(layer, rng)
         elif isinstance(layer, PoolSpec):
             continue  # pooling has no parameters
+    names = set(weights)
     for dense in model.head:
-        if dense.name in weights:
+        if dense.name in names:
             raise ValueError(f"duplicate layer name {dense.name!r}")
-        weights[dense.name] = dense_params(dense, rng)
+        names.add(dense.name)
     return weights

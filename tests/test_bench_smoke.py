@@ -59,6 +59,7 @@ def test_run_suite_smoke():
         "memory_outputs_exact": True,
         "memory_workers_hold_only_their_layers": True,
         "memory_plan_matches_held": True,
+        "memory_coordinator_holds_only_the_backbone": True,
         "memory_last_stage_private_below_parent": True,
     }
     (memory,) = report["memory"]
@@ -69,7 +70,11 @@ def test_run_suite_smoke():
         assert worker["shmem_open_mb"] < 1.0
         assert abs(worker["shmem_mb"] - worker["program_weight_mb"]) <= 1.0
         assert abs(worker["plan_weight_mb"] - worker["program_weight_mb"]) <= 1.0
+    assert abs(
+        memory["coordinator"]["shmem_mb"] - memory["backbone_shared_mb"]
+    ) <= 1.0
     assert report["memory_before_after"] == committed["memory_before_after"]
+    assert report["memory_fold_before_after"] == committed["memory_fold_before_after"]
     # The whole report must round-trip through JSON (what main() writes).
     assert json.loads(json.dumps(report)) == report
 

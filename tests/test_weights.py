@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import mmap
+import multiprocessing
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -109,6 +111,14 @@ def _folded_reference(model: Model, seed: int) -> "dict":
     return weights
 
 
+def _read_head(model: Model, weights: "dict") -> "dict":
+    """``weights`` after a subscript of each head layer: the head is
+    drawn at its first read, so iteration sees it only after one."""
+    for dense in model.head:
+        weights[dense.name]
+    return weights
+
+
 def _assert_same_bits(got: "dict", want: "dict") -> None:
     assert list(got) == list(want)
     for layer in want:
@@ -124,7 +134,9 @@ def test_init_weights_equals_the_one_shot_draw(name):
     float32 as the whole-array cast does; the in-place fold of each
     batch-norm conv gives the whole-array fold's bits."""
     model = _small_model(name)
-    _assert_same_bits(init_weights(model, seed=7), _folded_reference(model, seed=7))
+    _assert_same_bits(
+        _read_head(model, init_weights(model, seed=7)), _folded_reference(model, seed=7)
+    )
 
 
 @pytest.mark.parametrize("name", ["resnet34", "mobilenet_v2", "yolov2", "inception_v3"])
@@ -248,7 +260,7 @@ def test_weights_above_the_floor_are_shared_mappings(name):
     place) of at least the floor is an anonymous mapping; smaller ones
     and every bias are heap arrays."""
     model = _small_model(name)
-    weights = init_weights(model)
+    weights = _read_head(model, init_weights(model))
     floor = weights_module._SHARED_MIN_BYTES
     shared = 0
     for layer, params in weights.items():
@@ -271,3 +283,115 @@ def test_a_pickle_round_trip_copies_equal_arrays():
             assert not _shared(got)
             assert got.dtype == array.dtype and got.shape == array.shape
             assert got.tobytes() == array.tobytes(), (layer, param)
+
+
+# -- the dense head is drawn at its first read ------------------------------
+def test_the_head_is_drawn_at_its_first_read():
+    """Before a read, iteration, ``len``, ``in`` and ``get`` see the
+    convs alone; a subscript of any head layer draws the whole head,
+    after the convs, and drops the generator.  Other names still miss."""
+    model = get_model("vgg16", input_hw=64)
+    weights = init_weights(model)
+    head = [dense.name for dense in model.head]
+    convs = [i.layer.name for i in model.iter_layers() if isinstance(i.layer, ConvSpec)]
+    assert len(head) > 1
+    assert list(weights) == convs and len(weights) == len(convs)
+    assert head[-1] not in weights and weights.get(head[-1]) is None
+    with pytest.raises(KeyError):
+        weights["no_such_layer"]
+    assert weights[head[-1]]["weight"].shape == (
+        model.head[-1].out_features, model.head[-1].in_features
+    )
+    assert list(weights) == convs + head
+    assert weights._rng is None
+    with pytest.raises(KeyError):
+        weights["no_such_layer"]
+
+
+def test_head_duplicate_names_are_rejected_at_the_build():
+    model = chain_model(
+        "m", (3, 8, 8), [conv3x3("c", 3, 4)],
+        head=[DenseSpec("c", 4 * 64, 10)],
+    )
+    with pytest.raises(ValueError, match="duplicate"):
+        init_weights(model)
+
+
+def test_threads_reading_the_head_at_once_get_the_same_arrays():
+    model = get_model("resnet34", input_hw=64)
+    weights = init_weights(model)
+    name = model.head[0].name
+    barrier = threading.Barrier(4)
+    got = [None] * 4
+
+    def read(i):
+        barrier.wait()
+        got[i] = weights[name]
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for params in got[1:]:
+        assert params["weight"] is got[0]["weight"]
+        assert params["bias"] is got[0]["bias"]
+    _assert_same_bits(weights, _folded_reference(model, seed=0))
+
+
+def _head_digest(model: Model, weights: "dict") -> str:
+    digest = hashlib.sha256()
+    for dense in model.head:
+        for array in weights[dense.name].values():
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _send_head_digest(model, weights, conn) -> None:
+    conn.send(_head_digest(model, weights))
+    conn.close()
+
+
+def test_a_forked_child_draws_the_parents_head():
+    """A child that reads the head first draws it from its copy of the
+    generator: the same bytes the parent reads after it."""
+    model = get_model("resnet34", input_hw=64)
+    weights = init_weights(model)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_head_digest, args=(model, weights, send))
+    child.start()
+    send.close()
+    from_child = recv.recv()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert model.head[0].name not in weights  # the child's read stayed there
+    assert from_child == _head_digest(model, weights)
+
+
+def test_a_pickle_round_trip_of_an_unread_head_is_the_folded_draw():
+    model = get_model("resnet34", input_hw=64)
+    back = pickle.loads(pickle.dumps(init_weights(model)))
+    assert type(back) is dict
+    _assert_same_bits(back, _folded_reference(model, seed=0))
+
+
+def test_the_build_maps_only_the_backbone(monkeypatch):
+    """vgg16@64's build maps exactly its conv weights' bytes: the
+    29.3 M-parameter dense head is not drawn."""
+    model = get_model("vgg16", input_hw=64)
+    mapped = []
+    real_mmap = mmap.mmap
+
+    def counting(fileno, length, *args, **kwargs):
+        mapped.append(length)
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(weights_module.mmap, "mmap", counting)
+    weights = init_weights(model)
+    conv_bytes = [
+        weights[i.layer.name]["weight"].nbytes
+        for i in model.iter_layers() if isinstance(i.layer, ConvSpec)
+    ]
+    floor = weights_module._SHARED_MIN_BYTES
+    assert sum(mapped) == sum(n for n in conv_bytes if n >= floor)
