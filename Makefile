@@ -174,9 +174,16 @@ lint-forks:
 # report / simulate commands stay deleted.
 	test -z "$$(find benchmarks -name '*.py' -not -path 'benchmarks/e2e/*')"
 	! grep -rnIE --exclude-dir="*.egg-info" "full[_]report|generate[_]report|rows[_]for|write[_]csv|format[_]table|_cmd[_](experiment|report|simulate)|benchmark[-]only|bench[_]output" src/ tests/ docs/ README.md EXPERIMENTS.md DESIGN.md Makefile .github/
+# No dead knobs: the switcher's cross-frame batch score, the per-link
+# jitter/loss sampling and the options that had one value in use (the
+# retry schedule, the virtual clock's batch amortisation, EFL's shrink
+# factor, PICO's Pareto switch) stay deleted; make lint-dead flags any
+# defaulted parameter that no production call passes.
+	! grep -rnIE "batch_candidates|choose_batch|active_batch|comm_fraction|batched_inference_latency|use_pareto|batch_amortized=|shrink_factor|jitter_s|sample_network|backoff_base_s|backoff_factor" src/ tests/ benchmarks/ examples/ docs/ README.md
 
 # Production code only production uses: every definition under src/repro
-# (bench/ and testing/ aside) that no production module refers to is in
+# (bench/ and testing/ aside) that no production module refers to, and
+# every defaulted parameter no production call passes, is in
 # tools/lint_dead_allowlist.txt with its reason, and the list only shrinks.
 lint-dead:
 	python tools/lint_dead.py

@@ -24,7 +24,6 @@ from typing import Dict, Sequence
 __all__ = [
     "md1_waiting_time",
     "average_inference_latency",
-    "batched_inference_latency",
     "backlog_latency",
     "validate_md1",
     "stable",
@@ -56,44 +55,6 @@ def average_inference_latency(
         raise ValueError(f"latency {latency} cannot be below period {period}")
     wait = md1_waiting_time(period, arrival_rate)
     return wait + latency
-
-
-def batched_inference_latency(
-    period: float, latency: float, arrival_rate: float, batch: int
-) -> float:
-    """Theorem 2 extended with cross-frame micro-batching.
-
-    ``period`` and ``latency`` are the *batched* per-frame period and
-    batched pipeline latency (:meth:`PlanTiming.batched_period` /
-    :meth:`~repro.runtime.timing.PlanTiming.batched_latency`).  Three
-    terms:
-
-    * **forming delay** — a frame waits on average ``(b − 1) / (2λ)``
-      for the rest of its batch to arrive (half the window the entrance
-      holds open), which is why large batches lose at light load;
-    * **M/D/1 wait** — batches arrive at rate ``λ/b`` and hold the
-      bottleneck stage ``b·p_b`` each, so ``ρ = λ·p_b`` and the
-      Pollaczek–Khinchine wait is ``λ·b·p_b² / (2(1 − ρ))``;
-    * the batched pipeline **execution latency**.
-
-    ``batch == 1`` is exactly :func:`average_inference_latency`.
-    """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    if batch == 1:
-        return average_inference_latency(period, latency, arrival_rate)
-    if latency < period:
-        raise ValueError(f"latency {latency} cannot be below period {period}")
-    if period < 0 or arrival_rate < 0:
-        raise ValueError("period and arrival rate must be non-negative")
-    if arrival_rate == 0:
-        return math.inf  # a batch never finishes forming
-    rho = period * arrival_rate
-    if rho >= 1.0:
-        return math.inf
-    forming = (batch - 1) / (2.0 * arrival_rate)
-    wait = arrival_rate * batch * period * period / (2.0 * (1.0 - rho))
-    return forming + wait + latency
 
 
 def backlog_latency(period: float, latency: float, queue_depth: int) -> float:

@@ -95,10 +95,9 @@ class Cluster:
             )
         )
 
-    def sorted_by_capacity(self, descending: bool = True) -> Tuple[Device, ...]:
-        return tuple(
-            sorted(self.devices, key=lambda d: d.capacity, reverse=descending)
-        )
+    def sorted_by_capacity(self) -> Tuple[Device, ...]:
+        """The devices, fastest first."""
+        return tuple(sorted(self.devices, key=lambda d: d.capacity, reverse=True))
 
     def subset(self, names: "Sequence[str]") -> "Cluster":
         """The sub-cluster holding exactly ``names`` (cluster order)."""
@@ -234,11 +233,11 @@ class DevicePool:
         )
 
 
-def raspberry_pi(name: str, freq_mhz: float = 1500.0, alpha: float = 1.0) -> Device:
+def raspberry_pi(name: str, freq_mhz: float = 1500.0) -> Device:
     """A Raspberry-Pi 4B pinned to one core at ``freq_mhz``."""
     if freq_mhz <= 0:
         raise ValueError("frequency must be positive")
-    return Device(name, capacity=freq_mhz * 1e6 * FLOPS_PER_CYCLE, alpha=alpha)
+    return Device(name, capacity=freq_mhz * 1e6 * FLOPS_PER_CYCLE)
 
 
 def pi_cluster(n: int, freq_mhz: float = 1500.0) -> Cluster:

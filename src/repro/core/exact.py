@@ -391,9 +391,6 @@ class ExactScheme(Scheme):
 
     name = "EXACT"
 
-    def __init__(self, period_bound: float = math.inf) -> None:
-        self.period_bound = period_bound
-
     def plan(
         self,
         model: Model,
@@ -401,7 +398,4 @@ class ExactScheme(Scheme):
         network: NetworkModel,
         options: CostOptions = DEFAULT_OPTIONS,
     ) -> PipelinePlan:
-        exact = plan_exact(
-            model, cluster, network, options, period_bound=self.period_bound
-        )
-        return realize_exact(model, exact)
+        return realize_exact(model, plan_exact(model, cluster, network, options))

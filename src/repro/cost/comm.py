@@ -69,9 +69,13 @@ def coerce_network(network) -> "NetworkModel":
     )
 
 
-def region_bytes(channels: int, region: Region, bytes_per_value: int = 4) -> int:
+#: Bytes of one feature-map or weight value: float32.
+BYTES_PER_VALUE = 4
+
+
+def region_bytes(channels: int, region: Region) -> int:
     """Size of a feature-map region: ``c × h × w`` values (Eq. 7's φ)."""
-    return channels * region.area * bytes_per_value
+    return channels * region.area * BYTES_PER_VALUE
 
 
 def wifi_50mbps() -> NetworkModel:

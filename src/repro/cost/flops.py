@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.cost.comm import BYTES_PER_VALUE
 from repro.models.graph import BlockUnit, LayerUnit, Model, PlanUnit
 from repro.models.layers import ConvSpec, PoolSpec, SpatialLayer
 from repro.partition.fused import chain_backprop, unit_input_region, unit_owned_input
@@ -43,7 +44,6 @@ class CostOptions:
 
     include_pool: bool = False  # paper ignores pool FLOPs (Eq. 2 remark)
     include_head: bool = True  # account FC layers to the final stage
-    bytes_per_value: int = 4  # float32 feature maps
     #: Model WLAN contention across concurrent pipeline stages: all
     #: stages share one medium, so a pipelined plan's period is bounded
     #: below by the total per-period communication (extension; the
@@ -159,12 +159,12 @@ def head_flops(model: Model) -> float:
     return float(sum(d.in_features * d.out_features for d in model.head))
 
 
-def model_flops(model: Model, options: CostOptions = DEFAULT_OPTIONS) -> float:
-    """Full single-inference FLOPs of the model."""
-    total = sum(full_unit_flops(model, i, options) for i in range(model.n_units))
-    if options.include_head:
-        total += head_flops(model)
-    return total
+def model_flops(model: Model) -> float:
+    """Full single-inference FLOPs of the model, dense head included."""
+    total = sum(
+        full_unit_flops(model, i, DEFAULT_OPTIONS) for i in range(model.n_units)
+    )
+    return total + head_flops(model)
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def layer_profiles(
                 info.layer.name,
                 info.layer.kind,
                 layer_flops(info.layer, region, options),
-                c * h * w * options.bytes_per_value,
+                c * h * w * BYTES_PER_VALUE,
             )
         )
     return profiles

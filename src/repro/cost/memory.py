@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.plan import PipelinePlan
-from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
+from repro.cost.comm import BYTES_PER_VALUE
 from repro.models.graph import BlockUnit, LayerUnit, Model
 from repro.partition.fused import chain_backprop, unit_input_region
 from repro.partition.regions import Region
@@ -51,16 +51,14 @@ class DeviceMemory:
         return self.weight_bytes + self.activation_bytes
 
 
-def segment_weight_bytes(
-    model: Model, start: int, end: int, bytes_per_value: int = 4
-) -> int:
+def segment_weight_bytes(model: Model, start: int, end: int) -> int:
     """Parameter bytes of the conv layers of units ``[start, end)``.
     The dense head is no stage device's: it is drawn at its first read,
     and serving never reads it."""
     total = 0
     for info in model.iter_layers():
         if start <= info.unit_index < end and info.layer.kind == "conv":
-            total += info.layer.weight_count * bytes_per_value
+            total += info.layer.weight_count * BYTES_PER_VALUE
     return total
 
 
@@ -69,7 +67,6 @@ def segment_activation_bytes(
     start: int,
     end: int,
     out_region: Region,
-    bytes_per_value: int = 4,
 ) -> int:
     """Peak live activation bytes while executing the segment on a tile.
 
@@ -89,7 +86,7 @@ def segment_activation_bytes(
         if isinstance(unit, LayerUnit):
             live = (
                 c_in * in_region.area + c_out * region.area
-            ) * bytes_per_value
+            ) * BYTES_PER_VALUE
         else:
             assert isinstance(unit, BlockUnit)
             # Union input stays live; path outputs accumulate for merge.
@@ -108,31 +105,23 @@ def segment_activation_bytes(
                         )
                         peak = max(
                             peak,
-                            (c_in * in_region.area + step_live) * bytes_per_value,
+                            (c_in * in_region.area + step_live) * BYTES_PER_VALUE,
                         )
-            live = (c_in * in_region.area + outputs) * bytes_per_value
+            live = (c_in * in_region.area + outputs) * BYTES_PER_VALUE
         peak = max(peak, live)
         region = in_region
     return peak
 
 
-def plan_memory(
-    model: Model,
-    plan: PipelinePlan,
-    options: CostOptions = DEFAULT_OPTIONS,
-) -> "List[DeviceMemory]":
+def plan_memory(model: Model, plan: PipelinePlan) -> "List[DeviceMemory]":
     """Peak memory per device (a device appearing in several phases of
     an exclusive plan reports its maximum across them)."""
     weights: "Dict[str, int]" = {}
     activations: "Dict[str, int]" = {}
     for stage in plan.stages:
-        w_bytes = segment_weight_bytes(
-            model, stage.start, stage.end, options.bytes_per_value
-        )
+        w_bytes = segment_weight_bytes(model, stage.start, stage.end)
         for device, region in stage.assignments:
-            a_bytes = segment_activation_bytes(
-                model, stage.start, stage.end, region, options.bytes_per_value
-            )
+            a_bytes = segment_activation_bytes(model, stage.start, stage.end, region)
             weights[device.name] = max(weights.get(device.name, 0), w_bytes)
             activations[device.name] = max(
                 activations.get(device.name, 0), a_bytes
@@ -147,7 +136,6 @@ def check_memory(
     model: Model,
     plan: PipelinePlan,
     budget_bytes: "Dict[str, int] | int",
-    options: CostOptions = DEFAULT_OPTIONS,
 ) -> "List[DeviceMemory]":
     """Validate a plan against memory budgets.
 
@@ -155,7 +143,7 @@ def check_memory(
     per-device-name dict.  Raises :class:`MemoryError_` naming the first
     offender; returns the per-device report otherwise.
     """
-    report = plan_memory(model, plan, options)
+    report = plan_memory(model, plan)
     for entry in report:
         if isinstance(budget_bytes, dict):
             budget = budget_bytes.get(entry.device_name)

@@ -53,28 +53,31 @@ class CalibrationResult:
     samples: int
 
 
-def calibrate_host(
-    sizes: "Sequence[int]" = (32, 48, 64),
-    repeats: int = 3,
-    rng_seed: int = 0,
-) -> CalibrationResult:
+#: The square matmul sizes :func:`calibrate_host` times, each
+#: ``CALIBRATION_REPEATS`` times after one warm-up.  They stop at 64:
+#: matmuls of at most 64^3 multiply-adds run on one OpenBLAS thread,
+#: while larger ones go multi-threaded, and on a loaded 2-vCPU host
+#: those stalled ~16 ms a call (0.1 ms alone), reading the host 250x
+#: slow.
+CALIBRATION_SIZES = (32, 48, 64)
+CALIBRATION_REPEATS = 3
+
+
+def calibrate_host() -> CalibrationResult:
     """Measure this host's effective matmul FLOP/s with numpy.
 
     Runs square matmuls (the conv engine's im2col inner loop is a
-    matmul) and fits ``seconds = flops / capacity``.  The default sizes
-    stop at 64: matmuls of at most 64^3 multiply-adds run on one
-    OpenBLAS thread, while larger ones go multi-threaded, and on a
-    loaded 2-vCPU host those stalled ~16 ms a call (0.1 ms alone),
-    reading the host 250x slow.
+    matmul) of :data:`CALIBRATION_SIZES` on seeded operands and fits
+    ``seconds = flops / capacity``.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     flops_samples = []
     time_samples = []
-    for n in sizes:
+    for n in CALIBRATION_SIZES:
         a = rng.standard_normal((n, n)).astype(np.float32)
         b = rng.standard_normal((n, n)).astype(np.float32)
         a @ b  # warm-up
-        for _ in range(repeats):
+        for _ in range(CALIBRATION_REPEATS):
             start = time.perf_counter()
             a @ b
             elapsed = time.perf_counter() - start

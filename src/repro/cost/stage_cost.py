@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.cluster.device import Device
-from repro.cost.comm import NetworkModel, region_bytes
+from repro.cost.comm import BYTES_PER_VALUE, NetworkModel, region_bytes
 from repro.cost.flops import (
     CostOptions,
     DEFAULT_OPTIONS,
@@ -151,9 +151,7 @@ def stage_time(
         flops = segment_flops(model, start, end, out_region, options)
         owned = segment_owned_flops(model, start, end, out_region, options)
         t_comp = device.compute_time(flops)
-        nbytes = region_bytes(c_in, in_region, options.bytes_per_value) + region_bytes(
-            c_out, out_region, options.bytes_per_value
-        )
+        nbytes = region_bytes(c_in, in_region) + region_bytes(c_out, out_region)
         t_comm = network.transfer_time(nbytes)
         device_costs.append(
             DeviceCost(device, out_region, in_region, flops, owned, t_comp, t_comm)
@@ -201,8 +199,8 @@ def branch_stage_time(
         flops = sum(flops_per_path[i] for i in paths)
         in_region = path_input_region(model, unit_index, paths)
         out_channels = sum(channels_per_path[i] for i in paths)
-        nbytes = region_bytes(c_in, in_region, options.bytes_per_value) + (
-            out_channels * oh * ow * options.bytes_per_value
+        nbytes = region_bytes(c_in, in_region) + (
+            out_channels * oh * ow * BYTES_PER_VALUE
         )
         device_costs.append(
             DeviceCost(
@@ -283,8 +281,8 @@ def channel_stage_time(
             device_costs.append(_idle(device, _NO_REGION))
             continue
         flops = channel_slice_flops(model, unit_index, lo, hi, options)
-        nbytes = region_bytes(c_in, full_in, options.bytes_per_value) + (
-            (hi - lo) * oh * ow * options.bytes_per_value
+        nbytes = region_bytes(c_in, full_in) + (
+            (hi - lo) * oh * ow * BYTES_PER_VALUE
         )
         device_costs.append(
             DeviceCost(

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.device import Device
-from repro.cost.comm import NetworkModel
+from repro.cost.comm import BYTES_PER_VALUE, NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.cost.stage_cost import branch_stage_time, fold_stage, stage_time
 from repro.models.graph import BlockUnit, LayerUnit, Model
@@ -325,8 +325,8 @@ class SegmentTable:
         c_in = self.model.in_shape(start)[0]
         c0, c1 = table.in_cols[start]
         in_h = int(table.in_hi[start, rows.end] - table.in_lo[start, rows.start])
-        in_bytes = c_in * in_h * (c1 - c0) * options.bytes_per_value
-        out_bytes = table.c_out * len(rows) * table.w * options.bytes_per_value
+        in_bytes = c_in * in_h * (c1 - c0) * BYTES_PER_VALUE
+        out_bytes = table.c_out * len(rows) * table.w * BYTES_PER_VALUE
         return in_bytes + out_bytes
 
     def stage_total(

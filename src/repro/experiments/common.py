@@ -48,9 +48,9 @@ FIG13_FREQS_MHZ: Tuple[float, ...] = (1200, 1200, 800, 800, 600, 600)
 SATURATION_TASKS = 30
 
 
-def paper_network(mbps: float = 50.0) -> NetworkModel:
-    """The paper's 50 Mbps WiFi access point (override for sweeps)."""
-    return NetworkModel.from_mbps(mbps)
+def paper_network() -> NetworkModel:
+    """The paper's 50 Mbps WiFi access point."""
+    return NetworkModel.from_mbps(50.0)
 
 
 def paper_cluster(n_devices: int = 8, freq_mhz: float = 600.0) -> Cluster:

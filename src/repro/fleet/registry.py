@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.plan import PipelinePlan
-from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.cost.tables import get_segment_table
 from repro.models.graph import Model
 from repro.nn.executor import Engine
@@ -28,12 +27,11 @@ __all__ = ["ModelEntry", "ModelRegistry"]
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: its graph, its engine, its cost options."""
+    """One registered model: its graph and its engine."""
 
     name: str
     model: Model
     engine: Engine
-    options: CostOptions
 
     @property
     def weights(self) -> Weights:
@@ -43,8 +41,7 @@ class ModelEntry:
 class ModelRegistry:
     """Named models with prebuilt engines and warm cost tables."""
 
-    def __init__(self, options: CostOptions = DEFAULT_OPTIONS) -> None:
-        self.options = options
+    def __init__(self) -> None:
         self._entries: "Dict[str, ModelEntry]" = {}
         self._programs: "Dict[Tuple[str, PipelinePlan], PlanProgram]" = {}
 
@@ -66,8 +63,8 @@ class ModelRegistry:
                 raise ValueError(f"model name {name!r} is already registered")
             return existing
         engine = Engine(model, weights, seed=seed)
-        get_segment_table(model, self.options)
-        entry = ModelEntry(name, model, engine, self.options)
+        get_segment_table(model)
+        entry = ModelEntry(name, model, engine)
         self._entries[name] = entry
         return entry
 

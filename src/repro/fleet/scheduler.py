@@ -30,7 +30,6 @@ from repro.adaptive.queueing import average_inference_latency, stable
 from repro.cluster.device import Cluster, DeviceLease, DevicePool
 from repro.core.plan import PipelinePlan, plan_cost
 from repro.cost.comm import NetworkModel
-from repro.cost.flops import CostOptions
 from repro.fleet.registry import ModelRegistry
 from repro.fleet.tenants import TenantClass
 from repro.schemes.base import PlanningError, Scheme
@@ -67,7 +66,6 @@ class FleetScheduler:
         registry: ModelRegistry,
         cluster: Cluster,
         network: NetworkModel,
-        options: Optional[CostOptions] = None,
     ) -> None:
         from repro.cost.comm import coerce_network
 
@@ -76,7 +74,6 @@ class FleetScheduler:
         # A Topology collapses to its flat summary for placement costing
         # (the event engine charges the real per-link times).
         self.network = coerce_network(network)
-        self.options = options if options is not None else registry.options
         self.pool = DevicePool(cluster)
         self.tenants: "Dict[str, TenantClass]" = {}
         self.placements: "Dict[str, Placement]" = {}
@@ -135,11 +132,11 @@ class FleetScheduler:
             # give this tenant once it joins the current holders.
             effective = self.pool.effective_cluster(names, extra_holders=1)
             try:
-                plan = scheme.plan(model, effective, self.network, self.options)
+                plan = scheme.plan(model, effective, self.network)
             except PlanningError as exc:
                 errors.append(f"k={k}: {exc}")
                 continue
-            cost = plan_cost(model, plan, self.network, self.options)
+            cost = plan_cost(model, plan, self.network)
             estimate = float(average_inference_latency(
                 cost.period, cost.latency, tenant.rate
             ))
@@ -187,12 +184,10 @@ class FleetScheduler:
             effective = self.pool.effective_cluster(alive)
             model = self.registry.get(tenant.model).model
             try:
-                plan = self._scheme_for(tenant).plan(
-                    model, effective, self.network, self.options
-                )
+                plan = self._scheme_for(tenant).plan(model, effective, self.network)
             except PlanningError:
                 continue
-            cost = plan_cost(model, plan, self.network, self.options)
+            cost = plan_cost(model, plan, self.network)
             estimate = float(average_inference_latency(
                 cost.period, cost.latency, tenant.rate
             ))

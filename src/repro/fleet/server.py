@@ -11,14 +11,13 @@ bit-identical to a tenant running alone.
 Churn is fleet-wide: each tenant's replanner routes through
 :meth:`FleetScheduler.replace_tenant`, so one device death re-places
 every affected tenant over the survivors (bit-exact frame replay
-preserved by the session ladder), and a tenant whose switcher holds a
-fleet grant may only switch onto devices the scheduler leased it.
+preserved by the session ladder).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.registry import ModelEntry, ModelRegistry
@@ -67,7 +66,7 @@ class TenantResult:
 class FleetResult:
     """Every tenant's result plus fleet-level aggregates."""
 
-    tenants: "Dict[str, TenantResult]" = field(default_factory=dict)
+    tenants: "Dict[str, TenantResult]"
 
     @property
     def makespan(self) -> float:
@@ -122,21 +121,16 @@ class FleetServer:
         *,
         runtime_config: "Optional[RuntimeConfig]" = None,
         trace=None,
-        max_batch: int = 1,
-        batch_timeout: float = 0.0,
     ) -> None:
         self.registry = registry
         self.scheduler = scheduler
         self.make_transport = make_transport
         self.runtime_config = runtime_config
         self.trace = trace
-        self.max_batch = max_batch
-        self.batch_timeout = batch_timeout
         self.servers: "Dict[str, PipelineServer]" = {}
         #: What each tenant's server runs: its admission-time placement,
         #: replaced when fleet-wide churn re-places the tenant.
         self.placements: "Dict[str, Placement]" = {}
-        self._switchers: "Dict[str, object]" = {}
         self._dead: "set" = set()
         self._dead_lock = threading.Lock()
         self._closed = False
@@ -146,19 +140,9 @@ class FleetServer:
         self,
         tenants: "Sequence[TenantClass]",
         schemes: "Optional[Dict[str, Scheme]]" = None,
-        switchers: "Optional[Dict[str, object]]" = None,
     ) -> "Dict[str, Placement]":
-        """Place ``tenants`` on the pool and open a server for each.
-
-        ``switchers`` optionally maps tenant names to an
-        :class:`~repro.adaptive.switcher.AdaptiveSwitcher`; each is
-        granted its tenant's leased devices
-        (:meth:`~repro.adaptive.switcher.AdaptiveSwitcher.grant`), so a
-        tenant may only switch to a plan within the scheduler's grant.
-        """
+        """Place ``tenants`` on the pool and open a server for each."""
         placements = self.scheduler.place(tenants, schemes)
-        if switchers:
-            self._switchers.update(switchers)
         for tenant in tenants:
             self._open_server(tenant, placements[tenant.name])
         return placements
@@ -168,14 +152,11 @@ class FleetServer:
         program = self.registry.compile(tenant.model, placement.plan)
         transport = self.make_transport(entry)
         transport.share_dead(self._dead, self._dead_lock)
-        switcher = self._switchers.get(tenant.name)
-        if switcher is not None:
-            switcher.grant(placement.devices)
         self.placements[tenant.name] = placement
         self.servers[tenant.name] = PipelineServer(
             program,
             transport,
-            tenant.server_config(self.max_batch, self.batch_timeout),
+            tenant.server_config(),
             tracer=self.trace,
             runtime_config=self.runtime_config,
             replanner=(
@@ -183,7 +164,6 @@ class FleetServer:
                 if self.runtime_config is not None
                 else None
             ),
-            switcher=switcher,
         )
 
     # -- fleet-wide churn ----------------------------------------------
@@ -191,8 +171,8 @@ class FleetServer:
         """A session replanner routed through the fleet scheduler.
 
         ``replan(dead) -> (PlanProgram, kind)`` — releases the tenant's
-        stranded leases, re-places it over the survivors at current
-        occupancies, and re-grants its switcher; degrades to the
+        stranded leases and re-places it over the survivors at current
+        occupancies; degrades to the
         fastest surviving device when no placement fits, through the
         same :func:`~repro.runtime.faults.replan_or_degrade` the
         per-session ladder uses.
@@ -214,12 +194,6 @@ class FleetServer:
                     )
                     return compile_plan(entry.model, plan), kind
                 self.placements[tenant.name] = placement
-                switcher = self._switchers.get(tenant.name)
-                if switcher is not None:
-                    try:
-                        switcher.grant(placement.devices)
-                    except ValueError:
-                        switcher.grant(None)
             program = self.registry.compile(tenant.model, placement.plan)
             return program, "replan"
 
@@ -266,13 +240,13 @@ class FleetServer:
             t.join()
         if errors:
             raise next(iter(errors.values()))
-        fleet = FleetResult()
-        for name in workloads:
-            fleet.tenants[name] = TenantResult(
+        return FleetResult({
+            name: TenantResult(
                 self.scheduler.tenants[name], self.placements[name],
                 results[name],
             )
-        return fleet
+            for name in workloads
+        })
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

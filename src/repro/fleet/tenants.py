@@ -57,13 +57,6 @@ class TenantClass:
                 f"{self.name}: max_devices must be >= min_devices"
             )
 
-    def server_config(
-        self, max_batch: int = 1, batch_timeout: float = 0.0
-    ) -> ServerConfig:
+    def server_config(self) -> ServerConfig:
         """This tenant's admission control as a :class:`ServerConfig`."""
-        return ServerConfig(
-            queue_capacity=self.queue_capacity,
-            policy=self.policy,
-            max_batch=max_batch,
-            batch_timeout=batch_timeout,
-        )
+        return ServerConfig(queue_capacity=self.queue_capacity, policy=self.policy)

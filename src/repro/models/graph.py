@@ -183,7 +183,7 @@ class Model:
     # Per-unit boundary shapes, derived in __post_init__:
     #   shapes[i] is the input shape of unit i; shapes[n_units] is the
     #   final feature-map shape.
-    shapes: "Tuple[_Shape3, ...]" = field(default=(), compare=False)
+    shapes: "Tuple[_Shape3, ...]" = field(default=(), init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "units", tuple(self.units))

@@ -67,6 +67,9 @@ Weights = Dict[str, Dict[str, np.ndarray]]
 #: both work through their float32 weight in blocks of this size.
 _CHUNK_VALUES = 1 << 17
 
+#: Batch norm's variance epsilon (the PyTorch / Caffe default).
+BN_EPS = 1e-5
+
 #: Parameter arrays of at least this many bytes get a shared anonymous
 #: mapping; smaller ones (the per-channel vectors) a heap array.
 _SHARED_MIN_BYTES = 1 << 16
@@ -89,13 +92,12 @@ def fold_batch_norm(
     beta: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float = 1e-5,
 ) -> "Tuple[np.ndarray, np.ndarray]":
     """Fold inference-mode BN into the preceding conv's weight and bias,
     **scaling ``weight`` in place**; returns ``(weight, folded bias)``.
 
     ``BN(conv(x, W) + b) == conv(x, W·s) + (b − mean)·s + beta`` with
-    ``s = gamma / sqrt(var + eps)``.  The fold is computed in float64 and
+    ``s = gamma / sqrt(var + BN_EPS)``.  The fold is computed in float64 and
     cast back to float32 once, so the folded kernel agrees with the
     unfused conv→BN pipeline to normal float32 rounding (a few ULPs per
     layer — the engine's BN-folding tolerance test pins this down).
@@ -103,7 +105,7 @@ def fold_batch_norm(
     read whole before it is stored back, so no second weight-sized
     array, float32 or float64, is ever live.
     """
-    scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + eps)
+    scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + BN_EPS)
     rows = max(1, _CHUNK_VALUES // max(1, int(np.prod(weight.shape[1:]))))
     for lo in range(0, len(weight), rows):
         # float32 × float64 multiplies in float64, as the one-shot

@@ -16,20 +16,21 @@ from typing import List
 
 from repro.core.plan import PipelinePlan, plan_cost
 from repro.cost.comm import NetworkModel
-from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
 from repro.models.graph import Model
 
 __all__ = ["render_plan", "render_timeline", "stage_schedule"]
+
+#: Characters across :func:`render_timeline`'s Gantt rows.
+TIMELINE_WIDTH = 72
 
 
 def render_plan(
     model: Model,
     plan: PipelinePlan,
     network: NetworkModel,
-    options: CostOptions = DEFAULT_OPTIONS,
 ) -> str:
     """Per-stage cost table plus the plan's period/latency summary."""
-    cost = plan_cost(model, plan, network, options)
+    cost = plan_cost(model, plan, network)
     lines = [plan.describe(), ""]
     lines.append(
         f"{'stage':>5s} {'units':>9s} {'devices':>7s} {'T_comp':>8s} "
@@ -86,12 +87,12 @@ def render_timeline(
     model: Model,
     plan: PipelinePlan,
     network: NetworkModel,
-    options: CostOptions = DEFAULT_OPTIONS,
     n_tasks: int = 6,
-    width: int = 72,
 ) -> str:
-    """ASCII Gantt chart of the first ``n_tasks`` flowing through the plan."""
-    cost = plan_cost(model, plan, network, options)
+    """ASCII Gantt chart of the first ``n_tasks`` flowing through the
+    plan, :data:`TIMELINE_WIDTH` characters wide."""
+    width = TIMELINE_WIDTH
+    cost = plan_cost(model, plan, network)
     services = [sc.total for sc in cost.stage_costs]
     if plan.mode == "exclusive":
         # One server: collapse phases into a single service per task.

@@ -49,7 +49,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,8 +104,8 @@ class _WorkerHandle:
     process: mp.Process
     task: TaskSpec
     stage_index: int
-    channel: Optional[Channel] = None
-    alive: bool = True
+    channel: Optional[Channel] = field(default=None, init=False)
+    alive: bool = field(default=True, init=False)
 
 
 @dataclass

@@ -38,12 +38,14 @@ from repro.nn import parallel
 from repro.nn.executor import Engine
 from repro.nn.tiles import run_segment
 from repro.runtime.faults import (
+    MAX_RETRIES,
     DeviceDead,
     FaultSchedule,
     PlanDoor,
     RuntimeConfig,
     StageFailure,
     TransientTaskError,
+    backoff,
 )
 from repro.runtime.program import (
     PlanProgram,
@@ -151,10 +153,6 @@ class Transport(ABC):
     def configure(self, config: "Optional[RuntimeConfig]") -> None:
         """Install the fault-tolerance configuration."""
         self._config = config
-
-    @property
-    def config(self) -> "Optional[RuntimeConfig]":
-        return self._config
 
     def begin_frame(self, frame: int, at: Optional[float] = None) -> None:
         """Announce a new frame; ``at`` is its (virtual) submit time."""
@@ -390,7 +388,7 @@ def collect_stage(
                 transport.repartition(stage_index)
             return _attempt_stage(transport, program, stage_index, work, tracer)
         except TransientTaskError as exc:
-            if attempt >= config.max_retries:
+            if attempt >= MAX_RETRIES:
                 raise StageFailure(
                     f"stage {stage_index}: {exc} "
                     f"(after {attempt} retries)"
@@ -400,7 +398,7 @@ def collect_stage(
                 tracer.emit(
                     TraceEvent("retry", frame, stage_index, exc.device, now, now)
                 )
-            transport.penalty(config.backoff(attempt))
+            transport.penalty(backoff(attempt))
             attempt += 1
         except DeviceDead as exc:
             newly_dead = transport.mark_dead(exc.device)
@@ -646,9 +644,10 @@ class SimTransport(Transport):
 
     Batched ``(C, B, H, W)`` tiles charge the B-dependent service
     estimate :func:`repro.cost.tables.batched_service` — linear in B on
-    the wire, partially amortised (``batch_amortized``) on compute.  A
-    batch of one charges exactly the single-frame ``sc.total``, so
-    every existing B=1 timestamp is preserved bit-for-bit.
+    the wire, partially amortised (``BATCH_AMORTIZED_FRACTION``) on
+    compute.  A batch of one charges exactly the single-frame
+    ``sc.total``, so every existing B=1 timestamp is preserved
+    bit-for-bit.
     """
 
     name = "sim"
@@ -661,7 +660,6 @@ class SimTransport(Transport):
         options=None,
         faults: "Optional[FaultSchedule]" = None,
         compute: bool = True,
-        batch_amortized: "Optional[float]" = None,
     ) -> None:
         super().__init__()
         self.engine = engine
@@ -670,13 +668,6 @@ class SimTransport(Transport):
         self.options = options
         self.faults = faults
         self.compute = compute
-        self.batch_amortized = (
-            BATCH_AMORTIZED_FRACTION if batch_amortized is None else batch_amortized
-        )
-        if not 0.0 <= self.batch_amortized <= 1.0:
-            raise ValueError(
-                f"batch_amortized must be in [0, 1], got {self.batch_amortized}"
-            )
         self._injector = None
         self.timing: Optional[PlanTiming] = None
         self._rows: "List[_StageRow]" = []
@@ -834,11 +825,9 @@ class SimTransport(Transport):
             service = row.total  # exact single-frame charge, bit-compat
             comp_scale = 1.0
         else:
-            service = batched_service(
-                row.t_comm, row.t_work, batch, self.batch_amortized
-            )
-            comp_scale = self.batch_amortized + batch * (
-                1.0 - self.batch_amortized
+            service = batched_service(row.t_comm, row.t_work, batch)
+            comp_scale = BATCH_AMORTIZED_FRACTION + batch * (
+                1.0 - BATCH_AMORTIZED_FRACTION
             )
         exit_ = start + service + stage_delay
         timings = []
@@ -902,11 +891,8 @@ class PipelineSession:
         transport: Transport,
         tracer: Optional[Tracer] = None,
         config: "Optional[RuntimeConfig]" = None,
-        replanner=None,
     ) -> "PipelineSession":
-        return cls(
-            compile_plan(model, plan), transport, tracer, config, replanner
-        )
+        return cls(compile_plan(model, plan), transport, tracer, config)
 
     def _walk(
         self, x0: "Optional[np.ndarray]", ids: "Tuple[int, ...]",
@@ -936,15 +922,13 @@ class PipelineSession:
                 if door.replanner is None or not door.step(ids[0], failed=True):
                     raise
 
-    def run_frame(
-        self, x: "Optional[np.ndarray]", at: Optional[float] = None
-    ) -> "Optional[np.ndarray]":
+    def run_frame(self, x: "Optional[np.ndarray]") -> "Optional[np.ndarray]":
         """Run one frame through every stage; returns the feature map.
 
         On a timing-only transport ``x`` is never read (pass ``None``)
         and the result is ``None``: the frame only advances the clock.
         """
-        return self.run_stacked((x,), at)[0]
+        return self.run_stacked((x,))[0]
 
     def run_stacked(
         self,

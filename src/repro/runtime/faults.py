@@ -5,8 +5,9 @@ off WiFi mid-frame, a worker process dies, a link stalls.  This module
 defines the three pieces every backend shares:
 
 * :class:`RuntimeConfig` — the knobs of the fault-tolerance layer
-  (the worker receive deadline, bounded exponential-backoff retries
-  and the re-plan threshold), threaded through
+  (the worker receive deadline and the re-plan threshold; retries back
+  off by the fixed :data:`MAX_RETRIES` / :func:`backoff` schedule),
+  threaded through
   :func:`~repro.runtime.core.collect_stage` and the executors.
 * :class:`FaultSchedule` — a deterministic fault-injection script
   (crash-at-frame, compute delay, dropped result, flaky link) honored
@@ -50,6 +51,8 @@ from repro.runtime.trace import TraceEvent
 
 __all__ = [
     "RuntimeConfig",
+    "MAX_RETRIES",
+    "backoff",
     "FaultSchedule",
     "FaultInjector",
     "TransientTaskError",
@@ -81,6 +84,20 @@ class TransientTaskError(RuntimeError):
         self.device = device
 
 
+#: Retries of a transiently failed stage before it escalates to
+#: :class:`StageFailure`.
+MAX_RETRIES = 3
+#: The exponential backoff before retry ``n``: ``BACKOFF_BASE_S *
+#: BACKOFF_FACTOR**n`` seconds.
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+
+
+def backoff(attempt: int) -> float:
+    """Seconds to back off before retry number ``attempt`` (0-based)."""
+    return BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Fault-tolerance knobs shared by every executor.
@@ -89,34 +106,22 @@ class RuntimeConfig:
     processes (``None`` = block forever): a worker that stays silent
     past it — alive but wedged — is declared dead like one whose
     socket closed.  Transient task failures are retried up to
-    ``max_retries`` times with exponential backoff
-    ``backoff_base_s * backoff_factor**n``.  When the dead devices'
-    share of cluster capacity *exceeds* ``replan_threshold`` the
-    :class:`PlanDoor` re-plans over the survivors, on either clock;
-    below it, recovery stays local to the affected stages.
+    :data:`MAX_RETRIES` times with exponential backoff
+    ``BACKOFF_BASE_S * BACKOFF_FACTOR**n`` (:func:`backoff`).  When the
+    dead devices' share of cluster capacity *exceeds*
+    ``replan_threshold`` the :class:`PlanDoor` re-plans over the
+    survivors, on either clock; below it, recovery stays local to the
+    affected stages.
     """
 
     recv_timeout_s: Optional[float] = None
-    max_retries: int = 3
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     replan_threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= self.replan_threshold <= 1.0:
             raise ValueError("replan_threshold must be in [0, 1]")
         if self.recv_timeout_s is not None and self.recv_timeout_s <= 0:
             raise ValueError("recv_timeout_s must be positive or None")
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to back off before retry number ``attempt`` (0-based)."""
-        return self.backoff_base_s * self.backoff_factor ** attempt
 
 
 @dataclass(frozen=True)

@@ -161,10 +161,12 @@ def canonical_trace(events: "Sequence[TraceEvent]") -> "List[Canonical]":
     return [(e.frame, e.stage, e.kind, e.device, e.nbytes) for e in events]
 
 
+#: Mismatches :func:`diff_traces` lists before it stops.
+DIFF_MAX_LINES = 10
+
+
 def diff_traces(
-    a: "Sequence[TraceEvent]",
-    b: "Sequence[TraceEvent]",
-    max_lines: int = 10,
+    a: "Sequence[TraceEvent]", b: "Sequence[TraceEvent]"
 ) -> "List[str]":
     """Human-readable canonical differences; empty iff traces agree."""
     ca, cb = canonical_trace(a), canonical_trace(b)
@@ -172,7 +174,7 @@ def diff_traces(
     for i, (ea, eb) in enumerate(zip(ca, cb)):
         if ea != eb:
             lines.append(f"event {i}: {ea} != {eb}")
-            if len(lines) >= max_lines:
+            if len(lines) >= DIFF_MAX_LINES:
                 lines.append("... (further mismatches suppressed)")
                 return lines
     if len(ca) != len(cb):
@@ -200,9 +202,9 @@ def trace_makespan(events: "Sequence[TraceEvent]") -> float:
     return max(e.end for e in events) - min(e.start for e in events)
 
 
-def format_timeline(events: "Sequence[TraceEvent]", unit: str = "ms") -> str:
-    """A per-frame, per-stage table of the trace."""
-    scale = {"s": 1.0, "ms": 1e3, "us": 1e6}[unit]
+def format_timeline(events: "Sequence[TraceEvent]") -> str:
+    """A per-frame, per-stage table of the trace, times in ms."""
+    scale = 1e3
     lines = [
         f"{'frame':>5s} {'stage':>5s} {'kind':>8s} {'device':>16s} "
         f"{'start':>10s} {'end':>10s} {'bytes':>10s}"
@@ -215,7 +217,7 @@ def format_timeline(events: "Sequence[TraceEvent]", unit: str = "ms") -> str:
         )
     lines.append(
         f"-- {len(events)} events, makespan "
-        f"{trace_makespan(events) * scale:.3f} {unit}"
+        f"{trace_makespan(events) * scale:.3f} ms"
     )
     return "\n".join(lines)
 

@@ -448,10 +448,6 @@ class Channel:
         self._sock = sock
         self._closed = False
 
-    @property
-    def sock(self) -> socket.socket:
-        return self._sock
-
     def settimeout(self, seconds: "float | None") -> None:
         """Bound blocking sends/recvs (``None`` = block forever).
 

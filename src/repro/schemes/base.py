@@ -76,7 +76,6 @@ class Scheme(ABC):
         model: Model,
         cluster: Cluster,
         network: NetworkModel,
-        options: CostOptions = DEFAULT_OPTIONS,
     ):
         """Plan and compile in one step: the scheme's plan lowered to
         the runtime-core :class:`~repro.runtime.program.PlanProgram`,
@@ -84,7 +83,7 @@ class Scheme(ABC):
         """
         from repro.runtime.program import compile_plan
 
-        return compile_plan(model, self.plan(model, cluster, network, options))
+        return compile_plan(model, self.plan(model, cluster, network))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -28,20 +28,24 @@ __all__ = ["EarlyFusedScheme", "default_fuse_count"]
 #: band (~19 %).
 _KNOWN_FUSE_COUNTS = {"yolov2": 16, "vgg16": 8}
 
+#: The shape-generalised policy fuses every unit whose output is still
+#: larger than ``input_height / SHRINK_FACTOR``.
+SHRINK_FACTOR = 4
 
-def default_fuse_count(model: Model, shrink_factor: int = 4) -> int:
+
+def default_fuse_count(model: Model) -> int:
     """DeepThings' fusion depth.
 
     Models with a published/calibrated depth use it; otherwise the
     shape-generalised policy applies — fuse every unit whose output is
-    still larger than ``input_height / shrink_factor`` (the early,
+    still larger than ``input_height / SHRINK_FACTOR`` (the early,
     communication-heavy part of the network).  EFL by construction runs
     "the rest layers in a single device", so at least one unit is
     always left for the serial tail."""
     known = _KNOWN_FUSE_COUNTS.get(model.name)
     if known is not None and known < model.n_units:
         return known
-    threshold = max(1, model.input_shape[1] // shrink_factor)
+    threshold = max(1, model.input_shape[1] // SHRINK_FACTOR)
     count = 0
     for idx in range(model.n_units):
         if model.out_shape(idx)[1] < threshold:
@@ -55,11 +59,10 @@ class EarlyFusedScheme(Scheme):
 
     name = "EFL"
 
-    def __init__(self, n_fused: Optional[int] = None, shrink_factor: int = 4) -> None:
+    def __init__(self, n_fused: Optional[int] = None) -> None:
         if n_fused is not None and n_fused < 1:
             raise ValueError("n_fused must be positive")
         self.n_fused = n_fused
-        self.shrink_factor = shrink_factor
 
     def plan(
         self,
@@ -68,7 +71,7 @@ class EarlyFusedScheme(Scheme):
         network: NetworkModel,
         options: CostOptions = DEFAULT_OPTIONS,
     ) -> PipelinePlan:
-        n_fused = self.n_fused or default_fuse_count(model, self.shrink_factor)
+        n_fused = self.n_fused or default_fuse_count(model)
         if n_fused > model.n_units:
             raise PlanningError(
                 f"n_fused={n_fused} exceeds the model's {model.n_units} units"

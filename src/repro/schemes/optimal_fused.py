@@ -37,10 +37,6 @@ class _GroupChoice:
     cost: float
     n_devices: int  # 1 == serial on the fastest device
 
-    @property
-    def parallel(self) -> bool:
-        return self.n_devices > 1
-
 
 class OptimalFusedScheme(Scheme):
     """DP-optimised fusion-point + group-width selection (one-stage

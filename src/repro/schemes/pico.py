@@ -4,8 +4,7 @@ Two steps (§IV-A): Algorithm 1's dynamic program finds the
 minimum-period stage split for the *homogenised* cluster; Algorithm 2
 greedily maps real heterogeneous devices onto those stages with
 capacity-weighted partitions.  An optional latency bound ``t_lim``
-implements the Eq. (1) constraint; ``use_pareto=True`` swaps in the
-exact Pareto-frontier planner (ablation).
+implements the Eq. (1) constraint.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 from repro.cluster.device import Cluster
 from repro.core.dp_planner import plan_homogeneous
 from repro.core.heterogeneous import adapt_to_cluster
-from repro.core.pareto import plan_pareto
 from repro.core.plan import PipelinePlan
 from repro.cost.comm import NetworkModel
 from repro.cost.flops import CostOptions, DEFAULT_OPTIONS
@@ -39,13 +37,11 @@ class PicoScheme(Scheme):
     def __init__(
         self,
         t_lim: float = math.inf,
-        use_pareto: bool = False,
         branch_parallel: bool = False,
     ) -> None:
         if t_lim <= 0:
             raise ValueError("t_lim must be positive")
         self.t_lim = t_lim
-        self.use_pareto = use_pareto
         self.branch_parallel = branch_parallel
         if branch_parallel:
             self.name = "PICO+B"
@@ -57,22 +53,14 @@ class PicoScheme(Scheme):
         network: NetworkModel,
         options: CostOptions = DEFAULT_OPTIONS,
     ) -> PipelinePlan:
-        if self.use_pareto and self.branch_parallel:
-            raise ValueError(
-                "branch_parallel is not implemented for the Pareto planner"
-            )
-        # Both planners draw ``Ts`` from the registry's one vectorized
-        # cost table per (model, homogenised device, network, options),
-        # so repeated plan() calls — adaptive re-planning, t_lim sweeps
-        # — reuse every memoised entry.
-        if self.branch_parallel:
-            homo = plan_homogeneous(
-                model, cluster, network, options, t_lim=self.t_lim,
-                allow_branch=True,
-            )
-        else:
-            planner = plan_pareto if self.use_pareto else plan_homogeneous
-            homo = planner(model, cluster, network, options, t_lim=self.t_lim)
+        # The DP draws ``Ts`` from the registry's one vectorized cost
+        # table per (model, homogenised device, network, options), so
+        # repeated plan() calls — adaptive re-planning, t_lim sweeps —
+        # reuse every memoised entry.
+        homo = plan_homogeneous(
+            model, cluster, network, options, t_lim=self.t_lim,
+            allow_branch=self.branch_parallel,
+        )
         if homo is None:
             raise PlanningError(
                 f"no pipeline satisfies latency limit {self.t_lim:.4f}s "

@@ -4,8 +4,7 @@ The discrete-event cluster simulator: from "one shared-bandwidth LAN,
 a list of arrival times" (the paper's testbed) to full scenarios —
 
 * :mod:`repro.sim.topology` — named :class:`NetworkLink` objects with
-  bandwidth / latency / jitter / loss, ``star`` / ``mesh`` /
-  ``fat-tree`` builders, shortest-path routing and per-link FIFO
+  bandwidth and latency, ``star`` / ``mesh`` / ``fat-tree`` builders, shortest-path routing and per-link FIFO
   contention.  The old single :class:`~repro.cost.comm.NetworkModel`
   is the degenerate one-link topology (:meth:`Topology.bus`),
   bit-compatible with the pre-2.0 simulator.

@@ -139,25 +139,19 @@ class _LinkState:
 
 class _Route:
     """One live :class:`Transmission`, compiled: the FIFO state of every
-    link it crosses and — when they are constants of the run — the hop
-    times themselves: a fixed ``duration``, or without an rng the
-    expected transfer times.  ``times`` is ``None`` under per-hop
-    sampling, which draws from the rng in event order and so cannot be
-    hoisted out of the loop."""
+    link it crosses and the hop times themselves, constants of the run:
+    a fixed ``duration``, else each link's transfer time."""
 
-    __slots__ = ("links", "times", "spec")
+    __slots__ = ("links", "times")
 
-    def __init__(self, spec: Transmission, links, rng) -> None:
+    def __init__(self, spec: Transmission, links) -> None:
         self.links = links
-        self.spec = spec
         if spec.duration is not None:
             self.times = (spec.duration,) * len(spec.route)
-        elif rng is None:
+        else:
             self.times = tuple(
                 link.transfer_time(spec.nbytes) for link in spec.route
             )
-        else:
-            self.times = None
 
 
 class _Stage:
@@ -205,7 +199,6 @@ def run_scenario(
     on_churn=None,  # (now, payload) -> Optional[PlanTiming]
     tracer: Optional[Tracer] = None,
     queue_capacity: Optional[int] = None,
-    rng=None,
     keep_records: bool = True,
 ):
     """Run one scenario; see the module docstring for the model.
@@ -220,9 +213,6 @@ def run_scenario(
     (queued *or* in service, the M/D/1/K convention): an arrival that
     finds ``queue_capacity`` tasks in flight is shed — recorded in the
     result and emitted as a ``shed`` trace event.
-
-    ``rng`` feeds per-link jitter/loss sampling; ``None`` keeps every
-    link at its deterministic expected transfer time.
 
     Returns a :class:`~repro.sim.result.SimResult`, or a constant-memory
     :class:`~repro.sim.result.SimStats` when ``keep_records=False``.
@@ -277,7 +267,6 @@ def run_scenario(
                             link_states.setdefault(link, _LinkState())
                             for link in spec.route
                         ),
-                        rng,
                     )
                     for spec in templates[index]
                     if spec.route
@@ -326,12 +315,7 @@ def run_scenario(
             return
         transfer = state.queue.popleft()
         state.busy = True
-        route = transfer.route
-        if route.times is not None:
-            hop_time = route.times[transfer.hop]
-        else:
-            spec = route.spec
-            hop_time = spec.route[transfer.hop].transfer_time(spec.nbytes, rng)
+        hop_time = transfer.route.times[transfer.hop]
         heappush(heap, (now + hop_time, _P_OTHER, seq, _HOP, transfer))
         seq += 1
 

@@ -94,7 +94,6 @@ def simulate_scenario(
     trace=None,
     queue_capacity: Optional[int] = None,
     seed: int = 0,
-    sample_network: bool = False,
     keep_records: bool = True,
 ):
     """Simulate ``plan_or_scheme`` serving ``arrivals`` on a cluster.
@@ -112,8 +111,6 @@ def simulate_scenario(
       50 Mbps WiFi unless given) with communication folded into stage
       service; ``Topology.bus(network, contended=True)`` serialises
       every stage's transfer over that one link.
-      ``sample_network=True`` samples per-link jitter and loss instead
-      of charging their deterministic expectations.
     * ``arrivals`` — an :class:`~repro.workload.ArrivalProcess`
       (streamed lazily under ``numpy.random.default_rng(seed)``) or a
       plain sequence of submit times.  ``queue_capacity`` bounds the
@@ -318,6 +315,5 @@ def simulate_scenario(
         on_churn=on_churn,
         tracer=tracer,
         queue_capacity=queue_capacity,
-        rng=np.random.default_rng(seed + 1) if sample_network else None,
         keep_records=keep_records,
     )

@@ -6,9 +6,8 @@ access links, traffic crosses switches, and link-level bandwidth
 asymmetry — not just device heterogeneity — dominates placement quality
 (Parthasarathy & Krishnamachari, arXiv:2210.12219).  A
 :class:`Topology` is a set of named point-to-point
-:class:`NetworkLink` objects with per-link bandwidth, propagation
-latency, jitter and loss; the event engine gives each link its own
-FIFO, so concurrent transfers contend exactly where their routes
+:class:`NetworkLink` objects with per-link bandwidth and propagation
+latency; the event engine gives each link its own FIFO, so concurrent transfers contend exactly where their routes
 overlap and nowhere else.
 
 The degenerate case is :meth:`Topology.bus`: every pair of nodes
@@ -23,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cost.comm import NetworkModel, wifi_50mbps
 
@@ -37,18 +36,10 @@ _ROUTE_REF_BYTES = 1_000_000.0
 class NetworkLink:
     """A point-to-point link between two named nodes.
 
-    ``transfer_time`` without an ``rng`` is the *expected* time —
-    latency plus half the jitter window plus the serialisation time,
-    inflated by the retransmission factor ``1 / (1 - loss)`` — so
-    default runs stay deterministic.  Pass a generator to sample
-    jitter uniformly and loss geometrically instead.
-
-    Contract: without an ``rng``, ``transfer_time`` is a pure function
-    of ``(self, nbytes)`` — same arguments, same float, no hidden
-    state.  The event engine relies on it to compute each route's hop
-    times once per plan instead of once per hop; a subclass that
-    overrides ``transfer_time`` must keep that, and keep all its
-    randomness behind ``rng``.
+    ``transfer_time`` is latency plus serialisation time, a pure
+    function of ``(self, nbytes)``: the event engine relies on it to
+    compute each route's hop times once per plan instead of once per
+    hop.
     """
 
     name: str
@@ -56,31 +47,18 @@ class NetworkLink:
     b: str
     bandwidth_bytes_per_s: float
     latency_s: float = 0.0
-    jitter_s: float = 0.0
-    loss: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
         if self.latency_s < 0:
             raise ValueError("latency must be non-negative")
-        if self.jitter_s < 0:
-            raise ValueError("jitter must be non-negative")
-        if not 0 <= self.loss < 1:
-            raise ValueError("loss must be in [0, 1)")
 
     @classmethod
     def from_mbps(
-        cls,
-        name: str,
-        a: str,
-        b: str,
-        mbps: float,
-        latency_s: float = 0.0,
-        jitter_s: float = 0.0,
-        loss: float = 0.0,
+        cls, name: str, a: str, b: str, mbps: float, latency_s: float = 0.0
     ) -> "NetworkLink":
-        return cls(name, a, b, mbps * 1e6 / 8.0, latency_s, jitter_s, loss)
+        return cls(name, a, b, mbps * 1e6 / 8.0, latency_s)
 
     @property
     def mbps(self) -> float:
@@ -93,17 +71,9 @@ class NetworkLink:
             return self.a
         raise ValueError(f"{node!r} is not an endpoint of link {self.name!r}")
 
-    def transfer_time(self, nbytes: float, rng=None) -> float:
+    def transfer_time(self, nbytes: float) -> float:
         """Seconds to push ``nbytes`` across this link (one hop)."""
-        wire = max(0.0, float(nbytes)) / self.bandwidth_bytes_per_s
-        if rng is None:
-            once = self.latency_s + self.jitter_s / 2.0 + wire
-            return once / (1.0 - self.loss)
-        attempts = 1
-        while self.loss > 0 and rng.random() < self.loss:
-            attempts += 1
-        jitter = rng.uniform(0.0, self.jitter_s) if self.jitter_s > 0 else 0.0
-        return attempts * (self.latency_s + wire) + jitter
+        return self.latency_s + max(0.0, float(nbytes)) / self.bandwidth_bytes_per_s
 
 
 class Topology:
@@ -116,12 +86,7 @@ class Topology:
     inputs appear on the first stage's own devices.
     """
 
-    def __init__(
-        self,
-        links: "Iterable[NetworkLink]" = (),
-        entry: Optional[str] = None,
-        name: str = "topology",
-    ) -> None:
+    def __init__(self, entry: Optional[str] = None, name: str = "topology") -> None:
         self.name = name
         self.entry = entry
         self._links: "List[NetworkLink]" = []
@@ -131,10 +96,6 @@ class Topology:
         self.is_bus = False
         self.contended = False
         self._bus_network: Optional[NetworkModel] = None
-        for link in links:
-            self.add_link(link)
-        if entry is not None and self._links and entry not in self._adjacency:
-            raise ValueError(f"entry node {entry!r} is not on the topology")
 
     # -- construction -------------------------------------------------
 
@@ -145,24 +106,6 @@ class Topology:
         self._adjacency.setdefault(link.a, []).append(link)
         self._adjacency.setdefault(link.b, []).append(link)
         self._route_cache.clear()
-
-    def attach(
-        self,
-        device: str,
-        to: str,
-        mbps: float = 50.0,
-        latency_s: float = 0.0,
-        jitter_s: float = 0.0,
-        loss: float = 0.0,
-    ) -> NetworkLink:
-        """Join ``device`` to the network at node ``to`` (mobility)."""
-        if to not in self._adjacency and self._links:
-            raise ValueError(f"attachment point {to!r} is not on the topology")
-        link = NetworkLink.from_mbps(
-            f"{device}<->{to}", device, to, mbps, latency_s, jitter_s, loss
-        )
-        self.add_link(link)
-        return link
 
     # -- queries ------------------------------------------------------
 
@@ -260,7 +203,6 @@ class Topology:
         cls,
         network: Optional[NetworkModel] = None,
         contended: bool = False,
-        name: str = "wlan",
     ) -> "Topology":
         """The degenerate one-link topology: the pre-2.0 simulator.
 
@@ -271,10 +213,10 @@ class Topology:
         Both are bit-compatible with the legacy event loop.
         """
         network = network or wifi_50mbps()
-        topo = cls(name=name)
+        topo = cls(name="wlan")
         topo.add_link(
             NetworkLink(
-                name,
+                "wlan",
                 "*",
                 "*",
                 network.bandwidth_bytes_per_s,
@@ -293,8 +235,6 @@ class Topology:
         hub: str = "hub",
         mbps: float = 50.0,
         latency_s: float = 0.0,
-        jitter_s: float = 0.0,
-        loss: float = 0.0,
         entry: Optional[str] = None,
     ) -> "Topology":
         """One access point: every device gets a private uplink to
@@ -307,8 +247,7 @@ class Topology:
         for device in devices:
             topo.add_link(
                 NetworkLink.from_mbps(
-                    f"{device}<->{hub}", device, hub, mbps,
-                    latency_s, jitter_s, loss,
+                    f"{device}<->{hub}", device, hub, mbps, latency_s
                 )
             )
         topo.entry = entry if entry is not None else hub
@@ -320,8 +259,6 @@ class Topology:
         devices: "Sequence[str]",
         mbps: float = 50.0,
         latency_s: float = 0.0,
-        jitter_s: float = 0.0,
-        loss: float = 0.0,
         entry: Optional[str] = None,
     ) -> "Topology":
         """Full mesh: a direct link between every device pair."""
@@ -332,7 +269,7 @@ class Topology:
             for b in devices[i + 1:]:
                 topo.add_link(
                     NetworkLink.from_mbps(
-                        f"{a}<->{b}", a, b, mbps, latency_s, jitter_s, loss
+                        f"{a}<->{b}", a, b, mbps, latency_s
                     )
                 )
         return topo
@@ -345,8 +282,6 @@ class Topology:
         mbps: float = 50.0,
         fabric_mbps: Optional[float] = None,
         latency_s: float = 0.0,
-        jitter_s: float = 0.0,
-        loss: float = 0.0,
         entry: Optional[str] = None,
     ) -> "Topology":
         """A k-ary fat tree (k pods of k/2 edge + k/2 aggregation
@@ -383,7 +318,7 @@ class Topology:
                     topo.add_link(
                         NetworkLink.from_mbps(
                             f"{edge}<->{agg}", edge, agg, fabric,
-                            latency_s, jitter_s, loss,
+                            latency_s,
                         )
                     )
                 for c in range(half):
@@ -391,7 +326,7 @@ class Topology:
                     topo.add_link(
                         NetworkLink.from_mbps(
                             f"{agg}<->{core}", agg, core, fabric,
-                            latency_s, jitter_s, loss,
+                            latency_s,
                         )
                     )
         for i, device in enumerate(devices):
@@ -399,8 +334,7 @@ class Topology:
             edge = f"edge{e // half}.{e % half}"
             topo.add_link(
                 NetworkLink.from_mbps(
-                    f"{device}<->{edge}", device, edge, mbps,
-                    latency_s, jitter_s, loss,
+                    f"{device}<->{edge}", device, edge, mbps, latency_s
                 )
             )
         topo.entry = entry if entry is not None else "core0"

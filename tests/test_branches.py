@@ -204,7 +204,3 @@ class TestBranchPlans:
     def test_scheme_flag(self):
         scheme = PicoScheme(branch_parallel=True)
         assert scheme.name == "PICO+B"
-        with pytest.raises(ValueError):
-            PicoScheme(branch_parallel=True, use_pareto=True).plan(
-                get_model("fig13_toy"), pi_cluster(2, 600), NET
-            )

@@ -46,7 +46,7 @@ class TestRegionBytes:
         assert region_bytes(16, Region.full(10, 10)) == 16 * 100 * 4
 
     def test_custom_width(self):
-        assert region_bytes(2, Region.from_bounds(0, 3, 0, 5), bytes_per_value=2) == 60
+        assert region_bytes(2, Region.from_bounds(0, 3, 0, 5)) == 2 * 3 * 5 * 4
 
 
 class TestDevice:

@@ -1,4 +1,4 @@
-"""Multi-tenant fleet serving: pool, scheduler, grants, bit-exactness.
+"""Multi-tenant fleet serving: pool, scheduler, bit-exactness.
 
 The fleet layer's contract, from four angles:
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adaptive.switcher import build_apico_switcher
 from repro.cluster.device import (
     DeviceLease,
     DevicePool,
@@ -172,11 +171,10 @@ class TestTenantClass:
         tenant = TenantClass(
             "t", "m", rate=1.0, slo=1.0, policy="block", queue_capacity=4
         )
-        cfg = tenant.server_config(max_batch=2, batch_timeout=0.1)
+        cfg = tenant.server_config()
         assert cfg.queue_capacity == 4
         assert cfg.policy == "block"
-        assert cfg.max_batch == 2
-        assert cfg.batch_timeout == 0.1
+        assert cfg.max_batch == 1
 
 
 class TestModelRegistry:
@@ -271,42 +269,6 @@ class TestFleetScheduler:
         sched.pool.mark_dead(solo_cluster.devices[0].name)
         with pytest.raises(PlanningError):
             sched.replace_tenant("a")
-
-
-# ---------------------------------------------------------------------------
-# AdaptiveSwitcher fleet grants
-# ---------------------------------------------------------------------------
-
-
-class TestSwitcherGrant:
-    def test_grant_restricts_candidates(self, small_model, cluster, net):
-        switcher = build_apico_switcher(small_model, cluster, net)
-        all_devices = {
-            d.name for c in switcher.candidates for d in c.plan.all_devices
-        }
-        assert switcher.granted is None
-        switcher.grant(all_devices)
-        single = {
-            d.name
-            for c in switcher.candidates
-            if len(c.plan.all_devices) == 1
-            for d in c.plan.all_devices
-        }
-        some = next(iter(single))
-        switcher.grant((some,))
-        assert all(
-            d.name == some for d in switcher.active.plan.all_devices
-        )
-        switcher.grant(None)
-        assert switcher.granted is None
-
-    def test_impossible_grant_raises_and_resets(
-        self, small_model, cluster, net
-    ):
-        switcher = build_apico_switcher(small_model, cluster, net)
-        with pytest.raises(ValueError):
-            switcher.grant(("no-such-device",))
-        assert switcher.granted is None  # failed grant does not stick
 
 
 # ---------------------------------------------------------------------------

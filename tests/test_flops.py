@@ -124,9 +124,7 @@ class TestModelFlops:
             "m", (3, 8, 8), [conv3x3("c", 3, 4)],
             head=[DenseSpec("fc", 256, 10)],
         )
-        assert model_flops(model) == model_flops(
-            model, CostOptions(include_head=False)
-        ) + 2560
+        assert model_flops(model) == full_unit_flops(model, 0) + 2560
 
     def test_head_flops(self):
         model = chain_model(

@@ -281,3 +281,201 @@ def test_repository_allowlist_is_clean():
     assert all(
         line.split("  ", 1)[1].startswith(lint_dead.KINDS) for line in allowed
     )
+
+
+# -- the parameter rule and the receiver rule ------------------------------
+
+
+@pytest.fixture
+def knobs(tmp_path):
+    """``pkg``: defaulted parameters passed every way and not at all, and
+    methods sharing a name across classes, with the receivers that tell
+    them apart."""
+    _write(tmp_path, "src/pkg/__init__.py", "")
+    _write(tmp_path, "src/pkg/knobs.py", """\
+        from dataclasses import dataclass, field
+
+
+        def by_keyword(x, scale=1.0):
+            return x * scale
+
+
+        def by_position(x, scale=1.0):
+            return x * scale
+
+
+        def by_forward(x, scale=1.0):
+            return x * scale
+
+
+        def forwarder(x, **kwargs):
+            return by_forward(x, **kwargs)
+
+
+        def unpassed(x, scale=1.0, *, mode="a"):
+            return x * scale
+
+
+        def as_value(x, scale=1.0):
+            return x * scale
+
+
+        REGISTRY = {"v": as_value}
+
+
+        @dataclass
+        class Record:
+            name: str
+            size: int = 1
+            unset: int = 0
+            derived: int = field(default=0, init=False)
+
+
+        class Base:
+            def __init__(self, a, b=2):
+                self.a = a
+
+
+        class Child(Base):
+            pass
+    """)
+    _write(tmp_path, "src/pkg/net.py", """\
+        class Topology:
+            def attach(self, device):
+                return device
+
+
+        class Channel:
+            def attach(self, ring):
+                return ring
+
+
+        class ShmChannel(Channel):
+            def reset(self):
+                return 0
+
+
+        class Used:
+            def via_self(self):
+                return 0
+
+            def via_annotation(self):
+                return 0
+
+            def via_constructor(self):
+                return 0
+
+            def via_anything(self):
+                return 0
+
+            def go(self):
+                return self.via_self()
+
+
+        class Decoy:
+            def via_self(self):
+                return 0
+
+            def via_annotation(self):
+                return 0
+
+            def via_constructor(self):
+                return 0
+
+            def via_anything(self):
+                return 0
+    """)
+    _write(tmp_path, "src/pkg/user.py", """\
+        from pkg.knobs import (
+            REGISTRY, Child, Record, by_keyword, by_position, forwarder, unpassed,
+        )
+        from pkg.net import Channel, ShmChannel, Used
+
+
+        def main():
+            by_keyword(1, scale=2.0)
+            by_position(1, 2.0)
+            forwarder(1, scale=3.0)
+            unpassed(1)
+            Record("r", 3)
+            Child(1, 5)
+            return REGISTRY["v"](1)
+
+
+        def wire(channel: Channel):
+            channel.attach(1)
+            shm = ShmChannel()
+            shm.reset()
+
+
+        def use(obj: "Used", things):
+            obj.via_annotation()
+            fresh = Used()
+            fresh.via_constructor()
+            things[0].via_anything()
+            return obj.go()
+    """)
+    _write(tmp_path, "tests/test_knobs.py", """\
+        from pkg.knobs import unpassed
+        from pkg.net import Topology
+
+
+        def test_scale():
+            assert unpassed(1, 2.0) == 2.0
+            assert Topology().attach("d") == "d"
+    """)
+    _write(tmp_path, "README.md", "")
+    (tmp_path / "allow.txt").write_text("")
+    return tmp_path
+
+
+def test_parameter_passed_any_way_is_live(knobs):
+    dead = _dead(knobs)
+    for live in ("by_keyword", "by_position", "by_forward", "as_value"):
+        assert f"pkg.knobs:{live}(scale)" not in dead  # keyword, position, **, value
+    assert "pkg.knobs:Record(size)" not in dead  # a dataclass field, by position
+    assert "pkg.knobs:Base(b)" not in dead  # through a subclass's call
+    assert "pkg.knobs:Record(derived)" not in dead  # init=False: no parameter
+
+
+def test_unpassed_parameters_and_fields_are_flagged(knobs):
+    params = {key for key in _dead(knobs) if key.endswith(")")}
+    assert params == {
+        "pkg.knobs:unpassed(scale)",
+        "pkg.knobs:unpassed(mode)",
+        "pkg.knobs:Record(unset)",
+    }
+
+
+def test_receivers_resolve_to_their_class(knobs):
+    dead = _dead(knobs)
+    for method in ("via_self", "via_annotation", "via_constructor"):
+        assert f"pkg.net:Used.{method}" not in dead
+        assert f"pkg.net:Decoy.{method}" in dead
+
+
+def test_unresolved_receiver_keeps_every_method_of_the_name_live(knobs):
+    dead = _dead(knobs)
+    assert "pkg.net:Used.via_anything" not in dead
+    assert "pkg.net:Decoy.via_anything" not in dead
+
+
+def test_name_collision_flags_only_the_uncalled_class(knobs):
+    dead = _dead(knobs)
+    assert "pkg.net:Channel.attach" not in dead  # annotated receiver
+    assert "pkg.net:ShmChannel.reset" not in dead  # bound from ShmChannel()
+    assert "pkg.net:Topology.attach" in dead  # a test's call does not count
+
+
+def test_parameter_entries_are_checked(knobs):
+    problems, allowed = _lint(knobs, """\
+        pkg.knobs:unpassed(scale)  probe: tests/test_knobs.py passed by position
+        pkg.knobs:unpassed(mode)  probe: tests/test_knobs.py never passed
+        pkg.knobs:by_keyword(scale)  probe: tests/test_knobs.py stale
+    """)
+    assert any(line.startswith("pkg.knobs:unpassed(scale)  probe:") for line in allowed)
+    assert any("unpassed(mode): probe: tests/test_knobs.py does not pass mode to unpassed" in p
+               for p in problems)
+    assert any("by_keyword(scale): no longer dead; delete the entry" in p for p in problems)
+    assert any("pkg.knobs:Record(unset) is passed by no production call" in p
+               for p in problems)

@@ -47,8 +47,10 @@ class TestFitAlpha:
 
 class TestCalibrateHost:
     def test_produces_plausible_capacity(self):
-        result = calibrate_host(sizes=(48, 64), repeats=2)
+        from repro.cost.profiler import CALIBRATION_REPEATS, CALIBRATION_SIZES
+
+        result = calibrate_host()
         # Any host runs numpy matmuls between 10 MFLOP/s and 10 TFLOP/s.
         assert 1e7 < result.flops_per_second < 1e13
-        assert result.samples == 4
+        assert result.samples == len(CALIBRATION_SIZES) * CALIBRATION_REPEATS
         assert result.rms_residual_s >= 0.0

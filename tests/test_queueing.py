@@ -110,43 +110,3 @@ class TestTheorem2Literal:
         t = p + t_extra
         diff = theorem2_literal(p, t, lam) - average_inference_latency(p, t, lam)
         assert diff == pytest.approx(p)
-
-
-class TestBatchedLatency:
-    def test_batch_one_is_theorem2(self):
-        from repro.adaptive.queueing import batched_inference_latency
-
-        for rate in (0.0, 0.1, 0.4):
-            assert batched_inference_latency(
-                2.0, 3.0, rate, 1
-            ) == average_inference_latency(2.0, 3.0, rate)
-
-    def test_forming_delay_dominates_light_load(self):
-        from repro.adaptive.queueing import batched_inference_latency
-
-        # At a trickle, waiting for batch-mates costs ~(b-1)/(2λ).
-        lam = 0.001
-        t1 = batched_inference_latency(0.5, 1.0, lam, 1)
-        t4 = batched_inference_latency(0.5, 1.0, lam, 4)
-        assert t4 > t1
-        assert t4 - 1.0 >= (4 - 1) / (2 * lam) * 0.99
-
-    def test_zero_rate_never_forms(self):
-        from repro.adaptive.queueing import batched_inference_latency
-
-        assert batched_inference_latency(0.5, 1.0, 0.0, 2) == math.inf
-
-    def test_unstable_is_infinite(self):
-        from repro.adaptive.queueing import batched_inference_latency
-
-        assert batched_inference_latency(1.0, 1.0, 1.5, 2) == math.inf
-
-    def test_validation(self):
-        from repro.adaptive.queueing import batched_inference_latency
-
-        with pytest.raises(ValueError, match="batch"):
-            batched_inference_latency(1.0, 1.0, 0.5, 0)
-        with pytest.raises(ValueError, match="below period"):
-            batched_inference_latency(2.0, 1.0, 0.1, 2)
-        with pytest.raises(ValueError, match="non-negative"):
-            batched_inference_latency(1.0, 1.0, -0.1, 2)

@@ -295,16 +295,16 @@ class TestSimSemantics:
         with PipelineSession.from_plan(
             model, plan, SimTransport(engine, net)
         ) as s:
-            s.run_frame(_frames(model, 1)[0], at=5.0)
+            s.run_stacked(_frames(model, 1), at=5.0)
             with pytest.raises(ValueError, match="time order"):
-                s.run_frame(_frames(model, 1)[0], at=1.0)
+                s.run_stacked(_frames(model, 1), at=1.0)
 
     def test_arrivals_shift_virtual_clock(self, model, plan, net):
         engine = Engine(model, seed=0)
         transport = SimTransport(engine, net)
         with PipelineSession.from_plan(model, plan, transport) as s:
             for x, at in zip(_frames(model, 2), [0.0, 100.0]):
-                s.run_frame(x, at)
+                s.run_stacked((x,), at)
         # Second frame arrived long after the first drained: its latency
         # is the plan latency, so completion is arrival + latency.
         timing = plan_timing(model, plan, net)
@@ -416,25 +416,9 @@ class TestBatchedExecution:
 
         assert single_latency < t_batch.now < 3 * single_latency
         # Exact charge: every stage service is batched_service(comm, comp, 3).
-        assert t_batch.batch_amortized == BATCH_AMORTIZED_FRACTION
         assert batched_service(0.0, 1.0, 3) == pytest.approx(
             BATCH_AMORTIZED_FRACTION + 3 * (1 - BATCH_AMORTIZED_FRACTION)
         )
-
-    def test_sim_batch_amortized_knob(self, model, plan, net):
-        engine = Engine(model, seed=0)
-        with pytest.raises(ValueError, match="batch_amortized"):
-            SimTransport(engine, net, batch_amortized=1.5)
-        # amortized=1 → compute fully shared: batch of B costs ~1 frame
-        # of compute (comm still scales with B).
-        frames = _frames(model, 4)
-        t_full = SimTransport(engine, net, batch_amortized=1.0)
-        with PipelineSession.from_plan(model, plan, t_full) as s:
-            s.run_stacked(frames)
-        t_none = SimTransport(engine, net, batch_amortized=0.0)
-        with PipelineSession.from_plan(model, plan, t_none) as s:
-            s.run_stacked(frames)
-        assert t_full.now < t_none.now
 
     def test_stage_free_time_advances(self, model, plan, net):
         engine = Engine(model, seed=0)

@@ -118,10 +118,12 @@ class TestPico:
             PicoScheme(t_lim=0)
 
     def test_pareto_variant_at_least_as_good(self, model, cluster, net):
+        from repro.core.heterogeneous import adapt_to_cluster
+        from repro.core.pareto import plan_pareto
+
         dp = plan_cost(model, PicoScheme().plan(model, cluster, net), net)
-        pareto = plan_cost(
-            model, PicoScheme(use_pareto=True).plan(model, cluster, net), net
-        )
+        homo = plan_pareto(model, cluster, net)
+        pareto = plan_cost(model, adapt_to_cluster(model, homo, cluster), net)
         assert pareto.period <= dp.period + 1e-9
 
 

@@ -87,7 +87,7 @@ class TestReport:
         assert f"{plan.n_stages - 1:>5d}" in text or str(plan.n_stages - 1) in text
 
     def test_render_timeline_shape(self, model, plan):
-        text = render_timeline(model, plan, NET, n_tasks=4, width=60)
+        text = render_timeline(model, plan, NET, n_tasks=4)
         lines = text.splitlines()
         assert len(lines) == plan.n_stages + 1
         # Each task digit appears somewhere.

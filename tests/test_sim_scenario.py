@@ -7,7 +7,7 @@ totals included, equals the one recorded through the legacy adapter
 before it was deleted (``tests/data/sim_golden.json``) — across
 schemes, both communication modes, admission control, frame-indexed
 crashes and measured service times.  Routed topologies (star, fat
-tree, mesh; per-link FIFOs, churn with rejoin, sampled links) are
+tree, mesh; per-link FIFOs, churn with rejoin) are
 pinned the same way to the engine as it stood before its hot loop was
 compiled into per-plan tables.  On top of that: churn replanning,
 mobility joins, multi-hop behaviour, an event-accounting identity that
@@ -199,8 +199,9 @@ def routed_cases():
     """The ``routed-*`` cases: multi-hop topologies on the 8-device
     heterogeneous cluster, two devices leaving in a calm stretch and
     rejoining inside a rush at twice the flat model's capacity (the
-    routed hops make it more), with and without admission control and
-    per-hop sampling.
+    routed hops make it more), with and without admission control.
+    ``-expected`` names the time model: every hop is charged its
+    link's deterministic transfer time.
 
     Their digests (and ``keep_records=False`` field tuples, under
     ``"stats"`` in the golden file) were recorded at the commit named
@@ -209,7 +210,7 @@ def routed_cases():
     CHANGES.md).
     """
     names = [d.name for d in ROUTED_CLUSTER]
-    link = dict(mbps=50.0, latency_s=0.0005, jitter_s=0.002, loss=0.05)
+    link = dict(mbps=50.0, latency_s=0.0005)
     cases = {}
     for kind, topo in routed_topologies(**link).items():
         net = topo.as_network_model()
@@ -227,14 +228,11 @@ def routed_cases():
             rejoin_after=70 * period,
         )
         for capacity in (None, 8):
-            for sampled in (False, True):
-                label = "sampled" if sampled else "expected"
-                cases[f"routed-{kind}-q{capacity}-{label}"] = (
-                    lambda: "pico", ROUTED_CLUSTER,
-                    dict(topology=topo, arrivals=arrivals, churn=churn,
-                         trace=True, queue_capacity=capacity,
-                         sample_network=sampled, seed=11),
-                )
+            cases[f"routed-{kind}-q{capacity}-expected"] = (
+                lambda: "pico", ROUTED_CLUSTER,
+                dict(topology=topo, arrivals=arrivals, churn=churn,
+                     trace=True, queue_capacity=capacity, seed=11),
+            )
     return cases
 
 
@@ -312,11 +310,11 @@ ROUTED = [n for n in GOLDEN_CASES if n.startswith("routed-")]
 
 
 class TestRoutedGoldens:
-    """Star / fat tree / mesh with churn, shedding and sampled links:
+    """Star / fat tree / mesh with churn and shedding:
     the engine's routed path, pinned to the loop it replaced."""
 
     def test_routed_cases_are_all_recorded(self):
-        assert len(ROUTED) == 12
+        assert len(ROUTED) == 6
         assert set(GOLDEN["stats"]) == set(ROUTED)
         assert len(GOLDEN["routed_recorded_at"]) == 40
 
@@ -335,14 +333,6 @@ class TestRoutedGoldens:
         stats = run_golden(name, trace=None, keep_records=False)
         assert isinstance(stats, SimStats)
         assert stats_fields(stats) == GOLDEN["stats"][name]
-
-    def test_sampling_draws_change_the_run(self):
-        """The sampled cases are not the expected-time cases in
-        disguise: same scenario, different bits."""
-        for name in ROUTED:
-            if name.endswith("-sampled"):
-                twin = name.replace("-sampled", "-expected")
-                assert GOLDEN["digests"][name] != GOLDEN["digests"][twin]
 
 
 def replay_links(releases):
@@ -637,16 +627,6 @@ class TestMultiHop:
             topology=Topology.star(names, mbps=5.0), arrivals=arrivals,
         )
         assert slow.makespan > fast.makespan
-
-    def test_sampled_network_stays_deterministic_per_seed(self, model, cluster):
-        names = [d.name for d in cluster]
-        topo = Topology.star(names, mbps=50.0, jitter_s=0.002, loss=0.05)
-        kwargs = dict(
-            topology=topo, arrivals=[0.0, 1.0, 2.0], sample_network=True,
-        )
-        a = simulate_scenario(model, PicoScheme(), cluster, seed=3, **kwargs)
-        b = simulate_scenario(model, PicoScheme(), cluster, seed=3, **kwargs)
-        assert a == b
 
 
 class TestStatsMode:

@@ -122,78 +122,3 @@ class TestBuildApico:
         ofl = next(c for c in switcher.candidates if c.name == "OFL")
         assert pico.period <= ofl.period + 1e-12
         assert ofl.period == pytest.approx(ofl.latency)
-
-
-class TestBatchKnob:
-    """Cross-frame batch size as an adaptive knob."""
-
-    def _batched(self, candidates, batches=(1, 2, 4)):
-        return AdaptiveSwitcher(candidates, batch_candidates=batches)
-
-    def test_default_keeps_batching_off(self, candidates):
-        switcher = AdaptiveSwitcher(candidates)
-        assert switcher.batch_candidates == (1,)
-        assert switcher.active_batch == 1
-        assert switcher.choose_batch(50.0) == 1
-
-    def test_invalid_batch_candidates_rejected(self, candidates):
-        with pytest.raises(ValueError, match="batch_candidates"):
-            AdaptiveSwitcher(candidates, batch_candidates=())
-        with pytest.raises(ValueError, match="batch_candidates"):
-            AdaptiveSwitcher(candidates, batch_candidates=(0, 2))
-        with pytest.raises(ValueError, match="batch_candidates"):
-            AdaptiveSwitcher(candidates, batch_candidates=(1.5,))
-
-    def test_candidates_sorted_and_deduped(self, candidates):
-        switcher = AdaptiveSwitcher(candidates, batch_candidates=(4, 1, 2, 2))
-        assert switcher.batch_candidates == (1, 2, 4)
-
-    def test_light_load_prefers_singletons(self, candidates):
-        switcher = self._batched(candidates)
-        # Cold start and light load: the forming delay buries batching.
-        assert switcher.choose_batch(0.0) == 1
-        assert switcher.choose_batch(0.01) == 1
-
-    def test_batching_extends_the_stable_region(self, candidates):
-        # PIPE has period 0.5 (capacity 2/s, all compute with
-        # comm_fraction 0).  Past that rate only b > 1 keeps a finite
-        # estimate: batched_period(b) < period, so batching is the only
-        # stable choice and the switcher must pick it.
-        switcher = self._batched(candidates)
-        pipe = [c for c in candidates if c.name == "PIPE"][0]
-        switcher._active = pipe
-        rate = 1.05 * (1.0 / pipe.period)
-        assert pipe.batched_period(4) < pipe.period
-        chosen = switcher.choose_batch(rate)
-        assert chosen > 1
-
-    def test_comm_dominated_plan_never_batches(self):
-        # comm scales linearly with B: an all-comm plan gains nothing.
-        all_comm = make_candidate("COMM", period=1.0, latency=1.0)
-        all_comm = CandidatePlan(
-            all_comm.name, all_comm.plan, all_comm.period,
-            all_comm.latency, comm_fraction=1.0,
-        )
-        assert all_comm.batched_period(4) == pytest.approx(1.0)
-        switcher = AdaptiveSwitcher((all_comm,), batch_candidates=(1, 2, 4))
-        for rate in (0.1, 0.5, 0.9):
-            assert switcher.choose_batch(rate) == 1
-
-    def test_on_arrival_updates_active_batch(self, candidates):
-        switcher = self._batched(candidates)
-        assert switcher.active_batch == 1
-        pipe = [c for c in candidates if c.name == "PIPE"][0]
-        # Flood past the unbatched capacity (2/s for PIPE) but inside
-        # the batched stable region (b=4 serves up to ~2.46/s).
-        for i in range(400):
-            switcher.on_arrival(i * 0.45)
-        assert switcher.active.name == "PIPE"
-        rate = switcher.tracker.rate
-        if rate * pipe.period > 1.0:
-            assert switcher.active_batch > 1
-
-    def test_batched_helpers_identity_at_one(self, candidates):
-        for c in candidates:
-            assert c.batched_period(1) == c.period
-            assert c.batched_latency(1) == c.latency
-            assert c.estimated_latency(0.2, batch=1) == c.estimated_latency(0.2)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cost.comm import NetworkModel, coerce_network, wifi_50mbps
 from repro.sim import NetworkLink, Topology
+
+
+def _topology(*links):
+    topo = Topology()
+    for link in links:
+        topo.add_link(link)
+    return topo
 
 
 class TestNetworkLink:
@@ -21,31 +27,18 @@ class TestNetworkLink:
         assert link.other("b") == "a"
 
     def test_transfer_time_deterministic_expectation(self):
-        link = NetworkLink(
-            "l", "a", "b", 1e6, latency_s=0.01, jitter_s=0.004, loss=0.5
-        )
-        # (latency + jitter/2 + bytes/bw) / (1 - loss)
-        expected = (0.01 + 0.002 + 0.5) / 0.5
-        assert link.transfer_time(500_000) == pytest.approx(expected)
+        link = NetworkLink("l", "a", "b", 1e6, latency_s=0.01)
+        # latency + bytes/bw, the same float every call
+        assert link.transfer_time(500_000) == 0.01 + 0.5
+        assert link.transfer_time(500_000) == link.transfer_time(500_000)
 
     def test_transfer_time_zero_bytes_pays_latency(self):
         link = NetworkLink("l", "a", "b", 1e6, latency_s=0.02)
         assert link.transfer_time(0) == pytest.approx(0.02)
 
-    def test_transfer_time_sampled_at_least_deterministic_base(self):
-        link = NetworkLink(
-            "l", "a", "b", 1e6, latency_s=0.01, jitter_s=0.004, loss=0.3
-        )
-        rng = np.random.default_rng(0)
-        base = 0.01 + 1e5 / 1e6  # one clean attempt, no jitter
-        for _ in range(20):
-            assert link.transfer_time(1e5, rng) >= base - 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NetworkLink("l", "a", "b", 0.0)
-        with pytest.raises(ValueError):
-            NetworkLink("l", "a", "b", 1e6, loss=1.0)
         with pytest.raises(ValueError):
             NetworkLink("l", "a", "b", 1e6, latency_s=-1)
 
@@ -72,12 +65,10 @@ class TestTopologyRouting:
 
     def test_route_prefers_fast_path(self):
         # a--b direct but slow; a--r--b fast: Dijkstra picks two fast hops.
-        topo = Topology(
-            [
-                NetworkLink.from_mbps("slow", "a", "b", 1.0),
-                NetworkLink.from_mbps("ar", "a", "r", 1000.0),
-                NetworkLink.from_mbps("rb", "r", "b", 1000.0),
-            ]
+        topo = _topology(
+            NetworkLink.from_mbps("slow", "a", "b", 1.0),
+            NetworkLink.from_mbps("ar", "a", "r", 1000.0),
+            NetworkLink.from_mbps("rb", "r", "b", 1000.0),
         )
         assert [l.name for l in topo.route("a", "b")] == ["ar", "rb"]
 
@@ -87,27 +78,23 @@ class TestTopologyRouting:
             topo.route("a", "nope")
 
     def test_disconnected_raises(self):
-        topo = Topology(
-            [
-                NetworkLink("l1", "a", "b", 1e6),
-                NetworkLink("l2", "c", "d", 1e6),
-            ]
+        topo = _topology(
+            NetworkLink("l1", "a", "b", 1e6),
+            NetworkLink("l2", "c", "d", 1e6),
         )
         with pytest.raises(ValueError):
             topo.route("a", "c")
 
     def test_duplicate_link_name_rejected(self):
-        topo = Topology([NetworkLink("l", "a", "b", 1e6)])
+        topo = _topology(NetworkLink("l", "a", "b", 1e6))
         with pytest.raises(ValueError):
             topo.add_link(NetworkLink("l", "b", "c", 1e6))
 
-    def test_attach_invalidates_routes(self):
+    def test_add_link_invalidates_routes(self):
         topo = Topology.star(["a", "b"], mbps=50)
         assert len(topo.route("a", "b")) == 2
-        with pytest.raises(ValueError):
-            topo.route("a", "c")
-        topo.attach("c", to="hub", mbps=50)
-        assert len(topo.route("a", "c")) == 2
+        topo.add_link(NetworkLink.from_mbps("direct", "a", "b", 1000.0))
+        assert [l.name for l in topo.route("a", "b")] == ["direct"]
 
     def test_path_time_sums_links(self):
         topo = Topology.star(["a", "b"], mbps=8, latency_s=0.01)

@@ -74,6 +74,13 @@ class _ResetChannel:
         raise ConnectionResetError(104, "Connection reset by peer")
 
 
+def _handle(worker_id, task, channel):
+    """A stage-0 worker handle already bound to ``channel``."""
+    handle = _WorkerHandle(worker_id, None, task, 0)
+    handle.channel = channel
+    return handle
+
+
 def test_reset_on_recv_is_device_dead(small_model, hetero4):
     """A worker that dies with unread bytes makes the kernel send RST:
     the reset must enter the ladder as ``DeviceDead``, not escape it."""
@@ -81,7 +88,7 @@ def test_reset_on_recv_is_device_dead(small_model, hetero4):
     task = compile_plan(small_model, plan).stages[0].tasks[0]
     transport = TcpTransport(small_model)
     transport._epochs = [0]
-    transport.bind_stage(0, [_WorkerHandle(0, None, task, 0, _ResetChannel())])
+    transport.bind_stage(0, [_handle(0, task, _ResetChannel())])
     tile = np.zeros((3, 4, 4), dtype=np.float32)
     with pytest.raises(DeviceDead) as err:
         transport.run_tasks(0, [tile], 0)
@@ -109,10 +116,7 @@ def _scripted_transport(small_model, hetero4, scripts, epoch=0):
     transport = TcpTransport(small_model)
     transport._epochs = [epoch]
     channels = [_ScriptedChannel(script) for script in scripts]
-    transport.bind_stage(0, [
-        _WorkerHandle(i, None, task, 0, channel)
-        for i, channel in enumerate(channels)
-    ])
+    transport.bind_stage(0, [_handle(i, task, c) for i, c in enumerate(channels)])
     return transport, channels
 
 
